@@ -22,15 +22,13 @@
 //!
 //! Every entry must carry `rule`, `path`, `reason`, and exactly one of
 //! `fingerprint` (pin diagnostics by line *content* — shift-proof against
-//! edits elsewhere in the file), `count` (a per-file budget — an exact-match
-//! ratchet, so adding *or* removing a site forces a re-audit), or the
-//! schema-1 `line` (a 1-based line pin, deprecated: it breaks whenever an
-//! unrelated line is inserted above the site). A `fingerprint` entry may add
-//! `count = N` when N identical lines in the file are blessed together
-//! (default 1). The analyzer additionally requires a `// SAFETY:` or
-//! `// DETERMINISM:` comment at the blessed site (`fingerprint`/`line`
-//! entries) or at module level before the first blessed site (`count`
-//! entries); an allowlist entry alone is never sufficient.
+//! edits elsewhere in the file) or `count` (a per-file budget — an
+//! exact-match ratchet, so adding *or* removing a site forces a re-audit).
+//! A `fingerprint` entry may add `count = N` when N identical lines in the
+//! file are blessed together (default 1). The analyzer additionally
+//! requires a `// SAFETY:` or `// DETERMINISM:` comment at the blessed site
+//! (`fingerprint` entries) or at module level before the first blessed site
+//! (`count` entries); an allowlist entry alone is never sufficient.
 //!
 //! Compute a fingerprint with [`line_fingerprint`] on the trimmed source
 //! line, or run the analyzer: unmatched-fingerprint problems print the
@@ -38,8 +36,9 @@
 
 use crate::rules::RULE_IDS;
 
-/// Latest allowlist schema. Schema 1 (line pins) is still read, with a
-/// deprecation warning; schema-2 files may not contain `line` entries.
+/// The allowlist schema this analyzer reads. Schema 1 pinned sites by line
+/// number; its reader is retired, so a `schema = 1` header fails the run
+/// and `line` is an unknown key.
 pub const ALLOWLIST_SCHEMA: u32 = 2;
 
 /// FNV-1a 64-bit hash of the *trimmed* source line — the schema-2
@@ -57,8 +56,6 @@ pub fn line_fingerprint(line: &str) -> u64 {
 /// How an [`AllowEntry`] selects diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllowKind {
-    /// Exactly one diagnostic, at this 1-based line (schema 1, deprecated).
-    Line(u32),
     /// Diagnostics whose source line's trimmed content hashes to
     /// `hash` ([`line_fingerprint`]); exactly `count` must match.
     Fingerprint {
@@ -78,7 +75,7 @@ pub struct AllowEntry {
     pub rule: String,
     /// Workspace-relative path with forward slashes.
     pub path: String,
-    /// Fingerprint pin, line pin, or per-file budget.
+    /// Fingerprint pin or per-file budget.
     pub kind: AllowKind,
     /// Human justification; must be non-empty.
     pub reason: String,
@@ -87,7 +84,7 @@ pub struct AllowEntry {
 /// Parsed allowlist.
 #[derive(Debug, Default)]
 pub struct Allowlist {
-    /// Schema version (`schema = 1` or `2`).
+    /// Schema version as written in the file (`schema = 2`).
     pub schema: u32,
     /// All entries in file order.
     pub entries: Vec<AllowEntry>,
@@ -116,7 +113,6 @@ struct Draft {
     start_line: usize,
     rule: Option<String>,
     path: Option<String>,
-    line: Option<u32>,
     fingerprint: Option<u64>,
     count: Option<u32>,
     reason: Option<String>,
@@ -134,15 +130,10 @@ fn finish(draft: Draft) -> Result<AllowEntry, AllowlistError> {
     if reason.trim().is_empty() {
         return Err(err("`reason` must not be empty"));
     }
-    let kind = match (draft.line, draft.fingerprint, draft.count) {
-        (Some(l), None, None) => AllowKind::Line(l),
-        (None, Some(hash), count) => AllowKind::Fingerprint { hash, count: count.unwrap_or(1) },
-        (None, None, Some(c)) => AllowKind::Count(c),
-        (Some(_), Some(_), _) => return Err(err("entry has both `line` and `fingerprint`")),
-        (Some(_), None, Some(_)) => return Err(err("entry has both `line` and `count`")),
-        (None, None, None) => {
-            return Err(err("entry needs one of `fingerprint`, `count`, or `line`"));
-        }
+    let kind = match (draft.fingerprint, draft.count) {
+        (Some(hash), count) => AllowKind::Fingerprint { hash, count: count.unwrap_or(1) },
+        (None, Some(c)) => AllowKind::Count(c),
+        (None, None) => return Err(err("entry needs one of `fingerprint` or `count`")),
     };
     if matches!(kind, AllowKind::Fingerprint { count: 0, .. } | AllowKind::Count(0)) {
         return Err(err("`count` must be at least 1"));
@@ -199,7 +190,6 @@ pub fn parse(text: &str) -> Result<Allowlist, AllowlistError> {
             ("rule", Some(d)) => d.rule = Some(parse_str(value, lineno)?),
             ("path", Some(d)) => d.path = Some(parse_str(value, lineno)?),
             ("reason", Some(d)) => d.reason = Some(parse_str(value, lineno)?),
-            ("line", Some(d)) => d.line = Some(parse_int(value, lineno)?),
             ("fingerprint", Some(d)) => {
                 d.fingerprint = Some(parse_fingerprint(value, lineno)?);
             }
@@ -263,7 +253,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_all_three_entry_kinds() {
+    fn parses_both_entry_kinds() {
         let text = r#"
 schema = 2
 
@@ -279,22 +269,15 @@ rule = "C1"
 path = "crates/x/src/b.rs"
 count = 3
 reason = "bounded casts"
-
-[[allow]]
-rule = "P1"
-path = "crates/x/src/c.rs"
-line = 12
-reason = "legacy schema-1 pin"
 "#;
         let list = parse(text).unwrap();
         assert_eq!(list.schema, 2);
-        assert_eq!(list.entries.len(), 3);
+        assert_eq!(list.entries.len(), 2);
         assert_eq!(
             list.entries[0].kind,
             AllowKind::Fingerprint { hash: 0x8c55_ad85_85a1_c9d3, count: 1 }
         );
         assert_eq!(list.entries[1].kind, AllowKind::Count(3));
-        assert_eq!(list.entries[2].kind, AllowKind::Line(12));
     }
 
     #[test]
@@ -317,31 +300,23 @@ reason = "legacy schema-1 pin"
 
     #[test]
     fn rejects_missing_reason() {
-        let text = "[[allow]]\nrule = \"P1\"\npath = \"x.rs\"\nline = 1\n";
+        let text = "[[allow]]\nrule = \"P1\"\npath = \"x.rs\"\ncount = 1\n";
         let err = parse(text).unwrap_err();
         assert!(err.message.contains("reason"), "{err}");
         assert_eq!(err.line, 1);
     }
 
     #[test]
-    fn rejects_line_and_count_together() {
-        let text =
-            "[[allow]]\nrule = \"P1\"\npath = \"x.rs\"\nline = 1\ncount = 2\nreason = \"r\"\n";
+    fn rejects_retired_line_pins_at_the_key() {
+        let text = "[[allow]]\nrule = \"P1\"\npath = \"x.rs\"\nline = 1\nreason = \"r\"\n";
         let err = parse(text).unwrap_err();
-        assert!(err.message.contains("both"), "{err}");
-    }
-
-    #[test]
-    fn rejects_line_and_fingerprint_together() {
-        let text = "[[allow]]\nrule = \"P1\"\npath = \"x.rs\"\nline = 1\n\
-                    fingerprint = \"00000000000000ff\"\nreason = \"r\"\n";
-        let err = parse(text).unwrap_err();
-        assert!(err.message.contains("both"), "{err}");
+        assert!(err.message.contains("unknown key \"line\""), "{err}");
+        assert_eq!(err.line, 4);
     }
 
     #[test]
     fn rejects_unknown_rule() {
-        let text = "[[allow]]\nrule = \"Z9\"\npath = \"x.rs\"\nline = 1\nreason = \"r\"\n";
+        let text = "[[allow]]\nrule = \"Z9\"\npath = \"x.rs\"\ncount = 1\nreason = \"r\"\n";
         let err = parse(text).unwrap_err();
         assert!(err.message.contains("unknown rule"), "{err}");
     }

@@ -174,11 +174,9 @@ pub struct AnalysisReport {
     /// Findings not covered by the allowlist, sorted by path then line.
     pub diagnostics: Vec<FileDiagnostic>,
     /// Allowlist problems: unused entries, count drift, missing
-    /// justification comments, line pins in a schema-2 file. Any problem
-    /// fails the run.
+    /// justification comments, an unsupported schema. Any problem fails the
+    /// run.
     pub problems: Vec<String>,
-    /// Non-fatal notices (e.g. the schema-1 deprecation warning).
-    pub warnings: Vec<String>,
     /// Findings covered by a valid allowlist entry.
     pub suppressed: usize,
     /// Per-rule tallies, keyed by rule id; every id in
@@ -188,7 +186,7 @@ pub struct AnalysisReport {
 
 impl AnalysisReport {
     /// True when the workspace satisfies the contract: no stray findings
-    /// and no allowlist problems. Warnings do not fail the run.
+    /// and no allowlist problems.
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty() && self.problems.is_empty()
     }
@@ -273,27 +271,12 @@ fn reconcile(per_file: &BTreeMap<String, FileData>, allow: &Allowlist) -> Analys
     for rule in RULE_IDS {
         report.rules.insert(rule.to_string(), RuleSummary::default());
     }
-    match allow.schema {
-        allowlist::ALLOWLIST_SCHEMA => {}
-        1 => {
-            if !allow.entries.is_empty() {
-                report.warnings.push(
-                    "allowlist: schema 1 is deprecated — set `schema = 2` and re-key \
-                     line-pinned entries as content fingerprints (fingerprint = FNV-1a 64 \
-                     of the trimmed source line)"
-                        .to_string(),
-                );
-            }
-        }
-        other => {
-            if !allow.entries.is_empty() {
-                report.problems.push(format!(
-                    "allowlist: unsupported schema {other} (this analyzer understands \
-                     schema 1 or {})",
-                    allowlist::ALLOWLIST_SCHEMA
-                ));
-            }
-        }
+    if allow.schema != allowlist::ALLOWLIST_SCHEMA && !allow.entries.is_empty() {
+        report.problems.push(format!(
+            "allowlist: unsupported schema {} (this analyzer reads schema {})",
+            allow.schema,
+            allowlist::ALLOWLIST_SCHEMA
+        ));
     }
 
     // Suppression marks, parallel to each file's diagnostics vector.
@@ -312,47 +295,6 @@ fn reconcile(per_file: &BTreeMap<String, FileData>, allow: &Allowlist) -> Analys
         let marks =
             taken.get_mut(entry.path.as_str()).expect("taken is keyed identically to per_file");
         match entry.kind {
-            AllowKind::Line(line) => {
-                if allow.schema >= allowlist::ALLOWLIST_SCHEMA {
-                    report.problems.push(format!(
-                        "allowlist: {} {}:{line} is line-pinned, but schema {} forbids \
-                         `line` entries — re-key it as `fingerprint = \"{}\"` (FNV-1a 64 \
-                         of the trimmed source line)",
-                        entry.rule,
-                        entry.path,
-                        allow.schema,
-                        data.lines.get(line as usize - 1).map_or_else(
-                            || "????????????????".to_string(),
-                            |l| format!("{:016x}", line_fingerprint(l))
-                        ),
-                    ));
-                }
-                let hits: Vec<usize> = diags
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, d)| d.rule == entry.rule && d.line == line)
-                    .map(|(i, _)| i)
-                    .collect();
-                if hits.is_empty() {
-                    report.problems.push(format!(
-                        "allowlist: unused entry {} {}:{} — the diagnostic it blesses no \
-                         longer fires; remove it",
-                        entry.rule, entry.path, line
-                    ));
-                    continue;
-                }
-                let justified = JUSTIFICATIONS
-                    .iter()
-                    .any(|n| data.lexed.comment_near(line, JUSTIFICATION_WINDOW, n));
-                if !justified {
-                    report.problems.push(format!(
-                        "allowlist: {} {}:{} has no // SAFETY: or // DETERMINISM: comment \
-                         within {} lines of the site",
-                        entry.rule, entry.path, line, JUSTIFICATION_WINDOW
-                    ));
-                }
-                suppress(&mut report, &entry.rule, marks, &hits);
-            }
             AllowKind::Fingerprint { hash, count } => {
                 let hits: Vec<usize> = diags
                     .iter()
@@ -470,9 +412,10 @@ fn reconcile(per_file: &BTreeMap<String, FileData>, allow: &Allowlist) -> Analys
 }
 
 /// Schema version of the `--json` report. Bump on breaking layout changes.
-/// Version 2 added `allowlist_schema`, per-rule summaries (`rules`),
-/// `warnings`, and the D3 `chain` field on diagnostics.
-pub const REPORT_SCHEMA_VERSION: u32 = 2;
+/// Version 2 added `allowlist_schema`, per-rule summaries (`rules`), and
+/// the D3 `chain` field on diagnostics; version 3 dropped `warnings` (its
+/// one producer, the schema-1 allowlist reader, is retired).
+pub const REPORT_SCHEMA_VERSION: u32 = 3;
 
 /// Serializes the report as stable, sorted JSON (local writer; the crate is
 /// dependency-free by design).
@@ -501,7 +444,6 @@ pub fn to_json(report: &AnalysisReport, allow: &Allowlist) -> String {
         s.push_str("\n  ");
     }
     s.push_str("},\n");
-    push_str_array(&mut s, "warnings", &report.warnings);
     push_str_array(&mut s, "problems", &report.problems);
     s.push_str("  \"diagnostics\": [");
     for (i, d) in report.diagnostics.iter().enumerate() {
@@ -611,7 +553,7 @@ mod tests {
             diagnostic: rules::Diagnostic::new("P1", 7, "has \"quotes\"".to_string()),
         });
         let json = to_json(&report, &Allowlist::default());
-        assert!(json.contains("\"analyze_report_version\": 2"));
+        assert!(json.contains("\"analyze_report_version\": 3"));
         assert!(json.contains("\\\"quotes\\\""));
         assert!(json.contains("\"clean\": false"));
         assert!(json.contains("\"P1\": {\"diagnostics\": 1, \"suppressed\": 0}"));

@@ -172,9 +172,6 @@ fn main() -> ExitCode {
     if args.format == "json" {
         print!("{json}");
     } else {
-        for w in &report.warnings {
-            println!("warning: {w}");
-        }
         for d in &report.diagnostics {
             println!(
                 "{}:{}: {} {}",

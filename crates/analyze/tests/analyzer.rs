@@ -191,24 +191,20 @@ fn fingerprint_allow() -> String {
 #[test]
 fn allowlisted_site_with_justification_is_clean() {
     let ws = TempWorkspace::new("ok", OFFENDING_LIB);
-    let report = ws.run(
-        "schema = 1\n[[allow]]\nrule = \"P1\"\npath = \"crates/graph/src/lib.rs\"\nline = 4\nreason = \"fixture\"\n",
-    );
+    let report = ws.run(&fingerprint_allow());
     assert!(report.is_clean(), "{report:?}");
     assert_eq!(report.suppressed, 1);
 }
 
 #[test]
-fn schema_1_still_reads_but_warns_deprecation() {
-    let ws = TempWorkspace::new("s1warn", OFFENDING_LIB);
-    let report = ws.run(
-        "schema = 1\n[[allow]]\nrule = \"P1\"\npath = \"crates/graph/src/lib.rs\"\nline = 4\nreason = \"fixture\"\n",
-    );
-    assert!(report.is_clean(), "warnings are not problems: {report:?}");
+fn a_schema_1_header_is_a_hard_failure() {
+    let ws = TempWorkspace::new("s1", OFFENDING_LIB);
+    let report = ws.run(&fingerprint_allow().replace("schema = 2", "schema = 1"));
+    assert!(!report.is_clean(), "the schema-1 reader is retired: {report:?}");
     assert!(
-        report.warnings.iter().any(|w| w.contains("deprecated")),
-        "schema 1 reads with a deprecation warning: {:?}",
-        report.warnings
+        report.problems.iter().any(|p| p.contains("unsupported schema 1")),
+        "{:?}",
+        report.problems
     );
 }
 
@@ -225,14 +221,6 @@ fn fingerprint_pins_survive_lines_inserted_above() {
     let after = ws.run(&allow);
     assert!(after.is_clean(), "the same entry survives the two-line shift: {after:?}");
     assert_eq!(after.suppressed, 1);
-    assert!(after.warnings.is_empty(), "schema 2 carries no deprecation warning: {after:?}");
-
-    // Contrast: a schema-1 line pin goes stale under the same shift.
-    let stale = ws.run(
-        "schema = 1\n[[allow]]\nrule = \"P1\"\npath = \"crates/graph/src/lib.rs\"\nline = 4\nreason = \"fixture\"\n",
-    );
-    assert!(!stale.is_clean());
-    assert!(stale.problems.iter().any(|p| p.contains("unused")), "{:?}", stale.problems);
 }
 
 #[test]
@@ -256,29 +244,12 @@ fn fingerprint_pins_fail_when_the_line_content_changes() {
 }
 
 #[test]
-fn line_pins_inside_a_schema_2_file_are_problems_with_the_replacement() {
-    let ws = TempWorkspace::new("s2line", OFFENDING_LIB);
-    let report = ws.run(
-        "schema = 2\n[[allow]]\nrule = \"P1\"\npath = \"crates/graph/src/lib.rs\"\nline = 4\nreason = \"fixture\"\n",
-    );
-    assert!(!report.is_clean());
-    assert!(
-        report
-            .problems
-            .iter()
-            .any(|p| p.contains("forbids") && p.contains(&offending_fingerprint())),
-        "the problem quotes the fingerprint to migrate to: {:?}",
-        report.problems
-    );
-}
-
-#[test]
 fn missing_justification_comment_is_a_problem() {
     let no_comment =
         "#![forbid(unsafe_code)]\npub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
     let ws = TempWorkspace::new("nojust", no_comment);
     let report = ws.run(
-        "schema = 1\n[[allow]]\nrule = \"P1\"\npath = \"crates/graph/src/lib.rs\"\nline = 3\nreason = \"fixture\"\n",
+        "schema = 2\n[[allow]]\nrule = \"P1\"\npath = \"crates/graph/src/lib.rs\"\ncount = 1\nreason = \"fixture\"\n",
     );
     assert!(!report.is_clean());
     assert!(
@@ -302,7 +273,7 @@ fn deleting_the_safety_comment_fails_a_fingerprinted_site() {
 fn unused_entry_is_a_problem() {
     let ws = TempWorkspace::new("unused", OFFENDING_LIB);
     let report = ws.run(
-        "schema = 1\n[[allow]]\nrule = \"P1\"\npath = \"crates/graph/src/lib.rs\"\nline = 999\nreason = \"stale\"\n",
+        "schema = 2\n[[allow]]\nrule = \"P1\"\npath = \"crates/graph/src/lib.rs\"\nfingerprint = \"0000000000000000\"\nreason = \"stale\"\n",
     );
     assert!(report.problems.iter().any(|p| p.contains("unused")), "{:?}", report.problems);
     assert_eq!(report.diagnostics.len(), 1, "the real finding still surfaces");
@@ -312,11 +283,11 @@ fn unused_entry_is_a_problem() {
 fn count_entries_ratchet_exactly() {
     let ws = TempWorkspace::new("count", OFFENDING_LIB);
     let ok = ws.run(
-        "schema = 1\n[[allow]]\nrule = \"P1\"\npath = \"crates/graph/src/lib.rs\"\ncount = 1\nreason = \"fixture\"\n",
+        "schema = 2\n[[allow]]\nrule = \"P1\"\npath = \"crates/graph/src/lib.rs\"\ncount = 1\nreason = \"fixture\"\n",
     );
     assert!(ok.is_clean(), "{ok:?}");
     let drift = ws.run(
-        "schema = 1\n[[allow]]\nrule = \"P1\"\npath = \"crates/graph/src/lib.rs\"\ncount = 2\nreason = \"fixture\"\n",
+        "schema = 2\n[[allow]]\nrule = \"P1\"\npath = \"crates/graph/src/lib.rs\"\ncount = 2\nreason = \"fixture\"\n",
     );
     assert!(drift.problems.iter().any(|p| p.contains("count drift")), "{:?}", drift.problems);
 }
@@ -373,7 +344,7 @@ fn unallowed_violation_reaches_the_report_and_json() {
         &report,
         &allowlist::Allowlist { schema: allowlist::ALLOWLIST_SCHEMA, entries: Vec::new() },
     );
-    assert!(json.contains("\"analyze_report_version\": 2"), "{json}");
+    assert!(json.contains("\"analyze_report_version\": 3"), "{json}");
     assert!(json.contains("\"allowlist_schema\": 2"), "{json}");
     assert!(json.contains("\"rule\": \"P1\""));
     assert!(json.contains("\"line\": 4"));
@@ -427,7 +398,7 @@ fn cli_rejects_unknown_formats_with_the_accepted_list() {
 }
 
 #[test]
-fn cli_format_json_prints_the_schema_2_report() {
+fn cli_format_json_prints_the_versioned_report() {
     let ws = TempWorkspace::new("clijson", OFFENDING_LIB);
     std::fs::write(ws.root.join("analyze.toml"), fingerprint_allow()).expect("write allowlist");
     let bin = env!("CARGO_BIN_EXE_reorderlab-analyze");
@@ -437,7 +408,7 @@ fn cli_format_json_prints_the_schema_2_report() {
         .expect("spawn analyzer");
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"analyze_report_version\": 2"), "{stdout}");
+    assert!(stdout.contains("\"analyze_report_version\": 3"), "{stdout}");
     assert!(stdout.contains("\"suppressed\": 1"), "{stdout}");
 }
 
@@ -469,10 +440,6 @@ fn the_workspace_is_clean_under_the_committed_allowlist() {
         std::fs::read_to_string(root.join("analyze.toml")).expect("committed analyze.toml");
     let allow = allowlist::parse(&allow_text).expect("committed allowlist parses");
     assert_eq!(allow.schema, allowlist::ALLOWLIST_SCHEMA, "the committed allowlist is schema 2");
-    assert!(
-        !allow.entries.iter().any(|e| matches!(e.kind, allowlist::AllowKind::Line(_))),
-        "no line-numbered pins survive in the committed allowlist"
-    );
     let report = analyze_workspace(&root, &allow).expect("workspace walk");
     assert!(
         report.is_clean(),
@@ -489,5 +456,4 @@ fn the_workspace_is_clean_under_the_committed_allowlist() {
         report.problems.join("\n")
     );
     assert!(report.files_scanned > 90, "the walker saw the whole workspace");
-    assert!(report.warnings.is_empty(), "no deprecation warnings: {:?}", report.warnings);
 }

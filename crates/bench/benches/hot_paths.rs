@@ -1,12 +1,9 @@
-//! Criterion regression gate for the four optimized hot paths:
+//! Criterion regression gate for the optimized hot paths:
 //!
-//! 1. the Louvain move phase — every selectable kernel (flat scatter,
-//!    cache-line-blocked, packed stamp+weight, and the HashMap reference
-//!    they all replay bit-identically);
+//! 1. the Louvain move phase (one phase of the packed scatter scan);
 //! 2. the gap/bandwidth measure sweep (parallel row reductions);
 //! 3. CSR relabeling (`permuted`) and transposition (`transposed`);
-//! 4. RR-set sampling — classic vs hub/cold split visited-set kernels,
-//!    with a reusable scratch vs per-sample allocation;
+//! 4. RR-set sampling with a reusable scratch vs per-sample allocation;
 //! 5. the parallel reordering kernels vs their retained serial oracles
 //!    (`reorder_parallel`): RCM's level gather + packed keys, SlashBurn's
 //!    linear-time top-k hub extraction, Rabbit's speculative batched scan,
@@ -15,16 +12,15 @@
 //!
 //! Run with `cargo bench -p reorderlab-bench --bench hot_paths`. The
 //! before/after numbers recorded in `results/hot_paths.txt` come from this
-//! bench; the HashMap-kernel, alloc-sampling, and serial-oracle entries
-//! *are* the "before", kept runnable so regressions in either direction
-//! stay visible.
+//! bench; the alloc-sampling and serial-oracle entries *are* the "before",
+//! kept runnable so regressions in either direction stay visible.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use reorderlab_community::{louvain, LouvainConfig, MoveKernel};
+use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_core::measures::{edge_gaps, gap_measures, vertex_bandwidths};
 use reorderlab_datasets::by_name;
 use reorderlab_graph::{Csr, Permutation};
-use reorderlab_influence::{DiffusionModel, RrSampler, SampleKernel, SampleScratch};
+use reorderlab_influence::{DiffusionModel, RrSampler, SampleScratch};
 use std::hint::black_box;
 
 /// The large-suite instance all hot-path benches run on (the same one the
@@ -49,14 +45,10 @@ fn bench_louvain_move_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("louvain_move_kernel");
     group.sample_size(10);
     for threads in [1usize, 4] {
-        for kernel in MoveKernel::ALL {
-            let cfg = LouvainConfig::default().kernel(kernel).threads(threads).max_phases(1);
-            group.bench_with_input(
-                BenchmarkId::new(kernel.name(), format!("{threads}t")),
-                &g,
-                |b, g| b.iter(|| black_box(louvain(black_box(g), &cfg))),
-            );
-        }
+        let cfg = LouvainConfig::default().threads(threads).max_phases(1);
+        group.bench_with_input(BenchmarkId::new("packed", format!("{threads}t")), &g, |b, g| {
+            b.iter(|| black_box(louvain(black_box(g), &cfg)))
+        });
     }
     group.finish();
 }
@@ -107,21 +99,18 @@ fn bench_rr_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("rr_sampling");
     group.sample_size(10);
     const SETS: u64 = 512;
-    for kernel in SampleKernel::ALL {
-        let sampler = RrSampler::with_kernel(&g, model, kernel);
-        group.bench_function(BenchmarkId::new("scratch", kernel.name()), |b| {
-            let mut scratch = SampleScratch::new(sampler.num_vertices());
-            b.iter(|| {
-                let mut visited = 0u64;
-                for i in 0..SETS {
-                    let (_, t) = sampler.sample_with(7, i, &mut scratch);
-                    visited += t.vertices_visited;
-                }
-                black_box(visited)
-            })
-        });
-    }
     let sampler = RrSampler::new(&g, model);
+    group.bench_function(BenchmarkId::from_parameter("scratch"), |b| {
+        let mut scratch = SampleScratch::new(sampler.num_vertices());
+        b.iter(|| {
+            let mut visited = 0u64;
+            for i in 0..SETS {
+                let (_, t) = sampler.sample_with(7, i, &mut scratch);
+                visited += t.vertices_visited;
+            }
+            black_box(visited)
+        })
+    });
     group.bench_function(BenchmarkId::from_parameter("alloc"), |b| {
         b.iter(|| {
             let mut visited = 0u64;

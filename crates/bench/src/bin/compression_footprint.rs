@@ -22,7 +22,7 @@ use reorderlab_core::Scheme;
 use reorderlab_graph::CompressedCsr;
 use reorderlab_kernels::{pagerank, pagerank_compressed, PageRankConfig};
 
-/// Same fixed corpus and scheme set as `bench snapshot` (BENCH_0008.json).
+/// Same fixed corpus and scheme set as `bench snapshot` (BENCH_0012.json).
 const CORPUS: [&str; 2] = ["euroroad", "pgp"];
 const SCHEMES: [&str; 6] = ["natural", "rcm", "degree", "dbg", "comm-bfs", "adaptive"];
 

@@ -58,10 +58,6 @@ fn main() {
         .iter()
         .map(|spec| {
             let g = spec.generate();
-            // DETERMINISM: reorder() can reach grappolo's reference HashMap
-            // kernel, whose iteration order never escapes (max-gain with id
-            // tie-break; pinned by the kernel-differential tests), so
-            // parallel scheme fan-out cannot change any permutation.
             let perms: Vec<_> = schemes.par_iter().map(|s| s.reorder(&g)).collect();
             let cells = perms
                 .iter()

@@ -37,10 +37,6 @@ fn main() {
     let reports: Vec<MemReport> = schemes
         .par_iter()
         .map(|scheme| {
-            // DETERMINISM: reorder() can reach grappolo's reference HashMap
-            // kernel, whose iteration order never escapes (kernel-
-            // differential tests pin it), so parallel scheme fan-out
-            // cannot change any permutation.
             let pi = scheme.reorder(&g);
             let h = g.permuted(&pi).expect("valid permutation");
             // Stable labels: vertex v of the permuted graph is original

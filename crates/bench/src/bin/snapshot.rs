@@ -1,20 +1,20 @@
 //! `bench snapshot` — the machine-readable perf trajectory.
 //!
 //! Emits a schema-versioned `BENCH_*.json` snapshot over a fixed small
-//! corpus: for every (graph, scheme, workload, kernel variant) it records
-//! the deterministic memsim counters (loads, per-level hits, fixed-point
-//! latency and boundedness) and, with `--wall`, wall-time summaries from
-//! the criterion shim. A `compression` section records the exact
-//! delta/varint footprint per (graph, scheme): gap-stream bytes, arc
-//! count, and bits-per-edge in fixed-point milli units — all integers, so
-//! the diff on them is exact. Memsim and compression fields are
-//! byte-reproducible across runs and thread counts; wall fields are not
+//! corpus: for every (graph, scheme, workload) it records, under the name
+//! of the workload's one kernel, the deterministic memsim counters (loads,
+//! per-level hits, fixed-point latency and boundedness) and, with `--wall`,
+//! wall-time summaries from the criterion shim. A `compression` section
+//! records the exact delta/varint footprint per (graph, scheme): gap-stream
+//! bytes, arc count, and bits-per-edge in fixed-point milli units — all
+//! integers, so the diff on them is exact. Memsim and compression fields
+//! are byte-reproducible across runs and thread counts; wall fields are not
 //! and are therefore compared with a percentage band (or skipped when
 //! absent) by `--diff`.
 //!
 //! ```text
-//! snapshot --out BENCH_0008.json --wall     # regenerate the snapshot
-//! snapshot --diff BENCH_0008.json fresh.json [--wall-tol 0.25]
+//! snapshot --out BENCH_0012.json --wall     # regenerate the snapshot
+//! snapshot --diff BENCH_0012.json fresh.json [--wall-tol 0.25]
 //! ```
 //!
 //! `--diff` exits 0 when the snapshots agree, 1 on schema or counter drift
@@ -23,12 +23,11 @@
 
 #![forbid(unsafe_code)]
 
-use reorderlab_community::{louvain, LouvainConfig, MoveKernel};
+use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_core::Scheme;
-use reorderlab_influence::{DiffusionModel, RrSampler, SampleKernel, SampleScratch};
+use reorderlab_influence::{DiffusionModel, RrSampler, SampleScratch};
 use reorderlab_memsim::{
     replay_louvain_move, replay_pagerank_iteration, replay_rr_kernel, Hierarchy, HierarchyConfig,
-    LouvainReplayKernel, RrReplayKernel,
 };
 use reorderlab_trace::Json;
 
@@ -48,8 +47,6 @@ const SCHEMES: [&str; 6] = ["natural", "rcm", "degree", "dbg", "comm-bfs", "adap
 const RR_PROBABILITY: f64 = 0.25;
 const RR_SETS: usize = 64;
 const RR_SEED: u64 = 7;
-/// Map slots of the HashMap replay (Grappolo's per-vertex map working set).
-const MAP_SLOTS: u64 = 4096;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -125,36 +122,22 @@ fn build_snapshot(wall: bool, quick: bool) -> Json {
             // traversal (see replay_rr_kernel).
             let labels: Vec<u32> = pi.to_order();
 
-            for kernel in MoveKernel::ALL {
-                entries.push(entry(
-                    graph_name,
-                    scheme.name(),
-                    "louvain_move",
-                    kernel.name(),
-                    |h| replay_louvain_move(&laid_out, louvain_replay(kernel), h),
-                    wall.then(|| measure_louvain(&laid_out, kernel)).flatten(),
-                ));
-            }
-            for kernel in SampleKernel::ALL {
-                entries.push(entry(
-                    graph_name,
-                    scheme.name(),
-                    "rr_sample",
-                    kernel.name(),
-                    |h| {
-                        replay_rr_kernel(
-                            &laid_out,
-                            &labels,
-                            RR_PROBABILITY,
-                            RR_SETS,
-                            RR_SEED,
-                            rr_replay(kernel),
-                            h,
-                        )
-                    },
-                    wall.then(|| measure_rr(&laid_out, kernel)).flatten(),
-                ));
-            }
+            entries.push(entry(
+                graph_name,
+                scheme.name(),
+                "louvain_move",
+                "packed",
+                |h| replay_louvain_move(&laid_out, h),
+                wall.then(|| measure_louvain(&laid_out)).flatten(),
+            ));
+            entries.push(entry(
+                graph_name,
+                scheme.name(),
+                "rr_sample",
+                "classic",
+                |h| replay_rr_kernel(&laid_out, &labels, RR_PROBABILITY, RR_SETS, RR_SEED, h),
+                wall.then(|| measure_rr(&laid_out)).flatten(),
+            ));
             entries.push(entry(
                 graph_name,
                 scheme.name(),
@@ -196,22 +179,6 @@ fn compression_entry(
         ("gap_bytes".into(), Json::Num(c.gap_bytes as f64)),
         ("bits_per_edge_milli".into(), Json::Num(bpe_milli as f64)),
     ])
-}
-
-fn louvain_replay(k: MoveKernel) -> LouvainReplayKernel {
-    match k {
-        MoveKernel::FlatScatter => LouvainReplayKernel::FlatScatter,
-        MoveKernel::Blocked => LouvainReplayKernel::Blocked,
-        MoveKernel::Packed => LouvainReplayKernel::Packed,
-        MoveKernel::HashMap => LouvainReplayKernel::HashMap { map_slots: MAP_SLOTS },
-    }
-}
-
-fn rr_replay(k: SampleKernel) -> RrReplayKernel {
-    match k {
-        SampleKernel::Classic => RrReplayKernel::Classic,
-        SampleKernel::HubSplit => RrReplayKernel::HubSplit,
-    }
 }
 
 /// Builds one snapshot entry: replays the workload through a cold scaled
@@ -274,14 +241,14 @@ fn entry(
     ])
 }
 
-fn measure_louvain(g: &reorderlab_graph::Csr, kernel: MoveKernel) -> Option<criterion::Summary> {
-    let cfg = LouvainConfig::default().threads(1).max_phases(1).kernel(kernel);
+fn measure_louvain(g: &reorderlab_graph::Csr) -> Option<criterion::Summary> {
+    let cfg = LouvainConfig::default().threads(1).max_phases(1);
     criterion::measure(|| criterion::black_box(louvain(g, &cfg)))
 }
 
-fn measure_rr(g: &reorderlab_graph::Csr, kernel: SampleKernel) -> Option<criterion::Summary> {
+fn measure_rr(g: &reorderlab_graph::Csr) -> Option<criterion::Summary> {
     let model = DiffusionModel::IndependentCascade { probability: RR_PROBABILITY };
-    let sampler = RrSampler::with_kernel(g, model, kernel);
+    let sampler = RrSampler::new(g, model);
     let mut scratch = SampleScratch::new(g.num_vertices());
     criterion::measure(move || {
         let mut edges = 0u64;

@@ -80,10 +80,6 @@ pub fn gap_sweep(instances: &[InstanceSpec], schemes: &[Scheme]) -> SweepResult 
                 .iter()
                 .map(|scheme| {
                     let t0 = Instant::now();
-                    // DETERMINISM: reorder() can reach grappolo's reference
-                    // HashMap kernel, whose iteration order never escapes
-                    // (kernel-differential tests pin it); the enclosing
-                    // instance fan-out stays bit-identical per scheme.
                     let pi = scheme.reorder(&g);
                     let secs = t0.elapsed().as_secs_f64();
                     let m = gap_measures(&g, &pi);

@@ -99,8 +99,9 @@ fn print_usage() {
          reorderlab memsim   (--input FILE | --instance NAME) [--scheme NAME]\n                      \
          [--workload louvain|rr|pagerank] [--kernel NAME] [--json]\n                      \
          (replay a hot kernel's access stream through the simulated\n                      \
-         L1/L2/L3/DRAM hierarchy; kernels: flat|blocked|packed|hashmap\n                      \
-         for louvain, classic|hubsplit for rr)\n  \
+         L1/L2/L3/DRAM hierarchy; each workload has one kernel, which\n                      \
+         --kernel may name: packed for louvain, classic for rr, pull\n                      \
+         for pagerank)\n  \
          reorderlab validate FILE... [--json] [--manifest FILE]\n                      \
          (exit 0: all clean, 1: unreadable, 2: malformed; errors carry line numbers)\n  \
          reorderlab manifest-check FILE...\n\n\

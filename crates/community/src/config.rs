@@ -1,52 +1,5 @@
 //! Louvain engine configuration.
 
-/// Which implementation of the hot neighbor-community scan the move phase
-/// uses.
-///
-/// Both kernels produce identical community assignments, modularity traces,
-/// and `loads` accounting; they differ only in speed. The flat kernel is the
-/// default; the hash-map kernel is retained as the behavioral reference for
-/// equivalence tests and before/after benchmarking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MoveKernel {
-    /// Grappolo-style flat scatter array indexed by community id, reset
-    /// lazily via an epoch stamp, with per-worker scratch reused across
-    /// iterations. O(deg) per vertex with no hashing or per-vertex
-    /// allocation.
-    #[default]
-    FlatScatter,
-    /// Cache-line-blocked neighbor scan over the same flat scatter arrays:
-    /// targets and community payloads are gathered one line-sized block at a
-    /// time, separating the sequential offset/target walk from the random
-    /// community gather so the hardware prefetcher sees two clean streams.
-    Blocked,
-    /// Branch-light packed scatter: stamp and weight share one 16-byte slot
-    /// per community (half the random cache lines of the flat layout), and
-    /// the per-neighbor accumulate is an unconditional epoch-stamped write
-    /// with a select in place of the taken/not-taken stamp branch.
-    Packed,
-    /// The original per-chunk `HashMap<u32, f64>` accumulation. Slower;
-    /// kept as the reference implementation.
-    HashMap,
-}
-
-impl MoveKernel {
-    /// Short display name (used by benches and the snapshot harness).
-    pub fn name(&self) -> &'static str {
-        match self {
-            MoveKernel::FlatScatter => "flat",
-            MoveKernel::Blocked => "blocked",
-            MoveKernel::Packed => "packed",
-            MoveKernel::HashMap => "hashmap",
-        }
-    }
-
-    /// Every kernel, reference last. All entries produce bit-identical
-    /// results; they differ only in memory layout and speed.
-    pub const ALL: [MoveKernel; 4] =
-        [MoveKernel::FlatScatter, MoveKernel::Blocked, MoveKernel::Packed, MoveKernel::HashMap];
-}
-
 /// Configuration for the [`louvain`](crate::louvain) engine.
 ///
 /// The defaults match the behaviour the paper describes for Grappolo:
@@ -66,12 +19,6 @@ pub struct LouvainConfig {
     pub max_phases: usize,
     /// Worker threads; `0` uses the global rayon pool.
     pub threads: usize,
-    /// Vertices per parallel work chunk (used by the [`MoveKernel::HashMap`]
-    /// reference kernel; the flat kernel statically partitions vertices
-    /// across workers).
-    pub chunk_size: usize,
-    /// Move-phase kernel implementation.
-    pub kernel: MoveKernel,
 }
 
 impl LouvainConfig {
@@ -83,8 +30,6 @@ impl LouvainConfig {
             max_iterations: 200,
             max_phases: 12,
             threads: 0,
-            chunk_size: 2048,
-            kernel: MoveKernel::default(),
         }
     }
 
@@ -127,18 +72,6 @@ impl LouvainConfig {
         self.threads = t;
         self
     }
-
-    /// Sets the parallel chunk size.
-    pub fn chunk_size(mut self, c: usize) -> Self {
-        self.chunk_size = c.max(1);
-        self
-    }
-
-    /// Selects the move-phase kernel implementation.
-    pub fn kernel(mut self, k: MoveKernel) -> Self {
-        self.kernel = k;
-        self
-    }
 }
 
 impl Default for LouvainConfig {
@@ -167,12 +100,10 @@ mod tests {
             .phase_gain_threshold(1e-5)
             .max_iterations(10)
             .max_phases(3)
-            .threads(2)
-            .chunk_size(128);
+            .threads(2);
         assert_eq!(c.max_iterations, 10);
         assert_eq!(c.max_phases, 3);
         assert_eq!(c.threads, 2);
-        assert_eq!(c.chunk_size, 128);
         assert_eq!(c.iteration_gain_threshold, 1e-6);
     }
 
@@ -183,25 +114,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_selectable() {
-        assert_eq!(LouvainConfig::default().kernel, MoveKernel::FlatScatter);
-        for k in MoveKernel::ALL {
-            assert_eq!(LouvainConfig::new().kernel(k).kernel, k);
-        }
-    }
-
-    #[test]
-    fn kernel_names_unique() {
-        let names: std::collections::BTreeSet<&str> =
-            MoveKernel::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), MoveKernel::ALL.len());
-    }
-
-    #[test]
     fn caps_clamped_to_one() {
-        let c = LouvainConfig::new().max_iterations(0).max_phases(0).chunk_size(0);
+        let c = LouvainConfig::new().max_iterations(0).max_phases(0);
         assert_eq!(c.max_iterations, 1);
         assert_eq!(c.max_phases, 1);
-        assert_eq!(c.chunk_size, 1);
     }
 }

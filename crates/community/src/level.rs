@@ -20,12 +20,6 @@ pub(crate) trait LouvainLevel: Sync {
     /// Number of (undirected) edges at this level.
     fn num_edges(&self) -> usize;
 
-    /// The flat CSR behind this level, when rows are addressable as
-    /// slices in place. The blocked and packed move kernels require it;
-    /// on levels without one they fall back to the flat scatter scan
-    /// (which every kernel is proven bit-identical to).
-    fn as_flat(&self) -> Option<&Csr>;
-
     /// The row of `v` as slices, decoding through `buf` when the level
     /// does not store flat rows. `buf` is caller-owned scratch: reusing
     /// it across calls makes repeated row reads allocation-free.
@@ -71,10 +65,6 @@ impl LouvainLevel for Csr {
         Csr::num_edges(self)
     }
 
-    fn as_flat(&self) -> Option<&Csr> {
-        Some(self)
-    }
-
     fn row_into<'a>(&'a self, v: u32, _buf: &'a mut Vec<u32>) -> (&'a [u32], Option<&'a [f64]>) {
         self.row(v)
     }
@@ -91,10 +81,6 @@ impl LouvainLevel for CompressedCsr {
 
     fn num_edges(&self) -> usize {
         CompressedCsr::num_edges(self)
-    }
-
-    fn as_flat(&self) -> Option<&Csr> {
-        None
     }
 
     fn row_into<'a>(&'a self, v: u32, buf: &'a mut Vec<u32>) -> (&'a [u32], Option<&'a [f64]>) {
@@ -128,8 +114,6 @@ mod tests {
         let cz = CompressedCsr::from_csr(&g).unwrap();
         assert_eq!(LouvainLevel::num_vertices(&g), LouvainLevel::num_vertices(&cz));
         assert_eq!(LouvainLevel::num_edges(&g), LouvainLevel::num_edges(&cz));
-        assert!(g.as_flat().is_some());
-        assert!(cz.as_flat().is_none());
         for v in 0..g.num_vertices() as u32 {
             assert_eq!(collect(&g, v), collect(&cz, v), "row {v}");
         }

@@ -33,10 +33,10 @@ mod louvain;
 mod modularity;
 
 pub use compare::{adjusted_rand_index, nmi};
-pub use config::{LouvainConfig, MoveKernel};
+pub use config::LouvainConfig;
 pub use louvain::{
-    louvain, louvain_compressed, louvain_recorded, move_scan, record_louvain_stats,
-    CommunityResult, IterationStats, LouvainStats, MoveScanner, PhaseStats,
+    louvain, louvain_compressed, louvain_recorded, record_louvain_stats, CommunityResult,
+    IterationStats, LouvainStats, PhaseStats,
 };
 pub use modularity::{modularity, ModularityContext};
 

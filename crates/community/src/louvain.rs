@@ -9,18 +9,11 @@
 //! over total CPU time) and `Work/edge` (loads performed by the hot
 //! neighbor-community scan, normalized by edge count).
 
-use crate::config::{LouvainConfig, MoveKernel};
+use crate::config::LouvainConfig;
 use crate::level::LouvainLevel;
 use crate::modularity::{modularity_level, ModularityContext};
 use rayon::prelude::*;
 use reorderlab_graph::{CompressedCsr, Csr};
-// DETERMINISM: this module's `HashMap` use is confined to the *reference*
-// move kernel (`MoveKernel::HashMap`), kept to mirror Grappolo's published
-// formulation; the default kernel is the flat scatter-array one. Iteration
-// order never escapes: per-vertex neighbor-community weights are reduced by
-// max-gain with an id tie-break, so both kernels agree bit-for-bit (pinned
-// by the kernel-differential tests). Budgeted under D1 in analyze.toml.
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Measurements for one move iteration within a phase.
@@ -145,12 +138,7 @@ pub struct CommunityResult {
 /// assert!(r.modularity > 0.5);
 /// ```
 pub fn louvain(graph: &Csr, cfg: &LouvainConfig) -> CommunityResult {
-    if cfg.threads == 0 {
-        louvain_inner(graph, cfg, rayon::current_num_threads())
-    } else {
-        let pool = reorderlab_graph::build_pool(cfg.threads);
-        pool.install(|| louvain_inner(graph, cfg, cfg.threads))
-    }
+    louvain_in_pool::<_, PackedScan>(graph, cfg)
 }
 
 /// [`louvain`] running directly on the delta/varint-compressed form: the
@@ -160,9 +148,9 @@ pub fn louvain(graph: &Csr, cfg: &LouvainConfig) -> CommunityResult {
 ///
 /// Bit-identical to [`louvain`] on the [`CompressedCsr::decode`] of the
 /// same graph — assignments, modularity trace, iteration counts, and the
-/// `loads` instrumentation all match exactly, at any thread count; the
-/// blocked/packed kernels (which require slice-addressable rows) fall back
-/// to the flat scatter scan they are proven bit-identical to.
+/// `loads` instrumentation all match exactly, at any thread count: the move
+/// scan reads every row through the same slice view, decoded into
+/// per-worker scratch here and borrowed in place on flat levels.
 ///
 /// # Examples
 ///
@@ -178,15 +166,43 @@ pub fn louvain(graph: &Csr, cfg: &LouvainConfig) -> CommunityResult {
 /// assert_eq!(packed.assignment, louvain(&g, &cfg).assignment);
 /// ```
 pub fn louvain_compressed(cz: &CompressedCsr, cfg: &LouvainConfig) -> CommunityResult {
-    if cfg.threads == 0 {
-        louvain_inner(cz, cfg, rayon::current_num_threads())
-    } else {
-        let pool = reorderlab_graph::build_pool(cfg.threads);
-        pool.install(|| louvain_inner(cz, cfg, cfg.threads))
+    louvain_in_pool::<_, PackedScan>(cz, cfg)
+}
+
+/// The move phase the engine runs on every level. Production code has one
+/// implementation, [`PackedScan`]; the seam exists so this module's tests can
+/// drive the same engine (phase loop, renumbering, contraction) with the
+/// retained reference phases and compare the runs bit for bit.
+trait MovePhase {
+    /// Runs move iterations on one level until the modularity gain drops
+    /// below the threshold. Returns the (non-renumbered) community
+    /// assignment and the per-iteration stats.
+    fn run<L: LouvainLevel>(level: &L, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>);
+}
+
+/// The production move phase: the packed scatter scan on every level.
+struct PackedScan;
+
+impl MovePhase for PackedScan {
+    fn run<L: LouvainLevel>(level: &L, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>) {
+        scatter_phase(level, cfg, PackedScratch::new, PackedScratch::propose)
     }
 }
 
-fn louvain_inner<L: LouvainLevel>(
+/// Runs the engine inside the pool `cfg.threads` asks for.
+fn louvain_in_pool<L: LouvainLevel, P: MovePhase>(
+    graph: &L,
+    cfg: &LouvainConfig,
+) -> CommunityResult {
+    if cfg.threads == 0 {
+        louvain_inner::<L, P>(graph, cfg, rayon::current_num_threads())
+    } else {
+        let pool = reorderlab_graph::build_pool(cfg.threads);
+        pool.install(|| louvain_inner::<L, P>(graph, cfg, cfg.threads))
+    }
+}
+
+fn louvain_inner<L: LouvainLevel, P: MovePhase>(
     graph: &L,
     cfg: &LouvainConfig,
     threads: usize,
@@ -202,8 +218,8 @@ fn louvain_inner<L: LouvainLevel>(
     let mut coarse: Option<Csr> = None;
     for _phase in 0..cfg.max_phases {
         let next = match &coarse {
-            None => phase_step(graph, cfg, &mut global, &mut phases, &mut last_q),
-            Some(level) => phase_step(level, cfg, &mut global, &mut phases, &mut last_q),
+            None => phase_step::<L, P>(graph, cfg, &mut global, &mut phases, &mut last_q),
+            Some(level) => phase_step::<Csr, P>(level, cfg, &mut global, &mut phases, &mut last_q),
         };
         match next {
             Some(c) => coarse = Some(c),
@@ -225,7 +241,7 @@ fn louvain_inner<L: LouvainLevel>(
 /// folding into the original-vertex mapping, and — unless a termination
 /// condition fires — contraction into the next level. Returns the coarse
 /// graph to continue on, or `None` to stop.
-fn phase_step<L: LouvainLevel>(
+fn phase_step<L: LouvainLevel, P: MovePhase>(
     level: &L,
     cfg: &LouvainConfig,
     global: &mut [u32],
@@ -233,7 +249,7 @@ fn phase_step<L: LouvainLevel>(
     last_q: &mut f64,
 ) -> Option<Csr> {
     let phase_start = Instant::now();
-    let (comm, iterations) = one_phase(level, cfg);
+    let (comm, iterations) = P::run(level, cfg);
     let (renum, num_comms) = renumber(&comm);
 
     let q = modularity_level(level, &renum);
@@ -301,11 +317,11 @@ pub fn record_louvain_stats(r: &CommunityResult, rec: &mut dyn reorderlab_trace:
     rec.series("louvain/final_modularity", r.modularity);
 }
 
-/// Sentinel in the flat kernel's proposal array: vertex proposes no move.
+/// Sentinel in the proposal array: vertex proposes no move.
 const NO_MOVE: u32 = u32::MAX;
 
 /// One slot of the packed scatter array: stamp and weight share a 16-byte
-/// entry so a community touch costs one cache line instead of the two the
+/// entry so a community touch costs one cache line instead of the two that
 /// split `stamp`/`weights` arrays cost.
 #[derive(Debug, Clone, Copy)]
 struct PackedSlot {
@@ -315,188 +331,57 @@ struct PackedSlot {
     weight: f64,
 }
 
-/// Targets per 64-byte cache line (4-byte vertex ids): the block size of the
-/// line-blocked neighbor scan.
-const LINE_TARGETS: usize = 16;
-
-/// Per-worker scratch for the scatter-array kernels: a weight accumulator
-/// indexed by community id, reset lazily through an epoch stamp so
-/// processing a vertex costs O(deg) regardless of the level size, plus the
-/// list of communities the current vertex touches. Allocated once per phase
-/// and reused by every iteration. Only the arrays the selected kernel reads
-/// are allocated.
+/// Per-worker scratch for the move scan: a weight accumulator indexed by
+/// community id, reset lazily through an epoch stamp so processing a vertex
+/// costs O(deg) regardless of the level size, plus the list of communities
+/// the current vertex touches. Allocated once per phase and reused by every
+/// iteration.
 #[derive(Debug, Clone)]
-struct MoveScratch {
-    /// `weights[c]`: accumulated edge weight from the current vertex into
-    /// community `c`; only meaningful where `stamp[c] == epoch`. Used by the
-    /// flat and blocked kernels.
-    weights: Vec<f64>,
-    /// `stamp[c] == epoch` marks `weights[c]` as live for the current vertex.
-    stamp: Vec<u64>,
-    /// Interleaved (stamp, weight) slots for [`MoveKernel::Packed`].
+struct PackedScratch {
+    /// Interleaved (stamp, weight) slots, one per community.
     packed: Vec<PackedSlot>,
     /// Current vertex epoch; bumping it invalidates the whole scatter array.
     epoch: u64,
-    /// Distinct neighbor communities of the current vertex, first-seen order.
+    /// Distinct neighbor communities of the current vertex, first-seen
+    /// order. Preallocated: the scan stores the candidate community
+    /// unconditionally and advances a cursor by `fresh as usize`, so the hot
+    /// loop carries no push branch. Sized `n + 1` so the speculative store
+    /// past the last fresh slot stays in bounds even when every community
+    /// has been touched.
     touched: Vec<u32>,
-    /// Preallocated variant of `touched` for [`MoveKernel::Packed`]: the
-    /// scan stores the candidate community unconditionally and advances a
-    /// cursor by `fresh as usize`, so the hot loop carries no push branch.
-    /// Sized `n + 1` so the speculative store past the last fresh slot stays
-    /// in bounds even when every community has been touched.
-    touched_buf: Vec<u32>,
+    /// Decode buffer for levels that do not store flat rows.
+    row: Vec<u32>,
 }
 
-impl MoveScratch {
-    fn for_kernel(n: usize, kernel: MoveKernel) -> Self {
-        let packed = matches!(kernel, MoveKernel::Packed);
-        MoveScratch {
-            weights: if packed { Vec::new() } else { vec![0.0; n] },
-            stamp: if packed { Vec::new() } else { vec![0; n] },
-            packed: if packed { vec![PackedSlot { stamp: 0, weight: 0.0 }; n] } else { Vec::new() },
+impl PackedScratch {
+    fn new(n: usize) -> Self {
+        PackedScratch {
+            packed: vec![PackedSlot { stamp: 0, weight: 0.0 }; n],
             epoch: 0,
-            touched: Vec::new(),
-            touched_buf: if packed { vec![0; n + 1] } else { Vec::new() },
+            touched: vec![0; n + 1],
+            row: Vec::new(),
         }
     }
 
     /// Proposes the best move for `v` against the iteration's snapshot of
-    /// `comm`/`tot`, or [`NO_MOVE`]. Weights accumulate in neighbor-scan
-    /// order and candidates are scored with the same arithmetic as the
-    /// hash-map reference kernel, so the computed gains are identical floats
-    /// and both kernels select the same target community. Generic over the
-    /// level: compressed rows decode through `row` (reused scratch), flat
-    /// rows are read in place, and both accumulate the identical float
-    /// sequence.
+    /// `comm`/`tot`, or [`NO_MOVE`]. The accumulate is branch-light: the
+    /// stamp is written unconditionally and the running weight is a select
+    /// (`fresh ? 0 : slot.weight`) plus the edge weight, so the hot loop
+    /// carries no taken/not-taken stamp branch and touches one cache line
+    /// per community. The row is walked as slices
+    /// ([`LouvainLevel::row_into`]: borrowed in place on flat levels,
+    /// decoded into the scratch on compressed ones) with the
+    /// weighted/unweighted dispatch and the `loads` accounting hoisted out
+    /// of the per-neighbor path. Weights accumulate in neighbor-scan order
+    /// (`0.0 + w` on first touch, `+ 1.0` per unweighted arc) and candidates
+    /// are scored by [`best_move`], the same sequence of float operations as
+    /// the reference phases in this module's tests, so decisions — and
+    /// therefore assignments, traces, and `loads` — are identical.
     #[allow(clippy::too_many_arguments)]
     fn propose<L: LouvainLevel>(
         &mut self,
         level: &L,
         v: u32,
-        row: &mut Vec<u32>,
-        comm: &[u32],
-        tot: &[f64],
-        k: &[f64],
-        m2: f64,
-        loads: &mut u64,
-    ) -> u32 {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        self.touched.clear();
-        let cur = comm[v as usize];
-        let mut self_to_cur = 0.0f64;
-        let weights = &mut self.weights;
-        let stamp = &mut self.stamp;
-        let touched = &mut self.touched;
-        level.for_each_weighted(v, row, |u, w| {
-            if u == v {
-                return;
-            }
-            let cu = comm[u as usize];
-            *loads += 2; // neighbor/community read + scatter-array access
-            let ci = cu as usize;
-            if stamp[ci] == epoch {
-                weights[ci] += w;
-            } else {
-                stamp[ci] = epoch;
-                weights[ci] = w;
-                touched.push(cu);
-            }
-            if cu == cur {
-                self_to_cur += w;
-            }
-        });
-        *loads += self.touched.len() as u64; // final scan of touched communities
-        best_move(
-            &self.touched,
-            |c| self.weights[c as usize],
-            cur,
-            k[v as usize],
-            tot,
-            m2,
-            self_to_cur,
-        )
-    }
-
-    /// [`MoveScratch::propose`] with a cache-line-blocked neighbor scan:
-    /// targets (and weights) are walked one line-sized block at a time, the
-    /// block's community payloads are gathered into a stack buffer, and only
-    /// then scattered into the accumulator — two clean streams instead of an
-    /// interleaved walk. Accumulation order is the neighbor-scan order, so
-    /// every float operation (and the `loads` accounting) is identical to the
-    /// flat kernel's.
-    #[allow(clippy::too_many_arguments)]
-    fn propose_blocked(
-        &mut self,
-        level: &Csr,
-        v: u32,
-        comm: &[u32],
-        tot: &[f64],
-        k: &[f64],
-        m2: f64,
-        loads: &mut u64,
-    ) -> u32 {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        self.touched.clear();
-        let cur = comm[v as usize];
-        let mut self_to_cur = 0.0f64;
-        let mut gathered = [(0u32, 0.0f64); LINE_TARGETS];
-        for (targets, weights) in level.neighbor_blocks(v, LINE_TARGETS) {
-            // Gather pass: pull the block's communities (the random reads)
-            // into a line-resident buffer, skipping self loops.
-            let mut m = 0usize;
-            for (i, &u) in targets.iter().enumerate() {
-                if u == v {
-                    continue;
-                }
-                gathered[m] = (comm[u as usize], weights.map_or(1.0, |ws| ws[i]));
-                m += 1;
-            }
-            // Scatter pass: accumulate the gathered block in scan order.
-            for &(cu, w) in &gathered[..m] {
-                *loads += 2; // neighbor/community read + scatter-array access
-                let ci = cu as usize;
-                if self.stamp[ci] == epoch {
-                    self.weights[ci] += w;
-                } else {
-                    self.stamp[ci] = epoch;
-                    self.weights[ci] = w;
-                    self.touched.push(cu);
-                }
-                if cu == cur {
-                    self_to_cur += w;
-                }
-            }
-        }
-        *loads += self.touched.len() as u64; // final scan of touched communities
-        best_move(
-            &self.touched,
-            |c| self.weights[c as usize],
-            cur,
-            k[v as usize],
-            tot,
-            m2,
-            self_to_cur,
-        )
-    }
-
-    /// [`MoveScratch::propose`] on the packed (stamp, weight) slots with a
-    /// branch-light accumulate: the stamp is written unconditionally and the
-    /// running weight is a select (`fresh ? 0 : slot.weight`) plus the edge
-    /// weight, so the hot loop carries no taken/not-taken stamp branch and
-    /// touches one cache line per community instead of two. The row is
-    /// walked as direct slices ([`Csr::row`]) with the weighted/unweighted
-    /// dispatch and the `loads` accounting hoisted out of the per-neighbor
-    /// path. The arithmetic performed is the same sequence of additions as
-    /// the flat kernel's (`0.0 + w` on first touch, `+ 1.0` per unweighted
-    /// arc), so decisions — and therefore assignments, traces, and `loads` —
-    /// are identical.
-    #[allow(clippy::too_many_arguments)]
-    fn propose_packed(
-        &mut self,
-        level: &Csr,
-        v: u32,
         comm: &[u32],
         tot: &[f64],
         k: &[f64],
@@ -506,9 +391,9 @@ impl MoveScratch {
         self.epoch += 1;
         let epoch = self.epoch;
         let cur = comm[v as usize];
-        let (targets, weights) = level.row(v);
+        let (targets, weights) = level.row_into(v, &mut self.row);
         let packed = &mut self.packed[..];
-        let touched = &mut self.touched_buf[..];
+        let touched = &mut self.touched[..];
         let mut t = 0usize;
         let mut selfs = 0u64;
         match weights {
@@ -544,14 +429,13 @@ impl MoveScratch {
             }
         }
         // The slot for `cur` accumulated `0.0 + w1 + w2 + …` over exactly the
-        // neighbors the flat kernel folds into `self_to_cur`, in the same scan
-        // order, so reading it once here reproduces that sum bit-for-bit
-        // without the per-neighbor `cu == cur` test.
+        // neighbors in `cur`, in scan order, so reading it once here gives
+        // the vertex's weight into its own community without a per-neighbor
+        // `cu == cur` test.
         let cur_slot = &packed[cur as usize];
         let self_to_cur = if cur_slot.stamp == epoch { cur_slot.weight } else { 0.0 };
-        // Same accounting as the flat kernel: 2 per non-self neighbor
-        // (neighbor/community read + scatter-array access) plus the final
-        // scan of touched communities.
+        // 2 per non-self neighbor (neighbor/community read + scatter-array
+        // access) plus the final scan of touched communities.
         *loads += 2 * (targets.len() as u64 - selfs) + t as u64;
         best_move(
             &touched[..t],
@@ -566,9 +450,9 @@ impl MoveScratch {
 }
 
 /// Scores every touched community and returns the best strictly-positive
-/// move for the current vertex, or [`NO_MOVE`]. Shared by all scatter
-/// kernels (and mirrored by the hash-map reference) so the gain arithmetic
-/// — and therefore the selected community — is identical across kernels.
+/// move for the current vertex, or [`NO_MOVE`]. Shared by every scatter
+/// scan (and mirrored by the hash-map reference in the tests) so the gain
+/// arithmetic — and therefore the selected community — is identical.
 ///
 /// Gain of moving v from `cur` to `c`:
 ///   ΔQ = 2(k_{v,c} − k_{v,cur'})/2m − 2 k_v (tot_c − tot_cur')/(2m)²
@@ -657,25 +541,15 @@ fn apply_move<L: LouvainLevel>(
     true
 }
 
-/// Runs move iterations on one level until the modularity gain drops below
-/// the threshold. Returns the (non-renumbered) community assignment and the
-/// per-iteration stats.
-fn one_phase<L: LouvainLevel>(level: &L, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>) {
-    match cfg.kernel {
-        MoveKernel::FlatScatter | MoveKernel::Blocked | MoveKernel::Packed => {
-            one_phase_flat(level, cfg)
-        }
-        MoveKernel::HashMap => one_phase_hashmap(level, cfg),
-    }
-}
-
-/// Flat scatter-array move phase (Grappolo-style). Behaviorally identical to
-/// [`one_phase_hashmap`] — same assignments, modularity trace, iteration
-/// counts, and `loads` accounting — but with no hashing and no per-vertex or
-/// per-iteration allocation on the hot path.
-fn one_phase_flat<L: LouvainLevel>(
+/// The scatter-array move phase (Grappolo-style): no hashing and no
+/// per-vertex or per-iteration allocation on the hot path. `new_scratch`
+/// builds one worker's scratch for a level of `n` vertices and `propose`
+/// scores one vertex with it; production passes [`PackedScratch`]'s.
+fn scatter_phase<L: LouvainLevel, S: Send>(
     level: &L,
     cfg: &LouvainConfig,
+    new_scratch: impl Fn(usize) -> S,
+    propose: impl Fn(&mut S, &L, u32, &[u32], &[f64], &[f64], f64, &mut u64) -> u32 + Sync,
 ) -> (Vec<u32>, Vec<IterationStats>) {
     let n = level.num_vertices();
     let ctx = ModularityContext::from_level(level);
@@ -687,22 +561,13 @@ fn one_phase_flat<L: LouvainLevel>(
         return (comm, iterations);
     }
     let mut prev_q = modularity_level(level, &comm);
-    // The blocked and packed kernels address rows as slices; on levels
-    // without flat rows they fall back to the (bit-identical) flat scan,
-    // and the scratch is sized for the kernel that actually runs.
-    let flat = level.as_flat();
-    let kernel = match (cfg.kernel, flat) {
-        (MoveKernel::Blocked | MoveKernel::Packed, None) => MoveKernel::FlatScatter,
-        (k, _) => k,
-    };
 
     // One contiguous vertex span per worker. The scratch and the proposal
     // array are allocated once here and reused by every iteration; within a
     // worker the epoch stamp makes per-vertex resets O(touched).
     let workers = rayon::current_num_threads().clamp(1, n);
     let span = n.div_ceil(workers);
-    let mut scratches: Vec<MoveScratch> =
-        (0..workers).map(|_| MoveScratch::for_kernel(n, kernel)).collect();
+    let mut scratches: Vec<S> = (0..workers).map(|_| new_scratch(n)).collect();
     let mut proposals: Vec<u32> = vec![NO_MOVE; n];
     let mut apply_row: Vec<u32> = Vec::new();
 
@@ -721,35 +586,9 @@ fn one_phase_flat<L: LouvainLevel>(
                 let t0 = Instant::now();
                 let mut loads = 0u64;
                 let first = (w * span) as u32;
-                // Kernel dispatch is hoisted out of the per-vertex loop so
-                // each variant benches its own hot loop, not a per-vertex
-                // match.
-                match (kernel, flat) {
-                    (MoveKernel::Blocked, Some(flat)) => {
-                        for (i, slot) in slice.iter_mut().enumerate() {
-                            let v = first + i as u32;
-                            *slot = scratch.propose_blocked(
-                                flat, v, comm_snap, tot_snap, &ctx.k, m2, &mut loads,
-                            );
-                        }
-                    }
-                    (MoveKernel::Packed, Some(flat)) => {
-                        for (i, slot) in slice.iter_mut().enumerate() {
-                            let v = first + i as u32;
-                            *slot = scratch.propose_packed(
-                                flat, v, comm_snap, tot_snap, &ctx.k, m2, &mut loads,
-                            );
-                        }
-                    }
-                    _ => {
-                        let mut row: Vec<u32> = Vec::new();
-                        for (i, slot) in slice.iter_mut().enumerate() {
-                            let v = first + i as u32;
-                            *slot = scratch.propose(
-                                level, v, &mut row, comm_snap, tot_snap, &ctx.k, m2, &mut loads,
-                            );
-                        }
-                    }
+                for (i, slot) in slice.iter_mut().enumerate() {
+                    let v = first + i as u32;
+                    *slot = propose(scratch, level, v, comm_snap, tot_snap, &ctx.k, m2, &mut loads);
                 }
                 (loads, t0.elapsed())
             })
@@ -762,8 +601,7 @@ fn one_phase_flat<L: LouvainLevel>(
             busy += b;
         }
 
-        // Sequential, deterministic application in global vertex order — the
-        // same order the chunked reference kernel applies in.
+        // Sequential, deterministic application in global vertex order.
         let mut num_moves = 0usize;
         for v in 0..n as u32 {
             let c = proposals[v as usize];
@@ -773,278 +611,6 @@ fn one_phase_flat<L: LouvainLevel>(
             if apply_move(level, &mut apply_row, &ctx.k, m2, &mut comm, &mut tot, v, c, &mut loads)
             {
                 num_moves += 1;
-            }
-        }
-
-        let q = modularity_level(level, &comm);
-        iterations.push(IterationStats {
-            duration: iter_start.elapsed(),
-            moves: num_moves,
-            modularity: q,
-            loads,
-            busy,
-        });
-        let gained = q - prev_q;
-        prev_q = q;
-        if num_moves == 0 || gained < cfg.iteration_gain_threshold {
-            break;
-        }
-    }
-    (comm, iterations)
-}
-
-/// One parallel move-scan pass of the selected scatter kernel over the
-/// level's initial singleton partition — the kernel-isolated benchmarking
-/// hook behind `bench kernel_suite`. Where [`louvain`] interleaves the scan
-/// with move application, modularity evaluation, and contraction (all
-/// shared across kernels), this measures only the work the kernel variants
-/// actually vary: the neighbor-community scan and proposal scoring.
-///
-/// Returns the scan's `loads` count and an order-sensitive FNV checksum of
-/// the proposal array, so callers can keep the work observable and assert
-/// every kernel proposes identically. [`MoveKernel::HashMap`] has no
-/// scatter scratch and is routed through the flat path; compare the
-/// reference kernel end-to-end via [`louvain`] instead.
-pub fn move_scan(level: &Csr, kernel: MoveKernel) -> (u64, u64) {
-    MoveScanner::new(level, kernel, 0).map_or((0, 0), |mut s| s.run(level))
-}
-
-/// Reusable state for repeated [`move_scan`] passes: the modularity context,
-/// partition state, per-worker scratches, and proposal buffer are built
-/// once here, so a timed [`MoveScanner::run`] spends its wall time on the
-/// kernel alone — not on the O(n + m) degree sweep and allocations the
-/// one-shot wrapper folds in. `bench kernel_suite` times this.
-pub struct MoveScanner {
-    kernel: MoveKernel,
-    ctx: ModularityContext,
-    comm: Vec<u32>,
-    tot: Vec<f64>,
-    span: usize,
-    scratches: Vec<MoveScratch>,
-    proposals: Vec<u32>,
-}
-
-impl MoveScanner {
-    /// Prepares scan state for `level`, sized to the installed rayon pool.
-    /// Returns `None` for graphs the scan has nothing to do on (no vertices
-    /// or no edge weight), mirroring the one-shot wrapper's `(0, 0)`.
-    ///
-    /// `warm` runs that many full move iterations (snapshot propose + the
-    /// sequential apply of [`louvain`], flat kernel, serial) before freezing
-    /// the partition, so [`MoveScanner::run`] measures the scan at the
-    /// coalesced mid-phase states Louvain actually spends its iterations on
-    /// rather than only the singleton first pass. The warm-up is
-    /// kernel-independent: every scanner built with the same `warm` sees the
-    /// identical partition, keeping cross-kernel comparisons exact.
-    pub fn new(level: &Csr, kernel: MoveKernel, warm: usize) -> Option<Self> {
-        let n = level.num_vertices();
-        let ctx = ModularityContext::new(level);
-        if n == 0 || ctx.total == 0.0 {
-            return None;
-        }
-        let mut comm: Vec<u32> = (0..n as u32).collect();
-        let mut tot: Vec<f64> = ctx.k.clone();
-        if warm > 0 {
-            let mut scratch = MoveScratch::for_kernel(n, MoveKernel::FlatScatter);
-            let mut props: Vec<u32> = vec![NO_MOVE; n];
-            let mut row: Vec<u32> = Vec::new();
-            let mut sink = 0u64;
-            for _ in 0..warm {
-                for v in 0..n as u32 {
-                    props[v as usize] = scratch
-                        .propose(level, v, &mut row, &comm, &tot, &ctx.k, ctx.total, &mut sink);
-                }
-                let mut moves = 0usize;
-                for v in 0..n as u32 {
-                    let c = props[v as usize];
-                    if c != NO_MOVE
-                        && apply_move(
-                            level, &mut row, &ctx.k, ctx.total, &mut comm, &mut tot, v, c,
-                            &mut sink,
-                        )
-                    {
-                        moves += 1;
-                    }
-                }
-                if moves == 0 {
-                    break;
-                }
-            }
-        }
-        let workers = rayon::current_num_threads().clamp(1, n);
-        let span = n.div_ceil(workers);
-        let scratches: Vec<MoveScratch> =
-            (0..workers).map(|_| MoveScratch::for_kernel(n, kernel)).collect();
-        let proposals: Vec<u32> = vec![NO_MOVE; n];
-        Some(MoveScanner { kernel, ctx, comm, tot, span, scratches, proposals })
-    }
-
-    /// One parallel propose pass over `level` (which must be the graph this
-    /// scanner was built for). Scratch epochs persist across calls, so
-    /// repeated runs reuse the lazily-reset scatter arrays exactly as
-    /// consecutive Louvain iterations do.
-    pub fn run(&mut self, level: &Csr) -> (u64, u64) {
-        let m2 = self.ctx.total; // 2m
-        let kernel = self.kernel;
-        let comm_snap: &[u32] = &self.comm;
-        let tot_snap: &[f64] = &self.tot;
-        let k: &[f64] = &self.ctx.k;
-        let per_worker: Vec<u64> = self
-            .scratches
-            .par_iter_mut()
-            .zip(self.proposals.chunks_mut(self.span).collect::<Vec<_>>())
-            .enumerate()
-            .map(|(w, (scratch, slice))| {
-                let mut loads = 0u64;
-                let first = (w * self.span) as u32;
-                match kernel {
-                    MoveKernel::Blocked => {
-                        for (i, slot) in slice.iter_mut().enumerate() {
-                            let v = first + i as u32;
-                            *slot = scratch
-                                .propose_blocked(level, v, comm_snap, tot_snap, k, m2, &mut loads);
-                        }
-                    }
-                    MoveKernel::Packed => {
-                        for (i, slot) in slice.iter_mut().enumerate() {
-                            let v = first + i as u32;
-                            *slot = scratch
-                                .propose_packed(level, v, comm_snap, tot_snap, k, m2, &mut loads);
-                        }
-                    }
-                    _ => {
-                        let mut row: Vec<u32> = Vec::new();
-                        for (i, slot) in slice.iter_mut().enumerate() {
-                            let v = first + i as u32;
-                            *slot = scratch.propose(
-                                level, v, &mut row, comm_snap, tot_snap, k, m2, &mut loads,
-                            );
-                        }
-                    }
-                }
-                loads
-            })
-            .collect();
-        let loads: u64 = per_worker.iter().sum();
-        let checksum = self.proposals.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &p| {
-            (h ^ u64::from(p)).wrapping_mul(0x1_0000_0000_01b3)
-        });
-        (loads, checksum)
-    }
-}
-
-/// The original per-chunk `HashMap` move phase, retained as the behavioral
-/// reference for equivalence tests and before/after benchmarking.
-/// One chunk's proposed `(vertex, community)` moves plus its load counter
-/// and scan time.
-type ChunkProposals = (Vec<(u32, u32)>, u64, Duration);
-
-fn one_phase_hashmap<L: LouvainLevel>(
-    level: &L,
-    cfg: &LouvainConfig,
-) -> (Vec<u32>, Vec<IterationStats>) {
-    let n = level.num_vertices();
-    let ctx = ModularityContext::from_level(level);
-    let m2 = ctx.total; // 2m
-    let mut comm: Vec<u32> = (0..n as u32).collect();
-    let mut tot: Vec<f64> = ctx.k.clone();
-    let mut iterations: Vec<IterationStats> = Vec::new();
-    if n == 0 || m2 == 0.0 {
-        return (comm, iterations);
-    }
-    let mut prev_q = modularity_level(level, &comm);
-    let mut apply_row: Vec<u32> = Vec::new();
-
-    for _iter in 0..cfg.max_iterations {
-        let iter_start = Instant::now();
-        let chunk = cfg.chunk_size.max(1);
-        // Parallel scan: each chunk proposes moves against the iteration's
-        // snapshot of `comm`/`tot`. This is the hot routine the paper
-        // profiles: for every vertex, visit all neighbors and accumulate
-        // per-community weights in a map.
-        let results: Vec<ChunkProposals> = (0..n)
-            .into_par_iter()
-            .chunks(chunk)
-            .map(|vertices| {
-                let t0 = Instant::now();
-                let mut loads = 0u64;
-                let mut moves: Vec<(u32, u32)> = Vec::new();
-                let mut weights: HashMap<u32, f64> = HashMap::new();
-                let mut row: Vec<u32> = Vec::new();
-                for v in vertices {
-                    let v = v as u32;
-                    let cur = comm[v as usize];
-                    weights.clear();
-                    let mut self_to_cur = 0.0f64;
-                    level.for_each_weighted(v, &mut row, |u, w| {
-                        if u == v {
-                            return;
-                        }
-                        let cu = comm[u as usize];
-                        loads += 2; // neighbor/community read + map access
-                        let entry = weights.entry(cu).or_insert(0.0);
-                        *entry += w;
-                        if cu == cur {
-                            self_to_cur += w;
-                        }
-                    });
-                    loads += weights.len() as u64; // final scan of the map
-                    let kv = ctx.k[v as usize];
-                    let tot_cur_less = tot[cur as usize] - kv;
-                    // Gain of moving v from `cur` to `c`:
-                    //   ΔQ = 2(k_{v,c} − k_{v,cur'})/2m − 2 k_v (tot_c − tot_cur')/(2m)²
-                    // We compare the (monotone) score k_{v,c} − k_v·tot_c/2m.
-                    let base = self_to_cur - kv * tot_cur_less / m2;
-                    let mut best: Option<(f64, u32)> = None;
-                    for (&c, &w_vc) in weights.iter() {
-                        if c == cur {
-                            continue;
-                        }
-                        let score = w_vc - kv * tot[c as usize] / m2;
-                        let gain = score - base;
-                        if gain > 1e-12 {
-                            let better = match best {
-                                None => true,
-                                Some((bg, bc)) => {
-                                    gain > bg + 1e-15 || (gain >= bg - 1e-15 && c < bc)
-                                }
-                            };
-                            if better {
-                                best = Some((gain, c));
-                            }
-                        }
-                    }
-                    if let Some((_, c)) = best {
-                        moves.push((v, c));
-                    }
-                }
-                (moves, loads, t0.elapsed())
-            })
-            .collect();
-
-        // Sequential, deterministic application in global vertex order (the
-        // chunks partition 0..n in order); see [`apply_move`] for the
-        // revalidation guard.
-        let mut num_moves = 0usize;
-        let mut loads = 0u64;
-        let mut busy = Duration::ZERO;
-        for (moves, l, b) in results {
-            loads += l;
-            busy += b;
-            for (v, c) in moves {
-                if apply_move(
-                    level,
-                    &mut apply_row,
-                    &ctx.k,
-                    m2,
-                    &mut comm,
-                    &mut tot,
-                    v,
-                    c,
-                    &mut loads,
-                ) {
-                    num_moves += 1;
-                }
             }
         }
 
@@ -1089,6 +655,7 @@ mod tests {
     use crate::modularity::modularity;
     use reorderlab_datasets::{clique_chain, complete, grid2d, path};
     use reorderlab_graph::GraphBuilder;
+    use std::collections::HashMap;
 
     fn cfg1() -> LouvainConfig {
         LouvainConfig::default().threads(1)
@@ -1249,36 +816,259 @@ mod tests {
         assert_eq!(k, 3);
     }
 
-    /// Asserts every kernel produces bit-identical results on `g` relative
-    /// to the hash-map reference: assignment, final modularity, per-phase
-    /// iteration counts, per-iteration modularity trace, move counts, and
-    /// `loads` accounting.
-    fn assert_kernels_equivalent(g: &Csr, threads: usize) {
-        let base = LouvainConfig::default().threads(threads);
-        let hash = louvain(g, &base.clone().kernel(MoveKernel::HashMap));
-        for kernel in MoveKernel::ALL {
-            if kernel == MoveKernel::HashMap {
-                continue;
-            }
-            let r = louvain(g, &base.clone().kernel(kernel));
-            let tag = kernel.name();
-            assert_eq!(r.assignment, hash.assignment, "kernel {tag}");
-            assert_eq!(r.num_communities, hash.num_communities, "kernel {tag}");
-            assert_eq!(r.modularity.to_bits(), hash.modularity.to_bits(), "kernel {tag}");
-            assert_eq!(r.stats.phases.len(), hash.stats.phases.len(), "kernel {tag}");
-            for (pf, ph) in r.stats.phases.iter().zip(&hash.stats.phases) {
-                assert_eq!(pf.iterations.len(), ph.iterations.len(), "kernel {tag}");
-                assert_eq!(pf.modularity.to_bits(), ph.modularity.to_bits(), "kernel {tag}");
-                for (fi, hi) in pf.iterations.iter().zip(&ph.iterations) {
-                    assert_eq!(fi.moves, hi.moves, "kernel {tag}");
-                    assert_eq!(fi.modularity.to_bits(), hi.modularity.to_bits(), "kernel {tag}");
-                    assert_eq!(
-                        fi.loads, hi.loads,
-                        "kernel {tag}: work-per-edge accounting must match"
-                    );
-                }
+    /// Reference scratch: Grappolo's flat scatter arrays, split `stamp` and
+    /// `weights` indexed by community id with a pushed `touched` list. The
+    /// production scan must reproduce its float-operation sequence exactly.
+    struct FlatScratch {
+        /// `weights[c]`: accumulated edge weight from the current vertex into
+        /// community `c`; only meaningful where `stamp[c] == epoch`.
+        weights: Vec<f64>,
+        stamp: Vec<u64>,
+        epoch: u64,
+        touched: Vec<u32>,
+        row: Vec<u32>,
+    }
+
+    impl FlatScratch {
+        fn new(n: usize) -> Self {
+            FlatScratch {
+                weights: vec![0.0; n],
+                stamp: vec![0; n],
+                epoch: 0,
+                touched: Vec::new(),
+                row: Vec::new(),
             }
         }
+
+        #[allow(clippy::too_many_arguments)]
+        fn propose<L: LouvainLevel>(
+            &mut self,
+            level: &L,
+            v: u32,
+            comm: &[u32],
+            tot: &[f64],
+            k: &[f64],
+            m2: f64,
+            loads: &mut u64,
+        ) -> u32 {
+            self.epoch += 1;
+            let epoch = self.epoch;
+            self.touched.clear();
+            let cur = comm[v as usize];
+            let mut self_to_cur = 0.0f64;
+            let weights = &mut self.weights;
+            let stamp = &mut self.stamp;
+            let touched = &mut self.touched;
+            level.for_each_weighted(v, &mut self.row, |u, w| {
+                if u == v {
+                    return;
+                }
+                let cu = comm[u as usize];
+                *loads += 2; // neighbor/community read + scatter-array access
+                let ci = cu as usize;
+                if stamp[ci] == epoch {
+                    weights[ci] += w;
+                } else {
+                    stamp[ci] = epoch;
+                    weights[ci] = w;
+                    touched.push(cu);
+                }
+                if cu == cur {
+                    self_to_cur += w;
+                }
+            });
+            *loads += self.touched.len() as u64; // final scan of touched communities
+            best_move(
+                &self.touched,
+                |c| self.weights[c as usize],
+                cur,
+                k[v as usize],
+                tot,
+                m2,
+                self_to_cur,
+            )
+        }
+    }
+
+    /// Reference phase: the flat scatter scan in the production phase loop.
+    struct FlatScatter;
+
+    impl MovePhase for FlatScatter {
+        fn run<L: LouvainLevel>(level: &L, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>) {
+            scatter_phase(level, cfg, FlatScratch::new, FlatScratch::propose)
+        }
+    }
+
+    /// Reference phase: the original per-chunk `HashMap` move phase.
+    struct HashMapChunks;
+
+    impl MovePhase for HashMapChunks {
+        fn run<L: LouvainLevel>(level: &L, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>) {
+            one_phase_hashmap(level, cfg)
+        }
+    }
+
+    /// Vertices per parallel work chunk of [`one_phase_hashmap`].
+    const HASHMAP_CHUNK: usize = 2048;
+
+    /// One chunk's proposed `(vertex, community)` moves plus its load counter
+    /// and scan time.
+    type ChunkProposals = (Vec<(u32, u32)>, u64, Duration);
+
+    fn one_phase_hashmap<L: LouvainLevel>(
+        level: &L,
+        cfg: &LouvainConfig,
+    ) -> (Vec<u32>, Vec<IterationStats>) {
+        let n = level.num_vertices();
+        let ctx = ModularityContext::from_level(level);
+        let m2 = ctx.total; // 2m
+        let mut comm: Vec<u32> = (0..n as u32).collect();
+        let mut tot: Vec<f64> = ctx.k.clone();
+        let mut iterations: Vec<IterationStats> = Vec::new();
+        if n == 0 || m2 == 0.0 {
+            return (comm, iterations);
+        }
+        let mut prev_q = modularity_level(level, &comm);
+        let mut apply_row: Vec<u32> = Vec::new();
+
+        for _iter in 0..cfg.max_iterations {
+            let iter_start = Instant::now();
+            // Parallel scan: each chunk proposes moves against the iteration's
+            // snapshot of `comm`/`tot`. This is the hot routine the paper
+            // profiles: for every vertex, visit all neighbors and accumulate
+            // per-community weights in a map.
+            let results: Vec<ChunkProposals> = (0..n)
+                .into_par_iter()
+                .chunks(HASHMAP_CHUNK)
+                .map(|vertices| {
+                    let t0 = Instant::now();
+                    let mut loads = 0u64;
+                    let mut moves: Vec<(u32, u32)> = Vec::new();
+                    let mut weights: HashMap<u32, f64> = HashMap::new();
+                    let mut row: Vec<u32> = Vec::new();
+                    for v in vertices {
+                        let v = v as u32;
+                        let cur = comm[v as usize];
+                        weights.clear();
+                        let mut self_to_cur = 0.0f64;
+                        level.for_each_weighted(v, &mut row, |u, w| {
+                            if u == v {
+                                return;
+                            }
+                            let cu = comm[u as usize];
+                            loads += 2; // neighbor/community read + map access
+                            let entry = weights.entry(cu).or_insert(0.0);
+                            *entry += w;
+                            if cu == cur {
+                                self_to_cur += w;
+                            }
+                        });
+                        loads += weights.len() as u64; // final scan of the map
+                        let kv = ctx.k[v as usize];
+                        let tot_cur_less = tot[cur as usize] - kv;
+                        // Gain of moving v from `cur` to `c`:
+                        //   ΔQ = 2(k_{v,c} − k_{v,cur'})/2m − 2 k_v (tot_c − tot_cur')/(2m)²
+                        // We compare the (monotone) score k_{v,c} − k_v·tot_c/2m.
+                        let base = self_to_cur - kv * tot_cur_less / m2;
+                        let mut best: Option<(f64, u32)> = None;
+                        // Map order never escapes: max gain with an id tie-break.
+                        for (&c, &w_vc) in weights.iter() {
+                            if c == cur {
+                                continue;
+                            }
+                            let score = w_vc - kv * tot[c as usize] / m2;
+                            let gain = score - base;
+                            if gain > 1e-12 {
+                                let better = match best {
+                                    None => true,
+                                    Some((bg, bc)) => {
+                                        gain > bg + 1e-15 || (gain >= bg - 1e-15 && c < bc)
+                                    }
+                                };
+                                if better {
+                                    best = Some((gain, c));
+                                }
+                            }
+                        }
+                        if let Some((_, c)) = best {
+                            moves.push((v, c));
+                        }
+                    }
+                    (moves, loads, t0.elapsed())
+                })
+                .collect();
+
+            // Sequential, deterministic application in global vertex order (the
+            // chunks partition 0..n in order); see [`apply_move`] for the
+            // revalidation guard.
+            let mut num_moves = 0usize;
+            let mut loads = 0u64;
+            let mut busy = Duration::ZERO;
+            for (moves, l, b) in results {
+                loads += l;
+                busy += b;
+                for (v, c) in moves {
+                    if apply_move(
+                        level,
+                        &mut apply_row,
+                        &ctx.k,
+                        m2,
+                        &mut comm,
+                        &mut tot,
+                        v,
+                        c,
+                        &mut loads,
+                    ) {
+                        num_moves += 1;
+                    }
+                }
+            }
+
+            let q = modularity_level(level, &comm);
+            iterations.push(IterationStats {
+                duration: iter_start.elapsed(),
+                moves: num_moves,
+                modularity: q,
+                loads,
+                busy,
+            });
+            let gained = q - prev_q;
+            prev_q = q;
+            if num_moves == 0 || gained < cfg.iteration_gain_threshold {
+                break;
+            }
+        }
+        (comm, iterations)
+    }
+
+    /// Asserts two runs are bit-identical: assignment, final modularity,
+    /// per-phase level sizes and iteration counts, per-iteration modularity
+    /// trace, move counts, and `loads` accounting.
+    fn assert_same_run(r: &CommunityResult, reference: &CommunityResult, tag: &str) {
+        assert_eq!(r.assignment, reference.assignment, "{tag}");
+        assert_eq!(r.num_communities, reference.num_communities, "{tag}");
+        assert_eq!(r.modularity.to_bits(), reference.modularity.to_bits(), "{tag}");
+        assert_eq!(r.stats.phases.len(), reference.stats.phases.len(), "{tag}");
+        for (p, pr) in r.stats.phases.iter().zip(&reference.stats.phases) {
+            assert_eq!(p.vertices, pr.vertices, "{tag}");
+            assert_eq!(p.edges, pr.edges, "{tag}");
+            assert_eq!(p.iterations.len(), pr.iterations.len(), "{tag}");
+            assert_eq!(p.modularity.to_bits(), pr.modularity.to_bits(), "{tag}");
+            for (i, ir) in p.iterations.iter().zip(&pr.iterations) {
+                assert_eq!(i.moves, ir.moves, "{tag}");
+                assert_eq!(i.modularity.to_bits(), ir.modularity.to_bits(), "{tag}");
+                assert_eq!(i.loads, ir.loads, "{tag}: work-per-edge accounting must match");
+            }
+        }
+    }
+
+    /// Asserts the production scan and the flat scatter reference both
+    /// reproduce the hash-map reference on `g`.
+    fn assert_kernels_equivalent(g: &Csr, threads: usize) {
+        let cfg = LouvainConfig::default().threads(threads);
+        let hash = louvain_in_pool::<_, HashMapChunks>(g, &cfg);
+        assert_same_run(&louvain_in_pool::<_, FlatScatter>(g, &cfg), &hash, "flat");
+        assert_same_run(&louvain(g, &cfg), &hash, "packed");
     }
 
     #[test]
@@ -1289,9 +1079,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flat_kernel_matches_reference_on_weighted_graph() {
-        let g = GraphBuilder::undirected(6)
+    fn weighted_ring() -> Csr {
+        GraphBuilder::undirected(6)
             .weighted_edge(0, 1, 10.0)
             .weighted_edge(1, 2, 0.5)
             .weighted_edge(2, 3, 10.0)
@@ -1299,7 +1088,12 @@ mod tests {
             .weighted_edge(4, 5, 10.0)
             .weighted_edge(5, 0, 0.5)
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn flat_kernel_matches_reference_on_weighted_graph() {
+        let g = weighted_ring();
         assert_kernels_equivalent(&g, 1);
         assert_kernels_equivalent(&g, 2);
     }
@@ -1315,8 +1109,8 @@ mod tests {
 
     #[test]
     fn all_kernels_bit_identical_at_acceptance_thread_counts() {
-        // The acceptance criterion: every kernel variant is proven
-        // bit-identical to its retained oracle at 1, 2, and 7 threads.
+        // The acceptance criterion: the production scan is proven
+        // bit-identical to its retained references at 1, 2, and 7 threads.
         let spec = reorderlab_datasets::by_name("rovira").expect("suite instance exists");
         for g in [clique_chain(5, 6), grid2d(12, 12), spec.generate()] {
             for threads in [1usize, 2, 7] {
@@ -1325,52 +1119,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn blocked_kernel_handles_hub_rows_spanning_many_blocks() {
-        // A star hub with degree well past LINE_TARGETS plus a weighted ring,
-        // so blocked rows cover multiple full blocks and a partial tail.
-        let mut b = GraphBuilder::undirected(40);
-        for v in 1..40u32 {
-            b = b.weighted_edge(0, v, 1.0 + f64::from(v) * 0.25);
-        }
-        for v in 1..39u32 {
-            b = b.weighted_edge(v, v + 1, 2.0);
-        }
-        let g = b.build().unwrap();
-        assert_kernels_equivalent(&g, 1);
-        assert_kernels_equivalent(&g, 7);
+    /// Asserts phase `P` on the compressed form of `g` is bit-identical to
+    /// the same phase on the flat form.
+    fn assert_phase_compressed_matches_flat<P: MovePhase>(g: &Csr, threads: usize, tag: &str) {
+        let cz = CompressedCsr::from_csr(g).expect("builder rows are sorted");
+        let cfg = LouvainConfig::default().threads(threads);
+        let flat = louvain_in_pool::<_, P>(g, &cfg);
+        assert_same_run(&louvain_in_pool::<_, P>(&cz, &cfg), &flat, tag);
     }
 
-    /// Asserts [`louvain_compressed`] on the compressed form of `g` is
-    /// bit-identical to [`louvain`] on the flat form, for every kernel:
-    /// assignment, final modularity, per-phase iteration counts,
-    /// per-iteration modularity trace, move counts, and `loads`.
+    /// [`assert_phase_compressed_matches_flat`] for the production scan
+    /// (through the public entry points' phase) and both references.
     fn assert_compressed_matches_flat(g: &Csr, threads: usize) {
-        let cz = CompressedCsr::from_csr(g).expect("builder rows are sorted");
-        for kernel in MoveKernel::ALL {
-            let cfg = LouvainConfig::default().threads(threads).kernel(kernel);
-            let flat = louvain(g, &cfg);
-            let packed = louvain_compressed(&cz, &cfg);
-            let tag = kernel.name();
-            assert_eq!(packed.assignment, flat.assignment, "kernel {tag}");
-            assert_eq!(packed.num_communities, flat.num_communities, "kernel {tag}");
-            assert_eq!(packed.modularity.to_bits(), flat.modularity.to_bits(), "kernel {tag}");
-            assert_eq!(packed.stats.phases.len(), flat.stats.phases.len(), "kernel {tag}");
-            for (pc, pf) in packed.stats.phases.iter().zip(&flat.stats.phases) {
-                assert_eq!(pc.vertices, pf.vertices, "kernel {tag}");
-                assert_eq!(pc.edges, pf.edges, "kernel {tag}");
-                assert_eq!(pc.iterations.len(), pf.iterations.len(), "kernel {tag}");
-                assert_eq!(pc.modularity.to_bits(), pf.modularity.to_bits(), "kernel {tag}");
-                for (ci, fi) in pc.iterations.iter().zip(&pf.iterations) {
-                    assert_eq!(ci.moves, fi.moves, "kernel {tag}");
-                    assert_eq!(ci.modularity.to_bits(), fi.modularity.to_bits(), "kernel {tag}");
-                    assert_eq!(
-                        ci.loads, fi.loads,
-                        "kernel {tag}: work-per-edge accounting must match"
-                    );
-                }
-            }
-        }
+        assert_phase_compressed_matches_flat::<PackedScan>(g, threads, "packed");
+        assert_phase_compressed_matches_flat::<FlatScatter>(g, threads, "flat");
+        assert_phase_compressed_matches_flat::<HashMapChunks>(g, threads, "hashmap");
     }
 
     #[test]
@@ -1387,17 +1150,32 @@ mod tests {
 
     #[test]
     fn compressed_louvain_matches_flat_on_weighted_graph() {
-        let g = GraphBuilder::undirected(6)
-            .weighted_edge(0, 1, 10.0)
-            .weighted_edge(1, 2, 0.5)
-            .weighted_edge(2, 3, 10.0)
-            .weighted_edge(3, 4, 0.5)
-            .weighted_edge(4, 5, 10.0)
-            .weighted_edge(5, 0, 0.5)
-            .build()
-            .unwrap();
+        let g = weighted_ring();
         assert_compressed_matches_flat(&g, 1);
         assert_compressed_matches_flat(&g, 2);
+    }
+
+    #[test]
+    fn production_scan_on_weighted_compressed_rows_matches_flat_reference() {
+        // Weighted rows reach the production scan through `row_into`'s
+        // decode-into-scratch path only on a compressed level. A star hub
+        // over a ring gives long and short rows with distinct weights; the
+        // run must equal the flat scatter reference on the decoded graph.
+        let mut b = GraphBuilder::undirected(40);
+        for v in 1..40u32 {
+            b = b.weighted_edge(0, v, 1.0 + f64::from(v) * 0.25);
+        }
+        for v in 1..39u32 {
+            b = b.weighted_edge(v, v + 1, 2.0);
+        }
+        let cz = CompressedCsr::from_csr(&b.build().unwrap()).unwrap();
+        let decoded = cz.decode();
+        assert!(decoded.is_weighted());
+        for threads in [1usize, 2, 7] {
+            let cfg = LouvainConfig::default().threads(threads);
+            let reference = louvain_in_pool::<_, FlatScatter>(&decoded, &cfg);
+            assert_same_run(&louvain_compressed(&cz, &cfg), &reference, "weighted csrz");
+        }
     }
 
     #[test]

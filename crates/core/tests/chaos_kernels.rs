@@ -1,27 +1,26 @@
-//! Chaos-schedules tier for the cache-conscious hot kernels.
+//! Chaos-schedules tier for the two application kernels.
 //!
-//! The blocked / packed Louvain scatter kernels and the hub/cold split RR
-//! sampler reorder *memory accesses*, never results: each must reproduce
-//! the 1-thread flat/classic oracle bit-for-bit even when the rayon shim's
-//! seeded adversarial scheduler perturbs chunk boundaries, spawn order, and
-//! join order. Eight seeds × {2, 7} worker threads, same contract as
+//! The Louvain move scan and the RR sampler behind IMM must reproduce
+//! their own 1-thread run bit-for-bit even when the rayon shim's seeded
+//! adversarial scheduler perturbs chunk boundaries, spawn order, and join
+//! order. Eight seeds × {2, 7} worker threads, same contract as
 //! `chaos_schedules.rs`.
 //!
 //! Compiles to nothing without `--features chaos`; tier-1 `cargo test` is
 //! unaffected. CI runs it in the `chaos-schedules` leg.
 #![cfg(feature = "chaos")]
 
-use reorderlab_community::{louvain, CommunityResult, LouvainConfig, MoveKernel};
+use reorderlab_community::{louvain, CommunityResult, LouvainConfig};
 use reorderlab_datasets::{barabasi_albert, clique_chain, erdos_renyi_gnm, grid2d};
 use reorderlab_graph::Csr;
-use reorderlab_influence::{imm, ImmConfig, SampleKernel};
+use reorderlab_influence::{imm, ImmConfig};
 
 const SEEDS: std::ops::Range<u64> = 0..8;
 const THREADS: [usize; 2] = [2, 7];
 
-/// Small corpus with hubs (packed/hub-split stress), a mesh (blocked rows
-/// spanning several cache lines), and community structure (multi-phase
-/// Louvain), affordable under 8 seeds × 2 thread counts × every kernel.
+/// Small corpus with hubs (long rows in the scatter scan), a mesh, and
+/// community structure (multi-phase Louvain), affordable under 8 seeds × 2
+/// thread counts.
 fn corpus() -> Vec<(&'static str, Csr)> {
     vec![
         ("clique-chain", clique_chain(5, 6)),
@@ -43,67 +42,53 @@ fn louvain_fingerprint(r: &CommunityResult) -> (Vec<u32>, usize, u64, Vec<(usize
     (r.assignment.clone(), r.num_communities, r.modularity.to_bits(), iters)
 }
 
-/// Every Louvain move kernel, on every corpus graph, reproduces the
-/// 1-thread flat-scatter oracle bit-for-bit across all adversarial
-/// schedules at 2 and 7 threads.
+/// Louvain, on every corpus graph, reproduces its 1-thread run
+/// bit-for-bit across all adversarial schedules at 2 and 7 threads.
 #[test]
-fn louvain_kernels_bit_identical_under_adversarial_schedules() {
+fn louvain_bit_identical_under_adversarial_schedules() {
     for (gname, g) in corpus() {
-        let oracle_cfg = LouvainConfig::default().threads(1).kernel(MoveKernel::FlatScatter);
-        let oracle = louvain_fingerprint(&louvain(&g, &oracle_cfg));
-        for kernel in MoveKernel::ALL {
-            for seed in SEEDS {
-                rayon::chaos::set_seed(seed);
-                for threads in THREADS {
-                    let cfg = LouvainConfig::default().threads(threads).kernel(kernel);
-                    let got = louvain_fingerprint(&louvain(&g, &cfg));
-                    assert_eq!(
-                        got,
-                        oracle,
-                        "{} kernel on {gname}: diverged from 1-thread flat oracle at \
-                         seed {seed}, {threads} threads",
-                        kernel.name()
-                    );
-                }
+        let oracle = louvain_fingerprint(&louvain(&g, &LouvainConfig::default().threads(1)));
+        for seed in SEEDS {
+            rayon::chaos::set_seed(seed);
+            for threads in THREADS {
+                let cfg = LouvainConfig::default().threads(threads);
+                let got = louvain_fingerprint(&louvain(&g, &cfg));
+                assert_eq!(
+                    got, oracle,
+                    "{gname}: diverged from the 1-thread run at seed {seed}, {threads} threads"
+                );
             }
         }
     }
 }
 
-/// Both RR-set sampling kernels reproduce the 1-thread classic oracle —
-/// seed set, influence estimate, and traversal counters — across all
-/// adversarial schedules at 2 and 7 threads.
+/// IMM reproduces its 1-thread run — seed set, influence estimate, and
+/// traversal counters — across all adversarial schedules at 2 and 7
+/// threads.
 #[test]
-fn rr_sampling_kernels_bit_identical_under_adversarial_schedules() {
+fn imm_bit_identical_under_adversarial_schedules() {
     for (gname, g) in
         [("random", erdos_renyi_gnm(120, 420, 17)), ("powerlaw", barabasi_albert(150, 3, 5))]
     {
-        let oracle_cfg = ImmConfig::new(3).seed(9).threads(1).kernel(SampleKernel::Classic);
-        let oracle = imm(&g, &oracle_cfg);
-        for kernel in SampleKernel::ALL {
-            for seed in SEEDS {
-                rayon::chaos::set_seed(seed);
-                for threads in THREADS {
-                    let cfg = ImmConfig::new(3).seed(9).threads(threads).kernel(kernel);
-                    let got = imm(&g, &cfg);
-                    assert_eq!(
-                        (got.seeds.clone(), got.influence_estimate.to_bits()),
-                        (oracle.seeds.clone(), oracle.influence_estimate.to_bits()),
-                        "{} kernel on {gname}: seed set diverged at seed {seed}, {threads} threads",
-                        kernel.name()
-                    );
-                    assert_eq!(
-                        (got.stats.rr_sets, got.stats.edges_examined, got.stats.vertices_visited),
-                        (
-                            oracle.stats.rr_sets,
-                            oracle.stats.edges_examined,
-                            oracle.stats.vertices_visited
-                        ),
-                        "{} kernel on {gname}: traversal counters diverged at seed {seed}, \
-                         {threads} threads",
-                        kernel.name()
-                    );
-                }
+        let oracle = imm(&g, &ImmConfig::new(3).seed(9).threads(1));
+        for seed in SEEDS {
+            rayon::chaos::set_seed(seed);
+            for threads in THREADS {
+                let got = imm(&g, &ImmConfig::new(3).seed(9).threads(threads));
+                assert_eq!(
+                    (got.seeds.clone(), got.influence_estimate.to_bits()),
+                    (oracle.seeds.clone(), oracle.influence_estimate.to_bits()),
+                    "{gname}: seed set diverged at seed {seed}, {threads} threads"
+                );
+                assert_eq!(
+                    (got.stats.rr_sets, got.stats.edges_examined, got.stats.vertices_visited),
+                    (
+                        oracle.stats.rr_sets,
+                        oracle.stats.edges_examined,
+                        oracle.stats.vertices_visited
+                    ),
+                    "{gname}: traversal counters diverged at seed {seed}, {threads} threads"
+                );
             }
         }
     }

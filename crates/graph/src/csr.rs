@@ -262,32 +262,6 @@ impl Csr {
         &self.targets
     }
 
-    /// Iterates the adjacency row of `v` in blocks of at most `block`
-    /// targets, yielding each targets chunk together with its parallel
-    /// weights chunk (`None` for unweighted graphs). Exposed for
-    /// cache-line-blocked kernels that separate the sequential offset/target
-    /// walk from the random payload gather — pick `block` so one chunk of
-    /// targets spans a single cache line (16 for 4-byte ids on 64-byte
-    /// lines).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block == 0` or `v >= n`.
-    pub fn neighbor_blocks(
-        &self,
-        v: u32,
-        block: usize,
-    ) -> impl Iterator<Item = (&[u32], Option<&[f64]>)> + '_ {
-        assert!(block > 0, "block size must be positive");
-        let lo = self.offsets[v as usize];
-        let hi = self.offsets[v as usize + 1];
-        let targets = &self.targets[lo..hi];
-        let weights = self.weights.as_ref().map(|ws| &ws[lo..hi]);
-        targets.chunks(block).enumerate().map(move |(i, chunk)| {
-            (chunk, weights.map(|ws| &ws[i * block..i * block + chunk.len()]))
-        })
-    }
-
     /// The whole neighbor row of `v` as direct slices: targets plus the
     /// parallel weight slice when the graph is weighted. This is the
     /// zero-overhead form of [`Csr::weighted_neighbors`] for hot loops that
@@ -654,53 +628,6 @@ mod tests {
 
     fn path4() -> Csr {
         GraphBuilder::undirected(4).edge(0, 1).edge(1, 2).edge(2, 3).build().unwrap()
-    }
-
-    #[test]
-    fn neighbor_blocks_cover_row_in_order() {
-        // 10 neighbors of a hub, block of 4 -> chunks of 4, 4, 2, in order.
-        let mut b = GraphBuilder::undirected(11);
-        for v in 1..=10u32 {
-            b = b.edge(0, v);
-        }
-        let g = b.build().unwrap();
-        let blocks: Vec<Vec<u32>> = g
-            .neighbor_blocks(0, 4)
-            .map(|(ts, ws)| {
-                assert!(ws.is_none(), "unweighted graphs yield no weight chunk");
-                ts.to_vec()
-            })
-            .collect();
-        assert_eq!(blocks.iter().map(Vec::len).collect::<Vec<_>>(), vec![4, 4, 2]);
-        let flat: Vec<u32> = blocks.into_iter().flatten().collect();
-        assert_eq!(flat, g.neighbors(0));
-    }
-
-    #[test]
-    fn neighbor_blocks_weights_stay_parallel() {
-        let g = GraphBuilder::undirected(4)
-            .weighted_edge(0, 1, 1.5)
-            .weighted_edge(0, 2, 2.5)
-            .weighted_edge(0, 3, 3.5)
-            .build()
-            .unwrap();
-        let pairs: Vec<(u32, f64)> = g
-            .neighbor_blocks(0, 2)
-            .flat_map(|(ts, ws)| {
-                let ws = ws.expect("weighted graph yields weight chunks");
-                assert_eq!(ts.len(), ws.len());
-                ts.iter().copied().zip(ws.iter().copied()).collect::<Vec<_>>()
-            })
-            .collect();
-        assert_eq!(pairs, g.weighted_neighbors(0).collect::<Vec<_>>());
-        // A short row fits in one (partial) block.
-        assert_eq!(g.neighbor_blocks(1, 16).count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "block size must be positive")]
-    fn neighbor_blocks_rejects_zero_block() {
-        let _ = path4().neighbor_blocks(0, 0).count();
     }
 
     #[test]

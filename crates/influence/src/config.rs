@@ -30,37 +30,6 @@ impl DiffusionModel {
     }
 }
 
-/// Which iteration path the RR-set reverse-BFS sampler uses.
-///
-/// Both kernels draw identical RR sets and traces — visitation is keyed on
-/// `(seed, index)` RNG streams whose consumption order both paths preserve
-/// exactly; they differ only in where the visited stamps live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SampleKernel {
-    /// One epoch-stamped visited array indexed by vertex id.
-    #[default]
-    Classic,
-    /// Hub/cold split: the highest-degree vertices — the ones nearly every
-    /// traversal probes — keep their visited stamps in a compact cache-
-    /// resident side array, while the cold majority stay in the full-size
-    /// array. Same stamps, hot ones packed into a few cache lines.
-    HubSplit,
-}
-
-impl SampleKernel {
-    /// Short display name (used by benches and the snapshot harness).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SampleKernel::Classic => "classic",
-            SampleKernel::HubSplit => "hubsplit",
-        }
-    }
-
-    /// Every kernel, reference first. All entries draw bit-identical RR
-    /// sets; they differ only in memory layout and speed.
-    pub const ALL: [SampleKernel; 2] = [SampleKernel::Classic, SampleKernel::HubSplit];
-}
-
 /// Configuration for [`imm`](crate::imm).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImmConfig {
@@ -80,8 +49,6 @@ pub struct ImmConfig {
     pub threads: usize,
     /// RR sets generated per parallel task.
     pub batch: usize,
-    /// Reverse-BFS sampler kernel implementation.
-    pub kernel: SampleKernel,
 }
 
 impl ImmConfig {
@@ -101,7 +68,6 @@ impl ImmConfig {
             seed: 0,
             threads: 0,
             batch: 64,
-            kernel: SampleKernel::default(),
         }
     }
 
@@ -157,12 +123,6 @@ impl ImmConfig {
         self.batch = b.max(1);
         self
     }
-
-    /// Selects the reverse-BFS sampler kernel implementation.
-    pub fn kernel(mut self, k: SampleKernel) -> Self {
-        self.kernel = k;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -191,15 +151,6 @@ mod tests {
         assert_eq!(c.model, DiffusionModel::WeightedCascade);
         assert_eq!(c.threads, 2);
         assert_eq!(c.batch, 16);
-    }
-
-    #[test]
-    fn sample_kernel_selectable() {
-        assert_eq!(ImmConfig::new(1).kernel, SampleKernel::Classic);
-        for k in SampleKernel::ALL {
-            assert_eq!(ImmConfig::new(1).kernel(k).kernel, k);
-        }
-        assert_ne!(SampleKernel::Classic.name(), SampleKernel::HubSplit.name());
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn imm_inner(graph: &Csr, cfg: &ImmConfig) -> ImmResult {
     if n == 0 {
         return ImmResult { seeds: Vec::new(), influence_estimate: 0.0, stats: empty_stats() };
     }
-    let sampler = RrSampler::with_kernel(graph, cfg.model, cfg.kernel);
+    let sampler = RrSampler::new(graph, cfg.model);
     imm_core(n, &sampler, cfg, start)
 }
 
@@ -87,7 +87,7 @@ fn imm_inner(graph: &Csr, cfg: &ImmConfig) -> ImmResult {
 /// # Errors
 ///
 /// [`CompressError::UnsortedRow`] — provably unreachable (see
-/// [`RrSampler::with_kernel_compressed`]), surfaced as a typed error
+/// [`RrSampler::new_compressed`]), surfaced as a typed error
 /// rather than a panic.
 pub fn imm_compressed(cz: &CompressedCsr, cfg: &ImmConfig) -> Result<ImmResult, CompressError> {
     if cfg.threads == 0 {
@@ -104,7 +104,7 @@ fn imm_compressed_inner(cz: &CompressedCsr, cfg: &ImmConfig) -> Result<ImmResult
     if n == 0 {
         return Ok(ImmResult { seeds: Vec::new(), influence_estimate: 0.0, stats: empty_stats() });
     }
-    let sampler = RrSampler::with_kernel_compressed(cz, cfg.model, cfg.kernel)?;
+    let sampler = RrSampler::new_compressed(cz, cfg.model)?;
     Ok(imm_core(n, &sampler, cfg, start))
 }
 
@@ -409,24 +409,6 @@ mod tests {
         assert!(rec.spans()["imm/sampling"].wall <= rec.spans()["imm"].wall);
         let noop = imm_recorded(&g, &quick_cfg(2), &mut reorderlab_trace::NoopRecorder);
         assert_eq!(noop.seeds, plain.seeds);
-    }
-
-    #[test]
-    fn hub_split_kernel_end_to_end_identical() {
-        // The sampler-kernel differential at the IMM level, at the 1/2/7
-        // acceptance thread counts: seeds, counters, and the influence
-        // estimate are bit-identical between kernels.
-        let g = erdos_renyi_gnm(150, 500, 3);
-        for threads in [1usize, 2, 7] {
-            let base = quick_cfg(3).threads(threads);
-            let classic = imm(&g, &base.clone().kernel(crate::config::SampleKernel::Classic));
-            let split = imm(&g, &base.kernel(crate::config::SampleKernel::HubSplit));
-            assert_eq!(classic.seeds, split.seeds, "{threads} threads");
-            assert_eq!(classic.influence_estimate, split.influence_estimate);
-            assert_eq!(classic.stats.rr_sets, split.stats.rr_sets);
-            assert_eq!(classic.stats.edges_examined, split.stats.edges_examined);
-            assert_eq!(classic.stats.vertices_visited, split.stats.vertices_visited);
-        }
     }
 
     #[test]

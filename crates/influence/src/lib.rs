@@ -30,7 +30,7 @@ mod imm;
 mod rrset;
 mod simulate;
 
-pub use config::{DiffusionModel, ImmConfig, SampleKernel};
+pub use config::{DiffusionModel, ImmConfig};
 pub use greedy::{celf_max_coverage, greedy_max_coverage, Coverage};
 pub use imm::{imm, imm_compressed, imm_recorded, record_sampling_stats, ImmResult, SamplingStats};
 pub use rrset::{RrSampler, RrTrace, SampleScratch};

@@ -5,7 +5,7 @@
 //! by a *probabilistic BFS on the transpose graph* (paper §VI-C: "tens or
 //! hundreds of thousands of probabilistic BFS traversals").
 
-use crate::config::{DiffusionModel, SampleKernel};
+use crate::config::DiffusionModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reorderlab_graph::{CompressError, CompressedCsr, Csr, GapNeighbors};
@@ -77,12 +77,6 @@ pub struct RrSampler {
     /// graphs this equals the forward adjacency), flat or compressed.
     transpose: Adjacency,
     model: DiffusionModel,
-    kernel: SampleKernel,
-    /// `hub_slot[v]` is `v`'s index into the compact hub stamp array, or
-    /// `u32::MAX` for cold vertices. Empty under [`SampleKernel::Classic`].
-    hub_slot: Vec<u32>,
-    /// Number of hub slots (the compact array's length).
-    num_hubs: usize,
 }
 
 /// Counters from sampling one RR set, aggregated by the engine into the
@@ -110,9 +104,6 @@ pub struct RrTrace {
 pub struct SampleScratch {
     /// `stamp[v] == epoch` marks `v` visited in the current sample.
     stamp: Vec<u64>,
-    /// Compact visited stamps for hub vertices (indexed by hub slot); only
-    /// touched by the [`SampleKernel::HubSplit`] path.
-    hub_stamp: Vec<u64>,
     epoch: u64,
     /// BFS queue and output set (root first).
     set: Vec<u32>,
@@ -121,7 +112,7 @@ pub struct SampleScratch {
 impl SampleScratch {
     /// A scratch for graphs of up to `n` vertices.
     pub fn new(n: usize) -> Self {
-        SampleScratch { stamp: vec![0; n], hub_stamp: Vec::new(), epoch: 0, set: Vec::new() }
+        SampleScratch { stamp: vec![0; n], epoch: 0, set: Vec::new() }
     }
 
     /// Starts a new sample rooted at `root`: bumps the epoch (constant-time
@@ -144,84 +135,28 @@ impl SampleScratch {
         self.stamp[v as usize] = self.epoch;
         self.set.push(v);
     }
-
-    /// [`SampleScratch::begin`] for the hub/cold split path: also sizes the
-    /// compact hub array and stamps the root in whichever array owns it.
-    fn begin_split(&mut self, n: usize, num_hubs: usize, root: u32, hub_slot: &[u32]) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-        }
-        if self.hub_stamp.len() < num_hubs {
-            self.hub_stamp.resize(num_hubs, 0);
-        }
-        self.epoch += 1;
-        self.set.clear();
-        self.set.push(root);
-        let s = hub_slot[root as usize];
-        if s != u32::MAX {
-            self.hub_stamp[s as usize] = self.epoch;
-        } else {
-            self.stamp[root as usize] = self.epoch;
-        }
-    }
-
-    /// Logically identical to [`SampleScratch::is_visited`]; hubs read the
-    /// compact array, cold vertices the full one.
-    fn is_visited_split(&self, v: u32, hub_slot: &[u32]) -> bool {
-        let s = hub_slot[v as usize];
-        if s != u32::MAX {
-            self.hub_stamp[s as usize] == self.epoch
-        } else {
-            self.stamp[v as usize] == self.epoch
-        }
-    }
-
-    /// Logically identical to [`SampleScratch::visit`] under the split
-    /// layout.
-    fn visit_split(&mut self, v: u32, hub_slot: &[u32]) {
-        let s = hub_slot[v as usize];
-        if s != u32::MAX {
-            self.hub_stamp[s as usize] = self.epoch;
-        } else {
-            self.stamp[v as usize] = self.epoch;
-        }
-        self.set.push(v);
-    }
 }
 
 impl RrSampler {
-    /// Prepares a sampler for `graph` under `model` with the default
-    /// ([`SampleKernel::Classic`]) iteration path.
+    /// Prepares a sampler for `graph` under `model`.
     pub fn new(graph: &Csr, model: DiffusionModel) -> Self {
-        RrSampler::with_kernel(graph, model, SampleKernel::Classic)
+        RrSampler { transpose: Adjacency::Flat(graph.transposed()), model }
     }
 
-    /// Prepares a sampler using the given iteration kernel. Both kernels
-    /// draw bit-identical sets and traces (pinned by differential tests).
-    pub fn with_kernel(graph: &Csr, model: DiffusionModel, kernel: SampleKernel) -> Self {
-        let transpose = Adjacency::Flat(graph.transposed());
-        let (hub_slot, num_hubs) = match kernel {
-            SampleKernel::Classic => (Vec::new(), 0),
-            SampleKernel::HubSplit => hub_partition(&transpose),
-        };
-        RrSampler { transpose, model, kernel, hub_slot, num_hubs }
-    }
-
-    /// [`RrSampler::with_kernel`] over the compressed form: the reverse
-    /// BFS streams in-neighbors straight from the varint gap bytes, never
-    /// materializing flat rows. Draws sets and traces bit-identical to a
-    /// flat sampler over the same graph — row order (and therefore the
-    /// RNG coin stream) is representation-independent.
+    /// [`RrSampler::new`] over the compressed form: the reverse BFS streams
+    /// in-neighbors straight from the varint gap bytes, never materializing
+    /// flat rows. Draws sets and traces bit-identical to a flat sampler
+    /// over the same graph — row order (and therefore the RNG coin stream)
+    /// is representation-independent.
     ///
     /// # Errors
     ///
     /// [`CompressError::UnsortedRow`] — provably unreachable (the
     /// transpose of a decoded graph always has sorted rows), surfaced as
     /// a typed error rather than a panic to keep library code panic-free.
-    pub fn with_kernel_compressed(
+    pub fn new_compressed(
         cz: &CompressedCsr,
         model: DiffusionModel,
-        kernel: SampleKernel,
     ) -> Result<Self, CompressError> {
         // Undirected adjacency is symmetric: reuse the caller's gap
         // streams. Directed graphs transpose once (flat, then recompress).
@@ -230,11 +165,7 @@ impl RrSampler {
         } else {
             Adjacency::Compressed(cz.clone())
         };
-        let (hub_slot, num_hubs) = match kernel {
-            SampleKernel::Classic => (Vec::new(), 0),
-            SampleKernel::HubSplit => hub_partition(&transpose),
-        };
-        Ok(RrSampler { transpose, model, kernel, hub_slot, num_hubs })
+        Ok(RrSampler { transpose, model })
     }
 
     /// The number of vertices of the underlying graph.
@@ -280,36 +211,19 @@ impl RrSampler {
         let mut rng =
             StdRng::seed_from_u64(splitmix(seed ^ index.wrapping_mul(0x9e3779b97f4a7c15)));
         let root = rng.gen_range(0..n as u32);
-        // The LT reverse walk visits a handful of vertices per set, so the
-        // hub/cold split buys nothing there; it always runs classic.
-        let split = self.kernel == SampleKernel::HubSplit
-            && !matches!(self.model, DiffusionModel::LinearThreshold);
-        if split {
-            scratch.begin_split(n, self.num_hubs, root, &self.hub_slot);
-        } else {
-            scratch.begin(n, root);
-        }
+        scratch.begin(n, root);
         let trace = match self.model {
             DiffusionModel::IndependentCascade { probability } => {
-                if split {
-                    self.reverse_bfs_split(scratch, &mut rng, |_, p_rng| p_rng < probability)
-                } else {
-                    self.reverse_bfs(scratch, &mut rng, |_, p_rng| p_rng < probability)
-                }
+                self.reverse_bfs(scratch, &mut rng, |_, p_rng| p_rng < probability)
             }
             DiffusionModel::WeightedCascade => {
                 // p(u -> v) = 1 / indeg(v): while scanning v's in-neighbors,
                 // each passes with probability 1/indeg(v).
                 let t = &self.transpose;
-                let live = |v: u32, p_rng: f64| {
+                self.reverse_bfs(scratch, &mut rng, |v, p_rng| {
                     let indeg = t.degree(v).max(1) as f64;
                     p_rng < 1.0 / indeg
-                };
-                if split {
-                    self.reverse_bfs_split(scratch, &mut rng, live)
-                } else {
-                    self.reverse_bfs(scratch, &mut rng, live)
-                }
+                })
             }
             DiffusionModel::LinearThreshold => self.reverse_walk(scratch, &mut rng),
         };
@@ -334,33 +248,6 @@ impl RrSampler {
                 trace.edges_examined += 1;
                 if !scratch.is_visited(u) && live(v, rng.gen::<f64>()) {
                     scratch.visit(u);
-                    trace.vertices_visited += 1;
-                }
-            }
-        }
-        trace
-    }
-
-    /// [`RrSampler::reverse_bfs`] over the hub/cold split visited layout.
-    /// The visited predicate is evaluated in exactly the same short-circuit
-    /// position, so the RNG stream is consumed identically and the sampled
-    /// set — push order included — matches the classic path bit for bit.
-    fn reverse_bfs_split<F: Fn(u32, f64) -> bool>(
-        &self,
-        scratch: &mut SampleScratch,
-        rng: &mut StdRng,
-        live: F,
-    ) -> RrTrace {
-        let hub_slot = &self.hub_slot;
-        let mut trace = RrTrace { edges_examined: 0, vertices_visited: 1 };
-        let mut head = 0usize;
-        while head < scratch.set.len() {
-            let v = scratch.set[head];
-            head += 1;
-            for u in self.transpose.iter_row(v) {
-                trace.edges_examined += 1;
-                if !scratch.is_visited_split(u, hub_slot) && live(v, rng.gen::<f64>()) {
-                    scratch.visit_split(u, hub_slot);
                     trace.vertices_visited += 1;
                 }
             }
@@ -395,25 +282,6 @@ impl RrSampler {
         }
         trace
     }
-}
-
-/// Partitions vertices into hubs and cold for [`SampleKernel::HubSplit`]:
-/// the top `n/64` in-degree vertices (at least 1, at most 4096 — a few pages
-/// of stamps) get compact slots, deterministically tie-broken by id. Returns
-/// `(hub_slot, num_hubs)`.
-fn hub_partition(transpose: &Adjacency) -> (Vec<u32>, usize) {
-    let n = transpose.num_vertices();
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
-    let k = (n / 64).clamp(1, 4096).min(n);
-    let mut by_degree: Vec<u32> = (0..n as u32).collect();
-    by_degree.sort_by_key(|&v| (std::cmp::Reverse(transpose.degree(v)), v));
-    let mut hub_slot = vec![u32::MAX; n];
-    for (slot, &v) in by_degree[..k].iter().enumerate() {
-        hub_slot[v as usize] = slot as u32;
-    }
-    (hub_slot, k)
 }
 
 /// SplitMix64 finalizer, decorrelating per-index RNG streams.
@@ -535,40 +403,11 @@ mod tests {
     }
 
     #[test]
-    fn hub_split_bit_identical_to_classic() {
-        // The acceptance criterion for the sampler kernel: the hub/cold
-        // split path draws exactly the sets (order included) and traces the
-        // classic path draws, for every model and across scratch reuse.
-        let graphs = [
-            star(80),
-            complete(25),
-            path(120),
-            reorderlab_datasets::erdos_renyi_gnm(300, 1500, 17),
-        ];
-        for g in &graphs {
-            for model in [ic(0.3), DiffusionModel::WeightedCascade, DiffusionModel::LinearThreshold]
-            {
-                let classic = RrSampler::with_kernel(g, model, SampleKernel::Classic);
-                let split = RrSampler::with_kernel(g, model, SampleKernel::HubSplit);
-                let mut sc = SampleScratch::new(g.num_vertices());
-                let mut ss = SampleScratch::new(g.num_vertices());
-                for i in 0..100 {
-                    let (a, ta) = classic.sample_with(9, i, &mut sc);
-                    let a = a.to_vec();
-                    let (b, tb) = split.sample_with(9, i, &mut ss);
-                    assert_eq!(a, b, "set mismatch at index {i} under {model:?}");
-                    assert_eq!(ta, tb, "trace mismatch at index {i} under {model:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn compressed_sampler_bit_identical_to_flat() {
         // The acceptance criterion for compressed-mode IMM: sampling over
         // the varint gap streams draws exactly the sets (order included)
-        // and traces the flat transpose draws, for every model and kernel,
-        // on undirected and directed graphs alike.
+        // and traces the flat transpose draws, for every model, on
+        // undirected and directed graphs alike.
         let directed_ring = {
             let mut b = GraphBuilder::directed(23);
             for v in 0..23u32 {
@@ -586,18 +425,16 @@ mod tests {
             let cz = CompressedCsr::from_csr(g).unwrap();
             for model in [ic(0.3), DiffusionModel::WeightedCascade, DiffusionModel::LinearThreshold]
             {
-                for kernel in [SampleKernel::Classic, SampleKernel::HubSplit] {
-                    let flat = RrSampler::with_kernel(g, model, kernel);
-                    let packed = RrSampler::with_kernel_compressed(&cz, model, kernel).unwrap();
-                    let mut sf = SampleScratch::new(g.num_vertices());
-                    let mut sp = SampleScratch::new(g.num_vertices());
-                    for i in 0..100 {
-                        let (a, ta) = flat.sample_with(9, i, &mut sf);
-                        let a = a.to_vec();
-                        let (b, tb) = packed.sample_with(9, i, &mut sp);
-                        assert_eq!(a, b, "set mismatch at {i} under {model:?}/{kernel:?}");
-                        assert_eq!(ta, tb, "trace mismatch at {i} under {model:?}/{kernel:?}");
-                    }
+                let flat = RrSampler::new(g, model);
+                let packed = RrSampler::new_compressed(&cz, model).unwrap();
+                let mut sf = SampleScratch::new(g.num_vertices());
+                let mut sp = SampleScratch::new(g.num_vertices());
+                for i in 0..100 {
+                    let (a, ta) = flat.sample_with(9, i, &mut sf);
+                    let a = a.to_vec();
+                    let (b, tb) = packed.sample_with(9, i, &mut sp);
+                    assert_eq!(a, b, "set mismatch at {i} under {model:?}");
+                    assert_eq!(ta, tb, "trace mismatch at {i} under {model:?}");
                 }
             }
         }
@@ -609,43 +446,9 @@ mod tests {
         let flat = RrSampler::new(&g, ic(0.5));
         assert!(flat.transpose().is_some());
         let cz = CompressedCsr::from_csr(&g).unwrap();
-        let packed =
-            RrSampler::with_kernel_compressed(&cz, ic(0.5), SampleKernel::Classic).unwrap();
+        let packed = RrSampler::new_compressed(&cz, ic(0.5)).unwrap();
         assert!(packed.transpose().is_none());
         assert_eq!(packed.num_vertices(), 10);
-    }
-
-    #[test]
-    fn hub_partition_is_deterministic_and_prefers_high_degree() {
-        let g = star(200);
-        let s = RrSampler::with_kernel(&g, ic(0.5), SampleKernel::HubSplit);
-        // The hub of a star must hold a compact slot.
-        assert_ne!(s.hub_slot[0], u32::MAX);
-        assert_eq!(s.num_hubs, 200 / 64);
-        // Construction is deterministic.
-        let s2 = RrSampler::with_kernel(&g, ic(0.5), SampleKernel::HubSplit);
-        assert_eq!(s.hub_slot, s2.hub_slot);
-        // Every slot in 0..num_hubs is assigned exactly once.
-        let mut seen = vec![false; s.num_hubs];
-        for &slot in &s.hub_slot {
-            if slot != u32::MAX {
-                assert!(!seen[slot as usize]);
-                seen[slot as usize] = true;
-            }
-        }
-        assert!(seen.iter().all(|&b| b));
-    }
-
-    #[test]
-    fn hub_split_handles_tiny_graphs() {
-        for n in [1usize, 2, 3] {
-            let g = path(n);
-            let s = RrSampler::with_kernel(&g, ic(1.0), SampleKernel::HubSplit);
-            let c = RrSampler::with_kernel(&g, ic(1.0), SampleKernel::Classic);
-            for i in 0..10 {
-                assert_eq!(s.sample(3, i), c.sample(3, i));
-            }
-        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use cache::{Cache, CacheConfig};
 pub use hierarchy::{Hierarchy, HierarchyConfig, MemLevel, MemReport};
 pub use workloads::{
     replay_louvain_move, replay_louvain_scan, replay_pagerank_iteration, replay_rr_kernel,
-    replay_rr_sampling, LouvainReplayKernel, RrReplayKernel,
+    replay_rr_sampling,
 };
 
 #[cfg(test)]

@@ -434,8 +434,28 @@ fn exec_memsim(
 ) -> Result<MemsimReport, OpError> {
     use reorderlab_memsim::{
         replay_louvain_move, replay_pagerank_iteration, replay_rr_kernel, Hierarchy,
-        HierarchyConfig, LouvainReplayKernel, RrReplayKernel,
+        HierarchyConfig,
     };
+
+    // Each workload replays the one kernel the applications run; `--kernel`
+    // may name it, and nothing else.
+    type Replay = fn(&Csr, &[u32], &mut Hierarchy);
+    let (kernel_name, replay): (&str, Replay) = match workload {
+        "louvain" => ("packed", |g, _, hier| replay_louvain_move(g, hier)),
+        // Snapshot-corpus parameters: p = 0.25, 64 sets, seed 7.
+        "rr" => ("classic", |g, labels, hier| replay_rr_kernel(g, labels, 0.25, 64, 7, hier)),
+        "pagerank" => ("pull", |g, _, hier| replay_pagerank_iteration(g, hier)),
+        other => {
+            return Err(OpError::Usage(format!(
+                "unknown workload {other:?}; try louvain|rr|pagerank"
+            )))
+        }
+    };
+    if let Some(other) = kernel.filter(|&k| k != kernel_name) {
+        return Err(OpError::Usage(format!(
+            "unknown {workload} kernel {other:?}; try {kernel_name}"
+        )));
+    }
 
     let g = &resolved.graph;
     // Optional reordering pass first: replay the laid-out graph, keeping
@@ -461,58 +481,13 @@ fn exec_memsim(
     };
 
     let mut hier = Hierarchy::new(HierarchyConfig::scaled_cascade_lake());
-    let kernel_name: String = match workload {
-        "louvain" => {
-            let k = match kernel.unwrap_or("flat") {
-                "flat" => LouvainReplayKernel::FlatScatter,
-                "blocked" => LouvainReplayKernel::Blocked,
-                "packed" => LouvainReplayKernel::Packed,
-                "hashmap" => LouvainReplayKernel::HashMap { map_slots: 4096 },
-                other => {
-                    return Err(OpError::Usage(format!(
-                        "unknown louvain kernel {other:?}; try flat|blocked|packed|hashmap"
-                    )))
-                }
-            };
-            replay_louvain_move(&g, k, &mut hier);
-            kernel.unwrap_or("flat").to_string()
-        }
-        "rr" => {
-            let k = match kernel.unwrap_or("classic") {
-                "classic" => RrReplayKernel::Classic,
-                "hubsplit" => RrReplayKernel::HubSplit,
-                other => {
-                    return Err(OpError::Usage(format!(
-                        "unknown rr kernel {other:?}; try classic|hubsplit"
-                    )))
-                }
-            };
-            // Snapshot-corpus parameters: p = 0.25, 64 sets, seed 7.
-            replay_rr_kernel(&g, &labels, 0.25, 64, 7, k, &mut hier);
-            kernel.unwrap_or("classic").to_string()
-        }
-        "pagerank" => {
-            if let Some(other) = kernel {
-                return Err(OpError::Usage(format!(
-                    "pagerank has a single pull kernel, got --kernel {other:?}"
-                )));
-            }
-            replay_pagerank_iteration(&g, &mut hier);
-            "pull".to_string()
-        }
-        other => {
-            return Err(OpError::Usage(format!(
-                "unknown workload {other:?}; try louvain|rr|pagerank"
-            )))
-        }
-    };
-
+    replay(&g, &labels, &mut hier);
     let r = hier.report();
     Ok(MemsimReport {
         graph: resolved.id.clone(),
         scheme: scheme_name,
         workload: workload.to_string(),
-        kernel: kernel_name,
+        kernel: kernel_name.to_string(),
         loads: r.loads,
         level_hits: r.level_hits.to_vec(),
         avg_latency: r.avg_latency,
@@ -695,6 +670,40 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.loads > 0);
         assert_eq!(a.scheme, "DBG");
+    }
+
+    #[test]
+    fn memsim_accepts_only_the_production_kernel() {
+        let memsim = |workload: &str, kernel: Option<&str>| {
+            let req = OpRequest::Memsim {
+                source: instance("euroroad"),
+                scheme: None,
+                workload: workload.into(),
+                kernel: kernel.map(str::to_string),
+            };
+            execute(&req, &FsResolver).map(|out| {
+                let OpReport::Memsim(m) = out.report else { panic!("wrong report") };
+                (m.kernel.clone(), m.render_text(), m.render_json().to_line())
+            })
+        };
+        // Naming the production kernel is the default, byte for byte.
+        for (workload, name) in [("louvain", "packed"), ("rr", "classic"), ("pagerank", "pull")] {
+            let default = memsim(workload, None).unwrap();
+            assert_eq!(default.0, name);
+            assert_eq!(memsim(workload, Some(name)).unwrap(), default, "{workload}");
+        }
+        // Retired variants are usage errors that name the accepted value.
+        for (workload, retired, accepted) in [
+            ("louvain", "blocked", "packed"),
+            ("louvain", "flat", "packed"),
+            ("louvain", "hashmap", "packed"),
+            ("rr", "hubsplit", "classic"),
+        ] {
+            let e = memsim(workload, Some(retired)).unwrap_err();
+            assert!(matches!(e, OpError::Usage(_)), "{e}");
+            let text = e.to_string();
+            assert!(text.contains(retired) && text.ends_with(&format!("try {accepted}")), "{text}");
+        }
     }
 
     #[test]

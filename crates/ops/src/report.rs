@@ -867,7 +867,7 @@ mod tests {
             graph: "g".into(),
             scheme: "Natural".into(),
             workload: "louvain".into(),
-            kernel: "flat".into(),
+            kernel: "packed".into(),
             loads: 100,
             level_hits: vec![80, 10, 5, 5],
             avg_latency: 7.25,
@@ -878,7 +878,7 @@ mod tests {
         assert_eq!(back, m);
         if let OpReport::Memsim(m) = &back {
             let text = m.render_text();
-            assert!(text.starts_with("memsim replay: louvain/flat on g (Natural layout)\n"));
+            assert!(text.starts_with("memsim replay: louvain/packed on g (Natural layout)\n"));
             assert!(text.contains("L1   hits    80         (80.0%)"), "{text}");
             assert!(m.render_json().to_line().contains("scaled_cascade_lake"));
         }

@@ -66,8 +66,8 @@ pub enum OpRequest {
         scheme: Option<String>,
         /// Workload: `louvain`, `rr`, or `pagerank`.
         workload: String,
-        /// Kernel within the workload (`flat|blocked|packed|hashmap` for
-        /// louvain, `classic|hubsplit` for rr); `None` takes the default.
+        /// The workload's kernel by name (`packed` for louvain, `classic`
+        /// for rr, `pull` for pagerank); `None` means the same kernel.
         kernel: Option<String>,
     },
 }
@@ -313,7 +313,7 @@ mod tests {
             source: GraphSource::Instance("euroroad".into()),
             scheme: Some("dbg".into()),
             workload: "rr".into(),
-            kernel: Some("hubsplit".into()),
+            kernel: Some("classic".into()),
         });
     }
 

@@ -362,15 +362,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8).
+                    // Copy the run up to the next quote or escape in one
+                    // step. Both delimiters are ASCII, which never occurs
+                    // inside a multi-byte sequence, so the run is whole
+                    // characters (input is a &str, so it is valid UTF-8).
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let Some(c) = s.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len =
+                        rest.iter().position(|b| matches!(b, b'"' | b'\\')).unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -487,6 +489,26 @@ mod tests {
         assert_eq!(Json::parse(r#""é""#).unwrap(), Json::Str("é".into()));
         assert_eq!(Json::parse(r#""😀""#).unwrap(), Json::Str("😀".into()));
         assert!(Json::parse(r#""\ud83d""#).is_err(), "lone surrogate must fail");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Decoding used to re-validate the whole remaining input for every
+        // character, so a 2 MB string took the better part of a minute. The
+        // bound is generous: a linear parse needs milliseconds.
+        let ascii = "x".repeat(2 << 20);
+        let multibyte = "é😀→".repeat((2 << 20) / 9);
+        for s in [ascii, multibyte] {
+            let text = Json::Str(s.clone()).to_line();
+            let start = std::time::Instant::now();
+            let parsed = Json::parse(&text).unwrap();
+            let took = start.elapsed();
+            assert_eq!(parsed, Json::Str(s));
+            assert!(took < std::time::Duration::from_secs(5), "parse took {took:?}");
+        }
+        // Escapes still split runs correctly next to multi-byte characters.
+        let mixed = "é\\\"→\n😀".repeat(1000);
+        assert_eq!(Json::parse(&Json::Str(mixed.clone()).to_line()).unwrap(), Json::Str(mixed));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`graph`] | CSR substrate: construction, traversal, permutation, stats |
-//! | [`core`] | The 13 ordering schemes + gap measures (the paper's subject) |
+//! | [`core`] | The 22 ordering schemes + gap measures (the paper's subject) |
 //! | [`partition`] | Multilevel k-way partitioner, separators, nested dissection |
 //! | [`community`] | Parallel Louvain (Grappolo-class) with instrumentation |
 //! | [`influence`] | IMM influence maximization (Ripples-class) |
