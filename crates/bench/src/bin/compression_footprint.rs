@@ -10,14 +10,15 @@
 //! flat CSR versus directly on the compressed form (zero-copy gap-stream
 //! iteration, no decode), on the locality-friendly RCM order. The
 //! acceptance bar is a ~1.5x overhead ceiling; results are reported, not
-//! asserted, because wall time is machine-dependent (the bit-identity of
-//! the two paths *is* asserted by unit tests).
+//! asserted, because wall time is machine-dependent. Both forms run the
+//! same generic kernel body over `reorderlab_graph::Adjacency`; their
+//! bit-identity *is* asserted by unit tests.
 
 #![forbid(unsafe_code)]
 
 use reorderlab_bench::args::maybe_write_csv;
 use reorderlab_bench::{HarnessArgs, Table};
-use reorderlab_community::{louvain, louvain_compressed, LouvainConfig};
+use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_core::Scheme;
 use reorderlab_graph::CompressedCsr;
 use reorderlab_kernels::{pagerank, pagerank_compressed, PageRankConfig};
@@ -84,7 +85,7 @@ fn main() {
 
         let lv_cfg = LouvainConfig::default().threads(1).max_phases(1);
         let flat_lv = criterion::measure(|| criterion::black_box(louvain(&laid_out, &lv_cfg)));
-        let comp_lv = criterion::measure(|| criterion::black_box(louvain_compressed(&cz, &lv_cfg)));
+        let comp_lv = criterion::measure(|| criterion::black_box(louvain(&cz, &lv_cfg)));
         ratio_row(&mut table, &mut csv, name, "louvain_phase", flat_lv, comp_lv);
     }
     println!("{}", table.render());

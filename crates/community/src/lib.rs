@@ -12,6 +12,10 @@
 //! quantities of the paper's Figure 9: phase time, iteration time, iteration
 //! count, modularity, `Work%` and `Work/edge`.
 //!
+//! [`louvain`], [`modularity`] and [`ModularityContext::new`] are generic
+//! over `reorderlab_graph::Adjacency`, so the same code runs on a flat
+//! `Csr` and on a `CompressedCsr`, bit-identically.
+//!
 //! ## Example
 //!
 //! ```
@@ -28,7 +32,6 @@
 
 mod compare;
 mod config;
-mod level;
 mod louvain;
 mod modularity;
 

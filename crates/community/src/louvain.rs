@@ -10,10 +10,9 @@
 //! neighbor-community scan, normalized by edge count).
 
 use crate::config::LouvainConfig;
-use crate::level::LouvainLevel;
-use crate::modularity::{modularity_level, ModularityContext};
+use crate::modularity::{modularity, ModularityContext};
 use rayon::prelude::*;
-use reorderlab_graph::{CompressedCsr, Csr};
+use reorderlab_graph::{contract, Adjacency, CompressedCsr, Csr};
 use std::time::{Duration, Instant};
 
 /// Measurements for one move iteration within a phase.
@@ -120,11 +119,21 @@ pub struct CommunityResult {
     pub stats: LouvainStats,
 }
 
-/// Runs Louvain community detection on `graph`.
+/// Runs Louvain community detection on `graph`, in whichever storage form
+/// it is held.
 ///
 /// The graph may be weighted; self loops are honored (they arise naturally
 /// on coarse levels). See [`LouvainConfig`] for the termination thresholds
 /// and thread count.
+///
+/// On a [`CompressedCsr`] the first (and dominant) phase scans the gap
+/// streams through per-worker decode scratch, and only the contraction into
+/// the (much smaller) coarse level materializes flat rows. The run is
+/// bit-identical to the one on the flat form of the same graph —
+/// assignments, modularity trace, iteration counts, and the `loads`
+/// instrumentation all match exactly, at any thread count — because the
+/// move scan reads every row through the same slice view
+/// ([`Adjacency::row_into`]).
 ///
 /// # Examples
 ///
@@ -137,20 +146,12 @@ pub struct CommunityResult {
 /// assert_eq!(r.num_communities, 4);
 /// assert!(r.modularity > 0.5);
 /// ```
-pub fn louvain(graph: &Csr, cfg: &LouvainConfig) -> CommunityResult {
-    louvain_in_pool::<_, PackedScan>(graph, cfg)
+pub fn louvain<G: Adjacency>(graph: &G, cfg: &LouvainConfig) -> CommunityResult {
+    louvain_in_pool::<G, PackedScan>(graph, cfg)
 }
 
-/// [`louvain`] running directly on the delta/varint-compressed form: the
-/// first (and dominant) phase scans the gap streams through the zero-copy
-/// row decoder, and only the contraction into the (much smaller) coarse
-/// level materializes flat rows.
-///
-/// Bit-identical to [`louvain`] on the [`CompressedCsr::decode`] of the
-/// same graph — assignments, modularity trace, iteration counts, and the
-/// `loads` instrumentation all match exactly, at any thread count: the move
-/// scan reads every row through the same slice view, decoded into
-/// per-worker scratch here and borrowed in place on flat levels.
+/// [`louvain`] at the compressed form's type, kept as a named entry point
+/// for callers that hold a `.csrz` graph.
 ///
 /// # Examples
 ///
@@ -166,7 +167,7 @@ pub fn louvain(graph: &Csr, cfg: &LouvainConfig) -> CommunityResult {
 /// assert_eq!(packed.assignment, louvain(&g, &cfg).assignment);
 /// ```
 pub fn louvain_compressed(cz: &CompressedCsr, cfg: &LouvainConfig) -> CommunityResult {
-    louvain_in_pool::<_, PackedScan>(cz, cfg)
+    louvain(cz, cfg)
 }
 
 /// The move phase the engine runs on every level. Production code has one
@@ -177,33 +178,30 @@ trait MovePhase {
     /// Runs move iterations on one level until the modularity gain drops
     /// below the threshold. Returns the (non-renumbered) community
     /// assignment and the per-iteration stats.
-    fn run<L: LouvainLevel>(level: &L, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>);
+    fn run<G: Adjacency>(level: &G, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>);
 }
 
 /// The production move phase: the packed scatter scan on every level.
 struct PackedScan;
 
 impl MovePhase for PackedScan {
-    fn run<L: LouvainLevel>(level: &L, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>) {
+    fn run<G: Adjacency>(level: &G, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>) {
         scatter_phase(level, cfg, PackedScratch::new, PackedScratch::propose)
     }
 }
 
 /// Runs the engine inside the pool `cfg.threads` asks for.
-fn louvain_in_pool<L: LouvainLevel, P: MovePhase>(
-    graph: &L,
-    cfg: &LouvainConfig,
-) -> CommunityResult {
+fn louvain_in_pool<G: Adjacency, P: MovePhase>(graph: &G, cfg: &LouvainConfig) -> CommunityResult {
     if cfg.threads == 0 {
-        louvain_inner::<L, P>(graph, cfg, rayon::current_num_threads())
+        louvain_inner::<G, P>(graph, cfg, rayon::current_num_threads())
     } else {
         let pool = reorderlab_graph::build_pool(cfg.threads);
-        pool.install(|| louvain_inner::<L, P>(graph, cfg, cfg.threads))
+        pool.install(|| louvain_inner::<G, P>(graph, cfg, cfg.threads))
     }
 }
 
-fn louvain_inner<L: LouvainLevel, P: MovePhase>(
-    graph: &L,
+fn louvain_inner<G: Adjacency, P: MovePhase>(
+    graph: &G,
     cfg: &LouvainConfig,
     threads: usize,
 ) -> CommunityResult {
@@ -213,12 +211,12 @@ fn louvain_inner<L: LouvainLevel, P: MovePhase>(
     let mut phases: Vec<PhaseStats> = Vec::new();
     let mut last_q = f64::NEG_INFINITY;
 
-    // The first phase runs on the caller's level (flat or compressed);
+    // The first phase runs on the caller's graph in its own storage form;
     // coarse levels are always owned flat graphs.
     let mut coarse: Option<Csr> = None;
     for _phase in 0..cfg.max_phases {
         let next = match &coarse {
-            None => phase_step::<L, P>(graph, cfg, &mut global, &mut phases, &mut last_q),
+            None => phase_step::<G, P>(graph, cfg, &mut global, &mut phases, &mut last_q),
             Some(level) => phase_step::<Csr, P>(level, cfg, &mut global, &mut phases, &mut last_q),
         };
         match next {
@@ -228,7 +226,7 @@ fn louvain_inner<L: LouvainLevel, P: MovePhase>(
     }
 
     let num_communities = global.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
-    let q = modularity_level(graph, &global);
+    let q = modularity(graph, &global);
     CommunityResult {
         assignment: global,
         num_communities,
@@ -241,8 +239,8 @@ fn louvain_inner<L: LouvainLevel, P: MovePhase>(
 /// folding into the original-vertex mapping, and — unless a termination
 /// condition fires — contraction into the next level. Returns the coarse
 /// graph to continue on, or `None` to stop.
-fn phase_step<L: LouvainLevel, P: MovePhase>(
-    level: &L,
+fn phase_step<G: Adjacency, P: MovePhase>(
+    level: &G,
     cfg: &LouvainConfig,
     global: &mut [u32],
     phases: &mut Vec<PhaseStats>,
@@ -252,7 +250,7 @@ fn phase_step<L: LouvainLevel, P: MovePhase>(
     let (comm, iterations) = P::run(level, cfg);
     let (renum, num_comms) = renumber(&comm);
 
-    let q = modularity_level(level, &renum);
+    let q = modularity(level, &renum);
     phases.push(PhaseStats {
         duration: phase_start.elapsed(),
         vertices: level.num_vertices(),
@@ -274,8 +272,11 @@ fn phase_step<L: LouvainLevel, P: MovePhase>(
     }
     // `renum` densely renumbers communities into 0..num_comms immediately
     // above, so the contraction cannot reject it; if it somehow did,
-    // stopping at the current level is the graceful answer.
-    level.contract_level(&renum, num_comms)
+    // stopping at the current level is the graceful answer. Contraction
+    // happens once per phase (the row scans happen `iterations × n` times),
+    // so flattening a compressed level here costs one pass over its gap
+    // stream and keeps the coarse levels flat.
+    contract(&level.to_csr(), &renum, num_comms).ok().map(|c| c.coarse)
 }
 
 /// [`louvain`] with run recording: emits per-phase wall times (span
@@ -369,7 +370,7 @@ impl PackedScratch {
     /// (`fresh ? 0 : slot.weight`) plus the edge weight, so the hot loop
     /// carries no taken/not-taken stamp branch and touches one cache line
     /// per community. The row is walked as slices
-    /// ([`LouvainLevel::row_into`]: borrowed in place on flat levels,
+    /// ([`Adjacency::row_into`]: borrowed in place on flat levels,
     /// decoded into the scratch on compressed ones) with the
     /// weighted/unweighted dispatch and the `loads` accounting hoisted out
     /// of the per-neighbor path. Weights accumulate in neighbor-scan order
@@ -378,9 +379,9 @@ impl PackedScratch {
     /// the reference phases in this module's tests, so decisions — and
     /// therefore assignments, traces, and `loads` — are identical.
     #[allow(clippy::too_many_arguments)]
-    fn propose<L: LouvainLevel>(
+    fn propose<G: Adjacency>(
         &mut self,
-        level: &L,
+        level: &G,
         v: u32,
         comm: &[u32],
         tot: &[f64],
@@ -497,8 +498,8 @@ fn best_move(
 /// label-swap protection parallel Louvain implementations employ. Returns
 /// whether the move was applied.
 #[allow(clippy::too_many_arguments)]
-fn apply_move<L: LouvainLevel>(
-    level: &L,
+fn apply_move<G: Adjacency>(
+    level: &G,
     row: &mut Vec<u32>,
     k: &[f64],
     m2: f64,
@@ -545,14 +546,14 @@ fn apply_move<L: LouvainLevel>(
 /// per-vertex or per-iteration allocation on the hot path. `new_scratch`
 /// builds one worker's scratch for a level of `n` vertices and `propose`
 /// scores one vertex with it; production passes [`PackedScratch`]'s.
-fn scatter_phase<L: LouvainLevel, S: Send>(
-    level: &L,
+fn scatter_phase<G: Adjacency, S: Send>(
+    level: &G,
     cfg: &LouvainConfig,
     new_scratch: impl Fn(usize) -> S,
-    propose: impl Fn(&mut S, &L, u32, &[u32], &[f64], &[f64], f64, &mut u64) -> u32 + Sync,
+    propose: impl Fn(&mut S, &G, u32, &[u32], &[f64], &[f64], f64, &mut u64) -> u32 + Sync,
 ) -> (Vec<u32>, Vec<IterationStats>) {
     let n = level.num_vertices();
-    let ctx = ModularityContext::from_level(level);
+    let ctx = ModularityContext::new(level);
     let m2 = ctx.total; // 2m
     let mut comm: Vec<u32> = (0..n as u32).collect();
     let mut tot: Vec<f64> = ctx.k.clone();
@@ -560,7 +561,7 @@ fn scatter_phase<L: LouvainLevel, S: Send>(
     if n == 0 || m2 == 0.0 {
         return (comm, iterations);
     }
-    let mut prev_q = modularity_level(level, &comm);
+    let mut prev_q = modularity(level, &comm);
 
     // One contiguous vertex span per worker. The scratch and the proposal
     // array are allocated once here and reused by every iteration; within a
@@ -614,7 +615,7 @@ fn scatter_phase<L: LouvainLevel, S: Send>(
             }
         }
 
-        let q = modularity_level(level, &comm);
+        let q = modularity(level, &comm);
         iterations.push(IterationStats {
             duration: iter_start.elapsed(),
             moves: num_moves,
@@ -841,9 +842,9 @@ mod tests {
         }
 
         #[allow(clippy::too_many_arguments)]
-        fn propose<L: LouvainLevel>(
+        fn propose<G: Adjacency>(
             &mut self,
-            level: &L,
+            level: &G,
             v: u32,
             comm: &[u32],
             tot: &[f64],
@@ -894,7 +895,7 @@ mod tests {
     struct FlatScatter;
 
     impl MovePhase for FlatScatter {
-        fn run<L: LouvainLevel>(level: &L, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>) {
+        fn run<G: Adjacency>(level: &G, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>) {
             scatter_phase(level, cfg, FlatScratch::new, FlatScratch::propose)
         }
     }
@@ -903,7 +904,7 @@ mod tests {
     struct HashMapChunks;
 
     impl MovePhase for HashMapChunks {
-        fn run<L: LouvainLevel>(level: &L, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>) {
+        fn run<G: Adjacency>(level: &G, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>) {
             one_phase_hashmap(level, cfg)
         }
     }
@@ -915,12 +916,12 @@ mod tests {
     /// and scan time.
     type ChunkProposals = (Vec<(u32, u32)>, u64, Duration);
 
-    fn one_phase_hashmap<L: LouvainLevel>(
-        level: &L,
+    fn one_phase_hashmap<G: Adjacency>(
+        level: &G,
         cfg: &LouvainConfig,
     ) -> (Vec<u32>, Vec<IterationStats>) {
         let n = level.num_vertices();
-        let ctx = ModularityContext::from_level(level);
+        let ctx = ModularityContext::new(level);
         let m2 = ctx.total; // 2m
         let mut comm: Vec<u32> = (0..n as u32).collect();
         let mut tot: Vec<f64> = ctx.k.clone();
@@ -928,7 +929,7 @@ mod tests {
         if n == 0 || m2 == 0.0 {
             return (comm, iterations);
         }
-        let mut prev_q = modularity_level(level, &comm);
+        let mut prev_q = modularity(level, &comm);
         let mut apply_row: Vec<u32> = Vec::new();
 
         for _iter in 0..cfg.max_iterations {
@@ -1024,7 +1025,7 @@ mod tests {
                 }
             }
 
-            let q = modularity_level(level, &comm);
+            let q = modularity(level, &comm);
             iterations.push(IterationStats {
                 duration: iter_start.elapsed(),
                 moves: num_moves,

@@ -5,8 +5,7 @@
 //! `2w` on the diagonal. Thus `k_i = Σ_j A_ij` equals the weighted degree
 //! plus the self-loop weight counted twice, and `2m = Σ_i k_i`.
 
-use crate::level::LouvainLevel;
-use reorderlab_graph::Csr;
+use reorderlab_graph::Adjacency;
 
 /// Per-vertex modularity bookkeeping for a weighted graph.
 #[derive(Debug, Clone)]
@@ -20,22 +19,17 @@ pub struct ModularityContext {
 }
 
 impl ModularityContext {
-    /// Precomputes degrees and totals for `graph`.
-    pub fn new(graph: &Csr) -> Self {
-        Self::from_level(graph)
-    }
-
-    /// [`ModularityContext::new`] over any [`LouvainLevel`] — flat and
-    /// compressed levels accumulate the identical float sequence (row
-    /// order), so the contexts match bit for bit.
-    pub(crate) fn from_level<L: LouvainLevel>(level: &L) -> Self {
-        let n = level.num_vertices();
+    /// Precomputes degrees and totals for `graph`. Every [`Adjacency`]
+    /// accumulates the identical float sequence (row order), so the
+    /// contexts of a flat and a compressed graph match bit for bit.
+    pub fn new<G: Adjacency>(graph: &G) -> Self {
+        let n = graph.num_vertices();
         let mut k = vec![0.0f64; n];
         let mut self_weight = vec![0.0f64; n];
         let mut row: Vec<u32> = Vec::new();
         for v in 0..n as u32 {
             let mut kv = 0.0;
-            level.for_each_weighted(v, &mut row, |u, w| {
+            graph.for_each_weighted(v, &mut row, |u, w| {
                 if u == v {
                     self_weight[v as usize] = w;
                     kv += 2.0 * w;
@@ -61,16 +55,10 @@ impl ModularityContext {
 /// # Panics
 ///
 /// Panics if `assignment` does not cover every vertex.
-pub fn modularity(graph: &Csr, assignment: &[u32]) -> f64 {
-    modularity_level(graph, assignment)
-}
-
-/// [`modularity`] over any [`LouvainLevel`]; the engine scores compressed
-/// first phases and flat coarse levels through the same accumulation.
-pub(crate) fn modularity_level<L: LouvainLevel>(level: &L, assignment: &[u32]) -> f64 {
-    let n = level.num_vertices();
+pub fn modularity<G: Adjacency>(graph: &G, assignment: &[u32]) -> f64 {
+    let n = graph.num_vertices();
     assert_eq!(assignment.len(), n, "assignment must cover every vertex");
-    let ctx = ModularityContext::from_level(level);
+    let ctx = ModularityContext::new(graph);
     if ctx.total == 0.0 {
         return 0.0;
     }
@@ -81,7 +69,7 @@ pub(crate) fn modularity_level<L: LouvainLevel>(level: &L, assignment: &[u32]) -
     for v in 0..n as u32 {
         let cv = assignment[v as usize] as usize;
         tot[cv] += ctx.k[v as usize];
-        level.for_each_weighted(v, &mut row, |u, w| {
+        graph.for_each_weighted(v, &mut row, |u, w| {
             if u == v {
                 internal[cv] += 2.0 * w; // diagonal convention
             } else if assignment[u as usize] as usize == cv {
@@ -96,7 +84,7 @@ pub(crate) fn modularity_level<L: LouvainLevel>(level: &L, assignment: &[u32]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reorderlab_graph::{GraphBuilder, SelfLoopPolicy};
+    use reorderlab_graph::{Csr, GraphBuilder, SelfLoopPolicy};
 
     fn two_triangles_bridge() -> Csr {
         GraphBuilder::undirected(6)

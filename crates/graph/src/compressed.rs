@@ -8,7 +8,8 @@
 //! LEB128 varints in one contiguous byte stream — with zero-copy
 //! *sequential* neighbor iteration ([`CompressedCsr::neighbors`]) so
 //! traversal kernels (Louvain, reverse-reachability sampling, pull-based
-//! PageRank) can run directly on the compressed form.
+//! PageRank) can run directly on the compressed form, through its
+//! [`crate::Adjacency`] impl.
 //!
 //! The on-disk companion is the `.csrz` container
 //! ([`write_compressed_csr`] / [`read_compressed_csr`]): a checksummed
@@ -17,8 +18,8 @@
 //!
 //! What is *not* here: random access by rank within a row. A delta stream
 //! must be walked front to back; kernels that index rows randomly (e.g.
-//! the linear-threshold reverse walk) first decode the row into a scratch
-//! buffer via [`CompressedCsr::row_into`].
+//! Louvain's move scan) first decode the row into a scratch buffer via
+//! [`crate::Adjacency::row_into`].
 
 use crate::binfmt::{le_u32, le_u64, read_payload, BinCsrError, Fnv64};
 use crate::cast::{try_vertex_id, usize_from_u32};
@@ -249,7 +250,7 @@ impl CompressedCsr {
     ///
     /// [`CompressError::UnsortedRow`] if any row's targets decrease —
     /// unsigned deltas cannot represent it. Duplicate targets (parallel
-    /// arcs kept by [`crate::DuplicatePolicy::Keep`]) are fine: a zero
+    /// arcs kept by [`crate::DuplicatePolicy::KeepAll`]) are fine: a zero
     /// gap is one byte.
     pub fn from_csr(graph: &Csr) -> Result<CompressedCsr, CompressError> {
         let n = graph.num_vertices();
@@ -364,26 +365,6 @@ impl CompressedCsr {
         let i = usize_from_u32(v);
         let (a, b) = (*self.offsets.get(i)?, *self.offsets.get(i + 1)?);
         ws.get(a..b)
-    }
-
-    /// `(target, weight)` pairs of `v`'s row, substituting 1.0 when the
-    /// graph is unweighted — the same contract as
-    /// [`Csr::weighted_neighbors`].
-    pub fn weighted_neighbors(&self, v: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
-        let ws = self.row_weights(v);
-        self.neighbors(v)
-            .enumerate()
-            .map(move |(i, t)| (t, ws.and_then(|ws| ws.get(i)).copied().unwrap_or(1.0)))
-    }
-
-    /// Decodes `v`'s row into `buf` and returns it alongside the row's
-    /// weights — the materialized-row form for kernels that need random
-    /// access within a row. `buf` is cleared first and may be reused
-    /// across calls to amortize the allocation.
-    pub fn row_into<'a>(&'a self, v: u32, buf: &'a mut Vec<u32>) -> (&'a [u32], Option<&'a [f64]>) {
-        buf.clear();
-        buf.extend(self.neighbors(v));
-        (buf.as_slice(), self.row_weights(v))
     }
 
     /// Bytes spent on the gap stream — the ordering-dependent part of the
@@ -756,6 +737,7 @@ pub fn read_compressed_csr<R: Read>(reader: &mut R) -> Result<CompressedCsr, Bin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adjacency::Adjacency;
     use crate::builder::GraphBuilder;
 
     fn sample() -> Csr {
@@ -784,9 +766,6 @@ mod tests {
             let packed: Vec<u32> = cz.neighbors(v).collect();
             assert_eq!(flat, packed, "row {v}");
             assert_eq!(cz.neighbors(v).len(), flat.len());
-            let pairs: Vec<(u32, f64)> = cz.weighted_neighbors(v).collect();
-            let flat_pairs: Vec<(u32, f64)> = g.weighted_neighbors(v).collect();
-            assert_eq!(pairs, flat_pairs);
         }
         // Out-of-range ids are empty, not a panic.
         assert_eq!(cz.neighbors(99).count(), 0);

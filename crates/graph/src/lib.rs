@@ -2,7 +2,10 @@
 //!
 //! The graph substrate of the `reorderlab` workspace: a compressed sparse row
 //! ([`Csr`]) representation with construction, traversal, permutation,
-//! contraction, statistics, and text I/O.
+//! contraction, statistics, and text I/O, plus its delta/varint-compressed
+//! form ([`CompressedCsr`]). The [`Adjacency`] trait is the row-access
+//! surface both implement and the application kernels (PageRank, Louvain,
+//! IMM) are generic over.
 //!
 //! This crate deliberately contains *no* reordering logic — schemes live in
 //! `reorderlab-core` and consume the primitives here. The split mirrors the
@@ -31,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod adjacency;
 mod binfmt;
 mod builder;
 pub mod cast;
@@ -48,6 +52,7 @@ pub mod recorded;
 mod stats;
 mod traversal;
 
+pub use adjacency::Adjacency;
 pub use binfmt::{
     csr_digest, read_binary_csr, write_binary_csr, BinCsrError, BINARY_CSR_EXTENSION,
     BINARY_CSR_MAGIC, BINARY_CSR_VERSION,

@@ -7,7 +7,7 @@ use crate::config::ImmConfig;
 use crate::greedy::celf_max_coverage;
 use crate::rrset::{RrSampler, RrTrace, SampleScratch};
 use rayon::prelude::*;
-use reorderlab_graph::{CompressError, CompressedCsr, Csr};
+use reorderlab_graph::{Adjacency, CompressError, CompressedCsr, Csr};
 use std::time::{Duration, Instant};
 
 /// Instrumentation from one IMM run — the quantities behind the paper's
@@ -18,7 +18,9 @@ pub struct SamplingStats {
     pub sampling_time: Duration,
     /// Wall time spent in greedy seed selection.
     pub selection_time: Duration,
-    /// Total wall time of the run.
+    /// Total wall time of the run: sampling plus selection. Building the
+    /// sampler's reverse view (a transpose for directed input, a borrow
+    /// otherwise) happens before the clock starts.
     pub total_time: Duration,
     /// Number of RR sets generated.
     pub rr_sets: usize,
@@ -59,22 +61,7 @@ pub struct ImmResult {
 /// assert_eq!(r.seeds, vec![0], "the hub dominates influence on a star");
 /// ```
 pub fn imm(graph: &Csr, cfg: &ImmConfig) -> ImmResult {
-    if cfg.threads == 0 {
-        imm_inner(graph, cfg)
-    } else {
-        let pool = reorderlab_graph::build_pool(cfg.threads);
-        pool.install(|| imm_inner(graph, cfg))
-    }
-}
-
-fn imm_inner(graph: &Csr, cfg: &ImmConfig) -> ImmResult {
-    let start = Instant::now();
-    let n = graph.num_vertices();
-    if n == 0 {
-        return ImmResult { seeds: Vec::new(), influence_estimate: 0.0, stats: empty_stats() };
-    }
-    let sampler = RrSampler::new(graph, cfg.model);
-    imm_core(n, &sampler, cfg, start)
+    imm_in_pool(&RrSampler::new(graph, cfg.model), cfg)
 }
 
 /// [`imm`] running directly on the compressed form: every reverse BFS of
@@ -87,31 +74,31 @@ fn imm_inner(graph: &Csr, cfg: &ImmConfig) -> ImmResult {
 /// # Errors
 ///
 /// [`CompressError::UnsortedRow`] — provably unreachable (see
-/// [`RrSampler::new_compressed`]), surfaced as a typed error
+/// [`RrSampler::from_gap_rows`]), surfaced as a typed error
 /// rather than a panic.
 pub fn imm_compressed(cz: &CompressedCsr, cfg: &ImmConfig) -> Result<ImmResult, CompressError> {
+    Ok(imm_in_pool(&RrSampler::from_gap_rows(cz, cfg.model)?, cfg))
+}
+
+/// Runs the driver inside the pool `cfg.threads` asks for.
+fn imm_in_pool<G: Adjacency + Clone>(sampler: &RrSampler<'_, G>, cfg: &ImmConfig) -> ImmResult {
     if cfg.threads == 0 {
-        imm_compressed_inner(cz, cfg)
+        imm_core(sampler, cfg)
     } else {
         let pool = reorderlab_graph::build_pool(cfg.threads);
-        pool.install(|| imm_compressed_inner(cz, cfg))
+        pool.install(|| imm_core(sampler, cfg))
     }
 }
 
-fn imm_compressed_inner(cz: &CompressedCsr, cfg: &ImmConfig) -> Result<ImmResult, CompressError> {
+/// The IMM driver over any sampler: every storage form executes the
+/// identical martingale schedule over identical `(seed, index)` sample
+/// streams.
+fn imm_core<G: Adjacency + Clone>(sampler: &RrSampler<'_, G>, cfg: &ImmConfig) -> ImmResult {
     let start = Instant::now();
-    let n = cz.num_vertices();
+    let n = sampler.num_vertices();
     if n == 0 {
-        return Ok(ImmResult { seeds: Vec::new(), influence_estimate: 0.0, stats: empty_stats() });
+        return ImmResult { seeds: Vec::new(), influence_estimate: 0.0, stats: empty_stats() };
     }
-    let sampler = RrSampler::new_compressed(cz, cfg.model)?;
-    Ok(imm_core(n, &sampler, cfg, start))
-}
-
-/// The shared IMM driver: both entry points delegate here once the sampler
-/// is built, so flat and compressed runs execute the identical martingale
-/// schedule over identical `(seed, index)` sample streams.
-fn imm_core(n: usize, sampler: &RrSampler, cfg: &ImmConfig, start: Instant) -> ImmResult {
     let k = cfg.k.min(n);
     let nf = n as f64;
     let ln_n = nf.ln().max(1.0);
@@ -217,8 +204,8 @@ pub fn record_sampling_stats(r: &ImmResult, rec: &mut dyn reorderlab_trace::Reco
 /// Grows `rr_sets` to at least `target` sets using parallel batched
 /// sampling; RR set `i` always comes from stream `(seed, i)`, so results
 /// are thread-count independent. Returns the wall time spent.
-fn extend_samples(
-    sampler: &RrSampler,
+fn extend_samples<G: Adjacency + Clone>(
+    sampler: &RrSampler<'_, G>,
     cfg: &ImmConfig,
     rr_sets: &mut Vec<Vec<u32>>,
     target: usize,

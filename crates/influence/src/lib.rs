@@ -9,6 +9,11 @@
 //! batched across CPUs. The engine reports sampling throughput and total
 //! time, the two quantities of the paper's Figure 11.
 //!
+//! [`RrSampler`] is generic over the `reorderlab_graph::Adjacency` it
+//! traverses and borrows the caller's graph as its reverse view when that
+//! graph is undirected; [`imm`] and [`imm_compressed`] build the sampler in
+//! their storage form and share one driver.
+//!
 //! ## Example
 //!
 //! ```

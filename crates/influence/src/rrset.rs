@@ -8,74 +8,19 @@
 use crate::config::DiffusionModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reorderlab_graph::{CompressError, CompressedCsr, Csr, GapNeighbors};
+use reorderlab_graph::{Adjacency, CompressError, CompressedCsr, Csr};
+use std::borrow::Cow;
 
-/// The reverse adjacency a sampler traverses: a flat CSR or the
-/// delta/varint-compressed form. Both iterate any row's in-neighbors in
-/// the identical (sorted) order, so the RNG coin stream — and therefore
-/// every sampled set — is independent of the representation.
+/// A sampler bound to one graph, generic over the [`Adjacency`] whose rows
+/// the reverse traversals read. Every adjacency iterates a row's
+/// in-neighbors in the identical (sorted) order, so the RNG coin stream —
+/// and therefore every sampled set — is independent of the representation.
 #[derive(Debug, Clone)]
-enum Adjacency {
-    /// Flat rows, read in place.
-    Flat(Csr),
-    /// Compressed rows, streamed zero-copy from the gap bytes.
-    Compressed(CompressedCsr),
-}
-
-/// Enum-dispatched in-neighbor stream over either representation.
-enum RowIter<'a> {
-    Flat(std::iter::Copied<std::slice::Iter<'a, u32>>),
-    Compressed(GapNeighbors<'a>),
-}
-
-impl Iterator for RowIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            RowIter::Flat(it) => it.next(),
-            RowIter::Compressed(it) => it.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            RowIter::Flat(it) => it.size_hint(),
-            RowIter::Compressed(it) => it.size_hint(),
-        }
-    }
-}
-
-impl Adjacency {
-    fn num_vertices(&self) -> usize {
-        match self {
-            Adjacency::Flat(g) => g.num_vertices(),
-            Adjacency::Compressed(cz) => cz.num_vertices(),
-        }
-    }
-
-    fn degree(&self, v: u32) -> usize {
-        match self {
-            Adjacency::Flat(g) => g.degree(v),
-            Adjacency::Compressed(cz) => cz.degree(v),
-        }
-    }
-
-    fn iter_row(&self, v: u32) -> RowIter<'_> {
-        match self {
-            Adjacency::Flat(g) => RowIter::Flat(g.neighbors(v).iter().copied()),
-            Adjacency::Compressed(cz) => RowIter::Compressed(cz.neighbors(v)),
-        }
-    }
-}
-
-/// A sampler bound to one graph, holding the transpose used for reverse
-/// traversals.
-#[derive(Debug, Clone)]
-pub struct RrSampler {
-    /// Reverse adjacency: the in-neighbors of every vertex (for undirected
-    /// graphs this equals the forward adjacency), flat or compressed.
-    transpose: Adjacency,
+pub struct RrSampler<'g, G: Adjacency + Clone = Csr> {
+    /// Reverse adjacency: the in-neighbors of every vertex. An undirected
+    /// adjacency is symmetric, so this borrows the caller's graph; a
+    /// directed graph is transposed once into an owned copy.
+    reverse: Cow<'g, G>,
     model: DiffusionModel,
 }
 
@@ -137,50 +82,43 @@ impl SampleScratch {
     }
 }
 
-impl RrSampler {
+impl<'g> RrSampler<'g> {
     /// Prepares a sampler for `graph` under `model`.
-    pub fn new(graph: &Csr, model: DiffusionModel) -> Self {
-        RrSampler { transpose: Adjacency::Flat(graph.transposed()), model }
+    pub fn new(graph: &'g Csr, model: DiffusionModel) -> Self {
+        let reverse =
+            if graph.is_directed() { Cow::Owned(graph.transposed()) } else { Cow::Borrowed(graph) };
+        RrSampler { reverse, model }
     }
+}
 
+impl<'g> RrSampler<'g, CompressedCsr> {
     /// [`RrSampler::new`] over the compressed form: the reverse BFS streams
     /// in-neighbors straight from the varint gap bytes, never materializing
     /// flat rows. Draws sets and traces bit-identical to a flat sampler
-    /// over the same graph — row order (and therefore the RNG coin stream)
-    /// is representation-independent.
+    /// over the same graph.
     ///
     /// # Errors
     ///
     /// [`CompressError::UnsortedRow`] — provably unreachable (the
     /// transpose of a decoded graph always has sorted rows), surfaced as
     /// a typed error rather than a panic to keep library code panic-free.
-    pub fn new_compressed(
-        cz: &CompressedCsr,
+    pub fn from_gap_rows(
+        cz: &'g CompressedCsr,
         model: DiffusionModel,
     ) -> Result<Self, CompressError> {
-        // Undirected adjacency is symmetric: reuse the caller's gap
-        // streams. Directed graphs transpose once (flat, then recompress).
-        let transpose = if cz.is_directed() {
-            Adjacency::Compressed(CompressedCsr::from_csr(&cz.decode().transposed())?)
+        let reverse = if cz.is_directed() {
+            Cow::Owned(CompressedCsr::from_csr(&cz.decode().transposed())?)
         } else {
-            Adjacency::Compressed(cz.clone())
+            Cow::Borrowed(cz)
         };
-        Ok(RrSampler { transpose, model })
+        Ok(RrSampler { reverse, model })
     }
+}
 
+impl<G: Adjacency + Clone> RrSampler<'_, G> {
     /// The number of vertices of the underlying graph.
     pub fn num_vertices(&self) -> usize {
-        self.transpose.num_vertices()
-    }
-
-    /// The flat transpose graph the sampler traverses, when it holds one
-    /// (exposed for the memory-replay workloads that model this routine's
-    /// cache behaviour). `None` for compressed samplers.
-    pub fn transpose(&self) -> Option<&Csr> {
-        match &self.transpose {
-            Adjacency::Flat(g) => Some(g),
-            Adjacency::Compressed(_) => None,
-        }
+        self.reverse.num_vertices()
     }
 
     /// Samples the RR set with the given index into a freshly allocated
@@ -190,7 +128,7 @@ impl RrSampler {
     /// Returns the RR set (root first) and the traversal counters. Hot
     /// loops should prefer [`RrSampler::sample_with`], which reuses buffers.
     pub fn sample(&self, seed: u64, index: u64) -> (Vec<u32>, RrTrace) {
-        let mut scratch = SampleScratch::new(self.transpose.num_vertices());
+        let mut scratch = SampleScratch::new(self.num_vertices());
         let (set, trace) = self.sample_with(seed, index, &mut scratch);
         (set.to_vec(), trace)
     }
@@ -206,7 +144,7 @@ impl RrSampler {
         index: u64,
         scratch: &'s mut SampleScratch,
     ) -> (&'s [u32], RrTrace) {
-        let n = self.transpose.num_vertices();
+        let n = self.num_vertices();
         debug_assert!(n > 0, "cannot sample from an empty graph");
         let mut rng =
             StdRng::seed_from_u64(splitmix(seed ^ index.wrapping_mul(0x9e3779b97f4a7c15)));
@@ -219,9 +157,9 @@ impl RrSampler {
             DiffusionModel::WeightedCascade => {
                 // p(u -> v) = 1 / indeg(v): while scanning v's in-neighbors,
                 // each passes with probability 1/indeg(v).
-                let t = &self.transpose;
+                let reverse: &G = &self.reverse;
                 self.reverse_bfs(scratch, &mut rng, |v, p_rng| {
-                    let indeg = t.degree(v).max(1) as f64;
+                    let indeg = reverse.degree(v).max(1) as f64;
                     p_rng < 1.0 / indeg
                 })
             }
@@ -239,12 +177,13 @@ impl RrSampler {
         rng: &mut StdRng,
         live: F,
     ) -> RrTrace {
+        let reverse: &G = &self.reverse;
         let mut trace = RrTrace { edges_examined: 0, vertices_visited: 1 };
         let mut head = 0usize;
         while head < scratch.set.len() {
             let v = scratch.set[head];
             head += 1;
-            for u in self.transpose.iter_row(v) {
+            for u in reverse.neighbors(v) {
                 trace.edges_examined += 1;
                 if !scratch.is_visited(u) && live(v, rng.gen::<f64>()) {
                     scratch.visit(u);
@@ -259,10 +198,11 @@ impl RrSampler {
     /// uniformly chosen in-neighbor until revisiting or hitting a source.
     /// `scratch` arrives seeded with the root.
     fn reverse_walk(&self, scratch: &mut SampleScratch, rng: &mut StdRng) -> RrTrace {
+        let reverse: &G = &self.reverse;
         let mut trace = RrTrace { edges_examined: 0, vertices_visited: 1 };
         let mut current = scratch.set[0];
         loop {
-            let deg = self.transpose.degree(current);
+            let deg = reverse.degree(current);
             if deg == 0 {
                 break;
             }
@@ -270,7 +210,7 @@ impl RrSampler {
             // `nth` streams to the chosen in-neighbor; the index is always
             // in range, so the `None` arm is unreachable and breaking is
             // the graceful (panic-free) answer if it ever weren't.
-            let Some(next) = self.transpose.iter_row(current).nth(rng.gen_range(0..deg)) else {
+            let Some(next) = reverse.neighbors(current).nth(rng.gen_range(0..deg)) else {
                 break;
             };
             if scratch.is_visited(next) {
@@ -426,7 +366,7 @@ mod tests {
             for model in [ic(0.3), DiffusionModel::WeightedCascade, DiffusionModel::LinearThreshold]
             {
                 let flat = RrSampler::new(g, model);
-                let packed = RrSampler::new_compressed(&cz, model).unwrap();
+                let packed = RrSampler::from_gap_rows(&cz, model).unwrap();
                 let mut sf = SampleScratch::new(g.num_vertices());
                 let mut sp = SampleScratch::new(g.num_vertices());
                 for i in 0..100 {
@@ -441,14 +381,11 @@ mod tests {
     }
 
     #[test]
-    fn transpose_accessor_distinguishes_representations() {
+    fn num_vertices_on_both_representations() {
         let g = path(10);
-        let flat = RrSampler::new(&g, ic(0.5));
-        assert!(flat.transpose().is_some());
+        assert_eq!(RrSampler::new(&g, ic(0.5)).num_vertices(), 10);
         let cz = CompressedCsr::from_csr(&g).unwrap();
-        let packed = RrSampler::new_compressed(&cz, ic(0.5)).unwrap();
-        assert!(packed.transpose().is_none());
-        assert_eq!(packed.num_vertices(), 10);
+        assert_eq!(RrSampler::from_gap_rows(&cz, ic(0.5)).unwrap().num_vertices(), 10);
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! maximization): simple iterative traversals whose per-edge indirection
 //! responds directly to vertex reordering.
 //!
+//! PageRank's pull iteration is one body generic over
+//! `reorderlab_graph::Adjacency`; [`pagerank`] and [`pagerank_compressed`]
+//! only pick the pull view (the graph itself when undirected, its
+//! transpose when directed) in their storage form.
+//!
 //! ## Example
 //!
 //! ```

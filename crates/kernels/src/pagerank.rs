@@ -9,7 +9,7 @@
 // lossless; the C1 budget in analyze.toml pins the audited site count.
 
 use rayon::prelude::*;
-use reorderlab_graph::{cast, det_sum_f64, CompressError, CompressedCsr, Csr};
+use reorderlab_graph::{det_sum_f64, Adjacency, CompressError, CompressedCsr, Csr};
 
 /// Configuration for [`pagerank`].
 #[derive(Debug, Clone, PartialEq)]
@@ -105,15 +105,14 @@ impl PageRankResult {
 /// assert_eq!(r.ranking()[0], 0, "the hub collects the most rank");
 /// ```
 pub fn pagerank(graph: &Csr, config: &PageRankConfig) -> PageRankResult {
-    let n = graph.num_vertices();
-    if n == 0 {
-        return PageRankResult { scores: Vec::new(), iterations: 0, converged: true };
+    // Pull iteration reads in-neighbors: an undirected adjacency is
+    // symmetric, so the graph is its own pull view; a directed one pulls
+    // over its transpose.
+    if graph.is_directed() {
+        pagerank_pull(graph, &graph.transposed(), config)
+    } else {
+        pagerank_pull(graph, graph, config)
     }
-    // Pull iteration reads in-neighbors: for undirected graphs the
-    // adjacency is symmetric; for directed ones we pull over the transpose.
-    let pull = if graph.is_directed() { graph.transposed() } else { graph.clone() };
-    let out_degree: Vec<f64> = (0..n as u32).map(|v| graph.degree(v) as f64).collect();
-    pagerank_pull(n, &out_degree, |v| pull.neighbors(v).iter().copied(), config)
 }
 
 /// Runs pull-based PageRank directly on the compressed form, decoding
@@ -132,35 +131,24 @@ pub fn pagerank_compressed(
     cz: &CompressedCsr,
     config: &PageRankConfig,
 ) -> Result<PageRankResult, CompressError> {
-    let n = cz.num_vertices();
-    if n == 0 {
-        return Ok(PageRankResult { scores: Vec::new(), iterations: 0, converged: true });
-    }
-    let out_degree: Vec<f64> =
-        (0..n).map(|v| cast::try_vertex_id(v).map_or(0.0, |v| cz.degree(v) as f64)).collect();
-    let result = if cz.is_directed() {
-        let pull = CompressedCsr::from_csr(&cz.decode().transposed())?;
-        pagerank_pull(n, &out_degree, |v| pull.neighbors(v), config)
+    Ok(if cz.is_directed() {
+        pagerank_pull(cz, &CompressedCsr::from_csr(&cz.decode().transposed())?, config)
     } else {
-        pagerank_pull(n, &out_degree, |v| cz.neighbors(v), config)
-    };
-    Ok(result)
+        pagerank_pull(cz, cz, config)
+    })
 }
 
-/// The shared pull iteration: both entry points delegate here, so the
-/// flat and compressed paths execute the identical float-operation
-/// sequence (the D2-safe delta reduction included) and differ only in
-/// where the in-neighbor stream comes from.
-fn pagerank_pull<I, F>(
-    n: usize,
-    out_degree: &[f64],
-    pull_row: F,
-    config: &PageRankConfig,
-) -> PageRankResult
-where
-    I: Iterator<Item = u32>,
-    F: Fn(u32) -> I + Sync,
-{
+/// The pull iteration over any [`Adjacency`]: out-degrees come from `graph`,
+/// in-neighbor rows from `pull` (its transpose, or `graph` itself when the
+/// adjacency is symmetric). One body for every storage form, so they
+/// execute the identical float-operation sequence (the D2-safe delta
+/// reduction included) and differ only in how a row is decoded.
+fn pagerank_pull<G: Adjacency>(graph: &G, pull: &G, config: &PageRankConfig) -> PageRankResult {
+    let n = graph.num_vertices();
+    if n == 0 {
+        return PageRankResult { scores: Vec::new(), iterations: 0, converged: true };
+    }
+    let out_degree: Vec<f64> = (0..n as u32).map(|v| graph.degree(v) as f64).collect();
     let d = config.damping;
     let base = (1.0 - d) / n as f64;
     let mut scores = vec![1.0 / n as f64; n];
@@ -178,7 +166,7 @@ where
             // `fold`, not a `for` loop: compressed rows specialize `fold`
             // into a single tight pass over the gap byte stream, and the
             // flat-slice path compiles identically either way.
-            let acc = pull_row(v as u32).fold(0.0, |acc, u| {
+            let acc = pull.neighbors(v as u32).fold(0.0, |acc, u| {
                 let deg = out_degree[u as usize];
                 if deg > 0.0 {
                     acc + scores[u as usize] / deg

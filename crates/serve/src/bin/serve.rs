@@ -9,12 +9,11 @@
 
 #![forbid(unsafe_code)]
 
+use reorderlab_graph::{BINARY_CSR_EXTENSION, COMPRESSED_CSR_EXTENSION};
 use reorderlab_ops::args::{flag_value, has_flag};
 use reorderlab_ops::OpError;
 use reorderlab_serve::loadgen::exchange;
-use reorderlab_serve::{
-    prepare_compressed_corpus, prepare_corpus, serve, Corpus, Response, ServerConfig,
-};
+use reorderlab_serve::{prepare_corpus, serve, Corpus, Response, ServerConfig};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
@@ -58,11 +57,12 @@ fn cmd_prepare(args: &[String]) -> Result<(), OpError> {
     if instances.is_empty() {
         return Err(OpError::Usage("prepare needs at least one instance name".into()));
     }
-    let made = if has_flag(args, "--compressed") {
-        prepare_compressed_corpus(Path::new(&dir), &instances)?
+    let extension = if has_flag(args, "--compressed") {
+        COMPRESSED_CSR_EXTENSION
     } else {
-        prepare_corpus(Path::new(&dir), &instances)?
+        BINARY_CSR_EXTENSION
     };
+    let made = prepare_corpus(Path::new(&dir), &instances, extension)?;
     for (name, digest) in made {
         println!("{name}: digest {digest:#018x}");
     }

@@ -1,10 +1,10 @@
 //! The daemon's preloaded graph corpus.
 //!
 //! A corpus is a directory of checksummed graph containers: flat binary
-//! CSR files (`*.csrbin`, see `reorderlab_graph::read_binary_csr`) and
-//! delta/varint compressed CSR files (`*.csrz`,
-//! `reorderlab_graph::read_compressed_csr`), dispatched by extension. The
-//! daemon loads every entry once at startup — parse cost is paid per
+//! CSR files (`*.csrbin`) and delta/varint compressed CSR files
+//! (`*.csrz`), read and written through `reorderlab_ops`'
+//! extension-dispatched `read_graph_auto`/`write_graph_auto`. The daemon
+//! loads every entry once at startup — parse cost is paid per
 //! process, not per request — decodes compressed entries to flat form for
 //! serving, and remembers each graph's content digest, which keys the
 //! permutation cache. The digest is always computed over the decoded
@@ -12,14 +12,11 @@
 //! graph served from `.csrbin` or generated on demand.
 
 use reorderlab_datasets::by_name;
-use reorderlab_graph::{
-    csr_digest, read_binary_csr, read_compressed_csr, write_binary_csr, write_compressed_csr,
-    CompressedCsr, Csr, BINARY_CSR_EXTENSION, COMPRESSED_CSR_EXTENSION,
+use reorderlab_graph::{csr_digest, Csr, BINARY_CSR_EXTENSION, COMPRESSED_CSR_EXTENSION};
+use reorderlab_ops::{
+    read_graph_auto, write_graph_auto, GraphSource, OpError, ResolveGraph, ResolvedGraph,
 };
-use reorderlab_ops::{GraphSource, OpError, ResolveGraph, ResolvedGraph};
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{BufReader, BufWriter};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -52,7 +49,7 @@ impl Corpus {
     ///
     /// # Errors
     ///
-    /// [`OpError::Io`] when the directory is unreadable,
+    /// [`OpError::Io`] when the directory or an entry is unreadable,
     /// [`OpError::Parse`] when any entry fails its checksum or structural
     /// validation (a corrupt corpus never half-loads),
     /// [`OpError::Usage`] when two files (e.g. `g.csrbin` and `g.csrz`)
@@ -71,12 +68,11 @@ impl Corpus {
         }
         paths.sort();
         for path in paths {
-            let is_compressed = path.extension().is_some_and(|x| x == COMPRESSED_CSR_EXTENSION);
-            let is_flat = path.extension().is_some_and(|x| x == BINARY_CSR_EXTENSION);
-            if !is_compressed && !is_flat {
-                continue;
-            }
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
+            let is_container = path
+                .extension()
+                .is_some_and(|x| x == BINARY_CSR_EXTENSION || x == COMPRESSED_CSR_EXTENSION);
+            let Some(stem) = path.file_stem().and_then(|s| s.to_str()).filter(|_| is_container)
+            else {
                 continue;
             };
             if corpus.get(stem).is_some() {
@@ -85,18 +81,9 @@ impl Corpus {
                     path.display()
                 )));
             }
-            let file = File::open(&path)
-                .map_err(|e| OpError::Io(format!("cannot open {}: {e}", path.display())))?;
-            let mut reader = BufReader::new(file);
-            let graph = if is_compressed {
-                read_compressed_csr(&mut reader)
-                    .map(|cz| cz.decode())
-                    .map_err(|e| OpError::Parse(format!("corpus entry {}: {e}", path.display())))?
-            } else {
-                read_binary_csr(&mut reader)
-                    .map_err(|e| OpError::Parse(format!("corpus entry {}: {e}", path.display())))?
-            };
-            corpus.insert(stem, graph);
+            // The reader dispatches on the extension and types an
+            // unopenable file `Io`, a rejected one `Parse`.
+            corpus.insert(stem, read_graph_auto(utf8(&path)?)?);
         }
         Ok(corpus)
     }
@@ -128,45 +115,27 @@ impl Corpus {
     }
 }
 
-/// Generates the named suite instances and writes them into `dir` as
-/// binary CSR corpus entries, returning `(name, digest)` per entry.
-///
-/// # Errors
-///
-/// [`OpError::Usage`] for an unknown instance name, [`OpError::Io`] when
-/// a file cannot be written.
-pub fn prepare_corpus(dir: &Path, instances: &[String]) -> Result<Vec<(String, u64)>, OpError> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| OpError::Io(format!("cannot create corpus dir {}: {e}", dir.display())))?;
-    let mut out = Vec::with_capacity(instances.len());
-    for name in instances {
-        let spec = by_name(name).ok_or_else(|| {
-            OpError::Usage(format!("unknown instance {name:?}; see `reorderlab list`"))
-        })?;
-        let g = spec.generate();
-        let path = dir.join(format!("{name}.{BINARY_CSR_EXTENSION}"));
-        let file = File::create(&path)
-            .map_err(|e| OpError::Io(format!("cannot create {}: {e}", path.display())))?;
-        let mut writer = BufWriter::new(file);
-        write_binary_csr(&g, &mut writer)
-            .map_err(|e| OpError::Io(format!("failed to write {}: {e}", path.display())))?;
-        out.push((name.clone(), csr_digest(&g)));
-    }
-    Ok(out)
+/// `path` as the `&str` the `reorderlab_ops` readers and writers take.
+fn utf8(path: &Path) -> Result<&str, OpError> {
+    path.to_str()
+        .ok_or_else(|| OpError::Io(format!("corpus path {} is not valid UTF-8", path.display())))
 }
 
-/// Like [`prepare_corpus`], but writes delta/varint compressed CSR
-/// entries (`*.csrz`), returning `(name, digest)` per entry. Digests are
-/// computed over the uncompressed graph, so a compressed corpus shares
-/// permutation-cache keys with a flat one.
+/// Generates the named suite instances and writes them into `dir` as
+/// corpus entries in the container `extension` names
+/// ([`BINARY_CSR_EXTENSION`] or [`COMPRESSED_CSR_EXTENSION`]), returning
+/// `(name, digest)` per entry. Digests are computed over the uncompressed
+/// graph, so a compressed corpus shares permutation-cache keys with a flat
+/// one.
 ///
 /// # Errors
 ///
-/// [`OpError::Usage`] for an unknown instance name, [`OpError::Io`] when
-/// a file cannot be written or a generated graph cannot be compressed.
-pub fn prepare_compressed_corpus(
+/// [`OpError::Usage`] for an unknown instance name or an extension that is
+/// not a graph format, [`OpError::Io`] when a file cannot be written.
+pub fn prepare_corpus(
     dir: &Path,
     instances: &[String],
+    extension: &str,
 ) -> Result<Vec<(String, u64)>, OpError> {
     std::fs::create_dir_all(dir)
         .map_err(|e| OpError::Io(format!("cannot create corpus dir {}: {e}", dir.display())))?;
@@ -176,14 +145,7 @@ pub fn prepare_compressed_corpus(
             OpError::Usage(format!("unknown instance {name:?}; see `reorderlab list`"))
         })?;
         let g = spec.generate();
-        let cz = CompressedCsr::from_csr(&g)
-            .map_err(|e| OpError::Io(format!("cannot compress {name}: {e}")))?;
-        let path = dir.join(format!("{name}.{COMPRESSED_CSR_EXTENSION}"));
-        let file = File::create(&path)
-            .map_err(|e| OpError::Io(format!("cannot create {}: {e}", path.display())))?;
-        let mut writer = BufWriter::new(file);
-        write_compressed_csr(&cz, &mut writer)
-            .map_err(|e| OpError::Io(format!("failed to write {}: {e}", path.display())))?;
+        write_graph_auto(&g, utf8(&dir.join(format!("{name}.{extension}")))?)?;
         out.push((name.clone(), csr_digest(&g)));
     }
     Ok(out)
@@ -248,7 +210,9 @@ mod tests {
     #[test]
     fn prepare_then_load_round_trips_digests() {
         let dir = tmp_dir("rt");
-        let made = prepare_corpus(&dir, &["euroroad".into(), "rovira".into()]).unwrap();
+        let made =
+            prepare_corpus(&dir, &["euroroad".into(), "rovira".into()], BINARY_CSR_EXTENSION)
+                .unwrap();
         assert_eq!(made.len(), 2);
         let corpus = Corpus::load_dir(&dir).unwrap();
         assert_eq!(corpus.names(), vec!["euroroad", "rovira"]);
@@ -261,9 +225,9 @@ mod tests {
     #[test]
     fn compressed_corpus_round_trips_with_identical_digests() {
         let dir = tmp_dir("csrz");
-        let flat = prepare_corpus(&dir, &["euroroad".into()]).unwrap();
+        let flat = prepare_corpus(&dir, &["euroroad".into()], BINARY_CSR_EXTENSION).unwrap();
         let zdir = tmp_dir("csrz2");
-        let packed = prepare_compressed_corpus(&zdir, &["euroroad".into()]).unwrap();
+        let packed = prepare_corpus(&zdir, &["euroroad".into()], COMPRESSED_CSR_EXTENSION).unwrap();
         // Same graph, same digest — container format is invisible to the
         // permutation-cache key.
         assert_eq!(flat, packed);
@@ -279,8 +243,8 @@ mod tests {
     #[test]
     fn duplicate_entry_names_are_rejected() {
         let dir = tmp_dir("dup");
-        prepare_corpus(&dir, &["euroroad".into()]).unwrap();
-        prepare_compressed_corpus(&dir, &["euroroad".into()]).unwrap();
+        prepare_corpus(&dir, &["euroroad".into()], BINARY_CSR_EXTENSION).unwrap();
+        prepare_corpus(&dir, &["euroroad".into()], COMPRESSED_CSR_EXTENSION).unwrap();
         let err = Corpus::load_dir(&dir).unwrap_err();
         assert!(matches!(err, OpError::Usage(_)), "{err:?}");
         assert!(err.to_string().contains("duplicate"), "{err}");
@@ -290,7 +254,7 @@ mod tests {
     #[test]
     fn corrupt_compressed_entries_fail_to_load_with_typed_errors() {
         let dir = tmp_dir("badz");
-        prepare_compressed_corpus(&dir, &["euroroad".into()]).unwrap();
+        prepare_corpus(&dir, &["euroroad".into()], COMPRESSED_CSR_EXTENSION).unwrap();
         let path = dir.join("euroroad.csrz");
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -304,7 +268,7 @@ mod tests {
     #[test]
     fn corrupt_entries_fail_to_load_with_typed_errors() {
         let dir = tmp_dir("bad");
-        prepare_corpus(&dir, &["euroroad".into()]).unwrap();
+        prepare_corpus(&dir, &["euroroad".into()], BINARY_CSR_EXTENSION).unwrap();
         let path = dir.join("euroroad.csrbin");
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;

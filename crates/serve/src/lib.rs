@@ -3,12 +3,15 @@
 //!
 //! The daemon preloads a [`Corpus`] of checksummed graph containers —
 //! flat binary CSR (`.csrbin`) or delta/varint compressed CSR (`.csrz`),
-//! dispatched by extension —
+//! read and written through `reorderlab-ops`' extension-dispatched
+//! `read_graph_auto`/`write_graph_auto` —
 //! shards requests across bounded worker queues (full queues *shed* with
 //! a typed overload response), coalesces identical in-flight requests,
 //! and memoizes orderings in a [`PermCache`] keyed by `(graph digest,
 //! canonical scheme spec)`. Every executed request can be audited via an
-//! append-only manifest log. The [`loadgen`] module replays
+//! append-only manifest log. A request line is read through a fixed byte
+//! cap; an over-long or non-UTF-8 line gets one typed error and a close.
+//! The [`loadgen`] module replays
 //! zipf-distributed traces against a running daemon and reports latency
 //! percentiles, throughput, and cache behavior.
 //!
@@ -35,7 +38,7 @@ mod proto;
 mod server;
 
 pub use cache::{CachingPerms, PermCache};
-pub use corpus::{prepare_compressed_corpus, prepare_corpus, Corpus, CorpusEntry, CorpusResolver};
+pub use corpus::{prepare_corpus, Corpus, CorpusEntry, CorpusResolver};
 pub use loadgen::{run_loadgen, zipf_trace, LoadReport, LoadgenConfig};
 pub use proto::{
     error_response, ok_response, parse_control, shed_response, Control, Response, STATUS_SHED,

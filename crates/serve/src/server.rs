@@ -17,8 +17,8 @@ use reorderlab_ops::{
 };
 use reorderlab_trace::{Json, Manifest};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -559,6 +559,11 @@ fn accept_loop(listener: &TcpListener, engine: &Arc<Engine>, stopping: &Arc<Atom
     }
 }
 
+/// Longest request line, newline included, a connection may send. Real
+/// requests are a few hundred bytes; the cap is what one connection can
+/// make the daemon buffer, so it is a constant, not a tuning knob.
+const MAX_REQUEST_LINE_BYTES: usize = 64 * 1024;
+
 fn handle_connection(stream: TcpStream, engine: &Engine, stopping: &AtomicBool) {
     // Line-oriented request/response traffic: disable Nagle so each
     // response line leaves immediately instead of waiting on an ACK.
@@ -567,12 +572,45 @@ fn handle_connection(stream: TcpStream, engine: &Engine, stopping: &AtomicBool) 
     let mut writer = stream;
     let peer = writer.peer_addr().ok();
     let local = writer.local_addr().ok();
-    for line in BufReader::new(reading).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut reader = BufReader::new(reading);
+    let mut buf: Vec<u8> = Vec::new();
+    loop {
+        buf.clear();
+        // `take` bounds the read: a peer that never sends `\n` costs one
+        // cap's worth of buffer, not an ever-growing line.
+        let mut bounded = (&mut reader).take(MAX_REQUEST_LINE_BYTES as u64);
+        let Ok(n) = bounded.read_until(b'\n', &mut buf) else { break };
+        if n == 0 {
+            break;
+        }
+        let line = if n == MAX_REQUEST_LINE_BYTES && buf.last() != Some(&b'\n') {
+            Err(OpError::Usage(format!(
+                "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes; the connection is closed"
+            )))
+        } else {
+            std::str::from_utf8(&buf).map_err(|_| {
+                OpError::Parse("request line is not valid UTF-8; the connection is closed".into())
+            })
+        };
+        let line = match line {
+            Ok(line) => line.trim(),
+            Err(e) => {
+                // The peer is not speaking the protocol (and past the cap
+                // the framing is lost): answer once and close. Closing the
+                // write half first and discarding what is still in flight
+                // lets the peer read the reply instead of a reset.
+                engine.stats().requests.fetch_add(1, Ordering::Relaxed);
+                engine.stats().errors.fetch_add(1, Ordering::Relaxed);
+                let _ = writeln!(writer, "{}", error_response(&e));
+                let _ = writer.shutdown(Shutdown::Write);
+                let _ = std::io::copy(&mut reader, &mut std::io::sink());
+                break;
+            }
+        };
+        if line.is_empty() {
             continue;
         }
-        match engine.submit_line(&line) {
+        match engine.submit_line(line) {
             SubmitResult::Response(resp) => {
                 if writeln!(writer, "{resp}").is_err() {
                     break;

@@ -1,13 +1,13 @@
 //! End-to-end daemon tests over real TCP: response identity with local
 //! execution, cache behavior, typed errors, audit trail, and shutdown.
 
+use reorderlab_graph::COMPRESSED_CSR_EXTENSION;
 use reorderlab_ops::{execute, FsResolver, OpError, OpReport, OpRequest, RequestEnvelope};
 use reorderlab_serve::loadgen::exchange;
 use reorderlab_serve::{
-    prepare_compressed_corpus, run_loadgen, serve, Corpus, LoadgenConfig, Response, ServerConfig,
-    ServerHandle,
+    prepare_corpus, run_loadgen, serve, Corpus, LoadgenConfig, Response, ServerConfig, ServerHandle,
 };
-use std::io::BufReader;
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
@@ -114,7 +114,7 @@ fn repeated_requests_are_served_from_the_permutation_cache() {
 fn compressed_corpus_daemon_serves_compression_requests() {
     let dir = std::env::temp_dir().join(format!("serve_csrz_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    prepare_compressed_corpus(&dir, &["euroroad".into()]).unwrap();
+    prepare_corpus(&dir, &["euroroad".into()], COMPRESSED_CSR_EXTENSION).unwrap();
     let corpus = Corpus::load_dir(&dir).unwrap();
     let mut handle = serve(Arc::new(corpus), ServerConfig::default()).unwrap();
     let mut client = Client::connect(&handle);
@@ -234,5 +234,41 @@ fn loadgen_replays_a_zipf_trace_and_sees_cache_hits() {
     assert!(report.throughput > 0.0);
     let text = report.render_text(templates.len(), &config);
     assert!(text.contains("hit rate"), "{text}");
+    handle.stop();
+}
+
+/// Sends raw `bytes` on a fresh connection and returns everything the
+/// daemon writes before it closes its side. A daemon that neither answers
+/// nor closes trips the read timeout instead of hanging the test.
+fn raw_exchange(handle: &ServerHandle, bytes: &[u8]) -> String {
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    stream.write_all(bytes).unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("the daemon replies and closes");
+    reply
+}
+
+#[test]
+fn hostile_request_lines_get_one_typed_reply_and_a_close() {
+    let mut handle = start_daemon(None);
+    // Twice the daemon's 64 KiB request-line cap, and never a newline.
+    let reply = raw_exchange(&handle, &vec![b'x'; 2 * 64 * 1024]);
+    assert_eq!(reply.lines().count(), 1, "{reply}");
+    let Response::Err(OpError::Usage(message)) = Response::parse(&reply).unwrap() else {
+        panic!("expected a typed usage error: {reply}");
+    };
+    assert!(message.contains("exceeds 65536 bytes"), "{message}");
+
+    // A line that is not UTF-8 is answered too, not silently dropped.
+    let reply = raw_exchange(&handle, b"{\"op\":\"\xff\xfe\"}\n{\"control\":\"ping\"}\n");
+    assert_eq!(reply.lines().count(), 1, "{reply}");
+    assert!(reply.contains("\"status\":\"parse\""), "{reply}");
+
+    // Neither connection wedged the daemon: the next one is served.
+    let mut client = Client::connect(&handle);
+    assert!(client.send("{\"control\":\"ping\"}").contains("\"pong\":true"));
+    let stats = client.send("{\"control\":\"stats\"}");
+    assert!(stats.contains("\"errors\":2"), "{stats}");
     handle.stop();
 }
