@@ -19,7 +19,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_core::measures::{edge_gaps, gap_measures, vertex_bandwidths};
 use reorderlab_datasets::by_name;
-use reorderlab_graph::{Csr, Permutation};
+use reorderlab_graph::{build_pool, Csr, Permutation};
 use reorderlab_influence::{DiffusionModel, RrSampler, SampleScratch};
 use std::hint::black_box;
 
@@ -44,10 +44,10 @@ fn bench_louvain_move_kernel(c: &mut Criterion) {
     let g = instance();
     let mut group = c.benchmark_group("louvain_move_kernel");
     group.sample_size(10);
+    let cfg = LouvainConfig::default().max_phases(1);
     for threads in [1usize, 4] {
-        let cfg = LouvainConfig::default().threads(threads).max_phases(1);
         group.bench_with_input(BenchmarkId::new("packed", format!("{threads}t")), &g, |b, g| {
-            b.iter(|| black_box(louvain(black_box(g), &cfg)))
+            build_pool(threads).install(|| b.iter(|| black_box(louvain(black_box(g), &cfg))))
         });
     }
     group.finish();

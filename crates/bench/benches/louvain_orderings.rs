@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_core::Scheme;
 use reorderlab_datasets::by_name;
+use reorderlab_graph::build_pool;
 use std::hint::black_box;
 
 fn bench_louvain(c: &mut Criterion) {
@@ -28,10 +29,10 @@ fn bench_louvain_serial_vs_parallel(c: &mut Criterion) {
     let g = by_name("livemocha").expect("instance in suite").generate();
     let mut group = c.benchmark_group("louvain_threads");
     group.sample_size(10);
+    let cfg = LouvainConfig::default().max_phases(1);
     for threads in [1usize, 2, 4] {
-        let cfg = LouvainConfig::default().threads(threads).max_phases(1);
         group.bench_with_input(BenchmarkId::from_parameter(threads), &g, |b, g| {
-            b.iter(|| black_box(louvain(black_box(g), &cfg)))
+            build_pool(threads).install(|| b.iter(|| black_box(louvain(black_box(g), &cfg))))
         });
     }
     group.finish();

@@ -13,7 +13,7 @@ fn bench_louvain_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("memsim_louvain_replay");
     group.sample_size(10);
     group.throughput(Throughput::Elements(loads));
-    for scheme in [Scheme::Natural, Scheme::Rcm, Scheme::Grappolo { threads: 0 }] {
+    for scheme in [Scheme::Natural, Scheme::Rcm, Scheme::Grappolo] {
         let pi = scheme.reorder(&g);
         let h = g.permuted(&pi).expect("valid permutation");
         group.bench_with_input(BenchmarkId::from_parameter(scheme.name()), &h, |b, h| {

@@ -1,5 +1,7 @@
 //! Minimal argument handling shared by all harness binaries.
 
+use reorderlab_graph::build_pool;
+
 /// Options common to every figure/table binary.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HarnessArgs {
@@ -52,6 +54,15 @@ impl HarnessArgs {
     /// Parses the process's actual arguments.
     pub fn from_env(description: &str) -> Self {
         HarnessArgs::parse(std::env::args(), description)
+    }
+
+    /// Runs `f` in the pool the flags ask for: `--serial` means one
+    /// worker, `--threads N` means `N`, neither means the ambient pool.
+    pub fn in_pool<R>(&self, f: impl FnOnce() -> R) -> R {
+        match if self.serial { 1 } else { self.threads } {
+            0 => f(),
+            t => build_pool(t).install(f),
+        }
     }
 }
 
@@ -132,6 +143,14 @@ mod tests {
         assert_eq!(a.threads, 4);
         assert_eq!(a.csv.as_deref(), Some("out.csv"));
         assert_eq!(a.manifests.as_deref(), Some("runs.jsonl"));
+    }
+
+    #[test]
+    fn in_pool_maps_flags_to_width() {
+        let ambient = rayon::current_num_threads();
+        assert_eq!(parse(&[]).in_pool(rayon::current_num_threads), ambient);
+        assert_eq!(parse(&["--threads", "3"]).in_pool(rayon::current_num_threads), 3);
+        assert_eq!(parse(&["--serial", "--threads", "3"]).in_pool(rayon::current_num_threads), 1);
     }
 
     #[test]

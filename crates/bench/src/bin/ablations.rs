@@ -69,8 +69,8 @@ fn main() {
     let mut t = Table::new(["instance", "Grappolo (arbitrary)", "Grappolo-RCM", "Rabbit (DFS)"]);
     for name in &instances {
         let g = by_name(name).expect("instance in suite").generate();
-        let ga = gap_measures(&g, &Scheme::Grappolo { threads: 1 }.reorder(&g)).avg_gap;
-        let gr = gap_measures(&g, &Scheme::GrappoloRcm { threads: 1 }.reorder(&g)).avg_gap;
+        let ga = gap_measures(&g, &Scheme::Grappolo.reorder(&g)).avg_gap;
+        let gr = gap_measures(&g, &Scheme::GrappoloRcm.reorder(&g)).avg_gap;
         let rb = gap_measures(&g, &Scheme::RabbitOrder.reorder(&g)).avg_gap;
         t.row([name.to_string(), format!("{ga:.1}"), format!("{gr:.1}"), format!("{rb:.1}")]);
         csv.push(format!("community_order,{name},arbitrary,{ga}"));
@@ -104,7 +104,7 @@ fn main() {
         Scheme::Natural,
         Scheme::DegreeSort { direction: Default::default() },
         Scheme::Rcm,
-        Scheme::Grappolo { threads: 1 },
+        Scheme::Grappolo,
     ];
     let mut t = Table::new(
         std::iter::once("instance".to_string()).chain(bases.iter().map(|b| b.name().to_string())),

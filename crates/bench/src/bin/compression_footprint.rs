@@ -20,7 +20,7 @@ use reorderlab_bench::args::maybe_write_csv;
 use reorderlab_bench::{HarnessArgs, Table};
 use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_core::Scheme;
-use reorderlab_graph::CompressedCsr;
+use reorderlab_graph::{build_pool, CompressedCsr};
 use reorderlab_kernels::{pagerank, pagerank_compressed, PageRankConfig};
 
 /// Same fixed corpus and scheme set as `bench snapshot` (BENCH_0012.json).
@@ -83,9 +83,12 @@ fn main() {
             criterion::measure(|| criterion::black_box(pagerank_compressed(&cz, &pr_cfg)));
         ratio_row(&mut table, &mut csv, name, "pagerank", flat_pr, comp_pr);
 
-        let lv_cfg = LouvainConfig::default().threads(1).max_phases(1);
-        let flat_lv = criterion::measure(|| criterion::black_box(louvain(&laid_out, &lv_cfg)));
-        let comp_lv = criterion::measure(|| criterion::black_box(louvain(&cz, &lv_cfg)));
+        let lv_cfg = LouvainConfig::default().max_phases(1);
+        let one = build_pool(1);
+        let flat_lv = one
+            .install(|| criterion::measure(|| criterion::black_box(louvain(&laid_out, &lv_cfg))));
+        let comp_lv =
+            one.install(|| criterion::measure(|| criterion::black_box(louvain(&cz, &lv_cfg))));
         ratio_row(&mut table, &mut csv, name, "louvain_phase", flat_lv, comp_lv);
     }
     println!("{}", table.render());

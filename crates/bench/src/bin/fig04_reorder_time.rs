@@ -25,10 +25,10 @@ fn main() {
     let schemes = vec![
         Scheme::Rcm,
         Scheme::DegreeSort { direction: DegreeDirection::Decreasing },
-        Scheme::Grappolo { threads: args.threads },
+        Scheme::Grappolo,
         Scheme::Metis { parts: 32, seed: 42 },
     ];
-    let sweep = gap_sweep(&instances, &schemes);
+    let sweep = args.in_pool(|| gap_sweep(&instances, &schemes));
 
     println!("=== Reordering wall time (seconds) per scheme × instance ===\n");
     let mut raw =

@@ -36,13 +36,7 @@ fn main() {
     if args.quick {
         instances.truncate(3);
     }
-    let threads = if args.serial {
-        1
-    } else if args.threads > 0 {
-        args.threads
-    } else {
-        rayon::current_num_threads()
-    };
+    let threads = args.in_pool(rayon::current_num_threads);
     let schemes = Scheme::application_suite();
     let scheme_names: Vec<String> = schemes.iter().map(|s| s.name().to_string()).collect();
 
@@ -53,7 +47,7 @@ fn main() {
     );
 
     // Parallelize ordering computation per instance, but run Louvain itself
-    // with its own configured pool so Work% is meaningful.
+    // in the pool the flags ask for so Work% is meaningful.
     let results: Vec<(String, Vec<Cell>)> = instances
         .iter()
         .map(|spec| {
@@ -63,7 +57,7 @@ fn main() {
                 .iter()
                 .map(|pi| {
                     let h = g.permuted(pi).expect("scheme permutations are valid");
-                    let r = louvain(&h, &LouvainConfig::default().threads(threads));
+                    let r = args.in_pool(|| louvain(&h, &LouvainConfig::default()));
                     let p = r.stats.first_phase().expect("at least one phase");
                     Cell {
                         phase_secs: p.duration.as_secs_f64(),

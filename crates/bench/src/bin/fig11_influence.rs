@@ -23,7 +23,6 @@ fn main() {
     if args.quick {
         instances.truncate(3);
     }
-    let threads = if args.serial { 1 } else { args.threads };
     let schemes = Scheme::application_suite();
     let scheme_names: Vec<String> = schemes.iter().map(|s| s.name().to_string()).collect();
 
@@ -47,9 +46,8 @@ fn main() {
             let cfg = ImmConfig::new(16)
                 .epsilon(0.7)
                 .model(DiffusionModel::IndependentCascade { probability: 0.25 })
-                .seed(42)
-                .threads(threads);
-            let r = imm(&h, &cfg);
+                .seed(42);
+            let r = args.in_pool(|| imm(&h, &cfg));
             tp_row.push(r.stats.throughput);
             tt_row.push(r.stats.total_time.as_secs_f64());
             csv.push(format!(

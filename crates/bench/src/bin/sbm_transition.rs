@@ -50,7 +50,7 @@ fn main() {
         let score_nmi = nmi(&r.assignment, &pp.blocks);
         let score_ari = adjusted_rand_index(&r.assignment, &pp.blocks);
         let gap = |s: Scheme| gap_measures(g, &s.reorder(g)).avg_gap;
-        let grap = gap(Scheme::Grappolo { threads: 0 });
+        let grap = gap(Scheme::Grappolo);
         let rabbit = gap(Scheme::RabbitOrder);
         let rcm = gap(Scheme::Rcm);
         let random = gap(Scheme::Random { seed: 3 });

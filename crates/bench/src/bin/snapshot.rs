@@ -25,6 +25,7 @@
 
 use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_core::Scheme;
+use reorderlab_graph::build_pool;
 use reorderlab_influence::{DiffusionModel, RrSampler, SampleScratch};
 use reorderlab_memsim::{
     replay_louvain_move, replay_pagerank_iteration, replay_rr_kernel, Hierarchy, HierarchyConfig,
@@ -242,8 +243,8 @@ fn entry(
 }
 
 fn measure_louvain(g: &reorderlab_graph::Csr) -> Option<criterion::Summary> {
-    let cfg = LouvainConfig::default().threads(1).max_phases(1);
-    criterion::measure(|| criterion::black_box(louvain(g, &cfg)))
+    let cfg = LouvainConfig::default().max_phases(1);
+    build_pool(1).install(|| criterion::measure(|| criterion::black_box(louvain(g, &cfg))))
 }
 
 fn measure_rr(g: &reorderlab_graph::Csr) -> Option<criterion::Summary> {

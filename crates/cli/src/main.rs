@@ -22,9 +22,6 @@
 
 #![forbid(unsafe_code)]
 
-mod error;
-
-use error::CliError;
 use reorderlab_datasets::{by_name, full_suite, large_suite, small_suite};
 use reorderlab_ops::args::{flag_value, flag_values, has_flag};
 use reorderlab_ops::{
@@ -45,21 +42,23 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), CliError> {
-    let Some(command) = args.first() else {
+fn run(args: &[String]) -> Result<(), OpError> {
+    let Some((command, rest)) = args.split_first() else {
         print_usage();
         return Ok(());
     };
-    let rest = &args[1..];
-    // Global worker-thread bound. Every kernel is thread-count invariant,
+    // Global worker-thread bound, stripped here so no command mistakes the
+    // pair for its own arguments. Every kernel is thread-count invariant,
     // so this only affects wall-clock time, never any output.
-    if let Some(t) = flag_value(rest, "--threads") {
-        let t: usize = t
-            .parse()
-            .map_err(|_| OpError::Usage(format!("--threads needs a number, got {t:?}")))?;
-        return Ok(run_with_threads(Some(t), || dispatch(command, rest))?);
-    }
-    Ok(dispatch(command, rest)?)
+    let Some(i) = rest.iter().position(|a| a == "--threads") else {
+        return dispatch(command, rest);
+    };
+    let value = rest.get(i + 1).map(String::as_str).unwrap_or_default();
+    let t: usize = value
+        .parse()
+        .map_err(|_| OpError::Usage(format!("--threads needs a number, got {value:?}")))?;
+    let rest: Vec<String> = rest.iter().take(i).chain(rest.iter().skip(i + 2)).cloned().collect();
+    run_with_threads(Some(t), || dispatch(command, &rest))
 }
 
 fn dispatch(command: &str, rest: &[String]) -> Result<(), OpError> {
@@ -338,7 +337,7 @@ fn cmd_validate(args: &[String]) -> Result<(), OpError> {
     let mut files: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        if args[i] == "--manifest" || args[i] == "--threads" {
+        if args[i] == "--manifest" {
             i += 2;
         } else if args[i].starts_with("--") {
             i += 1;

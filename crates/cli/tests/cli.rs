@@ -305,6 +305,19 @@ fn golden_fixture_reorder_permutation_identical_at_any_thread_count() {
 }
 
 #[test]
+fn threads_flag_is_global_to_every_command() {
+    // The pair must never be taken for a file or an instance name.
+    let reference = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/reference_manifests.jsonl");
+    let out = run(&["manifest-check", "--threads", "2", reference]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let (p, f) = tmp("threads_generate.el");
+    let out = run(&["generate", "--threads", "2", "euroroad", "--out", &f]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(p.exists());
+    let _ = std::fs::remove_file(p);
+}
+
+#[test]
 fn zero_threads_is_rejected() {
     let out = run(&["measure", "--input", GOLDEN, "--scheme", "rcm", "--threads", "0"]);
     assert!(!out.status.success());
@@ -489,24 +502,48 @@ fn validate_json_and_manifest_report_per_file_status() {
 
 #[test]
 fn manifest_outputs_are_thread_invariant_apart_from_timings() {
-    let mut fingerprints: Vec<String> = Vec::new();
-    for t in ["1", "2", "7"] {
-        let out =
-            run(&["measure", "--input", GOLDEN, "--scheme", "grappolo", "--json", "--threads", t]);
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        let m = reorderlab_trace::Manifest::parse(&String::from_utf8_lossy(&out.stdout))
-            .expect("one manifest line");
-        // Everything except wall times and the thread count must agree.
+    use reorderlab_trace::Manifest;
+    // Everything except wall times and the thread count must agree.
+    fn fingerprint(m: &Manifest) -> String {
         let mut measures: Vec<String> =
             m.measures.iter().map(|(k, v)| format!("{k}={v}")).collect();
         measures.sort();
         let counters: Vec<String> = m.counters.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        fingerprints.push(format!(
+        format!(
             "{:?} {} {measures:?} {counters:?}",
             m.scheme.as_ref().map(|s| (&s.name, &s.spec)),
             m.seed
-        ));
+        )
     }
-    assert_eq!(fingerprints[0], fingerprints[1], "manifest changed between 1 and 2 threads");
-    assert_eq!(fingerprints[0], fingerprints[2], "manifest changed between 1 and 7 threads");
+    let mut explicit: Vec<String> = Vec::new();
+    let mut default_suite: Vec<String> = Vec::new();
+    for t in ["1", "2", "7"] {
+        let out =
+            run(&["measure", "--input", GOLDEN, "--scheme", "grappolo", "--json", "--threads", t]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let m = Manifest::parse(&String::from_utf8_lossy(&out.stdout)).expect("one manifest line");
+        explicit.push(fingerprint(&m));
+
+        // With no --scheme the default suite's Grappolo rows follow
+        // --threads too, under the same width-free specs.
+        let out = run(&["measure", "--input", GOLDEN, "--json", "--threads", t]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let rows: Vec<Manifest> = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .map(|line| Manifest::parse(line).expect("one manifest per line"))
+            .collect();
+        let row = |spec: &str| {
+            let m = rows
+                .iter()
+                .find(|m| m.scheme.as_ref().is_some_and(|s| s.spec == spec))
+                .unwrap_or_else(|| panic!("no {spec:?} row at {t} threads"));
+            assert_eq!(m.threads.to_string(), t, "{spec} manifest must report the width that ran");
+            fingerprint(m)
+        };
+        default_suite.push(format!("{} | {}", row("grappolo"), row("grappolo-rcm")));
+    }
+    for prints in [&explicit, &default_suite] {
+        assert_eq!(prints[0], prints[1], "manifest changed between 1 and 2 threads");
+        assert_eq!(prints[0], prints[2], "manifest changed between 1 and 7 threads");
+    }
 }

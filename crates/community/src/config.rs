@@ -17,8 +17,6 @@ pub struct LouvainConfig {
     pub max_iterations: usize,
     /// Hard cap on phases.
     pub max_phases: usize,
-    /// Worker threads; `0` uses the global rayon pool.
-    pub threads: usize,
 }
 
 impl LouvainConfig {
@@ -29,7 +27,6 @@ impl LouvainConfig {
             phase_gain_threshold: 1e-4,
             max_iterations: 200,
             max_phases: 12,
-            threads: 0,
         }
     }
 
@@ -66,12 +63,6 @@ impl LouvainConfig {
         self.max_phases = n.max(1);
         self
     }
-
-    /// Sets the worker-thread count (`0` = global rayon pool).
-    pub fn threads(mut self, t: usize) -> Self {
-        self.threads = t;
-        self
-    }
 }
 
 impl Default for LouvainConfig {
@@ -90,7 +81,6 @@ mod tests {
         assert!(c.iteration_gain_threshold > 0.0);
         assert!(c.max_iterations >= 1);
         assert!(c.max_phases >= 1);
-        assert_eq!(c.threads, 0);
     }
 
     #[test]
@@ -99,11 +89,9 @@ mod tests {
             .iteration_gain_threshold(1e-6)
             .phase_gain_threshold(1e-5)
             .max_iterations(10)
-            .max_phases(3)
-            .threads(2);
+            .max_phases(3);
         assert_eq!(c.max_iterations, 10);
         assert_eq!(c.max_phases, 3);
-        assert_eq!(c.threads, 2);
         assert_eq!(c.iteration_gain_threshold, 1e-6);
     }
 

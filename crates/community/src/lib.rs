@@ -16,6 +16,11 @@
 //! over `reorderlab_graph::Adjacency`, so the same code runs on a flat
 //! `Csr` and on a `CompressedCsr`, bit-identically.
 //!
+//! A run uses the rayon pool it is called in — there is no thread-count
+//! setting, because the result is bit-identical at any width. Bound the pool
+//! with `reorderlab_graph::build_pool(t).install(|| louvain(..))`;
+//! [`LouvainStats::threads`] records the width that ran.
+//!
 //! ## Example
 //!
 //! ```
@@ -23,7 +28,7 @@
 //! use reorderlab_datasets::clique_chain;
 //!
 //! let g = clique_chain(4, 8);
-//! let result = louvain(&g, &LouvainConfig::default().threads(2));
+//! let result = louvain(&g, &LouvainConfig::default());
 //! assert_eq!(result.num_communities, 4);
 //! ```
 
@@ -62,7 +67,7 @@ mod proptests {
                 .map(|(u, v)| (u % n as u32, v % n as u32))
                 .collect();
             let g = GraphBuilder::undirected(n).edges(edges).build().unwrap();
-            let r = louvain(&g, &LouvainConfig::default().threads(1));
+            let r = louvain(&g, &LouvainConfig::default());
             prop_assert_eq!(r.assignment.len(), n);
             prop_assert!(r.assignment.iter().all(|&c| (c as usize) < r.num_communities));
             prop_assert!((-1.0..=1.0).contains(&r.modularity));
@@ -82,7 +87,7 @@ mod proptests {
             if g.num_edges() == 0 {
                 return Ok(());
             }
-            let r = louvain(&g, &LouvainConfig::default().threads(1));
+            let r = louvain(&g, &LouvainConfig::default());
             let singletons: Vec<u32> = (0..n as u32).collect();
             prop_assert!(r.modularity >= modularity(&g, &singletons) - 1e-9);
         }

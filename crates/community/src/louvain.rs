@@ -123,8 +123,9 @@ pub struct CommunityResult {
 /// it is held.
 ///
 /// The graph may be weighted; self loops are honored (they arise naturally
-/// on coarse levels). See [`LouvainConfig`] for the termination thresholds
-/// and thread count.
+/// on coarse levels). See [`LouvainConfig`] for the termination thresholds;
+/// the run uses the rayon pool it is called in (bound it with
+/// `reorderlab_graph::build_pool(t).install(..)`).
 ///
 /// On a [`CompressedCsr`] the first (and dominant) phase scans the gap
 /// streams through per-worker decode scratch, and only the contraction into
@@ -142,12 +143,12 @@ pub struct CommunityResult {
 /// use reorderlab_datasets::clique_chain;
 ///
 /// let g = clique_chain(4, 6);
-/// let r = louvain(&g, &LouvainConfig::default().threads(1));
+/// let r = louvain(&g, &LouvainConfig::default());
 /// assert_eq!(r.num_communities, 4);
 /// assert!(r.modularity > 0.5);
 /// ```
 pub fn louvain<G: Adjacency>(graph: &G, cfg: &LouvainConfig) -> CommunityResult {
-    louvain_in_pool::<G, PackedScan>(graph, cfg)
+    louvain_inner::<G, PackedScan>(graph, cfg)
 }
 
 /// [`louvain`] at the compressed form's type, kept as a named entry point
@@ -162,7 +163,7 @@ pub fn louvain<G: Adjacency>(graph: &G, cfg: &LouvainConfig) -> CommunityResult 
 ///
 /// let g = clique_chain(4, 6);
 /// let cz = CompressedCsr::from_csr(&g).unwrap();
-/// let cfg = LouvainConfig::default().threads(1);
+/// let cfg = LouvainConfig::default();
 /// let packed = louvain_compressed(&cz, &cfg);
 /// assert_eq!(packed.assignment, louvain(&g, &cfg).assignment);
 /// ```
@@ -190,21 +191,7 @@ impl MovePhase for PackedScan {
     }
 }
 
-/// Runs the engine inside the pool `cfg.threads` asks for.
-fn louvain_in_pool<G: Adjacency, P: MovePhase>(graph: &G, cfg: &LouvainConfig) -> CommunityResult {
-    if cfg.threads == 0 {
-        louvain_inner::<G, P>(graph, cfg, rayon::current_num_threads())
-    } else {
-        let pool = reorderlab_graph::build_pool(cfg.threads);
-        pool.install(|| louvain_inner::<G, P>(graph, cfg, cfg.threads))
-    }
-}
-
-fn louvain_inner<G: Adjacency, P: MovePhase>(
-    graph: &G,
-    cfg: &LouvainConfig,
-    threads: usize,
-) -> CommunityResult {
+fn louvain_inner<G: Adjacency, P: MovePhase>(graph: &G, cfg: &LouvainConfig) -> CommunityResult {
     let n0 = graph.num_vertices();
     // original vertex -> current-level vertex
     let mut global: Vec<u32> = (0..n0 as u32).collect();
@@ -231,7 +218,7 @@ fn louvain_inner<G: Adjacency, P: MovePhase>(
         assignment: global,
         num_communities,
         modularity: q,
-        stats: LouvainStats { phases, threads },
+        stats: LouvainStats { phases, threads: rayon::current_num_threads() },
     }
 }
 
@@ -655,17 +642,13 @@ mod tests {
     use super::*;
     use crate::modularity::modularity;
     use reorderlab_datasets::{clique_chain, complete, grid2d, path};
-    use reorderlab_graph::GraphBuilder;
+    use reorderlab_graph::{build_pool, GraphBuilder};
     use std::collections::HashMap;
-
-    fn cfg1() -> LouvainConfig {
-        LouvainConfig::default().threads(1)
-    }
 
     #[test]
     fn recovers_planted_cliques() {
         let g = clique_chain(5, 6);
-        let r = louvain(&g, &cfg1());
+        let r = louvain(&g, &LouvainConfig::default());
         assert_eq!(r.num_communities, 5, "should recover the 5 cliques");
         // Every clique is one community.
         for c in 0..5u32 {
@@ -680,7 +663,7 @@ mod tests {
     #[test]
     fn modularity_matches_recomputation() {
         let g = clique_chain(3, 5);
-        let r = louvain(&g, &cfg1());
+        let r = louvain(&g, &LouvainConfig::default());
         let q = modularity(&g, &r.assignment);
         assert!((q - r.modularity).abs() < 1e-12);
     }
@@ -688,7 +671,7 @@ mod tests {
     #[test]
     fn iterations_monotone_nondecreasing_modularity() {
         let g = grid2d(12, 12);
-        let r = louvain(&g, &cfg1());
+        let r = louvain(&g, &LouvainConfig::default());
         let phase = r.stats.first_phase().expect("at least one phase");
         for pair in phase.iterations.windows(2) {
             assert!(
@@ -703,7 +686,7 @@ mod tests {
     #[test]
     fn complete_graph_single_community() {
         let g = complete(8);
-        let r = louvain(&g, &cfg1());
+        let r = louvain(&g, &LouvainConfig::default());
         assert_eq!(r.num_communities, 1);
         assert!(r.modularity.abs() < 1e-9);
     }
@@ -711,7 +694,7 @@ mod tests {
     #[test]
     fn path_groups_contiguous_segments() {
         let g = path(20);
-        let r = louvain(&g, &cfg1());
+        let r = louvain(&g, &LouvainConfig::default());
         assert!(r.num_communities > 1 && r.num_communities < 20);
         assert!(r.modularity > 0.4);
         // Communities on a path must be contiguous runs.
@@ -733,16 +716,16 @@ mod tests {
     #[test]
     fn empty_and_tiny_graphs() {
         let g0 = GraphBuilder::undirected(0).build().unwrap();
-        let r0 = louvain(&g0, &cfg1());
+        let r0 = louvain(&g0, &LouvainConfig::default());
         assert_eq!(r0.num_communities, 0);
 
         let g1 = GraphBuilder::undirected(1).build().unwrap();
-        let r1 = louvain(&g1, &cfg1());
+        let r1 = louvain(&g1, &LouvainConfig::default());
         assert_eq!(r1.num_communities, 1);
         assert_eq!(r1.modularity, 0.0);
 
         let g2 = GraphBuilder::undirected(4).build().unwrap(); // no edges
-        let r2 = louvain(&g2, &cfg1());
+        let r2 = louvain(&g2, &LouvainConfig::default());
         assert_eq!(r2.num_communities, 4);
     }
 
@@ -751,8 +734,9 @@ mod tests {
         // Moves are proposed against a snapshot and applied in vertex order,
         // so the result must not depend on the worker count.
         let g = clique_chain(6, 5);
-        let a = louvain(&g, &LouvainConfig::default().threads(1));
-        let b = louvain(&g, &LouvainConfig::default().threads(4));
+        let cfg = LouvainConfig::default();
+        let a = build_pool(1).install(|| louvain(&g, &cfg));
+        let b = build_pool(4).install(|| louvain(&g, &cfg));
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.modularity, b.modularity);
     }
@@ -760,7 +744,7 @@ mod tests {
     #[test]
     fn stats_are_populated() {
         let g = grid2d(10, 10);
-        let r = louvain(&g, &cfg1());
+        let r = louvain(&g, &LouvainConfig::default());
         let s = &r.stats;
         assert!(!s.phases.is_empty());
         assert!(s.total_iterations() >= 1);
@@ -775,7 +759,7 @@ mod tests {
     #[test]
     fn stats_aggregation_helpers() {
         let g = grid2d(8, 8);
-        let r = louvain(&g, &cfg1());
+        let r = louvain(&g, &LouvainConfig::default());
         let s = &r.stats;
         assert!(s.total_time() >= s.first_phase().unwrap().duration);
         assert_eq!(
@@ -804,7 +788,7 @@ mod tests {
             .weighted_edge(1, 2, 0.1)
             .build()
             .unwrap();
-        let r = louvain(&g, &cfg1());
+        let r = louvain(&g, &LouvainConfig::default());
         assert_eq!(r.assignment[0], r.assignment[1]);
         assert_eq!(r.assignment[2], r.assignment[3]);
         assert_ne!(r.assignment[0], r.assignment[2]);
@@ -1066,10 +1050,12 @@ mod tests {
     /// Asserts the production scan and the flat scatter reference both
     /// reproduce the hash-map reference on `g`.
     fn assert_kernels_equivalent(g: &Csr, threads: usize) {
-        let cfg = LouvainConfig::default().threads(threads);
-        let hash = louvain_in_pool::<_, HashMapChunks>(g, &cfg);
-        assert_same_run(&louvain_in_pool::<_, FlatScatter>(g, &cfg), &hash, "flat");
-        assert_same_run(&louvain(g, &cfg), &hash, "packed");
+        let cfg = LouvainConfig::default();
+        build_pool(threads).install(|| {
+            let hash = louvain_inner::<_, HashMapChunks>(g, &cfg);
+            assert_same_run(&louvain_inner::<_, FlatScatter>(g, &cfg), &hash, "flat");
+            assert_same_run(&louvain(g, &cfg), &hash, "packed");
+        });
     }
 
     #[test]
@@ -1124,9 +1110,11 @@ mod tests {
     /// the same phase on the flat form.
     fn assert_phase_compressed_matches_flat<P: MovePhase>(g: &Csr, threads: usize, tag: &str) {
         let cz = CompressedCsr::from_csr(g).expect("builder rows are sorted");
-        let cfg = LouvainConfig::default().threads(threads);
-        let flat = louvain_in_pool::<_, P>(g, &cfg);
-        assert_same_run(&louvain_in_pool::<_, P>(&cz, &cfg), &flat, tag);
+        let cfg = LouvainConfig::default();
+        build_pool(threads).install(|| {
+            let flat = louvain_inner::<_, P>(g, &cfg);
+            assert_same_run(&louvain_inner::<_, P>(&cz, &cfg), &flat, tag);
+        });
     }
 
     /// [`assert_phase_compressed_matches_flat`] for the production scan
@@ -1172,10 +1160,12 @@ mod tests {
         let cz = CompressedCsr::from_csr(&b.build().unwrap()).unwrap();
         let decoded = cz.decode();
         assert!(decoded.is_weighted());
+        let cfg = LouvainConfig::default();
         for threads in [1usize, 2, 7] {
-            let cfg = LouvainConfig::default().threads(threads);
-            let reference = louvain_in_pool::<_, FlatScatter>(&decoded, &cfg);
-            assert_same_run(&louvain_compressed(&cz, &cfg), &reference, "weighted csrz");
+            build_pool(threads).install(|| {
+                let reference = louvain_inner::<_, FlatScatter>(&decoded, &cfg);
+                assert_same_run(&louvain_compressed(&cz, &cfg), &reference, "weighted csrz");
+            });
         }
     }
 
@@ -1184,7 +1174,7 @@ mod tests {
         let g = grid2d(16, 16);
         let runs: Vec<CommunityResult> = [1usize, 2, 8]
             .iter()
-            .map(|&t| louvain(&g, &LouvainConfig::default().threads(t)))
+            .map(|&t| build_pool(t).install(|| louvain(&g, &LouvainConfig::default())))
             .collect();
         for r in &runs[1..] {
             assert_eq!(r.assignment, runs[0].assignment);
@@ -1196,9 +1186,9 @@ mod tests {
     #[test]
     fn recorded_run_is_bit_identical_and_emits_trajectory() {
         let g = grid2d(10, 10);
-        let plain = louvain(&g, &cfg1());
+        let plain = louvain(&g, &LouvainConfig::default());
         let mut rec = reorderlab_trace::RunRecorder::new();
-        let recorded = louvain_recorded(&g, &cfg1(), &mut rec);
+        let recorded = louvain_recorded(&g, &LouvainConfig::default(), &mut rec);
         assert_eq!(plain.assignment, recorded.assignment);
         assert_eq!(plain.modularity.to_bits(), recorded.modularity.to_bits());
         assert_eq!(plain.stats.total_iterations(), recorded.stats.total_iterations());
@@ -1217,14 +1207,15 @@ mod tests {
         assert_eq!(rec.spans()["louvain/phase"].count, plain.stats.phases.len() as u64);
         assert_eq!(rec.spans()["louvain"].count, 1);
         // The no-op recorder also leaves results untouched.
-        let noop = louvain_recorded(&g, &cfg1(), &mut reorderlab_trace::NoopRecorder);
+        let noop =
+            louvain_recorded(&g, &LouvainConfig::default(), &mut reorderlab_trace::NoopRecorder);
         assert_eq!(noop.assignment, plain.assignment);
     }
 
     #[test]
     fn assignment_is_contiguously_renumbered() {
         let g = clique_chain(4, 4);
-        let r = louvain(&g, &cfg1());
+        let r = louvain(&g, &LouvainConfig::default());
         let max = *r.assignment.iter().max().unwrap() as usize;
         assert_eq!(max + 1, r.num_communities);
         // Every id in [0, num_communities) appears.

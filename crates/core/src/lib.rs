@@ -11,10 +11,19 @@
 //!   graph bandwidth β, average graph bandwidth β̂, plus distribution
 //!   summaries (violin plots, Fig. 8) and performance profiles (Figs. 1,
 //!   4–7) in [`measures`].
-//! - **Thirteen ordering schemes** (§III) in [`schemes`], uniformly
-//!   dispatchable through [`Scheme`]: Natural, Random, Degree Sort, Hub
-//!   Sort, Hub Clustering, SlashBurn, Gorder, RCM, Nested Dissection,
-//!   METIS-induced, Grappolo, Grappolo-RCM, and Rabbit Order.
+//! - **Twenty-two ordering schemes** in [`schemes`], uniformly dispatchable
+//!   through [`Scheme`] and enumerated by [`Scheme::all_schemes`]: the
+//!   paper's §III set (Natural, Random, Degree Sort ascending and
+//!   descending, Hub Sort, Hub Clustering, SlashBurn, Gorder, RCM, CDFS,
+//!   Nested Dissection, METIS-induced, Grappolo, Grappolo-RCM, Rabbit
+//!   Order), the degree-grouping family (DBG, HubSort-DBG, HubCluster-DBG),
+//!   the community-major family (Comm-BFS, Comm-DFS, Comm-Degree), and
+//!   Adaptive.
+//!
+//! No scheme takes a thread count: every kernel is bit-identical at any
+//! width, so a scheme runs on the rayon pool it is called in (bound it with
+//! `reorderlab_graph::build_pool(t).install(..)`) and [`Scheme::spec`] is
+//! width-free.
 //!
 //! ## Quick start
 //!

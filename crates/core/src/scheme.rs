@@ -94,15 +94,9 @@ pub enum Scheme {
         seed: u64,
     },
     /// Community-contiguous ordering from parallel Louvain \[28\].
-    Grappolo {
-        /// Worker threads (0 = rayon default).
-        threads: usize,
-    },
+    Grappolo,
     /// Communities ordered by RCM on the coarsened graph (this paper).
-    GrappoloRcm {
-        /// Worker threads (0 = rayon default).
-        threads: usize,
-    },
+    GrappoloRcm,
     /// Incremental-aggregation community ordering \[1\].
     RabbitOrder,
     /// Degree-Based Grouping: power-of-two degree buckets, hottest first,
@@ -140,8 +134,8 @@ impl Scheme {
             Scheme::Cdfs => "CDFS",
             Scheme::NestedDissection { .. } => "ND",
             Scheme::Metis { .. } => "METIS",
-            Scheme::Grappolo { .. } => "Grappolo",
-            Scheme::GrappoloRcm { .. } => "Grappolo-RCM",
+            Scheme::Grappolo => "Grappolo",
+            Scheme::GrappoloRcm => "Grappolo-RCM",
             Scheme::RabbitOrder => "Rabbit",
             Scheme::Dbg => "DBG",
             Scheme::HubSortDbg => "HubSortDBG",
@@ -240,11 +234,9 @@ impl Scheme {
             Scheme::Cdfs => cdfs_order_recorded(graph, rec),
             Scheme::NestedDissection { seed } => nd_order(graph, seed),
             Scheme::Metis { parts, seed } => metis_order(graph, parts, seed),
-            Scheme::Grappolo { threads } => {
-                grappolo_order_recorded(graph, &LouvainConfig::default().threads(threads), rec)
-            }
-            Scheme::GrappoloRcm { threads } => {
-                grappolo_rcm_order_recorded(graph, &LouvainConfig::default().threads(threads), rec)
+            Scheme::Grappolo => grappolo_order_recorded(graph, &LouvainConfig::default(), rec),
+            Scheme::GrappoloRcm => {
+                grappolo_rcm_order_recorded(graph, &LouvainConfig::default(), rec)
             }
             Scheme::RabbitOrder => rabbit_order(graph),
             Scheme::Dbg => dbg_order_recorded(graph, rec),
@@ -344,10 +336,8 @@ impl Scheme {
                 let seed = params.take_u64("seed", 42)?;
                 Scheme::Metis { parts, seed }
             }
-            "grappolo" => Scheme::Grappolo { threads: params.take_usize("threads", 0)? },
-            "grappolo-rcm" | "grappolorcm" => {
-                Scheme::GrappoloRcm { threads: params.take_usize("threads", 0)? }
-            }
+            "grappolo" => Scheme::Grappolo,
+            "grappolo-rcm" | "grappolorcm" => Scheme::GrappoloRcm,
             "rabbit" | "rabbit-order" => Scheme::RabbitOrder,
             "dbg" => Scheme::Dbg,
             "hubsort-dbg" | "hubsortdbg" => Scheme::HubSortDbg,
@@ -366,8 +356,9 @@ impl Scheme {
     }
 
     /// The canonical, round-trippable spec of this scheme: bare names for
-    /// parameterless schemes, `name:key=val[,...]` otherwise
-    /// (`Grappolo { threads: 0 }` — the rayon default — prints bare).
+    /// parameterless schemes, `name:key=val[,...]` otherwise. No spec names
+    /// a thread count — width is a property of the pool the scheme runs in
+    /// and never changes a permutation — so the spec is a sound cache key.
     /// `Scheme::parse(&s.spec())` reconstructs `s` exactly.
     pub fn spec(&self) -> String {
         match *self {
@@ -383,10 +374,8 @@ impl Scheme {
             Scheme::Cdfs => "cdfs".into(),
             Scheme::NestedDissection { seed } => format!("nd:seed={seed}"),
             Scheme::Metis { parts, seed } => format!("metis:parts={parts},seed={seed}"),
-            Scheme::Grappolo { threads: 0 } => "grappolo".into(),
-            Scheme::Grappolo { threads } => format!("grappolo:threads={threads}"),
-            Scheme::GrappoloRcm { threads: 0 } => "grappolo-rcm".into(),
-            Scheme::GrappoloRcm { threads } => format!("grappolo-rcm:threads={threads}"),
+            Scheme::Grappolo => "grappolo".into(),
+            Scheme::GrappoloRcm => "grappolo-rcm".into(),
             Scheme::RabbitOrder => "rabbit".into(),
             Scheme::Dbg => "dbg".into(),
             Scheme::HubSortDbg => "hubsort-dbg".into(),
@@ -410,8 +399,8 @@ impl Scheme {
             Scheme::SlashBurn { k_frac: 0.005 },
             Scheme::Gorder { window: 5 },
             Scheme::RabbitOrder,
-            Scheme::Grappolo { threads: 1 },
-            Scheme::GrappoloRcm { threads: 1 },
+            Scheme::Grappolo,
+            Scheme::GrappoloRcm,
             Scheme::Metis { parts: 32, seed },
             Scheme::Rcm,
             Scheme::NestedDissection { seed },
@@ -481,7 +470,7 @@ impl Scheme {
     /// Natural, and Degree Sort.
     pub fn application_suite() -> Vec<Scheme> {
         vec![
-            Scheme::Grappolo { threads: 0 },
+            Scheme::Grappolo,
             Scheme::Rcm,
             Scheme::Natural,
             Scheme::DegreeSort { direction: DegreeDirection::Decreasing },
@@ -722,8 +711,8 @@ mod tests {
             Scheme::Cdfs => 9,
             Scheme::NestedDissection { .. } => 10,
             Scheme::Metis { .. } => 11,
-            Scheme::Grappolo { .. } => 12,
-            Scheme::GrappoloRcm { .. } => 13,
+            Scheme::Grappolo => 12,
+            Scheme::GrappoloRcm => 13,
             Scheme::RabbitOrder => 14,
             Scheme::Dbg => 15,
             Scheme::HubSortDbg => 16,
@@ -788,10 +777,6 @@ mod tests {
                 Scheme::parse(&spec).unwrap_or_else(|e| panic!("{spec:?} failed to re-parse: {e}"));
             assert_eq!(parsed, scheme, "spec {spec:?} did not round-trip");
         }
-        // Non-default threads round-trip through the key=val form.
-        let s = Scheme::Grappolo { threads: 4 };
-        assert_eq!(s.spec(), "grappolo:threads=4");
-        assert_eq!(Scheme::parse(&s.spec()).unwrap(), s);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use rayon::prelude::*;
 use reorderlab_community::{louvain, louvain_recorded, LouvainConfig};
-use reorderlab_graph::{Csr, Permutation};
+use reorderlab_graph::{build_pool, Csr, Permutation};
 use reorderlab_trace::{NoopRecorder, Recorder};
 use std::collections::VecDeque;
 
@@ -78,7 +78,7 @@ pub fn comm_order_recorded(graph: &Csr, intra: CommIntra, rec: &mut dyn Recorder
 /// Louvain and a plain loop over communities. Retained as the
 /// property-test oracle for the community-parallel kernel.
 pub fn comm_order_serial(graph: &Csr, intra: CommIntra) -> Permutation {
-    let r = louvain(graph, &LouvainConfig::default().threads(1));
+    let r = build_pool(1).install(|| louvain(graph, &LouvainConfig::default()));
     let members = community_members(graph, &r.assignment, r.num_communities);
     let blocks: Vec<Vec<u32>> = members.into_iter().map(|m| intra_order(graph, m, intra)).collect();
     concat_blocks(graph.num_vertices(), &blocks)

@@ -251,7 +251,7 @@ mod tests {
     fn recorded_grappolo_variants_are_identical_and_report_louvain() {
         use reorderlab_trace::RunRecorder;
         let g = clique_chain(5, 6);
-        let cfg = LouvainConfig::default().threads(1);
+        let cfg = LouvainConfig::default();
 
         let mut rec = RunRecorder::new();
         assert_eq!(grappolo_order_recorded(&g, &cfg, &mut rec), grappolo_order_with(&g, &cfg));
@@ -272,7 +272,7 @@ mod tests {
         let g = grid2d(8, 8);
         assert_eq!(metis_order(&g, 8, 5), metis_order(&g, 8, 5));
         assert_eq!(nd_order(&g, 5), nd_order(&g, 5));
-        let cfg = LouvainConfig::default().threads(1);
+        let cfg = LouvainConfig::default();
         assert_eq!(grappolo_order_with(&g, &cfg), grappolo_order_with(&g, &cfg));
         assert_eq!(grappolo_rcm_order_with(&g, &cfg), grappolo_rcm_order_with(&g, &cfg));
     }

@@ -15,7 +15,7 @@
 
 use crate::schemes::rcm::rcm_order;
 use reorderlab_community::{louvain, LouvainConfig};
-use reorderlab_graph::{contract, Csr, Permutation};
+use reorderlab_graph::{build_pool, contract, Csr, Permutation};
 
 /// Configuration for [`hybrid_multiscale_order`].
 #[derive(Debug, Clone, PartialEq)]
@@ -29,10 +29,10 @@ pub struct HybridConfig {
 }
 
 impl HybridConfig {
-    /// Default tuning: 256-vertex leaves, depth ≤ 8, single-threaded
-    /// Louvain (recursion supplies the parallelism opportunity instead).
+    /// Default tuning: 256-vertex leaves, depth ≤ 8, default Louvain
+    /// thresholds.
     pub fn new() -> Self {
-        HybridConfig { leaf_size: 256, max_depth: 8, louvain: LouvainConfig::default().threads(1) }
+        HybridConfig { leaf_size: 256, max_depth: 8, louvain: LouvainConfig::default() }
     }
 
     /// Sets the leaf size.
@@ -91,7 +91,9 @@ fn recurse(
         emit_rcm(&sub, &originals, order);
         return;
     }
-    let communities = louvain(&sub, &config.louvain);
+    // Subgraphs shrink geometrically with depth; a one-worker pool keeps
+    // the many small Louvain runs from paying fork/join cost per level.
+    let communities = build_pool(1).install(|| louvain(&sub, &config.louvain));
     let k = communities.num_communities;
     if k <= 1 || k == sub.num_vertices() {
         emit_rcm(&sub, &originals, order);
@@ -165,7 +167,7 @@ mod tests {
         let g = g0.permuted(&random_order(&g0, 31)).unwrap();
         let hybrid =
             gap_measures(&g, &hybrid_multiscale_order(&g, &HybridConfig::new().leaf_size(32)));
-        let flat = gap_measures(&g, &grappolo_order_with(&g, &LouvainConfig::default().threads(1)));
+        let flat = gap_measures(&g, &grappolo_order_with(&g, &LouvainConfig::default()));
         assert!(
             hybrid.bandwidth <= flat.bandwidth,
             "hybrid β {} vs flat grappolo β {}",

@@ -12,7 +12,7 @@
 
 use reorderlab_community::{louvain, CommunityResult, LouvainConfig};
 use reorderlab_datasets::{barabasi_albert, clique_chain, erdos_renyi_gnm, grid2d};
-use reorderlab_graph::Csr;
+use reorderlab_graph::{build_pool, Csr};
 use reorderlab_influence::{imm, ImmConfig};
 
 const SEEDS: std::ops::Range<u64> = 0..8;
@@ -47,12 +47,12 @@ fn louvain_fingerprint(r: &CommunityResult) -> (Vec<u32>, usize, u64, Vec<(usize
 #[test]
 fn louvain_bit_identical_under_adversarial_schedules() {
     for (gname, g) in corpus() {
-        let oracle = louvain_fingerprint(&louvain(&g, &LouvainConfig::default().threads(1)));
+        let cfg = LouvainConfig::default();
+        let oracle = build_pool(1).install(|| louvain_fingerprint(&louvain(&g, &cfg)));
         for seed in SEEDS {
             rayon::chaos::set_seed(seed);
             for threads in THREADS {
-                let cfg = LouvainConfig::default().threads(threads);
-                let got = louvain_fingerprint(&louvain(&g, &cfg));
+                let got = build_pool(threads).install(|| louvain_fingerprint(&louvain(&g, &cfg)));
                 assert_eq!(
                     got, oracle,
                     "{gname}: diverged from the 1-thread run at seed {seed}, {threads} threads"
@@ -70,11 +70,12 @@ fn imm_bit_identical_under_adversarial_schedules() {
     for (gname, g) in
         [("random", erdos_renyi_gnm(120, 420, 17)), ("powerlaw", barabasi_albert(150, 3, 5))]
     {
-        let oracle = imm(&g, &ImmConfig::new(3).seed(9).threads(1));
+        let cfg = ImmConfig::new(3).seed(9);
+        let oracle = build_pool(1).install(|| imm(&g, &cfg));
         for seed in SEEDS {
             rayon::chaos::set_seed(seed);
             for threads in THREADS {
-                let got = imm(&g, &ImmConfig::new(3).seed(9).threads(threads));
+                let got = build_pool(threads).install(|| imm(&g, &cfg));
                 assert_eq!(
                     (got.seeds.clone(), got.influence_estimate.to_bits()),
                     (oracle.seeds.clone(), oracle.influence_estimate.to_bits()),

@@ -15,7 +15,7 @@ use reorderlab_core::measures::{
 };
 use reorderlab_core::{Scheme, SchemeError};
 use reorderlab_datasets::{degenerate_suite, star};
-use reorderlab_graph::{assert_thread_invariant, Csr, GraphBuilder, Permutation};
+use reorderlab_graph::{assert_thread_invariant, build_pool, Csr, GraphBuilder, Permutation};
 use reorderlab_influence::{imm, DiffusionModel, ImmConfig};
 
 fn assert_bijective(pi: &Permutation, n: usize, ctx: &str) {
@@ -92,8 +92,7 @@ fn louvain_is_finite_on_the_degenerate_corpus() {
     for case in degenerate_suite() {
         let g = &case.graph;
         for threads in [1usize, 2, 7] {
-            let cfg = LouvainConfig { threads, ..LouvainConfig::default() };
-            let r = louvain(g, &cfg);
+            let r = build_pool(threads).install(|| louvain(g, &LouvainConfig::default()));
             let ctx = format!("louvain on {} at {threads} threads", case.name);
             assert!(r.modularity.is_finite(), "{ctx}: modularity {}", r.modularity);
             assert_eq!(r.assignment.len(), g.num_vertices(), "{ctx}: one label per vertex");
@@ -111,13 +110,12 @@ fn imm_is_finite_on_the_degenerate_corpus() {
     for case in degenerate_suite() {
         let g = &case.graph;
         let n = g.num_vertices();
+        let cfg = ImmConfig::new(2)
+            .epsilon(0.9)
+            .model(DiffusionModel::IndependentCascade { probability: 0.3 })
+            .seed(11);
         for threads in [1usize, 2, 7] {
-            let cfg = ImmConfig::new(2)
-                .epsilon(0.9)
-                .model(DiffusionModel::IndependentCascade { probability: 0.3 })
-                .seed(11)
-                .threads(threads);
-            let r = imm(g, &cfg);
+            let r = build_pool(threads).install(|| imm(g, &cfg));
             let ctx = format!("imm on {} at {threads} threads", case.name);
             assert!(r.influence_estimate.is_finite(), "{ctx}: estimate {}", r.influence_estimate);
             assert!(r.influence_estimate >= 0.0, "{ctx}: negative estimate");

@@ -5,21 +5,14 @@
 
 use proptest::prelude::*;
 use reorderlab_core::schemes::DegreeDirection;
-use reorderlab_core::Scheme;
+use reorderlab_core::{Scheme, SchemeError};
 
 /// One scheme per registry variant, parameterized from the generated
 /// values. `slot` indexes the same 22-variant enumeration as
 /// `Scheme::all_schemes`, so new variants extend the range (and the
 /// `all_schemes_covers_every_variant` registry test keeps the count
 /// honest).
-fn scheme_from(
-    slot: usize,
-    seed: u64,
-    window: usize,
-    parts: usize,
-    threads: usize,
-    k_milli: u64,
-) -> Scheme {
+fn scheme_from(slot: usize, seed: u64, window: usize, parts: usize, k_milli: u64) -> Scheme {
     match slot {
         0 => Scheme::Natural,
         1 => Scheme::Random { seed },
@@ -33,8 +26,8 @@ fn scheme_from(
         9 => Scheme::Cdfs,
         10 => Scheme::NestedDissection { seed },
         11 => Scheme::Metis { parts, seed },
-        12 => Scheme::Grappolo { threads },
-        13 => Scheme::GrappoloRcm { threads },
+        12 => Scheme::Grappolo,
+        13 => Scheme::GrappoloRcm,
         14 => Scheme::RabbitOrder,
         15 => Scheme::Dbg,
         16 => Scheme::HubSortDbg,
@@ -54,10 +47,9 @@ proptest! {
         seed in 0u64..1_000_000,
         window in 1usize..100,
         parts in 1usize..512,
-        threads in 0usize..9,
         k_milli in 1u64..1001,
     ) {
-        let scheme = scheme_from(slot, seed, window, parts, threads, k_milli);
+        let scheme = scheme_from(slot, seed, window, parts, k_milli);
         let spec = scheme.spec();
         let parsed = Scheme::parse(&spec);
         prop_assert!(parsed.is_ok(), "spec {:?} failed to parse: {:?}", spec, parsed);
@@ -97,4 +89,22 @@ fn every_suite_scheme_and_accepted_name_round_trips() {
         let head = head.split(':').next().unwrap_or("");
         assert_eq!(head, name, "canonical name must be its own spec head");
     }
+}
+
+/// Thread count is no part of a scheme's identity: the Grappolo variants
+/// are parameterless, so a width in the spec is rejected like any other
+/// stray parameter rather than accepted and ignored.
+#[test]
+fn thread_counts_are_rejected_in_specs() {
+    for spec in ["grappolo:threads=2", "grappolo-rcm:threads=1"] {
+        assert!(
+            matches!(
+                Scheme::parse(spec),
+                Err(SchemeError::UnknownParameter { ref key, .. }) if key == "threads"
+            ),
+            "{spec:?} must be rejected as an unknown parameter, got {:?}",
+            Scheme::parse(spec)
+        );
+    }
+    assert!(matches!(Scheme::parse("grappolo:4"), Err(SchemeError::UnexpectedParameter { .. })));
 }

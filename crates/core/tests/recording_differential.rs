@@ -8,7 +8,7 @@
 use reorderlab_core::measures::gap_measures;
 use reorderlab_core::Scheme;
 use reorderlab_datasets::{barabasi_albert, clique_chain, grid2d};
-use reorderlab_graph::Csr;
+use reorderlab_graph::{build_pool, Csr};
 use reorderlab_trace::RunRecorder;
 
 fn corpus() -> Vec<(&'static str, Csr)> {
@@ -17,11 +17,6 @@ fn corpus() -> Vec<(&'static str, Csr)> {
         ("grid2d", grid2d(9, 8)),
         ("barabasi_albert", barabasi_albert(160, 3, 7)),
     ]
-}
-
-/// Runs `f` inside a dedicated rayon pool of `threads` workers.
-fn with_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
-    rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool builds").install(f)
 }
 
 #[test]
@@ -35,7 +30,7 @@ fn recording_never_changes_any_result_at_any_thread_count() {
             let silent = scheme.try_reorder(&g).expect("silent run succeeds");
             let silent_measures = gap_measures(&g, &silent);
             for threads in [1usize, 2, 7] {
-                let (recorded, rec) = with_threads(threads, || {
+                let (recorded, rec) = build_pool(threads).install(|| {
                     let mut rec = RunRecorder::new();
                     let pi =
                         scheme.try_reorder_recorded(&g, &mut rec).expect("recorded run succeeds");
@@ -87,11 +82,11 @@ fn recorded_counters_are_thread_invariant() {
         Scheme::Rcm,
         Scheme::Cdfs,
         Scheme::SlashBurn { k_frac: 0.05 },
-        Scheme::Grappolo { threads: 0 },
-        Scheme::GrappoloRcm { threads: 0 },
+        Scheme::Grappolo,
+        Scheme::GrappoloRcm,
     ] {
         let fingerprint = |threads: usize| {
-            with_threads(threads, || {
+            build_pool(threads).install(|| {
                 let mut rec = RunRecorder::new();
                 scheme.try_reorder_recorded(&g, &mut rec).expect("runs");
                 format!("{:?}", rec.counters())

@@ -24,9 +24,11 @@ pub fn det_sum_f64(parts: Vec<f64>) -> f64 {
 
 /// Builds a dedicated pool of exactly `threads` workers.
 ///
-/// The single audited construction point for explicit pools: every kernel
-/// that honors a `threads` configuration goes through here rather than
-/// calling the builder (and unwrapping its `Result`) itself.
+/// The single audited construction point for explicit pools. Thread count
+/// is ambient — a kernel runs on the pool it is called in and no config
+/// carries a width — so a caller that wants a bound wraps the call in
+/// `build_pool(t).install(..)` rather than calling the builder (and
+/// unwrapping its `Result`) itself.
 ///
 /// # Panics
 ///

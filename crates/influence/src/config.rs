@@ -43,12 +43,8 @@ pub struct ImmConfig {
     /// Diffusion model simulated by the sampler.
     pub model: DiffusionModel,
     /// RNG seed; RR set `i` uses a generator derived from `(seed, i)`, so
-    /// results are independent of the thread count.
+    /// results are independent of how many workers draw the sets.
     pub seed: u64,
-    /// Worker threads for the sampling engine (0 = global rayon pool).
-    pub threads: usize,
-    /// RR sets generated per parallel task.
-    pub batch: usize,
 }
 
 impl ImmConfig {
@@ -66,8 +62,6 @@ impl ImmConfig {
             ell: 1.0,
             model: DiffusionModel::IndependentCascade { probability: 0.25 },
             seed: 0,
-            threads: 0,
-            batch: 64,
         }
     }
 
@@ -111,18 +105,6 @@ impl ImmConfig {
         self.seed = seed;
         self
     }
-
-    /// Sets the sampling thread count (0 = global rayon pool).
-    pub fn threads(mut self, t: usize) -> Self {
-        self.threads = t;
-        self
-    }
-
-    /// Sets the per-task RR batch size.
-    pub fn batch(mut self, b: usize) -> Self {
-        self.batch = b.max(1);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -139,18 +121,11 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c = ImmConfig::new(5)
-            .epsilon(0.3)
-            .ell(2.0)
-            .model(DiffusionModel::WeightedCascade)
-            .seed(9)
-            .threads(2)
-            .batch(16);
+        let c =
+            ImmConfig::new(5).epsilon(0.3).ell(2.0).model(DiffusionModel::WeightedCascade).seed(9);
         assert_eq!(c.epsilon, 0.3);
         assert_eq!(c.ell, 2.0);
         assert_eq!(c.model, DiffusionModel::WeightedCascade);
-        assert_eq!(c.threads, 2);
-        assert_eq!(c.batch, 16);
     }
 
     #[test]

@@ -57,11 +57,11 @@ pub struct ImmResult {
 /// use reorderlab_influence::{imm, ImmConfig};
 ///
 /// let g = star(100);
-/// let r = imm(&g, &ImmConfig::new(1).seed(3).threads(1));
+/// let r = imm(&g, &ImmConfig::new(1).seed(3));
 /// assert_eq!(r.seeds, vec![0], "the hub dominates influence on a star");
 /// ```
 pub fn imm(graph: &Csr, cfg: &ImmConfig) -> ImmResult {
-    imm_in_pool(&RrSampler::new(graph, cfg.model), cfg)
+    imm_core(&RrSampler::new(graph, cfg.model), cfg)
 }
 
 /// [`imm`] running directly on the compressed form: every reverse BFS of
@@ -77,17 +77,7 @@ pub fn imm(graph: &Csr, cfg: &ImmConfig) -> ImmResult {
 /// [`RrSampler::from_gap_rows`]), surfaced as a typed error
 /// rather than a panic.
 pub fn imm_compressed(cz: &CompressedCsr, cfg: &ImmConfig) -> Result<ImmResult, CompressError> {
-    Ok(imm_in_pool(&RrSampler::from_gap_rows(cz, cfg.model)?, cfg))
-}
-
-/// Runs the driver inside the pool `cfg.threads` asks for.
-fn imm_in_pool<G: Adjacency + Clone>(sampler: &RrSampler<'_, G>, cfg: &ImmConfig) -> ImmResult {
-    if cfg.threads == 0 {
-        imm_core(sampler, cfg)
-    } else {
-        let pool = reorderlab_graph::build_pool(cfg.threads);
-        pool.install(|| imm_core(sampler, cfg))
-    }
+    Ok(imm_core(&RrSampler::from_gap_rows(cz, cfg.model)?, cfg))
 }
 
 /// The IMM driver over any sampler: every storage form executes the
@@ -201,6 +191,9 @@ pub fn record_sampling_stats(r: &ImmResult, rec: &mut dyn reorderlab_trace::Reco
     rec.series("imm/mean_rr_size", s.mean_rr_size);
 }
 
+/// RR sets generated per parallel task.
+const SAMPLE_BATCH: usize = 64;
+
 /// Grows `rr_sets` to at least `target` sets using parallel batched
 /// sampling; RR set `i` always comes from stream `(seed, i)`, so results
 /// are thread-count independent. Returns the wall time spent.
@@ -217,8 +210,7 @@ fn extend_samples<G: Adjacency + Clone>(
     }
     let t0 = Instant::now();
     let missing = target - have;
-    let batch = cfg.batch;
-    let batches = missing.div_ceil(batch);
+    let batches = missing.div_ceil(SAMPLE_BATCH);
     // Each worker keeps one `SampleScratch` across its whole share of the
     // batches: the per-sample `n`-byte visited array and queue allocations
     // of the naive loop disappear, leaving only the (unavoidable) exact-size
@@ -229,8 +221,8 @@ fn extend_samples<G: Adjacency + Clone>(
         .map_init(
             || SampleScratch::new(sampler.num_vertices()),
             |scratch, b| {
-                let lo = have + b * batch;
-                let hi = (lo + batch).min(target);
+                let lo = have + b * SAMPLE_BATCH;
+                let hi = (lo + SAMPLE_BATCH).min(target);
                 let mut sets = Vec::with_capacity(hi - lo);
                 let mut tr = RrTrace::default();
                 for i in lo..hi {
@@ -276,13 +268,10 @@ mod tests {
     use super::*;
     use crate::config::DiffusionModel;
     use reorderlab_datasets::{clique_chain, erdos_renyi_gnm, star};
-    use reorderlab_graph::GraphBuilder;
+    use reorderlab_graph::{build_pool, GraphBuilder};
 
     fn quick_cfg(k: usize) -> ImmConfig {
-        ImmConfig::new(k)
-            .model(DiffusionModel::IndependentCascade { probability: 0.1 })
-            .threads(1)
-            .seed(11)
+        ImmConfig::new(k).model(DiffusionModel::IndependentCascade { probability: 0.1 }).seed(11)
     }
 
     #[test]
@@ -297,7 +286,7 @@ mod tests {
     fn seeds_spread_across_communities() {
         // 4 cliques, k = 4: greedy should take one seed per clique.
         let g = clique_chain(4, 10);
-        let r = imm(&g, &ImmConfig::new(4).seed(5).threads(1));
+        let r = imm(&g, &ImmConfig::new(4).seed(5));
         let mut cliques: Vec<u32> = r.seeds.iter().map(|&s| s / 10).collect();
         cliques.sort_unstable();
         cliques.dedup();
@@ -307,8 +296,8 @@ mod tests {
     #[test]
     fn deterministic_across_thread_counts() {
         let g = erdos_renyi_gnm(150, 400, 9);
-        let a = imm(&g, &quick_cfg(3));
-        let b = imm(&g, &quick_cfg(3).threads(4));
+        let a = build_pool(1).install(|| imm(&g, &quick_cfg(3)));
+        let b = build_pool(4).install(|| imm(&g, &quick_cfg(3)));
         assert_eq!(a.seeds, b.seeds);
         assert_eq!(a.stats.rr_sets, b.stats.rr_sets);
         assert_eq!(a.influence_estimate, b.influence_estimate);
@@ -337,14 +326,14 @@ mod tests {
     #[test]
     fn k_capped_at_n() {
         let g = GraphBuilder::undirected(3).edge(0, 1).edge(1, 2).build().unwrap();
-        let r = imm(&g, &ImmConfig::new(10).seed(0).threads(1));
+        let r = imm(&g, &ImmConfig::new(10).seed(0));
         assert!(r.seeds.len() <= 3);
     }
 
     #[test]
     fn empty_graph() {
         let g = GraphBuilder::undirected(0).build().unwrap();
-        let r = imm(&g, &ImmConfig::new(1).threads(1));
+        let r = imm(&g, &ImmConfig::new(1));
         assert!(r.seeds.is_empty());
         assert_eq!(r.influence_estimate, 0.0);
     }
@@ -352,8 +341,7 @@ mod tests {
     #[test]
     fn linear_threshold_end_to_end() {
         let g = star(150);
-        let r =
-            imm(&g, &ImmConfig::new(1).model(DiffusionModel::LinearThreshold).seed(4).threads(1));
+        let r = imm(&g, &ImmConfig::new(1).model(DiffusionModel::LinearThreshold).seed(4));
         // Under LT with uniform weights, every leaf's reverse walk hits the
         // hub: the hub dominates coverage.
         assert_eq!(r.seeds, vec![0]);
@@ -363,8 +351,7 @@ mod tests {
     #[test]
     fn weighted_cascade_end_to_end() {
         let g = clique_chain(3, 8);
-        let r =
-            imm(&g, &ImmConfig::new(3).model(DiffusionModel::WeightedCascade).seed(8).threads(1));
+        let r = imm(&g, &ImmConfig::new(3).model(DiffusionModel::WeightedCascade).seed(8));
         assert_eq!(r.seeds.len(), 3);
         assert!(r.influence_estimate <= 24.0);
     }
@@ -405,10 +392,10 @@ mod tests {
         use reorderlab_graph::CompressedCsr;
         let g = erdos_renyi_gnm(150, 400, 9);
         let cz = CompressedCsr::from_csr(&g).unwrap();
+        let cfg = quick_cfg(3);
         for threads in [1usize, 2, 7] {
-            let cfg = quick_cfg(3).threads(threads);
-            let flat = imm(&g, &cfg);
-            let packed = imm_compressed(&cz, &cfg).unwrap();
+            let (flat, packed) =
+                build_pool(threads).install(|| (imm(&g, &cfg), imm_compressed(&cz, &cfg).unwrap()));
             assert_eq!(flat.seeds, packed.seeds, "{threads} threads");
             assert_eq!(flat.influence_estimate, packed.influence_estimate);
             assert_eq!(flat.stats.rr_sets, packed.stats.rr_sets);
@@ -422,7 +409,7 @@ mod tests {
         use reorderlab_graph::CompressedCsr;
         let g = GraphBuilder::undirected(0).build().unwrap();
         let cz = CompressedCsr::from_csr(&g).unwrap();
-        let r = imm_compressed(&cz, &ImmConfig::new(1).threads(1)).unwrap();
+        let r = imm_compressed(&cz, &ImmConfig::new(1)).unwrap();
         assert!(r.seeds.is_empty());
     }
 
@@ -434,7 +421,6 @@ mod tests {
             &g,
             &ImmConfig::new(2)
                 .model(DiffusionModel::IndependentCascade { probability: 0.4 })
-                .threads(1)
                 .seed(11),
         );
         assert!(high.stats.mean_rr_size > low.stats.mean_rr_size);

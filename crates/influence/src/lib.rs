@@ -14,6 +14,11 @@
 //! graph is undirected; [`imm`] and [`imm_compressed`] build the sampler in
 //! their storage form and share one driver.
 //!
+//! Sampling runs on the rayon pool [`imm`] is called in — there is no
+//! thread-count setting, because RR set `i` always comes from stream
+//! `(seed, i)` and the result is bit-identical at any width. Bound the pool
+//! with `reorderlab_graph::build_pool(t).install(|| imm(..))`.
+//!
 //! ## Example
 //!
 //! ```
@@ -21,7 +26,7 @@
 //! use reorderlab_influence::{imm, ImmConfig};
 //!
 //! let g = clique_chain(3, 10);
-//! let r = imm(&g, &ImmConfig::new(3).seed(1).threads(2));
+//! let r = imm(&g, &ImmConfig::new(3).seed(1));
 //! assert_eq!(r.seeds.len(), 3);
 //! assert!(r.stats.rr_sets > 0);
 //! ```

@@ -231,7 +231,7 @@ mod tests {
         // forward Monte-Carlo estimate must agree within sampling error.
         use crate::{imm, ImmConfig};
         let g = reorderlab_datasets::barabasi_albert(500, 3, 7);
-        let cfg = ImmConfig::new(5).model(ic(0.05)).seed(11).threads(1);
+        let cfg = ImmConfig::new(5).model(ic(0.05)).seed(11);
         let r = imm(&g, &cfg);
         let forward = estimate_spread(&g, &r.seeds, ic(0.05), 2_000, 13);
         let rel = (r.influence_estimate - forward.mean).abs() / forward.mean;

@@ -16,7 +16,7 @@ use crate::schemes::{parse_scheme, scheme_seed};
 use crate::source::{read_graph_auto, ResolveGraph, ResolvedGraph};
 use reorderlab_core::measures::{gap_measures, try_compression_measures, GapMeasures};
 use reorderlab_core::Scheme;
-use reorderlab_graph::{Csr, GraphStats, Permutation};
+use reorderlab_graph::{build_pool, Csr, GraphStats, Permutation};
 use reorderlab_trace::{Manifest, Recorder, RunRecorder};
 use std::fs::File;
 use std::io::BufReader;
@@ -82,8 +82,7 @@ impl OpOutcome {
 ///
 /// # Errors
 ///
-/// [`OpError::Usage`] for a zero bound, [`OpError::Io`] when the pool
-/// cannot be built, plus whatever `f` returns.
+/// [`OpError::Usage`] for a zero bound, plus whatever `f` returns.
 pub fn run_with_threads<T>(
     threads: Option<usize>,
     f: impl FnOnce() -> Result<T, OpError> + Send,
@@ -94,13 +93,7 @@ where
     match threads {
         None => f(),
         Some(0) => Err(OpError::Usage("--threads must be at least 1".into())),
-        Some(t) => {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(t)
-                .build()
-                .map_err(|e| OpError::Io(format!("cannot build thread pool: {e}")))?;
-            pool.install(f)
-        }
+        Some(t) => build_pool(t).install(f),
     }
 }
 

@@ -24,8 +24,8 @@ pub fn scheme_help() -> String {
         "  cdfs                      Children-DFS (RCM without degree sort) [3]",
         "  nd[:seed=S]               nested dissection [15,23]",
         "  metis[:parts=P,seed=S]    partition-induced order [22] (default 32 parts)",
-        "  grappolo[:threads=T]      community-contiguous (parallel Louvain) [28]",
-        "  grappolo-rcm[:threads=T]  communities ordered by RCM (this paper)",
+        "  grappolo                  community-contiguous (parallel Louvain) [28]",
+        "  grappolo-rcm              communities ordered by RCM (this paper)",
         "  rabbit                    incremental-aggregation communities [1]",
         "  dbg                       degree-based grouping, log2 buckets",
         "  hubsort-dbg               DBG with hubs degree-sorted in-bucket",

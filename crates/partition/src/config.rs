@@ -29,11 +29,6 @@ pub struct PartitionConfig {
     pub kway_refine_passes: usize,
     /// RNG seed controlling matching tie-breaks and initial growth.
     pub seed: u64,
-    /// Rayon worker threads for the matching/contraction/refinement
-    /// kernels; `None` uses the ambient pool. Every kernel is
-    /// deterministic, so this only affects wall-clock time, never the
-    /// partition.
-    pub threads: Option<usize>,
 }
 
 impl PartitionConfig {
@@ -51,7 +46,6 @@ impl PartitionConfig {
             refine_passes: 6,
             kway_refine_passes: 2,
             seed: 0,
-            threads: None,
         }
     }
 
@@ -92,18 +86,6 @@ impl PartitionConfig {
         self.seed = seed;
         self
     }
-
-    /// Sets the number of worker threads (the partition itself is
-    /// thread-count invariant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "need at least one thread");
-        self.threads = Some(threads);
-        self
-    }
 }
 
 impl Default for PartitionConfig {
@@ -118,24 +100,12 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let cfg = PartitionConfig::new(8)
-            .balance(0.1)
-            .coarsen_until(50)
-            .refine_passes(3)
-            .seed(7)
-            .threads(2);
+        let cfg = PartitionConfig::new(8).balance(0.1).coarsen_until(50).refine_passes(3).seed(7);
         assert_eq!(cfg.num_parts, 8);
         assert_eq!(cfg.epsilon, 0.1);
         assert_eq!(cfg.coarsen_until, 50);
         assert_eq!(cfg.refine_passes, 3);
         assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.threads, Some(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn rejects_zero_threads() {
-        let _ = PartitionConfig::new(2).threads(0);
     }
 
     #[test]

@@ -47,18 +47,6 @@ impl Partitioning {
 /// assert!(p.imbalance() < 1.3);
 /// ```
 pub fn partition_kway(graph: &Csr, cfg: &PartitionConfig) -> Partitioning {
-    match cfg.threads {
-        // The kernels are thread-count invariant, so installing a dedicated
-        // pool only bounds parallelism; the partition is unchanged.
-        Some(t) => {
-            let pool = reorderlab_graph::build_pool(t);
-            pool.install(|| partition_kway_inner(graph, cfg))
-        }
-        None => partition_kway_inner(graph, cfg),
-    }
-}
-
-fn partition_kway_inner(graph: &Csr, cfg: &PartitionConfig) -> Partitioning {
     let n = graph.num_vertices();
     let vertex_weights = vec![1.0f64; n];
     let mut assignment = vec![0u32; n];

@@ -240,6 +240,22 @@ mod tests {
     }
 
     #[test]
+    fn default_suite_grappolo_shares_the_explicit_spec_entry() {
+        // Width is ambient, so the suite's Grappolo and a client's
+        // `"grappolo"` are the same scheme under the same key.
+        let suite = Scheme::evaluation_suite(42);
+        let from_suite = suite.iter().find(|s| s.name() == "Grappolo").unwrap();
+        assert_eq!(from_suite.spec(), scheme("grappolo").spec());
+        let cache = PermCache::new(8);
+        let r = resolved("euroroad");
+        let mut rec = RunRecorder::new();
+        let d = r.digest.unwrap();
+        cache.get_or_compute(d, from_suite, &r, &mut rec).unwrap();
+        let (_, hit) = cache.get_or_compute(d, &scheme("grappolo"), &r, &mut rec).unwrap();
+        assert!(hit, "one permutation must not be cached under two keys");
+    }
+
+    #[test]
     fn distinct_graphs_do_not_collide() {
         let cache = PermCache::new(8);
         let a = resolved("euroroad");

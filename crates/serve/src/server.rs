@@ -672,6 +672,19 @@ mod tests {
     }
 
     #[test]
+    fn default_suite_measure_warms_the_cache_for_explicit_specs() {
+        let engine = Engine::new(corpus(), &ServerConfig::default());
+        let measure = response_of(&engine, "{\"op\":\"measure\",\"source\":{\"corpus\":\"tiny\"}}");
+        assert!(measure.contains("\"status\":\"ok\""), "{measure}");
+        let reorder = response_of(
+            &engine,
+            "{\"op\":\"reorder\",\"source\":{\"corpus\":\"tiny\"},\"scheme\":\"grappolo\"}",
+        );
+        assert!(reorder.contains("\"cache_hit\":true"), "{reorder}");
+        engine.shutdown_workers();
+    }
+
+    #[test]
     fn malformed_and_unknown_requests_are_typed() {
         let engine = Engine::new(corpus(), &ServerConfig::default());
         let garbage = response_of(&engine, "this is not json");

@@ -25,8 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let candidates: Vec<(String, reorderlab::graph::Permutation)> = vec![
         ("Natural".into(), Scheme::Natural.reorder(&graph)),
         ("RCM".into(), Scheme::Rcm.reorder(&graph)),
-        ("Grappolo".into(), Scheme::Grappolo { threads: 0 }.reorder(&graph)),
-        ("Grappolo-RCM".into(), Scheme::GrappoloRcm { threads: 0 }.reorder(&graph)),
+        ("Grappolo".into(), Scheme::Grappolo.reorder(&graph)),
+        ("Grappolo-RCM".into(), Scheme::GrappoloRcm.reorder(&graph)),
         ("Hybrid".into(), hybrid_multiscale_order(&graph, &HybridConfig::new().leaf_size(128))),
     ];
 

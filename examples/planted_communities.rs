@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let score_nmi = nmi(&r.assignment, &pp.blocks);
         let score_ari = adjusted_rand_index(&r.assignment, &pp.blocks);
         // Community-based reordering quality tracks recovery quality.
-        let pi = Scheme::Grappolo { threads: 0 }.reorder(&pp.graph);
+        let pi = Scheme::Grappolo.reorder(&pp.graph);
         let gap = gap_measures(&pp.graph, &pi).avg_gap;
         println!(
             "{:>8} {:>8} {:>12} {:>8.3} {:>8.3} {:>14.1}",

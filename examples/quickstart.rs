@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Scheme::Natural,
         Scheme::DegreeSort { direction: Default::default() },
         Scheme::Rcm,
-        Scheme::Grappolo { threads: 0 },
+        Scheme::Grappolo,
         Scheme::Metis { parts: 32, seed: 1 },
     ] {
         // Every scheme returns a validated permutation Π: vertex -> rank.

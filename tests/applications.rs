@@ -4,11 +4,8 @@
 use reorderlab::community::{louvain, modularity, LouvainConfig};
 use reorderlab::core::Scheme;
 use reorderlab::datasets::{barabasi_albert, clique_chain};
+use reorderlab::graph::build_pool;
 use reorderlab::influence::{imm, DiffusionModel, ImmConfig};
-
-fn louvain_cfg() -> LouvainConfig {
-    LouvainConfig::default().threads(1)
-}
 
 /// Louvain's solution quality is ordering-robust: modularity on any
 /// relabeling stays close to the natural-order result (the paper's
@@ -16,11 +13,11 @@ fn louvain_cfg() -> LouvainConfig {
 #[test]
 fn louvain_quality_stable_across_orderings() {
     let g = clique_chain(8, 6);
-    let baseline = louvain(&g, &louvain_cfg()).modularity;
+    let baseline = louvain(&g, &LouvainConfig::default()).modularity;
     for scheme in Scheme::application_suite() {
         let pi = scheme.reorder(&g);
         let h = g.permuted(&pi).expect("valid permutation");
-        let q = louvain(&h, &louvain_cfg()).modularity;
+        let q = louvain(&h, &LouvainConfig::default()).modularity;
         assert!(
             (q - baseline).abs() < 0.05,
             "{scheme}: modularity {q} far from baseline {baseline}"
@@ -35,7 +32,7 @@ fn louvain_communities_map_back_through_permutation() {
     let g = barabasi_albert(400, 3, 7);
     let pi = Scheme::Rcm.reorder(&g);
     let h = g.permuted(&pi).expect("valid permutation");
-    let r = louvain(&h, &louvain_cfg());
+    let r = louvain(&h, &LouvainConfig::default());
     // Pull the assignment back: original vertex v lives at rank pi(v).
     let back: Vec<u32> =
         (0..g.num_vertices() as u32).map(|v| r.assignment[pi.rank(v) as usize]).collect();
@@ -52,10 +49,8 @@ fn louvain_communities_map_back_through_permutation() {
 #[test]
 fn imm_influence_stable_across_orderings() {
     let g = barabasi_albert(800, 3, 3);
-    let cfg = ImmConfig::new(4)
-        .model(DiffusionModel::IndependentCascade { probability: 0.05 })
-        .seed(17)
-        .threads(1);
+    let cfg =
+        ImmConfig::new(4).model(DiffusionModel::IndependentCascade { probability: 0.05 }).seed(17);
     let baseline = imm(&g, &cfg).influence_estimate;
     for scheme in Scheme::application_suite() {
         let pi = scheme.reorder(&g);
@@ -73,10 +68,8 @@ fn imm_seeds_map_back_to_influential_vertices() {
     let g = barabasi_albert(600, 2, 9);
     let pi = Scheme::DegreeSort { direction: Default::default() }.reorder(&g);
     let h = g.permuted(&pi).expect("valid permutation");
-    let cfg = ImmConfig::new(3)
-        .model(DiffusionModel::IndependentCascade { probability: 0.08 })
-        .seed(2)
-        .threads(1);
+    let cfg =
+        ImmConfig::new(3).model(DiffusionModel::IndependentCascade { probability: 0.08 }).seed(2);
     let r = imm(&h, &cfg);
     let inv = pi.inverse();
     let mean_deg = 2.0 * g.num_edges() as f64 / g.num_vertices() as f64;
@@ -117,10 +110,11 @@ fn memory_replays_consistent_across_orderings() {
 #[test]
 fn louvain_thread_count_invariance_on_reordered_graph() {
     let g = clique_chain(10, 5);
-    let pi = Scheme::Grappolo { threads: 1 }.reorder(&g);
+    let pi = Scheme::Grappolo.reorder(&g);
     let h = g.permuted(&pi).expect("valid permutation");
-    let serial = louvain(&h, &LouvainConfig::default().threads(1));
-    let parallel = louvain(&h, &LouvainConfig::default().threads(4));
+    let cfg = LouvainConfig::default();
+    let serial = build_pool(1).install(|| louvain(&h, &cfg));
+    let parallel = build_pool(4).install(|| louvain(&h, &cfg));
     assert_eq!(serial.assignment, parallel.assignment);
     assert_eq!(serial.modularity, parallel.modularity);
 }

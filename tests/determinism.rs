@@ -8,6 +8,7 @@ use reorderlab::core::measures::edge_gaps;
 use reorderlab::core::schemes::{hybrid_multiscale_order, minla_anneal, HybridConfig, MinlaConfig};
 use reorderlab::core::Scheme;
 use reorderlab::datasets::{by_name, full_suite, stochastic_block_model};
+use reorderlab::graph::build_pool;
 use reorderlab::influence::{estimate_spread, imm, DiffusionModel, ImmConfig};
 use reorderlab::partition::{partition_kway, PartitionConfig};
 
@@ -41,7 +42,7 @@ fn louvain_thread_invariance() {
     let pp = stochastic_block_model(600, 6, 0.08, 0.002, 3);
     let results: Vec<_> = [1usize, 2, 4]
         .iter()
-        .map(|&t| louvain(&pp.graph, &LouvainConfig::default().threads(t)))
+        .map(|&t| build_pool(t).install(|| louvain(&pp.graph, &LouvainConfig::default())))
         .collect();
     for r in &results[1..] {
         assert_eq!(r.assignment, results[0].assignment);
@@ -56,8 +57,8 @@ fn imm_thread_invariance() {
     let g = by_name("chicago_road").expect("in suite").generate();
     let base =
         ImmConfig::new(4).model(DiffusionModel::IndependentCascade { probability: 0.2 }).seed(7);
-    let a = imm(&g, &base.clone().threads(1));
-    let b = imm(&g, &base.threads(3));
+    let a = build_pool(1).install(|| imm(&g, &base));
+    let b = build_pool(3).install(|| imm(&g, &base));
     assert_eq!(a.seeds, b.seeds);
     assert_eq!(a.influence_estimate, b.influence_estimate);
     assert_eq!(a.stats.rr_sets, b.stats.rr_sets);
@@ -89,7 +90,7 @@ fn partitioner_determinism() {
 fn end_to_end_gap_profile_reproducible() {
     let run = || {
         let g = by_name("figeys").expect("in suite").generate();
-        let pi = Scheme::GrappoloRcm { threads: 2 }.reorder(&g);
+        let pi = build_pool(2).install(|| Scheme::GrappoloRcm.reorder(&g));
         let h = g.permuted(&pi).expect("valid permutation");
         edge_gaps(&h, &reorderlab::graph::Permutation::identity(h.num_vertices()))
     };

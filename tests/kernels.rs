@@ -86,11 +86,11 @@ fn louvain_recovers_planted_blocks_and_orders_by_them() {
     use reorderlab::community::{louvain, nmi, LouvainConfig};
     use reorderlab::core::measures::gap_measures;
     let pp = stochastic_block_model(800, 4, 0.08, 0.001, 5);
-    let r = louvain(&pp.graph, &LouvainConfig::default().threads(1));
+    let r = louvain(&pp.graph, &LouvainConfig::default());
     let score = nmi(&r.assignment, &pp.blocks);
     assert!(score > 0.9, "crisp planted blocks must be recovered, NMI {score}");
     // The recovered communities drive a strong Grappolo ordering.
-    let pi = Scheme::Grappolo { threads: 1 }.reorder(&pp.graph);
+    let pi = Scheme::Grappolo.reorder(&pp.graph);
     let grappolo = gap_measures(&pp.graph, &pi).avg_gap;
     let random = gap_measures(&pp.graph, &Scheme::Random { seed: 1 }.reorder(&pp.graph)).avg_gap;
     assert!(

@@ -50,7 +50,7 @@ fn pipeline_is_deterministic() {
         Scheme::SlashBurn { k_frac: 0.005 },
         Scheme::Gorder { window: 5 },
         Scheme::Metis { parts: 8, seed: 2 },
-        Scheme::Grappolo { threads: 1 },
+        Scheme::Grappolo,
         Scheme::RabbitOrder,
     ];
     for scheme in schemes {
