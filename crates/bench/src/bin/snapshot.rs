@@ -3,39 +3,34 @@
 //! Emits a schema-versioned `BENCH_*.json` snapshot over a fixed small
 //! corpus: for every (graph, scheme, workload) it records, under the name
 //! of the workload's one kernel, the deterministic memsim counters (loads,
-//! per-level hits, fixed-point latency and boundedness) and, with `--wall`,
-//! wall-time summaries from the criterion shim. A `compression` section
-//! records the exact delta/varint footprint per (graph, scheme): gap-stream
-//! bytes, arc count, and bits-per-edge in fixed-point milli units — all
-//! integers, so the diff on them is exact. Memsim and compression fields
-//! are byte-reproducible across runs and thread counts; wall fields are not
-//! and are therefore compared with a percentage band (or skipped when
-//! absent) by `--diff`.
+//! per-level hits, fixed-point latency and boundedness). A `compression`
+//! section records the exact delta/varint footprint per (graph, scheme):
+//! gap-stream bytes, arc count, and bits-per-edge in fixed-point milli
+//! units. Every field is an integer, byte-reproducible across runs and
+//! thread counts, so `--diff` matches all of them exactly. Time is not
+//! measured here; `benchmark/` is the workspace's stopwatch.
 //!
 //! ```text
-//! snapshot --out BENCH_0012.json --wall     # regenerate the snapshot
-//! snapshot --diff BENCH_0012.json fresh.json [--wall-tol 0.25]
+//! snapshot --out BENCH_0016.json            # regenerate the snapshot
+//! snapshot --diff BENCH_0016.json fresh.json
 //! ```
 //!
-//! `--diff` exits 0 when the snapshots agree, 1 on schema or counter drift
-//! (exact matching on every memsim field) or a wall-time excursion beyond
-//! the band, and 2 on usage errors.
+//! `--diff` exits 0 when the snapshots agree, 1 on schema or counter drift,
+//! and 2 on usage errors or a file that is not a snapshot.
 
 #![forbid(unsafe_code)]
 
-use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_core::Scheme;
-use reorderlab_graph::build_pool;
-use reorderlab_influence::{DiffusionModel, RrSampler, SampleScratch};
 use reorderlab_memsim::{
     replay_louvain_move, replay_pagerank_iteration, replay_rr_kernel, Hierarchy, HierarchyConfig,
 };
 use reorderlab_trace::Json;
 
 /// Snapshot schema identifier; bump `SCHEMA_VERSION` on layout changes.
-/// Version 2 added the `compression` section (exact varint footprints).
+/// Version 2 added the `compression` section (exact varint footprints);
+/// version 3 dropped the per-entry timing field.
 const SCHEMA: &str = "reorderlab-bench-snapshot";
-const SCHEMA_VERSION: u64 = 2;
+const SCHEMA_VERSION: u64 = 3;
 
 /// Fixed corpus: small suite instances small enough for CI yet large enough
 /// that the replays leave L1.
@@ -53,8 +48,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let mut out: Option<String> = None;
     let mut diff: Option<(String, String)> = None;
-    let mut wall = false;
-    let mut wall_tol = 0.25f64;
     let mut quick = false;
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -64,16 +57,11 @@ fn main() {
                 let b = args.next().unwrap_or_else(|| usage());
                 diff = Some((a, b));
             }
-            "--wall" => wall = true,
             "--quick" => quick = true,
-            "--wall-tol" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                wall_tol = v.parse().unwrap_or_else(|_| usage());
-            }
             "--help" | "-h" => {
                 println!("bench snapshot: emit or diff BENCH_*.json perf snapshots");
-                println!("usage: snapshot [--out FILE] [--wall] [--quick]");
-                println!("       snapshot --diff BASELINE CANDIDATE [--wall-tol FRAC]");
+                println!("usage: snapshot [--out FILE] [--quick]");
+                println!("       snapshot --diff BASELINE CANDIDATE");
                 std::process::exit(0);
             }
             _ => usage(),
@@ -81,11 +69,11 @@ fn main() {
     }
 
     if let Some((a, b)) = diff {
-        let drift = diff_snapshots(&a, &b, wall_tol);
+        let drift = diff_snapshots(&a, &b);
         std::process::exit(if drift == 0 { 0 } else { 1 });
     }
 
-    let snapshot = build_snapshot(wall, quick);
+    let snapshot = build_snapshot(quick);
     let text = snapshot.to_pretty();
     match out {
         Some(path) => {
@@ -100,14 +88,14 @@ fn main() {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: snapshot [--out FILE] [--wall] [--quick]");
-    eprintln!("       snapshot --diff BASELINE CANDIDATE [--wall-tol FRAC]");
+    eprintln!("usage: snapshot [--out FILE] [--quick]");
+    eprintln!("       snapshot --diff BASELINE CANDIDATE");
     std::process::exit(2);
 }
 
 // ---------------------------------------------------------------- emission
 
-fn build_snapshot(wall: bool, quick: bool) -> Json {
+fn build_snapshot(quick: bool) -> Json {
     let corpus: &[&str] = if quick { &CORPUS[..1] } else { &CORPUS };
     let mut entries: Vec<Json> = Vec::new();
     let mut compression: Vec<Json> = Vec::new();
@@ -123,30 +111,15 @@ fn build_snapshot(wall: bool, quick: bool) -> Json {
             // traversal (see replay_rr_kernel).
             let labels: Vec<u32> = pi.to_order();
 
-            entries.push(entry(
-                graph_name,
-                scheme.name(),
-                "louvain_move",
-                "packed",
-                |h| replay_louvain_move(&laid_out, h),
-                wall.then(|| measure_louvain(&laid_out)).flatten(),
-            ));
-            entries.push(entry(
-                graph_name,
-                scheme.name(),
-                "rr_sample",
-                "classic",
-                |h| replay_rr_kernel(&laid_out, &labels, RR_PROBABILITY, RR_SETS, RR_SEED, h),
-                wall.then(|| measure_rr(&laid_out)).flatten(),
-            ));
-            entries.push(entry(
-                graph_name,
-                scheme.name(),
-                "pagerank",
-                "pull",
-                |h| replay_pagerank_iteration(&laid_out, h),
-                None,
-            ));
+            entries.push(entry(graph_name, scheme.name(), "louvain_move", "packed", |h| {
+                replay_louvain_move(&laid_out, h)
+            }));
+            entries.push(entry(graph_name, scheme.name(), "rr_sample", "classic", |h| {
+                replay_rr_kernel(&laid_out, &labels, RR_PROBABILITY, RR_SETS, RR_SEED, h)
+            }));
+            entries.push(entry(graph_name, scheme.name(), "pagerank", "pull", |h| {
+                replay_pagerank_iteration(&laid_out, h)
+            }));
         }
     }
     Json::Obj(vec![
@@ -183,14 +156,13 @@ fn compression_entry(
 }
 
 /// Builds one snapshot entry: replays the workload through a cold scaled
-/// Cascade Lake hierarchy and attaches the (optional) wall summary.
+/// Cascade Lake hierarchy.
 fn entry(
     graph: &str,
     scheme: &str,
     workload: &str,
     kernel: &str,
     replay: impl FnOnce(&mut Hierarchy),
-    wall: Option<criterion::Summary>,
 ) -> Json {
     let mut hier = Hierarchy::new(HierarchyConfig::scaled_cascade_lake());
     replay(&mut hier);
@@ -222,51 +194,20 @@ fn entry(
         ),
         ("l1_hit_rate_milli".into(), Json::Num(ratio_milli(hits[0] as u128, loads) as f64)),
     ]);
-    let wall_json = match wall {
-        None => Json::Null,
-        Some(s) => Json::Obj(vec![
-            ("samples".into(), Json::Num(s.samples as f64)),
-            ("min_ns".into(), Json::Num(s.min_ns as f64)),
-            ("mean_ns".into(), Json::Num(s.mean_ns as f64)),
-            ("median_ns".into(), Json::Num(s.median_ns as f64)),
-            ("max_ns".into(), Json::Num(s.max_ns as f64)),
-        ]),
-    };
     Json::Obj(vec![
         ("graph".into(), Json::Str(graph.into())),
         ("scheme".into(), Json::Str(scheme.into())),
         ("workload".into(), Json::Str(workload.into())),
         ("kernel".into(), Json::Str(kernel.into())),
         ("memsim".into(), memsim),
-        ("wall".into(), wall_json),
     ])
-}
-
-fn measure_louvain(g: &reorderlab_graph::Csr) -> Option<criterion::Summary> {
-    let cfg = LouvainConfig::default().max_phases(1);
-    build_pool(1).install(|| criterion::measure(|| criterion::black_box(louvain(g, &cfg))))
-}
-
-fn measure_rr(g: &reorderlab_graph::Csr) -> Option<criterion::Summary> {
-    let model = DiffusionModel::IndependentCascade { probability: RR_PROBABILITY };
-    let sampler = RrSampler::new(g, model);
-    let mut scratch = SampleScratch::new(g.num_vertices());
-    criterion::measure(move || {
-        let mut edges = 0u64;
-        for i in 0..RR_SETS as u64 {
-            let (_, t) = sampler.sample_with(RR_SEED, i, &mut scratch);
-            edges += t.edges_examined;
-        }
-        criterion::black_box(edges)
-    })
 }
 
 // -------------------------------------------------------------------- diff
 
 /// Compares two snapshot files; returns the number of drifts found (0 = in
-/// agreement). Memsim fields must match exactly; wall means may differ by
-/// `wall_tol` (relative) and are skipped when either side lacks them.
-fn diff_snapshots(baseline: &str, candidate: &str, wall_tol: f64) -> usize {
+/// agreement). Every memsim and compression field must match exactly.
+fn diff_snapshots(baseline: &str, candidate: &str) -> usize {
     let a = load(baseline);
     let b = load(candidate);
     let mut drifts = 0usize;
@@ -300,17 +241,6 @@ fn diff_snapshots(baseline: &str, candidate: &str, wall_tol: f64) -> usize {
                 ent_b.get("memsim").map(Json::to_line).unwrap_or_default(),
             );
             drifts += 1;
-        }
-        // Percentage band on wall means, when both sides measured them.
-        let wall = |e: &Json| e.get("wall").and_then(|w| w.get("mean_ns")).and_then(Json::as_f64);
-        if let (Some(wa), Some(wb)) = (wall(ent_a), wall(ent_b)) {
-            if wa > 0.0 && ((wb - wa) / wa).abs() > wall_tol {
-                println!(
-                    "DRIFT wall time for {k}: {wa:.0} ns vs {wb:.0} ns (tol {:.0}%)",
-                    wall_tol * 100.0
-                );
-                drifts += 1;
-            }
         }
     }
     for (k, _) in &kb {
@@ -369,13 +299,27 @@ fn entry_key(e: &Json) -> String {
     format!("{}/{}/{}/{}", s("graph"), s("scheme"), s("workload"), s("kernel"))
 }
 
+/// Reads one snapshot file. A file that is not a snapshot — wrong or
+/// missing `schema`, or an entry without a `memsim` object — exits 2 naming
+/// the file and what is missing, so `--diff` can never "agree" on nothing.
 fn load(path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("failed to read {path}: {e}");
+    let reject = |what: String| -> ! {
+        eprintln!("{path}: {what}");
         std::process::exit(2);
-    });
-    Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("failed to parse {path}: {e}");
-        std::process::exit(2);
-    })
+    };
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| reject(format!("failed to read: {e}")));
+    let snapshot = Json::parse(&text).unwrap_or_else(|e| reject(format!("failed to parse: {e}")));
+    if snapshot.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
+        reject(format!("not a snapshot: \"schema\" is not {SCHEMA:?}"));
+    }
+    let Some(entries) = snapshot.get("entries").and_then(Json::as_arr) else {
+        reject("not a snapshot: no \"entries\" array".into());
+    };
+    for e in entries {
+        if !matches!(e.get("memsim"), Some(Json::Obj(_))) {
+            reject(format!("entry {} has no \"memsim\" object", entry_key(e)));
+        }
+    }
+    snapshot
 }

@@ -1,8 +1,8 @@
 //! Flag scanning shared by the operational binaries.
 //!
-//! The CLI, the serve daemon, and the loadgen harness all parse
-//! `--flag value` style argument lists; these helpers are the one copy of
-//! that scanning logic (formerly private functions inside the CLI binary).
+//! The CLI and the serve daemon both parse `--flag value` style argument
+//! lists; these helpers are the one copy of that scanning logic (formerly
+//! private functions inside the CLI binary).
 
 /// Returns the value following `flag`, if present.
 pub fn flag_value(args: &[String], flag: &str) -> Option<String> {

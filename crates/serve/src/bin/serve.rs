@@ -12,8 +12,7 @@
 use reorderlab_graph::{BINARY_CSR_EXTENSION, COMPRESSED_CSR_EXTENSION};
 use reorderlab_ops::args::{flag_value, has_flag};
 use reorderlab_ops::OpError;
-use reorderlab_serve::loadgen::exchange;
-use reorderlab_serve::{prepare_corpus, serve, Corpus, Response, ServerConfig};
+use reorderlab_serve::{exchange, prepare_corpus, serve, Corpus, Response, ServerConfig};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;

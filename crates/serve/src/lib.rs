@@ -11,9 +11,6 @@
 //! canonical scheme spec)`. Every executed request can be audited via an
 //! append-only manifest log. A request line is read through a fixed byte
 //! cap; an over-long or non-UTF-8 line gets one typed error and a close.
-//! The [`loadgen`] module replays
-//! zipf-distributed traces against a running daemon and reports latency
-//! percentiles, throughput, and cache behavior.
 //!
 //! Start a daemon in-process:
 //!
@@ -33,14 +30,13 @@
 
 mod cache;
 mod corpus;
-pub mod loadgen;
 mod proto;
 mod server;
 
 pub use cache::{CachingPerms, PermCache};
 pub use corpus::{prepare_corpus, Corpus, CorpusEntry, CorpusResolver};
-pub use loadgen::{run_loadgen, zipf_trace, LoadReport, LoadgenConfig};
 pub use proto::{
-    error_response, ok_response, parse_control, shed_response, Control, Response, STATUS_SHED,
+    error_response, exchange, ok_response, parse_control, shed_response, Control, Response,
+    STATUS_SHED,
 };
 pub use server::{serve, Engine, ServeStats, ServerConfig, ServerHandle, SubmitResult};

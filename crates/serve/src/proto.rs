@@ -16,6 +16,8 @@
 
 use reorderlab_ops::{OpError, OpReport};
 use reorderlab_trace::Json;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 /// Status keyword for a shed (overload) response. Maps onto
 /// [`OpError::Io`] client-side: a runtime failure, not a caller mistake.
@@ -105,6 +107,26 @@ impl Response {
         let message = v.get("error").and_then(Json::as_str).unwrap_or("unknown daemon error");
         Ok(Response::Err(OpError::from_wire(status, message)))
     }
+}
+
+/// One blocking request/response exchange on an open connection.
+///
+/// # Errors
+///
+/// [`OpError::Io`] when the connection drops mid-exchange.
+pub fn exchange(
+    writer: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    line: &str,
+) -> Result<String, OpError> {
+    writeln!(writer, "{line}").map_err(|e| OpError::Io(format!("send failed: {e}")))?;
+    writer.flush().map_err(|e| OpError::Io(format!("send failed: {e}")))?;
+    let mut resp = String::new();
+    let n = reader.read_line(&mut resp).map_err(|e| OpError::Io(format!("receive failed: {e}")))?;
+    if n == 0 {
+        return Err(OpError::Io("daemon closed the connection".into()));
+    }
+    Ok(resp.trim_end().to_string())
 }
 
 #[cfg(test)]

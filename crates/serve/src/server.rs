@@ -205,7 +205,7 @@ impl Engine {
         }
     }
 
-    /// The shared permutation cache (counters are read by loadgen).
+    /// The shared permutation cache.
     pub fn cache(&self) -> Arc<PermCache> {
         Arc::clone(&self.shared.cache)
     }

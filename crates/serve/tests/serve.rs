@@ -3,9 +3,8 @@
 
 use reorderlab_graph::COMPRESSED_CSR_EXTENSION;
 use reorderlab_ops::{execute, FsResolver, OpError, OpReport, OpRequest, RequestEnvelope};
-use reorderlab_serve::loadgen::exchange;
 use reorderlab_serve::{
-    prepare_corpus, run_loadgen, serve, Corpus, LoadgenConfig, Response, ServerConfig, ServerHandle,
+    exchange, prepare_corpus, serve, Corpus, Response, ServerConfig, ServerHandle,
 };
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
@@ -212,10 +211,13 @@ fn shutdown_verb_stops_the_daemon() {
     assert!(err.is_err(), "daemon should not answer after shutdown");
 }
 
+/// Concurrent clients repeating the same few requests compute each
+/// ordering once: every other request is a cache hit or rides an in-flight
+/// computation.
 #[test]
-fn loadgen_replays_a_zipf_trace_and_sees_cache_hits() {
+fn concurrent_repeats_hit_the_cache_with_one_miss_per_template() {
     let mut handle = start_daemon(None);
-    let templates: Vec<String> = ["rcm", "dbg", "degree"]
+    let lines: Vec<String> = ["rcm", "dbg", "degree"]
         .iter()
         .map(|s| {
             format!(
@@ -223,17 +225,22 @@ fn loadgen_replays_a_zipf_trace_and_sees_cache_hits() {
             )
         })
         .collect();
-    let config = LoadgenConfig { requests: 60, concurrency: 3, zipf_s: 1.1, seed: 42 };
-    let report = run_loadgen(&handle.addr().to_string(), &templates, &config).unwrap();
-    assert_eq!(report.total, 60);
-    assert_eq!(report.ok, 60, "all replayed requests should succeed");
-    assert!(report.cache_hits > 0, "repeat templates must hit the cache");
-    assert!(report.cache_misses <= 3, "at most one miss per template");
-    assert!(report.hit_rate() > 0.5, "zipf trace over 3 templates is cache-friendly");
-    assert!(report.p50_ms <= report.p99_ms);
-    assert!(report.throughput > 0.0);
-    let text = report.render_text(templates.len(), &config);
-    assert!(text.contains("hit rate"), "{text}");
+    std::thread::scope(|scope| {
+        for _ in 0..3 {
+            scope.spawn(|| {
+                let mut client = Client::connect(&handle);
+                for i in 0..20 {
+                    let reply = client.send(&lines[i % lines.len()]);
+                    assert!(reply.contains("\"status\":\"ok\""), "{reply}");
+                }
+            });
+        }
+    });
+    let stats = Client::connect(&handle).send("{\"control\":\"stats\"}");
+    let v = reorderlab_trace::Json::parse(&stats).unwrap();
+    let counter = |key: &str| v.get(key).and_then(reorderlab_trace::Json::as_f64).unwrap();
+    assert!(counter("cache_misses") <= 3.0, "at most one miss per template: {stats}");
+    assert!(counter("cache_hits") + counter("coalesced") >= 57.0, "{stats}");
     handle.stop();
 }
 
