@@ -142,8 +142,13 @@ mod proptests {
             for (u, v, _) in g.edges() {
                 prop_assert!(h.has_edge(pi.rank(u), pi.rank(v)));
             }
-            // Triangles are an isomorphism invariant.
+            // Triangles are an isomorphism invariant, and the row-parallel
+            // count is the serial loop's at every width.
             prop_assert_eq!(count_triangles(&g), count_triangles(&h));
+            let reference = stats::count_triangles_reference(&g);
+            for threads in [1usize, 2, 7] {
+                prop_assert_eq!(build_pool(threads).install(|| count_triangles(&g)), reference);
+            }
         }
 
         #[test]

@@ -4,9 +4,12 @@
 //! calls it with the filesystem resolver and the compute-always
 //! permutation source, the daemon injects its corpus resolver and its
 //! permutation cache. Behavior (numbers, manifests, error strings) is
-//! identical by construction.
+//! identical by construction: every measure is read through the fact cell
+//! of the ordering or graph it describes ([`crate::facts`]), and only who
+//! owns that cell differs between the frontends.
 
 use crate::error::OpError;
+use crate::facts::{FactTally, MeasuredOrdering};
 use crate::report::{
     CompressionReport, CompressionRow, FileVerdict, GapRow, MeasureReport, MeasureRow,
     MemsimReport, OpReport, ReorderReport, StatsReport, ValidateReport,
@@ -14,18 +17,21 @@ use crate::report::{
 use crate::request::OpRequest;
 use crate::schemes::{parse_scheme, scheme_seed};
 use crate::source::{read_graph_auto, ResolveGraph, ResolvedGraph};
-use reorderlab_core::measures::{gap_measures, try_compression_measures, GapMeasures};
+use reorderlab_core::measures::GapMeasures;
 use reorderlab_core::Scheme;
-use reorderlab_graph::{build_pool, Csr, GraphStats, Permutation};
+use reorderlab_graph::{build_pool, Csr, Permutation};
 use reorderlab_trace::{Manifest, Recorder, RunRecorder};
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::BufReader;
 use std::sync::Arc;
 
-/// Where `reorder`/`measure` orderings come from.
+/// Where orderings come from.
 ///
 /// The CLI always computes ([`ComputePerm`]); the daemon consults its
-/// permutation cache first and reports whether the request hit it.
+/// permutation cache first and reports whether the request hit it. Either
+/// way the ordering arrives with its measure cells: empty when it was just
+/// computed, as filled as earlier requests left them when it was cached.
 pub trait PermSource {
     /// Produces the ordering `scheme` defines on `resolved`, together with
     /// whether it came from a cache.
@@ -38,7 +44,7 @@ pub trait PermSource {
         resolved: &ResolvedGraph,
         scheme: &Scheme,
         rec: &mut RunRecorder,
-    ) -> Result<(Arc<Permutation>, bool), OpError>;
+    ) -> Result<(Arc<MeasuredOrdering>, bool), OpError>;
 }
 
 /// The cache-free permutation source: always runs the scheme.
@@ -51,9 +57,9 @@ impl PermSource for ComputePerm {
         resolved: &ResolvedGraph,
         scheme: &Scheme,
         rec: &mut RunRecorder,
-    ) -> Result<(Arc<Permutation>, bool), OpError> {
+    ) -> Result<(Arc<MeasuredOrdering>, bool), OpError> {
         let pi = scheme.try_reorder_recorded(&resolved.graph, rec).map_err(OpError::Scheme)?;
-        Ok((Arc::new(pi), false))
+        Ok((Arc::new(MeasuredOrdering::new(pi)), false))
     }
 }
 
@@ -64,15 +70,17 @@ pub struct OpOutcome {
     /// The typed result.
     pub report: OpReport,
     /// The ordering a `reorder` produced.
-    pub permutation: Option<Arc<Permutation>>,
+    pub permutation: Option<Arc<MeasuredOrdering>>,
     /// The resolved input graph of a `reorder` (for writing the permuted
     /// graph out).
     pub graph: Option<Arc<Csr>>,
+    /// The facts the operation read, reused against computed.
+    pub facts: FactTally,
 }
 
 impl OpOutcome {
     fn report_only(report: OpReport) -> OpOutcome {
-        OpOutcome { report, permutation: None, graph: None }
+        OpOutcome { report, permutation: None, graph: None, facts: FactTally::default() }
     }
 }
 
@@ -117,38 +125,51 @@ pub fn execute_with(
     resolver: &dyn ResolveGraph,
     perms: &mut dyn PermSource,
 ) -> Result<OpOutcome, OpError> {
-    match request {
+    let mut facts = FactTally::default();
+    let mut outcome = match request {
         OpRequest::Stats { source } => {
             let resolved = resolver.resolve(source)?;
-            Ok(OpOutcome::report_only(OpReport::Stats(exec_stats(&resolved))))
+            OpOutcome::report_only(OpReport::Stats(exec_stats(&resolved, &mut facts)))
         }
         OpRequest::Reorder { source, scheme, apply_perm, return_perm } => {
             let resolved = resolver.resolve(source)?;
-            exec_reorder(&resolved, scheme.as_deref(), apply_perm.as_deref(), *return_perm, perms)
+            exec_reorder(
+                &resolved,
+                scheme.as_deref(),
+                apply_perm.as_deref(),
+                *return_perm,
+                perms,
+                &mut facts,
+            )?
         }
         OpRequest::Measure { source, schemes } => {
             let resolved = resolver.resolve(source)?;
-            Ok(OpOutcome::report_only(OpReport::Measure(exec_measure(&resolved, schemes, perms)?)))
+            OpOutcome::report_only(OpReport::Measure(exec_measure(
+                &resolved, schemes, perms, &mut facts,
+            )?))
         }
         OpRequest::Compression { source, schemes } => {
             let resolved = resolver.resolve(source)?;
-            Ok(OpOutcome::report_only(OpReport::Compression(exec_compression(
-                &resolved, schemes, perms,
-            )?)))
+            OpOutcome::report_only(OpReport::Compression(exec_compression(
+                &resolved, schemes, perms, &mut facts,
+            )?))
         }
         OpRequest::Validate { files } => {
-            Ok(OpOutcome::report_only(OpReport::Validate(exec_validate(files))))
+            OpOutcome::report_only(OpReport::Validate(exec_validate(files)))
         }
         OpRequest::Memsim { source, scheme, workload, kernel } => {
             let resolved = resolver.resolve(source)?;
-            Ok(OpOutcome::report_only(OpReport::Memsim(exec_memsim(
+            OpOutcome::report_only(OpReport::Memsim(exec_memsim(
                 &resolved,
                 scheme.as_deref(),
                 workload,
                 kernel.as_deref(),
-            )?)))
+                perms,
+            )?))
         }
-    }
+    };
+    outcome.facts = facts;
+    Ok(outcome)
 }
 
 fn gap_row(m: &GapMeasures) -> GapRow {
@@ -160,11 +181,11 @@ fn gap_row(m: &GapMeasures) -> GapRow {
     }
 }
 
-fn exec_stats(resolved: &ResolvedGraph) -> StatsReport {
+fn exec_stats(resolved: &ResolvedGraph, facts: &mut FactTally) -> StatsReport {
     let g = &resolved.graph;
     let mut rec = RunRecorder::new();
     rec.span_enter("stats");
-    let s = GraphStats::compute(g);
+    let s = resolved.facts.stats(g, facts);
     rec.span_exit("stats");
     let mut m = Manifest::new("stats", &resolved.id, g.num_vertices(), g.num_edges())
         .with_seed(42)
@@ -194,6 +215,7 @@ fn exec_reorder(
     apply_perm: Option<&str>,
     return_perm: bool,
     perms: &mut dyn PermSource,
+    facts: &mut FactTally,
 ) -> Result<OpOutcome, OpError> {
     let g = Arc::clone(&resolved.graph);
     let mut rec = RunRecorder::new();
@@ -210,7 +232,7 @@ fn exec_reorder(
                 g.num_vertices()
             )));
         }
-        (Arc::new(pi), format!("perm file {path}"), None, false)
+        (Arc::new(MeasuredOrdering::new(pi)), format!("perm file {path}"), None, false)
     } else {
         let spec = scheme_spec.ok_or_else(|| {
             OpError::Usage("need --scheme NAME or --apply-perm FILE (see `reorderlab list`)".into())
@@ -221,8 +243,8 @@ fn exec_reorder(
     };
     let elapsed = t0.elapsed();
     rec.span_enter("measure");
-    let before = gap_measures(&g, &Permutation::identity(g.num_vertices()));
-    let after = gap_measures(&g, &pi);
+    let before = resolved.facts.natural_gaps(&g, facts);
+    let after = pi.gaps(&g, facts);
     rec.span_exit("measure");
     let mut m = Manifest::new("reorder", &resolved.id, g.num_vertices(), g.num_edges())
         .with_seed(scheme.as_ref().map_or(42, scheme_seed))
@@ -260,13 +282,19 @@ fn exec_reorder(
         manifest: m,
         permutation,
     };
-    Ok(OpOutcome { report: OpReport::Reorder(report), permutation: Some(pi), graph: Some(g) })
+    Ok(OpOutcome {
+        report: OpReport::Reorder(report),
+        permutation: Some(pi),
+        graph: Some(g),
+        facts: FactTally::default(),
+    })
 }
 
 fn exec_measure(
     resolved: &ResolvedGraph,
     specs: &[String],
     perms: &mut dyn PermSource,
+    facts: &mut FactTally,
 ) -> Result<MeasureReport, OpError> {
     let g = &resolved.graph;
     // Parse every spec up front so a bad one fails the whole request
@@ -283,7 +311,7 @@ fn exec_measure(
         let mut rec = RunRecorder::new();
         let (pi, _) = perms.ordering(resolved, &scheme, &mut rec)?;
         rec.span_enter("measure");
-        let m = gap_measures(g, &pi);
+        let m = pi.gaps(g, facts);
         rec.span_exit("measure");
         let mut man = Manifest::new("measure", &resolved.id, g.num_vertices(), g.num_edges())
             .with_scheme(scheme.name(), &scheme.spec())
@@ -312,6 +340,7 @@ fn exec_compression(
     resolved: &ResolvedGraph,
     specs: &[String],
     perms: &mut dyn PermSource,
+    facts: &mut FactTally,
 ) -> Result<CompressionReport, OpError> {
     let g = &resolved.graph;
     // Parse every spec up front so a bad one fails the whole request
@@ -330,9 +359,10 @@ fn exec_compression(
         rec.span_enter("compress");
         // Unreachable in practice: the ordering was produced for this very
         // graph, so the lengths agree; keep the plumbing typed regardless.
-        let comp = try_compression_measures(g, &pi)
+        let comp = pi
+            .compression(g, facts)
             .map_err(|e| OpError::Parse(format!("{}: {e}", scheme.name())))?;
-        let gaps = gap_measures(g, &pi);
+        let gaps = pi.gaps(g, facts);
         rec.span_exit("compress");
         let mut man = Manifest::new("compression", &resolved.id, g.num_vertices(), g.num_edges())
             .with_scheme(scheme.name(), &scheme.spec())
@@ -424,6 +454,7 @@ fn exec_memsim(
     scheme_spec: Option<&str>,
     workload: &str,
     kernel: Option<&str>,
+    perms: &mut dyn PermSource,
 ) -> Result<MemsimReport, OpError> {
     use reorderlab_memsim::{
         replay_louvain_move, replay_pagerank_iteration, replay_rr_kernel, Hierarchy,
@@ -450,7 +481,7 @@ fn exec_memsim(
         )));
     }
 
-    let g = &resolved.graph;
+    let g: &Csr = &resolved.graph;
     // Optional reordering pass first: replay the laid-out graph, keeping
     // the original vertex labels so every layout walks the same logical
     // traversal (matching the `bench snapshot` corpus semantics).
@@ -460,16 +491,18 @@ fn exec_memsim(
             scheme
                 .validate(g.num_vertices())
                 .map_err(|e| OpError::Usage(format!("scheme {spec:?}: {e}")))?;
-            let pi = scheme.reorder(g);
+            // The report carries no manifest, so the scheme's phases go
+            // unrecorded.
+            let (pi, _) = perms.ordering(resolved, &scheme, &mut RunRecorder::new())?;
             let labels = pi.to_order();
             let laid_out = g
                 .permuted(&pi)
                 .map_err(|e| OpError::Parse(format!("permutation rejected: {e}")))?;
-            (laid_out, scheme.name().to_string(), labels)
+            (Cow::Owned(laid_out), scheme.name().to_string(), labels)
         }
         None => {
             let labels = (0..u32::try_from(g.num_vertices()).unwrap_or(u32::MAX)).collect();
-            (Csr::clone(g), "Natural".to_string(), labels)
+            (Cow::Borrowed(g), "Natural".to_string(), labels)
         }
     };
 
@@ -504,10 +537,145 @@ fn u64_f64(x: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{FsResolver, GraphSource};
+    use crate::source::{FsResolver, GraphSource, ResolveGraph};
+    use reorderlab_graph::GraphStats;
+    use std::collections::BTreeMap;
 
     fn instance(name: &str) -> GraphSource {
         GraphSource::Instance(name.into())
+    }
+
+    /// A resolver that keeps its graphs and their fact cells, as the
+    /// daemon's corpus does.
+    struct KeptGraphs(Vec<ResolvedGraph>);
+
+    impl KeptGraphs {
+        fn new(names: &[&str]) -> KeptGraphs {
+            KeptGraphs(names.iter().map(|n| FsResolver.resolve(&instance(n)).unwrap()).collect())
+        }
+    }
+
+    impl ResolveGraph for KeptGraphs {
+        fn resolve(&self, source: &GraphSource) -> Result<ResolvedGraph, OpError> {
+            Ok(self.0.iter().find(|r| r.id == source.id()).expect("a kept graph").clone())
+        }
+    }
+
+    /// A permutation source that keeps its orderings and their measure
+    /// cells, as the daemon's cache does.
+    #[derive(Default)]
+    struct KeptPerms(BTreeMap<(String, String), Arc<MeasuredOrdering>>);
+
+    impl PermSource for KeptPerms {
+        fn ordering(
+            &mut self,
+            resolved: &ResolvedGraph,
+            scheme: &Scheme,
+            rec: &mut RunRecorder,
+        ) -> Result<(Arc<MeasuredOrdering>, bool), OpError> {
+            let key = (resolved.id.clone(), scheme.spec());
+            if let Some(kept) = self.0.get(&key) {
+                return Ok((Arc::clone(kept), true));
+            }
+            let (pi, _) = ComputePerm.ordering(resolved, scheme, rec)?;
+            self.0.insert(key, Arc::clone(&pi));
+            Ok((pi, false))
+        }
+    }
+
+    /// `report` without what legitimately differs between a computed and a
+    /// memoized answer: wall times, the hit flag, and the recorder's view
+    /// of a scheme that did or did not run.
+    fn without_timing(mut report: OpReport) -> OpReport {
+        fn strip(m: &mut Manifest) {
+            m.threads = 0;
+            m.phases.clear();
+            m.counters.clear();
+            m.series.clear();
+            m.measures.retain(|(name, _)| name != "reorder_wall_s");
+        }
+        match &mut report {
+            OpReport::Stats(s) => strip(&mut s.manifest),
+            OpReport::Reorder(r) => {
+                r.wall_s = 0.0;
+                r.cache_hit = false;
+                strip(&mut r.manifest);
+            }
+            OpReport::Measure(m) => m.rows.iter_mut().for_each(|row| strip(&mut row.manifest)),
+            OpReport::Compression(c) => c.rows.iter_mut().for_each(|row| strip(&mut row.manifest)),
+            OpReport::Validate(_) | OpReport::Memsim(_) => {}
+        }
+        report
+    }
+
+    fn fact_reading_requests(name: &str) -> [OpRequest; 4] {
+        [
+            OpRequest::Stats { source: instance(name) },
+            OpRequest::Reorder {
+                source: instance(name),
+                scheme: Some("rcm".into()),
+                apply_perm: None,
+                return_perm: true,
+            },
+            OpRequest::Measure {
+                source: instance(name),
+                schemes: vec!["rcm".into(), "dbg".into()],
+            },
+            OpRequest::Compression {
+                source: instance(name),
+                schemes: vec!["natural".into(), "rcm".into()],
+            },
+        ]
+    }
+
+    /// One body for both front ends: with fresh cells (the CLI) every fact
+    /// is computed; with kept cells (the daemon) the second answer runs no
+    /// graph pass; and all three answers are the same numbers.
+    #[test]
+    fn memoized_reports_equal_computed_ones_in_every_non_time_field() {
+        let kept = KeptGraphs::new(&["euroroad", "rovira"]);
+        let mut perms = KeptPerms::default();
+        for name in ["euroroad", "rovira"] {
+            for request in fact_reading_requests(name) {
+                let local = execute(&request, &FsResolver).unwrap();
+                assert_eq!(local.facts.reused, 0, "the CLI path memoizes nothing: {request:?}");
+                assert!(local.facts.computed > 0, "{request:?}");
+                let first = execute_with(&request, &kept, &mut perms).unwrap();
+                let second = execute_with(&request, &kept, &mut perms).unwrap();
+                assert_eq!(
+                    first.facts.reused + first.facts.computed,
+                    local.facts.computed,
+                    "the same reads either way: {request:?}"
+                );
+                assert_eq!(
+                    second.facts,
+                    FactTally { reused: local.facts.computed, computed: 0 },
+                    "{request:?}"
+                );
+                let local = without_timing(local.report);
+                assert_eq!(without_timing(first.report), local, "computed: {request:?}");
+                assert_eq!(without_timing(second.report), local, "memoized: {request:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_new_ordering_of_a_known_graph_costs_one_gap_pass() {
+        let kept = KeptGraphs::new(&["euroroad"]);
+        let mut perms = KeptPerms::default();
+        let reorder = |scheme: &str| OpRequest::Reorder {
+            source: instance("euroroad"),
+            scheme: Some(scheme.into()),
+            apply_perm: None,
+            return_perm: false,
+        };
+        let first = execute_with(&reorder("rcm"), &kept, &mut perms).unwrap();
+        assert_eq!(first.facts, FactTally { reused: 0, computed: 2 });
+        // The `before` row is the graph's; only the `after` row is new.
+        let miss = execute_with(&reorder("random:seed=1"), &kept, &mut perms).unwrap();
+        assert_eq!(miss.facts, FactTally { reused: 1, computed: 1 });
+        let hit = execute_with(&reorder("random:seed=1"), &kept, &mut perms).unwrap();
+        assert_eq!(hit.facts, FactTally { reused: 2, computed: 0 });
     }
 
     #[test]
@@ -543,7 +711,7 @@ mod tests {
         // The returned text form round-trips to the same permutation.
         let text = r.permutation.as_ref().unwrap();
         let parsed = Permutation::read_text(text.as_bytes()).unwrap();
-        assert_eq!(&parsed, pi.as_ref());
+        assert_eq!(parsed.ranks(), pi.ranks());
     }
 
     #[test]
@@ -663,6 +831,30 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.loads > 0);
         assert_eq!(a.scheme, "DBG");
+    }
+
+    #[test]
+    fn memsim_takes_its_ordering_from_the_permutation_source() {
+        let memsim = |scheme: &str| OpRequest::Memsim {
+            source: instance("euroroad"),
+            scheme: Some(scheme.into()),
+            workload: "pagerank".into(),
+            kernel: None,
+        };
+        let kept = KeptGraphs::new(&["euroroad"]);
+        let mut perms = KeptPerms::default();
+        let first = execute_with(&memsim("dbg"), &kept, &mut perms).unwrap();
+        assert_eq!(perms.0.len(), 1, "the ordering came from, and stayed with, the source");
+        let again = execute_with(&memsim("dbg"), &kept, &mut perms).unwrap();
+        let local = execute(&memsim("dbg"), &FsResolver).unwrap();
+        assert_eq!(first.report, local.report);
+        assert_eq!(again.report, local.report);
+        assert_eq!(first.facts, FactTally::default(), "a replay is not a memoized fact");
+        // Parameters are still validated first, as a usage error.
+        let e = execute_with(&memsim("metis:parts=99999"), &kept, &mut perms).unwrap_err();
+        assert!(matches!(e, OpError::Usage(_)), "{e}");
+        assert!(e.to_string().starts_with("scheme \"metis:parts=99999\": "), "{e}");
+        assert_eq!(perms.0.len(), 1);
     }
 
     #[test]

@@ -1,0 +1,226 @@
+//! Facts: numbers about immutable bytes, computed at most once while those
+//! bytes are resident.
+//!
+//! A graph that cannot change and an ordering of it that cannot change
+//! have measures that cannot change either, so each is stored beside the
+//! bytes it describes: a [`MeasuredOrdering`] carries the gap and
+//! compression measures of its permutation, and a [`GraphFacts`] cell
+//! carries the natural-order gap measures and the [`GraphStats`] of its
+//! graph. Both start empty and fill on first read. Who owns the cell
+//! decides how long a fact lives: the CLI's resolver and permutation source
+//! hand out fresh cells per request, so it computes what it always did; the
+//! daemon's corpus and permutation cache keep theirs, so a fact lives and
+//! dies with its corpus or cache entry. There is no other policy.
+//!
+//! Memoizing is only sound because every measure here is bit-identical at
+//! any thread count (DESIGN.md §2, "Deterministic parallel reductions"): a
+//! cell filled at `threads: 7` reads the same at `threads: 1`.
+
+use reorderlab_core::measures::{
+    gap_measures, try_compression_measures, CompressionMeasures, GapMeasures,
+};
+use reorderlab_core::MeasureError;
+use reorderlab_graph::{Csr, GraphStats, Permutation};
+use std::convert::Infallible;
+use std::ops::Deref;
+use std::sync::OnceLock;
+
+/// How many facts one request read, by whether the cell already held them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FactTally {
+    /// Reads answered from a filled cell: no graph pass ran.
+    pub reused: u64,
+    /// Reads that ran the graph pass.
+    pub computed: u64,
+}
+
+/// One lazily computed value. No lock is held across the computation:
+/// racing first reads each run it, and the first value stored wins (the
+/// values are equal anyway; see the module doc).
+#[derive(Debug)]
+struct Fact<T>(OnceLock<T>);
+
+impl<T> Default for Fact<T> {
+    fn default() -> Self {
+        Fact(OnceLock::new())
+    }
+}
+
+impl<T: Clone> Fact<T> {
+    fn get_or_try<E>(
+        &self,
+        tally: &mut FactTally,
+        compute: impl FnOnce() -> Result<T, E>,
+    ) -> Result<T, E> {
+        if let Some(value) = self.0.get() {
+            tally.reused += 1;
+            return Ok(value.clone());
+        }
+        tally.computed += 1;
+        let value = compute()?;
+        Ok(self.0.get_or_init(|| value).clone())
+    }
+
+    fn get_or(&self, tally: &mut FactTally, compute: impl FnOnce() -> T) -> T {
+        self.get_or_try(tally, || Ok::<T, Infallible>(compute()))
+            .unwrap_or_else(|never| match never {})
+    }
+}
+
+/// An ordering of one graph and the measures of that graph under it.
+///
+/// Dereferences to its [`Permutation`]. The measure methods take the graph
+/// the ordering was computed for; passing any other is a caller bug (the
+/// permutation cache keys by content digest to rule it out).
+#[derive(Debug)]
+pub struct MeasuredOrdering {
+    pi: Permutation,
+    gaps: Fact<GapMeasures>,
+    compression: Fact<CompressionMeasures>,
+}
+
+impl MeasuredOrdering {
+    /// Wraps `pi` with empty measure cells.
+    pub fn new(pi: Permutation) -> MeasuredOrdering {
+        MeasuredOrdering { pi, gaps: Fact::default(), compression: Fact::default() }
+    }
+
+    /// The gap measures of `graph` under this ordering.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ordering does not cover exactly `graph`'s vertices.
+    pub fn gaps(&self, graph: &Csr, tally: &mut FactTally) -> GapMeasures {
+        self.gaps.get_or(tally, || gap_measures(graph, &self.pi))
+    }
+
+    /// The compression footprint of `graph` under this ordering.
+    ///
+    /// # Errors
+    ///
+    /// [`MeasureError`] if the ordering does not cover exactly `graph`'s
+    /// vertices (failures are not stored).
+    pub fn compression(
+        &self,
+        graph: &Csr,
+        tally: &mut FactTally,
+    ) -> Result<CompressionMeasures, MeasureError> {
+        self.compression.get_or_try(tally, || try_compression_measures(graph, &self.pi))
+    }
+}
+
+impl Deref for MeasuredOrdering {
+    type Target = Permutation;
+
+    fn deref(&self) -> &Permutation {
+        &self.pi
+    }
+}
+
+/// The per-graph fact cell: what the daemon reports about a graph in its
+/// natural order.
+#[derive(Debug, Default)]
+pub struct GraphFacts {
+    natural_gaps: Fact<GapMeasures>,
+    stats: Fact<GraphStats>,
+}
+
+impl GraphFacts {
+    /// The gap measures of `graph` in its natural order (the `before` row
+    /// of `reorder`).
+    pub fn natural_gaps(&self, graph: &Csr, tally: &mut FactTally) -> GapMeasures {
+        self.natural_gaps
+            .get_or(tally, || gap_measures(graph, &Permutation::identity(graph.num_vertices())))
+    }
+
+    /// The Table I statistics of `graph`.
+    pub fn stats(&self, graph: &Csr, tally: &mut FactTally) -> GraphStats {
+        self.stats.get_or(tally, || GraphStats::compute(graph))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use reorderlab_core::Scheme;
+    use reorderlab_graph::build_pool;
+
+    fn graph(name: &str) -> Csr {
+        reorderlab_datasets::by_name(name).unwrap().generate()
+    }
+
+    #[test]
+    fn each_fact_is_computed_once_and_then_reused() {
+        let g = graph("euroroad");
+        let ordering = MeasuredOrdering::new(Scheme::Rcm.reorder(&g));
+        let facts = GraphFacts::default();
+        let mut tally = FactTally::default();
+        let first = (
+            ordering.gaps(&g, &mut tally),
+            ordering.compression(&g, &mut tally).unwrap(),
+            facts.natural_gaps(&g, &mut tally),
+            facts.stats(&g, &mut tally),
+        );
+        assert_eq!(tally, FactTally { reused: 0, computed: 4 });
+        let second = (
+            ordering.gaps(&g, &mut tally),
+            ordering.compression(&g, &mut tally).unwrap(),
+            facts.natural_gaps(&g, &mut tally),
+            facts.stats(&g, &mut tally),
+        );
+        assert_eq!(tally, FactTally { reused: 4, computed: 4 });
+        assert_eq!(first, second);
+        // The cells hold what the direct calls return.
+        assert_eq!(first.0, gap_measures(&g, &ordering));
+        assert_eq!(first.1, try_compression_measures(&g, &ordering).unwrap());
+        assert_eq!(first.2, gap_measures(&g, &Permutation::identity(g.num_vertices())));
+        assert_eq!(first.3, GraphStats::compute(&g));
+    }
+
+    /// The memo is sound only because a fact does not depend on the width
+    /// it was computed at: fill at 7 threads, read at 1, compare with a
+    /// cell filled at 1.
+    #[test]
+    fn a_fact_filled_at_seven_threads_reads_the_same_at_one() {
+        for name in ["euroroad", "rovira"] {
+            let g = graph(name);
+            let pi = Scheme::Rcm.reorder(&g);
+            let fill = |threads: usize| {
+                let ordering = MeasuredOrdering::new(pi.clone());
+                let facts = GraphFacts::default();
+                build_pool(threads).install(|| {
+                    let mut tally = FactTally::default();
+                    ordering.gaps(&g, &mut tally);
+                    ordering.compression(&g, &mut tally).unwrap();
+                    facts.natural_gaps(&g, &mut tally);
+                    facts.stats(&g, &mut tally);
+                });
+                (ordering, facts)
+            };
+            let read = |(ordering, facts): &(MeasuredOrdering, GraphFacts)| {
+                build_pool(1).install(|| {
+                    let mut tally = FactTally::default();
+                    let values = (
+                        ordering.gaps(&g, &mut tally),
+                        ordering.compression(&g, &mut tally).unwrap(),
+                        facts.natural_gaps(&g, &mut tally),
+                        facts.stats(&g, &mut tally),
+                    );
+                    assert_eq!(tally, FactTally { reused: 4, computed: 0 });
+                    values
+                })
+            };
+            assert_eq!(read(&fill(7)), read(&fill(1)), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_failed_measure_is_not_stored() {
+        let g = graph("euroroad");
+        let short = MeasuredOrdering::new(Permutation::identity(3));
+        let mut tally = FactTally::default();
+        assert!(short.compression(&g, &mut tally).is_err());
+        assert!(short.compression(&g, &mut tally).is_err());
+        assert_eq!(tally, FactTally { reused: 0, computed: 2 });
+    }
+}

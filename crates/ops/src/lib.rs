@@ -26,6 +26,7 @@
 pub mod args;
 mod error;
 mod exec;
+mod facts;
 mod report;
 mod request;
 mod schemes;
@@ -33,6 +34,7 @@ mod source;
 
 pub use error::OpError;
 pub use exec::{execute, execute_with, run_with_threads, ComputePerm, OpOutcome, PermSource};
+pub use facts::{FactTally, GraphFacts, MeasuredOrdering};
 pub use report::{
     CompressionReport, CompressionRow, FileVerdict, GapRow, MeasureReport, MeasureRow,
     MemsimReport, OpReport, ReorderReport, StatsReport, ValidateReport,

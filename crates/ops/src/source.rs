@@ -5,9 +5,13 @@
 //! [`ResolveGraph`] implementation turns the name into an in-memory
 //! [`Csr`]. The filesystem resolver here serves the CLI; the serve daemon
 //! supplies its own corpus-backed resolver so graphs parse once per
-//! process, not once per request.
+//! process, not once per request. A resolved graph carries its fact cell
+//! ([`GraphFacts`]): the corpus resolver hands out the one it keeps beside
+//! each graph, so what one request computed about a graph the next reads;
+//! this resolver's cells are new with every request.
 
 use crate::error::OpError;
+use crate::facts::GraphFacts;
 use reorderlab_datasets::by_name;
 use reorderlab_graph::{
     read_binary_csr, read_compressed_csr, read_edge_list, read_matrix_market, read_metis,
@@ -85,6 +89,18 @@ pub struct ResolvedGraph {
     /// Content digest when the resolver knows it (corpus entries compute it
     /// at load time); `None` means "compute on demand if needed".
     pub digest: Option<u64>,
+    /// The graph's fact cell. A resolver that keeps the graph resident
+    /// hands out the cell it keeps beside it, so the facts outlive the
+    /// request; any other resolver hands out an empty one.
+    pub facts: Arc<GraphFacts>,
+}
+
+impl ResolvedGraph {
+    /// A graph resolved for this request only: its fact cell starts empty
+    /// and is dropped with it.
+    pub fn fresh(graph: Csr, id: &str, digest: Option<u64>) -> ResolvedGraph {
+        ResolvedGraph { graph: Arc::new(graph), id: id.to_string(), digest, facts: Arc::default() }
+    }
 }
 
 /// Turns a [`GraphSource`] into an in-memory graph.
@@ -106,19 +122,12 @@ pub struct FsResolver;
 impl ResolveGraph for FsResolver {
     fn resolve(&self, source: &GraphSource) -> Result<ResolvedGraph, OpError> {
         match source {
-            GraphSource::Path(path) => {
-                let g = read_graph_auto(path)?;
-                Ok(ResolvedGraph { graph: Arc::new(g), id: path.clone(), digest: None })
-            }
+            GraphSource::Path(path) => Ok(ResolvedGraph::fresh(read_graph_auto(path)?, path, None)),
             GraphSource::Instance(name) => {
                 let spec = by_name(name).ok_or_else(|| {
                     OpError::Usage(format!("unknown instance {name:?}; see `reorderlab list`"))
                 })?;
-                Ok(ResolvedGraph {
-                    graph: Arc::new(spec.generate()),
-                    id: name.clone(),
-                    digest: None,
-                })
+                Ok(ResolvedGraph::fresh(spec.generate(), name, None))
             }
             GraphSource::Corpus(name) => Err(OpError::Usage(format!(
                 "corpus entry {name:?} requires a serving daemon; use --input or --instance"

@@ -3,7 +3,12 @@
 //! Keyed by `(graph digest, canonical scheme spec)`: the digest pins the
 //! exact graph bytes (`reorderlab_graph::csr_digest`), and
 //! `Scheme::spec()` is the canonical rendering of a parsed spec, so
-//! `metis:64` and `metis:parts=64,seed=42` share one entry. Eviction is
+//! `metis:64` and `metis:parts=64,seed=42` share one entry. The value is a
+//! [`MeasuredOrdering`]: the permutation plus the gap and compression
+//! measures of that graph under it, each filled by the first request that
+//! reads it. The key names the inputs of those measures exactly, so a hit
+//! runs no graph pass, and the measures are evicted with the ordering they
+//! describe: there is no second table, lifetime or capacity. Eviction is
 //! LRU under a fixed capacity: every hit re-touches its entry, so the
 //! hot schemes of a zipf-skewed trace stay resident even when a burst of
 //! one-off requests would have flushed them under insertion-order (FIFO)
@@ -12,8 +17,7 @@
 //! capacity stays in the tens).
 
 use reorderlab_core::Scheme;
-use reorderlab_graph::Permutation;
-use reorderlab_ops::{OpError, PermSource, ResolvedGraph};
+use reorderlab_ops::{MeasuredOrdering, OpError, PermSource, ResolvedGraph};
 use reorderlab_trace::RunRecorder;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,7 +34,7 @@ type CacheKey = (u64, String);
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    map: BTreeMap<CacheKey, Arc<Permutation>>,
+    map: BTreeMap<CacheKey, Arc<MeasuredOrdering>>,
     /// Recency queue: front = least recently used, back = most recent.
     /// Hits move their key to the back; eviction pops the front.
     lru: VecDeque<CacheKey>,
@@ -47,8 +51,8 @@ pub struct PermCache {
 }
 
 impl PermCache {
-    /// A cache holding at most `capacity` permutations (0 disables
-    /// caching but keeps the counters).
+    /// A cache holding at most `capacity` orderings (0 disables caching,
+    /// of orderings and so of their measures, but keeps the counters).
     pub fn new(capacity: usize) -> PermCache {
         PermCache {
             capacity,
@@ -79,7 +83,7 @@ impl PermCache {
         scheme: &Scheme,
         resolved: &ResolvedGraph,
         rec: &mut RunRecorder,
-    ) -> Result<(Arc<Permutation>, bool), OpError> {
+    ) -> Result<(Arc<MeasuredOrdering>, bool), OpError> {
         let key = (digest, scheme.spec());
         {
             let mut inner = lock(&self.inner);
@@ -102,22 +106,30 @@ impl PermCache {
             }
         }
         // Compute outside the lock: a slow scheme must not serialize the
-        // whole cache. Two racing misses may both compute; the second
-        // insert is a no-op.
+        // whole cache. Two racing misses may both compute; the first to
+        // store wins, and the other hands out the stored entry so that
+        // every reader fills the same measure cells.
         let pi = scheme.try_reorder_recorded(&resolved.graph, rec).map_err(OpError::Scheme)?;
-        let pi = Arc::new(pi);
+        let pi = Arc::new(MeasuredOrdering::new(pi));
         self.misses.fetch_add(1, Ordering::Relaxed);
         if self.capacity > 0 {
             let mut inner = lock(&self.inner);
-            if !inner.map.contains_key(&key) {
-                inner.map.insert(key.clone(), Arc::clone(&pi));
-                inner.lru.push_back(key);
-                while inner.map.len() > self.capacity {
-                    if let Some(old) = inner.lru.pop_front() {
-                        inner.map.remove(&old);
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        break;
+            match inner.map.get(&key) {
+                Some(stored) if stored.len() == pi.len() => {
+                    return Ok((Arc::clone(stored), false));
+                }
+                // A colliding graph stored first: serve ours, unshared.
+                Some(_) => {}
+                None => {
+                    inner.map.insert(key.clone(), Arc::clone(&pi));
+                    inner.lru.push_back(key);
+                    while inner.map.len() > self.capacity {
+                        if let Some(old) = inner.lru.pop_front() {
+                            inner.map.remove(&old);
+                            self.evictions.fetch_add(1, Ordering::Relaxed);
+                        } else {
+                            break;
+                        }
                     }
                 }
             }
@@ -180,14 +192,14 @@ impl PermSource for CachingPerms {
         resolved: &ResolvedGraph,
         scheme: &Scheme,
         rec: &mut RunRecorder,
-    ) -> Result<(Arc<Permutation>, bool), OpError> {
+    ) -> Result<(Arc<MeasuredOrdering>, bool), OpError> {
         let (pi, hit) = match resolved.digest {
             Some(digest) => self.cache.get_or_compute(digest, scheme, resolved, rec)?,
             None => {
                 let pi =
                     scheme.try_reorder_recorded(&resolved.graph, rec).map_err(OpError::Scheme)?;
                 self.cache.misses.fetch_add(1, Ordering::Relaxed);
-                (Arc::new(pi), false)
+                (Arc::new(MeasuredOrdering::new(pi)), false)
             }
         };
         if hit {
@@ -200,17 +212,29 @@ impl PermSource for CachingPerms {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reorderlab_core::measures::{gap_measures, GapMeasures};
     use reorderlab_graph::csr_digest;
+    use reorderlab_ops::FactTally;
 
     fn resolved(name: &str) -> ResolvedGraph {
         let g = reorderlab_datasets::by_name(name).unwrap().generate();
         let digest = csr_digest(&g);
-        ResolvedGraph { graph: Arc::new(g), id: name.into(), digest: Some(digest) }
+        ResolvedGraph::fresh(g, name, Some(digest))
     }
 
     fn scheme(spec: &str) -> Scheme {
         Scheme::parse(spec).unwrap()
     }
+
+    /// Reads the gap measures of `r` under `pi`; the tally says whether
+    /// the ordering's cell already held them.
+    fn gaps(pi: &MeasuredOrdering, r: &ResolvedGraph) -> (GapMeasures, FactTally) {
+        let mut tally = FactTally::default();
+        (pi.gaps(&r.graph, &mut tally), tally)
+    }
+
+    const COMPUTED: FactTally = FactTally { reused: 0, computed: 1 };
+    const REUSED: FactTally = FactTally { reused: 1, computed: 0 };
 
     #[test]
     fn repeat_requests_hit() {
@@ -223,8 +247,24 @@ mod tests {
             cache.get_or_compute(r.digest.unwrap(), &scheme("rcm"), &r, &mut rec).unwrap();
         assert!(!hit_a);
         assert!(hit_b);
-        assert_eq!(a.as_ref(), b.as_ref());
+        assert_eq!(a.ranks(), b.ranks());
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    #[test]
+    fn a_hit_carries_the_measures_the_first_request_computed() {
+        let cache = PermCache::new(8);
+        let r = resolved("euroroad");
+        let mut rec = RunRecorder::new();
+        let d = r.digest.unwrap();
+        let (first, _) = cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
+        let (computed, tally) = gaps(&first, &r);
+        assert_eq!(tally, COMPUTED);
+        assert_eq!(computed, gap_measures(&r.graph, &first));
+        // Any spelling of the spec reaches the same ordering and its cells.
+        let (second, hit) = cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
+        assert!(hit && Arc::ptr_eq(&first, &second));
+        assert_eq!(gaps(&second, &r), (computed, REUSED));
     }
 
     #[test]
@@ -280,11 +320,58 @@ mod tests {
         let mut rec = RunRecorder::new();
         let (pa, _) =
             cache.get_or_compute(a.digest.unwrap(), &scheme("rcm"), &a, &mut rec).unwrap();
+        let (gaps_a, _) = gaps(&pa, &a);
         let (pb, hit) =
             cache.get_or_compute(b.digest.unwrap(), &scheme("rcm"), &b, &mut rec).unwrap();
         assert!(!hit, "a collided entry must be recomputed, not served");
         assert_eq!(pb.len(), b.graph.num_vertices());
         assert_ne!(pa.len(), pb.len());
+        // The evicted entry's measures went with it: the key now reads this
+        // graph's, computed afresh.
+        let (gaps_b, tally) = gaps(&pb, &b);
+        assert_eq!(tally, COMPUTED);
+        assert_eq!(gaps_b, gap_measures(&b.graph, &pb));
+        assert_ne!(gaps_a, gaps_b);
+        let (again, hit) =
+            cache.get_or_compute(b.digest.unwrap(), &scheme("rcm"), &b, &mut rec).unwrap();
+        assert!(hit);
+        assert_eq!(gaps(&again, &b), (gaps_b, REUSED));
+    }
+
+    /// Racing first touches of one `(digest, spec)` may each run the
+    /// scheme, but one ordering is stored and every racer reads its cells.
+    #[test]
+    fn racing_first_touches_store_one_measured_ordering() {
+        const RACERS: usize = 4;
+        let cache = Arc::new(PermCache::new(8));
+        let r = resolved("euroroad");
+        let barrier = std::sync::Barrier::new(RACERS);
+        let replies: Vec<(Arc<MeasuredOrdering>, GapMeasures)> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..RACERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut perms = CachingPerms::new(Arc::clone(&cache));
+                        barrier.wait();
+                        let (pi, _) =
+                            perms.ordering(&r, &scheme("rcm"), &mut RunRecorder::new()).unwrap();
+                        let (measured, _) = gaps(&pi, &r);
+                        (pi, measured)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.hits() + cache.misses(), RACERS as u64);
+        let (stored, hit) = cache
+            .get_or_compute(r.digest.unwrap(), &scheme("rcm"), &r, &mut RunRecorder::new())
+            .unwrap();
+        assert!(hit);
+        for (pi, measured) in &replies {
+            assert!(Arc::ptr_eq(pi, &stored), "every racer reads the stored ordering");
+            assert_eq!(*measured, replies[0].1);
+        }
+        assert_eq!(gaps(&stored, &r), (replies[0].1, REUSED));
     }
 
     #[test]
@@ -309,15 +396,19 @@ mod tests {
         let d = r.digest.unwrap();
         let mut rec = RunRecorder::new();
         // With no intervening hits, LRU degenerates to insertion order.
+        let mut first_gaps = None;
         for spec in ["rcm", "dbg", "degree"] {
-            cache.get_or_compute(d, &scheme(spec), &r, &mut rec).unwrap();
+            let (pi, _) = cache.get_or_compute(d, &scheme(spec), &r, &mut rec).unwrap();
+            first_gaps.get_or_insert_with(|| gaps(&pi, &r).0);
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
-        // The least recently used entry (rcm) was evicted; re-requesting
-        // it misses.
-        let (_, hit) = cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
+        // The least recently used entry (rcm) was evicted, measures and
+        // all: re-requesting it misses and recomputes both, to the same
+        // values.
+        let (pi, hit) = cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
         assert!(!hit);
+        assert_eq!(gaps(&pi, &r), (first_gaps.unwrap(), COMPUTED));
     }
 
     #[test]
@@ -349,9 +440,13 @@ mod tests {
         let r = resolved("euroroad");
         let d = r.digest.unwrap();
         let mut rec = RunRecorder::new();
-        cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
-        cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
+        let (first, _) = cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
+        let (first_gaps, _) = gaps(&first, &r);
+        let (second, _) = cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
         assert!(cache.is_empty());
         assert_eq!(cache.misses(), 2);
+        // No stored ordering, so no stored measure either: the second
+        // request computes its own, and answers the same.
+        assert_eq!(gaps(&second, &r), (first_gaps, COMPUTED));
     }
 }

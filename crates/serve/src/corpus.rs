@@ -10,11 +10,18 @@
 //! permutation cache. The digest is always computed over the decoded
 //! graph, so a `.csrz` corpus entry shares cache entries with the same
 //! graph served from `.csrbin` or generated on demand.
+//!
+//! A corpus graph never changes while the daemon runs, so each entry also
+//! owns the graph's fact cell (`reorderlab_ops::GraphFacts`): its
+//! natural-order gap measures and its `stats`, each computed by the first
+//! request that reads it and kept for as long as the entry is. A generator
+//! instance is regenerated per request and its facts go with it.
 
 use reorderlab_datasets::by_name;
 use reorderlab_graph::{csr_digest, Csr, BINARY_CSR_EXTENSION, COMPRESSED_CSR_EXTENSION};
 use reorderlab_ops::{
-    read_graph_auto, write_graph_auto, GraphSource, OpError, ResolveGraph, ResolvedGraph,
+    read_graph_auto, write_graph_auto, GraphFacts, GraphSource, OpError, ResolveGraph,
+    ResolvedGraph,
 };
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -28,6 +35,9 @@ pub struct CorpusEntry {
     /// FNV-1a content digest (`reorderlab_graph::csr_digest`): the
     /// graph half of every permutation-cache key.
     pub digest: u64,
+    /// What requests have computed about the graph so far, handed to each
+    /// of them by [`CorpusResolver`].
+    facts: Arc<GraphFacts>,
 }
 
 /// A named set of preloaded graphs.
@@ -91,7 +101,8 @@ impl Corpus {
     /// Adds a graph under `name`, computing its digest.
     pub fn insert(&mut self, name: &str, graph: Csr) {
         let digest = csr_digest(&graph);
-        self.entries.insert(name.to_string(), CorpusEntry { graph: Arc::new(graph), digest });
+        let entry = CorpusEntry { graph: Arc::new(graph), digest, facts: Arc::default() };
+        self.entries.insert(name.to_string(), entry);
     }
 
     /// Looks up an entry.
@@ -180,6 +191,7 @@ impl ResolveGraph for CorpusResolver {
                     graph: Arc::clone(&entry.graph),
                     id: name.clone(),
                     digest: Some(entry.digest),
+                    facts: Arc::clone(&entry.facts),
                 })
             }
             GraphSource::Instance(name) => {
@@ -188,7 +200,7 @@ impl ResolveGraph for CorpusResolver {
                 })?;
                 let g = spec.generate();
                 let digest = csr_digest(&g);
-                Ok(ResolvedGraph { graph: Arc::new(g), id: name.clone(), digest: Some(digest) })
+                Ok(ResolvedGraph::fresh(g, name, Some(digest)))
             }
             GraphSource::Path(path) => Err(OpError::Usage(format!(
                 "the daemon does not read client paths ({path:?}); use a corpus or instance source"

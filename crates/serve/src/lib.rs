@@ -8,8 +8,11 @@
 //! shards requests across bounded worker queues (full queues *shed* with
 //! a typed overload response), coalesces identical in-flight requests,
 //! and memoizes orderings in a [`PermCache`] keyed by `(graph digest,
-//! canonical scheme spec)`. Every executed request can be audited via an
-//! append-only manifest log. A request line is read through a fixed byte
+//! canonical scheme spec)`. Each cached ordering carries its own gap and
+//! compression measures and each corpus entry its graph's natural-order
+//! measures and statistics, filled by the first request that reads them, so
+//! a repeated request runs no graph pass. Every executed request can be
+//! audited via an append-only manifest log, written after the reply. A request line is read through a fixed byte
 //! cap; an over-long or non-UTF-8 line gets one typed error and a close.
 //!
 //! Start a daemon in-process:

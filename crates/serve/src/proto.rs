@@ -119,8 +119,11 @@ pub fn exchange(
     reader: &mut BufReader<TcpStream>,
     line: &str,
 ) -> Result<String, OpError> {
-    writeln!(writer, "{line}").map_err(|e| OpError::Io(format!("send failed: {e}")))?;
-    writer.flush().map_err(|e| OpError::Io(format!("send failed: {e}")))?;
+    // One write: a line split from its newline waits out the peer's
+    // delayed ACK (about 40 ms a request) unless `TCP_NODELAY` is set.
+    writer
+        .write_all(format!("{line}\n").as_bytes())
+        .map_err(|e| OpError::Io(format!("send failed: {e}")))?;
     let mut resp = String::new();
     let n = reader.read_line(&mut resp).map_err(|e| OpError::Io(format!("receive failed: {e}")))?;
     if n == 0 {

@@ -79,27 +79,40 @@ pub struct ServeStats {
     pub shed: AtomicU64,
     /// Requests that attached to an identical in-flight computation.
     pub coalesced: AtomicU64,
+    /// Measures and graph statistics read from a filled fact cell: no
+    /// graph pass ran (`FactTally::reused`, summed over `ok` operations).
+    pub fact_hits: AtomicU64,
+    /// Measures and graph statistics that had to be computed.
+    pub fact_misses: AtomicU64,
+}
+
+/// A rendered response as it goes on the wire and to every coalesced
+/// waiter: newline-terminated, so a connection sends it with one write, and
+/// shared, so a 0.8 MB `return_perm` reply is not copied per waiter.
+fn frame(mut line: String) -> Arc<str> {
+    line.push('\n');
+    line.into()
 }
 
 /// One in-flight computation: waiters block on the condvar until the
 /// worker (or the shed path) publishes the response line.
 #[derive(Debug, Default)]
 struct JobCell {
-    slot: Mutex<Option<String>>,
+    slot: Mutex<Option<Arc<str>>>,
     ready: Condvar,
 }
 
 impl JobCell {
     fn publish(&self, response: String) {
-        *lock(&self.slot) = Some(response);
+        *lock(&self.slot) = Some(frame(response));
         self.ready.notify_all();
     }
 
-    fn wait(&self) -> String {
+    fn wait(&self) -> Arc<str> {
         let mut guard = lock(&self.slot);
         loop {
             if let Some(resp) = guard.as_ref() {
-                return resp.clone();
+                return Arc::clone(resp);
             }
             guard = self.ready.wait(guard).unwrap_or_else(|poisoned| poisoned.into_inner());
         }
@@ -135,12 +148,13 @@ enum Enqueued {
     Shutdown(String),
 }
 
-/// The engine's answer to one request line.
+/// The engine's answer to one request line. Either way it is a whole wire
+/// line, terminating newline included.
 pub enum SubmitResult {
     /// A response line to write back.
-    Response(String),
+    Response(Arc<str>),
     /// A shutdown acknowledgment; the server should stop after sending it.
-    Shutdown(String),
+    Shutdown(Arc<str>),
 }
 
 /// The sharded, caching, coalescing executor behind the TCP listener.
@@ -219,9 +233,9 @@ impl Engine {
     /// finishes it, if it queues).
     pub fn submit_line(&self, line: &str) -> SubmitResult {
         match self.enqueue_line(line) {
-            Enqueued::Ready(resp) => SubmitResult::Response(resp),
+            Enqueued::Ready(resp) => SubmitResult::Response(frame(resp)),
             Enqueued::Wait(cell) => SubmitResult::Response(cell.wait()),
-            Enqueued::Shutdown(resp) => SubmitResult::Shutdown(resp),
+            Enqueued::Shutdown(resp) => SubmitResult::Shutdown(frame(resp)),
         }
     }
 
@@ -328,6 +342,8 @@ impl Engine {
             ("cache_misses".into(), n(c.misses())),
             ("cache_evictions".into(), n(c.evictions())),
             ("cache_len".into(), n(c.len() as u64)),
+            ("fact_hits".into(), n(s.fact_hits.load(Ordering::Relaxed))),
+            ("fact_misses".into(), n(s.fact_misses.load(Ordering::Relaxed))),
         ])
     }
 
@@ -367,22 +383,33 @@ fn worker_loop(shared: &Shared, rx: &Receiver<Job>) {
         // publish a typed internal error in its place, and keep this
         // worker (and the pending-map cleanup below) alive. The shared
         // state stays usable — every lock here recovers from poisoning.
-        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let (response, audit) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_job(shared, &job.envelope)
         }))
         .unwrap_or_else(|_| {
             shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            error_response(&OpError::Io("internal error: request handler panicked".into()))
+            let e = OpError::Io("internal error: request handler panicked".into());
+            (error_response(&e), None)
         });
         // Remove from pending BEFORE publishing: a request arriving after
         // removal starts a fresh computation; one arriving before it
         // attaches to this cell and is released by the publish below.
         lock(&shared.pending).remove(&job.key);
         job.cell.publish(response);
+        // The reply is out; the audit append is off the client's clock.
+        if let Some((log, manifest)) = audit {
+            append_audit(log, &manifest);
+        }
     }
 }
 
-fn run_job(shared: &Shared, envelope: &RequestEnvelope) -> String {
+/// Executes one request. Returns the response line and, when the daemon
+/// audits, the log and the manifest to append to it once the reply is
+/// published.
+fn run_job<'a>(
+    shared: &'a Shared,
+    envelope: &RequestEnvelope,
+) -> (String, Option<(&'a AuditLog, Manifest)>) {
     let t0 = std::time::Instant::now();
     let resolver = CorpusResolver::new(Arc::clone(&shared.corpus));
     let mut perms = CachingPerms::new(shared.cache.clone());
@@ -396,6 +423,8 @@ fn run_job(shared: &Shared, envelope: &RequestEnvelope) -> String {
     let (line, status) = match &result {
         Ok(out) => {
             shared.stats.ok.fetch_add(1, Ordering::Relaxed);
+            shared.stats.fact_hits.fetch_add(out.facts.reused, Ordering::Relaxed);
+            shared.stats.fact_misses.fetch_add(out.facts.computed, Ordering::Relaxed);
             (ok_response(&out.report), "ok")
         }
         Err(e) => {
@@ -403,22 +432,22 @@ fn run_job(shared: &Shared, envelope: &RequestEnvelope) -> String {
             (error_response(e), e.status())
         }
     };
-    if let Some(audit) = &shared.audit {
-        append_audit(audit, envelope, status, wall_s, cache_hit, result.as_ref().ok());
-    }
-    line
+    let audit = shared.audit.as_ref().map(|log| {
+        (log, audit_manifest(envelope, status, wall_s, cache_hit, result.as_ref().ok()))
+    });
+    (line, audit)
 }
 
-/// Appends one audit manifest per executed request: the daemon's
-/// tamper-evident trail of what ran, for whom, and how long it took.
-fn append_audit(
-    audit: &AuditLog,
+/// The audit manifest of one executed request: the daemon's tamper-evident
+/// trail of what ran, for whom, how long it took, and whether the time went
+/// into an ordering (`cache`) or a graph pass (`facts`).
+fn audit_manifest(
     envelope: &RequestEnvelope,
     status: &str,
     wall_s: f64,
     cache_hit: bool,
     outcome: Option<&OpOutcome>,
-) {
+) -> Manifest {
     let (graph_id, vertices, edges) = match outcome.map(|o| &o.report) {
         Some(OpReport::Stats(s)) => (s.graph.clone(), s.vertices, s.edges),
         Some(OpReport::Reorder(r)) => (r.graph.clone(), r.vertices, r.edges),
@@ -433,7 +462,17 @@ fn append_audit(
     m.push_note("op", envelope.request.op_name());
     m.push_note("status", status);
     m.push_note("cache", if cache_hit { "hit" } else { "miss" });
+    // Absent when the request read no fact (memsim, errors).
+    match outcome.map(|o| o.facts) {
+        Some(facts) if facts.computed > 0 => m.push_note("facts", "computed"),
+        Some(facts) if facts.reused > 0 => m.push_note("facts", "reused"),
+        _ => {}
+    }
     m.push_measure("wall_s", wall_s);
+    m
+}
+
+fn append_audit(audit: &AuditLog, m: &Manifest) {
     // SAFETY: this lock exists precisely to serialize the append — the
     // audit log is a shared JSONL file and interleaved writes would corrupt
     // it. The guard spans only this one bounded write (no socket I/O, no
@@ -601,7 +640,7 @@ fn handle_connection(stream: TcpStream, engine: &Engine, stopping: &AtomicBool) 
                 // lets the peer read the reply instead of a reset.
                 engine.stats().requests.fetch_add(1, Ordering::Relaxed);
                 engine.stats().errors.fetch_add(1, Ordering::Relaxed);
-                let _ = writeln!(writer, "{}", error_response(&e));
+                let _ = writer.write_all(frame(error_response(&e)).as_bytes());
                 let _ = writer.shutdown(Shutdown::Write);
                 let _ = std::io::copy(&mut reader, &mut std::io::sink());
                 break;
@@ -611,15 +650,15 @@ fn handle_connection(stream: TcpStream, engine: &Engine, stopping: &AtomicBool) 
             continue;
         }
         match engine.submit_line(line) {
+            // One write per reply: line and newline leave in one segment
+            // under `TCP_NODELAY`, not two.
             SubmitResult::Response(resp) => {
-                if writeln!(writer, "{resp}").is_err() {
+                if writer.write_all(resp.as_bytes()).is_err() {
                     break;
                 }
-                let _ = writer.flush();
             }
             SubmitResult::Shutdown(resp) => {
-                let _ = writeln!(writer, "{resp}");
-                let _ = writer.flush();
+                let _ = writer.write_all(resp.as_bytes());
                 stopping.store(true, Ordering::SeqCst);
                 // Unblock the accept loop so it observes the flag.
                 if let Some(addr) = local {
@@ -642,7 +681,7 @@ mod tests {
         Arc::new(c)
     }
 
-    fn response_of(engine: &Engine, line: &str) -> String {
+    fn response_of(engine: &Engine, line: &str) -> Arc<str> {
         match engine.submit_line(line) {
             SubmitResult::Response(r) => r,
             SubmitResult::Shutdown(r) => r,
@@ -749,7 +788,9 @@ mod tests {
         assert_eq!(engine.stats().coalesced.load(Ordering::Relaxed), 1);
         // Releasing the cell releases both waiters.
         a.publish("{\"status\":\"ok\"}".into());
-        assert_eq!(b.wait(), "{\"status\":\"ok\"}");
+        assert_eq!(&*b.wait(), "{\"status\":\"ok\"}\n");
+        // One framed line, shared by every waiter rather than copied.
+        assert!(Arc::ptr_eq(&a.wait(), &b.wait()));
     }
 
     #[test]

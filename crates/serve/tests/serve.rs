@@ -2,20 +2,26 @@
 //! execution, cache behavior, typed errors, audit trail, and shutdown.
 
 use reorderlab_graph::COMPRESSED_CSR_EXTENSION;
-use reorderlab_ops::{execute, FsResolver, OpError, OpReport, OpRequest, RequestEnvelope};
+use reorderlab_ops::{
+    execute, FsResolver, GraphSource, OpError, OpReport, OpRequest, RequestEnvelope,
+};
 use reorderlab_serve::{
     exchange, prepare_corpus, serve, Corpus, Response, ServerConfig, ServerHandle,
 };
+use reorderlab_trace::{Json, Manifest};
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
 fn start_daemon(audit: Option<String>) -> ServerHandle {
+    start_daemon_with(ServerConfig { audit_path: audit, ..ServerConfig::default() })
+}
+
+fn start_daemon_with(config: ServerConfig) -> ServerHandle {
     let mut corpus = Corpus::new();
     for name in ["euroroad", "rovira"] {
         corpus.insert(name, reorderlab_datasets::by_name(name).unwrap().generate());
     }
-    let config = ServerConfig { audit_path: audit, ..ServerConfig::default() };
     serve(Arc::new(corpus), config).unwrap()
 }
 
@@ -34,6 +40,163 @@ impl Client {
     fn send(&mut self, line: &str) -> String {
         exchange(&mut self.writer, &mut self.reader, line).unwrap()
     }
+
+    /// Sends `request` at `threads` and returns the report of the reply.
+    fn report(&mut self, request: &OpRequest, threads: Option<usize>) -> OpReport {
+        let envelope = RequestEnvelope { request: request.clone(), threads };
+        let reply = self.send(&envelope.to_json().to_line());
+        match Response::parse(&reply).unwrap() {
+            Response::Ok(report) => *report,
+            other => panic!("expected a report for {request:?}: {other:?}"),
+        }
+    }
+
+    /// One counter of `{"control":"stats"}`.
+    fn counter(&mut self, key: &str) -> u64 {
+        let stats = Json::parse(&self.send("{\"control\":\"stats\"}")).unwrap();
+        stats.get(key).and_then(Json::as_f64).unwrap_or_else(|| panic!("no {key} counter")) as u64
+    }
+}
+
+/// `report` without what legitimately differs between a computed and a
+/// memoized answer: wall times, the hit flag, and the recorder's view of a
+/// scheme that did or did not run.
+fn without_timing(mut report: OpReport) -> OpReport {
+    fn strip(m: &mut Manifest) {
+        m.threads = 0;
+        m.phases.clear();
+        m.counters.clear();
+        m.series.clear();
+        m.measures.retain(|(name, _)| name != "reorder_wall_s");
+    }
+    match &mut report {
+        OpReport::Stats(s) => strip(&mut s.manifest),
+        OpReport::Reorder(r) => {
+            r.wall_s = 0.0;
+            r.cache_hit = false;
+            strip(&mut r.manifest);
+        }
+        OpReport::Measure(m) => m.rows.iter_mut().for_each(|row| strip(&mut row.manifest)),
+        OpReport::Compression(c) => c.rows.iter_mut().for_each(|row| strip(&mut row.manifest)),
+        OpReport::Validate(_) | OpReport::Memsim(_) => {}
+    }
+    report
+}
+
+/// The four operations whose numbers are memoized, on one graph.
+fn fact_reading_requests(source: GraphSource) -> [OpRequest; 4] {
+    [
+        OpRequest::Stats { source: source.clone() },
+        OpRequest::Reorder {
+            source: source.clone(),
+            scheme: Some("rcm".into()),
+            apply_perm: None,
+            return_perm: true,
+        },
+        OpRequest::Measure { source: source.clone(), schemes: vec!["rcm".into(), "dbg".into()] },
+        OpRequest::Compression { source, schemes: vec!["natural".into(), "rcm".into()] },
+    ]
+}
+
+fn corpus(graph: &str) -> GraphSource {
+    GraphSource::Corpus(graph.into())
+}
+
+fn instance(graph: &str) -> GraphSource {
+    GraphSource::Instance(graph.into())
+}
+
+/// The first reply (computed, filled at 7 threads), the second (memoized,
+/// read at 1 thread) and the reply after the orderings were evicted and
+/// recomputed all carry the numbers of a local `execute`.
+#[test]
+fn computed_memoized_and_recomputed_replies_equal_local_execution() {
+    // Two orderings fit: enough for each request to find its own again,
+    // few enough that two others evict them.
+    let mut handle = start_daemon_with(ServerConfig { cache_cap: 2, ..ServerConfig::default() });
+    let mut client = Client::connect(&handle);
+    for graph in ["euroroad", "rovira"] {
+        let locals = fact_reading_requests(instance(graph));
+        for (request, local) in fact_reading_requests(corpus(graph)).into_iter().zip(locals) {
+            let local = without_timing(execute(&local, &FsResolver).unwrap().report);
+            let computed = client.report(&request, Some(7));
+            let misses = client.counter("fact_misses");
+            let memoized = client.report(&request, Some(1));
+            assert_eq!(client.counter("fact_misses"), misses, "{request:?} ran a graph pass");
+            let evictions = client.counter("cache_evictions");
+            for other in ["degree", "hubsort"] {
+                let line = format!(
+                    "{{\"op\":\"reorder\",\"source\":{{\"corpus\":\"{graph}\"}},\"scheme\":\"{other}\"}}"
+                );
+                assert!(client.send(&line).contains("\"status\":\"ok\""));
+            }
+            let recomputed = client.report(&request, None);
+            if !matches!(request, OpRequest::Stats { .. }) {
+                assert!(client.counter("cache_evictions") > evictions, "{request:?}");
+                assert!(client.counter("fact_misses") > misses, "{request:?}");
+            }
+            for (label, reply) in
+                [("computed", computed), ("memoized", memoized), ("recomputed", recomputed)]
+            {
+                assert_eq!(without_timing(reply), local, "{label} reply to {request:?}");
+            }
+        }
+    }
+    handle.stop();
+}
+
+/// The work is gone, not hidden: on a warmed daemon, repeats read every
+/// number from a fact cell, and a new ordering of a known graph costs the
+/// one gap pass of its `after` row.
+#[test]
+fn a_warmed_daemon_answers_repeats_without_a_graph_pass() {
+    let mut handle = start_daemon(None);
+    let mut client = Client::connect(&handle);
+    let requests = fact_reading_requests(corpus("rovira"));
+    for request in &requests {
+        client.report(request, None);
+    }
+    let (hits, misses) = (client.counter("fact_hits"), client.counter("fact_misses"));
+    for _ in 0..50 {
+        for request in &requests {
+            client.report(request, None);
+        }
+    }
+    assert_eq!(client.counter("fact_misses"), misses);
+    // Per round: stats 1, reorder 2, measure 2, compression 4.
+    assert_eq!(client.counter("fact_hits"), hits + 50 * 9);
+    let fresh = OpRequest::Reorder {
+        source: corpus("rovira"),
+        scheme: Some("random:seed=7".into()),
+        apply_perm: None,
+        return_perm: false,
+    };
+    client.report(&fresh, None);
+    assert_eq!(client.counter("fact_misses"), misses + 1);
+    assert_eq!(client.counter("fact_hits"), hits + 50 * 9 + 1);
+    handle.stop();
+}
+
+/// `cache_cap: 0` stores no ordering, so no measure of one either; the
+/// graph's own facts still live with the corpus entry.
+#[test]
+fn a_cacheless_daemon_answers_correctly_and_memoizes_nothing_per_ordering() {
+    let mut handle = start_daemon_with(ServerConfig { cache_cap: 0, ..ServerConfig::default() });
+    let mut client = Client::connect(&handle);
+    let request = &fact_reading_requests(corpus("euroroad"))[1];
+    let local = &fact_reading_requests(instance("euroroad"))[1];
+    let local = without_timing(execute(local, &FsResolver).unwrap().report);
+    for round in 0..3 {
+        let reply = client.report(request, None);
+        let OpReport::Reorder(r) = &reply else { panic!("wrong report: {reply:?}") };
+        assert!(!r.cache_hit, "round {round}");
+        assert_eq!(without_timing(reply), local, "round {round}");
+    }
+    assert_eq!(client.counter("cache_len"), 0);
+    assert_eq!(client.counter("cache_misses"), 3);
+    // `before` once for the graph; `after` once per request.
+    assert_eq!((client.counter("fact_misses"), client.counter("fact_hits")), (4, 2));
+    handle.stop();
 }
 
 /// The daemon's rendered report must be byte-identical to what the same
@@ -43,15 +206,15 @@ fn daemon_reports_match_local_execution_across_thread_bounds() {
     let mut handle = start_daemon(None);
     let mut client = Client::connect(&handle);
     let requests = [
-        OpRequest::Stats { source: reorderlab_ops::GraphSource::Instance("euroroad".into()) },
+        OpRequest::Stats { source: GraphSource::Instance("euroroad".into()) },
         OpRequest::Reorder {
-            source: reorderlab_ops::GraphSource::Instance("euroroad".into()),
+            source: GraphSource::Instance("euroroad".into()),
             scheme: Some("rcm".into()),
             apply_perm: None,
             return_perm: false,
         },
         OpRequest::Measure {
-            source: reorderlab_ops::GraphSource::Instance("euroroad".into()),
+            source: GraphSource::Instance("euroroad".into()),
             schemes: vec!["natural".into(), "rcm".into(), "dbg".into()],
         },
     ];
@@ -128,7 +291,7 @@ fn compressed_corpus_daemon_serves_compression_requests() {
     };
     let local = execute(
         &OpRequest::Compression {
-            source: reorderlab_ops::GraphSource::Instance("euroroad".into()),
+            source: GraphSource::Instance("euroroad".into()),
             schemes: vec!["natural".into(), "rcm".into()],
         },
         &FsResolver,
@@ -179,17 +342,41 @@ fn audit_log_records_every_executed_request() {
     client.send("{\"op\":\"stats\",\"source\":{\"corpus\":\"euroroad\"}}");
     client.send("{\"op\":\"reorder\",\"source\":{\"corpus\":\"rovira\"},\"scheme\":\"rcm\"}");
     client.send("{\"op\":\"stats\",\"source\":{\"corpus\":\"missing\"}}");
+    client.send("{\"op\":\"stats\",\"source\":{\"corpus\":\"euroroad\"}}");
     handle.stop();
     let text = std::fs::read_to_string(&audit).unwrap();
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 3, "{text}");
+    assert_eq!(lines.len(), 4, "{text}");
     for line in &lines {
         let m = reorderlab_trace::Manifest::parse(line).unwrap();
         assert_eq!(m.command, "serve");
     }
-    assert!(lines[0].contains("\"status\":\"ok\""), "{}", lines[0]);
-    assert!(lines[1].contains("\"cache\":\"miss\""), "{}", lines[1]);
-    assert!(lines[2].contains("\"status\":\"usage\""), "{}", lines[2]);
+    // A worker audits after it has answered, so two workers' lines land in
+    // either order: find each line by what it says.
+    let count = |needles: &[&str]| {
+        lines.iter().filter(|line| needles.iter().all(|needle| line.contains(needle))).count()
+    };
+    assert_eq!(
+        count(&["\"op\":\"reorder\"", "\"status\":\"ok\"", "\"cache\":\"miss\""]),
+        1,
+        "{text}"
+    );
+    // Where a request's time went is attributable from the trail: the
+    // first `stats` ran the graph pass, the repeat read its result, and a
+    // request that failed read nothing.
+    assert_eq!(
+        count(&["\"op\":\"stats\"", "\"status\":\"ok\"", "\"facts\":\"computed\""]),
+        1,
+        "{text}"
+    );
+    assert_eq!(
+        count(&["\"op\":\"stats\"", "\"status\":\"ok\"", "\"facts\":\"reused\""]),
+        1,
+        "{text}"
+    );
+    assert_eq!(count(&["\"op\":\"reorder\"", "\"facts\":\"computed\""]), 1, "{text}");
+    assert_eq!(count(&["\"status\":\"usage\""]), 1, "{text}");
+    assert_eq!(count(&["\"status\":\"usage\"", "\"facts\""]), 0, "{text}");
     let _ = std::fs::remove_file(&audit);
 }
 
