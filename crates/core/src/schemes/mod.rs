@@ -37,7 +37,7 @@ pub use lightweight::{
     hub_sort_dbg_order_recorded, hub_sort_dbg_order_serial,
 };
 pub use minla::{minla_anneal, MinlaConfig};
-pub use rabbit::{rabbit_order, rabbit_order_serial};
+pub use rabbit::rabbit_order;
 pub use rcm::{
     cdfs_order, cdfs_order_recorded, cdfs_order_serial, cm_order, rcm_order, rcm_order_recorded,
     rcm_order_serial,

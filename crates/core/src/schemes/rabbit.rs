@@ -13,23 +13,15 @@
 //! being faster, this removes a latent nondeterminism: the merge tie-break
 //! compares gains within an epsilon, so the candidate iteration order is
 //! observable, and `std::collections::HashMap` iterates in a per-process
-//! randomized order. The scan itself is parallelized speculatively: fixed
-//! 512-vertex batches propose merges against a snapshot of the union-find in
-//! parallel, and a serial commit replays proposals in scan order, recomputing
-//! any proposal whose community footprint changed inside the batch.
+//! randomized order. The scan is serial: each merge decision reads the
+//! union-find and the volumes the merges before it left.
 
 // SAFETY: every `as u32` in this module narrows a vertex count, degree, or
 // index that the Csr construction invariant bounds by `u32::MAX` (graphs
 // with more vertices are rejected at build/ingest time), so the casts are
 // lossless; the C1 budget in analyze.toml pins the audited site count.
 
-use rayon::prelude::*;
 use reorderlab_graph::{Csr, Permutation, UnionFind};
-
-/// Speculative batch length. A constant (not derived from the worker count)
-/// so the propose/validate/recompute cadence — and therefore every merge
-/// decision — is identical at any thread count.
-const BATCH: usize = 512;
 
 /// Scatter scratch for aggregating edge weight per neighboring community.
 struct WsumScratch {
@@ -45,30 +37,18 @@ impl WsumScratch {
     }
 }
 
-/// A speculative merge proposal for one scanned vertex: the community it
-/// was in, the volumes read for the gain computation, and the chosen merge
-/// target (if any). The recorded `(root, volume)` pairs double as the
-/// validation footprint — any merge involving one of these communities
-/// either de-roots it or strictly increases its volume, so bitwise-equal
-/// volumes at commit time prove the proposal is still exact.
-struct Proposal {
-    a: u32,
-    tot_a: f64,
-    nbr: Vec<(u32, f64)>,
-    best: Option<u32>,
-}
-
-/// Computes vertex `v`'s merge proposal against the current community
-/// state. Candidate communities are visited in first-touch (adjacency)
-/// order, which fixes the epsilon tie-break order deterministically.
-fn propose(
+/// The community vertex `v` should merge into under the current community
+/// state: the neighboring one with the largest positive modularity gain.
+/// Candidate communities are visited in first-touch (adjacency) order, which
+/// fixes the epsilon tie-break order deterministically.
+fn best_merge(
     graph: &Csr,
     v: u32,
     uf: &UnionFind,
     tot: &[f64],
     m2: f64,
     s: &mut WsumScratch,
-) -> Proposal {
+) -> Option<u32> {
     let a = uf.root(v);
     s.epoch += 1;
     s.touched.clear();
@@ -91,11 +71,8 @@ fn propose(
     // Best positive modularity merge gain:
     //   ΔQ(a, b) = 2 [ w_ab / 2m − tot_a · tot_b / (2m)² ]
     let mut best: Option<(f64, u32)> = None;
-    let mut nbr = Vec::with_capacity(s.touched.len());
     for &b in &s.touched {
-        let tot_b = tot[b as usize];
-        nbr.push((b, tot_b));
-        let gain = 2.0 * (s.acc[b as usize] / m2 - tot[a as usize] * tot_b / (m2 * m2));
+        let gain = 2.0 * (s.acc[b as usize] / m2 - tot[a as usize] * tot[b as usize] / (m2 * m2));
         if gain > 1e-15 {
             let better = match best {
                 None => true,
@@ -106,18 +83,7 @@ fn propose(
             }
         }
     }
-    Proposal { a, tot_a: tot[a as usize], nbr, best: best.map(|(_, b)| b) }
-}
-
-/// Whether `p` still describes the current state: its source community and
-/// every candidate community must still be a root with a bitwise-unchanged
-/// volume. Merges strictly grow the surviving root's volume (both sides of
-/// a positive-gain merge have positive volume), so any intervening merge
-/// involving these communities is detected.
-fn still_valid(p: &Proposal, uf: &UnionFind, tot: &[f64]) -> bool {
-    uf.root(p.a) == p.a
-        && tot[p.a as usize] == p.tot_a
-        && p.nbr.iter().all(|&(b, tb)| uf.root(b) == b && tot[b as usize] == tb)
+    best.map(|(_, b)| b)
 }
 
 /// Merges `v`'s community into community `b`, maintaining the dendrogram.
@@ -172,29 +138,7 @@ fn dendrogram_order(
     super::order_permutation(&order)
 }
 
-/// Shared setup: Louvain-style degree sums, their total, and the
-/// increasing-degree scan schedule.
-fn rabbit_setup(graph: &Csr) -> (Vec<f64>, f64, Vec<u32>) {
-    let n = graph.num_vertices();
-    let mut k = vec![0.0f64; n];
-    for v in 0..n as u32 {
-        for (u, w) in graph.weighted_neighbors(v) {
-            k[v as usize] += if u == v { 2.0 * w } else { w };
-        }
-    }
-    let m2: f64 = k.iter().sum();
-    let mut scan: Vec<u32> = (0..n as u32).collect();
-    scan.sort_unstable_by_key(|&v| ((graph.degree(v) as u64) << 32) | u64::from(v));
-    (k, m2, scan)
-}
-
 /// Computes a Rabbit Order permutation.
-///
-/// The aggregation scan proposes merges for fixed-size batches in parallel
-/// and commits them serially in scan order, falling back to an in-place
-/// recomputation whenever an earlier commit in the batch touched a
-/// proposal's communities. Bit-identical to [`rabbit_order_serial`] at any
-/// thread count.
 ///
 /// # Examples
 ///
@@ -213,59 +157,24 @@ pub fn rabbit_order(graph: &Csr) -> Permutation {
     if n == 0 {
         return Permutation::identity(0);
     }
-    let (k, m2, scan) = rabbit_setup(graph);
-    let mut uf = UnionFind::new(n);
-    let mut tot = k;
-    let mut tree_root: Vec<u32> = (0..n as u32).collect();
-    let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-
-    let mut scratch = WsumScratch::new(n);
-    let speculate = rayon::current_num_threads() > 1;
-    for batch in scan.chunks(BATCH) {
-        let proposals: Vec<Proposal> = if speculate {
-            let uf_ref = &uf;
-            let tot_ref = &tot;
-            batch
-                .par_iter()
-                .map_init(|| WsumScratch::new(n), |s, &v| propose(graph, v, uf_ref, tot_ref, m2, s))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        for (j, &v) in batch.iter().enumerate() {
-            let best = if speculate && still_valid(&proposals[j], &uf, &tot) {
-                proposals[j].best
-            } else {
-                // State moved under the proposal (or we're single-threaded):
-                // recompute against live state — the serial semantics.
-                propose(graph, v, &uf, &tot, m2, &mut scratch).best
-            };
-            if let Some(b) = best {
-                merge_into(v, b, &mut uf, &mut tot, &mut tree_root, &mut children);
-            }
+    // Louvain-style degree sums, their total, and the increasing-degree
+    // scan schedule.
+    let mut tot = vec![0.0f64; n];
+    for v in 0..n as u32 {
+        for (u, w) in graph.weighted_neighbors(v) {
+            tot[v as usize] += if u == v { 2.0 * w } else { w };
         }
     }
-    dendrogram_order(n, &uf, &tree_root, &children)
-}
+    let m2: f64 = tot.iter().sum();
+    let mut scan: Vec<u32> = (0..n as u32).collect();
+    scan.sort_unstable_by_key(|&v| ((graph.degree(v) as u64) << 32) | u64::from(v));
 
-/// Reference serial implementation of [`rabbit_order`]: one propose/commit
-/// per vertex in scan order, no speculation. Retained as the property-test
-/// oracle and bench baseline for the batched parallel scan.
-pub fn rabbit_order_serial(graph: &Csr) -> Permutation {
-    let n = graph.num_vertices();
-    if n == 0 {
-        return Permutation::identity(0);
-    }
-    let (k, m2, scan) = rabbit_setup(graph);
     let mut uf = UnionFind::new(n);
-    let mut tot = k;
     let mut tree_root: Vec<u32> = (0..n as u32).collect();
     let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
-
     let mut scratch = WsumScratch::new(n);
     for &v in &scan {
-        let p = propose(graph, v, &uf, &tot, m2, &mut scratch);
-        if let Some(b) = p.best {
+        if let Some(b) = best_merge(graph, v, &uf, &tot, m2, &mut scratch) {
             merge_into(v, b, &mut uf, &mut tot, &mut tree_root, &mut children);
         }
     }
@@ -346,9 +255,10 @@ mod tests {
 
     #[test]
     fn batch_spanning_scan_matches_serial() {
-        // More vertices than one speculative batch so cross-batch state
-        // carries over.
-        let g = barabasi_albert(2 * BATCH + 77, 3, 5);
-        assert_eq!(rabbit_order(&g), rabbit_order_serial(&g));
+        // A thousand-vertex power-law graph, hubs scanned last against
+        // communities hundreds of merges old: the scan under a 2- and a
+        // 7-worker pool must repeat the one-worker run.
+        let g = barabasi_albert(1101, 3, 5);
+        reorderlab_graph::assert_thread_invariant(|| rabbit_order(&g));
     }
 }

@@ -13,7 +13,7 @@
 
 use reorderlab_graph::{
     frontier_candidates, frontier_candidates_by_key, pseudo_peripheral_recorded,
-    pseudo_peripheral_serial, Csr, Permutation,
+    pseudo_peripheral_serial, Csr, LevelScratch, Permutation,
 };
 use reorderlab_trace::{NoopRecorder, Recorder};
 use std::collections::VecDeque;
@@ -62,6 +62,8 @@ pub fn rcm_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
     let mut visited = vec![false; n];
     let mut order: Vec<u32> = Vec::with_capacity(n);
     let key = degree_keys(graph);
+    // One BFS scratch for the root searches of every component.
+    let mut scratch = LevelScratch::new(n);
 
     // Vertices sorted by (degree, id) — candidate starting points.
     let mut starts: Vec<u32> = (0..n as u32).collect();
@@ -80,7 +82,7 @@ pub fn rcm_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
                 continue;
             }
             rec.counter("rcm/components", 1);
-            let root = pseudo_peripheral_recorded(graph, s, rec);
+            let root = pseudo_peripheral_recorded(graph, s, &mut scratch, rec);
             visited[root as usize] = true;
             queue.push_back(root);
             while let Some(v) = queue.pop_front() {
@@ -106,7 +108,7 @@ pub fn rcm_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
         // Improve the start: walk to a pseudo-peripheral vertex of this
         // component so the level structure is deep and narrow.
         rec.counter("rcm/components", 1);
-        let root = pseudo_peripheral_recorded(graph, s, rec);
+        let root = pseudo_peripheral_recorded(graph, s, &mut scratch, rec);
         visited[root as usize] = true;
         order.push(root);
         let mut frontier = vec![root];
@@ -202,6 +204,7 @@ pub fn cdfs_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
     let mut visited = vec![false; n];
     let mut order: Vec<u32> = Vec::with_capacity(n);
     let key = degree_keys(graph);
+    let mut scratch = LevelScratch::new(n);
 
     let mut starts: Vec<u32> = (0..n as u32).collect();
     starts.sort_unstable_by_key(|&v| key[v as usize]);
@@ -214,7 +217,7 @@ pub fn cdfs_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
                 continue;
             }
             rec.counter("cdfs/components", 1);
-            let root = pseudo_peripheral_recorded(graph, s, rec);
+            let root = pseudo_peripheral_recorded(graph, s, &mut scratch, rec);
             visited[root as usize] = true;
             queue.push_back(root);
             while let Some(v) = queue.pop_front() {
@@ -236,7 +239,7 @@ pub fn cdfs_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
             continue;
         }
         rec.counter("cdfs/components", 1);
-        let root = pseudo_peripheral_recorded(graph, s, rec);
+        let root = pseudo_peripheral_recorded(graph, s, &mut scratch, rec);
         visited[root as usize] = true;
         order.push(root);
         let mut frontier = vec![root];

@@ -22,9 +22,9 @@ const SEEDS: std::ops::Range<u64> = 0..8;
 const THREADS: [usize; 2] = [2, 7];
 
 /// A slice of the scheme-contract corpus that still exercises every
-/// parallel path (hubs for Gorder's gather, >512 vertices for Rabbit's
-/// speculative batches, a disconnected graph for BFS frontiers) while
-/// keeping 8 seeds × 2 thread counts × every scheme affordable.
+/// parallel path (hubs for Gorder's gather, a 700-vertex graph whose BFS
+/// levels and coarse rows span several work blocks, a disconnected graph
+/// for BFS frontiers) while keeping 8 seeds × 2 thread counts × every scheme affordable.
 fn corpus() -> Vec<(&'static str, Csr)> {
     vec![
         (
@@ -37,7 +37,7 @@ fn corpus() -> Vec<(&'static str, Csr)> {
         ("clique-chain", clique_chain(6, 8)),
         ("grid", grid2d(9, 8)),
         ("mesh", tri_mesh(8, 8, 0.3, 9)),
-        ("powerlaw-multi-batch", barabasi_albert(700, 3, 21)),
+        ("powerlaw-700", barabasi_albert(700, 3, 21)),
     ]
 }
 

@@ -75,7 +75,7 @@ pub use recorded::{bfs_levels_recorded, contract_recorded, pseudo_peripheral_rec
 pub use stats::{approx_diameter, common_neighbors, count_triangles, degree_histogram, GraphStats};
 pub use traversal::{
     bfs_levels, bfs_levels_serial, pseudo_peripheral, pseudo_peripheral_serial, Bfs, Dfs,
-    LevelStructure,
+    LevelScratch, LevelStructure,
 };
 
 #[cfg(test)]

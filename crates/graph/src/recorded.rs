@@ -10,7 +10,7 @@
 use crate::coarsen::{contract, Contraction};
 use crate::csr::Csr;
 use crate::error::GraphError;
-use crate::traversal::{bfs_levels, pseudo_peripheral, LevelStructure};
+use crate::traversal::{bfs_levels, pseudo_peripheral_in, LevelScratch, LevelStructure};
 use reorderlab_trace::Recorder;
 
 /// [`bfs_levels`] with span timing and level/reach counters.
@@ -23,10 +23,16 @@ pub fn bfs_levels_recorded(graph: &Csr, source: u32, rec: &mut dyn Recorder) -> 
     ls
 }
 
-/// [`pseudo_peripheral`] with span timing and a run counter.
-pub fn pseudo_peripheral_recorded(graph: &Csr, start: u32, rec: &mut dyn Recorder) -> u32 {
+/// [`pseudo_peripheral`](crate::pseudo_peripheral) with span timing and a
+/// run counter, on a scratch the caller keeps across its searches.
+pub fn pseudo_peripheral_recorded(
+    graph: &Csr,
+    start: u32,
+    scratch: &mut LevelScratch,
+    rec: &mut dyn Recorder,
+) -> u32 {
     rec.span_enter("pseudo_peripheral");
-    let v = pseudo_peripheral(graph, start);
+    let v = pseudo_peripheral_in(graph, start, scratch);
     rec.span_exit("pseudo_peripheral");
     rec.counter("pseudo_peripheral/runs", 1);
     v
@@ -55,7 +61,7 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::coarsen::contract_serial;
-    use crate::traversal::bfs_levels_serial;
+    use crate::traversal::{bfs_levels_serial, pseudo_peripheral};
     use reorderlab_trace::{NoopRecorder, RunRecorder};
 
     fn sample() -> Csr {
@@ -81,8 +87,15 @@ mod tests {
     fn recorded_pseudo_peripheral_is_identical() {
         let g = sample();
         let mut rec = RunRecorder::new();
-        assert_eq!(pseudo_peripheral_recorded(&g, 2, &mut rec), pseudo_peripheral(&g, 2));
-        assert_eq!(rec.counters()["pseudo_peripheral/runs"], 1);
+        let mut scratch = LevelScratch::new(g.num_vertices());
+        for start in [2, 5, 2] {
+            assert_eq!(
+                pseudo_peripheral_recorded(&g, start, &mut scratch, &mut rec),
+                pseudo_peripheral(&g, start),
+                "a reused scratch must not change the answer"
+            );
+        }
+        assert_eq!(rec.counters()["pseudo_peripheral/runs"], 3);
     }
 
     #[test]

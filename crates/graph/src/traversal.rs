@@ -226,6 +226,25 @@ pub fn bfs_levels_serial(graph: &Csr, source: u32) -> LevelStructure {
     LevelStructure { levels, tiers }
 }
 
+/// BFS scratch that the root searches of one ordering run share, so that a
+/// search costs what its component costs, not what the graph costs: depths
+/// are written into one `n`-sized array and only the entries a search
+/// touched are reset after it.
+#[derive(Debug)]
+pub struct LevelScratch {
+    /// BFS depth per vertex; all `u32::MAX` between searches.
+    levels: Vec<u32>,
+    /// The vertices of the running search in discovery order, level by level.
+    reached: Vec<u32>,
+}
+
+impl LevelScratch {
+    /// Scratch for graphs of `n` vertices.
+    pub fn new(n: usize) -> Self {
+        LevelScratch { levels: vec![u32::MAX; n], reached: Vec::new() }
+    }
+}
+
 /// Finds a pseudo-peripheral vertex of the component containing `start`,
 /// using the classic George–Liu iteration: repeatedly move to a
 /// minimum-degree vertex in the last BFS level until the eccentricity stops
@@ -239,13 +258,24 @@ pub fn bfs_levels_serial(graph: &Csr, source: u32) -> LevelStructure {
 ///
 /// Panics if `start` is out of bounds.
 pub fn pseudo_peripheral(graph: &Csr, start: u32) -> u32 {
+    pseudo_peripheral_in(graph, start, &mut LevelScratch::new(graph.num_vertices()))
+}
+
+/// [`pseudo_peripheral`] on a caller-held scratch, for callers that search
+/// once per component.
+pub(crate) fn pseudo_peripheral_in(graph: &Csr, start: u32, scratch: &mut LevelScratch) -> u32 {
+    assert!((start as usize) < graph.num_vertices(), "pseudo_peripheral start out of bounds");
+    // An isolated vertex is its own component and its own periphery.
+    if graph.degree(start) == 0 {
+        return start;
+    }
     let mut current = start;
-    let (mut ecc, mut candidate) = bfs_summary(graph, current);
+    let (mut ecc, mut candidate) = bfs_summary(graph, current, scratch);
     loop {
         if candidate == current {
             return current;
         }
-        let (next_ecc, next_candidate) = bfs_summary(graph, candidate);
+        let (next_ecc, next_candidate) = bfs_summary(graph, candidate, scratch);
         if next_ecc > ecc {
             current = candidate;
             ecc = next_ecc;
@@ -297,13 +327,14 @@ pub fn pseudo_peripheral_serial(graph: &Csr, start: u32) -> u32 {
 /// (Beamer-style): top-down while the frontier is narrow, bottom-up over
 /// the unvisited vertices once the frontier's out-degree dominates, which
 /// skips most edge inspections on small-diameter graphs.
-fn bfs_summary(graph: &Csr, source: u32) -> (usize, u32) {
+fn bfs_summary(graph: &Csr, source: u32, scratch: &mut LevelScratch) -> (usize, u32) {
     let n = graph.num_vertices();
-    assert!((source as usize) < n, "bfs_summary source out of bounds");
-    let mut levels = vec![u32::MAX; n];
+    let LevelScratch { levels, reached } = scratch;
+    debug_assert_eq!(levels.len(), n, "scratch sized for another graph");
     levels[source as usize] = 0;
-    let mut frontier: Vec<u32> = vec![source];
-    let mut next: Vec<u32> = Vec::new();
+    reached.push(source);
+    // The current level is `reached[level_start..level_end]`.
+    let (mut level_start, mut level_end) = (0usize, 1usize);
     let mut depth = 0u32;
     // Bottom-up is only valid when the adjacency is symmetric.
     let bottom_up_ok = !graph.is_directed();
@@ -311,9 +342,9 @@ fn bfs_summary(graph: &Csr, source: u32) -> (usize, u32) {
     let mut unvisited_deg = graph.num_arcs() as u64;
 
     loop {
-        let frontier_deg: u64 = frontier.iter().map(|&v| graph.degree(v) as u64).sum();
+        let frontier_deg: u64 =
+            reached[level_start..level_end].iter().map(|&v| graph.degree(v) as u64).sum();
         unvisited_deg = unvisited_deg.saturating_sub(frontier_deg);
-        next.clear();
         if bottom_up_ok && frontier_deg * 4 > unvisited_deg {
             // Bottom-up: each unvisited vertex probes its neighbors for a
             // parent in the current level and exits at the first hit.
@@ -324,34 +355,37 @@ fn bfs_summary(graph: &Csr, source: u32) -> (usize, u32) {
                 for &u in graph.neighbors(v) {
                     if levels[u as usize] == depth {
                         levels[v as usize] = depth + 1;
-                        next.push(v);
+                        reached.push(v);
                         break;
                     }
                 }
             }
         } else {
-            for &v in &frontier {
-                for &u in graph.neighbors(v) {
+            for i in level_start..level_end {
+                for &u in graph.neighbors(reached[i]) {
                     if levels[u as usize] == u32::MAX {
                         levels[u as usize] = depth + 1;
-                        next.push(u);
+                        reached.push(u);
                     }
                 }
             }
         }
-        if next.is_empty() {
+        if reached.len() == level_end {
             break;
         }
-        std::mem::swap(&mut frontier, &mut next);
+        (level_start, level_end) = (level_end, reached.len());
         depth += 1;
     }
-    let deepest = frontier
+    let deepest = reached[level_start..level_end]
         .iter()
         .copied()
         .min_by_key(|&v| (graph.degree(v), v))
         // SAFETY: the deepest BFS level always holds at least the
         // search source.
         .expect("deepest level holds at least the source");
+    for v in reached.drain(..) {
+        levels[v as usize] = u32::MAX;
+    }
     (depth as usize, deepest)
 }
 
@@ -516,6 +550,28 @@ mod tests {
             .unwrap();
         for start in 0..9u32 {
             assert_eq!(pseudo_peripheral(&g, start), pseudo_peripheral_serial(&g, start));
+        }
+    }
+
+    #[test]
+    fn shared_scratch_is_clean_between_searches() {
+        // Components of every kind on one scratch: two paths, an isolated
+        // vertex, a self-loop-only vertex, and a clique dense enough for
+        // the bottom-up step.
+        let g = GraphBuilder::undirected(20)
+            .self_loops(crate::builder::SelfLoopPolicy::Keep)
+            .edges([(0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (8, 8)])
+            .edges((10..20).flat_map(|u| (u + 1..20).map(move |v| (u, v))))
+            .build()
+            .unwrap();
+        let mut scratch = LevelScratch::new(20);
+        for start in (0..20u32).chain(0..20) {
+            assert_eq!(
+                pseudo_peripheral_in(&g, start, &mut scratch),
+                pseudo_peripheral_serial(&g, start),
+                "start {start}"
+            );
+            assert!(scratch.reached.is_empty() && scratch.levels.iter().all(|&l| l == u32::MAX));
         }
     }
 

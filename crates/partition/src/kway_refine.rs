@@ -5,13 +5,7 @@
 //! boundary vertices between *any* pair of parts when that lowers the cut
 //! without violating balance, repairing the seams bisection cannot see.
 
-use rayon::prelude::*;
 use reorderlab_graph::Csr;
-
-/// Speculative batch length for the parallel refinement scan. A constant
-/// (not derived from the worker count) so every move decision is identical
-/// at any thread count.
-const BATCH: usize = 512;
 
 /// Epoch-stamped scatter array for per-vertex part connectivity. Candidate
 /// parts are visited in first-touch (adjacency) order, which — unlike the
@@ -86,106 +80,14 @@ fn propose(
 /// vertex to every adjacent part, and moves it to the best-connected part
 /// when the gain is positive and the target stays under
 /// `(1 + epsilon) · total / k`. Passes repeat until no move fires or
-/// `max_passes` is reached.
-///
-/// Each pass proposes moves for fixed-size batches in parallel against the
-/// batch-start state and commits them serially in id order. A proposal
-/// stays exact as long as none of the vertex's neighbors moved inside the
-/// batch (connectivity depends only on neighbor parts); the balance cap is
-/// always checked at commit time against live part weights, exactly as the
-/// serial scan does. Invalidated proposals are recomputed live, so the
-/// result is bit-identical to [`kway_refine_serial`] at any thread count.
+/// `max_passes` is reached. The scan is serial: each decision reads the
+/// moves made before it.
 ///
 /// # Panics
 ///
 /// Panics if `assignment` does not cover every vertex or mentions a part
 /// `>= num_parts`.
 pub fn kway_refine(
-    graph: &Csr,
-    assignment: &mut [u32],
-    num_parts: usize,
-    vertex_weights: &[f64],
-    epsilon: f64,
-    max_passes: usize,
-) -> usize {
-    let n = graph.num_vertices();
-    assert_eq!(assignment.len(), n, "assignment must cover every vertex");
-    assert_eq!(vertex_weights.len(), n, "weights must cover every vertex");
-    assert!(
-        assignment.iter().all(|&p| (p as usize) < num_parts),
-        "assignment mentions an out-of-range part"
-    );
-    if num_parts <= 1 || n == 0 {
-        return 0;
-    }
-    let total: f64 = vertex_weights.iter().sum();
-    let cap = (1.0 + epsilon) * total / num_parts as f64;
-    let mut part_weight = vec![0.0f64; num_parts];
-    for (v, &p) in assignment.iter().enumerate() {
-        part_weight[p as usize] += vertex_weights[v];
-    }
-
-    let mut total_moves = 0usize;
-    let mut scratch = ConnScratch::new(num_parts);
-    // Batch id (never reused) in which each vertex last changed part.
-    let mut moved_in = vec![u64::MAX; n];
-    let mut batch_id = 0u64;
-    let speculate = rayon::current_num_threads() > 1;
-    let ids: Vec<u32> = (0..n as u32).collect();
-    for _ in 0..max_passes {
-        let mut moves = 0usize;
-        for batch in ids.chunks(BATCH) {
-            batch_id += 1;
-            let proposals: Vec<Option<(f64, f64, u32)>> = if speculate {
-                let assignment_ref: &[u32] = assignment;
-                batch
-                    .par_iter()
-                    .map_init(
-                        || ConnScratch::new(num_parts),
-                        |s, &v| propose(graph, v, assignment_ref, s),
-                    )
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            for (j, &v) in batch.iter().enumerate() {
-                let fresh = speculate
-                    && graph
-                        .neighbors(v)
-                        .iter()
-                        .all(|&u| u == v || moved_in[u as usize] != batch_id);
-                let decision =
-                    if fresh { proposals[j] } else { propose(graph, v, assignment, &mut scratch) };
-                if let Some((here, w, p)) = decision {
-                    let vw = vertex_weights[v as usize];
-                    if w > here + 1e-12 && part_weight[p as usize] + vw <= cap {
-                        let cur = assignment[v as usize];
-                        part_weight[cur as usize] -= vw;
-                        part_weight[p as usize] += vw;
-                        assignment[v as usize] = p;
-                        moved_in[v as usize] = batch_id;
-                        moves += 1;
-                    }
-                }
-            }
-        }
-        total_moves += moves;
-        if moves == 0 {
-            break;
-        }
-    }
-    total_moves
-}
-
-/// Reference serial implementation of [`kway_refine`]: one propose/commit
-/// per vertex in id order, no speculation. Retained as the property-test
-/// oracle and bench baseline for the batched scan.
-///
-/// # Panics
-///
-/// Panics if `assignment` does not cover every vertex or mentions a part
-/// `>= num_parts`.
-pub fn kway_refine_serial(
     graph: &Csr,
     assignment: &mut [u32],
     num_parts: usize,

@@ -10,8 +10,9 @@
 //! the METIS-induced ordering (§III-D, swept over k in Figure 7) and nested
 //! dissection (§III-E).
 //!
-//! The matching, contraction and refinement kernels run on the rayon pool
-//! the caller is in and are bit-identical at any width, so
+//! Matching and both refinements are serial scans (every decision reads
+//! the ones before it); contraction and sub-graph extraction run on the
+//! rayon pool the caller is in and are bit-identical at any width, so
 //! [`PartitionConfig`] has no thread-count setting; bound the pool with
 //! `reorderlab_graph::build_pool(t).install(|| partition_kway(..))`.
 //!
@@ -42,8 +43,8 @@ mod separator;
 pub use bisect::{bisect, Bisection};
 pub use config::PartitionConfig;
 pub use kway::{communication_volume, kway_cut, partition_kway, Partitioning};
-pub use kway_refine::{kway_refine, kway_refine_serial};
-pub use matching::{heavy_edge_matching, heavy_edge_matching_serial, Matching};
+pub use kway_refine::kway_refine;
+pub use matching::{heavy_edge_matching, Matching};
 pub use nd::nested_dissection_order;
 pub use refine::{edge_cut, fm_refine};
 pub use separator::{vertex_separator, Separator};
@@ -52,12 +53,29 @@ pub use separator::{vertex_separator, Separator};
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use reorderlab_graph::GraphBuilder;
+    use reorderlab_graph::{GraphBuilder, SelfLoopPolicy};
 
     fn arb_graph() -> impl Strategy<Value = reorderlab_graph::Csr> {
         (4usize..40).prop_flat_map(|n| {
             proptest::collection::vec((0..n as u32, 0..n as u32), 0..100)
                 .prop_map(move |edges| GraphBuilder::undirected(n).edges(edges).build().unwrap())
+        })
+    }
+
+    /// Weighted (halves, so every sum is exact), self-loops kept.
+    fn arb_weighted_graph() -> impl Strategy<Value = reorderlab_graph::Csr> {
+        (4usize..40).prop_flat_map(|n| {
+            proptest::collection::vec((0..n as u32, 0..n as u32, 1u32..9), 0..100).prop_map(
+                move |edges| {
+                    GraphBuilder::undirected(n)
+                        .self_loops(SelfLoopPolicy::Keep)
+                        .weighted_edges(
+                            edges.into_iter().map(|(u, v, h)| (u, v, f64::from(h) / 2.0)),
+                        )
+                        .build()
+                        .unwrap()
+                },
+            )
         })
     }
 
@@ -85,6 +103,28 @@ mod proptests {
             prop_assert!((after - edge_cut(&g, &side)).abs() < 1e-9);
         }
 
+        /// The FM contract on weighted graphs with self-loops: the cut never
+        /// rises and equals a recount, and a side inside its cap stays inside.
+        /// (That the live `ext`/`int` survive every rollback exactly is
+        /// asserted inside `fm_refine` itself in this crate's test build.)
+        #[test]
+        fn fm_contract_on_weighted_graphs(
+            (g, seed, slack) in (arb_weighted_graph(), any::<u64>(), 0usize..4)
+        ) {
+            let n = g.num_vertices();
+            let mut side: Vec<bool> = (0..n).map(|v| (v as u64 ^ seed) & 1 == 1).collect();
+            let vw: Vec<f64> = (0..n).map(|v| 1.0 + (v % 3) as f64).collect();
+            let weight_of = |side: &[bool], s: bool| -> f64 {
+                (0..n).filter(|&v| side[v] == s).map(|v| vw[v]).sum()
+            };
+            let caps = [false, true].map(|s| weight_of(&side, s) + slack as f64);
+            let before = edge_cut(&g, &side);
+            let after = fm_refine(&g, &vw, &mut side, caps[0], caps[1], 4);
+            prop_assert!(after <= before + 1e-9, "FM worsened cut {} -> {}", before, after);
+            prop_assert_eq!(after, edge_cut(&g, &side));
+            prop_assert!(weight_of(&side, false) <= caps[0] && weight_of(&side, true) <= caps[1]);
+        }
+
         #[test]
         fn separator_actually_separates((g, seed) in (arb_graph(), any::<u64>())) {
             let s = vertex_separator(&g, &PartitionConfig::new(2).seed(seed));
@@ -106,25 +146,20 @@ mod proptests {
         }
 
         #[test]
-        fn matching_matches_serial_oracle((g, seed) in (arb_graph(), any::<u64>())) {
-            let expected = heavy_edge_matching_serial(&g, seed);
-            let got = reorderlab_graph::assert_thread_invariant(|| heavy_edge_matching(&g, seed));
-            prop_assert_eq!(got, expected);
+        fn matching_thread_invariant((g, seed) in (arb_graph(), any::<u64>())) {
+            reorderlab_graph::assert_thread_invariant(|| heavy_edge_matching(&g, seed));
         }
 
         #[test]
-        fn kway_refine_matches_serial_oracle((g, k, seed) in (arb_graph(), 2usize..6, any::<u64>())) {
+        fn kway_refine_thread_invariant((g, k, seed) in (arb_graph(), 2usize..6, any::<u64>())) {
             let n = g.num_vertices();
             let start: Vec<u32> = (0..n as u32).map(|v| (v ^ seed as u32) % k as u32).collect();
             let vw = vec![1.0; n];
-            let mut expected = start.clone();
-            let expected_moves = kway_refine_serial(&g, &mut expected, k, &vw, 0.3, 4);
-            let got = reorderlab_graph::assert_thread_invariant(|| {
+            reorderlab_graph::assert_thread_invariant(|| {
                 let mut a = start.clone();
                 let moves = kway_refine(&g, &mut a, k, &vw, 0.3, 4);
                 (a, moves)
             });
-            prop_assert_eq!(got, (expected, expected_moves));
         }
 
         #[test]
