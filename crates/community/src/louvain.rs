@@ -10,7 +10,7 @@
 //! neighbor-community scan, normalized by edge count).
 
 use crate::config::LouvainConfig;
-use crate::modularity::{modularity, ModularityContext};
+use crate::modularity::{modularity_with, sum_q, ModularityContext};
 use rayon::prelude::*;
 use reorderlab_graph::{contract, Adjacency, CompressedCsr, Csr};
 use std::time::{Duration, Instant};
@@ -18,7 +18,11 @@ use std::time::{Duration, Instant};
 /// Measurements for one move iteration within a phase.
 #[derive(Debug, Clone)]
 pub struct IterationStats {
-    /// Wall-clock duration of the iteration.
+    /// Wall-clock duration of the iteration: the parallel proposal scan,
+    /// the serial revalidate-and-apply pass over the proposed moves, and the
+    /// O(n) read of Q from the `in`/`tot` arrays the applied moves
+    /// maintain. No arc pass beyond the scan and the re-scan of moved
+    /// vertices is in it.
     pub duration: Duration,
     /// Number of vertices that changed community.
     pub moves: usize,
@@ -67,7 +71,10 @@ impl PhaseStats {
     }
 
     /// Parallel-efficiency proxy in `\[0, 1\]`: busy CPU time over total CPU
-    /// time (`threads × wall`), the paper's `Work%`.
+    /// time (`threads × wall`), the paper's `Work%`. `busy` is the proposal
+    /// scan's per-worker time and `wall` the sum of
+    /// [`IterationStats::duration`], so what keeps it under 1 is scan
+    /// imbalance plus the serial apply pass, not a modularity recomputation.
     pub fn work_percent(&self, threads: usize) -> f64 {
         let wall: Duration = self.iterations.iter().map(|i| i.duration).sum();
         if wall.is_zero() || threads == 0 {
@@ -176,18 +183,26 @@ pub fn louvain_compressed(cz: &CompressedCsr, cfg: &LouvainConfig) -> CommunityR
 /// drive the same engine (phase loop, renumbering, contraction) with the
 /// retained reference phases and compare the runs bit for bit.
 trait MovePhase {
-    /// Runs move iterations on one level until the modularity gain drops
-    /// below the threshold. Returns the (non-renumbered) community
-    /// assignment and the per-iteration stats.
-    fn run<G: Adjacency>(level: &G, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>);
+    /// Runs move iterations on one level, whose context is `ctx`, until the
+    /// modularity gain drops below the threshold. Returns the
+    /// (non-renumbered) communities and the per-iteration stats.
+    fn run<G: Adjacency>(
+        level: &G,
+        ctx: &ModularityContext,
+        cfg: &LouvainConfig,
+    ) -> (Communities, Vec<IterationStats>);
 }
 
 /// The production move phase: the packed scatter scan on every level.
 struct PackedScan;
 
 impl MovePhase for PackedScan {
-    fn run<G: Adjacency>(level: &G, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>) {
-        scatter_phase(level, cfg, PackedScratch::new, PackedScratch::propose)
+    fn run<G: Adjacency>(
+        level: &G,
+        ctx: &ModularityContext,
+        cfg: &LouvainConfig,
+    ) -> (Communities, Vec<IterationStats>) {
+        scatter_phase(level, ctx, cfg, PackedScratch::new, PackedScratch::propose)
     }
 }
 
@@ -199,21 +214,29 @@ fn louvain_inner<G: Adjacency, P: MovePhase>(graph: &G, cfg: &LouvainConfig) -> 
     let mut last_q = f64::NEG_INFINITY;
 
     // The first phase runs on the caller's graph in its own storage form;
-    // coarse levels are always owned flat graphs.
-    let mut coarse: Option<Csr> = None;
+    // coarse levels are always owned flat graphs. Each level's context is
+    // built once and serves its scan and every Q read of its phase; the
+    // input graph's also serves the final value.
+    let ctx0 = ModularityContext::new(graph);
+    let mut coarse: Option<(ModularityContext, Csr)> = None;
     for _phase in 0..cfg.max_phases {
         let next = match &coarse {
-            None => phase_step::<G, P>(graph, cfg, &mut global, &mut phases, &mut last_q),
-            Some(level) => phase_step::<Csr, P>(level, cfg, &mut global, &mut phases, &mut last_q),
+            None => phase_step::<G, P>(graph, &ctx0, cfg, &mut global, &mut phases, &mut last_q),
+            Some((ctx, level)) => {
+                phase_step::<Csr, P>(level, ctx, cfg, &mut global, &mut phases, &mut last_q)
+            }
         };
         match next {
-            Some(c) => coarse = Some(c),
+            Some(c) => coarse = Some((ModularityContext::new(&c), c)),
             None => break,
         }
     }
 
     let num_communities = global.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
-    let q = modularity(graph, &global);
+    // The one recomputation of a run: from the final assignment on the
+    // input graph, so nothing the live arrays could drift by on real
+    // weights reaches the value a caller checks.
+    let q = modularity_with(graph, &ctx0, &global);
     CommunityResult {
         assignment: global,
         num_communities,
@@ -228,16 +251,21 @@ fn louvain_inner<G: Adjacency, P: MovePhase>(graph: &G, cfg: &LouvainConfig) -> 
 /// graph to continue on, or `None` to stop.
 fn phase_step<G: Adjacency, P: MovePhase>(
     level: &G,
+    ctx: &ModularityContext,
     cfg: &LouvainConfig,
     global: &mut [u32],
     phases: &mut Vec<PhaseStats>,
     last_q: &mut f64,
 ) -> Option<Csr> {
     let phase_start = Instant::now();
-    let (comm, iterations) = P::run(level, cfg);
-    let (renum, num_comms) = renumber(&comm);
+    let (communities, iterations) = P::run(level, ctx, cfg);
+    let (renum, first_seen) = renumber(&communities.comm);
+    let num_comms = first_seen.len();
 
-    let q = modularity(level, &renum);
+    // The phase-end Q is read from the arrays too, gathered in new-id order:
+    // the terms and summation order of a recomputation on `renum`.
+    let Communities { internal, tot, .. } = &communities;
+    let q = sum_q(first_seen.iter().map(|&c| (internal[c as usize], tot[c as usize])), ctx.total);
     phases.push(PhaseStats {
         duration: phase_start.elapsed(),
         vertices: level.num_vertices(),
@@ -479,23 +507,56 @@ fn best_move(
     }
 }
 
+/// Blondel's bookkeeping for one level: the assignment and, per community
+/// id, the two sums modularity is made of. [`apply_move`] keeps all three
+/// current, so Q is a read of `internal`/`tot` at any point of a phase and
+/// never an arc pass. On integer-valued weights (every unweighted input and
+/// every coarse level of one) both sums are exact integers, so the read
+/// equals a recomputation from `comm` bit for bit; on real weights it
+/// differs by rounding only.
+#[derive(Debug)]
+struct Communities {
+    /// `comm[v]`: community of vertex `v` (not renumbered).
+    comm: Vec<u32>,
+    /// `tot[c]`: Σ `k` over the members of `c`.
+    tot: Vec<f64>,
+    /// `internal[c]`: adjacency weight inside `c` (ordered pairs, self loops
+    /// counted twice), the `in_c` of [`crate::modularity()`].
+    internal: Vec<f64>,
+}
+
+impl Communities {
+    /// Every vertex alone in the community of its own id.
+    fn singletons(ctx: &ModularityContext) -> Self {
+        Communities {
+            comm: (0..ctx.k.len() as u32).collect(),
+            tot: ctx.k.clone(),
+            internal: ctx.self_weight.iter().map(|&w| 2.0 * w).collect(),
+        }
+    }
+
+    /// Q of the current assignment, terms in community-id order (an emptied
+    /// community contributes `+0.0`).
+    fn q(&self, m2: f64) -> f64 {
+        sum_q(self.internal.iter().copied().zip(self.tot.iter().copied()), m2)
+    }
+}
+
 /// Revalidates one proposed move against the *current* state and applies it
 /// if the gain is still positive. Proposals were computed against a
 /// snapshot, so this guard keeps Q monotone non-decreasing — the same
 /// label-swap protection parallel Louvain implementations employ. Returns
 /// whether the move was applied.
-#[allow(clippy::too_many_arguments)]
 fn apply_move<G: Adjacency>(
     level: &G,
     row: &mut Vec<u32>,
-    k: &[f64],
-    m2: f64,
-    comm: &mut [u32],
-    tot: &mut [f64],
+    ctx: &ModularityContext,
+    communities: &mut Communities,
     v: u32,
     c: u32,
     loads: &mut u64,
 ) -> bool {
+    let Communities { comm, tot, internal } = communities;
     let cur = comm[v as usize];
     if cur == c {
         return false;
@@ -517,7 +578,8 @@ fn apply_move<G: Adjacency>(
             }
         });
     }
-    let kv = k[v as usize];
+    let kv = ctx.k[v as usize];
+    let m2 = ctx.total;
     let gain =
         (w_to_target - kv * tot[c as usize] / m2) - (w_to_cur - kv * (tot[cur as usize] - kv) / m2);
     if gain <= 1e-12 {
@@ -525,6 +587,12 @@ fn apply_move<G: Adjacency>(
     }
     tot[cur as usize] -= kv;
     tot[c as usize] += kv;
+    // `v` takes its arcs into `cur` out of `in_cur` and brings its arcs into
+    // `c` to `in_c`, each counted from both endpoints; its self loop moves
+    // with it.
+    let self_loop = 2.0 * ctx.self_weight[v as usize];
+    internal[cur as usize] -= 2.0 * w_to_cur + self_loop;
+    internal[c as usize] += 2.0 * w_to_target + self_loop;
     comm[v as usize] = c;
     true
 }
@@ -535,20 +603,19 @@ fn apply_move<G: Adjacency>(
 /// scores one vertex with it; production passes [`PackedScratch`]'s.
 fn scatter_phase<G: Adjacency, S: Send>(
     level: &G,
+    ctx: &ModularityContext,
     cfg: &LouvainConfig,
     new_scratch: impl Fn(usize) -> S,
     propose: impl Fn(&mut S, &G, u32, &[u32], &[f64], &[f64], f64, &mut u64) -> u32 + Sync,
-) -> (Vec<u32>, Vec<IterationStats>) {
+) -> (Communities, Vec<IterationStats>) {
     let n = level.num_vertices();
-    let ctx = ModularityContext::new(level);
     let m2 = ctx.total; // 2m
-    let mut comm: Vec<u32> = (0..n as u32).collect();
-    let mut tot: Vec<f64> = ctx.k.clone();
+    let mut communities = Communities::singletons(ctx);
     let mut iterations: Vec<IterationStats> = Vec::new();
     if n == 0 || m2 == 0.0 {
-        return (comm, iterations);
+        return (communities, iterations);
     }
-    let mut prev_q = modularity(level, &comm);
+    let mut prev_q = communities.q(m2);
 
     // One contiguous vertex span per worker. The scratch and the proposal
     // array are allocated once here and reused by every iteration; within a
@@ -564,8 +631,8 @@ fn scatter_phase<G: Adjacency, S: Send>(
         // Parallel scan: each worker proposes moves for its span against the
         // iteration's snapshot of `comm`/`tot`, writing into its disjoint
         // slice of the shared proposal array.
-        let comm_snap: &[u32] = &comm;
-        let tot_snap: &[f64] = &tot;
+        let comm_snap: &[u32] = &communities.comm;
+        let tot_snap: &[f64] = &communities.tot;
         let per_worker: Vec<(u64, Duration)> = scratches
             .par_iter_mut()
             .zip(proposals.chunks_mut(span).collect::<Vec<_>>())
@@ -596,13 +663,13 @@ fn scatter_phase<G: Adjacency, S: Send>(
             if c == NO_MOVE {
                 continue;
             }
-            if apply_move(level, &mut apply_row, &ctx.k, m2, &mut comm, &mut tot, v, c, &mut loads)
-            {
+            if apply_move(level, &mut apply_row, ctx, &mut communities, v, c, &mut loads) {
                 num_moves += 1;
             }
         }
 
-        let q = modularity(level, &comm);
+        // Q after the moves: read from the arrays they maintained.
+        let q = communities.q(m2);
         iterations.push(IterationStats {
             duration: iter_start.elapsed(),
             moves: num_moves,
@@ -610,31 +677,33 @@ fn scatter_phase<G: Adjacency, S: Send>(
             loads,
             busy,
         });
+        #[cfg(test)]
+        tests::assert_arrays_match_recount(level, ctx, &communities);
         let gained = q - prev_q;
         prev_q = q;
         if num_moves == 0 || gained < cfg.iteration_gain_threshold {
             break;
         }
     }
-    (comm, iterations)
+    (communities, iterations)
 }
 
 /// Renumbers an arbitrary community labeling to contiguous ids in order of
-/// first appearance. Returns the relabeled assignment and the community
-/// count.
-fn renumber(comm: &[u32]) -> (Vec<u32>, usize) {
+/// first appearance. Returns the relabeled assignment and, per new id, the
+/// old id it stands for (so its length is the community count).
+fn renumber(comm: &[u32]) -> (Vec<u32>, Vec<u32>) {
     let cap = comm.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
     let mut map: Vec<u32> = vec![u32::MAX; cap];
-    let mut next = 0u32;
+    let mut first_seen: Vec<u32> = Vec::new();
     let mut out = Vec::with_capacity(comm.len());
     for &c in comm {
         if map[c as usize] == u32::MAX {
-            map[c as usize] = next;
-            next += 1;
+            map[c as usize] = first_seen.len() as u32;
+            first_seen.push(c);
         }
         out.push(map[c as usize]);
     }
-    (out, next as usize)
+    (out, first_seen)
 }
 
 #[cfg(test)]
@@ -642,7 +711,7 @@ mod tests {
     use super::*;
     use crate::modularity::modularity;
     use reorderlab_datasets::{clique_chain, complete, grid2d, path};
-    use reorderlab_graph::{build_pool, GraphBuilder};
+    use reorderlab_graph::{build_pool, GraphBuilder, SelfLoopPolicy};
     use std::collections::HashMap;
 
     #[test]
@@ -796,9 +865,58 @@ mod tests {
 
     #[test]
     fn renumber_contiguous() {
-        let (out, k) = renumber(&[5, 5, 2, 7, 2]);
+        let (out, first_seen) = renumber(&[5, 5, 2, 7, 2]);
         assert_eq!(out, vec![0, 0, 1, 2, 1]);
-        assert_eq!(k, 3);
+        assert_eq!(first_seen, vec![5, 2, 7]);
+    }
+
+    /// `tot`/`internal` counted from scratch for `comm`, by the arc pass of
+    /// [`modularity_with`] indexed by raw community id, and whether every
+    /// weight it saw is integer-valued (so both sums are exact).
+    fn recount<G: Adjacency>(
+        level: &G,
+        ctx: &ModularityContext,
+        comm: &[u32],
+    ) -> (Communities, bool) {
+        let n = level.num_vertices();
+        let mut tot = vec![0.0f64; n];
+        let mut internal = vec![0.0f64; n];
+        let mut integral = true;
+        let mut row: Vec<u32> = Vec::new();
+        for v in 0..n as u32 {
+            let cv = comm[v as usize] as usize;
+            tot[cv] += ctx.k[v as usize];
+            level.for_each_weighted(v, &mut row, |u, w| {
+                integral &= w.fract() == 0.0;
+                if u == v {
+                    internal[cv] += 2.0 * w;
+                } else if comm[u as usize] as usize == cv {
+                    internal[cv] += w;
+                }
+            });
+        }
+        (Communities { comm: comm.to_vec(), tot, internal }, integral)
+    }
+
+    /// The hook [`scatter_phase`] calls after every iteration in the test
+    /// build: the live arrays equal a from-scratch recount, bit for bit on
+    /// integer-valued weights and within 1e-12 otherwise.
+    pub(super) fn assert_arrays_match_recount<G: Adjacency>(
+        level: &G,
+        ctx: &ModularityContext,
+        live: &Communities,
+    ) {
+        let (fresh, integral) = recount(level, ctx, &live.comm);
+        let pairs = [("tot", &live.tot, &fresh.tot), ("internal", &live.internal, &fresh.internal)];
+        for (name, live, fresh) in pairs {
+            for (c, (&a, &b)) in live.iter().zip(fresh).enumerate() {
+                if integral {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{name}[{c}]: live {a} vs recount {b}");
+                } else {
+                    assert!((a - b).abs() <= 1e-12, "{name}[{c}]: live {a} vs recount {b}");
+                }
+            }
+        }
     }
 
     /// Reference scratch: Grappolo's flat scatter arrays, split `stamp` and
@@ -879,17 +997,28 @@ mod tests {
     struct FlatScatter;
 
     impl MovePhase for FlatScatter {
-        fn run<G: Adjacency>(level: &G, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>) {
-            scatter_phase(level, cfg, FlatScratch::new, FlatScratch::propose)
+        fn run<G: Adjacency>(
+            level: &G,
+            ctx: &ModularityContext,
+            cfg: &LouvainConfig,
+        ) -> (Communities, Vec<IterationStats>) {
+            scatter_phase(level, ctx, cfg, FlatScratch::new, FlatScratch::propose)
         }
     }
 
-    /// Reference phase: the original per-chunk `HashMap` move phase.
+    /// Reference phase: the original per-chunk `HashMap` move phase, which
+    /// recomputes Q from the assignment after every iteration and recounts
+    /// the arrays it returns, so a bit-for-bit match with the production
+    /// phase proves the live arrays.
     struct HashMapChunks;
 
     impl MovePhase for HashMapChunks {
-        fn run<G: Adjacency>(level: &G, cfg: &LouvainConfig) -> (Vec<u32>, Vec<IterationStats>) {
-            one_phase_hashmap(level, cfg)
+        fn run<G: Adjacency>(
+            level: &G,
+            ctx: &ModularityContext,
+            cfg: &LouvainConfig,
+        ) -> (Communities, Vec<IterationStats>) {
+            one_phase_hashmap(level, ctx, cfg)
         }
     }
 
@@ -902,18 +1031,17 @@ mod tests {
 
     fn one_phase_hashmap<G: Adjacency>(
         level: &G,
+        ctx: &ModularityContext,
         cfg: &LouvainConfig,
-    ) -> (Vec<u32>, Vec<IterationStats>) {
+    ) -> (Communities, Vec<IterationStats>) {
         let n = level.num_vertices();
-        let ctx = ModularityContext::new(level);
         let m2 = ctx.total; // 2m
-        let mut comm: Vec<u32> = (0..n as u32).collect();
-        let mut tot: Vec<f64> = ctx.k.clone();
+        let mut communities = Communities::singletons(ctx);
         let mut iterations: Vec<IterationStats> = Vec::new();
         if n == 0 || m2 == 0.0 {
-            return (comm, iterations);
+            return (communities, iterations);
         }
-        let mut prev_q = modularity(level, &comm);
+        let mut prev_q = modularity_with(level, ctx, &communities.comm);
         let mut apply_row: Vec<u32> = Vec::new();
 
         for _iter in 0..cfg.max_iterations {
@@ -922,6 +1050,8 @@ mod tests {
             // snapshot of `comm`/`tot`. This is the hot routine the paper
             // profiles: for every vertex, visit all neighbors and accumulate
             // per-community weights in a map.
+            let comm: &[u32] = &communities.comm;
+            let tot: &[f64] = &communities.tot;
             let results: Vec<ChunkProposals> = (0..n)
                 .into_par_iter()
                 .chunks(HASHMAP_CHUNK)
@@ -993,23 +1123,13 @@ mod tests {
                 loads += l;
                 busy += b;
                 for (v, c) in moves {
-                    if apply_move(
-                        level,
-                        &mut apply_row,
-                        &ctx.k,
-                        m2,
-                        &mut comm,
-                        &mut tot,
-                        v,
-                        c,
-                        &mut loads,
-                    ) {
+                    if apply_move(level, &mut apply_row, ctx, &mut communities, v, c, &mut loads) {
                         num_moves += 1;
                     }
                 }
             }
 
-            let q = modularity(level, &comm);
+            let q = modularity_with(level, ctx, &communities.comm);
             iterations.push(IterationStats {
                 duration: iter_start.elapsed(),
                 moves: num_moves,
@@ -1023,7 +1143,7 @@ mod tests {
                 break;
             }
         }
-        (comm, iterations)
+        (recount(level, ctx, &communities.comm).0, iterations)
     }
 
     /// Asserts two runs are bit-identical: assignment, final modularity,
@@ -1083,6 +1203,55 @@ mod tests {
         let g = weighted_ring();
         assert_kernels_equivalent(&g, 1);
         assert_kernels_equivalent(&g, 2);
+    }
+
+    /// `G(400, 3000)` with real, non-dyadic weights derived from the
+    /// endpoints; with `self_loops`, every third vertex also carries one
+    /// (the `self_weight` term only a coarse level exercises otherwise).
+    fn real_weighted(self_loops: bool) -> Csr {
+        let topology = reorderlab_datasets::erdos_renyi_gnm(400, 3000, 7);
+        let weight = |u: u32, v: u32| 0.1 + f64::from((u * 31 + v * 17) % 97) / 37.0;
+        let mut b = GraphBuilder::undirected(400).self_loops(SelfLoopPolicy::Keep);
+        for u in 0..400u32 {
+            for &v in topology.neighbors(u).iter().filter(|&&v| v > u) {
+                b = b.weighted_edge(u, v, weight(u, v));
+            }
+            if self_loops && u % 3 == 0 {
+                b = b.weighted_edge(u, u, weight(u, u));
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn array_q_tracks_recomputation_on_real_weights() {
+        // Real weights round, so the arrays may differ from a recount in the
+        // last bits and the thresholds (1e-4 and up) must not notice: the
+        // decisions equal the recomputing reference exactly, every Q agrees
+        // within 1e-12, and `scatter_phase`'s test hook held the arrays to
+        // their recount after every iteration on the way.
+        for self_loops in [false, true] {
+            let g = real_weighted(self_loops);
+            assert!(g.is_weighted());
+            let cfg = LouvainConfig::default();
+            for threads in [1usize, 2, 7] {
+                let (r, reference) = build_pool(threads)
+                    .install(|| (louvain(&g, &cfg), louvain_inner::<_, HashMapChunks>(&g, &cfg)));
+                assert_eq!(r.assignment, reference.assignment);
+                assert!(r.stats.phases.len() > 1, "the run must reach a coarse level");
+                assert_eq!(r.stats.phases.len(), reference.stats.phases.len());
+                for (p, pr) in r.stats.phases.iter().zip(&reference.stats.phases) {
+                    assert_eq!(p.iterations.len(), pr.iterations.len());
+                    assert!((p.modularity - pr.modularity).abs() <= 1e-12);
+                    for (i, ir) in p.iterations.iter().zip(&pr.iterations) {
+                        assert_eq!(i.moves, ir.moves);
+                        assert_eq!(i.loads, ir.loads);
+                        assert!((i.modularity - ir.modularity).abs() <= 1e-12);
+                    }
+                }
+                assert!((r.modularity - modularity(&g, &r.assignment)).abs() <= 1e-12);
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! `2w` on the diagonal. Thus `k_i = Σ_j A_ij` equals the weighted degree
 //! plus the self-loop weight counted twice, and `2m = Σ_i k_i`.
 
+use rayon::prelude::*;
 use reorderlab_graph::Adjacency;
 
 /// Per-vertex modularity bookkeeping for a weighted graph.
@@ -19,26 +20,36 @@ pub struct ModularityContext {
 }
 
 impl ModularityContext {
-    /// Precomputes degrees and totals for `graph`. Every [`Adjacency`]
-    /// accumulates the identical float sequence (row order), so the
-    /// contexts of a flat and a compressed graph match bit for bit.
+    /// Precomputes degrees and totals for `graph`, one contiguous vertex
+    /// span per worker of the ambient pool. Each `k[v]` is its own row's sum
+    /// in row order and `total` is the serial sum of `k`, so the context is
+    /// the same bit for bit at any width, and every [`Adjacency`]
+    /// accumulates the identical float sequence: the contexts of a flat and
+    /// a compressed graph match too.
     pub fn new<G: Adjacency>(graph: &G) -> Self {
         let n = graph.num_vertices();
         let mut k = vec![0.0f64; n];
         let mut self_weight = vec![0.0f64; n];
-        let mut row: Vec<u32> = Vec::new();
-        for v in 0..n as u32 {
-            let mut kv = 0.0;
-            graph.for_each_weighted(v, &mut row, |u, w| {
-                if u == v {
-                    self_weight[v as usize] = w;
-                    kv += 2.0 * w;
-                } else {
-                    kv += w;
+        let span = n.div_ceil(rayon::current_num_threads().max(1)).max(1);
+        k.chunks_mut(span)
+            .zip(self_weight.chunks_mut(span))
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .enumerate()
+            .for_each(|(chunk, (k, self_weight))| {
+                let mut row: Vec<u32> = Vec::new();
+                for (i, (kv, sv)) in k.iter_mut().zip(self_weight).enumerate() {
+                    let v = (chunk * span + i) as u32;
+                    graph.for_each_weighted(v, &mut row, |u, w| {
+                        if u == v {
+                            *sv = w;
+                            *kv += 2.0 * w;
+                        } else {
+                            *kv += w;
+                        }
+                    });
                 }
             });
-            k[v as usize] = kv;
-        }
         let total = k.iter().sum();
         ModularityContext { k, self_weight, total }
     }
@@ -56,12 +67,18 @@ impl ModularityContext {
 ///
 /// Panics if `assignment` does not cover every vertex.
 pub fn modularity<G: Adjacency>(graph: &G, assignment: &[u32]) -> f64 {
+    modularity_with(graph, &ModularityContext::new(graph), assignment)
+}
+
+/// [`modularity`] against an already-built context of `graph`: the one
+/// serial arc pass that counts `in_c` and `tot_c` from scratch.
+pub(crate) fn modularity_with<G: Adjacency>(
+    graph: &G,
+    ctx: &ModularityContext,
+    assignment: &[u32],
+) -> f64 {
     let n = graph.num_vertices();
     assert_eq!(assignment.len(), n, "assignment must cover every vertex");
-    let ctx = ModularityContext::new(graph);
-    if ctx.total == 0.0 {
-        return 0.0;
-    }
     let num_comms = assignment.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
     let mut internal = vec![0.0f64; num_comms];
     let mut tot = vec![0.0f64; num_comms];
@@ -77,8 +94,19 @@ pub fn modularity<G: Adjacency>(graph: &G, assignment: &[u32]) -> f64 {
             }
         });
     }
-    let m2 = ctx.total;
-    internal.iter().zip(&tot).map(|(&inc, &t)| inc / m2 - (t / m2).powi(2)).sum()
+    sum_q(internal.into_iter().zip(tot), ctx.total)
+}
+
+/// `Σ_c in_c / 2m − (tot_c / 2m)²` over `(in_c, tot_c)` pairs, summed in the
+/// order given; `0.0` when `2m` is zero. The one expression behind every Q
+/// this crate reports, so a Q read from Louvain's live `in`/`tot` arrays and
+/// one recounted from the assignment run the same float operations in the
+/// same order.
+pub(crate) fn sum_q(communities: impl Iterator<Item = (f64, f64)>, m2: f64) -> f64 {
+    if m2 == 0.0 {
+        return 0.0;
+    }
+    communities.map(|(inc, t)| inc / m2 - (t / m2).powi(2)).sum()
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! CPUs busy.
 
 use crate::config::ImmConfig;
-use crate::greedy::celf_max_coverage;
-use crate::rrset::{RrSampler, RrTrace, SampleScratch};
+use crate::greedy::{celf_max_coverage, Coverage};
+use crate::rrset::{RrSampler, RrSets, RrTrace, SampleScratch};
 use rayon::prelude::*;
 use reorderlab_graph::{Adjacency, CompressError, CompressedCsr, Csr};
 use std::time::{Duration, Instant};
@@ -14,13 +14,18 @@ use std::time::{Duration, Instant};
 /// Figure 11 (sampling throughput and total time).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplingStats {
-    /// Wall time spent generating RR sets.
+    /// Wall time spent generating RR sets: every parallel sampling batch and
+    /// the merge of its sets into the flat collection.
     pub sampling_time: Duration,
-    /// Wall time spent in greedy seed selection.
+    /// Wall time spent in greedy seed selection: every CELF call of the run,
+    /// the one per martingale round and the final one (index build and heap
+    /// loop each time).
     pub selection_time: Duration,
-    /// Total wall time of the run: sampling plus selection. Building the
-    /// sampler's reverse view (a transpose for directed input, a borrow
-    /// otherwise) happens before the clock starts.
+    /// Total wall time of the run. Sampling and selection are all of it but
+    /// the threshold arithmetic, so `sampling_time + selection_time` is at
+    /// most this and close to it. Building the sampler's reverse view (a
+    /// transpose for directed input, a borrow otherwise) happens before the
+    /// clock starts.
     pub total_time: Duration,
     /// Number of RR sets generated.
     pub rr_sets: usize,
@@ -103,9 +108,10 @@ fn imm_core<G: Adjacency + Clone>(sampler: &RrSampler<'_, G>, cfg: &ImmConfig) -
         (2.0 + 2.0 * eps_prime / 3.0) * (log_cnk + ell * ln_n + nf.log2().max(1.0).ln()) * nf
             / (eps_prime * eps_prime);
 
-    let mut rr_sets: Vec<Vec<u32>> = Vec::new();
+    let mut rr_sets = RrSets::default();
     let mut trace = RrTrace::default();
     let mut sampling_time = Duration::ZERO;
+    let mut selection_time = Duration::ZERO;
     let mut lb = 1.0f64;
 
     let max_rounds = (nf.log2().ceil() as u32).max(1);
@@ -113,7 +119,7 @@ fn imm_core<G: Adjacency + Clone>(sampler: &RrSampler<'_, G>, cfg: &ImmConfig) -
         let x = nf / 2f64.powi(i as i32);
         let theta_i = (lambda_prime / x).ceil() as usize;
         sampling_time += extend_samples(sampler, cfg, &mut rr_sets, theta_i, &mut trace);
-        let cov = celf_max_coverage(&rr_sets, n, k);
+        let cov = timed_selection(&rr_sets, n, k, &mut selection_time);
         let frac = cov.covered as f64 / rr_sets.len() as f64;
         if nf * frac >= (1.0 + eps_prime) * x {
             lb = nf * frac / (1.0 + eps_prime);
@@ -128,11 +134,7 @@ fn imm_core<G: Adjacency + Clone>(sampler: &RrSampler<'_, G>, cfg: &ImmConfig) -
     let theta = (lambda_star / lb).ceil() as usize;
     sampling_time += extend_samples(sampler, cfg, &mut rr_sets, theta, &mut trace);
 
-    let sel_start = Instant::now();
-    // CELF lazy greedy: provably identical output to plain greedy (see
-    // greedy.rs tests), with far fewer gain recomputations.
-    let cov = celf_max_coverage(&rr_sets, n, k);
-    let selection_time = sel_start.elapsed();
+    let cov = timed_selection(&rr_sets, n, k, &mut selection_time);
     let influence = nf * cov.covered as f64 / rr_sets.len() as f64;
 
     let rr_count = rr_sets.len();
@@ -191,6 +193,21 @@ pub fn record_sampling_stats(r: &ImmResult, rec: &mut dyn reorderlab_trace::Reco
     rec.series("imm/mean_rr_size", s.mean_rr_size);
 }
 
+/// One seed selection of the run, its wall time added to `selection_time`.
+/// CELF lazy greedy: provably identical output to plain greedy (see
+/// greedy.rs tests), with far fewer gain recomputations.
+fn timed_selection(
+    rr_sets: &RrSets,
+    n: usize,
+    k: usize,
+    selection_time: &mut Duration,
+) -> Coverage {
+    let t0 = Instant::now();
+    let cov = celf_max_coverage(rr_sets, n, k);
+    *selection_time += t0.elapsed();
+    cov
+}
+
 /// RR sets generated per parallel task.
 const SAMPLE_BATCH: usize = 64;
 
@@ -200,7 +217,7 @@ const SAMPLE_BATCH: usize = 64;
 fn extend_samples<G: Adjacency + Clone>(
     sampler: &RrSampler<'_, G>,
     cfg: &ImmConfig,
-    rr_sets: &mut Vec<Vec<u32>>,
+    rr_sets: &mut RrSets,
     target: usize,
     trace: &mut RrTrace,
 ) -> Duration {
@@ -213,30 +230,35 @@ fn extend_samples<G: Adjacency + Clone>(
     let batches = missing.div_ceil(SAMPLE_BATCH);
     // Each worker keeps one `SampleScratch` across its whole share of the
     // batches: the per-sample `n`-byte visited array and queue allocations
-    // of the naive loop disappear, leaving only the (unavoidable) exact-size
-    // copy of each finished set. Set `i` still comes from stream `(seed, i)`
-    // regardless of which worker draws it.
-    let new: Vec<(Vec<Vec<u32>>, RrTrace)> = (0..batches)
+    // of the naive loop disappear, and a batch's finished sets are copied
+    // end to end into one vector beside their lengths. Set `i` still comes
+    // from stream `(seed, i)` regardless of which worker draws it.
+    let new: Vec<(Vec<u32>, Vec<usize>, RrTrace)> = (0..batches)
         .into_par_iter()
         .map_init(
             || SampleScratch::new(sampler.num_vertices()),
             |scratch, b| {
                 let lo = have + b * SAMPLE_BATCH;
                 let hi = (lo + SAMPLE_BATCH).min(target);
-                let mut sets = Vec::with_capacity(hi - lo);
+                let mut members = Vec::new();
+                let mut lens = Vec::with_capacity(hi - lo);
                 let mut tr = RrTrace::default();
                 for i in lo..hi {
                     let (set, t) = sampler.sample_with(cfg.seed, i as u64, scratch);
                     tr.edges_examined += t.edges_examined;
                     tr.vertices_visited += t.vertices_visited;
-                    sets.push(set.to_vec());
+                    members.extend_from_slice(set);
+                    lens.push(set.len());
                 }
-                (sets, tr)
+                (members, lens, tr)
             },
         )
         .collect();
-    for (sets, tr) in new {
-        rr_sets.extend(sets);
+    // One growth step per merge, not a doubling chain under the batches
+    // still held: about 40 MB of peak RSS on 2.4 M small sets.
+    rr_sets.reserve(missing, new.iter().map(|(members, ..)| members.len()).sum());
+    for (members, lens, tr) in new {
+        rr_sets.append(&members, &lens);
         trace.edges_examined += tr.edges_examined;
         trace.vertices_visited += tr.vertices_visited;
     }
@@ -402,6 +424,105 @@ mod tests {
             assert_eq!(flat.stats.edges_examined, packed.stats.edges_examined);
             assert_eq!(flat.stats.vertices_visited, packed.stats.vertices_visited);
         }
+    }
+
+    /// `(instance, model, seeds, rr_sets, edges_examined, vertices_visited,
+    /// influence_estimate bits)` for `k = 8`, seed 11: taken from the commit
+    /// before RR sets became one flat array under a counting-sort index.
+    type Golden = (&'static str, DiffusionModel, [u32; 8], usize, u64, u64, u64);
+
+    const GOLDENS: [Golden; 6] = [
+        (
+            "pgp",
+            DiffusionModel::IndependentCascade { probability: 0.1 },
+            [0, 568, 315, 929, 1693, 1876, 5117, 5419],
+            6987,
+            26210554,
+            1735538,
+            0x409a643452380ef3,
+        ),
+        (
+            "pgp",
+            DiffusionModel::WeightedCascade,
+            [0, 1, 16, 8, 4096, 64, 8192, 2151],
+            12698,
+            1443045,
+            68386,
+            0x408c8b47a6a5e1c2,
+        ),
+        (
+            "pgp",
+            DiffusionModel::LinearThreshold,
+            [0, 16, 1, 2151, 4096, 2, 256, 8],
+            10046,
+            52781,
+            55623,
+            0x4091ce9d479b4ac4,
+        ),
+        (
+            "euroroad",
+            DiffusionModel::IndependentCascade { probability: 0.1 },
+            [601, 227, 195, 209, 694, 550, 45, 422],
+            71018,
+            220026,
+            91101,
+            0x402c8d81c340d5a1,
+        ),
+        (
+            "euroroad",
+            DiffusionModel::WeightedCascade,
+            [819, 1090, 597, 689, 345, 548, 1005, 747],
+            20614,
+            170762,
+            66952,
+            0x4047526f8534158f,
+        ),
+        (
+            "euroroad",
+            DiffusionModel::LinearThreshold,
+            [227, 254, 538, 730, 58, 345, 1090, 154],
+            20974,
+            69638,
+            69638,
+            0x4046b1dc1d961ab5,
+        ),
+    ];
+
+    #[test]
+    fn results_equal_the_goldens_at_every_width_and_on_compressed() {
+        use reorderlab_graph::CompressedCsr;
+        for (name, model, seeds, rr_sets, edges, visited, influence_bits) in GOLDENS {
+            let g = reorderlab_datasets::by_name(name).expect("suite instance exists").generate();
+            let cz = CompressedCsr::from_csr(&g).unwrap();
+            let cfg = ImmConfig::new(8).model(model).seed(11);
+            let mut runs: Vec<(String, ImmResult)> = [1usize, 2, 7]
+                .iter()
+                .map(|&t| (format!("{t} threads"), build_pool(t).install(|| imm(&g, &cfg))))
+                .collect();
+            runs.push(("compressed".into(), imm_compressed(&cz, &cfg).unwrap()));
+            for (tag, r) in runs {
+                let tag = format!("{name} {model:?} {tag}");
+                assert_eq!(r.seeds, seeds, "{tag}");
+                assert_eq!(r.stats.rr_sets, rr_sets, "{tag}");
+                assert_eq!(r.stats.edges_examined, edges, "{tag}");
+                assert_eq!(r.stats.vertices_visited, visited, "{tag}");
+                assert_eq!(r.influence_estimate.to_bits(), influence_bits, "{tag}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_selection_is_in_selection_time() {
+        // A round ends the martingale loop only when the seeds cover about
+        // (1 + ε')/2^i of the RR sets; on a path one seed reaches about one
+        // vertex in 400, so this run selects in several rounds before the
+        // final one, and all of them are accounted for.
+        let g = reorderlab_datasets::path(512);
+        let r = imm(&g, &quick_cfg(1));
+        assert!(r.influence_estimate < 512.0 / 8.0, "premise: no exit in the first rounds");
+        let s = &r.stats;
+        assert!(!s.selection_time.is_zero());
+        assert!(s.sampling_time + s.selection_time <= s.total_time);
     }
 
     #[test]

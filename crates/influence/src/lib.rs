@@ -41,14 +41,15 @@ mod rrset;
 mod simulate;
 
 pub use config::{DiffusionModel, ImmConfig};
-pub use greedy::{celf_max_coverage, greedy_max_coverage, Coverage};
+pub use greedy::{celf_max_coverage, Coverage};
 pub use imm::{imm, imm_compressed, imm_recorded, record_sampling_stats, ImmResult, SamplingStats};
-pub use rrset::{RrSampler, RrTrace, SampleScratch};
+pub use rrset::{RrSampler, RrSets, RrTrace, SampleScratch};
 pub use simulate::{estimate_spread, SpreadEstimate};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::greedy::greedy_max_coverage;
     use proptest::prelude::*;
     use reorderlab_graph::GraphBuilder;
 
@@ -86,6 +87,7 @@ mod proptests {
                 proptest::collection::vec(0u32..20, 1..6), 1..40),
             k in 1usize..6,
         ) {
+            let sets = RrSets::from_iter(sets);
             let a = greedy_max_coverage(&sets, 20, k);
             let b = celf_max_coverage(&sets, 20, k);
             prop_assert_eq!(a, b);
@@ -97,7 +99,7 @@ mod proptests {
                 proptest::collection::vec(0u32..20, 1..6), 1..30),
             k in 1usize..5,
         ) {
-            let c = greedy_max_coverage(&sets, 20, k);
+            let c = greedy_max_coverage(&RrSets::from_iter(sets.clone()), 20, k);
             prop_assert!(c.covered <= sets.len());
             prop_assert!(c.seeds.len() <= k);
             // Verify the reported coverage by recount.

@@ -34,6 +34,90 @@ pub struct RrTrace {
     pub vertices_visited: u64,
 }
 
+/// A collection of RR sets held as one flat array: set `i` is
+/// `members[offsets[i]..offsets[i + 1]]`. IMM draws millions of small sets
+/// on a high-diameter input, so one allocation per set (and a pointer chase
+/// per set in selection) costs more than the sets themselves.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RrSets {
+    /// Set boundaries in `members`: `len() + 1` non-decreasing entries, the
+    /// first 0 and the last `members.len()`.
+    offsets: Vec<usize>,
+    /// The vertices of every set, set after set, each in sampled order.
+    members: Vec<u32>,
+}
+
+impl Default for RrSets {
+    fn default() -> Self {
+        RrSets { offsets: vec![0], members: Vec::new() }
+    }
+}
+
+impl RrSets {
+    /// Number of sets.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether the collection holds no set.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Set `i`, as pushed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn get(&self, i: usize) -> &[u32] {
+        &self.members[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Every set in index order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        self.offsets.windows(2).map(|w| &self.members[w[0]..w[1]])
+    }
+
+    /// Appends `set` as the next index. An empty set is a valid entry.
+    pub fn push(&mut self, set: &[u32]) {
+        self.members.extend_from_slice(set);
+        self.offsets.push(self.members.len());
+    }
+
+    /// Appends a batch of sets given as their concatenated members and
+    /// their lengths, which must sum to `members.len()`.
+    pub(crate) fn append(&mut self, members: &[u32], lens: &[usize]) {
+        debug_assert_eq!(lens.iter().sum::<usize>(), members.len());
+        let mut end = self.members.len();
+        self.members.extend_from_slice(members);
+        self.offsets.extend(lens.iter().map(|&len| {
+            end += len;
+            end
+        }));
+    }
+
+    /// Room for `sets` more sets holding `members` more vertices in total.
+    pub(crate) fn reserve(&mut self, sets: usize, members: usize) {
+        self.offsets.reserve(sets);
+        self.members.reserve(members);
+    }
+
+    /// The vertices of every set, concatenated in index order.
+    pub(crate) fn members(&self) -> &[u32] {
+        &self.members
+    }
+}
+
+impl FromIterator<Vec<u32>> for RrSets {
+    fn from_iter<I: IntoIterator<Item = Vec<u32>>>(iter: I) -> Self {
+        let mut sets = RrSets::default();
+        for set in iter {
+            sets.push(&set);
+        }
+        sets
+    }
+}
+
 /// Reusable per-thread scratch for RR sampling.
 ///
 /// The naive traversal allocates an `n`-bit visited array and a fresh queue

@@ -8,7 +8,8 @@
 //! - parallel iterators preserve input order in `collect`/`sum`, so results
 //!   are deterministic and independent of the worker count;
 //! - `ThreadPoolBuilder::num_threads(k)` bounds the concurrency of parallel
-//!   calls made inside `ThreadPool::install`;
+//!   calls made inside `ThreadPool::install`, including the ones nested in a
+//!   worker of such a call;
 //! - `map_init` creates one scratch value per worker chunk, never sharing it
 //!   across workers.
 //!
@@ -231,6 +232,24 @@ impl ThreadPool {
     }
 }
 
+/// Spawns `f` on `scope` under the spawning thread's installed bound. The
+/// bound is a thread-local, so without this hand-over a parallel call nested
+/// in a worker would run at the machine's width, not the pool's.
+fn spawn_inheriting<'scope, T, F>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    f: F,
+) -> std::thread::ScopedJoinHandle<'scope, T>
+where
+    T: Send + 'scope,
+    F: FnOnce() -> T + Send + 'scope,
+{
+    let installed = INSTALLED_THREADS.with(|t| t.get());
+    scope.spawn(move || {
+        INSTALLED_THREADS.with(|t| t.set(installed));
+        f()
+    })
+}
+
 /// Runs two closures, potentially in parallel, returning both results.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
@@ -247,13 +266,13 @@ where
         // Adversarial order: `b` runs on the caller thread while `a` is
         // spawned; the result tuple keeps its (ra, rb) contract.
         return std::thread::scope(|s| {
-            let ha = s.spawn(a);
+            let ha = spawn_inheriting(s, a);
             let rb = b();
             (ha.join().expect("rayon-shim join worker panicked"), rb)
         });
     }
     std::thread::scope(|s| {
-        let hb = s.spawn(b);
+        let hb = spawn_inheriting(s, b);
         let ra = a();
         (ra, hb.join().expect("rayon-shim join worker panicked"))
     })
@@ -307,7 +326,7 @@ where
         let handles: Vec<_> = chunks
             .into_iter()
             .map(|chunk| {
-                s.spawn(move || {
+                spawn_inheriting(s, move || {
                     let mut scratch = init();
                     chunk.into_iter().map(|t| f(&mut scratch, t)).collect::<Vec<R>>()
                 })
@@ -355,7 +374,7 @@ where
             .map(|&orig| {
                 let (idx, chunk) = chunks[orig].take().expect("each chunk spawns exactly once");
                 let yields = plan.yields[idx];
-                s.spawn(move || {
+                spawn_inheriting(s, move || {
                     for _ in 0..yields {
                         std::thread::yield_now();
                     }
@@ -600,6 +619,31 @@ mod tests {
         let inside = pool.install(current_num_threads);
         assert_eq!(inside, 3);
         assert_eq!(current_num_threads(), before);
+    }
+
+    #[test]
+    fn installed_bound_reaches_workers_and_nested_calls() {
+        // Two widths, so at least one is not the machine's own. Under
+        // `--features chaos` the same calls go through the adversarial
+        // scheduler's spawn site and both `join` arms.
+        for width in [3usize, 5] {
+            let pool = ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+            let seen: Vec<Vec<usize>> = pool.install(|| {
+                (0..2 * width)
+                    .into_par_iter()
+                    .map(|_| {
+                        let nested: Vec<usize> =
+                            (0..4usize).into_par_iter().map(|_| current_num_threads()).collect();
+                        [vec![current_num_threads()], nested].concat()
+                    })
+                    .collect()
+            });
+            assert_eq!(seen, vec![vec![width; 5]; 2 * width]);
+            for _ in 0..8 {
+                let arms = pool.install(|| join(current_num_threads, current_num_threads));
+                assert_eq!(arms, (width, width));
+            }
+        }
     }
 
     #[test]
