@@ -210,9 +210,10 @@ pub const RULE_DOCS: [(&str, &str, &str, &str); 9] = [
     (
         "D2",
         "No .sum/.fold/.reduce/.product chained directly on a parallel iterator.",
-        "Float reduction order depends on the schedule. Collect in input order and reduce \
-         through reorderlab_graph::det_sum_f64, or allowlist order-free reductions with a \
-         DETERMINISM comment.",
+        "Float reduction order depends on the schedule. Write the parts into an input-ordered \
+         buffer (a collect, or a per-index array the parallel pass fills) and reduce that \
+         slice through reorderlab_graph::det_sum_f64, or allowlist order-free reductions with \
+         a DETERMINISM comment.",
         "v.par_iter().map(|x| x * 2.0).sum()   // <- D2",
     ),
     (
@@ -402,10 +403,10 @@ fn check_d2(toks: &[Tok], in_test: &dyn Fn(u32) -> bool, out: &mut Vec<Diagnosti
                             format!(
                                 "`.{}` chained on a parallel iterator: the \
                                  reduction order depends on the schedule; \
-                                 collect in input order and reduce through \
-                                 reorderlab_graph::det_sum_f64 (or allowlist \
-                                 with a DETERMINISM comment if the operation \
-                                 is order-free)",
+                                 write the parts in input order and reduce \
+                                 them through reorderlab_graph::det_sum_f64 \
+                                 (or allowlist with a DETERMINISM comment if \
+                                 the operation is order-free)",
                                 t.text
                             ),
                         ));

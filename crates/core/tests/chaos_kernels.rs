@@ -1,9 +1,9 @@
-//! Chaos-schedules tier for the two application kernels.
+//! Chaos-schedules tier for the two application kernels and PageRank.
 //!
-//! The Louvain move scan and the RR sampler behind IMM must reproduce
-//! their own 1-thread run bit-for-bit even when the rayon shim's seeded
-//! adversarial scheduler perturbs chunk boundaries, spawn order, and join
-//! order. Eight seeds × {2, 7} worker threads, same contract as
+//! The Louvain move scan, the RR sampler behind IMM and the PageRank pass
+//! must reproduce their own 1-thread run bit-for-bit even when the rayon
+//! shim's seeded adversarial scheduler perturbs span boundaries, spawn
+//! order, and join order. Eight seeds × {2, 7} worker threads, same contract as
 //! `chaos_schedules.rs`.
 //!
 //! Compiles to nothing without `--features chaos`; tier-1 `cargo test` is
@@ -12,8 +12,9 @@
 
 use reorderlab_community::{louvain, CommunityResult, LouvainConfig};
 use reorderlab_datasets::{barabasi_albert, clique_chain, erdos_renyi_gnm, grid2d};
-use reorderlab_graph::{build_pool, Csr};
+use reorderlab_graph::{build_pool, CompressedCsr, Csr};
 use reorderlab_influence::{imm, ImmConfig};
+use reorderlab_kernels::{pagerank, pagerank_compressed, PageRankConfig, PageRankResult};
 
 const SEEDS: std::ops::Range<u64> = 0..8;
 const THREADS: [usize; 2] = [2, 7];
@@ -89,6 +90,40 @@ fn imm_bit_identical_under_adversarial_schedules() {
                         oracle.stats.vertices_visited
                     ),
                     "{gname}: traversal counters diverged at seed {seed}, {threads} threads"
+                );
+            }
+        }
+    }
+}
+
+/// Everything a PageRank run decides: iterations, convergence and the bits
+/// of every score.
+fn pagerank_fingerprint(r: &PageRankResult) -> (usize, bool, Vec<u64>) {
+    (r.iterations, r.converged, r.scores.iter().map(|s| s.to_bits()).collect())
+}
+
+/// PageRank, flat and compressed, reproduces its 1-thread run bit-for-bit
+/// across all adversarial schedules at 2 and 7 threads.
+#[test]
+fn pagerank_bit_identical_under_adversarial_schedules() {
+    let cfg = PageRankConfig::new();
+    for (gname, g) in corpus() {
+        let cz = CompressedCsr::from_csr(&g).expect("compressible");
+        let oracle = build_pool(1).install(|| pagerank_fingerprint(&pagerank(&g, &cfg)));
+        for seed in SEEDS {
+            rayon::chaos::set_seed(seed);
+            for threads in THREADS {
+                let (flat, packed) = build_pool(threads).install(|| {
+                    let packed = pagerank_compressed(&cz, &cfg).expect("sorted rows");
+                    (pagerank_fingerprint(&pagerank(&g, &cfg)), pagerank_fingerprint(&packed))
+                });
+                assert_eq!(
+                    flat, oracle,
+                    "{gname}: flat diverged at seed {seed}, {threads} threads"
+                );
+                assert_eq!(
+                    packed, oracle,
+                    "{gname}: compressed diverged at seed {seed}, {threads} threads"
                 );
             }
         }

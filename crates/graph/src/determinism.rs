@@ -14,11 +14,12 @@
 /// directly (`par_iter().map(..).sum()`) ties the result to however the
 /// scheduler grouped the work. The repo's D2 static-analysis contract
 /// (see `crates/analyze`) therefore requires parallel float reductions to
-/// go through this wrapper: compute the parts in parallel, `collect` them
-/// in input order, and fold sequentially here, so the accumulation order
+/// go through this wrapper: compute the parts in parallel into an
+/// index-ordered buffer (a `collect`, or a per-vertex array the parallel
+/// pass writes), and fold it sequentially here, so the accumulation order
 /// never depends on thread count or schedule.
 #[inline]
-pub fn det_sum_f64(parts: Vec<f64>) -> f64 {
+pub fn det_sum_f64(parts: &[f64]) -> f64 {
     parts.iter().sum()
 }
 

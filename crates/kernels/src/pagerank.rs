@@ -143,52 +143,75 @@ pub fn pagerank_compressed(
 /// adjacency is symmetric). One body for every storage form, so they
 /// execute the identical float-operation sequence (the D2-safe delta
 /// reduction included) and differ only in how a row is decoded.
+///
+/// An iteration is one parallel pass over the vertices. Vertex `v` gathers
+/// `share[u] = scores[u] / out_degree(u)` over its in-neighbours (one 8-byte
+/// read per arc, no division), then writes its new score, its own share
+/// for the next iteration, and its change `|scores[v] - next[v]|`. The
+/// bits are those of dividing per arc: a pull neighbour always has
+/// out-degree ≥ 1, so its share is the same quotient, and a dangling
+/// vertex's share of `0.0` added to an accumulator that starts at `+0.0`
+/// changes no bit.
 fn pagerank_pull<G: Adjacency>(graph: &G, pull: &G, config: &PageRankConfig) -> PageRankResult {
     let n = graph.num_vertices();
     if n == 0 {
         return PageRankResult { scores: Vec::new(), iterations: 0, converged: true };
     }
     let out_degree: Vec<f64> = (0..n as u32).map(|v| graph.degree(v) as f64).collect();
+    let dangling: Vec<usize> = (0..n).filter(|&v| out_degree[v] == 0.0).collect();
     let d = config.damping;
     let base = (1.0 - d) / n as f64;
     let mut scores = vec![1.0 / n as f64; n];
+    let mut share: Vec<f64> = out_degree.iter().map(|&k| share_of(scores[0], k)).collect();
     let mut next = vec![0.0f64; n];
+    let mut next_share = vec![0.0f64; n];
+    let mut diff = vec![0.0f64; n];
     let mut iterations = 0;
     let mut converged = false;
 
     while iterations < config.max_iterations {
         iterations += 1;
-        // Mass of dangling vertices, redistributed uniformly.
-        let dangling: f64 = (0..n).filter(|&v| out_degree[v] == 0.0).map(|v| scores[v]).sum();
-        let dangling_share = d * dangling / n as f64;
+        // Mass of dangling vertices, redistributed uniformly; summed in
+        // index order.
+        let dangling_mass: f64 = dangling.iter().map(|&v| scores[v]).sum();
+        let dangling_share = d * dangling_mass / n as f64;
 
-        next.par_iter_mut().enumerate().for_each(|(v, slot)| {
-            // `fold`, not a `for` loop: compressed rows specialize `fold`
-            // into a single tight pass over the gap byte stream, and the
-            // flat-slice path compiles identically either way.
-            let acc = pull.neighbors(v as u32).fold(0.0, |acc, u| {
-                let deg = out_degree[u as usize];
-                if deg > 0.0 {
-                    acc + scores[u as usize] / deg
-                } else {
-                    acc
-                }
+        next.par_iter_mut()
+            .zip(next_share.par_iter_mut())
+            .zip(diff.par_iter_mut())
+            .enumerate()
+            .for_each(|(v, ((score, own_share), change))| {
+                // `fold`, not a `for` loop: compressed rows specialize
+                // `fold` into a single tight pass over the gap byte stream,
+                // and the flat-slice path compiles identically either way.
+                let acc = pull.neighbors(v as u32).fold(0.0, |acc, u| acc + share[u as usize]);
+                *score = base + dangling_share + d * acc;
+                *own_share = share_of(*score, out_degree[v]);
+                *change = (scores[v] - *score).abs();
             });
-            *slot = base + dangling_share + d * acc;
-        });
 
         // D2 contract: the float reduction goes through the order-fixed
         // wrapper so the accumulation never depends on the schedule.
-        let delta = det_sum_f64(
-            scores.par_iter().zip(next.par_iter()).map(|(a, b)| (a - b).abs()).collect(),
-        );
+        let delta = det_sum_f64(&diff);
         std::mem::swap(&mut scores, &mut next);
+        std::mem::swap(&mut share, &mut next_share);
         if delta < config.tolerance {
             converged = true;
             break;
         }
     }
     PageRankResult { scores, iterations, converged }
+}
+
+/// What a vertex with `score` and `out_degree` sends along each out-arc:
+/// the score split evenly, or nothing from a dangling vertex (whose mass is
+/// redistributed uniformly instead).
+fn share_of(score: f64, out_degree: f64) -> f64 {
+    if out_degree > 0.0 {
+        score / out_degree
+    } else {
+        0.0
+    }
 }
 
 #[cfg(test)]

@@ -2,22 +2,48 @@
 //!
 //! The build environment has no crates-io access, so this workspace-local
 //! shim provides the (small) subset of rayon's API the other crates use,
-//! implemented with `std::thread::scope`. Semantics match rayon where it
-//! matters here:
+//! implemented with `std::thread::scope` and no `unsafe`. Semantics match
+//! rayon where it matters here:
 //!
 //! - parallel iterators preserve input order in `collect`/`sum`, so results
 //!   are deterministic and independent of the worker count;
 //! - `ThreadPoolBuilder::num_threads(k)` bounds the concurrency of parallel
 //!   calls made inside `ThreadPool::install`, including the ones nested in a
 //!   worker of such a call;
-//! - `map_init` creates one scratch value per worker chunk, never sharing it
-//!   across workers.
+//! - `map_init` creates one scratch value per span, never sharing it across
+//!   workers;
+//! - a panic raised in a worker reaches the caller with its own payload.
 //!
-//! Work is split into one contiguous chunk per worker (static scheduling).
-//! That is a reasonable fit for the regular, flat loops this workspace runs;
-//! rayon's work stealing is not reproduced.
+//! # The producer model
+//!
+//! A [`ParIter`] wraps a [`Producer`](plumbing::Producer): a source that
+//! knows its length, can [`split_at`](plumbing::Producer::split_at) an index
+//! into two producers of its own type, and becomes an ordinary serial
+//! iterator. A slice splits with
+//! `split_at` (or `split_at_mut`) and a range by arithmetic, so splitting
+//! copies and materialises nothing; an owned `Vec` splits with `split_off`,
+//! which moves items it owns anyway. `enumerate` carries the offset of its
+//! first item, `zip` splits both sides at one index (its length is the
+//! shorter one's, as in rayon), and `chunks` splits at multiples of its size.
+//!
+//! A terminal call (`for_each`, `collect`, `sum`) cuts its producer into at
+//! most `current_num_threads()` contiguous spans, runs the first on the
+//! calling thread and every other one on a scoped thread of its own, and
+//! returns the per-span results in span order. `for_each` allocates nothing
+//! per item; `collect` concatenates the span outputs once, and a one-span
+//! call returns its `Vec` as is; `sum` adds the mapped values in input
+//! order, so a float sum is the serial one at any width.
+//!
+//! What it is not: spans are static (even, fixed by length and width), no
+//! work is stolen, and no worker outlives its call. Every parallel call is
+//! one `std::thread::scope` that spawns its workers, about 20 µs per call
+//! on the development host, so a loop much shorter than that is cheaper on
+//! one thread.
+#![forbid(unsafe_code)]
 
+use plumbing::{Chunks, Enumerate, Zip};
 use std::cell::Cell;
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Seeded adversarial scheduler, compiled only under `--features chaos`.
 ///
@@ -25,9 +51,10 @@ use std::cell::Cell;
 /// bugs: every run at a given thread count splits work identically. This
 /// module deterministically derives, from `REORDERLAB_CHAOS_SEED` (or an
 /// in-process [`chaos::set_seed`] override), a different schedule per
-/// parallel call: uneven chunk boundaries, a permuted spawn order, permuted
-/// yield pressure per worker, and swapped `join` arms. Results must still be
-/// bit-identical to the serial path — the chaos-schedules test tier asserts
+/// parallel call: uneven span boundaries (split points of the same
+/// producer), a permuted spawn order, permuted yield pressure per worker,
+/// and swapped `join` arms. Results must still be bit-identical to the
+/// serial path — the chaos-schedules test tier asserts
 /// exactly that. The one-thread path stays untouched as the oracle.
 #[cfg(feature = "chaos")]
 pub mod chaos {
@@ -108,13 +135,13 @@ pub mod chaos {
         call_rng().next() & 1 == 1
     }
 
-    /// An adversarial schedule for one chunked parallel call.
+    /// An adversarial schedule for one parallel call.
     pub(crate) struct Plan {
-        /// Uneven chunk sizes in input order; each ≥ 1, summing to `len`.
+        /// Uneven span sizes in input order; each ≥ 1, summing to `len`.
         pub(crate) sizes: Vec<usize>,
-        /// Spawn-order permutation over chunk indices.
+        /// Spawn-order permutation over span indices.
         pub(crate) spawn_order: Vec<usize>,
-        /// `yield_now` count injected before each chunk starts.
+        /// `yield_now` count injected before each span starts.
         pub(crate) yields: Vec<u32>,
     }
 
@@ -236,9 +263,9 @@ impl ThreadPool {
 /// bound is a thread-local, so without this hand-over a parallel call nested
 /// in a worker would run at the machine's width, not the pool's.
 fn spawn_inheriting<'scope, T, F>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
+    scope: &'scope Scope<'scope, '_>,
     f: F,
-) -> std::thread::ScopedJoinHandle<'scope, T>
+) -> ScopedJoinHandle<'scope, T>
 where
     T: Send + 'scope,
     F: FnOnce() -> T + Send + 'scope,
@@ -248,6 +275,13 @@ where
         INSTALLED_THREADS.with(|t| t.set(installed));
         f()
     })
+}
+
+/// Joins a worker and re-raises its panic with the original payload, as
+/// rayon does, so `catch_unwind` and `#[should_panic(expected = ..)]` see
+/// the kernel's message, not the shim's.
+fn join_worker<T>(handle: ScopedJoinHandle<'_, T>) -> T {
+    handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// Runs two closures, potentially in parallel, returning both results.
@@ -268,316 +302,507 @@ where
         return std::thread::scope(|s| {
             let ha = spawn_inheriting(s, a);
             let rb = b();
-            (ha.join().expect("rayon-shim join worker panicked"), rb)
+            (join_worker(ha), rb)
         });
     }
     std::thread::scope(|s| {
         let hb = spawn_inheriting(s, b);
         let ra = a();
-        (ra, hb.join().expect("rayon-shim join worker panicked"))
+        (ra, join_worker(hb))
     })
 }
 
-/// Splits `items` into at most `current_num_threads()` contiguous chunks and
-/// maps each chunk on its own scoped thread, preserving input order. `init`
-/// runs once per chunk, providing per-worker scratch for `f`.
-fn run_chunked<T, I, R, INIT, F>(items: Vec<T>, init: INIT, f: F) -> Vec<R>
+/// Cuts `producer` into spans and runs `consume` on each, returning the
+/// results in span (= input) order. One thread, or one item, is one span
+/// on the calling thread.
+fn run_spans<P, S, C>(producer: P, consume: C) -> Vec<S>
 where
-    T: Send,
-    R: Send,
-    INIT: Fn() -> I + Sync,
-    F: Fn(&mut I, T) -> R + Sync,
+    P: plumbing::Producer,
+    S: Send,
+    C: Fn(P) -> S + Sync,
 {
     let threads = current_num_threads().max(1);
-    let len = items.len();
+    let len = producer.len();
     if threads == 1 || len <= 1 {
-        let mut scratch = init();
-        return items.into_iter().map(|t| f(&mut scratch, t)).collect();
+        return vec![consume(producer)];
     }
     #[cfg(feature = "chaos")]
-    return run_chunked_chaos(items, init, f, threads);
+    return run_spans_chaos(producer, &consume, threads);
     #[cfg(not(feature = "chaos"))]
-    run_chunked_static(items, init, f, threads)
+    run_spans_static(producer, &consume, threads)
 }
 
-/// The default static schedule: even contiguous chunks, spawned and joined
-/// in order.
+/// The default schedule: spans of `ceil(len / threads)` items cut from the
+/// back (so the first may be shorter); the first runs on the calling
+/// thread, every other one on a scoped thread of its own.
 #[cfg(not(feature = "chaos"))]
-fn run_chunked_static<T, I, R, INIT, F>(items: Vec<T>, init: INIT, f: F, threads: usize) -> Vec<R>
+fn run_spans_static<P, S, C>(producer: P, consume: &C, threads: usize) -> Vec<S>
 where
-    T: Send,
-    R: Send,
-    INIT: Fn() -> I + Sync,
-    F: Fn(&mut I, T) -> R + Sync,
+    P: plumbing::Producer,
+    S: Send,
+    C: Fn(P) -> S + Sync,
 {
-    let len = items.len();
-    let chunk_len = len.div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-    let mut items = items;
-    // Split back-to-front so each drain is O(chunk).
-    while items.len() > chunk_len {
-        chunks.push(items.split_off(items.len() - chunk_len));
-    }
-    chunks.push(items);
-    // `chunks` is in reverse input order; pop-and-extend below restores it.
-    let init = &init;
-    let f = &f;
-    let mut outputs: Vec<Vec<R>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                spawn_inheriting(s, move || {
-                    let mut scratch = init();
-                    chunk.into_iter().map(|t| f(&mut scratch, t)).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rayon-shim worker panicked")).collect()
-    });
-    let mut out = Vec::with_capacity(len);
-    while let Some(chunk) = outputs.pop() {
-        out.extend(chunk);
-    }
-    out
+    let len = producer.len();
+    let span = len.div_ceil(threads);
+    let mut sizes = vec![span; len.div_ceil(span)];
+    sizes[0] = len - span * (sizes.len() - 1);
+    let mut spans = split_spans(producer, &sizes).into_iter();
+    let first = spans.next().expect("a producer of length > 1 has a first span");
+    std::thread::scope(|s| {
+        let handles: Vec<_> = spans.map(|p| spawn_inheriting(s, move || consume(p))).collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(consume(first));
+        out.extend(handles.into_iter().map(join_worker));
+        out
+    })
 }
 
-/// The adversarial schedule: uneven chunk boundaries, permuted spawn order,
-/// and per-worker yield pressure, all drawn from the chaos seed. Each chunk
-/// carries its original index, and outputs are reassembled by that index, so
-/// the result is identical to the static path no matter how workers race.
+/// The adversarial schedule: the plan's uneven spans, spawned in its
+/// permuted order, each after its yields; results are slotted back by span
+/// index, so they equal the static path's however the workers race.
 #[cfg(feature = "chaos")]
-fn run_chunked_chaos<T, I, R, INIT, F>(items: Vec<T>, init: INIT, f: F, threads: usize) -> Vec<R>
+fn run_spans_chaos<P, S, C>(producer: P, consume: &C, threads: usize) -> Vec<S>
 where
-    T: Send,
-    R: Send,
-    INIT: Fn() -> I + Sync,
-    F: Fn(&mut I, T) -> R + Sync,
+    P: plumbing::Producer,
+    S: Send,
+    C: Fn(P) -> S + Sync,
 {
-    let len = items.len();
-    let plan = chaos::plan(len, threads);
-    // Split front-to-back into the planned uneven chunks, tagged with their
-    // original position.
-    let mut rest = items;
-    let mut chunks: Vec<Option<(usize, Vec<T>)>> = Vec::with_capacity(plan.sizes.len());
-    for (idx, &size) in plan.sizes.iter().enumerate() {
-        let tail = rest.split_off(size);
-        chunks.push(Some((idx, rest)));
-        rest = tail;
-    }
-    debug_assert!(rest.is_empty(), "plan sizes must cover every item");
-    let init = &init;
-    let f = &f;
-    let mut slots: Vec<Option<Vec<R>>> = std::thread::scope(|s| {
+    let plan = chaos::plan(producer.len(), threads);
+    let mut spans: Vec<Option<P>> =
+        split_spans(producer, &plan.sizes).into_iter().map(Some).collect();
+    let mut out: Vec<Option<S>> = spans.iter().map(|_| None).collect();
+    std::thread::scope(|s| {
         let handles: Vec<_> = plan
             .spawn_order
             .iter()
-            .map(|&orig| {
-                let (idx, chunk) = chunks[orig].take().expect("each chunk spawns exactly once");
+            .map(|&idx| {
+                let span = spans[idx].take().expect("each span spawns exactly once");
                 let yields = plan.yields[idx];
-                spawn_inheriting(s, move || {
+                let handle = spawn_inheriting(s, move || {
                     for _ in 0..yields {
                         std::thread::yield_now();
                     }
-                    let mut scratch = init();
-                    (idx, chunk.into_iter().map(|t| f(&mut scratch, t)).collect::<Vec<R>>())
-                })
+                    consume(span)
+                });
+                (idx, handle)
             })
             .collect();
-        let mut slots: Vec<Option<Vec<R>>> = (0..plan.sizes.len()).map(|_| None).collect();
-        for h in handles {
-            let (idx, chunk_out) = h.join().expect("rayon-shim chaos worker panicked");
-            slots[idx] = Some(chunk_out);
+        for (idx, handle) in handles {
+            out[idx] = Some(join_worker(handle));
         }
-        slots
     });
-    let mut out = Vec::with_capacity(len);
-    for slot in &mut slots {
-        out.extend(slot.take().expect("every chunk completed"));
+    out.into_iter().map(|s| s.expect("every span completed")).collect()
+}
+
+/// Splits `producer` into consecutive spans of `sizes` (which sum to its
+/// length), cutting from the back so that an owned `Vec` moves each item at
+/// most once.
+fn split_spans<P: plumbing::Producer>(producer: P, sizes: &[usize]) -> Vec<P> {
+    let mut spans = Vec::with_capacity(sizes.len());
+    let mut rest = producer;
+    for &size in sizes[1..].iter().rev() {
+        let at = rest.len() - size;
+        let (head, tail) = rest.split_at(at);
+        spans.push(tail);
+        rest = head;
+    }
+    spans.push(rest);
+    spans.reverse();
+    spans
+}
+
+/// Concatenates span outputs in span order. The first span's buffer grows
+/// to hold the rest, so a one-span call returns its `Vec` untouched.
+fn concat<R>(spans: Vec<Vec<R>>) -> Vec<R> {
+    let total = spans.iter().map(Vec::len).sum::<usize>();
+    let mut spans = spans.into_iter();
+    let mut out = spans.next().unwrap_or_default();
+    out.reserve_exact(total - out.len());
+    for span in spans {
+        out.extend(span);
     }
     out
 }
 
-/// An order-preserving parallel iterator over an already-materialized list.
-pub struct ParIter<T> {
-    items: Vec<T>,
-}
-
-impl<T: Send> ParIter<T> {
-    pub fn map<R, F>(self, f: F) -> MapIter<T, F>
-    where
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        MapIter { items: self.items, f }
+/// The splitting side of a parallel iterator, named as in rayon
+/// (`rayon::iter::plumbing`).
+///
+/// Kept out of the crate root so that its `len`/`into_iter` never compete
+/// with `Vec`'s own methods at a call site.
+pub mod plumbing {
+    /// A splittable source of items: what a [`ParIter`](crate::ParIter)
+    /// runs over.
+    ///
+    /// `split_at(i)` returns the first `i` items and the rest as two producers
+    /// of the same type, without copying a borrowed item; a terminal call cuts
+    /// a producer into spans this way and drains each span with `into_iter`.
+    #[allow(clippy::len_without_is_empty)]
+    pub trait Producer: Send + Sized {
+        type Item;
+        type IntoIter: Iterator<Item = Self::Item>;
+        /// Number of items.
+        fn len(&self) -> usize;
+        /// The first `index` items and the rest; `index <= self.len()`.
+        fn split_at(self, index: usize) -> (Self, Self);
+        /// The items, in order, as a serial iterator.
+        fn into_iter(self) -> Self::IntoIter;
     }
 
-    /// Per-worker scratch state, as in rayon's `map_init`.
-    pub fn map_init<I, R, INIT, F>(self, init: INIT, f: F) -> MapInitIter<T, INIT, F>
+    impl<'a, T: Sync> Producer for &'a [T] {
+        type Item = &'a T;
+        type IntoIter = std::slice::Iter<'a, T>;
+        fn len(&self) -> usize {
+            <[T]>::len(self)
+        }
+        fn split_at(self, index: usize) -> (Self, Self) {
+            <[T]>::split_at(self, index)
+        }
+        fn into_iter(self) -> Self::IntoIter {
+            self.iter()
+        }
+    }
+
+    impl<'a, T: Send> Producer for &'a mut [T] {
+        type Item = &'a mut T;
+        type IntoIter = std::slice::IterMut<'a, T>;
+        fn len(&self) -> usize {
+            <[T]>::len(self)
+        }
+        fn split_at(self, index: usize) -> (Self, Self) {
+            self.split_at_mut(index)
+        }
+        fn into_iter(self) -> Self::IntoIter {
+            self.iter_mut()
+        }
+    }
+
+    impl Producer for std::ops::Range<usize> {
+        type Item = usize;
+        type IntoIter = Self;
+        fn len(&self) -> usize {
+            ExactSizeIterator::len(self)
+        }
+        fn split_at(self, index: usize) -> (Self, Self) {
+            let mid = self.start + index;
+            (self.start..mid, mid..self.end)
+        }
+        fn into_iter(self) -> Self {
+            self
+        }
+    }
+
+    impl Producer for std::ops::Range<u32> {
+        type Item = u32;
+        type IntoIter = Self;
+        fn len(&self) -> usize {
+            ExactSizeIterator::len(self)
+        }
+        fn split_at(self, index: usize) -> (Self, Self) {
+            // `index <= len`, and the length of a `Range<u32>` fits a `u32`.
+            let mid = self.start + index as u32;
+            (self.start..mid, mid..self.end)
+        }
+        fn into_iter(self) -> Self {
+            self
+        }
+    }
+
+    /// Owned items split with `split_off`: the one producer that moves items,
+    /// and only items it owns.
+    impl<T: Send> Producer for Vec<T> {
+        type Item = T;
+        type IntoIter = std::vec::IntoIter<T>;
+        fn len(&self) -> usize {
+            Vec::len(self)
+        }
+        fn split_at(mut self, index: usize) -> (Self, Self) {
+            let tail = self.split_off(index);
+            (self, tail)
+        }
+        fn into_iter(self) -> Self::IntoIter {
+            IntoIterator::into_iter(self)
+        }
+    }
+
+    /// [`ParIter::enumerate`](crate::ParIter::enumerate): the base producer
+    /// and the index of its first item.
+    pub struct Enumerate<P> {
+        pub(crate) base: P,
+        pub(crate) offset: usize,
+    }
+
+    impl<P: Producer> Producer for Enumerate<P> {
+        type Item = (usize, P::Item);
+        type IntoIter = std::iter::Zip<std::ops::Range<usize>, P::IntoIter>;
+        fn len(&self) -> usize {
+            self.base.len()
+        }
+        fn split_at(self, index: usize) -> (Self, Self) {
+            let (head, tail) = self.base.split_at(index);
+            (
+                Enumerate { base: head, offset: self.offset },
+                Enumerate { base: tail, offset: self.offset + index },
+            )
+        }
+        fn into_iter(self) -> Self::IntoIter {
+            (self.offset..self.offset + self.base.len()).zip(self.base.into_iter())
+        }
+    }
+
+    /// [`ParIter::zip`](crate::ParIter::zip): both sides split at the same
+    /// index; as long as the shorter one.
+    pub struct Zip<A, B> {
+        pub(crate) a: A,
+        pub(crate) b: B,
+    }
+
+    impl<A: Producer, B: Producer> Producer for Zip<A, B> {
+        type Item = (A::Item, B::Item);
+        type IntoIter = std::iter::Zip<A::IntoIter, B::IntoIter>;
+        fn len(&self) -> usize {
+            self.a.len().min(self.b.len())
+        }
+        fn split_at(self, index: usize) -> (Self, Self) {
+            let (a_head, a_tail) = self.a.split_at(index);
+            let (b_head, b_tail) = self.b.split_at(index);
+            (Zip { a: a_head, b: b_head }, Zip { a: a_tail, b: b_tail })
+        }
+        fn into_iter(self) -> Self::IntoIter {
+            self.a.into_iter().zip(self.b.into_iter())
+        }
+    }
+
+    /// [`ParIter::chunks`](crate::ParIter::chunks): splits at multiples of
+    /// `size`; the last chunk may be shorter.
+    pub struct Chunks<P> {
+        pub(crate) base: P,
+        pub(crate) size: usize,
+    }
+
+    impl<P: Producer> Producer for Chunks<P> {
+        type Item = Vec<P::Item>;
+        type IntoIter = ChunksIter<P::IntoIter>;
+        fn len(&self) -> usize {
+            self.base.len().div_ceil(self.size)
+        }
+        fn split_at(self, index: usize) -> (Self, Self) {
+            let at = (index * self.size).min(self.base.len());
+            let (head, tail) = self.base.split_at(at);
+            (Chunks { base: head, size: self.size }, Chunks { base: tail, size: self.size })
+        }
+        fn into_iter(self) -> Self::IntoIter {
+            ChunksIter { iter: self.base.into_iter(), size: self.size }
+        }
+    }
+
+    /// The serial side of [`Chunks`]: `Vec`s of `size` items.
+    pub struct ChunksIter<I> {
+        iter: I,
+        size: usize,
+    }
+
+    impl<I: Iterator> Iterator for ChunksIter<I> {
+        type Item = Vec<I::Item>;
+        fn next(&mut self) -> Option<Self::Item> {
+            let chunk: Vec<I::Item> = self.iter.by_ref().take(self.size).collect();
+            (!chunk.is_empty()).then_some(chunk)
+        }
+    }
+}
+
+/// An order-preserving parallel iterator over a [`Producer`](plumbing::Producer).
+pub struct ParIter<P> {
+    producer: P,
+}
+
+impl<P: plumbing::Producer> ParIter<P> {
+    pub fn map<R, F>(self, f: F) -> Map<P, F>
+    where
+        R: Send,
+        F: Fn(P::Item) -> R + Sync,
+    {
+        Map { producer: self.producer, f }
+    }
+
+    /// Per-span scratch state, as in rayon's `map_init`.
+    pub fn map_init<I, R, INIT, F>(self, init: INIT, f: F) -> MapInit<P, INIT, F>
     where
         R: Send,
         INIT: Fn() -> I + Sync,
-        F: Fn(&mut I, T) -> R + Sync,
+        F: Fn(&mut I, P::Item) -> R + Sync,
     {
-        MapInitIter { items: self.items, init, f }
+        MapInit { producer: self.producer, init, f }
     }
 
     /// Groups items into `Vec`s of `size` (the last may be shorter).
-    pub fn chunks(self, size: usize) -> ParIter<Vec<T>> {
+    pub fn chunks(self, size: usize) -> ParIter<Chunks<P>> {
         assert!(size > 0, "chunk size must be positive");
-        let mut chunks = Vec::with_capacity(self.items.len().div_ceil(size));
-        let mut items = self.items.into_iter();
-        loop {
-            let chunk: Vec<T> = items.by_ref().take(size).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            chunks.push(chunk);
-        }
-        ParIter { items: chunks }
+        ParIter { producer: Chunks { base: self.producer, size } }
     }
 
-    pub fn enumerate(self) -> ParIter<(usize, T)> {
-        ParIter { items: self.items.into_iter().enumerate().collect() }
+    pub fn enumerate(self) -> ParIter<Enumerate<P>> {
+        ParIter { producer: Enumerate { base: self.producer, offset: 0 } }
     }
 
-    pub fn zip<U: Send>(self, other: impl IntoParallelIterator<Item = U>) -> ParIter<(T, U)> {
-        let other = other.into_par_iter();
-        ParIter { items: self.items.into_iter().zip(other.items).collect() }
+    pub fn zip<Q: IntoParallelIterator>(self, other: Q) -> ParIter<Zip<P, Q::Iter>> {
+        ParIter { producer: Zip { a: self.producer, b: other.into_par_iter().producer } }
     }
 
-    pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
-        run_chunked(self.items, || (), |(), t| f(t));
+    pub fn for_each<F: Fn(P::Item) + Sync>(self, f: F) {
+        run_spans(self.producer, |span| span.into_iter().for_each(&f));
     }
 
-    pub fn collect<C: FromIterator<T>>(self) -> C {
-        self.items.into_iter().collect()
+    pub fn collect<C: FromIterator<P::Item>>(self) -> C {
+        self.producer.into_iter().collect()
     }
 
-    pub fn sum<S: std::iter::Sum<T>>(self) -> S {
-        self.items.into_iter().sum()
+    pub fn sum<S: std::iter::Sum<P::Item>>(self) -> S {
+        self.producer.into_iter().sum()
     }
 }
 
 /// Lazy `map` stage of [`ParIter`]; executes on `collect`/`sum`/`for_each`.
-pub struct MapIter<T, F> {
-    items: Vec<T>,
+pub struct Map<P, F> {
+    producer: P,
     f: F,
 }
 
-impl<T, R, F> MapIter<T, F>
+impl<P, R, F> Map<P, F>
 where
-    T: Send,
+    P: plumbing::Producer,
     R: Send,
-    F: Fn(T) -> R + Sync,
+    F: Fn(P::Item) -> R + Sync,
 {
     pub fn collect<C: FromIterator<R>>(self) -> C {
-        let f = self.f;
-        run_chunked(self.items, || (), |(), t| f(t)).into_iter().collect()
+        let Map { producer, f } = self;
+        concat(run_spans(producer, |span| span.into_iter().map(&f).collect())).into_iter().collect()
     }
 
     /// Deterministic sum: parallel map, then a sequential fold in input
     /// order, so float accumulation order never depends on thread count.
     pub fn sum<S: std::iter::Sum<R>>(self) -> S {
-        let f = self.f;
-        run_chunked(self.items, || (), |(), t| f(t)).into_iter().sum()
+        let Map { producer, f } = self;
+        run_spans(producer, |span| span.into_iter().map(&f).collect::<Vec<R>>())
+            .into_iter()
+            .flatten()
+            .sum()
     }
 
     pub fn for_each<G: Fn(R) + Sync>(self, g: G) {
-        let f = self.f;
-        run_chunked(self.items, || (), |(), t| g(f(t)));
+        let Map { producer, f } = self;
+        run_spans(producer, |span| span.into_iter().for_each(|t| g(f(t))));
     }
 }
 
 /// Lazy `map_init` stage of [`ParIter`].
-pub struct MapInitIter<T, INIT, F> {
-    items: Vec<T>,
+pub struct MapInit<P, INIT, F> {
+    producer: P,
     init: INIT,
     f: F,
 }
 
-impl<T, I, R, INIT, F> MapInitIter<T, INIT, F>
+impl<P, I, R, INIT, F> MapInit<P, INIT, F>
 where
-    T: Send,
+    P: plumbing::Producer,
     R: Send,
     INIT: Fn() -> I + Sync,
-    F: Fn(&mut I, T) -> R + Sync,
+    F: Fn(&mut I, P::Item) -> R + Sync,
 {
     pub fn collect<C: FromIterator<R>>(self) -> C {
-        run_chunked(self.items, self.init, self.f).into_iter().collect()
+        let MapInit { producer, init, f } = self;
+        let spans = run_spans(producer, |span| {
+            let mut scratch = init();
+            span.into_iter().map(|t| f(&mut scratch, t)).collect()
+        });
+        concat(spans).into_iter().collect()
     }
 }
 
 /// `into_par_iter()` — mirrors `rayon::iter::IntoParallelIterator`.
 pub trait IntoParallelIterator {
     type Item: Send;
-    fn into_par_iter(self) -> ParIter<Self::Item>;
+    type Iter: plumbing::Producer<Item = Self::Item>;
+    fn into_par_iter(self) -> ParIter<Self::Iter>;
 }
 
 impl<T: Send> IntoParallelIterator for Vec<T> {
     type Item = T;
-    fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self }
+    type Iter = Vec<T>;
+    fn into_par_iter(self) -> ParIter<Vec<T>> {
+        ParIter { producer: self }
     }
 }
 
-impl<T: Send> IntoParallelIterator for ParIter<T> {
-    type Item = T;
-    fn into_par_iter(self) -> ParIter<T> {
+impl<P: plumbing::Producer> IntoParallelIterator for ParIter<P>
+where
+    P::Item: Send,
+{
+    type Item = P::Item;
+    type Iter = P;
+    fn into_par_iter(self) -> ParIter<P> {
         self
     }
 }
 
 impl IntoParallelIterator for std::ops::Range<usize> {
     type Item = usize;
-    fn into_par_iter(self) -> ParIter<usize> {
-        ParIter { items: self.collect() }
+    type Iter = Self;
+    fn into_par_iter(self) -> ParIter<Self> {
+        ParIter { producer: self }
     }
 }
 
 impl IntoParallelIterator for std::ops::Range<u32> {
     type Item = u32;
-    fn into_par_iter(self) -> ParIter<u32> {
-        ParIter { items: self.collect() }
+    type Iter = Self;
+    fn into_par_iter(self) -> ParIter<Self> {
+        ParIter { producer: self }
     }
 }
 
 /// `par_iter()` — mirrors `rayon::iter::IntoParallelRefIterator`.
 pub trait IntoParallelRefIterator<'a> {
     type Item: Send + 'a;
-    fn par_iter(&'a self) -> ParIter<Self::Item>;
+    type Iter: plumbing::Producer<Item = Self::Item>;
+    fn par_iter(&'a self) -> ParIter<Self::Iter>;
 }
 
 impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
     type Item = &'a T;
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter { items: self.iter().collect() }
+    type Iter = &'a [T];
+    fn par_iter(&'a self) -> ParIter<&'a [T]> {
+        ParIter { producer: self }
     }
 }
 
 impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     type Item = &'a T;
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter { items: self.iter().collect() }
+    type Iter = &'a [T];
+    fn par_iter(&'a self) -> ParIter<&'a [T]> {
+        ParIter { producer: self.as_slice() }
     }
 }
 
 /// `par_iter_mut()` — mirrors `rayon::iter::IntoParallelRefMutIterator`.
 pub trait IntoParallelRefMutIterator<'a> {
     type Item: Send + 'a;
-    fn par_iter_mut(&'a mut self) -> ParIter<Self::Item>;
+    type Iter: plumbing::Producer<Item = Self::Item>;
+    fn par_iter_mut(&'a mut self) -> ParIter<Self::Iter>;
 }
 
 impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
     type Item = &'a mut T;
-    fn par_iter_mut(&'a mut self) -> ParIter<&'a mut T> {
-        ParIter { items: self.iter_mut().collect() }
+    type Iter = &'a mut [T];
+    fn par_iter_mut(&'a mut self) -> ParIter<&'a mut [T]> {
+        ParIter { producer: self }
     }
 }
 
 impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
     type Item = &'a mut T;
-    fn par_iter_mut(&'a mut self) -> ParIter<&'a mut T> {
-        ParIter { items: self.iter_mut().collect() }
+    type Iter = &'a mut [T];
+    fn par_iter_mut(&'a mut self) -> ParIter<&'a mut [T]> {
+        ParIter { producer: self.as_mut_slice() }
     }
 }
 
@@ -680,6 +905,166 @@ mod tests {
         let b = vec![4, 5, 6];
         let s: i32 = a.par_iter().zip(b.par_iter()).map(|(x, y)| x * y).sum();
         assert_eq!(s, 4 + 10 + 18);
+    }
+}
+
+/// The producer model: every producer, split at 0, in the middle and at its
+/// length, drains to exactly its serial iterator; composed adaptors give
+/// the serial result at every width; and a panic inside any parallel call
+/// reaches the caller with its own payload. Plain and under `chaos`.
+#[cfg(test)]
+mod producer_tests {
+    use super::plumbing::{Chunks, Enumerate, Producer, Zip};
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Splits `make()` at 0, `len / 2` and `len`: the halves' lengths add
+    /// up, and the halves drain, in order, to `serial`.
+    fn assert_splits<P, T>(make: impl Fn() -> P, serial: &[T])
+    where
+        P: Producer<Item = T>,
+        T: PartialEq + std::fmt::Debug,
+    {
+        let len = make().len();
+        assert_eq!(len, serial.len(), "length");
+        for at in [0, len / 2, len] {
+            let (head, tail) = make().split_at(at);
+            assert_eq!((head.len(), tail.len()), (at, len - at), "split at {at}");
+            let drained: Vec<T> = head.into_iter().chain(tail.into_iter()).collect();
+            assert_eq!(drained, serial, "split at {at}");
+        }
+    }
+
+    #[test]
+    fn base_producers_split_like_their_serial_iterators() {
+        let v: Vec<u32> = (10..21).collect();
+        assert_splits(|| v.as_slice(), &v.iter().collect::<Vec<_>>());
+        assert_splits(|| v.clone(), &v);
+        assert_splits(|| 3..14usize, &(3..14).collect::<Vec<_>>());
+        assert_splits(|| 3..14u32, &(3..14).collect::<Vec<_>>());
+        assert_splits(|| 5..5usize, &[]);
+    }
+
+    #[test]
+    fn mutable_slices_split_into_disjoint_halves() {
+        let mut v = vec![0u32; 9];
+        for at in [0, 4, 9] {
+            v.fill(0);
+            let (head, tail) = Producer::split_at(v.as_mut_slice(), at);
+            assert_eq!((head.len(), tail.len()), (at, 9 - at));
+            for (i, x) in head.iter_mut().chain(tail.iter_mut()).enumerate() {
+                *x = i as u32 + 1;
+            }
+            assert_eq!(v, (1..=9).collect::<Vec<_>>(), "split at {at}");
+        }
+    }
+
+    #[test]
+    fn enumerate_carries_its_offset_through_splits() {
+        let serial: Vec<(usize, usize)> = (5..12).enumerate().collect();
+        assert_splits(|| Enumerate { base: 5..12usize, offset: 0 }, &serial);
+        // A span that starts at 3 numbers from 3, and so do its own halves.
+        assert_splits(|| Enumerate { base: 5..12usize, offset: 0 }.split_at(3).1, &serial[3..]);
+    }
+
+    #[test]
+    fn zip_of_unequal_lengths_is_as_long_as_the_shorter() {
+        let v: Vec<u32> = (10..21).collect();
+        let short_first: Vec<(usize, &u32)> = (0..5).zip(v.iter()).collect();
+        assert_splits(|| Zip { a: 0..5usize, b: v.as_slice() }, &short_first);
+        let long_first: Vec<(&u32, usize)> = v.iter().zip(0..5).collect();
+        assert_splits(|| Zip { a: v.as_slice(), b: 0..5usize }, &long_first);
+    }
+
+    #[test]
+    fn chunks_split_at_chunk_multiples_with_a_ragged_tail() {
+        let serial = vec![vec![0usize, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]];
+        assert_splits(|| Chunks { base: 0..10usize, size: 4 }, &serial);
+        assert_splits(|| Chunks { base: 0..8usize, size: 4 }, &serial[..2]);
+    }
+
+    #[test]
+    fn composed_adaptors_match_serial_at_every_width() {
+        let v: Vec<u64> = (0..1000).map(|i| i * 7 % 13).collect();
+        let serial: Vec<(usize, u64)> =
+            v.chunks(9).enumerate().map(|(i, c)| (i, c.iter().sum::<u64>())).collect();
+        let mut out = vec![0u64; v.len()];
+        for threads in [1usize, 2, 7] {
+            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let got: Vec<(usize, u64)> = pool.install(|| {
+                v.par_iter()
+                    .chunks(9)
+                    .enumerate()
+                    .map(|(i, c)| (i, c.iter().copied().sum::<u64>()))
+                    .collect()
+            });
+            assert_eq!(got, serial, "{threads} threads");
+            out.fill(0);
+            pool.install(|| {
+                out.par_iter_mut().zip(v.par_iter()).enumerate().for_each(|(i, (o, x))| {
+                    *o = x + i as u64;
+                })
+            });
+            assert!(
+                out.iter().enumerate().all(|(i, &o)| o == v[i] + i as u64),
+                "{threads} threads"
+            );
+        }
+    }
+
+    /// Runs `f`, which must panic, and returns the panic's message.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("the call must panic");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => {
+                payload.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default()
+            }
+        }
+    }
+
+    /// The last item lands in a spawned worker under the static schedule
+    /// (the caller runs the first span), and every span is spawned under
+    /// `chaos`; `join`'s second arm is the spawned one unless chaos swaps.
+    #[test]
+    fn worker_panics_keep_their_payload() {
+        for threads in [2usize, 7] {
+            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let msg = panic_message(|| {
+                pool.install(|| {
+                    (0..100usize).into_par_iter().for_each(|i| assert!(i != 99, "for_each hit {i}"))
+                })
+            });
+            assert_eq!(msg, "for_each hit 99", "{threads} threads");
+            let msg = panic_message(|| {
+                pool.install(|| {
+                    let _: Vec<usize> = (0..100usize)
+                        .into_par_iter()
+                        .map(|i| if i == 99 { panic!("map hit {i}") } else { i })
+                        .collect();
+                })
+            });
+            assert_eq!(msg, "map hit 99", "{threads} threads");
+            for _ in 0..4 {
+                let msg = panic_message(|| {
+                    pool.install(|| join(|| -> u8 { panic!("left arm") }, || 1u8));
+                });
+                assert_eq!(msg, "left arm", "{threads} threads");
+                let msg = panic_message(|| {
+                    pool.install(|| join(|| 1u8, || -> u8 { panic!("right arm") }));
+                });
+                assert_eq!(msg, "right arm", "{threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel message 63")]
+    fn should_panic_sees_a_worker_message() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        pool.install(|| {
+            (0..64usize).into_par_iter().for_each(|i| assert!(i != 63, "kernel message {i}"))
+        });
     }
 }
 
