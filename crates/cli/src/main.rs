@@ -29,6 +29,7 @@ use reorderlab_ops::{
     OpReport, OpRequest,
 };
 use reorderlab_trace::Manifest;
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -220,7 +221,11 @@ fn cmd_reorder(args: &[String]) -> Result<(), OpError> {
             .ok_or_else(|| OpError::Io("reorder produced no permutation".into()))?;
         let file = std::fs::File::create(&path)
             .map_err(|e| OpError::Io(format!("cannot create {path}: {e}")))?;
-        pi.write_text(std::io::BufWriter::new(file)).map_err(|e| OpError::Io(e.to_string()))?;
+        // Flushed explicitly: a drop would swallow the last write's error.
+        let mut writer = std::io::BufWriter::new(file);
+        pi.write_text(&mut writer)
+            .and_then(|()| writer.flush())
+            .map_err(|e| OpError::Io(format!("failed to write {path}: {e}")))?;
         eprintln!("wrote permutation to {path}");
     }
     if let Some(path) = flag_value(args, "--out") {

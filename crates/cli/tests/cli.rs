@@ -341,6 +341,22 @@ fn exit_codes_distinguish_usage_from_runtime_failures() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("exceed"));
 }
 
+#[cfg(target_os = "linux")]
+#[test]
+fn a_full_disk_fails_reorder_perm_instead_of_reporting_success() {
+    // `/dev/full` accepts the open and fails every write with ENOSPC; the
+    // golden fixture's permutation fits the writer's buffer, so only the
+    // final flush can see the error.
+    let (path, perm) = tmp("full_pi.txt");
+    let _ = std::fs::remove_file(&path);
+    std::os::unix::fs::symlink("/dev/full", &path).unwrap();
+    let out = run(&["reorder", "--scheme", "rcm", "--input", GOLDEN, "--perm", &perm]);
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("wrote permutation"), "{stderr}");
+}
+
 #[test]
 fn stats_json_emits_a_valid_manifest() {
     let out = run(&["stats", "--input", GOLDEN, "--json"]);

@@ -17,7 +17,7 @@ use crate::powerlaw::{barabasi_albert, hub_and_spokes, rmat, RmatParams};
 use crate::random::{erdos_renyi_gnm, random_geometric, watts_strogatz};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reorderlab_graph::{Csr, Permutation};
+use reorderlab_graph::{fnv1a, Csr, Permutation};
 
 /// Fraction of vertices displaced by the collection-order jitter applied to
 /// every suite instance (see [`InstanceSpec::generate`]).
@@ -188,12 +188,7 @@ pub struct InstanceSpec {
 impl InstanceSpec {
     /// Deterministic seed derived from the instance name (FNV-1a).
     pub fn seed(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in self.name.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        fnv1a(self.name.as_bytes())
     }
 
     /// Synthesizes the graph.

@@ -41,6 +41,7 @@ pub mod cast;
 mod coarsen;
 mod components;
 mod compressed;
+mod container;
 mod csr;
 mod determinism;
 mod error;
@@ -54,8 +55,8 @@ mod traversal;
 
 pub use adjacency::Adjacency;
 pub use binfmt::{
-    csr_digest, read_binary_csr, write_binary_csr, BinCsrError, BINARY_CSR_EXTENSION,
-    BINARY_CSR_MAGIC, BINARY_CSR_VERSION,
+    csr_digest, read_binary_csr, write_binary_csr, BINARY_CSR_EXTENSION, BINARY_CSR_MAGIC,
+    BINARY_CSR_VERSION,
 };
 pub use builder::{DuplicatePolicy, GraphBuilder, SelfLoopPolicy};
 pub use coarsen::{contract, contract_serial, Contraction};
@@ -64,6 +65,7 @@ pub use compressed::{
     permuted_gap_bytes, read_compressed_csr, write_compressed_csr, CompressError, CompressedCsr,
     GapNeighbors, COMPRESSED_CSR_EXTENSION, COMPRESSED_CSR_MAGIC, COMPRESSED_CSR_VERSION,
 };
+pub use container::{fnv1a, BinCsrError};
 pub use csr::{Csr, Edges};
 pub use determinism::{assert_thread_invariant, build_pool, det_sum_f64};
 pub use error::{GraphError, PermutationDefect};

@@ -20,7 +20,7 @@ use reorderlab_graph::{
 };
 use reorderlab_trace::Json;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::sync::Arc;
 
 /// Where an operation's input graph comes from.
@@ -207,12 +207,14 @@ pub fn read_graph_auto(path: &str) -> Result<Csr, OpError> {
 }
 
 /// Writes `graph` to `path`, selecting the format by extension (same
-/// dispatch as [`read_graph_auto`]).
+/// dispatch as [`read_graph_auto`]). The buffered writer is flushed
+/// explicitly: a drop would swallow the last write's error, so a full disk
+/// would read as success.
 ///
 /// # Errors
 ///
 /// [`OpError::Usage`] for an unrecognized extension, [`OpError::Io`] when
-/// the file cannot be created or written.
+/// the file cannot be created, written or flushed.
 pub fn write_graph_auto(graph: &Csr, path: &str) -> Result<(), OpError> {
     let format = disk_format(path)?;
     let file = File::create(path).map_err(|e| OpError::Io(format!("cannot create {path}: {e}")))?;
@@ -228,7 +230,9 @@ pub fn write_graph_auto(graph: &Csr, path: &str) -> Result<(), OpError> {
         DiskFormat::Metis => write_metis(graph, &mut writer).map_err(|e| e.to_string()),
         DiskFormat::EdgeList => write_edge_list(graph, &mut writer).map_err(|e| e.to_string()),
     };
-    written.map_err(|e| OpError::Io(format!("failed to write {path}: {e}")))
+    written
+        .and_then(|()| writer.flush().map_err(|e| e.to_string()))
+        .map_err(|e| OpError::Io(format!("failed to write {path}: {e}")))
 }
 
 #[cfg(test)]
@@ -288,6 +292,21 @@ mod tests {
         let err = write_graph_auto(&g, &path).unwrap_err();
         assert_eq!(err.exit_code(), 2, "{err}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_full_disk_is_an_io_error_not_success() {
+        // `/dev/full` accepts the open and fails every write with ENOSPC. A
+        // graph this small fits the writer's buffer, so only the final flush
+        // can see the error.
+        let path = std::env::temp_dir().join(format!("ops_full_{}.csrbin", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        std::os::unix::fs::symlink("/dev/full", &path).unwrap();
+        let g = GraphBuilder::undirected(4).edges([(0u32, 1u32), (1, 2), (2, 3)]).build().unwrap();
+        let result = write_graph_auto(&g, &path.to_string_lossy());
+        let _ = std::fs::remove_file(&path);
+        assert!(matches!(result, Err(OpError::Io(_))), "{result:?}");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use crate::cache::{CachingPerms, PermCache};
 use crate::corpus::{Corpus, CorpusResolver};
 use crate::proto::{error_response, ok_response, parse_control, shed_response, Control};
+use reorderlab_graph::fnv1a;
 use reorderlab_ops::{
     execute_with, parse_scheme, run_with_threads, scheme_seed, OpError, OpOutcome, OpReport,
     OpRequest, RequestEnvelope,
@@ -28,15 +29,6 @@ use std::thread::JoinHandle;
 /// consistent, so a panicking holder does not invalidate it.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Daemon tuning knobs.
