@@ -6,6 +6,8 @@
 //! realizations.
 
 use crate::rrset::RrSets;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The outcome of greedy coverage: chosen seeds and how many RR sets they
 /// jointly cover.
@@ -16,6 +18,11 @@ pub struct Coverage {
     /// Number of RR sets covered by the seed set.
     pub covered: usize,
 }
+
+/// The first window holds this many candidates per seed.
+const WINDOW_PER_SEED: usize = 4;
+/// A window that proves too small is rerun this many times larger.
+const WINDOW_GROWTH: usize = 4;
 
 /// CELF (lazy greedy) maximum coverage: selects up to `k` vertices
 /// maximizing RR-set coverage, exploiting submodularity to skip most gain
@@ -28,49 +35,128 @@ pub struct Coverage {
 /// greedy, which this module's tests keep as the oracle: same seeds, same
 /// order, same tie-breaks.
 ///
-/// The inverted index (which sets contain each vertex) is one counting sort
-/// of the flat members: a count and prefix sum give every vertex its span
-/// of one shared array, filled in set order, so a vertex's sets are in
-/// ascending index and building the index allocates twice, not once per
-/// vertex.
+/// This counts how many sets hold each vertex and runs the body IMM runs
+/// on the counts it keeps as the sets grow. That body indexes only a window
+/// of candidates, the vertices CELF pops first, and grows the window when
+/// a vertex outside it could be the next pop (see `celf_from_counts`).
 ///
 /// # Panics
 ///
 /// Panics if any RR set mentions a vertex `>= n`.
 pub fn celf_max_coverage(rr_sets: &RrSets, n: usize, k: usize) -> Coverage {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    let mut hits = vec![0u32; n];
+    count_hits(&mut hits, rr_sets.members());
+    celf_from_counts(rr_sets, &hits, k)
+}
 
-    // `sets_of[start[v]..start[v + 1]]`: the sets containing `v`.
-    let mut start = vec![0usize; n + 1];
-    for &v in rr_sets.members() {
-        start[v as usize + 1] += 1;
+/// Adds one to `hits[v]` for every occurrence of `v` in `members`.
+///
+/// # Panics
+///
+/// Panics if a member is `>= hits.len()`.
+pub(crate) fn count_hits(hits: &mut [u32], members: &[u32]) {
+    for &v in members {
+        hits[v as usize] += 1;
     }
-    for v in 0..n {
-        start[v + 1] += start[v];
+}
+
+/// [`celf_max_coverage`] given `hits[v]`, the number of sets holding `v`,
+/// for every vertex of the graph.
+///
+/// CELF's heap starts with every vertex keyed by (count, lower id first),
+/// and a vertex is only ever pushed back after it was popped. So until a
+/// vertex is popped its entry is its first key, and every vertex CELF pops
+/// lies in a prefix of the first-key order. The body indexes such a prefix,
+/// the window: the first `WINDOW_PER_SEED · k` candidates by first key, a
+/// selection rather than a sort, with their sets gathered in one pass over
+/// the members. The best first key outside the window bounds every entry
+/// the window lacks; while the window's top beats it, the window pops what
+/// the full heap pops. When it does not, the window grows by
+/// `WINDOW_GROWTH` and the loop reruns. The last window is every vertex
+/// with a nonzero count, which is the full CELF.
+pub(crate) fn celf_from_counts(rr_sets: &RrSets, hits: &[u32], k: usize) -> Coverage {
+    let first_key = |&v: &u32| (Reverse(hits[v as usize]), v);
+    let mut candidates: Vec<u32> =
+        (0..hits.len() as u32).filter(|&v| hits[v as usize] > 0).collect();
+    // `candidates[..ranked]` is a prefix of the first-key order.
+    let mut ranked = 0;
+    let mut width = WINDOW_PER_SEED.saturating_mul(k);
+    loop {
+        let w = width.min(candidates.len());
+        if w < candidates.len() {
+            candidates[ranked..].select_nth_unstable_by_key(w - ranked, first_key);
+        }
+        ranked = w;
+        if let Some(cov) = celf_in_window(rr_sets, hits, &candidates, w, k) {
+            return cov;
+        }
+        width *= WINDOW_GROWTH;
     }
-    let mut sets_of = vec![0u32; rr_sets.members().len()];
-    let mut cursor = start.clone();
-    for (i, set) in rr_sets.iter().enumerate() {
-        for &v in set {
-            sets_of[cursor[v as usize]] = i as u32;
-            cursor[v as usize] += 1;
+}
+
+/// CELF over the window `candidates[..w]`, or `None` once the full CELF
+/// could pop a vertex outside it. `candidates[w]`, if any, is the best
+/// first key outside the window.
+fn celf_in_window(
+    rr_sets: &RrSets,
+    hits: &[u32],
+    candidates: &[u32],
+    w: usize,
+    k: usize,
+) -> Option<Coverage> {
+    const OUTSIDE: u32 = u32::MAX;
+    let window = &candidates[..w];
+    let bound = candidates.get(w).map(|&b| (hits[b as usize] as usize, Reverse(b)));
+
+    // `sets_of[start[j]..start[j + 1]]`: the sets containing `window[j]`,
+    // filled in member order, so in ascending set index.
+    let mut slot = vec![OUTSIDE; hits.len()];
+    let mut start = Vec::with_capacity(w + 1);
+    start.push(0usize);
+    for (j, &v) in window.iter().enumerate() {
+        slot[v as usize] = j as u32;
+        start.push(start[j] + hits[v as usize] as usize);
+    }
+    let mut sets_of = vec![0u32; start[w]];
+    let mut cursor = start[..w].to_vec();
+    // One flat pass over the members. The set holding a hit is found by
+    // moving a cursor forward through `offsets`, so the pass has no
+    // per-set loop exit to mispredict: most sets hold no window vertex.
+    let offsets = rr_sets.offsets();
+    let mut set = 0usize;
+    for (pos, &v) in rr_sets.members().iter().enumerate() {
+        let j = slot[v as usize];
+        if j != OUTSIDE {
+            while offsets[set + 1] <= pos {
+                set += 1;
+            }
+            sets_of[cursor[j as usize]] = set as u32;
+            cursor[j as usize] += 1;
         }
     }
-    let containing = |v: u32| &sets_of[start[v as usize]..start[v as usize + 1]];
+    let containing = |v: u32| {
+        let j = slot[v as usize] as usize;
+        &sets_of[start[j]..start[j + 1]]
+    };
 
     let mut set_covered = vec![false; rr_sets.len()];
-    // Heap of (gain, lower-id-first, vertex, freshness round).
-    let mut heap: BinaryHeap<(usize, Reverse<u32>, usize)> = (0..n as u32)
-        .filter(|&v| !containing(v).is_empty())
-        .map(|v| (containing(v).len(), Reverse(v), 0usize))
-        .collect();
+    // Heap of (gain, lower-id-first, freshness round).
+    let mut heap: BinaryHeap<(usize, Reverse<u32>, usize)> =
+        window.iter().map(|&v| (hits[v as usize] as usize, Reverse(v), 0usize)).collect();
     let mut seeds = Vec::with_capacity(k);
     let mut covered = 0usize;
     let mut round = 0usize;
 
     while seeds.len() < k {
-        let Some((gain, Reverse(v), fresh)) = heap.pop() else { break };
+        let top = heap.pop();
+        // The full heap also holds every vertex outside the window at its
+        // first key, the best of which is `bound`: this pop is the full
+        // CELF's only if it beats that. An exhausted heap never does, and
+        // with no bound (`None` sorts below every `Some`) nothing is outside.
+        if top.map(|(gain, v, _)| (gain, v)) < bound {
+            return None;
+        }
+        let Some((gain, Reverse(v), fresh)) = top else { break };
         if gain == 0 {
             break; // saturated: every remaining gain is ≤ this one
         }
@@ -90,7 +176,7 @@ pub fn celf_max_coverage(rr_sets: &RrSets, n: usize, k: usize) -> Coverage {
         }
         round += 1;
     }
-    Coverage { seeds, covered }
+    Some(Coverage { seeds, covered })
 }
 
 /// Plain greedy maximum coverage, the oracle [`celf_max_coverage`] is held
@@ -206,6 +292,50 @@ mod tests {
                 let b = celf_max_coverage(&sets, 8, k);
                 assert_eq!(a, b, "sets {sets:?}, k={k}");
             }
+        }
+    }
+
+    /// The first window of `k = 2` is `width` vertices that share 10 sets,
+    /// so after the first pick none of them gains anything; the vertex
+    /// beyond it holds 5 sets of its own and only a grown window finds it.
+    #[test]
+    fn window_grows_when_a_vertex_outside_it_could_pop() {
+        let k = 2;
+        let width = WINDOW_PER_SEED * k;
+        let loner = width as u32;
+        let n = width + 1;
+        let mut fixture = vec![(0..loner).collect::<Vec<u32>>(); 10];
+        fixture.extend(vec![vec![loner]; 5]);
+        let sets = RrSets::from_iter(fixture);
+        let c = celf_max_coverage(&sets, n, k);
+        assert_eq!(c, greedy_max_coverage(&sets, n, k));
+        assert_eq!(c, Coverage { seeds: vec![0, loner], covered: 15 });
+        // Premise: the first window gives up. Ids are already in first-key
+        // order here, so the candidates need no selection.
+        let mut hits = vec![0; n];
+        count_hits(&mut hits, sets.members());
+        let candidates: Vec<u32> = (0..n as u32).collect();
+        assert_eq!(celf_in_window(&sets, &hits, &candidates, width, k), None);
+    }
+
+    /// Every vertex holds 3 sets, tied across the window edge. The first
+    /// window's vertices share theirs, so the second pick is the lowest id
+    /// beyond the edge, and the sets are listed from the highest id down,
+    /// so set order does not hand out the tie-break.
+    #[test]
+    fn window_edge_ties_break_to_lower_id() {
+        for k in 1..=3 {
+            let width = WINDOW_PER_SEED * k;
+            let n = 2 * width + 1;
+            let mut fixture: Vec<Vec<u32>> =
+                (width as u32..n as u32).rev().flat_map(|v| vec![vec![v]; 3]).collect();
+            fixture.extend(vec![(0..width as u32).rev().collect(); 3]);
+            let sets = RrSets::from_iter(fixture);
+            let c = celf_max_coverage(&sets, n, k);
+            assert_eq!(c, greedy_max_coverage(&sets, n, k), "k={k}");
+            let mut want = vec![0];
+            want.extend(width as u32..(width + k - 1) as u32);
+            assert_eq!(c.seeds, want, "k={k}");
         }
     }
 

@@ -4,7 +4,7 @@
 //! CPUs busy.
 
 use crate::config::ImmConfig;
-use crate::greedy::{celf_max_coverage, Coverage};
+use crate::greedy::{celf_from_counts, count_hits, Coverage};
 use crate::rrset::{RrSampler, RrSets, RrTrace, SampleScratch};
 use rayon::prelude::*;
 use reorderlab_graph::{Adjacency, CompressError, CompressedCsr, Csr};
@@ -15,11 +15,14 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplingStats {
     /// Wall time spent generating RR sets: every parallel sampling batch and
-    /// the merge of its sets into the flat collection.
+    /// the merge of its sets into the flat collection, which also adds the
+    /// new sets to the per-vertex counts that selection starts from.
     pub sampling_time: Duration,
     /// Wall time spent in greedy seed selection: every CELF call of the run,
-    /// the one per martingale round and the final one (index build and heap
-    /// loop each time).
+    /// the one per martingale round and the final one (each time the choice
+    /// of a candidate window, the index of its sets, the heap loop, and any
+    /// rerun on a wider window). The per-vertex counts it starts from are
+    /// kept up to date in the merge, under `sampling_time`.
     pub selection_time: Duration,
     /// Total wall time of the run. Sampling and selection are all of it but
     /// the threshold arithmetic, so `sampling_time + selection_time` is at
@@ -91,7 +94,9 @@ pub fn imm_compressed(cz: &CompressedCsr, cfg: &ImmConfig) -> Result<ImmResult, 
 fn imm_core<G: Adjacency + Clone>(sampler: &RrSampler<'_, G>, cfg: &ImmConfig) -> ImmResult {
     let start = Instant::now();
     let n = sampler.num_vertices();
-    if n == 0 {
+    // `k = 0` (the fields are public, so `ImmConfig::new`'s check can be
+    // bypassed) covers nothing, so no round would raise the lower bound.
+    if n == 0 || cfg.k == 0 {
         return ImmResult { seeds: Vec::new(), influence_estimate: 0.0, stats: empty_stats() };
     }
     let k = cfg.k.min(n);
@@ -109,6 +114,9 @@ fn imm_core<G: Adjacency + Clone>(sampler: &RrSampler<'_, G>, cfg: &ImmConfig) -
             / (eps_prime * eps_prime);
 
     let mut rr_sets = RrSets::default();
+    // `hits[v]`: how many of `rr_sets` hold `v`. Sets are only ever
+    // appended, so the counts grow with them and no round recounts.
+    let mut hits = vec![0u32; n];
     let mut trace = RrTrace::default();
     let mut sampling_time = Duration::ZERO;
     let mut selection_time = Duration::ZERO;
@@ -118,8 +126,8 @@ fn imm_core<G: Adjacency + Clone>(sampler: &RrSampler<'_, G>, cfg: &ImmConfig) -
     for i in 1..=max_rounds {
         let x = nf / 2f64.powi(i as i32);
         let theta_i = (lambda_prime / x).ceil() as usize;
-        sampling_time += extend_samples(sampler, cfg, &mut rr_sets, theta_i, &mut trace);
-        let cov = timed_selection(&rr_sets, n, k, &mut selection_time);
+        sampling_time += extend_samples(sampler, cfg, &mut rr_sets, &mut hits, theta_i, &mut trace);
+        let cov = timed_selection(&rr_sets, &hits, k, &mut selection_time);
         let frac = cov.covered as f64 / rr_sets.len() as f64;
         if nf * frac >= (1.0 + eps_prime) * x {
             lb = nf * frac / (1.0 + eps_prime);
@@ -132,9 +140,9 @@ fn imm_core<G: Adjacency + Clone>(sampler: &RrSampler<'_, G>, cfg: &ImmConfig) -
     let beta = ((1.0 - 1.0 / e) * (log_cnk + ell * ln_n + 2f64.ln())).sqrt();
     let lambda_star = 2.0 * nf * ((1.0 - 1.0 / e) * alpha + beta).powi(2) / (eps * eps);
     let theta = (lambda_star / lb).ceil() as usize;
-    sampling_time += extend_samples(sampler, cfg, &mut rr_sets, theta, &mut trace);
+    sampling_time += extend_samples(sampler, cfg, &mut rr_sets, &mut hits, theta, &mut trace);
 
-    let cov = timed_selection(&rr_sets, n, k, &mut selection_time);
+    let cov = timed_selection(&rr_sets, &hits, k, &mut selection_time);
     let influence = nf * cov.covered as f64 / rr_sets.len() as f64;
 
     let rr_count = rr_sets.len();
@@ -198,12 +206,12 @@ pub fn record_sampling_stats(r: &ImmResult, rec: &mut dyn reorderlab_trace::Reco
 /// greedy.rs tests), with far fewer gain recomputations.
 fn timed_selection(
     rr_sets: &RrSets,
-    n: usize,
+    hits: &[u32],
     k: usize,
     selection_time: &mut Duration,
 ) -> Coverage {
     let t0 = Instant::now();
-    let cov = celf_max_coverage(rr_sets, n, k);
+    let cov = celf_from_counts(rr_sets, hits, k);
     *selection_time += t0.elapsed();
     cov
 }
@@ -212,12 +220,14 @@ fn timed_selection(
 const SAMPLE_BATCH: usize = 64;
 
 /// Grows `rr_sets` to at least `target` sets using parallel batched
-/// sampling; RR set `i` always comes from stream `(seed, i)`, so results
-/// are thread-count independent. Returns the wall time spent.
+/// sampling, and `hits` by their members; RR set `i` always comes from
+/// stream `(seed, i)`, so results are thread-count independent. Returns the
+/// wall time spent.
 fn extend_samples<G: Adjacency + Clone>(
     sampler: &RrSampler<'_, G>,
     cfg: &ImmConfig,
     rr_sets: &mut RrSets,
+    hits: &mut [u32],
     target: usize,
     trace: &mut RrTrace,
 ) -> Duration {
@@ -258,11 +268,15 @@ fn extend_samples<G: Adjacency + Clone>(
     // still held: about 40 MB of peak RSS on 2.4 M small sets.
     rr_sets.reserve(missing, new.iter().map(|(members, ..)| members.len()).sum());
     for (members, lens, tr) in new {
+        count_hits(hits, &members);
         rr_sets.append(&members, &lens);
         trace.edges_examined += tr.edges_examined;
         trace.vertices_visited += tr.vertices_visited;
     }
-    t0.elapsed()
+    let elapsed = t0.elapsed();
+    #[cfg(test)]
+    tests::assert_hits_match_recount(rr_sets, hits);
+    elapsed
 }
 
 fn empty_stats() -> SamplingStats {
@@ -294,6 +308,19 @@ mod tests {
 
     fn quick_cfg(k: usize) -> ImmConfig {
         ImmConfig::new(k).model(DiffusionModel::IndependentCascade { probability: 0.1 }).seed(11)
+    }
+
+    /// The hook [`extend_samples`] calls after every extension in the test
+    /// build: the counts kept as sets are appended equal a recount of every
+    /// set, so every IMM run of this crate's tests checks them.
+    pub(super) fn assert_hits_match_recount(rr_sets: &RrSets, hits: &[u32]) {
+        let mut fresh = vec![0u32; hits.len()];
+        for set in rr_sets.iter() {
+            for &v in set {
+                fresh[v as usize] += 1;
+            }
+        }
+        assert_eq!(hits, fresh, "counts kept across extensions vs a recount");
     }
 
     #[test]
@@ -358,6 +385,20 @@ mod tests {
         let r = imm(&g, &ImmConfig::new(1));
         assert!(r.seeds.is_empty());
         assert_eq!(r.influence_estimate, 0.0);
+    }
+
+    #[test]
+    fn zero_k_returns_before_sampling() {
+        // `ImmConfig`'s fields are public, so `k = 0` can skip `new`'s
+        // check; no seed can cover a set, and sampling θ for that is waste.
+        let g = erdos_renyi_gnm(100, 300, 2);
+        let cfg = ImmConfig { k: 0, ..quick_cfg(1) };
+        let cz = reorderlab_graph::CompressedCsr::from_csr(&g).unwrap();
+        for r in [imm(&g, &cfg), imm_compressed(&cz, &cfg).unwrap()] {
+            assert!(r.seeds.is_empty());
+            assert_eq!(r.stats.rr_sets, 0);
+            assert_eq!(r.influence_estimate, 0.0);
+        }
     }
 
     #[test]

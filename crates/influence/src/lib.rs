@@ -82,18 +82,6 @@ mod proptests {
         }
 
         #[test]
-        fn celf_equals_greedy(
-            sets in proptest::collection::vec(
-                proptest::collection::vec(0u32..20, 1..6), 1..40),
-            k in 1usize..6,
-        ) {
-            let sets = RrSets::from_iter(sets);
-            let a = greedy_max_coverage(&sets, 20, k);
-            let b = celf_max_coverage(&sets, 20, k);
-            prop_assert_eq!(a, b);
-        }
-
-        #[test]
         fn greedy_coverage_never_exceeds_sets(
             sets in proptest::collection::vec(
                 proptest::collection::vec(0u32..20, 1..6), 1..30),
@@ -108,6 +96,30 @@ mod proptests {
                 .filter(|s| s.iter().any(|v| chosen.contains(v)))
                 .count();
             prop_assert_eq!(actual, c.covered);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Up to 200 sets over 64 vertices, half the members squared toward
+        /// the low ids so that counts pile up and tie, and `k` up to 16: the
+        /// first window of small `k` is a fraction of the candidates, and of
+        /// large `k` all of them.
+        #[test]
+        fn celf_equals_greedy(
+            sets in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0u32..64, any::<bool>())
+                        .prop_map(|(v, skew)| if skew { v * v / 64 } else { v }),
+                    1..12),
+                1..200),
+            k in 1usize..17,
+        ) {
+            let sets = RrSets::from_iter(sets);
+            let a = greedy_max_coverage(&sets, 64, k);
+            let b = celf_max_coverage(&sets, 64, k);
+            prop_assert_eq!(a, b);
         }
     }
 }

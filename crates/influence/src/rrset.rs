@@ -106,6 +106,12 @@ impl RrSets {
     pub(crate) fn members(&self) -> &[u32] {
         &self.members
     }
+
+    /// Set boundaries in [`RrSets::members`]: set `i` is
+    /// `members()[offsets()[i]..offsets()[i + 1]]`.
+    pub(crate) fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
 }
 
 impl FromIterator<Vec<u32>> for RrSets {
