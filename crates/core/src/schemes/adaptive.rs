@@ -26,7 +26,7 @@ use super::comm::{comm_order_recorded, comm_order_serial, CommIntra};
 use super::lightweight::{
     dbg_order_recorded, dbg_order_serial, hub_sort_dbg_order_recorded, hub_sort_dbg_order_serial,
 };
-use super::rcm::{rcm_order_recorded, rcm_order_serial};
+use super::rcm::{rcm_order, rcm_order_recorded};
 use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_graph::{approx_diameter, count_triangles, Csr, Permutation};
 use reorderlab_trace::{NoopRecorder, Recorder};
@@ -175,13 +175,14 @@ pub fn adaptive_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutati
 
 /// Reference serial implementation of [`adaptive_order`]: the same decision
 /// (which is thread-invariant) dispatched to the chosen scheme's serial
-/// oracle. Retained as the property-test oracle.
+/// oracle, or to [`rcm_order`], whose one body is serial. Retained as the
+/// property-test oracle.
 pub fn adaptive_order_serial(graph: &Csr) -> Permutation {
     match adaptive_decide(graph).choice {
         AdaptiveChoice::Natural => natural_order(graph),
         AdaptiveChoice::HubSortDbg => hub_sort_dbg_order_serial(graph),
         AdaptiveChoice::CommBfs => comm_order_serial(graph, CommIntra::Bfs),
-        AdaptiveChoice::Rcm => rcm_order_serial(graph),
+        AdaptiveChoice::Rcm => rcm_order(graph),
         AdaptiveChoice::Dbg => dbg_order_serial(graph),
     }
 }

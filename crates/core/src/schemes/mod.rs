@@ -38,10 +38,7 @@ pub use lightweight::{
 };
 pub use minla::{minla_anneal, MinlaConfig};
 pub use rabbit::rabbit_order;
-pub use rcm::{
-    cdfs_order, cdfs_order_recorded, cdfs_order_serial, cm_order, rcm_order, rcm_order_recorded,
-    rcm_order_serial,
-};
+pub use rcm::{cdfs_order, cdfs_order_recorded, rcm_order, rcm_order_recorded};
 pub use slashburn::{slashburn_order, slashburn_order_recorded, slashburn_order_serial};
 
 use reorderlab_graph::Permutation;

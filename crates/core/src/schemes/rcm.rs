@@ -1,20 +1,22 @@
-//! Reverse Cuthill–McKee (paper §III-E, Cuthill & McKee \[9\]).
+//! Reverse Cuthill–McKee (paper §III-E, Cuthill & McKee \[9\]) and its
+//! unsorted relaxation, CDFS.
 //!
 //! Per connected component: start from a pseudo-peripheral vertex found from
 //! the component's minimum-degree vertex, BFS while visiting each vertex's
 //! unvisited neighbors in non-decreasing degree order, then reverse the
 //! whole visit sequence. RCM is the paper's clear winner on the graph
 //! bandwidth measure β (Figure 6a).
+//!
+//! Both orderings are one FIFO queue loop. A parallel per-level gather of
+//! the candidate lists lost to that loop at two threads on the benchmark
+//! host (DESIGN.md §2), so there is no second body.
 
 // SAFETY: every `as u32` in this module narrows a vertex count, degree, or
 // index that the Csr construction invariant bounds by `u32::MAX` (graphs
 // with more vertices are rejected at build/ingest time), so the casts are
 // lossless; the C1 budget in analyze.toml pins the audited site count.
 
-use reorderlab_graph::{
-    frontier_candidates, frontier_candidates_by_key, pseudo_peripheral_recorded,
-    pseudo_peripheral_serial, Csr, LevelScratch, Permutation,
-};
+use reorderlab_graph::{pseudo_peripheral_recorded, Csr, LevelScratch, Permutation};
 use reorderlab_trace::{NoopRecorder, Recorder};
 use std::collections::VecDeque;
 
@@ -31,12 +33,8 @@ fn degree_keys(graph: &Csr) -> Vec<u64> {
 /// Components are processed in increasing order of their minimum-degree
 /// vertex (ties by id), matching the classic formulation ("the search
 /// resumes with another unvisited vertex of the smallest current degree").
-///
-/// The BFS runs level-synchronously: each level's degree-sorted unvisited
-/// neighbor lists are gathered in parallel, then committed in stream order
-/// (first occurrence wins). That reproduces the serial FIFO visit sequence
-/// exactly — see [`rcm_order_serial`], the retained oracle — so the
-/// permutation is bit-identical at any thread count.
+/// Within a component the BFS is the classic FIFO queue, and each vertex's
+/// unvisited neighbors are enqueued in `(degree, id)` order.
 ///
 /// # Examples
 ///
@@ -64,42 +62,12 @@ pub fn rcm_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
     let key = degree_keys(graph);
     // One BFS scratch for the root searches of every component.
     let mut scratch = LevelScratch::new(n);
+    let mut queue: VecDeque<u32> = VecDeque::new();
+    let mut nbrs: Vec<u32> = Vec::new();
 
     // Vertices sorted by (degree, id) — candidate starting points.
     let mut starts: Vec<u32> = (0..n as u32).collect();
     starts.sort_unstable_by_key(|&v| key[v as usize]);
-
-    // A single-threaded pool takes the FIFO path: the level gather does
-    // strictly more sorting (it keys candidates against the level-start
-    // snapshot, before same-level commits shrink the lists), which only
-    // pays for itself across workers. Both paths are bit-identical — the
-    // packed keys sort exactly like the (degree, id) tuples.
-    if rayon::current_num_threads() <= 1 {
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        let mut nbrs: Vec<u32> = Vec::new();
-        for &s in &starts {
-            if visited[s as usize] {
-                continue;
-            }
-            rec.counter("rcm/components", 1);
-            let root = pseudo_peripheral_recorded(graph, s, &mut scratch, rec);
-            visited[root as usize] = true;
-            queue.push_back(root);
-            while let Some(v) = queue.pop_front() {
-                order.push(v);
-                nbrs.clear();
-                nbrs.extend(graph.neighbors(v).iter().copied().filter(|&u| !visited[u as usize]));
-                nbrs.sort_unstable_by_key(|&u| key[u as usize]);
-                for &u in &nbrs {
-                    visited[u as usize] = true;
-                    queue.push_back(u);
-                }
-            }
-        }
-        debug_assert_eq!(order.len(), n);
-        order.reverse();
-        return super::order_permutation(&order);
-    }
 
     for &s in &starts {
         if visited[s as usize] {
@@ -110,29 +78,16 @@ pub fn rcm_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
         rec.counter("rcm/components", 1);
         let root = pseudo_peripheral_recorded(graph, s, &mut scratch, rec);
         visited[root as usize] = true;
-        order.push(root);
-        let mut frontier = vec![root];
-        while !frontier.is_empty() {
-            // Sorting each candidate list before the already-visited entries
-            // are dropped at commit matches the serial "filter then sort":
-            // removing elements never reorders the survivors.
-            let blocks = frontier_candidates_by_key(
-                graph,
-                &frontier,
-                |w| visited[w as usize],
-                |w| key[w as usize],
-            );
-            let mut next = Vec::new();
-            for block in blocks {
-                for w in block {
-                    if !visited[w as usize] {
-                        visited[w as usize] = true;
-                        next.push(w);
-                    }
-                }
+        queue.push_back(root);
+        while let Some(v) = queue.pop_front() {
+            order.push(v);
+            nbrs.clear();
+            nbrs.extend(graph.neighbors(v).iter().copied().filter(|&u| !visited[u as usize]));
+            nbrs.sort_unstable_by_key(|&u| key[u as usize]);
+            for &u in &nbrs {
+                visited[u as usize] = true;
+                queue.push_back(u);
             }
-            order.extend_from_slice(&next);
-            frontier = next;
         }
     }
     debug_assert_eq!(order.len(), n);
@@ -141,57 +96,11 @@ pub fn rcm_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
     super::order_permutation(&order)
 }
 
-/// Reference serial implementation of [`rcm_order`]: the classic FIFO queue
-/// with a per-vertex filter-and-sort of unvisited neighbors. Retained as the
-/// property-test oracle and bench baseline for the parallel level gather.
-pub fn rcm_order_serial(graph: &Csr) -> Permutation {
-    let n = graph.num_vertices();
-    let mut visited = vec![false; n];
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    let mut nbrs: Vec<u32> = Vec::new();
-
-    let mut starts: Vec<u32> = (0..n as u32).collect();
-    starts.sort_by_key(|&v| (graph.degree(v), v));
-
-    for &s in &starts {
-        if visited[s as usize] {
-            continue;
-        }
-        let root = pseudo_peripheral_serial(graph, s);
-        visited[root as usize] = true;
-        queue.push_back(root);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            nbrs.clear();
-            nbrs.extend(graph.neighbors(v).iter().copied().filter(|&u| !visited[u as usize]));
-            nbrs.sort_by_key(|&u| (graph.degree(u), u));
-            for &u in &nbrs {
-                visited[u as usize] = true;
-                queue.push_back(u);
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), n);
-    order.reverse();
-    super::order_permutation(&order)
-}
-
-/// Cuthill–McKee *without* the final reversal, exposed because the
-/// Grappolo-RCM composite orders the community graph with plain RCM and the
-/// distinction occasionally matters when comparing against references.
-pub fn cm_order(graph: &Csr) -> Permutation {
-    rcm_order(graph).reversed()
-}
-
 /// Children Depth-First Search ordering (Banerjee et al. \[3\], the paper's
 /// footnote 1): the RCM relaxation where "the renumbering of unvisited
 /// neighbors follows an arbitrary order at every level" — i.e. a plain BFS
 /// from a pseudo-peripheral start with neighbors in natural order, then
-/// reversed. Cheaper than RCM (no per-level sort) at some bandwidth cost.
-///
-/// Uses the same parallel level gather as [`rcm_order`], minus the per-list
-/// sort; bit-identical to [`cdfs_order_serial`] at any thread count.
+/// reversed. Cheaper than RCM (no per-vertex sort) at some bandwidth cost.
 pub fn cdfs_order(graph: &Csr) -> Permutation {
     cdfs_order_recorded(graph, &mut NoopRecorder)
 }
@@ -205,34 +114,10 @@ pub fn cdfs_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
     let mut order: Vec<u32> = Vec::with_capacity(n);
     let key = degree_keys(graph);
     let mut scratch = LevelScratch::new(n);
+    let mut queue: VecDeque<u32> = VecDeque::new();
 
     let mut starts: Vec<u32> = (0..n as u32).collect();
     starts.sort_unstable_by_key(|&v| key[v as usize]);
-
-    // Same adaptive split as `rcm_order`: plain FIFO when single-threaded.
-    if rayon::current_num_threads() <= 1 {
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        for &s in &starts {
-            if visited[s as usize] {
-                continue;
-            }
-            rec.counter("cdfs/components", 1);
-            let root = pseudo_peripheral_recorded(graph, s, &mut scratch, rec);
-            visited[root as usize] = true;
-            queue.push_back(root);
-            while let Some(v) = queue.pop_front() {
-                order.push(v);
-                for &u in graph.neighbors(v) {
-                    if !visited[u as usize] {
-                        visited[u as usize] = true;
-                        queue.push_back(u);
-                    }
-                }
-            }
-        }
-        order.reverse();
-        return super::order_permutation(&order);
-    }
 
     for &s in &starts {
         if visited[s as usize] {
@@ -240,43 +125,6 @@ pub fn cdfs_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
         }
         rec.counter("cdfs/components", 1);
         let root = pseudo_peripheral_recorded(graph, s, &mut scratch, rec);
-        visited[root as usize] = true;
-        order.push(root);
-        let mut frontier = vec![root];
-        while !frontier.is_empty() {
-            let blocks = frontier_candidates(graph, &frontier, |w| visited[w as usize]);
-            let mut next = Vec::new();
-            for block in blocks {
-                for w in block {
-                    if !visited[w as usize] {
-                        visited[w as usize] = true;
-                        next.push(w);
-                    }
-                }
-            }
-            order.extend_from_slice(&next);
-            frontier = next;
-        }
-    }
-    order.reverse();
-    super::order_permutation(&order)
-}
-
-/// Reference serial implementation of [`cdfs_order`]: plain FIFO BFS.
-/// Retained as the property-test oracle for the parallel level gather.
-pub fn cdfs_order_serial(graph: &Csr) -> Permutation {
-    let n = graph.num_vertices();
-    let mut visited = vec![false; n];
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    let mut queue: VecDeque<u32> = VecDeque::new();
-
-    let mut starts: Vec<u32> = (0..n as u32).collect();
-    starts.sort_by_key(|&v| (graph.degree(v), v));
-    for &s in &starts {
-        if visited[s as usize] {
-            continue;
-        }
-        let root = pseudo_peripheral_serial(graph, s);
         visited[root as usize] = true;
         queue.push_back(root);
         while let Some(v) = queue.pop_front() {
@@ -352,12 +200,6 @@ mod tests {
         // Bandwidth within each path component must be 1.
         let m = gap_measures(&g, &pi);
         assert_eq!(m.bandwidth, 1);
-    }
-
-    #[test]
-    fn cm_is_reverse_of_rcm() {
-        let g = grid2d(5, 5);
-        assert_eq!(cm_order(&g), rcm_order(&g).reversed());
     }
 
     #[test]

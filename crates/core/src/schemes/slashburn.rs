@@ -21,15 +21,13 @@ use reorderlab_trace::{NoopRecorder, Recorder};
 /// serial `(Reverse(degree), original_id)` tuple order. The second element
 /// is the local vertex id for marking hubs.
 fn hub_keys(sub: &Csr, live: &[u32]) -> Vec<(u64, u32)> {
-    let score = |v: u32| {
-        let inv_deg = u32::MAX - sub.degree(v) as u32;
-        (((u64::from(inv_deg)) << 32) | u64::from(live[v as usize]), v)
-    };
-    if rayon::current_num_threads() <= 1 {
-        (0..live.len() as u32).map(score).collect()
-    } else {
-        (0..live.len() as u32).into_par_iter().map(score).collect()
-    }
+    (0..live.len() as u32)
+        .into_par_iter()
+        .map(|v| {
+            let inv_deg = u32::MAX - sub.degree(v) as u32;
+            (((u64::from(inv_deg)) << 32) | u64::from(live[v as usize]), v)
+        })
+        .collect()
 }
 
 /// Connected components of `sub` restricted to non-hub vertices, labeled in
@@ -75,9 +73,8 @@ fn masked_components(sub: &Csr, is_hub: &[bool]) -> (Vec<u32>, Vec<usize>) {
 /// keys) and selects the exact top `k` with a linear-time partition instead
 /// of a full sort per round; burning runs [`masked_components`] directly on
 /// the working graph so only the giant component is ever materialized (via
-/// the parallel [`Csr::induced_subgraph`] kernel) instead of remainder +
-/// giant per round. Bit-identical to [`slashburn_order_serial`] at any
-/// thread count.
+/// [`Csr::induced_subgraph`]) instead of remainder + giant per round.
+/// Bit-identical to [`slashburn_order_serial`] at any thread count.
 ///
 /// # Panics
 ///
@@ -191,9 +188,9 @@ pub fn slashburn_order_recorded(graph: &Csr, k_frac: f64, rec: &mut dyn Recorder
 }
 
 /// Reference serial implementation of [`slashburn_order`]: full
-/// `(Reverse(degree), id)` sort per round, serial subgraph extraction via
-/// [`Csr::induced_subgraph_serial`]. Retained as the property-test oracle
-/// and bench baseline for the parallel hub-extraction kernel.
+/// `(Reverse(degree), id)` sort per round, and both the remainder and the
+/// giant extracted with [`Csr::induced_subgraph`]. Retained as the
+/// property-test oracle for the parallel hub-extraction kernel.
 ///
 /// # Panics
 ///
@@ -234,7 +231,7 @@ pub fn slashburn_order_serial(graph: &Csr, k_frac: f64) -> Permutation {
         }
 
         let keep: Vec<u32> = (0..remaining as u32).filter(|&v| !is_hub[v as usize]).collect();
-        let (rest, rest_orig_local) = sub.induced_subgraph_serial(&keep);
+        let (rest, rest_orig_local) = sub.induced_subgraph(&keep);
         let comps = Components::find(&rest);
         let giant = match comps.largest() {
             Some(g) => g,
@@ -253,7 +250,7 @@ pub fn slashburn_order_serial(graph: &Csr, k_frac: f64) -> Permutation {
         }
 
         let giant_local: Vec<u32> = members[giant as usize].clone();
-        let (next_sub, next_orig_local) = rest.induced_subgraph_serial(&giant_local);
+        let (next_sub, next_orig_local) = rest.induced_subgraph(&giant_local);
         live =
             next_orig_local.iter().map(|&v| live[rest_orig_local[v as usize] as usize]).collect();
         sub = next_sub;

@@ -4,23 +4,26 @@
 //! — and the result must be bit-identical at 1, 2, and 7 rayon threads.
 //!
 //! A second group of differential tests pins each parallelized kernel
-//! exactly equal to its retained serial oracle. The serial schemes (Rabbit,
-//! METIS, ND) have no oracle to differ from; theirs are determinism runs on
-//! graphs large enough for their sub-steps to fan out.
+//! exactly equal to its retained serial oracle, and RCM and CDFS, whose one
+//! body packs its sort keys, to the textbook queue loops below. The serial
+//! schemes (Rabbit, METIS, ND) have no oracle to differ from; theirs are
+//! determinism runs on graphs large enough for their sub-steps to fan out.
 
 use reorderlab_core::schemes::{
-    adaptive_order, adaptive_order_serial, cdfs_order, cdfs_order_serial, comm_order,
-    comm_order_serial, dbg_order, dbg_order_serial, gorder, gorder_serial, hub_cluster_dbg_order,
-    hub_cluster_dbg_order_serial, hub_sort_dbg_order, hub_sort_dbg_order_serial, metis_order,
-    nd_order, rabbit_order, rcm_order, rcm_order_serial, slashburn_order, slashburn_order_serial,
-    CommIntra,
+    adaptive_order, adaptive_order_serial, cdfs_order, comm_order, comm_order_serial, dbg_order,
+    dbg_order_serial, gorder, gorder_serial, hub_cluster_dbg_order, hub_cluster_dbg_order_serial,
+    hub_sort_dbg_order, hub_sort_dbg_order_serial, metis_order, nd_order, rabbit_order, rcm_order,
+    slashburn_order, slashburn_order_serial, CommIntra,
 };
 use reorderlab_core::{Scheme, SchemeError};
 use reorderlab_datasets::{
     barabasi_albert, clique_chain, erdos_renyi_gnm, grid2d, star, stochastic_block_model, tri_mesh,
     watts_strogatz,
 };
-use reorderlab_graph::{assert_thread_invariant, Csr, GraphBuilder, Permutation, SelfLoopPolicy};
+use reorderlab_graph::{
+    assert_thread_invariant, pseudo_peripheral, Csr, GraphBuilder, Permutation, SelfLoopPolicy,
+};
+use std::collections::VecDeque;
 
 /// One instance per generator family from `reorderlab-datasets`
 /// (random / sbm / powerlaw / mesh) plus the degenerate corner cases the
@@ -116,14 +119,49 @@ where
     }
 }
 
+/// Reference RCM or CDFS: components in `(degree, id)` order of their
+/// cheapest vertex, each a FIFO BFS from its pseudo-peripheral root that
+/// enqueues a vertex's unvisited neighbors sorted by `(degree, id)` when
+/// `sorted` (RCM) or in adjacency order (CDFS); the visit sequence reversed.
+fn cuthill_mckee_serial(graph: &Csr, sorted: bool) -> Permutation {
+    let n = graph.num_vertices();
+    let mut visited = vec![false; n];
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    let mut queue: VecDeque<u32> = VecDeque::new();
+    let mut starts: Vec<u32> = (0..n as u32).collect();
+    starts.sort_by_key(|&v| (graph.degree(v), v));
+    for &s in &starts {
+        if visited[s as usize] {
+            continue;
+        }
+        let root = pseudo_peripheral(graph, s);
+        visited[root as usize] = true;
+        queue.push_back(root);
+        while let Some(v) = queue.pop_front() {
+            order.push(v);
+            let mut nbrs: Vec<u32> =
+                graph.neighbors(v).iter().copied().filter(|&u| !visited[u as usize]).collect();
+            if sorted {
+                nbrs.sort_by_key(|&u| (graph.degree(u), u));
+            }
+            for u in nbrs {
+                visited[u as usize] = true;
+                queue.push_back(u);
+            }
+        }
+    }
+    order.reverse();
+    Permutation::from_order(&order).expect("every vertex is visited once")
+}
+
 #[test]
 fn rcm_matches_serial_oracle() {
-    assert_matches_oracle("rcm_order", rcm_order, rcm_order_serial);
+    assert_matches_oracle("rcm_order", rcm_order, |g| cuthill_mckee_serial(g, true));
 }
 
 #[test]
 fn cdfs_matches_serial_oracle() {
-    assert_matches_oracle("cdfs_order", cdfs_order, cdfs_order_serial);
+    assert_matches_oracle("cdfs_order", cdfs_order, |g| cuthill_mckee_serial(g, false));
 }
 
 #[test]

@@ -20,7 +20,6 @@
 
 use crate::csr::Csr;
 use crate::error::GraphError;
-use crate::frontier::exclusive_prefix_sum;
 use rayon::prelude::*;
 
 /// The result of contracting a graph by a cluster assignment.
@@ -177,6 +176,20 @@ fn validate(graph: &Csr, assignment: &[u32], num_clusters: usize) -> Result<(), 
     Ok(())
 }
 
+/// Exclusive prefix sum: `counts` of length `n` become offsets of length
+/// `n + 1` with `offsets[0] == 0` and `offsets[n] == counts.iter().sum()`.
+/// The standard step for turning per-row lengths into CSR offsets.
+fn exclusive_prefix_sum(counts: &[usize]) -> Vec<usize> {
+    let mut offsets = Vec::with_capacity(counts.len() + 1);
+    let mut acc = 0usize;
+    offsets.push(0);
+    for &c in counts {
+        acc += c;
+        offsets.push(acc);
+    }
+    offsets
+}
+
 /// Groups vertices by cluster via counting sort; members of each cluster are
 /// in ascending vertex-id order.
 fn cluster_members(assignment: &[u32], cluster_sizes: &[usize]) -> (Vec<usize>, Vec<u32>) {
@@ -295,6 +308,12 @@ pub fn contract_serial(
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+
+    #[test]
+    fn prefix_sum_basics() {
+        assert_eq!(exclusive_prefix_sum(&[]), vec![0]);
+        assert_eq!(exclusive_prefix_sum(&[3, 0, 2]), vec![0, 3, 3, 5]);
+    }
 
     #[test]
     fn contract_two_triangles() {

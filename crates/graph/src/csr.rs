@@ -356,115 +356,12 @@ impl Csr {
     /// `i` corresponds to the `i`-th *distinct* entry of `vertices` — plus
     /// the mapping from subgraph ids back to original ids.
     ///
-    /// Rows of the sub-CSR are independent, so they are built in parallel
-    /// (fixed-size row blocks, concatenated in block order) and the result is
-    /// bit-identical to [`Csr::induced_subgraph_serial`] at any thread count.
+    /// One in-order pass over the selected rows builds the sub-CSR.
     ///
     /// # Panics
     ///
     /// Panics if any entry of `vertices` is out of bounds.
     pub fn induced_subgraph(&self, vertices: &[u32]) -> (Csr, Vec<u32>) {
-        // Per-row-block assembly produces the identical CSR (proven equal by
-        // the differential proptests), so a single-threaded pool can skip
-        // straight to the cheaper serial extraction.
-        if rayon::current_num_threads() <= 1 {
-            return self.induced_subgraph_serial(vertices);
-        }
-        // Row-block granularity, constant so the decomposition (and thus the
-        // output layout) never depends on the worker count.
-        const ROW_BLOCK: usize = 256;
-
-        let n = self.num_vertices();
-        let mut local = vec![u32::MAX; n];
-        let mut originals: Vec<u32> = Vec::with_capacity(vertices.len());
-        for &v in vertices {
-            assert!((v as usize) < n, "induced_subgraph vertex out of bounds");
-            if local[v as usize] == u32::MAX {
-                local[v as usize] = originals.len() as u32;
-                originals.push(v);
-            }
-        }
-        let sub_n = originals.len();
-
-        // One result per row block: (targets, weights, row lengths, edges
-        // owned by these rows). Everything below only reads `local`.
-        type RowBlock = (Vec<u32>, Option<Vec<f64>>, Vec<usize>, usize);
-        let build_block = |ci: usize, block: Vec<&u32>| -> RowBlock {
-            let mut t_out: Vec<u32> = Vec::new();
-            let mut w_out = self.weights.as_ref().map(|_| Vec::new());
-            let mut lens = Vec::with_capacity(block.len());
-            let mut owned = 0usize;
-            for (j, &orig) in block.into_iter().enumerate() {
-                let i = ci * ROW_BLOCK + j;
-                let lo = self.offsets[orig as usize];
-                let start = t_out.len();
-                for (k, &t) in self.neighbors(orig).iter().enumerate() {
-                    let lt = local[t as usize];
-                    if lt == u32::MAX {
-                        continue;
-                    }
-                    t_out.push(lt);
-                    if let (Some(dst), Some(src)) = (w_out.as_mut(), self.weights.as_ref()) {
-                        dst.push(src[lo + k]);
-                    }
-                    if self.directed || lt as usize >= i {
-                        owned += 1;
-                    }
-                }
-                // Keep the per-vertex list sorted under the new ids.
-                match w_out.as_mut() {
-                    Some(ws) => {
-                        let mut pairs: Vec<(u32, f64)> = t_out[start..]
-                            .iter()
-                            .copied()
-                            .zip(ws[start..].iter().copied())
-                            .collect();
-                        pairs.sort_by_key(|a| a.0);
-                        for (j2, (t, w)) in pairs.into_iter().enumerate() {
-                            t_out[start + j2] = t;
-                            ws[start + j2] = w;
-                        }
-                    }
-                    None => t_out[start..].sort_unstable(),
-                }
-                lens.push(t_out.len() - start);
-            }
-            (t_out, w_out, lens, owned)
-        };
-        let blocks: Vec<RowBlock> = originals
-            .par_iter()
-            .chunks(ROW_BLOCK)
-            .enumerate()
-            .map(|(ci, block)| build_block(ci, block))
-            .collect();
-
-        // Serial concatenation in block order reproduces the serial layout.
-        let mut offsets = Vec::with_capacity(sub_n + 1);
-        offsets.push(0usize);
-        let mut cursor = 0usize;
-        let mut targets = Vec::new();
-        let mut weights = self.weights.as_ref().map(|_| Vec::new());
-        let mut num_edges = 0usize;
-        for (t_out, w_out, lens, owned) in blocks {
-            for len in lens {
-                cursor += len;
-                offsets.push(cursor);
-            }
-            targets.extend_from_slice(&t_out);
-            if let (Some(dst), Some(src)) = (weights.as_mut(), w_out) {
-                dst.extend_from_slice(&src);
-            }
-            num_edges += owned;
-        }
-        debug_assert_eq!(offsets.len(), sub_n + 1);
-        let sub = Csr::from_raw_parts(offsets, targets, weights, num_edges, self.directed);
-        (sub, originals)
-    }
-
-    /// Reference serial implementation of [`Csr::induced_subgraph`]: one
-    /// in-order pass over the selected rows. Retained as the property-test
-    /// oracle and bench baseline for the parallel row build.
-    pub fn induced_subgraph_serial(&self, vertices: &[u32]) -> (Csr, Vec<u32>) {
         let n = self.num_vertices();
         let mut local = vec![u32::MAX; n];
         let mut originals: Vec<u32> = Vec::with_capacity(vertices.len());
@@ -750,22 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn induced_subgraph_spans_row_blocks() {
-        // Large enough selection to exercise the multi-block parallel path
-        // (> 256 rows): a long cycle with every other vertex selected.
-        let n = 1500u32;
-        let g = GraphBuilder::undirected(n as usize)
-            .edges((0..n).map(|i| (i, (i + 1) % n)))
-            .build()
-            .unwrap();
-        let vertices: Vec<u32> = (0..n).step_by(2).collect();
-        let par = g.induced_subgraph(&vertices);
-        let ser = g.induced_subgraph_serial(&vertices);
-        assert_eq!(par, ser);
-        assert_eq!(par.0.num_edges(), 0, "alternate cycle vertices are independent");
-    }
-
-    #[test]
     fn transpose_directed() {
         let g = crate::builder::GraphBuilder::directed(3)
             .edge(0, 1)
@@ -911,6 +792,30 @@ mod proptests {
         Csr::from_raw_parts(offsets, targets, weights, g.num_edges, true)
     }
 
+    /// `Csr::induced_subgraph` from the builder: the first occurrence of each
+    /// selected vertex numbers it, and every arc between two selected
+    /// vertices is re-added under those numbers.
+    fn serial_induced_subgraph(g: &Csr, vertices: &[u32]) -> (Csr, Vec<u32>) {
+        let mut originals: Vec<u32> = Vec::new();
+        for &v in vertices {
+            if !originals.contains(&v) {
+                originals.push(v);
+            }
+        }
+        let local = |v: u32| originals.iter().position(|&o| o == v).map(|i| i as u32);
+        let kept: Vec<(u32, u32, f64)> =
+            g.edges().filter_map(|(u, v, w)| Some((local(u)?, local(v)?, w))).collect();
+        let n = originals.len();
+        let b = if g.directed { GraphBuilder::directed(n) } else { GraphBuilder::undirected(n) };
+        let b = b.self_loops(crate::builder::SelfLoopPolicy::Keep);
+        let b = if g.is_weighted() {
+            b.weighted_edges(kept)
+        } else {
+            b.edges(kept.into_iter().map(|(u, v, _)| (u, v)))
+        };
+        (b.build().expect("in-bounds edges always build"), originals)
+    }
+
     /// Deterministic permutation of `n` vertices derived from `seed`.
     fn perm_from_seed(n: usize, seed: u64) -> Permutation {
         let mut order: Vec<u32> = (0..n as u32).collect();
@@ -1005,9 +910,8 @@ mod proptests {
                     ((s >> 33) as usize % n) as u32
                 })
                 .collect();
-            let expected = g.induced_subgraph_serial(&vertices);
             let got = at_thread_counts(|| g.induced_subgraph(&vertices));
-            prop_assert_eq!(got, expected);
+            prop_assert_eq!(got, serial_induced_subgraph(&g, &vertices));
         }
     }
 }

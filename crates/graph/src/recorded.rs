@@ -61,7 +61,7 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::coarsen::contract_serial;
-    use crate::traversal::{bfs_levels_serial, pseudo_peripheral};
+    use crate::traversal::pseudo_peripheral;
     use reorderlab_trace::{NoopRecorder, RunRecorder};
 
     fn sample() -> Csr {
@@ -77,7 +77,7 @@ mod tests {
         let mut rec = RunRecorder::new();
         let live = bfs_levels_recorded(&g, 0, &mut rec);
         let noop = bfs_levels_recorded(&g, 0, &mut NoopRecorder);
-        assert_eq!(live.levels, bfs_levels_serial(&g, 0).levels);
+        assert_eq!(live.levels, vec![0, 1, 2, 3, 2, 1]);
         assert_eq!(live.levels, noop.levels);
         assert_eq!(rec.counters()["bfs/levels"], 4, "6-cycle eccentricity 3 -> 4 levels");
         assert_eq!(rec.spans()["bfs_levels"].count, 1);
@@ -96,6 +96,25 @@ mod tests {
             );
         }
         assert_eq!(rec.counters()["pseudo_peripheral/runs"], 3);
+    }
+
+    #[test]
+    fn recorded_pseudo_peripheral_grows_a_scratch_built_for_a_smaller_graph() {
+        // A 20-vertex path and a clique: the clique is dense enough for the
+        // bottom-up step, which scans every vertex of the graph.
+        let g = GraphBuilder::undirected(20)
+            .edges((0..9u32).map(|i| (i, i + 1)))
+            .edges((10..20u32).flat_map(|u| (u + 1..20).map(move |v| (u, v))))
+            .build()
+            .unwrap();
+        let mut scratch = LevelScratch::new(4);
+        for start in [0, 19, 4, 12] {
+            assert_eq!(
+                pseudo_peripheral_recorded(&g, start, &mut scratch, &mut NoopRecorder),
+                pseudo_peripheral(&g, start),
+                "start {start}"
+            );
+        }
     }
 
     #[test]

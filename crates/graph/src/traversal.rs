@@ -5,6 +5,11 @@
 //! interleaved BFS/DFS with degree tie-breaking, SlashBurn peels hubs between
 //! component searches, and the influence-maximization sampler runs stochastic
 //! reverse BFS.
+//!
+//! Each traversal is one serial body. A BFS level costs a few operations per
+//! arc, so a parallel per-level gather paid more in spawns and in its
+//! gather-then-commit double pass than it saved, and lost to this loop at
+//! two threads (DESIGN.md §2).
 
 // SAFETY: every `as u32` in this module narrows a vertex count, degree, or
 // index that the Csr construction invariant bounds by `u32::MAX` (graphs
@@ -12,7 +17,6 @@
 // lossless; the C1 budget in analyze.toml pins the audited site count.
 
 use crate::csr::Csr;
-use crate::frontier::frontier_candidates;
 use std::collections::VecDeque;
 
 /// Breadth-first iterator over the vertices reachable from a source.
@@ -156,53 +160,14 @@ impl LevelStructure {
     }
 }
 
-/// Computes the BFS level structure rooted at `source`.
-///
-/// Levels are expanded level-synchronously with a parallel gather per level
-/// (see [`crate::frontier`]); the result is bit-identical to
-/// [`bfs_levels_serial`] at any thread count because candidates are committed
-/// in the serial FIFO stream order.
+/// Computes the BFS level structure rooted at `source`: one FIFO pass that
+/// appends each vertex's unvisited neighbors, in adjacency order, to the
+/// next level.
 ///
 /// # Panics
 ///
 /// Panics if `source` is out of bounds.
 pub fn bfs_levels(graph: &Csr, source: u32) -> LevelStructure {
-    // The gathered candidate stream resolves to the serial visit sequence
-    // (proven equal by the differential proptests), so a single-threaded
-    // pool can skip straight to the cheaper serial loop.
-    if rayon::current_num_threads() <= 1 {
-        return bfs_levels_serial(graph, source);
-    }
-    let n = graph.num_vertices();
-    assert!((source as usize) < n, "bfs_levels source out of bounds");
-    let mut levels = vec![u32::MAX; n];
-    let mut tiers: Vec<Vec<u32>> = Vec::new();
-    levels[source as usize] = 0;
-    let mut frontier = vec![source];
-    while !frontier.is_empty() {
-        let depth = tiers.len() as u32;
-        // Gather against the level-start snapshot of `levels`; duplicates are
-        // resolved below by first occurrence, matching the serial loop.
-        let blocks = frontier_candidates(graph, &frontier, |w| levels[w as usize] != u32::MAX);
-        let mut next = Vec::new();
-        for block in blocks {
-            for w in block {
-                if levels[w as usize] == u32::MAX {
-                    levels[w as usize] = depth + 1;
-                    next.push(w);
-                }
-            }
-        }
-        tiers.push(frontier);
-        frontier = next;
-    }
-    LevelStructure { levels, tiers }
-}
-
-/// Reference serial implementation of [`bfs_levels`]: the plain FIFO frontier
-/// loop. Retained as the property-test oracle and bench baseline for the
-/// parallel level gather.
-pub fn bfs_levels_serial(graph: &Csr, source: u32) -> LevelStructure {
     let n = graph.num_vertices();
     assert!((source as usize) < n, "bfs_levels source out of bounds");
     let mut levels = vec![u32::MAX; n];
@@ -239,7 +204,8 @@ pub struct LevelScratch {
 }
 
 impl LevelScratch {
-    /// Scratch for graphs of `n` vertices.
+    /// Scratch for graphs of `n` vertices; a search on a larger graph grows
+    /// it.
     pub fn new(n: usize) -> Self {
         LevelScratch { levels: vec![u32::MAX; n], reached: Vec::new() }
     }
@@ -264,7 +230,12 @@ pub fn pseudo_peripheral(graph: &Csr, start: u32) -> u32 {
 /// [`pseudo_peripheral`] on a caller-held scratch, for callers that search
 /// once per component.
 pub(crate) fn pseudo_peripheral_in(graph: &Csr, start: u32, scratch: &mut LevelScratch) -> u32 {
-    assert!((start as usize) < graph.num_vertices(), "pseudo_peripheral start out of bounds");
+    let n = graph.num_vertices();
+    assert!((start as usize) < n, "pseudo_peripheral start out of bounds");
+    // The scratch is caller-built and may come from a smaller graph.
+    if scratch.levels.len() < n {
+        scratch.levels.resize(n, u32::MAX);
+    }
     // An isolated vertex is its own component and its own periphery.
     if graph.degree(start) == 0 {
         return start;
@@ -286,40 +257,6 @@ pub(crate) fn pseudo_peripheral_in(graph: &Csr, start: u32, scratch: &mut LevelS
     }
 }
 
-/// Reference implementation of [`pseudo_peripheral`] on top of the full
-/// [`bfs_levels_serial`] level structure. Retained as the property-test
-/// oracle and bench baseline for the direction-optimizing summary BFS;
-/// always returns the same vertex.
-pub fn pseudo_peripheral_serial(graph: &Csr, start: u32) -> u32 {
-    let mut current = start;
-    let mut ls = bfs_levels_serial(graph, current);
-    let mut ecc = ls.eccentricity();
-    loop {
-        let last = match ls.tiers.last() {
-            Some(t) if !t.is_empty() => t,
-            _ => return current,
-        };
-        // Min-(degree, id) vertex in the deepest level — an order-free rule,
-        // so any traversal producing the same level *sets* agrees.
-        let candidate =
-        // SAFETY: `last` is a BFS level, and levels are non-empty by
-        // construction of `bfs_levels`.
-            *last.iter().min_by_key(|&&v| (graph.degree(v), v)).expect("non-empty level");
-        if candidate == current {
-            return current;
-        }
-        let next_ls = bfs_levels_serial(graph, candidate);
-        let next_ecc = next_ls.eccentricity();
-        if next_ecc > ecc {
-            current = candidate;
-            ls = next_ls;
-            ecc = next_ecc;
-        } else {
-            return candidate;
-        }
-    }
-}
-
 /// One George–Liu step's worth of BFS, reduced to what [`pseudo_peripheral`]
 /// actually consumes: the root's eccentricity and the min-(degree, id)
 /// vertex of the deepest level. Because only level *sets* matter — never
@@ -330,7 +267,6 @@ pub fn pseudo_peripheral_serial(graph: &Csr, start: u32) -> u32 {
 fn bfs_summary(graph: &Csr, source: u32, scratch: &mut LevelScratch) -> (usize, u32) {
     let n = graph.num_vertices();
     let LevelScratch { levels, reached } = scratch;
-    debug_assert_eq!(levels.len(), n, "scratch sized for another graph");
     levels[source as usize] = 0;
     reached.push(source);
     // The current level is `reached[level_start..level_end]`.
@@ -396,6 +332,38 @@ mod tests {
 
     fn path(n: usize) -> Csr {
         GraphBuilder::undirected(n).edges((0..n as u32 - 1).map(|i| (i, i + 1))).build().unwrap()
+    }
+
+    /// Reference implementation of [`pseudo_peripheral`] on top of the full
+    /// [`bfs_levels`] level structure: the oracle for the
+    /// direction-optimizing summary BFS, which must always return the same
+    /// vertex.
+    fn pseudo_peripheral_serial(graph: &Csr, start: u32) -> u32 {
+        let mut current = start;
+        let mut ls = bfs_levels(graph, current);
+        let mut ecc = ls.eccentricity();
+        loop {
+            let last = match ls.tiers.last() {
+                Some(t) if !t.is_empty() => t,
+                _ => return current,
+            };
+            // Min-(degree, id) vertex in the deepest level — an order-free
+            // rule, so any traversal producing the same level *sets* agrees.
+            let candidate =
+                *last.iter().min_by_key(|&&v| (graph.degree(v), v)).expect("non-empty level");
+            if candidate == current {
+                return current;
+            }
+            let next_ls = bfs_levels(graph, candidate);
+            let next_ecc = next_ls.eccentricity();
+            if next_ecc > ecc {
+                current = candidate;
+                ls = next_ls;
+                ecc = next_ecc;
+            } else {
+                return candidate;
+            }
+        }
     }
 
     #[test]
@@ -503,7 +471,12 @@ mod tests {
             .build()
             .unwrap();
         let got = crate::determinism::assert_thread_invariant(|| bfs_levels(&g, 5));
-        assert_eq!(got, bfs_levels_serial(&g, 5));
+        // The levels, read in order, are the FIFO queue's visit sequence.
+        let fifo: Vec<u32> = Bfs::new(&g, 5).collect();
+        assert_eq!(got.tiers.concat(), fifo);
+        for (depth, tier) in got.tiers.iter().enumerate() {
+            assert!(tier.iter().all(|&v| got.levels[v as usize] == depth as u32));
+        }
     }
 
     #[test]
