@@ -22,11 +22,9 @@
 //! then report as zero in the [`AdaptiveDecision`] trail.
 
 use super::basic::natural_order;
-use super::comm::{comm_order_recorded, comm_order_serial, CommIntra};
-use super::lightweight::{
-    dbg_order_recorded, dbg_order_serial, hub_sort_dbg_order_recorded, hub_sort_dbg_order_serial,
-};
-use super::rcm::{rcm_order, rcm_order_recorded};
+use super::comm::{comm_order_recorded, CommIntra};
+use super::lightweight::{dbg_order_recorded, hub_sort_dbg_order_recorded};
+use super::rcm::rcm_order_recorded;
 use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_graph::{approx_diameter, count_triangles, Csr, Permutation};
 use reorderlab_trace::{NoopRecorder, Recorder};
@@ -173,20 +171,6 @@ pub fn adaptive_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutati
     }
 }
 
-/// Reference serial implementation of [`adaptive_order`]: the same decision
-/// (which is thread-invariant) dispatched to the chosen scheme's serial
-/// oracle, or to [`rcm_order`], whose one body is serial. Retained as the
-/// property-test oracle.
-pub fn adaptive_order_serial(graph: &Csr) -> Permutation {
-    match adaptive_decide(graph).choice {
-        AdaptiveChoice::Natural => natural_order(graph),
-        AdaptiveChoice::HubSortDbg => hub_sort_dbg_order_serial(graph),
-        AdaptiveChoice::CommBfs => comm_order_serial(graph, CommIntra::Bfs),
-        AdaptiveChoice::Rcm => rcm_order(graph),
-        AdaptiveChoice::Dbg => dbg_order_serial(graph),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,15 +202,17 @@ mod tests {
     }
 
     #[test]
-    fn order_matches_chosen_scheme_and_serial_oracle() {
-        use crate::schemes::{hub_sort_dbg_order, rcm_order};
+    fn order_matches_chosen_scheme() {
+        use crate::schemes::{comm_order, dbg_order, hub_sort_dbg_order, rcm_order};
         let ba = barabasi_albert(300, 3, 5);
         assert_eq!(adaptive_order(&ba), hub_sort_dbg_order(&ba));
+        let cliques = clique_chain(8, 8);
+        assert_eq!(adaptive_order(&cliques), comm_order(&cliques, CommIntra::Bfs));
         let grid = grid2d(16, 16);
         assert_eq!(adaptive_order(&grid), rcm_order(&grid));
-        for g in [ba, grid, clique_chain(8, 8), erdos_renyi_gnm(120, 700, 3)] {
-            assert_eq!(adaptive_order(&g), adaptive_order_serial(&g));
-        }
+        let flat = erdos_renyi_gnm(120, 700, 3);
+        assert_eq!(adaptive_decide(&flat).choice, AdaptiveChoice::Dbg);
+        assert_eq!(adaptive_order(&flat), dbg_order(&flat));
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //! Louvain's deterministic first-appearance order, so the whole layout is a
 //! pure function of the graph.
 //!
-//! Communities are independent, so the parallel kernel maps over them and
-//! concatenates the per-community orders positionally — bit-identical to
-//! the serial loop by construction at any thread count.
+//! Communities are independent, so the kernel maps over them in parallel
+//! and concatenates the per-community orders positionally. The test-side
+//! reference in `crates/core/tests/support` runs Louvain on one thread and
+//! walks the communities in a plain loop; the two agree at any thread count.
 
 use rayon::prelude::*;
-use reorderlab_community::{louvain, louvain_recorded, LouvainConfig};
-use reorderlab_graph::{build_pool, Csr, Permutation};
+use reorderlab_community::{louvain_recorded, LouvainConfig};
+use reorderlab_graph::{Csr, Permutation};
 use reorderlab_trace::{NoopRecorder, Recorder};
 use std::collections::VecDeque;
 
@@ -71,17 +72,7 @@ pub fn comm_order_recorded(graph: &Csr, intra: CommIntra, rec: &mut dyn Recorder
     // reproduces the serial concatenation exactly.
     let blocks: Vec<Vec<u32>> =
         members.into_par_iter().map(|m| intra_order(graph, m, intra)).collect();
-    concat_blocks(graph.num_vertices(), &blocks)
-}
-
-/// Reference serial implementation of [`comm_order`]: single-threaded
-/// Louvain and a plain loop over communities. Retained as the
-/// property-test oracle for the community-parallel kernel.
-pub fn comm_order_serial(graph: &Csr, intra: CommIntra) -> Permutation {
-    let r = build_pool(1).install(|| louvain(graph, &LouvainConfig::default()));
-    let members = community_members(graph, &r.assignment, r.num_communities);
-    let blocks: Vec<Vec<u32>> = members.into_iter().map(|m| intra_order(graph, m, intra)).collect();
-    concat_blocks(graph.num_vertices(), &blocks)
+    super::order_permutation(&blocks.concat())
 }
 
 /// Scatters vertices into per-community member lists; the natural scan
@@ -95,14 +86,6 @@ fn community_members(graph: &Csr, assignment: &[u32], num_communities: usize) ->
         }
     }
     members
-}
-
-fn concat_blocks(n: usize, blocks: &[Vec<u32>]) -> Permutation {
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    for block in blocks {
-        order.extend_from_slice(block);
-    }
-    super::order_permutation(&order)
 }
 
 /// Orders one community's members (an id-ascending list) per `intra`.
@@ -178,7 +161,7 @@ fn dfs_local(graph: &Csr, members: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reorderlab_datasets::{clique_chain, grid2d, path};
+    use reorderlab_datasets::clique_chain;
     use reorderlab_graph::GraphBuilder;
     use reorderlab_trace::RunRecorder;
 
@@ -193,15 +176,6 @@ mod tests {
                 let ranks: Vec<u32> = (0..6).map(|i| pi.rank(c * 6 + i)).collect();
                 let span = ranks.iter().max().unwrap() - ranks.iter().min().unwrap();
                 assert_eq!(span, 5, "{intra:?}: community {c} must stay contiguous");
-            }
-        }
-    }
-
-    #[test]
-    fn matches_serial_oracle() {
-        for g in [clique_chain(4, 5), grid2d(8, 8), path(20)] {
-            for intra in ALL_INTRA {
-                assert_eq!(comm_order(&g, intra), comm_order_serial(&g, intra), "{intra:?}");
             }
         }
     }

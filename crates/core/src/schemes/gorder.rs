@@ -8,24 +8,18 @@
 //! approximation that runs in time proportional to the sum of squared
 //! degrees, with the usual hub cap that skips two-hop score propagation
 //! through very-high-degree intermediates.
+//!
+//! Each pick reads the keys the picks before it left, so the scan has one
+//! serial body; `crates/core/tests/ordering_goldens.rs` pins its output.
 
 // SAFETY: every `as u32` in this module narrows a vertex count, degree, or
 // index that the Csr construction invariant bounds by `u32::MAX` (graphs
 // with more vertices are rejected at build/ingest time), so the casts are
 // lossless; the C1 budget in analyze.toml pins the audited site count.
 
-use rayon::prelude::*;
 use reorderlab_graph::{Csr, Permutation};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
-
-/// Minimum degree of the entering/leaving vertex before the Gscore pass
-/// gathers its two-hop credit lists in parallel; below this the serial pass
-/// is cheaper. Both paths produce identical output (the gather only
-/// precomputes the filters; key updates and heap pushes are committed
-/// serially in the exact serial order), so the threshold never affects the
-/// permutation.
-const GATHER_MIN_DEGREE: usize = 32;
 
 #[derive(Debug, PartialEq, Eq)]
 struct Entry {
@@ -54,6 +48,9 @@ impl PartialOrd for Entry {
 /// keeps the cost near `Σ deg²` on skewed graphs (the same engineering
 /// concession the reference implementation makes).
 ///
+/// A window of `n` or more never evicts a vertex, so every such window
+/// yields the order of `window = n`.
+///
 /// # Panics
 ///
 /// Panics if `window == 0`.
@@ -74,141 +71,18 @@ pub fn gorder(graph: &Csr, window: usize, hub_cap: usize) -> Permutation {
     let mut key = vec![0i64; n];
     let mut placed = vec![false; n];
     let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
-    let mut recent: VecDeque<u32> = VecDeque::with_capacity(window + 1);
+    // The window holds at most `n` vertices, whatever the caller asked for.
+    let mut recent: VecDeque<u32> = VecDeque::with_capacity(window.min(n) + 1);
     let mut order: Vec<u32> = Vec::with_capacity(n);
 
     // Fallback seeds: vertices by decreasing degree (Gorder starts from the
     // highest-degree vertex and reseeds there when a region is exhausted).
-    // Packed key: ascending (u32::MAX - degree, id) = descending degree.
     let mut seeds: Vec<u32> = (0..n as u32).collect();
-    seeds.sort_unstable_by_key(|&v| {
-        (u64::from(u32::MAX - graph.degree(v) as u32) << 32) | u64::from(v)
-    });
+    seeds.sort_by_key(|&v| (Reverse(graph.degree(v)), v));
     let mut seed_cursor = 0usize;
 
     // Applies the Gscore delta of `v` entering (+1) or leaving (-1) the
-    // window to all unplaced candidates. `placed` is static for the whole
-    // pass (the entering vertex is marked before the call), so the
-    // candidate filters are pure; for high-degree `v` the per-intermediate
-    // candidate lists are gathered in parallel and then committed serially
-    // in intermediate order, reproducing the serial pass's exact sequence
-    // of key updates and heap pushes.
-    let apply =
-        |v: u32, delta: i64, key: &mut [i64], placed: &[bool], heap: &mut BinaryHeap<Entry>| {
-            let nbrs = graph.neighbors(v);
-            let parallel = nbrs.len() >= GATHER_MIN_DEGREE && rayon::current_num_threads() > 1;
-            let mut commit = |u: u32, direct: bool, twohop: &[u32]| {
-                if direct {
-                    key[u as usize] += delta; // S_n: direct edge credit
-                    if delta > 0 {
-                        heap.push(Entry { key: key[u as usize], vertex: u });
-                    }
-                }
-                // S_s: shared-neighbor credit through intermediate u.
-                for &t in twohop {
-                    key[t as usize] += delta;
-                    if delta > 0 {
-                        heap.push(Entry { key: key[t as usize], vertex: t });
-                    }
-                }
-            };
-            if parallel {
-                let gathered: Vec<(bool, Vec<u32>)> = nbrs
-                    .par_iter()
-                    .map(|&u| {
-                        let direct = u != v && !placed[u as usize];
-                        let twohop: Vec<u32> = if graph.degree(u) <= hub_cap {
-                            graph
-                                .neighbors(u)
-                                .iter()
-                                .copied()
-                                .filter(|&t| t != v && !placed[t as usize])
-                                .collect()
-                        } else {
-                            Vec::new()
-                        };
-                        (direct, twohop)
-                    })
-                    .collect();
-                for (&u, (direct, twohop)) in nbrs.iter().zip(&gathered) {
-                    commit(u, *direct, twohop);
-                }
-            } else {
-                let mut twohop: Vec<u32> = Vec::new();
-                for &u in nbrs {
-                    twohop.clear();
-                    if graph.degree(u) <= hub_cap {
-                        twohop.extend(
-                            graph
-                                .neighbors(u)
-                                .iter()
-                                .copied()
-                                .filter(|&t| t != v && !placed[t as usize]),
-                        );
-                    }
-                    commit(u, u != v && !placed[u as usize], &twohop);
-                }
-            }
-        };
-
-    for _ in 0..n {
-        // Select the unplaced vertex with max key; fall back to the next
-        // unplaced high-degree seed when the window has no live candidates.
-        let mut chosen: Option<u32> = None;
-        while let Some(top) = heap.peek() {
-            if placed[top.vertex as usize] || top.key != key[top.vertex as usize] {
-                heap.pop(); // stale
-                continue;
-            }
-            if top.key > 0 {
-                chosen = heap.pop().map(|entry| entry.vertex);
-            }
-            break;
-        }
-        let v = match chosen {
-            Some(v) => v,
-            None => {
-                while placed[seeds[seed_cursor] as usize] {
-                    seed_cursor += 1;
-                }
-                seeds[seed_cursor]
-            }
-        };
-
-        placed[v as usize] = true;
-        order.push(v);
-        recent.push_back(v);
-        apply(v, 1, &mut key, &placed, &mut heap);
-        if recent.len() > window {
-            if let Some(evicted) = recent.pop_front() {
-                apply(evicted, -1, &mut key, &placed, &mut heap);
-            }
-        }
-    }
-
-    super::order_permutation(&order)
-}
-
-/// Reference serial implementation of [`gorder`]: the original single-pass
-/// Gscore loop with inline filtering. Retained as the property-test oracle
-/// and bench baseline for the parallel two-hop gather.
-///
-/// # Panics
-///
-/// Panics if `window == 0`.
-pub fn gorder_serial(graph: &Csr, window: usize, hub_cap: usize) -> Permutation {
-    assert!(window >= 1, "window must be at least 1");
-    let n = graph.num_vertices();
-    let mut key = vec![0i64; n];
-    let mut placed = vec![false; n];
-    let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
-    let mut recent: VecDeque<u32> = VecDeque::with_capacity(window + 1);
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-
-    let mut seeds: Vec<u32> = (0..n as u32).collect();
-    seeds.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
-    let mut seed_cursor = 0usize;
-
+    // window to all unplaced candidates.
     let apply =
         |v: u32, delta: i64, key: &mut [i64], placed: &[bool], heap: &mut BinaryHeap<Entry>| {
             for &u in graph.neighbors(v) {
@@ -233,6 +107,8 @@ pub fn gorder_serial(graph: &Csr, window: usize, hub_cap: usize) -> Permutation 
         };
 
     for _ in 0..n {
+        // Select the unplaced vertex with max key; fall back to the next
+        // unplaced high-degree seed when the window has no live candidates.
         let mut chosen: Option<u32> = None;
         while let Some(top) = heap.peek() {
             if placed[top.vertex as usize] || top.key != key[top.vertex as usize] {
@@ -341,6 +217,15 @@ mod tests {
     fn deterministic() {
         let g = erdos_renyi_gnm(80, 200, 9);
         assert_eq!(gorder(&g, 5, usize::MAX), gorder(&g, 5, usize::MAX));
+    }
+
+    #[test]
+    fn windows_past_the_vertex_count_equal_window_n() {
+        let g = clique_chain(3, 5);
+        let n = g.num_vertices();
+        let expected = gorder(&g, n, 4096);
+        assert_eq!(gorder(&g, 1 << 40, 4096), expected);
+        assert_eq!(gorder(&g, usize::MAX, 4096), expected);
     }
 
     #[test]

@@ -19,27 +19,25 @@ mod rcm;
 mod slashburn;
 
 pub use adaptive::{
-    adaptive_decide, adaptive_order, adaptive_order_recorded, adaptive_order_serial,
-    AdaptiveChoice, AdaptiveDecision,
+    adaptive_decide, adaptive_order, adaptive_order_recorded, AdaptiveChoice, AdaptiveDecision,
 };
 pub use basic::{natural_order, random_order};
-pub use comm::{comm_order, comm_order_recorded, comm_order_serial, CommIntra};
+pub use comm::{comm_order, comm_order_recorded, CommIntra};
 pub use composite::{
     grappolo_order, grappolo_order_recorded, grappolo_order_with, grappolo_rcm_order,
     grappolo_rcm_order_recorded, grappolo_rcm_order_with, metis_order, nd_order,
 };
 pub use degree::{degree_sort, hub_cluster, hub_sort, hub_threshold, DegreeDirection};
-pub use gorder::{gorder, gorder_serial};
+pub use gorder::gorder;
 pub use hybrid::{hybrid_multiscale_order, HybridConfig};
 pub use lightweight::{
-    dbg_order, dbg_order_recorded, dbg_order_serial, hub_cluster_dbg_order,
-    hub_cluster_dbg_order_recorded, hub_cluster_dbg_order_serial, hub_sort_dbg_order,
-    hub_sort_dbg_order_recorded, hub_sort_dbg_order_serial,
+    dbg_order, dbg_order_recorded, hub_cluster_dbg_order, hub_cluster_dbg_order_recorded,
+    hub_sort_dbg_order, hub_sort_dbg_order_recorded,
 };
 pub use minla::{minla_anneal, MinlaConfig};
 pub use rabbit::rabbit_order;
 pub use rcm::{cdfs_order, cdfs_order_recorded, rcm_order, rcm_order_recorded};
-pub use slashburn::{slashburn_order, slashburn_order_recorded, slashburn_order_serial};
+pub use slashburn::{slashburn_order, slashburn_order_recorded};
 
 use reorderlab_graph::Permutation;
 

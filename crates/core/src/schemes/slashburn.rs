@@ -13,7 +13,7 @@
 // lossless; the C1 budget in analyze.toml pins the audited site count.
 
 use rayon::prelude::*;
-use reorderlab_graph::{Components, Csr, Permutation};
+use reorderlab_graph::{Csr, Permutation};
 use reorderlab_trace::{NoopRecorder, Recorder};
 
 /// Packed descending-degree keys for hub selection, computed in parallel:
@@ -74,7 +74,9 @@ fn masked_components(sub: &Csr, is_hub: &[bool]) -> (Vec<u32>, Vec<usize>) {
 /// of a full sort per round; burning runs [`masked_components`] directly on
 /// the working graph so only the giant component is ever materialized (via
 /// [`Csr::induced_subgraph`]) instead of remainder + giant per round.
-/// Bit-identical to [`slashburn_order_serial`] at any thread count.
+/// Bit-identical at any thread count to the test-side reference in
+/// `crates/core/tests/support`, which sorts every round in full and
+/// extracts both the remainder and the giant.
 ///
 /// # Panics
 ///
@@ -181,78 +183,6 @@ pub fn slashburn_order_recorded(graph: &Csr, k_frac: f64, rec: &mut dyn Recorder
         // Recurse on the giant component, extracted straight from `sub`.
         let (next_sub, next_orig_local) = sub.induced_subgraph(&members[giant as usize]);
         live = next_orig_local.iter().map(|&v| live[v as usize]).collect();
-        sub = next_sub;
-    }
-    debug_assert!(front <= back, "front {front} crossed back {back}");
-    super::ranks_permutation(ranks)
-}
-
-/// Reference serial implementation of [`slashburn_order`]: full
-/// `(Reverse(degree), id)` sort per round, and both the remainder and the
-/// giant extracted with [`Csr::induced_subgraph`]. Retained as the
-/// property-test oracle for the parallel hub-extraction kernel.
-///
-/// # Panics
-///
-/// Panics if `k_frac` is not in `(0, 1]`.
-pub fn slashburn_order_serial(graph: &Csr, k_frac: f64) -> Permutation {
-    assert!(k_frac > 0.0 && k_frac <= 1.0, "k_frac must be in (0, 1]");
-    let n = graph.num_vertices();
-    let mut ranks = vec![u32::MAX; n];
-    let mut front = 0u32;
-    let mut back = n as u32; // exclusive
-    let mut live: Vec<u32> = (0..n as u32).collect();
-    let mut sub = graph.clone();
-
-    loop {
-        let remaining = live.len();
-        if remaining == 0 {
-            break;
-        }
-        let k = ((remaining as f64 * k_frac).ceil() as usize).max(1);
-        if remaining <= k {
-            let mut rest: Vec<u32> = (0..remaining as u32).collect();
-            rest.sort_by_key(|&v| (std::cmp::Reverse(sub.degree(v)), live[v as usize]));
-            for v in rest {
-                ranks[live[v as usize] as usize] = front;
-                front += 1;
-            }
-            break;
-        }
-
-        let mut by_degree: Vec<u32> = (0..remaining as u32).collect();
-        by_degree.sort_by_key(|&v| (std::cmp::Reverse(sub.degree(v)), live[v as usize]));
-        let hubs = &by_degree[..k];
-        let mut is_hub = vec![false; remaining];
-        for &h in hubs {
-            ranks[live[h as usize] as usize] = front;
-            front += 1;
-            is_hub[h as usize] = true;
-        }
-
-        let keep: Vec<u32> = (0..remaining as u32).filter(|&v| !is_hub[v as usize]).collect();
-        let (rest, rest_orig_local) = sub.induced_subgraph(&keep);
-        let comps = Components::find(&rest);
-        let giant = match comps.largest() {
-            Some(g) => g,
-            None => break,
-        };
-
-        let mut spoke_comps: Vec<u32> = (0..comps.count() as u32).filter(|&c| c != giant).collect();
-        spoke_comps.sort_by_key(|&c| (comps.size(c), c));
-        let members = comps.members();
-        for &c in &spoke_comps {
-            for &v in members[c as usize].iter().rev() {
-                back -= 1;
-                let orig = live[rest_orig_local[v as usize] as usize];
-                ranks[orig as usize] = back;
-            }
-        }
-
-        let giant_local: Vec<u32> = members[giant as usize].clone();
-        let (next_sub, next_orig_local) = rest.induced_subgraph(&giant_local);
-        live =
-            next_orig_local.iter().map(|&v| live[rest_orig_local[v as usize] as usize]).collect();
         sub = next_sub;
     }
     debug_assert!(front <= back, "front {front} crossed back {back}");

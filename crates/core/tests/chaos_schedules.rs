@@ -22,8 +22,8 @@ const SEEDS: std::ops::Range<u64> = 0..8;
 const THREADS: [usize; 2] = [2, 7];
 
 /// A slice of the scheme-contract corpus that still exercises every
-/// parallel path (hubs for Gorder's gather, a 700-vertex graph whose
-/// coarse rows span several work blocks, a disconnected graph for the
+/// parallel path (hubs for SlashBurn's and DBG's scoring, a 700-vertex
+/// graph whose coarse rows span several work blocks, a disconnected graph for the
 /// component sweeps) while keeping 8 seeds × 2 thread counts × every scheme
 /// affordable.
 fn corpus() -> Vec<(&'static str, Csr)> {

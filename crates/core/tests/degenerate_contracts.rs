@@ -9,6 +9,8 @@
 //! SlashBurn `k_frac` rounding, Gorder windows larger than the graph,
 //! METIS `parts > n`, RCM on disconnected inputs.
 
+mod support;
+
 use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_core::measures::{
     try_edge_gaps, try_gap_measures, try_packing_factor, try_vertex_bandwidths, GapDistribution,
@@ -17,14 +19,7 @@ use reorderlab_core::{Scheme, SchemeError};
 use reorderlab_datasets::{degenerate_suite, star};
 use reorderlab_graph::{assert_thread_invariant, build_pool, Csr, GraphBuilder, Permutation};
 use reorderlab_influence::{imm, DiffusionModel, ImmConfig};
-
-fn assert_bijective(pi: &Permutation, n: usize, ctx: &str) {
-    assert_eq!(pi.len(), n, "{ctx}: permutation length");
-    assert!(
-        Permutation::from_ranks(pi.ranks().to_vec()).is_ok(),
-        "{ctx}: ranks are not a bijection"
-    );
-}
+use support::assert_bijective;
 
 /// Every measure the paper evaluates, computed through the fallible entry
 /// points; asserts every reported number is finite and returns the bundle

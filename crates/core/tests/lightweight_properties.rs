@@ -2,31 +2,34 @@
 //! (DBG / HubSortDBG / HubClusterDBG, CommBFS / CommDFS / CommDegree,
 //! Adaptive): on randomized generator graphs each scheme must produce a
 //! bijection on `0..n`, be deterministic across repeated runs and thread
-//! counts, and match its retained serial oracle exactly. The chaos-seed
+//! counts, and match its serial reference in `support` exactly. The chaos-seed
 //! axis (8 seeds × {2, 7} threads) for the same family runs in
 //! `chaos_schedules.rs` under `--features chaos`.
 
+mod support;
+
 use proptest::prelude::*;
-use reorderlab_core::schemes::{
-    adaptive_order_serial, comm_order_serial, dbg_order_serial, hub_cluster_dbg_order_serial,
-    hub_sort_dbg_order_serial, CommIntra,
-};
+use reorderlab_core::schemes::CommIntra;
 use reorderlab_core::Scheme;
 use reorderlab_datasets::{barabasi_albert, erdos_renyi_gnm, grid2d, stochastic_block_model};
 use reorderlab_graph::{assert_thread_invariant, Csr, Permutation};
+use support::{
+    adaptive_serial, assert_bijective, comm_serial, dbg_serial, hub_cluster_dbg_serial,
+    hub_sort_dbg_serial,
+};
 
 type Oracle = fn(&Csr) -> Permutation;
 
-/// The seven schemes the family adds, paired with their serial oracles.
+/// The seven schemes the family adds, paired with their serial references.
 fn family() -> Vec<(Scheme, Oracle)> {
     vec![
-        (Scheme::Dbg, dbg_order_serial),
-        (Scheme::HubSortDbg, hub_sort_dbg_order_serial),
-        (Scheme::HubClusterDbg, hub_cluster_dbg_order_serial),
-        (Scheme::CommunityBfs, |g| comm_order_serial(g, CommIntra::Bfs)),
-        (Scheme::CommunityDfs, |g| comm_order_serial(g, CommIntra::Dfs)),
-        (Scheme::CommunityDegree, |g| comm_order_serial(g, CommIntra::Degree)),
-        (Scheme::Adaptive, adaptive_order_serial),
+        (Scheme::Dbg, dbg_serial),
+        (Scheme::HubSortDbg, hub_sort_dbg_serial),
+        (Scheme::HubClusterDbg, hub_cluster_dbg_serial),
+        (Scheme::CommunityBfs, |g| comm_serial(g, CommIntra::Bfs)),
+        (Scheme::CommunityDfs, |g| comm_serial(g, CommIntra::Dfs)),
+        (Scheme::CommunityDegree, |g| comm_serial(g, CommIntra::Degree)),
+        (Scheme::Adaptive, adaptive_serial),
     ]
 }
 
@@ -47,13 +50,9 @@ fn assert_family_contract(g: &Csr, ctx: &str) {
     for (scheme, oracle) in family() {
         let label = format!("{scheme} on {ctx}");
         let pi = assert_thread_invariant(|| scheme.reorder(g));
-        assert_eq!(pi.len(), n, "{label}: permutation length");
-        assert!(
-            Permutation::from_ranks(pi.ranks().to_vec()).is_ok(),
-            "{label}: ranks are not a bijection on 0..{n}"
-        );
+        assert_bijective(&pi, n, &label);
         assert_eq!(pi, scheme.reorder(g), "{label}: repeated run diverged");
-        assert_eq!(pi, oracle(g), "{label}: diverged from serial oracle");
+        assert_eq!(pi, oracle(g), "{label}: diverged from serial reference");
     }
 }
 

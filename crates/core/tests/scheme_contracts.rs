@@ -3,27 +3,28 @@
 //! including degenerate graphs (empty, singleton, disconnected, self-loops)
 //! — and the result must be bit-identical at 1, 2, and 7 rayon threads.
 //!
-//! A second group of differential tests pins each parallelized kernel
-//! exactly equal to its retained serial oracle, and RCM and CDFS, whose one
-//! body packs its sort keys, to the textbook queue loops below. The serial
-//! schemes (Rabbit, METIS, ND) have no oracle to differ from; theirs are
-//! determinism runs on graphs large enough for their sub-steps to fan out.
+//! A second group of differential tests pins each parallelized kernel, and
+//! RCM and CDFS, whose one body packs its sort keys, exactly equal to the
+//! plain serial references in `support`. The serial schemes (Rabbit, METIS,
+//! ND) have no reference to differ from; theirs are determinism runs on
+//! graphs large enough for their sub-steps to fan out. Gorder's one serial
+//! body is pinned by `ordering_goldens.rs`.
+
+mod support;
 
 use reorderlab_core::schemes::{
-    adaptive_order, adaptive_order_serial, cdfs_order, comm_order, comm_order_serial, dbg_order,
-    dbg_order_serial, gorder, gorder_serial, hub_cluster_dbg_order, hub_cluster_dbg_order_serial,
-    hub_sort_dbg_order, hub_sort_dbg_order_serial, metis_order, nd_order, rabbit_order, rcm_order,
-    slashburn_order, slashburn_order_serial, CommIntra,
+    adaptive_order, cdfs_order, comm_order, dbg_order, gorder, hub_cluster_dbg_order,
+    hub_sort_dbg_order, metis_order, nd_order, rabbit_order, rcm_order, slashburn_order, CommIntra,
 };
 use reorderlab_core::{Scheme, SchemeError};
 use reorderlab_datasets::{
-    barabasi_albert, clique_chain, erdos_renyi_gnm, grid2d, star, stochastic_block_model, tri_mesh,
-    watts_strogatz,
+    barabasi_albert, erdos_renyi_gnm, grid2d, stochastic_block_model, tri_mesh, watts_strogatz,
 };
-use reorderlab_graph::{
-    assert_thread_invariant, pseudo_peripheral, Csr, GraphBuilder, Permutation, SelfLoopPolicy,
+use reorderlab_graph::{assert_thread_invariant, Csr, GraphBuilder, Permutation, SelfLoopPolicy};
+use support::{
+    adaptive_serial, assert_bijective, comm_serial, cuthill_mckee_serial, dbg_serial,
+    hub_cluster_dbg_serial, hub_sort_dbg_serial, slashburn_serial,
 };
-use std::collections::VecDeque;
 
 /// One instance per generator family from `reorderlab-datasets`
 /// (random / sbm / powerlaw / mesh) plus the degenerate corner cases the
@@ -55,14 +56,6 @@ fn contract_corpus() -> Vec<(&'static str, Csr)> {
         ("powerlaw", barabasi_albert(80, 2, 5)),
         ("mesh", tri_mesh(8, 8, 0.3, 9)),
     ]
-}
-
-fn assert_bijective(pi: &Permutation, n: usize, ctx: &str) {
-    assert_eq!(pi.len(), n, "{ctx}: permutation length");
-    assert!(
-        Permutation::from_ranks(pi.ranks().to_vec()).is_ok(),
-        "{ctx}: ranks are not a bijection"
-    );
 }
 
 /// Every scheme in the extended suite × every corpus graph: bijective,
@@ -104,7 +97,7 @@ fn parameter_extremes_survive_degenerate_graphs() {
 }
 
 // ---------------------------------------------------------------------------
-// Differential tests: parallel kernel == serial oracle, at 1/2/7 threads.
+// Differential tests: kernel == serial reference, at 1/2/7 threads.
 // ---------------------------------------------------------------------------
 
 fn assert_matches_oracle<F, S>(name: &str, parallel: F, serial: S)
@@ -115,43 +108,8 @@ where
     for (gname, g) in contract_corpus() {
         let expected = serial(&g);
         let got = assert_thread_invariant(|| parallel(&g));
-        assert_eq!(got, expected, "{name} diverged from serial oracle on {gname}");
+        assert_eq!(got, expected, "{name} diverged from serial reference on {gname}");
     }
-}
-
-/// Reference RCM or CDFS: components in `(degree, id)` order of their
-/// cheapest vertex, each a FIFO BFS from its pseudo-peripheral root that
-/// enqueues a vertex's unvisited neighbors sorted by `(degree, id)` when
-/// `sorted` (RCM) or in adjacency order (CDFS); the visit sequence reversed.
-fn cuthill_mckee_serial(graph: &Csr, sorted: bool) -> Permutation {
-    let n = graph.num_vertices();
-    let mut visited = vec![false; n];
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    let mut starts: Vec<u32> = (0..n as u32).collect();
-    starts.sort_by_key(|&v| (graph.degree(v), v));
-    for &s in &starts {
-        if visited[s as usize] {
-            continue;
-        }
-        let root = pseudo_peripheral(graph, s);
-        visited[root as usize] = true;
-        queue.push_back(root);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            let mut nbrs: Vec<u32> =
-                graph.neighbors(v).iter().copied().filter(|&u| !visited[u as usize]).collect();
-            if sorted {
-                nbrs.sort_by_key(|&u| (graph.degree(u), u));
-            }
-            for u in nbrs {
-                visited[u as usize] = true;
-                queue.push_back(u);
-            }
-        }
-    }
-    order.reverse();
-    Permutation::from_order(&order).expect("every vertex is visited once")
 }
 
 #[test]
@@ -169,24 +127,15 @@ fn slashburn_matches_serial_oracle() {
     assert_matches_oracle(
         "slashburn_order",
         |g| slashburn_order(g, 0.05),
-        |g| slashburn_order_serial(g, 0.05),
+        |g| slashburn_serial(g, 0.05),
     );
-}
-
-#[test]
-fn gorder_matches_serial_oracle() {
-    assert_matches_oracle("gorder", |g| gorder(g, 5, 4096), |g| gorder_serial(g, 5, 4096));
 }
 
 #[test]
 fn dbg_family_matches_serial_oracle() {
-    assert_matches_oracle("dbg_order", dbg_order, dbg_order_serial);
-    assert_matches_oracle("hub_sort_dbg_order", hub_sort_dbg_order, hub_sort_dbg_order_serial);
-    assert_matches_oracle(
-        "hub_cluster_dbg_order",
-        hub_cluster_dbg_order,
-        hub_cluster_dbg_order_serial,
-    );
+    assert_matches_oracle("dbg_order", dbg_order, dbg_serial);
+    assert_matches_oracle("hub_sort_dbg_order", hub_sort_dbg_order, hub_sort_dbg_serial);
+    assert_matches_oracle("hub_cluster_dbg_order", hub_cluster_dbg_order, hub_cluster_dbg_serial);
 }
 
 #[test]
@@ -195,32 +144,14 @@ fn community_traversal_matches_serial_oracle() {
         assert_matches_oracle(
             &format!("comm_order({intra:?})"),
             |g| comm_order(g, intra),
-            |g| comm_order_serial(g, intra),
+            |g| comm_serial(g, intra),
         );
     }
 }
 
 #[test]
 fn adaptive_matches_serial_oracle() {
-    assert_matches_oracle("adaptive_order", adaptive_order, adaptive_order_serial);
-}
-
-/// Gorder's parallel two-hop gather only engages for vertices with degree
-/// ≥ 32 when more than one thread is installed — exercise it explicitly
-/// with hub-heavy graphs so the differential test covers the parallel path,
-/// not just the serial fallback.
-#[test]
-fn gorder_parallel_gather_path_matches_oracle_on_hub_graphs() {
-    let hubs = vec![
-        ("star", star(200)),
-        ("dense-powerlaw", barabasi_albert(300, 16, 13)),
-        ("clique-chain", clique_chain(4, 40)),
-    ];
-    for (gname, g) in hubs {
-        let expected = gorder_serial(&g, 5, 4096);
-        let got = assert_thread_invariant(|| gorder(&g, 5, 4096));
-        assert_eq!(got, expected, "gorder parallel path diverged on {gname}");
-    }
+    assert_matches_oracle("adaptive_order", adaptive_order, adaptive_serial);
 }
 
 /// The three schemes built on serial scans, on graphs of a thousand

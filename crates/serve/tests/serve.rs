@@ -466,3 +466,19 @@ fn hostile_request_lines_get_one_typed_reply_and_a_close() {
     assert!(stats.contains("\"errors\":2"), "{stats}");
     handle.stop();
 }
+
+/// A Gorder window far past the graph's size is served like `window = n`.
+/// Sizing the window by the spec instead asks for terabytes, and a failed
+/// allocation aborts the whole daemon rather than failing one request.
+#[test]
+fn a_huge_gorder_window_is_answered_and_the_daemon_stays_up() {
+    let mut handle = start_daemon(None);
+    let mut client = Client::connect(&handle);
+    let reply = client.send(
+        "{\"op\":\"reorder\",\"source\":{\"corpus\":\"euroroad\"},\
+         \"scheme\":\"gorder:window=1000000000000\"}",
+    );
+    assert!(reply.contains("\"status\":\"ok\""), "{reply}");
+    assert!(Client::connect(&handle).send("{\"control\":\"ping\"}").contains("\"pong\":true"));
+    handle.stop();
+}
