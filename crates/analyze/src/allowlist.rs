@@ -1,34 +1,25 @@
 //! The committed allowlist (`analyze.toml`): a registry of audited
-//! exceptions to the static-analysis contract.
+//! exceptions to the two analyzer rules.
 //!
 //! Format — a deliberate subset of TOML, parsed locally so the crate stays
 //! dependency-free:
 //!
 //! ```toml
-//! schema = 2
+//! schema = 3
 //!
 //! [[allow]]
-//! rule = "P1"
-//! path = "crates/trace/src/recorder.rs"
-//! fingerprint = "8c55ad8585a1c9d3"  # FNV-1a 64 of the trimmed source line
+//! rule = "L1"
+//! path = "crates/serve/src/server.rs"
+//! fingerprint = "7eae2031a30cf0bf"  # FNV-1a 64 of the trimmed source line
 //! reason = "why this is sound"
-//!
-//! [[allow]]
-//! rule = "C1"
-//! path = "crates/core/src/schemes/rcm.rs"
-//! count = 6                      # budget: exactly this many in the file
-//! reason = "vertex counts are bounded by the Csr u32 invariant"
 //! ```
 //!
-//! Every entry must carry `rule`, `path`, `reason`, and exactly one of
-//! `fingerprint` (pin diagnostics by line *content* — shift-proof against
-//! edits elsewhere in the file) or `count` (a per-file budget — an
-//! exact-match ratchet, so adding *or* removing a site forces a re-audit).
-//! A `fingerprint` entry may add `count = N` when N identical lines in the
+//! Every entry must carry `rule`, `path`, `fingerprint` (a pin by line
+//! *content*, shift-proof against edits elsewhere in the file) and
+//! `reason`. An entry may add `count = N` when N identical lines in the
 //! file are blessed together (default 1). The analyzer additionally
-//! requires a `// SAFETY:` or `// DETERMINISM:` comment at the blessed site
-//! (`fingerprint` entries) or at module level before the first blessed site
-//! (`count` entries); an allowlist entry alone is never sufficient.
+//! requires a `// SAFETY:` or `// DETERMINISM:` comment at the blessed
+//! site; an allowlist entry alone is never sufficient.
 //!
 //! Compute a fingerprint with [`line_fingerprint`] on the trimmed source
 //! line, or run the analyzer: unmatched-fingerprint problems print the
@@ -37,11 +28,12 @@
 use crate::rules::RULE_IDS;
 
 /// The allowlist schema this analyzer reads. Schema 1 pinned sites by line
-/// number; its reader is retired, so a `schema = 1` header fails the run
-/// and `line` is an unknown key.
-pub const ALLOWLIST_SCHEMA: u32 = 2;
+/// number and schema 2 also budgeted whole files by count; both readers are
+/// retired, so an older header fails the run, `line` is an unknown key and
+/// a `count` without a `fingerprint` is an error.
+pub const ALLOWLIST_SCHEMA: u32 = 3;
 
-/// FNV-1a 64-bit hash of the *trimmed* source line — the schema-2
+/// FNV-1a 64-bit hash of the *trimmed* source line — the entry's
 /// fingerprint. Trimming makes the pin robust to re-indentation; any other
 /// content change (even whitespace inside the line) re-opens the audit.
 pub fn line_fingerprint(line: &str) -> u64 {
@@ -53,30 +45,18 @@ pub fn line_fingerprint(line: &str) -> u64 {
     h
 }
 
-/// How an [`AllowEntry`] selects diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllowKind {
-    /// Diagnostics whose source line's trimmed content hashes to
-    /// `hash` ([`line_fingerprint`]); exactly `count` must match.
-    Fingerprint {
-        /// FNV-1a 64 of the trimmed source line.
-        hash: u64,
-        /// How many identical lines this entry blesses (usually 1).
-        count: u32,
-    },
-    /// Every diagnostic of the rule in the file; the total must equal this.
-    Count(u32),
-}
-
 /// One audited exception.
 #[derive(Debug, Clone)]
 pub struct AllowEntry {
-    /// Rule id (`"D1"`, `"P1"`, …).
+    /// Rule id (`"D2"` or `"L1"`).
     pub rule: String,
     /// Workspace-relative path with forward slashes.
     pub path: String,
-    /// Fingerprint pin or per-file budget.
-    pub kind: AllowKind,
+    /// FNV-1a 64 of the trimmed source line ([`line_fingerprint`]).
+    pub hash: u64,
+    /// How many identical lines this entry blesses (usually 1); exactly
+    /// this many must fire.
+    pub count: u32,
     /// Human justification; must be non-empty.
     pub reason: String,
 }
@@ -84,7 +64,7 @@ pub struct AllowEntry {
 /// Parsed allowlist.
 #[derive(Debug, Default)]
 pub struct Allowlist {
-    /// Schema version as written in the file (`schema = 2`).
+    /// Schema version as written in the file (`schema = 3`).
     pub schema: u32,
     /// All entries in file order.
     pub entries: Vec<AllowEntry>,
@@ -130,15 +110,12 @@ fn finish(draft: Draft) -> Result<AllowEntry, AllowlistError> {
     if reason.trim().is_empty() {
         return Err(err("`reason` must not be empty"));
     }
-    let kind = match (draft.fingerprint, draft.count) {
-        (Some(hash), count) => AllowKind::Fingerprint { hash, count: count.unwrap_or(1) },
-        (None, Some(c)) => AllowKind::Count(c),
-        (None, None) => return Err(err("entry needs one of `fingerprint` or `count`")),
-    };
-    if matches!(kind, AllowKind::Fingerprint { count: 0, .. } | AllowKind::Count(0)) {
+    let hash = draft.fingerprint.ok_or_else(|| err("entry is missing `fingerprint`"))?;
+    let count = draft.count.unwrap_or(1);
+    if count == 0 {
         return Err(err("`count` must be at least 1"));
     }
-    Ok(AllowEntry { rule, path, kind, reason })
+    Ok(AllowEntry { rule, path, hash, count, reason })
 }
 
 /// Parses the allowlist text.
@@ -253,46 +230,43 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_both_entry_kinds() {
+    fn parses_fingerprint_entries() {
         let text = r#"
-schema = 2
+schema = 3
 
-# an audited panic site
+# an audited lock site
 [[allow]]
-rule = "P1"
+rule = "L1"
 path = "crates/x/src/a.rs"
 fingerprint = "8c55ad8585a1c9d3"   # pinned by content
 reason = "cannot fail: invariant"
-
-[[allow]]
-rule = "C1"
-path = "crates/x/src/b.rs"
-count = 3
-reason = "bounded casts"
 "#;
         let list = parse(text).unwrap();
-        assert_eq!(list.schema, 2);
-        assert_eq!(list.entries.len(), 2);
-        assert_eq!(
-            list.entries[0].kind,
-            AllowKind::Fingerprint { hash: 0x8c55_ad85_85a1_c9d3, count: 1 }
-        );
-        assert_eq!(list.entries[1].kind, AllowKind::Count(3));
+        assert_eq!(list.schema, 3);
+        assert_eq!(list.entries.len(), 1);
+        assert_eq!((list.entries[0].hash, list.entries[0].count), (0x8c55_ad85_85a1_c9d3, 1));
+    }
+
+    #[test]
+    fn rejects_retired_count_budgets() {
+        let text = "[[allow]]\nrule = \"L1\"\npath = \"x.rs\"\ncount = 3\nreason = \"r\"\n";
+        let err = parse(text).unwrap_err();
+        assert!(err.message.contains("missing `fingerprint`"), "{err}");
     }
 
     #[test]
     fn fingerprint_entry_accepts_a_count() {
-        let text = "[[allow]]\nrule = \"P1\"\npath = \"x.rs\"\n\
+        let text = "[[allow]]\nrule = \"L1\"\npath = \"x.rs\"\n\
                     fingerprint = \"00000000000000ff\"\ncount = 2\nreason = \"r\"\n";
         let list = parse(text).unwrap();
-        assert_eq!(list.entries[0].kind, AllowKind::Fingerprint { hash: 0xff, count: 2 });
+        assert_eq!((list.entries[0].hash, list.entries[0].count), (0xff, 2));
     }
 
     #[test]
     fn rejects_malformed_fingerprints() {
         for bad in ["\"12ab\"", "\"zzzzzzzzzzzzzzzz\"", "12ab34cd12ab34cd"] {
             let text = format!(
-                "[[allow]]\nrule = \"P1\"\npath = \"x.rs\"\nfingerprint = {bad}\nreason = \"r\"\n"
+                "[[allow]]\nrule = \"L1\"\npath = \"x.rs\"\nfingerprint = {bad}\nreason = \"r\"\n"
             );
             assert!(parse(&text).is_err(), "accepted {bad}");
         }
@@ -300,7 +274,8 @@ reason = "bounded casts"
 
     #[test]
     fn rejects_missing_reason() {
-        let text = "[[allow]]\nrule = \"P1\"\npath = \"x.rs\"\ncount = 1\n";
+        let text =
+            "[[allow]]\nrule = \"L1\"\npath = \"x.rs\"\nfingerprint = \"00000000000000ff\"\n";
         let err = parse(text).unwrap_err();
         assert!(err.message.contains("reason"), "{err}");
         assert_eq!(err.line, 1);
@@ -308,7 +283,7 @@ reason = "bounded casts"
 
     #[test]
     fn rejects_retired_line_pins_at_the_key() {
-        let text = "[[allow]]\nrule = \"P1\"\npath = \"x.rs\"\nline = 1\nreason = \"r\"\n";
+        let text = "[[allow]]\nrule = \"L1\"\npath = \"x.rs\"\nline = 1\nreason = \"r\"\n";
         let err = parse(text).unwrap_err();
         assert!(err.message.contains("unknown key \"line\""), "{err}");
         assert_eq!(err.line, 4);
@@ -316,16 +291,22 @@ reason = "bounded casts"
 
     #[test]
     fn rejects_unknown_rule() {
-        let text = "[[allow]]\nrule = \"Z9\"\npath = \"x.rs\"\ncount = 1\nreason = \"r\"\n";
-        let err = parse(text).unwrap_err();
-        assert!(err.message.contains("unknown rule"), "{err}");
+        for retired in ["Z9", "P1", "D1"] {
+            let text = format!(
+                "[[allow]]\nrule = \"{retired}\"\npath = \"x.rs\"\n\
+                 fingerprint = \"00000000000000ff\"\nreason = \"r\"\n"
+            );
+            let err = parse(&text).unwrap_err();
+            assert!(err.message.contains("unknown rule"), "{retired}: {err}");
+        }
     }
 
     #[test]
-    fn accepts_every_v2_rule_id() {
+    fn accepts_every_rule_id() {
         for rule in RULE_IDS {
             let text = format!(
-                "[[allow]]\nrule = \"{rule}\"\npath = \"x.rs\"\ncount = 1\nreason = \"r\"\n"
+                "[[allow]]\nrule = \"{rule}\"\npath = \"x.rs\"\n\
+                 fingerprint = \"00000000000000ff\"\nreason = \"r\"\n"
             );
             assert!(parse(&text).is_ok(), "rejected {rule}");
         }
@@ -333,7 +314,7 @@ reason = "bounded casts"
 
     #[test]
     fn rejects_keys_outside_entries() {
-        let err = parse("rule = \"P1\"\n").unwrap_err();
+        let err = parse("rule = \"L1\"\n").unwrap_err();
         assert!(err.message.contains("outside"), "{err}");
     }
 

@@ -55,11 +55,6 @@ impl Lexed {
         let lo = line.saturating_sub(within);
         self.comments.iter().any(|(l, t)| *l >= lo && *l <= line && t.contains(needle))
     }
-
-    /// True if any comment at or before `line` contains the needle.
-    pub fn comment_at_or_before(&self, line: u32, needle: &str) -> bool {
-        self.comments.iter().any(|(l, t)| *l <= line && t.contains(needle))
-    }
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -80,8 +75,6 @@ pub fn lex(source: &str) -> Lexed {
     let mut i = 0usize;
     let mut line: u32 = 1;
 
-    // Advances `idx` past one char, bumping the line counter on newlines.
-    // Kept as a macro-free closure-free pattern: inline at each use.
     while i < n {
         let c = chars[i];
         if c == '\n' {

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `reorderlab-analyze` CLI.
 //!
 //! ```text
@@ -39,8 +38,9 @@ fn usage() -> &'static str {
     "usage: reorderlab-analyze [--root DIR] [--allowlist FILE] [--json FILE]\n\
      \x20                         [--format text|json] [--explain RULE]\n\
      \n\
-     Runs the reorderlab static-analysis contract (DESIGN.md §8) over every\n\
-     workspace .rs file under <root>/crates/*/src.\n\
+     Runs the analyzer's half of the static-analysis contract (DESIGN.md §8),\n\
+     rules D2 and L1, over every workspace .rs file under <root>/crates/*/src;\n\
+     clippy and rustc check the rest.\n\
      \n\
        --root DIR        workspace root (default: .)\n\
        --allowlist FILE  allowlist (default: <root>/analyze.toml)\n\
@@ -49,6 +49,11 @@ fn usage() -> &'static str {
        --explain RULE    print a rule's contract, rationale, and example\n\
      \n\
      Exit codes: 0 clean, 1 violations or allowlist problems, 2 usage/IO.\n"
+}
+
+/// The value after `flag`, or a usage error naming what was expected.
+fn value(it: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} needs {what}"))
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -62,31 +67,18 @@ fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--root" => {
-                args.root = PathBuf::from(it.next().ok_or("--root needs a directory argument")?);
-            }
+            "--root" => args.root = value(&mut it, &flag, "a directory argument")?.into(),
             "--allowlist" => {
-                args.allowlist =
-                    Some(PathBuf::from(it.next().ok_or("--allowlist needs a file argument")?));
+                args.allowlist = Some(value(&mut it, &flag, "a file argument")?.into())
             }
-            "--json" => {
-                args.json = Some(PathBuf::from(it.next().ok_or("--json needs a file argument")?));
-            }
+            "--json" => args.json = Some(value(&mut it, &flag, "a file argument")?.into()),
             "--format" => {
-                let value = it.next().ok_or("--format needs a value (text or json)")?;
-                match FORMATS.iter().find(|f| **f == value) {
-                    Some(f) => args.format = f,
-                    None => {
-                        return Err(format!(
-                            "unknown --format {value:?} (accepted: {})",
-                            FORMATS.join(", ")
-                        ));
-                    }
-                }
+                let v = value(&mut it, &flag, "a value (text or json)")?;
+                args.format = FORMATS.iter().find(|f| **f == v).ok_or_else(|| {
+                    format!("unknown --format {v:?} (accepted: {})", FORMATS.join(", "))
+                })?;
             }
-            "--explain" => {
-                args.explain = Some(it.next().ok_or("--explain needs a rule id argument")?);
-            }
+            "--explain" => args.explain = Some(value(&mut it, &flag, "a rule id argument")?),
             "--help" | "-h" => return Err(String::new()),
             other => {
                 return Err(format!(
@@ -115,59 +107,33 @@ fn explain(rule: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            if msg.is_empty() {
-                print!("{}", usage());
-                return ExitCode::from(EXIT_CLEAN);
-            }
-            eprintln!("error: {msg}\n\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
+/// Loads the allowlist: `--allowlist FILE` must exist; the default
+/// `<root>/analyze.toml` may be absent, which means no exceptions.
+fn load_allowlist(args: &Args) -> Result<allowlist::Allowlist, String> {
+    let path = args.allowlist.clone().unwrap_or_else(|| args.root.join("analyze.toml"));
+    if !path.is_file() {
+        if args.allowlist.is_some() {
+            return Err(format!("allowlist {} does not exist", path.display()));
         }
-    };
-
-    if let Some(rule) = &args.explain {
-        return match explain(rule) {
-            Ok(()) => ExitCode::from(EXIT_CLEAN),
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::from(EXIT_USAGE)
-            }
-        };
+        return Ok(allowlist::Allowlist {
+            schema: allowlist::ALLOWLIST_SCHEMA,
+            entries: Vec::new(),
+        });
     }
+    let text =
+        std::fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    allowlist::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+}
 
-    let allowlist_path = args.allowlist.clone().unwrap_or_else(|| args.root.join("analyze.toml"));
-    let allow = if allowlist_path.is_file() {
-        match std::fs::read_to_string(&allowlist_path) {
-            Ok(text) => match allowlist::parse(&text) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("error: {}: {e}", allowlist_path.display());
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            Err(e) => {
-                eprintln!("error: reading {}: {e}", allowlist_path.display());
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    } else if args.allowlist.is_some() {
-        eprintln!("error: allowlist {} does not exist", allowlist_path.display());
-        return ExitCode::from(EXIT_USAGE);
-    } else {
-        allowlist::Allowlist { schema: allowlist::ALLOWLIST_SCHEMA, entries: Vec::new() }
-    };
-
-    let report = match analyze_workspace(&args.root, &allow) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: analyzing {}: {e}", args.root.display());
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-
+/// Runs the analysis and prints the report; `Ok(clean)`, or a usage/I/O
+/// error.
+fn run(args: &Args) -> Result<bool, String> {
+    if let Some(rule) = &args.explain {
+        return explain(rule).map(|()| true);
+    }
+    let allow = load_allowlist(args)?;
+    let report = analyze_workspace(&args.root, &allow)
+        .map_err(|e| format!("analyzing {}: {e}", args.root.display()))?;
     let json = to_json(&report, &allow);
     if args.format == "json" {
         print!("{json}");
@@ -181,16 +147,6 @@ fn main() -> ExitCode {
         for p in &report.problems {
             println!("problem: {p}");
         }
-    }
-
-    if let Some(json_path) = &args.json {
-        if let Err(e) = std::fs::write(json_path, &json) {
-            eprintln!("error: writing {}: {e}", json_path.display());
-            return ExitCode::from(EXIT_USAGE);
-        }
-    }
-
-    if args.format != "json" {
         println!(
             "reorderlab-analyze: {} file(s), {} allowlisted site(s), {} violation(s), {} problem(s) — {}",
             report.files_scanned,
@@ -200,9 +156,27 @@ fn main() -> ExitCode {
             if report.is_clean() { "clean" } else { "FAILED" }
         );
     }
-    if report.is_clean() {
-        ExitCode::from(EXIT_CLEAN)
-    } else {
-        ExitCode::from(EXIT_VIOLATIONS)
+    if let Some(json_path) = &args.json {
+        std::fs::write(json_path, &json)
+            .map_err(|e| format!("writing {}: {e}", json_path.display()))?;
+    }
+    Ok(report.is_clean())
+}
+
+fn main() -> ExitCode {
+    let parsed =
+        parse_args().map_err(|m| if m.is_empty() { m } else { format!("{m}\n\n{}", usage()) });
+    let outcome = parsed.and_then(|args| run(&args));
+    match outcome {
+        Ok(true) => ExitCode::from(EXIT_CLEAN),
+        Ok(false) => ExitCode::from(EXIT_VIOLATIONS),
+        Err(msg) if msg.is_empty() => {
+            print!("{}", usage());
+            ExitCode::from(EXIT_CLEAN)
+        }
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(EXIT_USAGE)
+        }
     }
 }

@@ -1,259 +1,23 @@
-//! A lightweight block tree over the token stream.
+//! The two structures L1 reads from the token stream, recovered without
+//! syn or rustc by tracking bracket nesting:
 //!
-//! The v1 analyzer was a flat token scanner; the scope-aware rules (L1,
-//! E1, W1, D3) need to know *where* a token lives: which function body it
-//! is in, which `impl` block that function belongs to, and whether the
-//! whole item sits under `#[cfg(test)]`. This module recovers exactly that
-//! structure from the lexer's token stream — no syn, no rustc — by
-//! tracking brace/paren nesting:
+//! - [`let_bindings`] finds simple `let name = …;` local bindings, with
+//!   the token range of each initializer — L1 tracks guard bindings from
+//!   these, and a guard's block ends where the nesting drops below the
+//!   binding's own.
+//! - [`cfg_test_ranges`] finds `#[cfg(test)]` item spans, which both rules
+//!   skip.
 //!
-//! - [`ScopeTree::build`] finds every `fn` item (free or in an `impl`),
-//!   records its name, the `impl` target type, its 1-based line, and the
-//!   token range of its body.
-//! - [`let_bindings_in`] recovers simple `let name = …;` local bindings
-//!   inside a body, with the token range of each initializer — the
-//!   lock-scope pass (L1) tracks guard bindings from these.
-//! - `#[cfg(test)]` item spans (moved here from `rules`) gate every rule
-//!   except U1.
-//!
-//! The tree is conservative by design: tuple/struct patterns in `let` are
-//! skipped (a destructured guard is exotic enough to audit by hand), and
-//! a `fn` signature's body is the first `{` at paren depth zero, which is
-//! correct for every signature the workspace writes.
+//! Both are conservative by design: tuple/struct patterns in `let` are
+//! skipped (a destructured guard is exotic enough to audit by hand).
 
 use crate::lexer::{Tok, TokKind};
-
-/// One `fn` item recovered from the token stream.
-#[derive(Debug, Clone)]
-pub struct FnScope {
-    /// The function's name.
-    pub name: String,
-    /// The `impl` target type name, when the fn sits inside an `impl`
-    /// block (`impl OpError { fn status … }` → `Some("OpError")`).
-    pub impl_of: Option<String>,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// Token index range `[open_brace, close_brace]` of the body, when
-    /// the item has one (trait method declarations do not).
-    pub body: Option<(usize, usize)>,
-    /// True when the item sits under a `#[cfg(test)]` span.
-    pub in_test: bool,
-}
-
-/// The per-file scope structure.
-#[derive(Debug, Default)]
-pub struct ScopeTree {
-    /// Every `fn` item, in source order.
-    pub functions: Vec<FnScope>,
-    /// `(start_line, end_line)` spans of `#[cfg(test)]` items.
-    pub test_ranges: Vec<(u32, u32)>,
-}
-
-impl ScopeTree {
-    /// Builds the tree for one lexed file.
-    pub fn build(toks: &[Tok]) -> ScopeTree {
-        let test_ranges = cfg_test_ranges(toks);
-        let impls = impl_blocks(toks);
-        let mut functions = Vec::new();
-        let mut i = 0usize;
-        while i < toks.len() {
-            let t = &toks[i];
-            if t.kind == TokKind::Ident && t.text == "fn" {
-                if let Some((name, name_idx)) = fn_name(toks, i) {
-                    let body = fn_body(toks, name_idx);
-                    let line = t.line;
-                    let impl_of = impls
-                        .iter()
-                        .find(|(_, open, close)| *open < i && i < *close)
-                        .map(|(n, _, _)| n.clone());
-                    let in_test = test_ranges.iter().any(|&(a, b)| (a..=b).contains(&line));
-                    functions.push(FnScope { name, impl_of, line, body, in_test });
-                    // Continue from the name, not past the body: nested fns
-                    // inside this body must be found too.
-                    i = name_idx + 1;
-                    continue;
-                }
-            }
-            i += 1;
-        }
-        ScopeTree { functions, test_ranges }
-    }
-
-    /// Index of the innermost function whose body contains token `idx`.
-    pub fn enclosing_fn(&self, idx: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (f, scope) in self.functions.iter().enumerate() {
-            let Some((open, close)) = scope.body else { continue };
-            if open <= idx && idx <= close {
-                let tighter = best
-                    .and_then(|b| self.functions[b].body)
-                    .is_none_or(|(bo, bc)| open >= bo && close <= bc);
-                if tighter {
-                    best = Some(f);
-                }
-            }
-        }
-        best
-    }
-
-    /// True when `line` sits inside a `#[cfg(test)]` item.
-    pub fn in_test(&self, line: u32) -> bool {
-        self.test_ranges.iter().any(|&(a, b)| (a..=b).contains(&line))
-    }
-}
-
-/// The fn's name: the first ident after `fn` (`fn name`, `fn name<…>`).
-fn fn_name(toks: &[Tok], fn_idx: usize) -> Option<(String, usize)> {
-    let next = toks.get(fn_idx + 1)?;
-    if next.kind == TokKind::Ident {
-        Some((next.text.clone(), fn_idx + 1))
-    } else {
-        None
-    }
-}
-
-/// The body token range of the fn whose name sits at `name_idx`: scan to
-/// the first `{` at paren depth zero (or `;`, for a bodyless trait
-/// method), then to its matching `}`.
-fn fn_body(toks: &[Tok], name_idx: usize) -> Option<(usize, usize)> {
-    let mut paren = 0i32;
-    let mut j = name_idx + 1;
-    while j < toks.len() {
-        match toks[j].text.as_str() {
-            "(" => paren += 1,
-            ")" => paren -= 1,
-            ";" if paren == 0 => return None,
-            "{" if paren == 0 => break,
-            _ => {}
-        }
-        j += 1;
-    }
-    if j >= toks.len() {
-        return None;
-    }
-    let open = j;
-    let mut depth = 0i32;
-    while j < toks.len() {
-        match toks[j].text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((open, j));
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    Some((open, toks.len().saturating_sub(1)))
-}
-
-/// `(target_type, open_brace_idx, close_brace_idx)` for every `impl`
-/// block. For `impl Trait for Type`, the target is `Type` (the last path
-/// segment); for an inherent `impl Type`, it is `Type`. Leading impl
-/// generics (`impl<T> …`) are skipped.
-fn impl_blocks(toks: &[Tok]) -> Vec<(String, usize, usize)> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !(toks[i].kind == TokKind::Ident && toks[i].text == "impl") {
-            i += 1;
-            continue;
-        }
-        // Find the header extent: up to the `{` at paren depth 0.
-        let mut j = i + 1;
-        // Skip the impl's own generic parameter list.
-        if toks.get(j).is_some_and(|t| t.text == "<") {
-            let mut angle = 0i32;
-            while j < toks.len() {
-                match toks[j].text.as_str() {
-                    "<" => angle += 1,
-                    ">" => {
-                        angle -= 1;
-                        if angle == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-        let header_start = j;
-        let mut paren = 0i32;
-        let mut open = None;
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "(" => paren += 1,
-                ")" => paren -= 1,
-                "{" if paren == 0 => {
-                    open = Some(j);
-                    break;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(open) = open else {
-            i += 1;
-            continue;
-        };
-        // Target type: the last path-segment ident of the run after `for`
-        // (trait impl) or after the header start (inherent impl), ignoring
-        // anything inside `<…>` type arguments.
-        let run_start = toks[header_start..open]
-            .iter()
-            .rposition(|t| t.kind == TokKind::Ident && t.text == "for")
-            .map_or(header_start, |p| header_start + p + 1);
-        let mut angle = 0i32;
-        let mut name: Option<String> = None;
-        for t in &toks[run_start..open] {
-            match t.text.as_str() {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                _ => {
-                    // A path `a::b::C`: keep updating to the last segment.
-                    if angle == 0 && t.kind == TokKind::Ident {
-                        name = Some(t.text.clone());
-                    }
-                }
-            }
-        }
-        // Matching close brace.
-        let mut depth = 0i32;
-        let mut close = toks.len().saturating_sub(1);
-        let mut k = open;
-        while k < toks.len() {
-            match toks[k].text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = k;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        if let Some(name) = name {
-            out.push((name, open, close));
-        }
-        i = open + 1;
-    }
-    out
-}
 
 /// One simple `let name = …;` binding.
 #[derive(Debug, Clone)]
 pub struct LetBinding {
     /// The bound identifier.
     pub name: String,
-    /// Token index of the `let` keyword.
-    pub let_idx: usize,
     /// 1-based line of the binding.
     pub line: u32,
     /// Token index range `(start, end)` of the initializer expression —
@@ -263,13 +27,13 @@ pub struct LetBinding {
     pub end_idx: usize,
 }
 
-/// Recovers simple `let [mut] name [: Ty] = init;` bindings inside the
-/// token range `[start, end]`. Tuple and struct patterns are skipped —
-/// the scope-aware rules only track bindings they can name.
-pub fn let_bindings_in(toks: &[Tok], start: usize, end: usize) -> Vec<LetBinding> {
+/// Recovers every simple `let [mut] name [: Ty] = init;` binding in the
+/// token stream. Tuple and struct patterns are skipped — L1 only tracks
+/// bindings it can name.
+pub fn let_bindings(toks: &[Tok]) -> Vec<LetBinding> {
     let mut out = Vec::new();
-    let mut i = start;
-    while i <= end.min(toks.len().saturating_sub(1)) {
+    let mut i = 0;
+    while i < toks.len() {
         if !(toks[i].kind == TokKind::Ident && toks[i].text == "let") {
             i += 1;
             continue;
@@ -291,7 +55,7 @@ pub fn let_bindings_in(toks: &[Tok], start: usize, end: usize) -> Vec<LetBinding
         let mut depth = 0i32;
         let mut k = j + 1;
         let mut eq = None;
-        while k <= end && k < toks.len() {
+        while k < toks.len() {
             match toks[k].text.as_str() {
                 "(" | "[" | "{" | "<" => depth += 1,
                 ")" | "]" | "}" | ">" => depth -= 1,
@@ -314,7 +78,7 @@ pub fn let_bindings_in(toks: &[Tok], start: usize, end: usize) -> Vec<LetBinding
         let mut depth = 0i32;
         let mut m = eq + 1;
         let mut semi = None;
-        while m <= end && m < toks.len() {
+        while m < toks.len() {
             match toks[m].text.as_str() {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => depth -= 1,
@@ -332,7 +96,6 @@ pub fn let_bindings_in(toks: &[Tok], start: usize, end: usize) -> Vec<LetBinding
         };
         out.push(LetBinding {
             name,
-            let_idx,
             line: toks[let_idx].line,
             init: (eq + 1, semi.saturating_sub(1)),
             end_idx: semi,
@@ -424,57 +187,18 @@ mod tests {
     use crate::lexer::lex;
 
     #[test]
-    fn finds_free_and_impl_fns_with_bodies() {
-        let src = "struct S;\n\
-                   impl S {\n    fn a(&self) -> u32 { 1 }\n}\n\
-                   fn free(x: u32) -> u32 { x }\n\
-                   trait T { fn decl(&self); }\n";
-        let lexed = lex(src);
-        let tree = ScopeTree::build(&lexed.toks);
-        let names: Vec<(&str, Option<&str>)> =
-            tree.functions.iter().map(|f| (f.name.as_str(), f.impl_of.as_deref())).collect();
-        assert_eq!(names, vec![("a", Some("S")), ("free", None), ("decl", None)]);
-        assert!(tree.functions[0].body.is_some());
-        assert!(tree.functions[2].body.is_none(), "trait decl has no body");
-    }
-
-    #[test]
-    fn trait_impls_resolve_the_for_target() {
-        let src = "impl fmt::Display for OpError {\n    fn fmt(&self) -> u32 { 0 }\n}\n\
-                   impl<T> Wrapper<T> {\n    fn get_inner(&self) -> u32 { 1 }\n}\n";
-        let lexed = lex(src);
-        let tree = ScopeTree::build(&lexed.toks);
-        assert_eq!(tree.functions[0].impl_of.as_deref(), Some("OpError"));
-        assert_eq!(tree.functions[1].impl_of.as_deref(), Some("Wrapper"));
-    }
-
-    #[test]
-    fn enclosing_fn_picks_the_innermost() {
-        let src = "fn outer() {\n    fn inner() { marker(); }\n}\n";
-        let lexed = lex(src);
-        let tree = ScopeTree::build(&lexed.toks);
-        let marker = lexed.toks.iter().position(|t| t.text == "marker").unwrap();
-        let f = tree.enclosing_fn(marker).unwrap();
-        assert_eq!(tree.functions[f].name, "inner");
-    }
-
-    #[test]
-    fn cfg_test_marks_functions() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
-        let lexed = lex(src);
-        let tree = ScopeTree::build(&lexed.toks);
-        let t = tree.functions.iter().find(|f| f.name == "t").unwrap();
-        assert!(t.in_test);
-        assert!(!tree.functions[0].in_test);
+    fn cfg_test_ranges_span_the_whole_item() {
+        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn after() {}\n";
+        assert_eq!(cfg_test_ranges(&lex(src).toks), vec![(2, 5)]);
+        let src = "#[cfg(test)]\nuse std::fmt;\nfn lib() {}\n";
+        assert_eq!(cfg_test_ranges(&lex(src).toks), vec![(1, 2)], "a `use` ends at its `;`");
     }
 
     #[test]
     fn let_bindings_capture_name_and_initializer() {
         let src = "fn f() {\n    let a = g(1, 2);\n    let mut b: Vec<u32> = Vec::new();\n    let (x, y) = pair();\n}\n";
         let lexed = lex(src);
-        let tree = ScopeTree::build(&lexed.toks);
-        let (open, close) = tree.functions[0].body.unwrap();
-        let binds = let_bindings_in(&lexed.toks, open, close);
+        let binds = let_bindings(&lexed.toks);
         let names: Vec<&str> = binds.iter().map(|b| b.name.as_str()).collect();
         assert_eq!(names, vec!["a", "b"], "tuple patterns are skipped");
         let (s, e) = binds[0].init;

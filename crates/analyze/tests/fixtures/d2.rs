@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 use rayon::prelude::*;
 
 pub fn schedule_dependent_total(xs: &[f64]) -> f64 {

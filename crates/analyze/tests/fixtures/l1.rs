@@ -1,5 +1,4 @@
 //! L1 fixture: lock guards held across blocking work.
-#![forbid(unsafe_code)]
 
 use std::io::Write;
 use std::sync::{Mutex, MutexGuard};

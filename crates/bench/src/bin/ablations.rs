@@ -10,8 +10,6 @@
 //! 5. **MinLA annealing headroom**: how much does local search improve each
 //!    scheme's ξ̂ (the §III-A class the paper calls too expensive)?
 
-#![forbid(unsafe_code)]
-
 use reorderlab_bench::args::maybe_write_csv;
 use reorderlab_bench::{HarnessArgs, Table};
 use reorderlab_core::measures::gap_measures;

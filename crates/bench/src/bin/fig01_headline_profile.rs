@@ -3,8 +3,6 @@
 //! small inputs, plus the headline statistic — the factor between the best
 //! and poorest scheme (the paper reports up to 40×).
 
-#![forbid(unsafe_code)]
-
 use reorderlab_bench::args::maybe_write_csv;
 use reorderlab_bench::sweep::gap_sweep;
 use reorderlab_bench::{render_profile, HarnessArgs};

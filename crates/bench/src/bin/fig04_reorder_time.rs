@@ -5,8 +5,6 @@
 //! Expected shape (paper §III-F): Degree Sort and RCM are the cheapest;
 //! Grappolo and METIS-32 cost more but stay within a modest factor.
 
-#![forbid(unsafe_code)]
-
 use reorderlab_bench::args::{maybe_append_manifests, maybe_write_csv};
 use reorderlab_bench::sweep::gap_sweep;
 use reorderlab_bench::{render_profile, HarnessArgs, Table};

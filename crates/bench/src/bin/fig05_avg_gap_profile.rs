@@ -5,8 +5,6 @@
 //! the top tier; RCM is a close second tier; a mixed third tier sits
 //! 5–25× off; the degree-/hub-based schemes trail 10–40× off.
 
-#![forbid(unsafe_code)]
-
 use reorderlab_bench::args::maybe_write_csv;
 use reorderlab_bench::sweep::gap_sweep;
 use reorderlab_bench::{render_profile, HarnessArgs, Table};

@@ -5,8 +5,6 @@
 //! Expected shape (paper §V-A): RCM clearly dominates β (everything else
 //! 2–22× worse); β̂ shows no clear winner.
 
-#![forbid(unsafe_code)]
-
 use reorderlab_bench::args::maybe_write_csv;
 use reorderlab_bench::sweep::gap_sweep;
 use reorderlab_bench::{render_profile, HarnessArgs};

@@ -4,8 +4,6 @@
 //!
 //! Expected shape (paper §V, footnote 2): 32 parts is the sweet spot.
 
-#![forbid(unsafe_code)]
-
 use reorderlab_bench::args::maybe_write_csv;
 use reorderlab_bench::sweep::gap_sweep;
 use reorderlab_bench::{render_profile, HarnessArgs};

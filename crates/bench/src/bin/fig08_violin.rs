@@ -3,8 +3,6 @@
 //! evaluation scheme, plus the best/worst factors for ξ̂, β, and β̂ the
 //! paper quotes (41×/39×/28×, 4×/22×/2×, 93×/17×/4×).
 
-#![forbid(unsafe_code)]
-
 use reorderlab_bench::args::maybe_write_csv;
 use reorderlab_bench::{render_violin, HarnessArgs, Table};
 use reorderlab_core::measures::{edge_gaps, gap_measures};

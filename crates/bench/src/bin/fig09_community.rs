@@ -10,8 +10,6 @@
 //! work/edge; modularity spreads stay small; with `--serial` the spread
 //! shrinks to 1.3–2.5×.
 
-#![forbid(unsafe_code)]
-
 use rayon::prelude::*;
 use reorderlab_bench::args::maybe_write_csv;
 use reorderlab_bench::{render_heatmap, HarnessArgs};

@@ -8,8 +8,6 @@
 //! does not always mean less DRAM-bound, because the auxiliary map
 //! dominates part of the stream.
 
-#![forbid(unsafe_code)]
-
 use rayon::prelude::*;
 use reorderlab_bench::args::maybe_write_csv;
 use reorderlab_bench::{HarnessArgs, Table};

@@ -7,8 +7,6 @@
 //! out; throughput correlates with total time; smaller inputs mildly prefer
 //! the natural order while the largest start to favor Grappolo/RCM.
 
-#![forbid(unsafe_code)]
-
 use reorderlab_bench::args::maybe_write_csv;
 use reorderlab_bench::{render_heatmap, HarnessArgs};
 use reorderlab_core::Scheme;

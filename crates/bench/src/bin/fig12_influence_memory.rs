@@ -8,8 +8,6 @@
 //! marginal — the paper's point that cache placement alone does not decide
 //! sampling throughput.
 
-#![forbid(unsafe_code)]
-
 use rayon::prelude::*;
 use reorderlab_bench::args::maybe_write_csv;
 use reorderlab_bench::{HarnessArgs, Table};

@@ -7,8 +7,6 @@
 //! Reports per-kernel wall time and, for PageRank, simulated memory metrics
 //! on the same scaled hierarchy as Figures 10/12.
 
-#![forbid(unsafe_code)]
-
 use reorderlab_bench::args::maybe_write_csv;
 use reorderlab_bench::{render_heatmap, HarnessArgs, Table};
 use reorderlab_core::Scheme;

@@ -8,8 +8,6 @@
 //! recovery quality against ground truth (NMI/ARI) and (b) the ξ̂ of the
 //! community-based orderings versus RCM and Random.
 
-#![forbid(unsafe_code)]
-
 use reorderlab_bench::args::maybe_write_csv;
 use reorderlab_bench::{HarnessArgs, Table};
 use reorderlab_community::{adjusted_rand_index, louvain, nmi, LouvainConfig};

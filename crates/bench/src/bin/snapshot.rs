@@ -18,8 +18,6 @@
 //! `--diff` exits 0 when the snapshots agree, 1 on schema or counter drift,
 //! and 2 on usage errors or a file that is not a snapshot.
 
-#![forbid(unsafe_code)]
-
 use reorderlab_core::Scheme;
 use reorderlab_memsim::{
     replay_louvain_move, replay_pagerank_iteration, replay_rr_kernel, Hierarchy, HierarchyConfig,

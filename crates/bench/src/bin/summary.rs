@@ -6,8 +6,6 @@
 //! This is the "does the whole reproduction hang together" smoke artifact;
 //! the per-figure binaries are the real experiments.
 
-#![forbid(unsafe_code)]
-
 use reorderlab_bench::args::maybe_append_manifests;
 use reorderlab_bench::sweep::gap_sweep;
 use reorderlab_bench::{HarnessArgs, Table};

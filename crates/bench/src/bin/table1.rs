@@ -3,8 +3,6 @@
 //! paper-reported sizes for side-by-side comparison, and the connectivity
 //! indicators (clustering coefficient, triangles) the paper mentions.
 
-#![forbid(unsafe_code)]
-
 use rayon::prelude::*;
 use reorderlab_bench::args::maybe_write_csv;
 use reorderlab_bench::{HarnessArgs, Table};

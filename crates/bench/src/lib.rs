@@ -29,7 +29,6 @@
 //! | `summary` | One-page end-to-end summary card | README "Reproducing the paper"; `results/summary.txt` |
 //! | `snapshot` | `BENCH_*.json` exact memsim + compression counters: emit + `--diff` (DESIGN.md §9) | CI `bench-snapshot`; `BENCH_0016.json` |
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;

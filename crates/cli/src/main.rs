@@ -20,8 +20,6 @@
 //! typed report. The serve daemon executes the same requests, so CLI and
 //! daemon results are identical by construction.
 
-#![forbid(unsafe_code)]
-
 use reorderlab_datasets::{by_name, full_suite, large_suite, small_suite};
 use reorderlab_ops::args::{flag_value, flag_values, has_flag};
 use reorderlab_ops::{

@@ -6,21 +6,23 @@
 //! that reordering does not change *what* communities are found — only how
 //! fast.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// The contingency table between two assignments, plus marginals.
+/// The contingency table between two assignments, plus marginals. The maps
+/// are ordered, so every sum over them adds its terms in one fixed order
+/// and the float results are the same bits on every call.
 struct Contingency {
-    counts: HashMap<(u32, u32), f64>,
-    a_sizes: HashMap<u32, f64>,
-    b_sizes: HashMap<u32, f64>,
+    counts: BTreeMap<(u32, u32), f64>,
+    a_sizes: BTreeMap<u32, f64>,
+    b_sizes: BTreeMap<u32, f64>,
     n: f64,
 }
 
 fn contingency(a: &[u32], b: &[u32]) -> Contingency {
     assert_eq!(a.len(), b.len(), "assignments must cover the same vertices");
-    let mut counts: HashMap<(u32, u32), f64> = HashMap::new();
-    let mut a_sizes: HashMap<u32, f64> = HashMap::new();
-    let mut b_sizes: HashMap<u32, f64> = HashMap::new();
+    let mut counts: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+    let mut a_sizes: BTreeMap<u32, f64> = BTreeMap::new();
+    let mut b_sizes: BTreeMap<u32, f64> = BTreeMap::new();
     for (&ca, &cb) in a.iter().zip(b) {
         *counts.entry((ca, cb)).or_insert(0.0) += 1.0;
         *a_sizes.entry(ca).or_insert(0.0) += 1.0;
@@ -55,7 +57,7 @@ pub fn nmi(a: &[u32], b: &[u32]) -> f64 {
     }
     let c = contingency(a, b);
     let n = c.n;
-    let entropy = |sizes: &HashMap<u32, f64>| -> f64 {
+    let entropy = |sizes: &BTreeMap<u32, f64>| -> f64 {
         sizes
             .values()
             .map(|&s| {
@@ -171,6 +173,19 @@ mod tests {
     #[should_panic(expected = "same vertices")]
     fn rejects_length_mismatch() {
         let _ = nmi(&[0, 1], &[0]);
+    }
+
+    #[test]
+    fn nmi_is_one_bit_pattern_across_calls() {
+        // Enough clusters that the entropy and mutual-information sums have
+        // thousands of terms, whose float total depends on their order.
+        let n = 20_000u32;
+        let a: Vec<u32> = (0..n).map(|i| (i.wrapping_mul(2_654_435_761) >> 7) % 997).collect();
+        let b: Vec<u32> = (0..n).map(|i| (i.wrapping_mul(40_503) >> 3) % 613).collect();
+        let first = nmi(&a, &b).to_bits();
+        for call in 1..50 {
+            assert_eq!(nmi(&a, &b).to_bits(), first, "call {call} summed in another order");
+        }
     }
 
     #[test]

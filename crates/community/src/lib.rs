@@ -32,8 +32,16 @@
 //! assert_eq!(result.num_communities, 4);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code: no panicking calls, no hash containers (DESIGN.md §8).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_types
+)]
 
 mod compare;
 mod config;

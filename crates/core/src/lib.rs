@@ -37,8 +37,22 @@
 //! assert!(rcm.bandwidth <= natural.bandwidth);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code: no panicking calls, no hash containers (DESIGN.md §8).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_types
+)]
+// Lossy `as` casts in library code go through `cast` or carry an
+// `#[expect]`; unit tests are exempt, as clippy has no test setting for them.
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
 
 mod error;
 pub mod measures;

@@ -54,9 +54,16 @@ impl GapDistribution {
         let mut sorted = gaps.to_vec();
         sorted.sort_unstable();
         let count = sorted.len();
-        // SAFETY: the empty-input case returned early above, so `sorted`
-        // holds at least one gap.
+        #[expect(
+            clippy::expect_used,
+            reason = "SAFETY: the empty-input case returned early above, so `sorted` holds at least one gap"
+        )]
         let max = *sorted.last().expect("non-empty");
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "SAFETY: floor(log10) of a u32 gap >= 10 lies in 1..=9"
+        )]
         let decades = if max < 10 { 1 } else { (max as f64).log10().floor() as usize + 1 };
         // Parallel reduction over fixed-size chunks: each yields an exact
         // integer gap sum and a decade-bucket count vector, merged in chunk
@@ -72,6 +79,11 @@ impl GapDistribution {
                 let mut buckets = vec![0usize; decades];
                 for &g in chunk {
                     sum += g as u64;
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        clippy::cast_sign_loss,
+                        reason = "SAFETY: floor(log10) of a u32 gap >= 10 lies in 1..=9"
+                    )]
                     let d = if g < 10 { 0 } else { (g as f64).log10().floor() as usize };
                     buckets[d] += 1;
                 }
@@ -118,7 +130,17 @@ fn quantile(sorted: &[u32], q: f64) -> f64 {
         return sorted[0] as f64;
     }
     let pos = q * (sorted.len() - 1) as f64;
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "SAFETY: pos = q * (len - 1) with q in [0, 1] lies in [0, len - 1]"
+    )]
     let lo = pos.floor() as usize;
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "SAFETY: pos = q * (len - 1) with q in [0, 1] lies in [0, len - 1]"
+    )]
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     sorted[lo] as f64 * (1.0 - frac) + sorted[hi] as f64 * frac

@@ -6,11 +6,6 @@
 //! bandwidth β (max over all edges), and the average graph bandwidth β̂
 //! (mean vertex bandwidth).
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use crate::error::MeasureError;
 use rayon::prelude::*;
 use reorderlab_graph::{Csr, Permutation};
@@ -79,8 +74,10 @@ pub struct GapMeasures {
 /// # }
 /// ```
 pub fn gap_measures(graph: &Csr, pi: &Permutation) -> GapMeasures {
-    // SAFETY: documented panicking twin over `try_gap_measures` (# Panics
-    // in the doc above); the error carries the validation message.
+    #[expect(
+        clippy::panic,
+        reason = "SAFETY: documented panicking twin over `try_gap_measures` (# Panics in the doc above); the error carries the validation message"
+    )]
     try_gap_measures(graph, pi).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -108,6 +105,10 @@ pub fn try_gap_measures(graph: &Csr, pi: &Permutation) -> Result<GapMeasures, Me
     // Parallel reduction over CSR rows. Integer accumulators are order-free;
     // the f64 log-gap partials are produced per vertex and folded in index
     // order below, so results never depend on worker count or chunking.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let partials: Vec<RowPartial> =
         (0..n as u32).into_par_iter().map(|u| row_partial(graph, pi, u)).collect();
 
@@ -186,8 +187,10 @@ fn row_partial(graph: &Csr, pi: &Permutation, u: u32) -> RowPartial {
 ///
 /// Panics if `pi` does not cover exactly the graph's vertices.
 pub fn edge_gaps(graph: &Csr, pi: &Permutation) -> Vec<u32> {
-    // SAFETY: documented panicking twin over `try_edge_gaps` (# Panics
-    // in the doc above).
+    #[expect(
+        clippy::panic,
+        reason = "SAFETY: documented panicking twin over `try_edge_gaps` (# Panics in the doc above)"
+    )]
     try_edge_gaps(graph, pi).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -203,6 +206,10 @@ pub fn try_edge_gaps(graph: &Csr, pi: &Permutation) -> Result<Vec<u32>, MeasureE
     let directed = graph.is_directed();
     // Gap rows are independent; computing them in parallel and flattening in
     // row order reproduces edge-iteration order exactly.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let rows: Vec<Vec<u32>> = (0..n as u32)
         .into_par_iter()
         .map(|u| {
@@ -229,8 +236,10 @@ pub fn try_edge_gaps(graph: &Csr, pi: &Permutation) -> Result<Vec<u32>, MeasureE
 ///
 /// Panics if `pi` does not cover exactly the graph's vertices.
 pub fn vertex_bandwidths(graph: &Csr, pi: &Permutation) -> Vec<u32> {
-    // SAFETY: documented panicking twin over `try_vertex_bandwidths`
-    // (# Panics in the doc above).
+    #[expect(
+        clippy::panic,
+        reason = "SAFETY: documented panicking twin over `try_vertex_bandwidths` (# Panics in the doc above)"
+    )]
     try_vertex_bandwidths(graph, pi).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -243,6 +252,10 @@ pub fn vertex_bandwidths(graph: &Csr, pi: &Permutation) -> Vec<u32> {
 pub fn try_vertex_bandwidths(graph: &Csr, pi: &Permutation) -> Result<Vec<u32>, MeasureError> {
     check_cover(graph, pi)?;
     let n = graph.num_vertices();
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     Ok((0..n as u32)
         .into_par_iter()
         .map(|v| {

@@ -11,11 +11,6 @@
 //! number of lines that could hold it — `1.0` is perfect packing, larger is
 //! worse.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use crate::error::MeasureError;
 use reorderlab_graph::{Csr, Permutation};
 
@@ -64,8 +59,10 @@ pub fn packing_factor(
     entry_bytes: usize,
     line_bytes: usize,
 ) -> PackingFactor {
-    // SAFETY: documented panicking twin over `try_packing_factor`
-    // (# Panics in the doc above).
+    #[expect(
+        clippy::panic,
+        reason = "SAFETY: documented panicking twin over `try_packing_factor` (# Panics in the doc above)"
+    )]
     try_packing_factor(graph, pi, entry_bytes, line_bytes).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -109,6 +106,10 @@ pub fn try_packing_factor(
     }
     let per_line = line_bytes / entry_bytes;
     let mean = graph.num_arcs() as f64 / n as f64;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let hot_ranks: Vec<u32> =
         (0..n as u32).filter(|&v| graph.degree(v) as f64 > mean).map(|v| pi.rank(v)).collect();
     let hot = hot_ranks.len();
@@ -120,7 +121,10 @@ pub fn try_packing_factor(
             factor: 0.0,
         });
     }
-    let mut lines: Vec<u32> = hot_ranks.iter().map(|&r| r / per_line as u32).collect();
+    // Ranks are below u32::MAX, so a line of u32::MAX or more entries holds
+    // them all: clamping the divisor keeps every quotient exact.
+    let per_line_u32 = u32::try_from(per_line).unwrap_or(u32::MAX);
+    let mut lines: Vec<u32> = hot_ranks.iter().map(|&r| r / per_line_u32).collect();
     lines.sort_unstable();
     lines.dedup();
     let touched = lines.len();
@@ -164,6 +168,17 @@ mod tests {
         let p = packing_factor(&g, &Permutation::identity(32), 4, 64);
         assert_eq!(p.hot_vertices, 0);
         assert_eq!(p.factor, 0.0);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_line_wider_than_u32_holds_every_hot_vertex() {
+        // 2^32 entries per line used to truncate to a zero divisor.
+        let g = barabasi_albert(500, 2, 5);
+        let p = packing_factor(&g, &random_order(&g, 1), 1, 1 << 32);
+        assert!(p.hot_vertices > 1);
+        assert_eq!((p.lines_touched, p.lines_needed), (1, 1));
+        assert_eq!(p.factor, 1.0);
     }
 
     #[test]

@@ -41,8 +41,10 @@ impl PerformanceProfile {
     /// non-finite value, or any τ < 1 — with the message of the
     /// [`MeasureError`] that [`try_new`](Self::try_new) would have returned.
     pub fn new<S: Into<String> + Clone>(methods: &[S], scores: &[Vec<f64>], taus: &[f64]) -> Self {
-        // SAFETY: documented panicking twin over `try_new` (# Panics in
-        // the doc above).
+        #[expect(
+            clippy::panic,
+            reason = "SAFETY: documented panicking twin over `try_new` (# Panics in the doc above)"
+        )]
         Self::try_new(methods, scores, taus).unwrap_or_else(|e| panic!("{e}"))
     }
 

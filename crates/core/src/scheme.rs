@@ -198,8 +198,10 @@ impl Scheme {
     /// [`Scheme::validate`] rejects the parameters; use
     /// [`Scheme::try_reorder`] to handle that as a value.
     pub fn reorder(&self, graph: &Csr) -> Permutation {
-        // SAFETY: documented panicking twin over `try_reorder` (# Panics
-        // in the doc above).
+        #[expect(
+            clippy::panic,
+            reason = "SAFETY: documented panicking twin over `try_reorder` (# Panics in the doc above)"
+        )]
         self.try_reorder(graph).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -258,8 +260,10 @@ impl Scheme {
     ///
     /// Panics with the [`SchemeError`] message when validation fails.
     pub fn reorder_recorded(&self, graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
-        // SAFETY: documented panicking twin over `try_reorder_recorded`
-        // (# Panics in the doc above).
+        #[expect(
+            clippy::panic,
+            reason = "SAFETY: documented panicking twin over `try_reorder_recorded` (# Panics in the doc above)"
+        )]
         self.try_reorder_recorded(graph, rec).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -578,7 +582,7 @@ mod tests {
     fn evaluation_suite_has_eleven_schemes() {
         let suite = Scheme::evaluation_suite(0);
         assert_eq!(suite.len(), 11);
-        let names: std::collections::HashSet<&str> = suite.iter().map(|s| s.name()).collect();
+        let names: std::collections::BTreeSet<&str> = suite.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), 11, "scheme names must be unique");
         assert!(names.contains("METIS"));
         assert!(names.contains("Grappolo-RCM"));
@@ -616,7 +620,7 @@ mod tests {
     fn extended_suite_is_superset_with_unique_names() {
         let ext = Scheme::extended_suite(1);
         assert_eq!(ext.len(), 15);
-        let names: std::collections::HashSet<&str> = ext.iter().map(|s| s.name()).collect();
+        let names: std::collections::BTreeSet<&str> = ext.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), 15);
         assert!(names.contains("HubSort"));
         assert!(names.contains("CDFS"));
@@ -733,7 +737,7 @@ mod tests {
             seen[variant_slot(s)] = true;
         }
         assert!(seen.iter().all(|&hit| hit), "a Scheme variant is missing from all_schemes");
-        let names: std::collections::HashSet<&str> = all.iter().map(|s| s.name()).collect();
+        let names: std::collections::BTreeSet<&str> = all.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), 22, "scheme names must be unique");
     }
 

@@ -111,6 +111,11 @@ pub fn adaptive_decide(graph: &Csr) -> AdaptiveDecision {
     }
     if d.triangle_rate_x1000 >= TRIANGLE_THRESHOLD_X1000 {
         let q = louvain(graph, &LouvainConfig::default()).modularity;
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "SAFETY: 0 < Q <= 1 on this branch, so Q * 1000 lies in (0, 1000]"
+        )]
         if q > 0.0 {
             d.modularity_x1000 = (q * 1000.0) as u64;
         }

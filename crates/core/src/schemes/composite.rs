@@ -3,11 +3,6 @@
 //! dissection, the Grappolo community ordering, and the Grappolo-RCM
 //! composite introduced by the paper.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use crate::schemes::rcm::{rcm_order, rcm_order_recorded};
 use reorderlab_community::{louvain, louvain_recorded, LouvainConfig};
 use reorderlab_graph::{contract, contract_recorded, Csr, Permutation};
@@ -39,6 +34,10 @@ use reorderlab_trace::Recorder;
 pub fn metis_order(graph: &Csr, parts: usize, seed: u64) -> Permutation {
     let p = partition_kway(graph, &PartitionConfig::new(parts).seed(seed));
     // Deterministically shuffle part labels (arbitrary part numbering).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: Scheme::validate rejects parts > num_vertices() <= u32::MAX before dispatch"
+    )]
     let mut label: Vec<u32> = (0..parts as u32).collect();
     let mut x = seed ^ 0x7a3d_55aa;
     for i in (1..label.len()).rev() {
@@ -101,13 +100,19 @@ pub fn grappolo_rcm_order_with(graph: &Csr, cfg: &LouvainConfig) -> Permutation 
     if r.num_communities == 0 {
         return Permutation::identity(graph.num_vertices());
     }
-    // SAFETY: louvain returns a dense assignment over exactly
-    // `num_communities` labels, which is what `contract` validates.
+    #[expect(
+        clippy::expect_used,
+        reason = "SAFETY: louvain returns a dense assignment over exactly `num_communities` labels, which is what `contract` validates"
+    )]
     let coarse = contract(graph, &r.assignment, r.num_communities)
         .expect("louvain assignment is valid")
         .coarse;
     let comm_rank = rcm_order(&coarse);
     // Order vertices by (RCM rank of their community, vertex id).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let mut order: Vec<u32> = (0..graph.num_vertices() as u32).collect();
     order.sort_by_key(|&v| (comm_rank.rank(r.assignment[v as usize]), v));
     super::order_permutation(&order)
@@ -127,12 +132,18 @@ pub fn grappolo_rcm_order_recorded(
     if r.num_communities == 0 {
         return Permutation::identity(graph.num_vertices());
     }
-    // SAFETY: louvain returns a dense assignment over exactly
-    // `num_communities` labels, which is what `contract` validates.
+    #[expect(
+        clippy::expect_used,
+        reason = "SAFETY: louvain returns a dense assignment over exactly `num_communities` labels, which is what `contract` validates"
+    )]
     let coarse = contract_recorded(graph, &r.assignment, r.num_communities, rec)
         .expect("louvain assignment is valid")
         .coarse;
     let comm_rank = rcm_order_recorded(&coarse, rec);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let mut order: Vec<u32> = (0..graph.num_vertices() as u32).collect();
     order.sort_by_key(|&v| (comm_rank.rank(r.assignment[v as usize]), v));
     super::order_permutation(&order)
@@ -141,6 +152,10 @@ pub fn grappolo_rcm_order_recorded(
 /// Labels vertices contiguously by group id: rank key is
 /// `(group[v], v)`. Shared by the METIS and Grappolo orderings.
 fn order_by_group(group: &[u32]) -> Permutation {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let mut order: Vec<u32> = (0..group.len() as u32).collect();
     order.sort_by_key(|&v| (group[v as usize], v));
     super::order_permutation(&order)

@@ -6,11 +6,6 @@
 //! their (large) adjacency data shares cache lines, without attempting to
 //! optimize any gap measure directly.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use reorderlab_graph::{Csr, Permutation};
 
 /// Sort direction for [`degree_sort`].
@@ -38,6 +33,10 @@ pub enum DegreeDirection {
 /// ```
 pub fn degree_sort(graph: &Csr, direction: DegreeDirection) -> Permutation {
     let n = graph.num_vertices();
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let mut order: Vec<u32> = (0..n as u32).collect();
     match direction {
         DegreeDirection::Decreasing => {
@@ -67,6 +66,10 @@ pub fn hub_threshold(graph: &Csr) -> f64 {
 pub fn hub_sort(graph: &Csr) -> Permutation {
     let n = graph.num_vertices();
     let threshold = hub_threshold(graph);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let mut hubs: Vec<u32> =
         (0..n as u32).filter(|&v| graph.degree(v) as f64 > threshold).collect();
     hubs.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
@@ -78,6 +81,10 @@ pub fn hub_sort(graph: &Csr) -> Permutation {
         }
         flags
     };
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     order.extend((0..n as u32).filter(|&v| !is_hub[v as usize]));
     super::order_permutation(&order)
 }
@@ -89,8 +96,16 @@ pub fn hub_cluster(graph: &Csr) -> Permutation {
     let n = graph.num_vertices();
     let threshold = hub_threshold(graph);
     let mut order: Vec<u32> = Vec::with_capacity(n);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     order.extend((0..n as u32).filter(|&v| graph.degree(v) as f64 > threshold));
     let hub_count = order.len();
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     order.extend((0..n as u32).filter(|&v| graph.degree(v) as f64 <= threshold));
     debug_assert_eq!(order.len(), n);
     let _ = hub_count;
@@ -168,9 +183,9 @@ mod tests {
     fn hub_schemes_agree_on_hub_set() {
         let g = barabasi_albert(200, 3, 9);
         let t = hub_threshold(&g);
-        let a: std::collections::HashSet<u32> =
+        let a: std::collections::BTreeSet<u32> =
             hub_sort(&g).to_order().into_iter().take_while(|&v| g.degree(v) as f64 > t).collect();
-        let b: std::collections::HashSet<u32> = hub_cluster(&g)
+        let b: std::collections::BTreeSet<u32> = hub_cluster(&g)
             .to_order()
             .into_iter()
             .take_while(|&v| g.degree(v) as f64 > t)

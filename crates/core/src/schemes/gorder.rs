@@ -12,11 +12,6 @@
 //! Each pick reads the keys the picks before it left, so the scan has one
 //! serial body; `crates/core/tests/ordering_goldens.rs` pins its output.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use reorderlab_graph::{Csr, Permutation};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
@@ -77,6 +72,10 @@ pub fn gorder(graph: &Csr, window: usize, hub_cap: usize) -> Permutation {
 
     // Fallback seeds: vertices by decreasing degree (Gorder starts from the
     // highest-degree vertex and reseeds there when a region is exhausted).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let mut seeds: Vec<u32> = (0..n as u32).collect();
     seeds.sort_by_key(|&v| (Reverse(graph.degree(v)), v));
     let mut seed_cursor = 0usize;

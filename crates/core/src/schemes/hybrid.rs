@@ -8,11 +8,6 @@
 //! inside of each community*, so every level of the hierarchy — not just
 //! the top — gets a bandwidth-aware arrangement.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use crate::schemes::rcm::rcm_order;
 use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_graph::{build_pool, contract, Csr, Permutation};
@@ -74,6 +69,10 @@ impl Default for HybridConfig {
 pub fn hybrid_multiscale_order(graph: &Csr, config: &HybridConfig) -> Permutation {
     let n = graph.num_vertices();
     let mut order = Vec::with_capacity(n);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let all: Vec<u32> = (0..n as u32).collect();
     recurse(graph, &all, config, 0, &mut order);
     super::order_permutation(&order)
@@ -100,11 +99,17 @@ fn recurse(
         return;
     }
     // Order the communities themselves by RCM on the coarse graph.
-    // SAFETY: louvain's assignment is dense over exactly `k` labels,
-    // which is what `contract` validates.
+    #[expect(
+        clippy::expect_used,
+        reason = "SAFETY: louvain's assignment is dense over exactly `k` labels, which is what `contract` validates"
+    )]
     let coarse =
         contract(&sub, &communities.assignment, k).expect("louvain assignment is valid").coarse;
     let comm_rank = rcm_order(&coarse);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let mut comm_order: Vec<u32> = (0..k as u32).collect();
     comm_order.sort_by_key(|&c| comm_rank.rank(c));
     // Group members per community and recurse in community order.

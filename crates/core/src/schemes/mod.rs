@@ -51,9 +51,10 @@ use reorderlab_graph::Permutation;
 /// Panics if `order` is not a permutation of `0..n` — a bug in the calling
 /// scheme, never an input condition.
 pub(crate) fn order_permutation(order: &[u32]) -> Permutation {
-    // SAFETY: schemes emit each vertex exactly once by construction (their
-    // contract tests pin this); the workspace's single P1-allowlisted
-    // order-finalization site.
+    #[expect(
+        clippy::expect_used,
+        reason = "SAFETY: schemes emit each vertex exactly once by construction (their contract tests pin this)"
+    )]
     Permutation::from_order(order).expect("scheme emitted a non-permutation order (scheme bug)")
 }
 
@@ -64,7 +65,9 @@ pub(crate) fn order_permutation(order: &[u32]) -> Permutation {
 ///
 /// Panics if `ranks` is not a bijection onto `0..n` — a scheme bug.
 pub(crate) fn ranks_permutation(ranks: Vec<u32>) -> Permutation {
-    // SAFETY: callers assign each rank exactly once by construction; the
-    // single P1-allowlisted rank-finalization site.
+    #[expect(
+        clippy::expect_used,
+        reason = "SAFETY: callers assign each rank exactly once by construction"
+    )]
     Permutation::from_ranks(ranks).expect("scheme emitted a non-bijective rank table (scheme bug)")
 }

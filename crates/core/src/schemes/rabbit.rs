@@ -16,11 +16,6 @@
 //! randomized order. The scan is serial: each merge decision reads the
 //! union-find and the volumes the merges before it left.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use reorderlab_graph::{Csr, Permutation, UnionFind};
 
 /// Scatter scratch for aggregating edge weight per neighboring community.
@@ -116,11 +111,19 @@ fn dendrogram_order(
 ) -> Permutation {
     let mut order: Vec<u32> = Vec::with_capacity(n);
     let mut is_root = vec![false; n];
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     for v in 0..n as u32 {
         let r = uf.root(v);
         is_root[tree_root[r as usize] as usize] = true;
     }
     let mut stack: Vec<u32> = Vec::new();
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     for v in 0..n as u32 {
         if !is_root[v as usize] {
             continue;
@@ -160,16 +163,28 @@ pub fn rabbit_order(graph: &Csr) -> Permutation {
     // Louvain-style degree sums, their total, and the increasing-degree
     // scan schedule.
     let mut tot = vec![0.0f64; n];
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     for v in 0..n as u32 {
         for (u, w) in graph.weighted_neighbors(v) {
             tot[v as usize] += if u == v { 2.0 * w } else { w };
         }
     }
     let m2: f64 = tot.iter().sum();
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let mut scan: Vec<u32> = (0..n as u32).collect();
     scan.sort_unstable_by_key(|&v| ((graph.degree(v) as u64) << 32) | u64::from(v));
 
     let mut uf = UnionFind::new(n);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let mut tree_root: Vec<u32> = (0..n as u32).collect();
     let mut children: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut scratch = WsumScratch::new(n);

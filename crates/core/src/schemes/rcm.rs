@@ -11,11 +11,6 @@
 //! the candidate lists lost to that loop at two threads on the benchmark
 //! host (DESIGN.md §2), so there is no second body.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use reorderlab_graph::{pseudo_peripheral_recorded, Csr, LevelScratch, Permutation};
 use reorderlab_trace::{NoopRecorder, Recorder};
 use std::collections::VecDeque;
@@ -23,6 +18,10 @@ use std::collections::VecDeque;
 /// Packed `(degree, id)` sort keys: one `u64` comparison replaces a tuple
 /// compare with a repeated degree lookup.
 fn degree_keys(graph: &Csr) -> Vec<u64> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     (0..graph.num_vertices() as u32)
         .map(|v| ((graph.degree(v) as u64) << 32) | u64::from(v))
         .collect()
@@ -66,6 +65,10 @@ pub fn rcm_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
     let mut nbrs: Vec<u32> = Vec::new();
 
     // Vertices sorted by (degree, id) — candidate starting points.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let mut starts: Vec<u32> = (0..n as u32).collect();
     starts.sort_unstable_by_key(|&v| key[v as usize]);
 
@@ -116,6 +119,10 @@ pub fn cdfs_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
     let mut scratch = LevelScratch::new(n);
     let mut queue: VecDeque<u32> = VecDeque::new();
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let mut starts: Vec<u32> = (0..n as u32).collect();
     starts.sort_unstable_by_key(|&v| key[v as usize]);
 

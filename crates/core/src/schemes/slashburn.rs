@@ -7,11 +7,6 @@
 //! The result concentrates the adjacency matrix near block-diagonal-plus-
 //! hub form.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use rayon::prelude::*;
 use reorderlab_graph::{Csr, Permutation};
 use reorderlab_trace::{NoopRecorder, Recorder};
@@ -21,9 +16,17 @@ use reorderlab_trace::{NoopRecorder, Recorder};
 /// serial `(Reverse(degree), original_id)` tuple order. The second element
 /// is the local vertex id for marking hubs.
 fn hub_keys(sub: &Csr, live: &[u32]) -> Vec<(u64, u32)> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     (0..live.len() as u32)
         .into_par_iter()
         .map(|v| {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+            )]
             let inv_deg = u32::MAX - sub.degree(v) as u32;
             (((u64::from(inv_deg)) << 32) | u64::from(live[v as usize]), v)
         })
@@ -40,10 +43,18 @@ fn masked_components(sub: &Csr, is_hub: &[bool]) -> (Vec<u32>, Vec<usize>) {
     let mut comp = vec![u32::MAX; n];
     let mut sizes = Vec::new();
     let mut stack: Vec<u32> = Vec::new();
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     for s in 0..n as u32 {
         if is_hub[s as usize] || comp[s as usize] != u32::MAX {
             continue;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         let c = sizes.len() as u32;
         comp[s as usize] = c;
         stack.clear();
@@ -109,8 +120,16 @@ pub fn slashburn_order_recorded(graph: &Csr, k_frac: f64, rec: &mut dyn Recorder
     let n = graph.num_vertices();
     let mut ranks = vec![u32::MAX; n];
     let mut front = 0u32;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let mut back = n as u32; // exclusive
                              // `live` holds original ids of the current working component.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let mut live: Vec<u32> = (0..n as u32).collect();
     let mut sub = graph.clone();
 
@@ -119,6 +138,11 @@ pub fn slashburn_order_recorded(graph: &Csr, k_frac: f64, rec: &mut dyn Recorder
         if remaining == 0 {
             break;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "SAFETY: k_frac is in (0, 1], so the product lies in (0, remaining]"
+        )]
         let k = ((remaining as f64 * k_frac).ceil() as usize).max(1);
         rec.counter("slashburn/rounds", 1);
         let mut keyed = hub_keys(&sub, &live);
@@ -149,6 +173,10 @@ pub fn slashburn_order_recorded(graph: &Csr, k_frac: f64, rec: &mut dyn Recorder
         // Burn: components of the remainder, found in place on `sub` with
         // the hubs masked out.
         let (comp, sizes) = masked_components(&sub, &is_hub);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         let giant = match sizes
             .iter()
             .enumerate()
@@ -161,6 +189,10 @@ pub fn slashburn_order_recorded(graph: &Csr, k_frac: f64, rec: &mut dyn Recorder
         let mut members: Vec<Vec<u32>> = sizes.iter().map(|&s| Vec::with_capacity(s)).collect();
         for (v, &c) in comp.iter().enumerate() {
             if c != u32::MAX {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+                )]
                 members[c as usize].push(v as u32);
             }
         }
@@ -169,6 +201,10 @@ pub fn slashburn_order_recorded(graph: &Csr, k_frac: f64, rec: &mut dyn Recorder
         // ranks. Components are ordered by increasing size (ties by id) so
         // the smallest spokes sit at the very end, mirroring SlashBurn's
         // spoke layout.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         let mut spoke_comps: Vec<u32> = (0..sizes.len() as u32).filter(|&c| c != giant).collect();
         spoke_comps.sort_by_key(|&c| (sizes[c as usize], c));
         let spoke_total: usize = spoke_comps.iter().map(|&c| sizes[c as usize]).sum();

@@ -3,7 +3,7 @@
 //! which the differential tests hold the kernels equal to at 1, 2 and 7
 //! threads. Each integration test that needs them declares `mod support;`.
 
-#![allow(dead_code)] // each test crate uses its own subset
+#![allow(dead_code, reason = "each test crate uses its own subset")]
 
 use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_core::schemes::{adaptive_decide, hub_threshold, AdaptiveChoice, CommIntra};

@@ -25,8 +25,16 @@
 //! assert_eq!(g.num_vertices(), 4096);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code: no panicking calls, no hash containers (DESIGN.md §8).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_types
+)]
 
 pub mod degenerate;
 mod mesh;

@@ -10,6 +10,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reorderlab_graph::{Csr, GraphBuilder};
+#[expect(
+    clippy::disallowed_types,
+    reason = "membership sets; what leaves them is sorted first (the generators run in set-up, outside every timed region)"
+)]
 use std::collections::HashSet;
 
 /// A Barabási–Albert preferential-attachment graph: starting from a small
@@ -36,6 +40,10 @@ pub fn barabasi_albert(n: usize, m_attach: usize, seed: u64) -> Csr {
             endpoints.push(v);
         }
     }
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a membership set whose contents are sorted before use"
+    )]
     let mut chosen: HashSet<u32> = HashSet::with_capacity(m_attach * 2);
     for v in core..n as u32 {
         chosen.clear();
@@ -112,6 +120,7 @@ pub fn rmat(n: usize, m: usize, params: RmatParams, seed: u64) -> Csr {
     );
     let levels = usize::BITS - (n - 1).leading_zeros(); // ceil(log2 n)
     let mut rng = StdRng::seed_from_u64(seed);
+    #[expect(clippy::disallowed_types, reason = "membership-only: the set is never iterated")]
     let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(m * 2);
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
     let mut attempts = 0usize;
@@ -170,6 +179,10 @@ pub fn hub_and_spokes(
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let spokes_per_hub = ((n as f64) * hub_frac) as usize;
     for h in 0..num_hubs as u32 {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "its contents reach the edge list, which GraphBuilder sorts"
+        )]
         let mut attached: HashSet<u32> = HashSet::with_capacity(spokes_per_hub);
         while attached.len() < spokes_per_hub {
             let t = rng.gen_range(0..n as u32);

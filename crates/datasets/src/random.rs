@@ -6,6 +6,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reorderlab_graph::{Csr, DuplicatePolicy, GraphBuilder};
+#[expect(
+    clippy::disallowed_types,
+    reason = "a membership set that is never iterated (the generators run in set-up, outside every timed region)"
+)]
 use std::collections::HashSet;
 
 /// An Erdős–Rényi `G(n, m)` graph: exactly `m` distinct edges sampled
@@ -19,6 +23,7 @@ pub fn erdos_renyi_gnm(n: usize, m: usize, seed: u64) -> Csr {
     let m = m.min(max_m);
     assert!(m == 0 || n >= 2, "G(n, m) needs at least two vertices for any edge");
     let mut rng = StdRng::seed_from_u64(seed);
+    #[expect(clippy::disallowed_types, reason = "membership-only: the set is never iterated")]
     let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(m * 2);
     let mut edges = Vec::with_capacity(m);
     while edges.len() < m {

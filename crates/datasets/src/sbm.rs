@@ -120,7 +120,7 @@ mod tests {
     #[test]
     fn unrank_covers_all_pairs() {
         let n = 7u64;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..(n * (n - 1) / 2) {
             let (u, v) = unrank_pair(i, n);
             assert!(u < v && (v as u64) < n, "bad pair ({u},{v}) at {i}");

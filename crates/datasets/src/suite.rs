@@ -204,8 +204,10 @@ impl InstanceSpec {
     pub fn generate(&self) -> Csr {
         let g = self.generate_unjittered();
         let pi = jitter_permutation(g.num_vertices(), self.seed() ^ 0x6a77);
-        // SAFETY: the jitter permutation is built for exactly
-        // `g.num_vertices()` ids two lines above.
+        #[expect(
+            clippy::expect_used,
+            reason = "SAFETY: the jitter permutation is built for exactly `g.num_vertices()` ids two lines above"
+        )]
         g.permuted(&pi).expect("jitter permutation matches the graph")
     }
 

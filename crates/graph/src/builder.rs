@@ -4,11 +4,6 @@
 //! validates endpoints, applies the configured self-loop and duplicate-edge
 //! policies, and produces a [`Csr`] with sorted neighbor lists.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use crate::csr::Csr;
 use crate::error::GraphError;
 
@@ -137,8 +132,10 @@ impl GraphBuilder {
     ///
     /// Panics with the [`GraphError`] message where `build` would return it.
     pub fn build_expect(self) -> Csr {
-        // SAFETY: documented panicking twin over the fallible `build`; the
-        // single P1-allowlisted site for generator-side graph assembly.
+        #[expect(
+            clippy::panic,
+            reason = "SAFETY: documented panicking twin over the fallible `build`"
+        )]
         self.build().unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -155,9 +152,17 @@ impl GraphBuilder {
         // Validate endpoints and weights up front.
         for &(u, v, w) in &self.edges {
             if u as usize >= n {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+                )]
                 return Err(GraphError::VertexOutOfBounds { vertex: u, num_vertices: n as u32 });
             }
             if v as usize >= n {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+                )]
                 return Err(GraphError::VertexOutOfBounds { vertex: v, num_vertices: n as u32 });
             }
             if !w.is_finite() || w < 0.0 {

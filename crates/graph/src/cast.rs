@@ -2,13 +2,11 @@
 //!
 //! Vertex ids are `u32` and adjacency offsets are `usize`; text ingestion
 //! parses into wider types (`usize`, `i64`) before narrowing. A bare `as`
-//! cast silently truncates, so the repo's C1 static-analysis contract
-//! (see `crates/analyze`) bans lossy `as` casts in ingestion modules and
-//! routes every narrowing through the helpers here, which make the
-//! failure mode explicit.
-//!
-//! This module is the *blessed* cast module for the C1 rule: conversions
-//! below are either checked (`Option`) or compile-time guarded.
+//! cast silently truncates, so the ingestion modules deny every `as`
+//! conversion (clippy `as_conversions`, DESIGN.md §8) and route each
+//! narrowing through the helpers here, which make the failure mode
+//! explicit: conversions below are either checked (`Option`) or
+//! compile-time guarded.
 
 /// Converts a 0-based `usize` index into a `u32` vertex id, or `None` if
 /// it does not fit the vertex-id space.
@@ -33,8 +31,8 @@ pub fn try_usize_from_i64(x: i64) -> Option<usize> {
 pub fn usize_from_u32(x: u32) -> usize {
     const _: () =
         assert!(usize::BITS >= 32, "reorderlab requires usize to hold every u32 vertex id");
-    // SAFETY: lossless by the compile-time width assertion above; this is
-    // the blessed widening used by the C1 contract's ingestion paths.
+    // Lossless by the compile-time width assertion above; this is the
+    // widening the ingestion paths use in place of `as`.
     x as usize
 }
 

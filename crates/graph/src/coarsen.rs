@@ -13,11 +13,6 @@
 //! values serially, so the coarse adjacency is bit-for-bit symmetric at any
 //! thread count.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use crate::csr::Csr;
 use crate::error::GraphError;
 use rayon::prelude::*;
@@ -62,6 +57,10 @@ fn build_row(
     c: usize,
     scratch: &mut RowScratch,
 ) -> Vec<(u32, f64)> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let marker = c as u32 + 1;
     scratch.touched.clear();
     let mut intra = 0.0f64;
@@ -103,6 +102,10 @@ fn build_row(
     if !graph.is_directed() && has_self {
         // Each intra-cluster edge was seen from both endpoints; self-loop
         // arcs are stored once and keep full weight.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         entries.push((c as u32, intra / 2.0 + self_loops));
     }
     entries.extend(scratch.touched.iter().map(|&d| (d, scratch.acc[d as usize])));
@@ -147,6 +150,10 @@ fn assemble(
             targets[own_cursor[c]] = d;
             weights[own_cursor[c]] = w;
             own_cursor[c] += 1;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+            )]
             if !directed && (d as usize) > c {
                 targets[mirror_cursor[d as usize]] = c as u32;
                 weights[mirror_cursor[d as usize]] = w;
@@ -167,6 +174,10 @@ fn validate(graph: &Csr, assignment: &[u32], num_clusters: usize) -> Result<(), 
     }
     for &c in assignment {
         if c as usize >= num_clusters {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+            )]
             return Err(GraphError::ClusterOutOfBounds {
                 cluster: c,
                 num_clusters: num_clusters as u32,
@@ -196,6 +207,10 @@ fn cluster_members(assignment: &[u32], cluster_sizes: &[usize]) -> (Vec<usize>, 
     let member_off = exclusive_prefix_sum(cluster_sizes);
     let mut cursor = member_off[..cluster_sizes.len()].to_vec();
     let mut members = vec![0u32; assignment.len()];
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     for (v, &c) in assignment.iter().enumerate() {
         members[cursor[c as usize]] = v as u32;
         cursor[c as usize] += 1;

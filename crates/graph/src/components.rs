@@ -5,11 +5,6 @@
 //! SlashBurn orders spokes per component), so component discovery is part of
 //! the substrate.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use crate::csr::Csr;
 
 /// The connected components of an undirected graph (weakly connected
@@ -32,10 +27,18 @@ impl Components {
         let mut assignment = vec![u32::MAX; n];
         let mut sizes = Vec::new();
         let mut queue = Vec::new();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         for s in 0..n as u32 {
             if assignment[s as usize] != u32::MAX {
                 continue;
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+            )]
             let id = sizes.len() as u32;
             let mut size = 0usize;
             assignment[s as usize] = id;
@@ -90,6 +93,10 @@ impl Components {
     /// Id of the largest component (ties broken by smaller id); `None` for an
     /// empty graph.
     pub fn largest(&self) -> Option<u32> {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         self.sizes
             .iter()
             .enumerate()
@@ -106,6 +113,10 @@ impl Components {
     pub fn members(&self) -> Vec<Vec<u32>> {
         let mut groups: Vec<Vec<u32>> = self.sizes.iter().map(|&s| Vec::with_capacity(s)).collect();
         for (v, &c) in self.assignment.iter().enumerate() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+            )]
             groups[c as usize].push(v as u32);
         }
         groups
@@ -126,6 +137,10 @@ pub struct UnionFind {
 impl UnionFind {
     /// Creates `n` singleton sets.
     pub fn new(n: usize) -> Self {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         UnionFind { parent: (0..n as u32).collect(), size: vec![1; n], count: n }
     }
 

@@ -6,11 +6,6 @@
 //! vertex reordering is meant to improve: neighbors of consecutively-ranked
 //! vertices occupy nearby memory.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use crate::error::GraphError;
 use crate::perm::Permutation;
 use rayon::prelude::*;
@@ -89,9 +84,17 @@ impl Csr {
             assert!(u >= prev_src, "arcs must be sorted by source vertex");
             prev_src = u;
             if u as usize >= n {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+                )]
                 return Err(GraphError::VertexOutOfBounds { vertex: u, num_vertices: n as u32 });
             }
             if v as usize >= n {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+                )]
                 return Err(GraphError::VertexOutOfBounds { vertex: v, num_vertices: n as u32 });
             }
             if !w.is_finite() || w < 0.0 {
@@ -213,10 +216,18 @@ impl Csr {
 
     /// Maximum degree Δ over all vertices (0 for an empty graph).
     pub fn max_degree(&self) -> usize {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         (0..self.num_vertices()).map(|v| self.degree(v as u32)).max().unwrap_or(0)
     }
 
     /// Iterates all vertex ids `0..n`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     pub fn vertices(&self) -> impl Iterator<Item = u32> + '_ {
         0..self.num_vertices() as u32
     }
@@ -332,6 +343,10 @@ impl Csr {
                 (Some(w_row), Some(src_w)) => {
                     // Relabel and sort this neighbor list with its weights;
                     // ties (duplicate targets) keep their original arc order.
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+                    )]
                     let mut pairs: Vec<(u32, u32)> =
                         src_row.iter().enumerate().map(|(i, &t)| (pi.rank(t), i as u32)).collect();
                     pairs.sort_unstable();
@@ -367,6 +382,10 @@ impl Csr {
         let mut originals: Vec<u32> = Vec::with_capacity(vertices.len());
         for &v in vertices {
             assert!((v as usize) < n, "induced_subgraph vertex out of bounds");
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+            )]
             if local[v as usize] == u32::MAX {
                 local[v as usize] = originals.len() as u32;
                 originals.push(v);
@@ -463,6 +482,10 @@ impl Csr {
             let base = offsets_ref[lo_v];
             let mut cursor: Vec<usize> =
                 offsets_ref[lo_v..hi_v].iter().map(|&o| o - base).collect();
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+            )]
             for u in 0..n as u32 {
                 let row_lo = self.offsets[u as usize];
                 for (i, &v) in self.neighbors(u).iter().enumerate() {
@@ -507,6 +530,10 @@ impl Iterator for Edges<'_> {
             }
             let i = self.pos;
             self.pos += 1;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+            )]
             let u = self.vertex as u32;
             let v = self.csr.targets[i];
             if !self.csr.directed && v < u {

@@ -36,10 +36,16 @@ pub fn det_sum_f64(parts: &[f64]) -> f64 {
 /// Panics if the pool cannot be constructed. The shim builder only fails on
 /// a zero-size stack request, which this function never issues.
 pub fn build_pool(threads: usize) -> rayon::ThreadPool {
-    // SAFETY: the builder is configured with thread count only, the one
-    // parameter combination its contract documents as infallible; this is
-    // the workspace's single P1-allowlisted pool-construction site.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one pool-construction site: thread count is ambient (DESIGN.md §2)"
+    )]
     let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+    #[expect(
+        clippy::expect_used,
+        reason = "SAFETY: the builder is configured with thread count only, the one parameter \
+                  combination its contract documents as infallible"
+    )]
     pool.expect("thread pool construction with default stack size cannot fail")
 }
 

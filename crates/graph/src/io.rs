@@ -2,6 +2,9 @@
 //! KONECT collection the paper draws from) and the METIS/DIMACS10 adjacency
 //! format.
 
+// Ingestion parses untrusted bytes: no slice index, no `as` conversion.
+#![deny(clippy::indexing_slicing, clippy::as_conversions)]
+
 use crate::builder::{DuplicatePolicy, GraphBuilder, SelfLoopPolicy};
 use crate::cast;
 use crate::csr::Csr;

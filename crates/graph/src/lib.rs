@@ -31,8 +31,22 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code: no panicking calls, no hash containers (DESIGN.md §8).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_types
+)]
+// Lossy `as` casts in library code go through `cast` or carry an
+// `#[expect]`; unit tests are exempt, as clippy has no test setting for them.
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
 
 mod adjacency;
 mod binfmt;
@@ -238,8 +252,8 @@ mod proptests {
             let g = GraphBuilder::undirected(n).edges(edges).build().unwrap();
             let assignment: Vec<u32> = (0..n as u32).map(|v| v % 4).collect();
             let c = contract(&g, &assignment, 4).unwrap();
-            let mut legacy: std::collections::HashMap<(u32, u32), f64> =
-                std::collections::HashMap::new();
+            let mut legacy: std::collections::BTreeMap<(u32, u32), f64> =
+                std::collections::BTreeMap::new();
             for (u, v, w) in g.edges() {
                 let (cu, cv) = (assignment[u as usize], assignment[v as usize]);
                 *legacy.entry((cu.min(cv), cu.max(cv))).or_insert(0.0) += w;

@@ -8,6 +8,9 @@
 //! other general files become directed graphs. Diagonal entries are
 //! self loops (dropped by default, matching the builder policy).
 
+// Ingestion parses untrusted bytes: no slice index, no `as` conversion.
+#![deny(clippy::indexing_slicing, clippy::as_conversions)]
+
 use crate::builder::{DuplicatePolicy, GraphBuilder, SelfLoopPolicy};
 use crate::cast;
 use crate::csr::Csr;

@@ -5,11 +5,6 @@
 //! identity permutation. All reordering schemes in `reorderlab-core` produce a
 //! `Permutation`, and all gap measures consume one.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use crate::error::{GraphError, PermutationDefect};
 
 /// A validated bijection `Π : V → [0, n)` mapping vertex ids to ranks.
@@ -48,6 +43,10 @@ impl Permutation {
     /// assert_eq!(id.rank(3), 3);
     /// ```
     pub fn identity(n: usize) -> Self {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         Permutation { ranks: (0..n as u32).collect() }
     }
 
@@ -61,6 +60,10 @@ impl Permutation {
     /// Returns [`GraphError::InvalidPermutation`] if any rank is out of range
     /// or duplicated.
     pub fn from_ranks(ranks: Vec<u32>) -> Result<Self, GraphError> {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         let n = ranks.len() as u32;
         let mut seen = vec![false; ranks.len()];
         for &r in &ranks {
@@ -88,8 +91,16 @@ impl Permutation {
     /// Returns [`GraphError::InvalidPermutation`] if `order` is not a
     /// bijection.
     pub fn from_order(order: &[u32]) -> Result<Self, GraphError> {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         let n = order.len() as u32;
         let mut ranks = vec![u32::MAX; order.len()];
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         for (r, &v) in order.iter().enumerate() {
             if v >= n {
                 return Err(GraphError::InvalidPermutation {
@@ -162,6 +173,10 @@ impl Permutation {
     /// Returns the order view: element `r` is the vertex placed at rank `r`.
     pub fn to_order(&self) -> Vec<u32> {
         let mut order = vec![0u32; self.ranks.len()];
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         for (v, &r) in self.ranks.iter().enumerate() {
             order[r as usize] = v as u32;
         }
@@ -189,12 +204,20 @@ impl Permutation {
 
     /// Whether this permutation is the identity (natural order).
     pub fn is_identity(&self) -> bool {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         self.ranks.iter().enumerate().all(|(v, &r)| v as u32 == r)
     }
 
     /// Reverses the permutation: rank `r` becomes rank `n - 1 - r`.
     /// This is the final step of Reverse Cuthill–McKee.
     pub fn reversed(&self) -> Permutation {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         let n = self.ranks.len() as u32;
         Permutation { ranks: self.ranks.iter().map(|&r| n - 1 - r).collect() }
     }

@@ -3,11 +3,6 @@
 //! connectivity indicators the paper mentions (clustering coefficient,
 //! triangle count).
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use crate::csr::Csr;
 use rayon::prelude::*;
 
@@ -40,6 +35,10 @@ impl GraphStats {
     pub fn compute(graph: &Csr) -> Self {
         let n = graph.num_vertices();
         let m = graph.num_edges();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         let degrees: Vec<usize> = (0..n as u32).map(|v| graph.degree(v)).collect();
         let max_degree = degrees.iter().copied().max().unwrap_or(0);
         let mean = if n == 0 { 0.0 } else { degrees.iter().sum::<usize>() as f64 / n as f64 };
@@ -76,6 +75,10 @@ impl GraphStats {
 /// the order anyway: the result is the same at every thread count and under
 /// any schedule.
 pub fn count_triangles(graph: &Csr) -> u64 {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let per_row: Vec<u64> =
         (0..graph.num_vertices() as u32).into_par_iter().map(|u| row_triangles(graph, u)).collect();
     per_row.iter().sum()
@@ -139,10 +142,24 @@ pub fn degree_histogram(graph: &Csr) -> Vec<usize> {
         return Vec::new();
     }
     let max_deg = graph.max_degree();
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "SAFETY: floor(log10) of a degree >= 10 lies in 1..=19"
+    )]
     let decades = if max_deg < 10 { 1 } else { (max_deg as f64).log10().floor() as usize + 1 };
     let mut buckets = vec![0usize; decades];
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     for v in 0..n as u32 {
         let d = graph.degree(v);
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "SAFETY: floor(log10) of a degree >= 10 lies in 1..=19"
+        )]
         let b = if d < 10 { 0 } else { (d as f64).log10().floor() as usize };
         buckets[b] += 1;
     }
@@ -163,9 +180,19 @@ pub fn approx_diameter(graph: &Csr) -> usize {
         return 0;
     }
     let comps = Components::find(graph);
-    // SAFETY: the n == 0 case returned early above, so at least one
-    // component exists and its members are enumerable.
+    #[expect(
+        clippy::expect_used,
+        reason = "SAFETY: the n == 0 case returned early above, so at least one component exists and its members are enumerable"
+    )]
     let giant = comps.largest().expect("non-empty graph has a component");
+    #[expect(
+        clippy::expect_used,
+        reason = "SAFETY: `giant` is the id of a non-empty component, so some vertex belongs to it"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let start = (0..n as u32)
         .find(|&v| comps.component_of(v) == giant)
         .expect("giant component has a member");

@@ -11,11 +11,6 @@
 //! gather-then-commit double pass than it saved, and lost to this loop at
 //! two threads (DESIGN.md §2).
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use crate::csr::Csr;
 use std::collections::VecDeque;
 
@@ -175,6 +170,10 @@ pub fn bfs_levels(graph: &Csr, source: u32) -> LevelStructure {
     levels[source as usize] = 0;
     let mut frontier = vec![source];
     while !frontier.is_empty() {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         let depth = tiers.len() as u32;
         let mut next = Vec::new();
         for &v in &frontier {
@@ -284,6 +283,10 @@ fn bfs_summary(graph: &Csr, source: u32, scratch: &mut LevelScratch) -> (usize, 
         if bottom_up_ok && frontier_deg * 4 > unvisited_deg {
             // Bottom-up: each unvisited vertex probes its neighbors for a
             // parent in the current level and exits at the first hit.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+            )]
             for v in 0..n as u32 {
                 if levels[v as usize] != u32::MAX {
                     continue;
@@ -312,12 +315,14 @@ fn bfs_summary(graph: &Csr, source: u32, scratch: &mut LevelScratch) -> (usize, 
         (level_start, level_end) = (level_end, reached.len());
         depth += 1;
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "SAFETY: the deepest BFS level always holds at least the search source"
+    )]
     let deepest = reached[level_start..level_end]
         .iter()
         .copied()
         .min_by_key(|&v| (graph.degree(v), v))
-        // SAFETY: the deepest BFS level always holds at least the
-        // search source.
         .expect("deepest level holds at least the source");
     for v in reached.drain(..) {
         levels[v as usize] = u32::MAX;

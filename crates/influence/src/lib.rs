@@ -31,8 +31,16 @@
 //! assert!(r.stats.rr_sets > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code: no panicking calls, no hash containers (DESIGN.md §8).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_types
+)]
 
 mod config;
 mod greedy;
@@ -76,7 +84,7 @@ mod proptests {
                     prop_assert_eq!(comps.component_of(v), root_comp);
                 }
                 // No duplicates.
-                let distinct: std::collections::HashSet<_> = set.iter().collect();
+                let distinct: std::collections::BTreeSet<_> = set.iter().collect();
                 prop_assert_eq!(distinct.len(), set.len());
             }
         }
@@ -91,7 +99,7 @@ mod proptests {
             prop_assert!(c.covered <= sets.len());
             prop_assert!(c.seeds.len() <= k);
             // Verify the reported coverage by recount.
-            let chosen: std::collections::HashSet<u32> = c.seeds.iter().copied().collect();
+            let chosen: std::collections::BTreeSet<u32> = c.seeds.iter().copied().collect();
             let actual = sets.iter()
                 .filter(|s| s.iter().any(|v| chosen.contains(v)))
                 .count();

@@ -357,7 +357,7 @@ mod tests {
         let s = RrSampler::new(&g, ic(0.5));
         assert_eq!(s.sample(7, 3), s.sample(7, 3));
         // Different indices should (overwhelmingly) differ.
-        let distinct = (0..20).map(|i| s.sample(7, i).0).collect::<std::collections::HashSet<_>>();
+        let distinct = (0..20).map(|i| s.sample(7, i).0).collect::<std::collections::BTreeSet<_>>();
         assert!(distinct.len() > 1);
     }
 
@@ -401,7 +401,7 @@ mod tests {
             // A reverse walk visits each vertex at most once and examines
             // one in-edge per step.
             assert_eq!(trace.vertices_visited as usize, set.len());
-            let distinct: std::collections::HashSet<_> = set.iter().collect();
+            let distinct: std::collections::BTreeSet<_> = set.iter().collect();
             assert_eq!(distinct.len(), set.len());
         }
     }

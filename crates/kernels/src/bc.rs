@@ -3,11 +3,6 @@
 //! sources, or estimated from a sampled source subset; sources are
 //! processed in parallel with per-thread accumulation.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use rayon::prelude::*;
 use reorderlab_graph::Csr;
 
@@ -25,6 +20,10 @@ impl BcResult {
     /// The vertex with the highest score (ties to the lower id); `None`
     /// for an empty graph.
     pub fn top(&self) -> Option<u32> {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         (0..self.score.len() as u32).max_by(|&a, &b| {
             self.score[a as usize].total_cmp(&self.score[b as usize]).then(b.cmp(&a))
         })
@@ -33,6 +32,10 @@ impl BcResult {
 
 /// Exact betweenness centrality over every source.
 pub fn betweenness(graph: &Csr) -> BcResult {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let sources: Vec<u32> = (0..graph.num_vertices() as u32).collect();
     betweenness_from(graph, &sources)
 }

@@ -4,11 +4,6 @@
 //! neighbor list until an active parent is found) is among the most
 //! layout-sensitive access patterns in graph processing.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use reorderlab_graph::Csr;
 
 /// Counters from a direction-optimizing BFS run.
@@ -87,6 +82,10 @@ pub fn direction_optimizing_bfs(graph: &Csr, source: u32, config: &DoBfsConfig) 
             pull_levels += 1;
             // Bottom-up: every unvisited vertex looks for a parent at the
             // current depth; early exit on the first hit.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+            )]
             for v in 0..n as u32 {
                 if distance[v as usize] != u32::MAX {
                     continue;

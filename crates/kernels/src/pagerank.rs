@@ -3,11 +3,6 @@
 //! power iteration whose per-edge indirection (`scores[neighbor]`) is
 //! exactly the access pattern vertex reordering tries to make local.
 
-// SAFETY: every `as u32` in this module narrows a vertex count, degree, or
-// index that the Csr construction invariant bounds by `u32::MAX` (graphs
-// with more vertices are rejected at build/ingest time), so the casts are
-// lossless; the C1 budget in analyze.toml pins the audited site count.
-
 use rayon::prelude::*;
 use reorderlab_graph::{det_sum_f64, Adjacency, CompressError, CompressedCsr, Csr};
 
@@ -79,6 +74,10 @@ pub struct PageRankResult {
 impl PageRankResult {
     /// Vertices sorted by decreasing score (ties by id).
     pub fn ranking(&self) -> Vec<u32> {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+        )]
         let mut order: Vec<u32> = (0..self.scores.len() as u32).collect();
         order.sort_by(|&a, &b| {
             self.scores[b as usize].total_cmp(&self.scores[a as usize]).then(a.cmp(&b))
@@ -157,6 +156,10 @@ fn pagerank_pull<G: Adjacency>(graph: &G, pull: &G, config: &PageRankConfig) -> 
     if n == 0 {
         return PageRankResult { scores: Vec::new(), iterations: 0, converged: true };
     }
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+    )]
     let out_degree: Vec<f64> = (0..n as u32).map(|v| graph.degree(v) as f64).collect();
     let dangling: Vec<usize> = (0..n).filter(|&v| out_degree[v] == 0.0).collect();
     let d = config.damping;
@@ -184,6 +187,10 @@ fn pagerank_pull<G: Adjacency>(graph: &G, pull: &G, config: &PageRankConfig) -> 
                 // `fold`, not a `for` loop: compressed rows specialize
                 // `fold` into a single tight pass over the gap byte stream,
                 // and the flat-slice path compiles identically either way.
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+                )]
                 let acc = pull.neighbors(v as u32).fold(0.0, |acc, u| acc + share[u as usize]);
                 *score = base + dangling_share + d * acc;
                 *own_share = share_of(*score, out_degree[v]);

@@ -26,8 +26,16 @@
 //! assert!(report.avg_latency >= 4.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code: no panicking calls, no hash containers (DESIGN.md §8).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_types
+)]
 
 mod cache;
 mod hierarchy;

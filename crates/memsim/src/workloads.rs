@@ -190,8 +190,10 @@ fn replay_reverse_bfs(
             hier.load(offsets_addr(v as u64));
             let lo = offsets[v as usize];
             let hi = offsets[v as usize + 1];
-            // `i` doubles as the simulated address of the adjacency slot.
-            #[allow(clippy::needless_range_loop)]
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "`i` doubles as the simulated address of the adjacency slot"
+            )]
             for i in lo..hi {
                 hier.load(targets_addr(i as u64));
                 let t = targets[i];
@@ -227,8 +229,10 @@ pub fn replay_pagerank_iteration(graph: &Csr, hier: &mut Hierarchy) {
         hier.load(offsets_addr(v));
         let lo = offsets[v as usize];
         let hi = offsets[v as usize + 1];
-        // `i` doubles as the simulated address of the adjacency slot.
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "`i` doubles as the simulated address of the adjacency slot"
+        )]
         for i in lo..hi {
             hier.load(targets_addr(i as u64));
             let t = targets[i] as u64;

@@ -33,6 +33,10 @@ pub enum OpError {
     Malformed(String),
 }
 
+// Every variant has exactly one exit-code arm and one wire-status arm:
+// rustc's exhaustiveness check fails a missing arm, `unreachable_patterns`
+// a repeated one, and this lint a wildcard that would swallow a new variant.
+#[deny(clippy::wildcard_enum_match_arm)]
 impl OpError {
     /// The process exit code this error maps to: `2` for caller mistakes,
     /// `1` for runtime failures.

@@ -20,8 +20,16 @@
 //! assert!(stats.render_text().starts_with("graph: euroroad"));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code: no panicking calls, no hash containers (DESIGN.md §8).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_types
+)]
 
 pub mod args;
 mod error;

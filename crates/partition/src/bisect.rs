@@ -85,8 +85,10 @@ fn multilevel_bisect(
             fm_refine(graph, vertex_weights, &mut side, max_left, max_right, params.refine_passes);
         return Bisection { side, cut };
     }
-    // SAFETY: `matching.assignment` maps every vertex into
-    // 0..num_coarse by construction in `match_vertices`.
+    #[expect(
+        clippy::expect_used,
+        reason = "SAFETY: `matching.assignment` maps every vertex into 0..num_coarse by construction in `match_vertices`"
+    )]
     let contraction = contract(graph, &matching.assignment, matching.num_coarse)
         .expect("matching produces a valid assignment");
     let mut coarse_weights = vec![0.0f64; matching.num_coarse];
@@ -129,8 +131,10 @@ fn initial_bisection(
             best = Some((cut, side));
         }
     }
-    // SAFETY: the trial loop above runs at least once (trials >= 1 is
-    // clamped in the config), so a best cut exists.
+    #[expect(
+        clippy::expect_used,
+        reason = "SAFETY: the trial loop above runs at least once (trials >= 1 is clamped in the config), so a best cut exists"
+    )]
     best.expect("at least one trial ran").1
 }
 

@@ -73,8 +73,10 @@ fn base_case(root: &Csr, vertices: &[u32], order: &mut Vec<u32>) {
     let mut degree: Vec<usize> = (0..n as u32).map(|v| sub.degree(v)).collect();
     let mut eliminated = vec![false; n];
     for _ in 0..n {
-        // SAFETY: the elimination loop runs exactly n times, so an
-        // uneliminated vertex always remains.
+        #[expect(
+            clippy::expect_used,
+            reason = "SAFETY: the elimination loop runs exactly n times, so an uneliminated vertex always remains"
+        )]
         let v = (0..n)
             .filter(|&v| !eliminated[v])
             .min_by_key(|&v| (degree[v], v))

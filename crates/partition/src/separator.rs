@@ -44,7 +44,8 @@ pub fn vertex_separator(graph: &Csr, cfg: &PartitionConfig) -> Separator {
     // uncovered cut edges. The incidence structure is a flat vertex-indexed
     // table plus an ascending candidate list, not a HashMap: scanning in
     // vertex order makes the smallest-id tie-break explicit instead of
-    // relying on hash-iteration order (the repo's D1 determinism contract).
+    // relying on hash-iteration order (library code bans hash containers,
+    // DESIGN.md §8).
     let mut incident: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut candidates: Vec<u32> = Vec::new();
     for (i, &(u, v)) in cut_edges.iter().enumerate() {

@@ -7,8 +7,6 @@
 //! reorderlab-serve request --addr HOST:PORT --json LINE [--render]
 //! ```
 
-#![forbid(unsafe_code)]
-
 use reorderlab_graph::{BINARY_CSR_EXTENSION, COMPRESSED_CSR_EXTENSION};
 use reorderlab_ops::args::{flag_value, has_flag};
 use reorderlab_ops::OpError;

@@ -34,7 +34,6 @@
 //! shootouts, community-detection speedups, influence-maximization
 //! campaigns, cache-behaviour exploration).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use reorderlab_community as community;

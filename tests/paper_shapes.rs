@@ -101,7 +101,7 @@ fn avg_bandwidth_has_no_clear_winner() {
     );
     // No universal winner across heterogeneous instances: either the β̂
     // winner differs between inputs, or the margins are negligible.
-    let mut winners = std::collections::HashSet::new();
+    let mut winners = std::collections::BTreeSet::new();
     let mut margins = Vec::new();
     for name in ["figeys", "chicago_road", "hamster_small"] {
         let g = by_name(name).expect("in suite").generate();
