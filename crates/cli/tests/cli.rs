@@ -317,6 +317,61 @@ fn threads_flag_is_global_to_every_command() {
     let _ = std::fs::remove_file(p);
 }
 
+/// `results/reference_manifests.jsonl` is what the regeneration command in
+/// DESIGN.md §7 writes: the same four runs on the golden fixture, from the
+/// repository root so the graph id is the relative path, must reproduce
+/// every field but the wall times.
+#[test]
+fn reference_manifests_regenerate_equal_apart_from_times() {
+    use reorderlab_trace::Manifest;
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let golden = "crates/cli/tests/fixtures/golden.mtx";
+    let (p, f) = tmp("reference_manifests.jsonl");
+    let _ = std::fs::remove_file(&p);
+    let measure = [
+        "measure",
+        "--input",
+        golden,
+        "--scheme",
+        "rcm",
+        "--scheme",
+        "grappolo",
+        "--scheme",
+        "metis:parts=32,seed=42",
+        "--threads",
+        "2",
+        "--manifest",
+        &f,
+    ];
+    let reorder =
+        ["reorder", "--scheme", "rcm", "--input", golden, "--threads", "2", "--manifest", &f];
+    for args in [&measure[..], &reorder[..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_reorderlab"))
+            .args(args)
+            .current_dir(root)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    let without_times = |text: &str| -> Vec<Manifest> {
+        text.lines()
+            .map(|line| {
+                let mut m = Manifest::parse(line).expect("each line is a manifest");
+                m.phases.iter_mut().for_each(|phase| phase.wall_s = 0.0);
+                m.measures.retain(|(name, _)| name != "reorder_wall_s");
+                m
+            })
+            .collect()
+    };
+    let fresh = without_times(&std::fs::read_to_string(&p).unwrap());
+    let _ = std::fs::remove_file(p);
+    let stored = without_times(
+        &std::fs::read_to_string(format!("{root}/results/reference_manifests.jsonl")).unwrap(),
+    );
+    assert_eq!(fresh.len(), 4, "three measure rows and one reorder");
+    assert_eq!(fresh, stored, "regenerate results/reference_manifests.jsonl (DESIGN.md §7)");
+}
+
 #[test]
 fn zero_threads_is_rejected() {
     let out = run(&["measure", "--input", GOLDEN, "--scheme", "rcm", "--threads", "0"]);

@@ -51,8 +51,8 @@ mod modularity;
 pub use compare::{adjusted_rand_index, nmi};
 pub use config::LouvainConfig;
 pub use louvain::{
-    louvain, louvain_compressed, louvain_recorded, record_louvain_stats, CommunityResult,
-    IterationStats, LouvainStats, PhaseStats,
+    louvain, louvain_compressed, record_louvain_stats, CommunityResult, IterationStats,
+    LouvainStats, PhaseStats,
 };
 pub use modularity::{modularity, ModularityContext};
 

@@ -294,43 +294,32 @@ fn phase_step<G: Adjacency, P: MovePhase>(
     contract(&level.to_csr(), &renum, num_comms).ok().map(|c| c.coarse)
 }
 
-/// [`louvain`] with run recording: emits per-phase wall times (span
-/// `louvain/phase`), sweep counters (`louvain/phases`, `louvain/iterations`,
-/// `louvain/moves`, `louvain/loads`), and the per-iteration modularity
-/// trajectory (series `louvain/modularity`) into `rec`.
+/// Folds a finished [`louvain`] run's instrumentation into the installed
+/// recorder: per-phase wall times (span `louvain/phase`), sweep counters
+/// (`louvain/phases`, `louvain/iterations`, `louvain/moves`,
+/// `louvain/loads`, `louvain/communities`), and the per-iteration
+/// modularity trajectory (series `louvain/modularity`).
 ///
-/// Recording happens strictly *after* the computation from the stats the
-/// engine collects anyway, so the result is bit-identical to [`louvain`]
-/// with any recorder at any thread count.
-pub fn louvain_recorded(
-    graph: &Csr,
-    cfg: &LouvainConfig,
-    rec: &mut dyn reorderlab_trace::Recorder,
-) -> CommunityResult {
-    rec.span_enter("louvain");
-    let r = louvain(graph, cfg);
-    rec.span_exit("louvain");
-    record_louvain_stats(&r, rec);
-    r
-}
-
-/// Folds an already-computed [`CommunityResult`]'s instrumentation into a
-/// recorder (shared by [`louvain_recorded`] and harness code that calls
-/// [`louvain`] directly).
-pub fn record_louvain_stats(r: &CommunityResult, rec: &mut dyn reorderlab_trace::Recorder) {
+/// [`louvain`] itself records nothing, because callers such as the Adaptive
+/// scheme's decision run it only for a feature. A caller that reports a
+/// run opens a `louvain` span around it and then calls this, from the
+/// stats the engine collects anyway, so the result is bit-identical with
+/// or without a recorder at any thread count.
+pub fn record_louvain_stats(r: &CommunityResult) {
+    use reorderlab_trace::{counter, series, span_add};
     let s = &r.stats;
-    rec.counter("louvain/phases", s.phases.len() as u64);
-    rec.counter("louvain/iterations", s.total_iterations() as u64);
+    counter("louvain/phases", s.phases.len() as u64);
+    counter("louvain/iterations", s.total_iterations() as u64);
     for phase in &s.phases {
-        rec.span_add("louvain/phase", phase.duration);
+        span_add("louvain/phase", phase.duration);
         for it in &phase.iterations {
-            rec.counter("louvain/moves", it.moves as u64);
-            rec.counter("louvain/loads", it.loads);
-            rec.series("louvain/modularity", it.modularity);
+            counter("louvain/moves", it.moves as u64);
+            counter("louvain/loads", it.loads);
+            series("louvain/modularity", it.modularity);
         }
     }
-    rec.counter("louvain/communities", r.num_communities as u64);
-    rec.series("louvain/final_modularity", r.modularity);
+    counter("louvain/communities", r.num_communities as u64);
+    series("louvain/final_modularity", r.modularity);
 }
 
 /// Sentinel in the proposal array: vertex proposes no move.
@@ -1365,10 +1354,17 @@ mod tests {
 
     #[test]
     fn recorded_run_is_bit_identical_and_emits_trajectory() {
+        use reorderlab_trace::{recording, span, RunRecorder};
         let g = grid2d(10, 10);
         let plain = louvain(&g, &LouvainConfig::default());
-        let mut rec = reorderlab_trace::RunRecorder::new();
-        let recorded = louvain_recorded(&g, &LouvainConfig::default(), &mut rec);
+        let (recorded, rec) = recording(RunRecorder::new(), || {
+            let r = {
+                let _louvain = span("louvain");
+                louvain(&g, &LouvainConfig::default())
+            };
+            record_louvain_stats(&r);
+            r
+        });
         assert_eq!(plain.assignment, recorded.assignment);
         assert_eq!(plain.modularity.to_bits(), recorded.modularity.to_bits());
         assert_eq!(plain.stats.total_iterations(), recorded.stats.total_iterations());
@@ -1384,12 +1380,12 @@ mod tests {
         assert_eq!(q, &expected);
         assert_eq!(rec.counters()["louvain/phases"], plain.stats.phases.len() as u64);
         assert_eq!(rec.counters()["louvain/communities"], plain.num_communities as u64);
+        // `louvain/phase` is folded in after the `louvain` span closed.
         assert_eq!(rec.spans()["louvain/phase"].count, plain.stats.phases.len() as u64);
         assert_eq!(rec.spans()["louvain"].count, 1);
-        // The no-op recorder also leaves results untouched.
-        let noop =
-            louvain_recorded(&g, &LouvainConfig::default(), &mut reorderlab_trace::NoopRecorder);
-        assert_eq!(noop.assignment, plain.assignment);
+        // `louvain` alone records nothing.
+        let (_, silent) = recording(RunRecorder::new(), || louvain(&g, &LouvainConfig::default()));
+        assert!(silent.spans().is_empty() && silent.counters().is_empty());
     }
 
     #[test]

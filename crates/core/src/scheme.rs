@@ -9,10 +9,14 @@
 //!   returns a typed [`SchemeError`] instead of panicking;
 //! - [`Scheme::reorder`] — thin wrapper that panics with the error's
 //!   message, for callers that treat bad parameters as bugs;
-//! - [`Scheme::reorder_recorded`] — same computation, with per-phase spans
-//!   and counters folded into a [`Recorder`](reorderlab_trace::Recorder).
-//!   Recording only observes: outputs are bit-identical with any recorder
-//!   at any thread count.
+//! - [`Scheme::try_reorder_recorded`] — [`Scheme::try_reorder`] under
+//!   [`recording`](reorderlab_trace::recording), for callers that hold a
+//!   [`RunRecorder`] rather than install one.
+//!
+//! Every entry point runs under a `"reorder"` span and records the
+//! scheme's per-phase spans and counters on the installed recorder, if
+//! any. Recording only observes: outputs are bit-identical with or without
+//! a recorder at any thread count.
 //!
 //! Specs round-trip through [`Scheme::parse`] / [`Scheme::spec`] using the
 //! grammar `name[:key=val,...]` (e.g. `slashburn:k_frac=0.005`,
@@ -21,15 +25,13 @@
 
 use crate::error::SchemeError;
 use crate::schemes::{
-    adaptive_order_recorded, cdfs_order_recorded, comm_order_recorded, dbg_order_recorded,
-    degree_sort, gorder, grappolo_order_recorded, grappolo_rcm_order_recorded, hub_cluster,
-    hub_cluster_dbg_order_recorded, hub_sort, hub_sort_dbg_order_recorded, metis_order,
-    natural_order, nd_order, rabbit_order, random_order, rcm_order_recorded,
-    slashburn_order_recorded, CommIntra, DegreeDirection,
+    adaptive_order, cdfs_order, comm_order, dbg_order, degree_sort, gorder, grappolo_order,
+    grappolo_rcm_order, hub_cluster, hub_cluster_dbg_order, hub_sort, hub_sort_dbg_order,
+    metis_order, natural_order, nd_order, rabbit_order, random_order, rcm_order, slashburn_order,
+    CommIntra, DegreeDirection,
 };
-use reorderlab_community::LouvainConfig;
 use reorderlab_graph::{Csr, Permutation};
-use reorderlab_trace::{NoopRecorder, Recorder};
+use reorderlab_trace::{recording, span, RunRecorder};
 
 /// A vertex reordering scheme, parameterized where the paper parameterizes
 /// it (Random's seed, METIS's part count, Gorder's window, SlashBurn's hub
@@ -169,12 +171,13 @@ impl Scheme {
     }
 
     /// Computes this scheme's permutation for `graph`, validating
-    /// parameters first.
+    /// parameters first. The computation runs under a `"reorder"` span of
+    /// the installed recorder, with the scheme's own phases underneath.
     ///
     /// # Errors
     ///
-    /// Returns the [`SchemeError`] from [`Scheme::validate`]; the
-    /// computation itself is infallible.
+    /// Returns the [`SchemeError`] from [`Scheme::validate`], recording
+    /// nothing; the computation itself is infallible.
     ///
     /// # Examples
     ///
@@ -187,7 +190,31 @@ impl Scheme {
     /// assert_eq!(err, SchemeError::PartsExceedVertices { parts: 32, vertices: 9 });
     /// ```
     pub fn try_reorder(&self, graph: &Csr) -> Result<Permutation, SchemeError> {
-        self.try_reorder_recorded(graph, &mut NoopRecorder)
+        self.validate(graph.num_vertices())?;
+        let _reorder = span("reorder");
+        Ok(match *self {
+            Scheme::Natural => natural_order(graph),
+            Scheme::Random { seed } => random_order(graph, seed),
+            Scheme::DegreeSort { direction } => degree_sort(graph, direction),
+            Scheme::HubSort => hub_sort(graph),
+            Scheme::HubCluster => hub_cluster(graph),
+            Scheme::SlashBurn { k_frac } => slashburn_order(graph, k_frac),
+            Scheme::Gorder { window } => gorder(graph, window, 4096),
+            Scheme::Rcm => rcm_order(graph),
+            Scheme::Cdfs => cdfs_order(graph),
+            Scheme::NestedDissection { seed } => nd_order(graph, seed),
+            Scheme::Metis { parts, seed } => metis_order(graph, parts, seed),
+            Scheme::Grappolo => grappolo_order(graph),
+            Scheme::GrappoloRcm => grappolo_rcm_order(graph),
+            Scheme::RabbitOrder => rabbit_order(graph),
+            Scheme::Dbg => dbg_order(graph),
+            Scheme::HubSortDbg => hub_sort_dbg_order(graph),
+            Scheme::HubClusterDbg => hub_cluster_dbg_order(graph),
+            Scheme::CommunityBfs => comm_order(graph, CommIntra::Bfs),
+            Scheme::CommunityDfs => comm_order(graph, CommIntra::Dfs),
+            Scheme::CommunityDegree => comm_order(graph, CommIntra::Degree),
+            Scheme::Adaptive => adaptive_order(graph),
+        })
     }
 
     /// Computes this scheme's permutation for `graph`.
@@ -205,13 +232,8 @@ impl Scheme {
         self.try_reorder(graph).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Scheme::try_reorder`] with instrumentation: the whole computation
-    /// runs under a `"reorder"` span, and the recorded kernels (RCM/CDFS
-    /// component BFS, SlashBurn rounds, Louvain phases, coarsening) fold
-    /// their per-phase timings and counters into `rec`.
-    ///
-    /// The recorder only observes — the returned permutation is
-    /// bit-identical to [`Scheme::try_reorder`]'s at any thread count.
+    /// [`Scheme::try_reorder`] with `recorder` installed: the `"reorder"`
+    /// span and the scheme's phases land in it.
     ///
     /// # Errors
     ///
@@ -220,51 +242,11 @@ impl Scheme {
     pub fn try_reorder_recorded(
         &self,
         graph: &Csr,
-        rec: &mut dyn Recorder,
+        recorder: &mut RunRecorder,
     ) -> Result<Permutation, SchemeError> {
-        self.validate(graph.num_vertices())?;
-        rec.span_enter("reorder");
-        let pi = match *self {
-            Scheme::Natural => natural_order(graph),
-            Scheme::Random { seed } => random_order(graph, seed),
-            Scheme::DegreeSort { direction } => degree_sort(graph, direction),
-            Scheme::HubSort => hub_sort(graph),
-            Scheme::HubCluster => hub_cluster(graph),
-            Scheme::SlashBurn { k_frac } => slashburn_order_recorded(graph, k_frac, rec),
-            Scheme::Gorder { window } => gorder(graph, window, 4096),
-            Scheme::Rcm => rcm_order_recorded(graph, rec),
-            Scheme::Cdfs => cdfs_order_recorded(graph, rec),
-            Scheme::NestedDissection { seed } => nd_order(graph, seed),
-            Scheme::Metis { parts, seed } => metis_order(graph, parts, seed),
-            Scheme::Grappolo => grappolo_order_recorded(graph, &LouvainConfig::default(), rec),
-            Scheme::GrappoloRcm => {
-                grappolo_rcm_order_recorded(graph, &LouvainConfig::default(), rec)
-            }
-            Scheme::RabbitOrder => rabbit_order(graph),
-            Scheme::Dbg => dbg_order_recorded(graph, rec),
-            Scheme::HubSortDbg => hub_sort_dbg_order_recorded(graph, rec),
-            Scheme::HubClusterDbg => hub_cluster_dbg_order_recorded(graph, rec),
-            Scheme::CommunityBfs => comm_order_recorded(graph, CommIntra::Bfs, rec),
-            Scheme::CommunityDfs => comm_order_recorded(graph, CommIntra::Dfs, rec),
-            Scheme::CommunityDegree => comm_order_recorded(graph, CommIntra::Degree, rec),
-            Scheme::Adaptive => adaptive_order_recorded(graph, rec),
-        };
-        rec.span_exit("reorder");
-        Ok(pi)
-    }
-
-    /// [`Scheme::reorder`] with instrumentation — the panicking wrapper
-    /// around [`Scheme::try_reorder_recorded`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`SchemeError`] message when validation fails.
-    pub fn reorder_recorded(&self, graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
-        #[expect(
-            clippy::panic,
-            reason = "SAFETY: documented panicking twin over `try_reorder_recorded` (# Panics in the doc above)"
-        )]
-        self.try_reorder_recorded(graph, rec).unwrap_or_else(|e| panic!("{e}"))
+        let (pi, recorded) = recording(std::mem::take(recorder), || self.try_reorder(graph));
+        *recorder = recorded;
+        pi
     }
 
     /// Parses a scheme spec: `name[:key=val,...]`, or a single positional
@@ -576,8 +558,6 @@ impl Params {
 mod tests {
     use super::*;
     use reorderlab_datasets::{clique_chain, grid2d};
-    use reorderlab_trace::RunRecorder;
-
     #[test]
     fn evaluation_suite_has_eleven_schemes() {
         let suite = Scheme::evaluation_suite(0);
@@ -831,8 +811,7 @@ mod tests {
         let g = clique_chain(4, 8);
         for scheme in Scheme::extended_suite(5) {
             let plain = scheme.reorder(&g);
-            let mut rec = RunRecorder::new();
-            let recorded = scheme.reorder_recorded(&g, &mut rec);
+            let (recorded, rec) = recording(RunRecorder::new(), || scheme.reorder(&g));
             assert_eq!(plain, recorded, "{scheme}: recording perturbed the permutation");
             assert_eq!(rec.spans()["reorder"].count, 1, "{scheme}");
             assert_eq!(rec.open_spans(), 0, "{scheme}: unbalanced spans");

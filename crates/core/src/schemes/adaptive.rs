@@ -22,12 +22,12 @@
 //! then report as zero in the [`AdaptiveDecision`] trail.
 
 use super::basic::natural_order;
-use super::comm::{comm_order_recorded, CommIntra};
-use super::lightweight::{dbg_order_recorded, hub_sort_dbg_order_recorded};
-use super::rcm::rcm_order_recorded;
+use super::comm::{comm_order, CommIntra};
+use super::lightweight::{dbg_order, hub_sort_dbg_order};
+use super::rcm::rcm_order;
 use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_graph::{approx_diameter, count_triangles, Csr, Permutation};
-use reorderlab_trace::{NoopRecorder, Recorder};
+use reorderlab_trace::{counter, note};
 
 /// Degree-skew threshold (×1000): fire the hub rule at 3× mean degree.
 const SKEW_THRESHOLD_X1000: u64 = 3000;
@@ -140,6 +140,12 @@ fn clamp_u64(x: u128) -> u64 {
 /// Adaptive ordering: run [`adaptive_decide`] and delegate to the chosen
 /// scheme's parallel kernel.
 ///
+/// The decision trail goes to the installed recorder: counters
+/// `adaptive/skew_x1000`, `adaptive/triangle_rate_x1000`,
+/// `adaptive/modularity_x1000`, and `adaptive/diameter` hold the feature
+/// values, the note `adaptive/choice` names the chosen scheme's spec, and
+/// the chosen scheme records underneath.
+///
 /// # Examples
 ///
 /// ```
@@ -151,28 +157,18 @@ fn clamp_u64(x: u128) -> u64 {
 /// assert_eq!(adaptive_order(&g).len(), 256);
 /// ```
 pub fn adaptive_order(graph: &Csr) -> Permutation {
-    adaptive_order_recorded(graph, &mut NoopRecorder)
-}
-
-/// [`adaptive_order`] with the decision trail folded into `rec`: counters
-/// `adaptive/skew_x1000`, `adaptive/triangle_rate_x1000`,
-/// `adaptive/modularity_x1000`, and `adaptive/diameter` hold the feature
-/// values, the note `adaptive/choice` names the chosen scheme's spec, and
-/// the chosen scheme's own recorded kernel runs underneath. The recorder
-/// only observes — output is bit-identical to [`adaptive_order`].
-pub fn adaptive_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
     let d = adaptive_decide(graph);
-    rec.counter("adaptive/skew_x1000", d.skew_x1000);
-    rec.counter("adaptive/triangle_rate_x1000", d.triangle_rate_x1000);
-    rec.counter("adaptive/modularity_x1000", d.modularity_x1000);
-    rec.counter("adaptive/diameter", d.diameter as u64);
-    rec.note("adaptive/choice", d.choice.spec());
+    counter("adaptive/skew_x1000", d.skew_x1000);
+    counter("adaptive/triangle_rate_x1000", d.triangle_rate_x1000);
+    counter("adaptive/modularity_x1000", d.modularity_x1000);
+    counter("adaptive/diameter", d.diameter as u64);
+    note("adaptive/choice", d.choice.spec());
     match d.choice {
         AdaptiveChoice::Natural => natural_order(graph),
-        AdaptiveChoice::HubSortDbg => hub_sort_dbg_order_recorded(graph, rec),
-        AdaptiveChoice::CommBfs => comm_order_recorded(graph, CommIntra::Bfs, rec),
-        AdaptiveChoice::Rcm => rcm_order_recorded(graph, rec),
-        AdaptiveChoice::Dbg => dbg_order_recorded(graph, rec),
+        AdaptiveChoice::HubSortDbg => hub_sort_dbg_order(graph),
+        AdaptiveChoice::CommBfs => comm_order(graph, CommIntra::Bfs),
+        AdaptiveChoice::Rcm => rcm_order(graph),
+        AdaptiveChoice::Dbg => dbg_order(graph),
     }
 }
 
@@ -181,7 +177,7 @@ mod tests {
     use super::*;
     use reorderlab_datasets::{barabasi_albert, clique_chain, erdos_renyi_gnm, grid2d, star};
     use reorderlab_graph::GraphBuilder;
-    use reorderlab_trace::RunRecorder;
+    use reorderlab_trace::{recording, RunRecorder};
 
     #[test]
     fn pins_choice_on_structurally_distinct_graphs() {
@@ -223,8 +219,8 @@ mod tests {
     #[test]
     fn recorded_variant_reports_the_decision_trail() {
         let g = grid2d(16, 16);
-        let mut rec = RunRecorder::new();
-        assert_eq!(adaptive_order_recorded(&g, &mut rec), adaptive_order(&g));
+        let (pi, rec) = recording(RunRecorder::new(), || adaptive_order(&g));
+        assert_eq!(pi, adaptive_order(&g));
         assert_eq!(rec.notes()["adaptive/choice"], "rcm");
         assert!(rec.counters()["adaptive/diameter"] >= 16, "double-sweep bound on a 16×16 grid");
         assert!(rec.counters()["adaptive/skew_x1000"] < SKEW_THRESHOLD_X1000);

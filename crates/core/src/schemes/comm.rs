@@ -14,10 +14,10 @@
 //! reference in `crates/core/tests/support` runs Louvain on one thread and
 //! walks the communities in a plain loop; the two agree at any thread count.
 
+use super::louvain_reported;
 use rayon::prelude::*;
-use reorderlab_community::{louvain_recorded, LouvainConfig};
+use reorderlab_community::LouvainConfig;
 use reorderlab_graph::{Csr, Permutation};
-use reorderlab_trace::{NoopRecorder, Recorder};
 use std::collections::VecDeque;
 
 /// Traversal order applied inside each community.
@@ -45,7 +45,8 @@ impl CommIntra {
 }
 
 /// Community-traversal ordering: Louvain communities in first-appearance
-/// order, each traversed per `intra`.
+/// order, each traversed per `intra`. Records Louvain's span, phase
+/// timings, counters and trajectory, plus a `comm/communities` counter.
 ///
 /// # Examples
 ///
@@ -58,15 +59,8 @@ impl CommIntra {
 /// assert_eq!(pi.len(), 24);
 /// ```
 pub fn comm_order(graph: &Csr, intra: CommIntra) -> Permutation {
-    comm_order_recorded(graph, intra, &mut NoopRecorder)
-}
-
-/// [`comm_order`] with instrumentation: Louvain's phase spans and counters
-/// plus a `comm/communities` counter. The recorder only observes — output
-/// is bit-identical to [`comm_order`].
-pub fn comm_order_recorded(graph: &Csr, intra: CommIntra, rec: &mut dyn Recorder) -> Permutation {
-    let r = louvain_recorded(graph, &LouvainConfig::default(), rec);
-    rec.counter("comm/communities", r.num_communities as u64);
+    let r = louvain_reported(graph, &LouvainConfig::default());
+    reorderlab_trace::counter("comm/communities", r.num_communities as u64);
     let members = community_members(graph, &r.assignment, r.num_communities);
     // Communities are independent; the order-preserving parallel collect
     // reproduces the serial concatenation exactly.
@@ -163,7 +157,7 @@ mod tests {
     use super::*;
     use reorderlab_datasets::clique_chain;
     use reorderlab_graph::GraphBuilder;
-    use reorderlab_trace::RunRecorder;
+    use reorderlab_trace::{recording, RunRecorder};
 
     const ALL_INTRA: [CommIntra; 3] = [CommIntra::Bfs, CommIntra::Dfs, CommIntra::Degree];
 
@@ -212,11 +206,8 @@ mod tests {
     #[test]
     fn recorded_variant_is_identical_and_counts_communities() {
         let g = clique_chain(5, 6);
-        let mut rec = RunRecorder::new();
-        assert_eq!(
-            comm_order_recorded(&g, CommIntra::Bfs, &mut rec),
-            comm_order(&g, CommIntra::Bfs)
-        );
+        let (pi, rec) = recording(RunRecorder::new(), || comm_order(&g, CommIntra::Bfs));
+        assert_eq!(pi, comm_order(&g, CommIntra::Bfs));
         assert_eq!(rec.counters()["comm/communities"], 5);
         assert!(rec.counters()["louvain/phases"] >= 1);
     }

@@ -3,11 +3,12 @@
 //! dissection, the Grappolo community ordering, and the Grappolo-RCM
 //! composite introduced by the paper.
 
-use crate::schemes::rcm::{rcm_order, rcm_order_recorded};
-use reorderlab_community::{louvain, louvain_recorded, LouvainConfig};
-use reorderlab_graph::{contract, contract_recorded, Csr, Permutation};
+use crate::schemes::louvain_reported;
+use crate::schemes::rcm::rcm_order;
+use reorderlab_community::LouvainConfig;
+use reorderlab_graph::{contract, Csr, Permutation};
 use reorderlab_partition::{nested_dissection_order, partition_kway, PartitionConfig};
-use reorderlab_trace::Recorder;
+use reorderlab_trace::{counter, span};
 
 /// METIS-induced ordering (§III-D): partition into `parts` parts minimizing
 /// edge cut with near-equal sizes, then label vertices contiguously by part
@@ -63,23 +64,12 @@ pub fn grappolo_order(graph: &Csr) -> Permutation {
 }
 
 /// [`grappolo_order`] with an explicit Louvain configuration (thread count,
-/// thresholds).
+/// thresholds). Records Louvain's `louvain` span, phase timings, sweep
+/// counters and modularity trajectory, plus a `grappolo/communities`
+/// counter.
 pub fn grappolo_order_with(graph: &Csr, cfg: &LouvainConfig) -> Permutation {
-    let r = louvain(graph, cfg);
-    order_by_group(&r.assignment)
-}
-
-/// [`grappolo_order_with`] with instrumentation: Louvain's phase timings,
-/// sweep counters, and modularity trajectory fold into `rec`, plus a
-/// `grappolo/communities` counter. The recorder only observes — output is
-/// bit-identical to [`grappolo_order_with`].
-pub fn grappolo_order_recorded(
-    graph: &Csr,
-    cfg: &LouvainConfig,
-    rec: &mut dyn Recorder,
-) -> Permutation {
-    let r = louvain_recorded(graph, cfg, rec);
-    rec.counter("grappolo/communities", r.num_communities as u64);
+    let r = louvain_reported(graph, cfg);
+    counter("grappolo/communities", r.num_communities as u64);
     order_by_group(&r.assignment)
 }
 
@@ -94,52 +84,31 @@ pub fn grappolo_rcm_order(graph: &Csr) -> Permutation {
     grappolo_rcm_order_with(graph, &LouvainConfig::default())
 }
 
-/// [`grappolo_rcm_order`] with an explicit Louvain configuration.
+/// [`grappolo_rcm_order`] with an explicit Louvain configuration. Records
+/// what [`grappolo_order_with`] does, the coarsening's `contract` span and
+/// size counters, and the community-graph RCM pass.
 pub fn grappolo_rcm_order_with(graph: &Csr, cfg: &LouvainConfig) -> Permutation {
-    let r = louvain(graph, cfg);
+    let r = louvain_reported(graph, cfg);
+    counter("grappolo/communities", r.num_communities as u64);
     if r.num_communities == 0 {
         return Permutation::identity(graph.num_vertices());
     }
+    // `contract` is shared with Louvain's phases and the partitioner, so
+    // its span and counters live here, at the one call site that reports.
+    let contracted = {
+        let _contract = span("contract");
+        contract(graph, &r.assignment, r.num_communities)
+    };
     #[expect(
         clippy::expect_used,
         reason = "SAFETY: louvain returns a dense assignment over exactly `num_communities` labels, which is what `contract` validates"
     )]
-    let coarse = contract(graph, &r.assignment, r.num_communities)
-        .expect("louvain assignment is valid")
-        .coarse;
+    let coarse = contracted.expect("louvain assignment is valid").coarse;
+    counter("contract/runs", 1);
+    counter("contract/coarse_vertices", coarse.num_vertices() as u64);
+    counter("contract/coarse_edges", coarse.num_edges() as u64);
     let comm_rank = rcm_order(&coarse);
     // Order vertices by (RCM rank of their community, vertex id).
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
-    )]
-    let mut order: Vec<u32> = (0..graph.num_vertices() as u32).collect();
-    order.sort_by_key(|&v| (comm_rank.rank(r.assignment[v as usize]), v));
-    super::order_permutation(&order)
-}
-
-/// [`grappolo_rcm_order_with`] with instrumentation: Louvain stats, the
-/// coarsening's span and size counters, and the community-graph RCM pass
-/// all fold into `rec`. The recorder only observes — output is
-/// bit-identical to [`grappolo_rcm_order_with`].
-pub fn grappolo_rcm_order_recorded(
-    graph: &Csr,
-    cfg: &LouvainConfig,
-    rec: &mut dyn Recorder,
-) -> Permutation {
-    let r = louvain_recorded(graph, cfg, rec);
-    rec.counter("grappolo/communities", r.num_communities as u64);
-    if r.num_communities == 0 {
-        return Permutation::identity(graph.num_vertices());
-    }
-    #[expect(
-        clippy::expect_used,
-        reason = "SAFETY: louvain returns a dense assignment over exactly `num_communities` labels, which is what `contract` validates"
-    )]
-    let coarse = contract_recorded(graph, &r.assignment, r.num_communities, rec)
-        .expect("louvain assignment is valid")
-        .coarse;
-    let comm_rank = rcm_order_recorded(&coarse, rec);
     #[expect(
         clippy::cast_possible_truncation,
         reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
@@ -264,21 +233,20 @@ mod tests {
 
     #[test]
     fn recorded_grappolo_variants_are_identical_and_report_louvain() {
-        use reorderlab_trace::RunRecorder;
+        use reorderlab_trace::{recording, RunRecorder};
         let g = clique_chain(5, 6);
         let cfg = LouvainConfig::default();
 
-        let mut rec = RunRecorder::new();
-        assert_eq!(grappolo_order_recorded(&g, &cfg, &mut rec), grappolo_order_with(&g, &cfg));
+        let (pi, rec) = recording(RunRecorder::new(), || grappolo_order_with(&g, &cfg));
+        assert_eq!(pi, grappolo_order_with(&g, &cfg));
         assert_eq!(rec.counters()["grappolo/communities"], 5);
         assert!(rec.counters()["louvain/phases"] >= 1);
+        assert_eq!(rec.spans()["louvain"].count, 1);
 
-        let mut rec = RunRecorder::new();
-        assert_eq!(
-            grappolo_rcm_order_recorded(&g, &cfg, &mut rec),
-            grappolo_rcm_order_with(&g, &cfg)
-        );
+        let (pi, rec) = recording(RunRecorder::new(), || grappolo_rcm_order_with(&g, &cfg));
+        assert_eq!(pi, grappolo_rcm_order_with(&g, &cfg));
         assert_eq!(rec.counters()["contract/coarse_vertices"], 5);
+        assert_eq!(rec.spans()["contract"].count, 1);
         assert_eq!(rec.counters()["rcm/components"], 1, "community graph is one path");
     }
 

@@ -20,7 +20,7 @@
 use super::degree::hub_threshold;
 use rayon::prelude::*;
 use reorderlab_graph::{Csr, Permutation};
-use reorderlab_trace::{NoopRecorder, Recorder};
+use reorderlab_trace::counter;
 
 /// The three members of the DBG family, folded over one key function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +83,8 @@ fn group_key(variant: DbgVariant, degree: usize, threshold: f64) -> u64 {
 
 /// Shared kernel: parallel per-vertex keys, group-major scatter in natural
 /// order, parallel per-group refinement, then concatenation in group order.
-fn lightweight_order(graph: &Csr, variant: DbgVariant, rec: &mut dyn Recorder) -> Permutation {
+/// Records the `dbg/groups` (non-empty groups) and `dbg/hubs` counters.
+fn lightweight_order(graph: &Csr, variant: DbgVariant) -> Permutation {
     let n = graph.num_vertices();
     let threshold = hub_threshold(graph);
     let ids: Vec<u32> = graph.vertices().collect();
@@ -100,11 +101,8 @@ fn lightweight_order(graph: &Csr, variant: DbgVariant, rec: &mut dyn Recorder) -
     for (i, &v) in ids.iter().enumerate() {
         groups[usize::try_from(keys[i] >> SUB_BITS).unwrap_or(0)].push((keys[i], v));
     }
-    rec.counter("dbg/groups", groups.iter().filter(|g| !g.is_empty()).count() as u64);
-    rec.counter(
-        "dbg/hubs",
-        ids.iter().filter(|&&v| graph.degree(v) as f64 > threshold).count() as u64,
-    );
+    counter("dbg/groups", groups.iter().filter(|g| !g.is_empty()).count() as u64);
+    counter("dbg/hubs", ids.iter().filter(|&&v| graph.degree(v) as f64 > threshold).count() as u64);
 
     // Groups are independent: refine each in parallel (the per-group sort
     // keys are total with the id tiebreak), concatenate in group order.
@@ -137,40 +135,21 @@ fn lightweight_order(graph: &Csr, variant: DbgVariant, rec: &mut dyn Recorder) -
 /// assert_eq!(pi.rank(1), 1, "leaves keep natural order");
 /// ```
 pub fn dbg_order(graph: &Csr) -> Permutation {
-    dbg_order_recorded(graph, &mut NoopRecorder)
-}
-
-/// [`dbg_order`] with instrumentation: `dbg/groups` counts the non-empty
-/// degree buckets. The recorder only observes — output is bit-identical to
-/// [`dbg_order`].
-pub fn dbg_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
-    lightweight_order(graph, DbgVariant::Plain, rec)
+    lightweight_order(graph, DbgVariant::Plain)
 }
 
 /// HubSortDBG: DBG buckets, with each bucket's hubs (degree above the mean)
 /// pulled to the bucket front in non-increasing degree order; non-hub
 /// members keep natural order behind them.
 pub fn hub_sort_dbg_order(graph: &Csr) -> Permutation {
-    hub_sort_dbg_order_recorded(graph, &mut NoopRecorder)
-}
-
-/// [`hub_sort_dbg_order`] with instrumentation: `dbg/groups` and `dbg/hubs`
-/// counters. The recorder only observes.
-pub fn hub_sort_dbg_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
-    lightweight_order(graph, DbgVariant::HubSort, rec)
+    lightweight_order(graph, DbgVariant::HubSort)
 }
 
 /// HubClusterDBG: the hub/cold split of Hub Clustering with DBG's bucket
 /// grouping applied to the hubs only — hubs hottest-bucket-first (natural
 /// within a bucket), then every cold vertex in one natural-order block.
 pub fn hub_cluster_dbg_order(graph: &Csr) -> Permutation {
-    hub_cluster_dbg_order_recorded(graph, &mut NoopRecorder)
-}
-
-/// [`hub_cluster_dbg_order`] with instrumentation: `dbg/groups` and
-/// `dbg/hubs` counters. The recorder only observes.
-pub fn hub_cluster_dbg_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
-    lightweight_order(graph, DbgVariant::HubCluster, rec)
+    lightweight_order(graph, DbgVariant::HubCluster)
 }
 
 #[cfg(test)]
@@ -178,7 +157,7 @@ mod tests {
     use super::*;
     use reorderlab_datasets::{barabasi_albert, cycle, star};
     use reorderlab_graph::GraphBuilder;
-    use reorderlab_trace::RunRecorder;
+    use reorderlab_trace::{recording, RunRecorder};
 
     #[test]
     fn degree_buckets_double() {
@@ -272,12 +251,12 @@ mod tests {
     #[test]
     fn recorded_variants_are_identical_and_count_groups() {
         let g = star(16);
-        let mut rec = RunRecorder::new();
-        assert_eq!(dbg_order_recorded(&g, &mut rec), dbg_order(&g));
+        let (pi, rec) = recording(RunRecorder::new(), || dbg_order(&g));
+        assert_eq!(pi, dbg_order(&g));
         // Star(16): hub in bucket ⌊log₂ 16⌋ = 4, leaves in bucket 1.
         assert_eq!(rec.counters()["dbg/groups"], 2);
-        let mut rec = RunRecorder::new();
-        assert_eq!(hub_sort_dbg_order_recorded(&g, &mut rec), hub_sort_dbg_order(&g));
+        let (pi, rec) = recording(RunRecorder::new(), || hub_sort_dbg_order(&g));
+        assert_eq!(pi, hub_sort_dbg_order(&g));
         assert_eq!(rec.counters()["dbg/hubs"], 1, "only the star center is a hub");
     }
 }

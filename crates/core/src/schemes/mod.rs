@@ -18,28 +18,36 @@ mod rabbit;
 mod rcm;
 mod slashburn;
 
-pub use adaptive::{
-    adaptive_decide, adaptive_order, adaptive_order_recorded, AdaptiveChoice, AdaptiveDecision,
-};
+pub use adaptive::{adaptive_decide, adaptive_order, AdaptiveChoice, AdaptiveDecision};
 pub use basic::{natural_order, random_order};
-pub use comm::{comm_order, comm_order_recorded, CommIntra};
+pub use comm::{comm_order, CommIntra};
 pub use composite::{
-    grappolo_order, grappolo_order_recorded, grappolo_order_with, grappolo_rcm_order,
-    grappolo_rcm_order_recorded, grappolo_rcm_order_with, metis_order, nd_order,
+    grappolo_order, grappolo_order_with, grappolo_rcm_order, grappolo_rcm_order_with, metis_order,
+    nd_order,
 };
 pub use degree::{degree_sort, hub_cluster, hub_sort, hub_threshold, DegreeDirection};
 pub use gorder::gorder;
 pub use hybrid::{hybrid_multiscale_order, HybridConfig};
-pub use lightweight::{
-    dbg_order, dbg_order_recorded, hub_cluster_dbg_order, hub_cluster_dbg_order_recorded,
-    hub_sort_dbg_order, hub_sort_dbg_order_recorded,
-};
+pub use lightweight::{dbg_order, hub_cluster_dbg_order, hub_sort_dbg_order};
 pub use minla::{minla_anneal, MinlaConfig};
 pub use rabbit::rabbit_order;
-pub use rcm::{cdfs_order, cdfs_order_recorded, rcm_order, rcm_order_recorded};
-pub use slashburn::{slashburn_order, slashburn_order_recorded};
+pub use rcm::{cdfs_order, rcm_order};
+pub use slashburn::slashburn_order;
 
-use reorderlab_graph::Permutation;
+use reorderlab_community::{louvain, record_louvain_stats, CommunityResult, LouvainConfig};
+use reorderlab_graph::{Csr, Permutation};
+
+/// Louvain as the community schemes report it: the run under a `louvain`
+/// span, its stats folded in once the span has closed. `louvain` itself
+/// records nothing, since the Adaptive decision runs it only for a feature.
+fn louvain_reported(graph: &Csr, cfg: &LouvainConfig) -> CommunityResult {
+    let r = {
+        let _louvain = reorderlab_trace::span("louvain");
+        louvain(graph, cfg)
+    };
+    record_louvain_stats(&r);
+    r
+}
 
 /// Finalizes a scheme's emission order (vertex ids in visit sequence) into a
 /// validated [`Permutation`]. Every scheme routes through here so the

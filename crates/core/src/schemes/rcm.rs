@@ -11,8 +11,8 @@
 //! the candidate lists lost to that loop at two threads on the benchmark
 //! host (DESIGN.md §2), so there is no second body.
 
-use reorderlab_graph::{pseudo_peripheral_recorded, Csr, LevelScratch, Permutation};
-use reorderlab_trace::{NoopRecorder, Recorder};
+use reorderlab_graph::{pseudo_peripheral_in, Csr, LevelScratch, Permutation};
+use reorderlab_trace::counter;
 use std::collections::VecDeque;
 
 /// Packed `(degree, id)` sort keys: one `u64` comparison replaces a tuple
@@ -35,6 +35,9 @@ fn degree_keys(graph: &Csr) -> Vec<u64> {
 /// Within a component the BFS is the classic FIFO queue, and each vertex's
 /// unvisited neighbors are enqueued in `(degree, id)` order.
 ///
+/// Records an `rcm/components` counter and one `pseudo_peripheral` span
+/// per component on the installed recorder.
+///
 /// # Examples
 ///
 /// On a path graph RCM achieves the optimal bandwidth of 1:
@@ -48,13 +51,6 @@ fn degree_keys(graph: &Csr) -> Vec<u64> {
 /// assert_eq!(gap_measures(&g, &pi).bandwidth, 1);
 /// ```
 pub fn rcm_order(graph: &Csr) -> Permutation {
-    rcm_order_recorded(graph, &mut NoopRecorder)
-}
-
-/// [`rcm_order`] with instrumentation: per-component
-/// pseudo-peripheral-search spans and an `rcm/components` counter. The
-/// recorder only observes — output is bit-identical to [`rcm_order`].
-pub fn rcm_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
     let n = graph.num_vertices();
     let mut visited = vec![false; n];
     let mut order: Vec<u32> = Vec::with_capacity(n);
@@ -78,8 +74,8 @@ pub fn rcm_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
         }
         // Improve the start: walk to a pseudo-peripheral vertex of this
         // component so the level structure is deep and narrow.
-        rec.counter("rcm/components", 1);
-        let root = pseudo_peripheral_recorded(graph, s, &mut scratch, rec);
+        counter("rcm/components", 1);
+        let root = pseudo_peripheral_in(graph, s, &mut scratch);
         visited[root as usize] = true;
         queue.push_back(root);
         while let Some(v) = queue.pop_front() {
@@ -104,14 +100,8 @@ pub fn rcm_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
 /// neighbors follows an arbitrary order at every level" — i.e. a plain BFS
 /// from a pseudo-peripheral start with neighbors in natural order, then
 /// reversed. Cheaper than RCM (no per-vertex sort) at some bandwidth cost.
+/// Records like [`rcm_order`], under a `cdfs/components` counter.
 pub fn cdfs_order(graph: &Csr) -> Permutation {
-    cdfs_order_recorded(graph, &mut NoopRecorder)
-}
-
-/// [`cdfs_order`] with instrumentation: per-component
-/// pseudo-peripheral-search spans and a `cdfs/components` counter. The
-/// recorder only observes — output is bit-identical to [`cdfs_order`].
-pub fn cdfs_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
     let n = graph.num_vertices();
     let mut visited = vec![false; n];
     let mut order: Vec<u32> = Vec::with_capacity(n);
@@ -130,8 +120,8 @@ pub fn cdfs_order_recorded(graph: &Csr, rec: &mut dyn Recorder) -> Permutation {
         if visited[s as usize] {
             continue;
         }
-        rec.counter("cdfs/components", 1);
-        let root = pseudo_peripheral_recorded(graph, s, &mut scratch, rec);
+        counter("cdfs/components", 1);
+        let root = pseudo_peripheral_in(graph, s, &mut scratch);
         visited[root as usize] = true;
         queue.push_back(root);
         while let Some(v) = queue.pop_front() {
@@ -242,15 +232,15 @@ mod tests {
 
     #[test]
     fn recorded_variants_are_identical_and_count_components() {
-        use reorderlab_trace::RunRecorder;
+        use reorderlab_trace::{recording, RunRecorder};
         let g =
             GraphBuilder::undirected(7).edges([(0, 1), (1, 2), (4, 5), (5, 6)]).build().unwrap();
-        let mut rec = RunRecorder::new();
-        assert_eq!(rcm_order_recorded(&g, &mut rec), rcm_order(&g));
+        let (pi, rec) = recording(RunRecorder::new(), || rcm_order(&g));
+        assert_eq!(pi, rcm_order(&g));
         assert_eq!(rec.counters()["rcm/components"], 3, "two paths plus isolated vertex 3");
         assert_eq!(rec.counters()["pseudo_peripheral/runs"], 3);
-        let mut rec = RunRecorder::new();
-        assert_eq!(cdfs_order_recorded(&g, &mut rec), cdfs_order(&g));
+        let (pi, rec) = recording(RunRecorder::new(), || cdfs_order(&g));
+        assert_eq!(pi, cdfs_order(&g));
         assert_eq!(rec.counters()["cdfs/components"], 3);
     }
 

@@ -9,7 +9,7 @@
 
 use rayon::prelude::*;
 use reorderlab_graph::{Csr, Permutation};
-use reorderlab_trace::{NoopRecorder, Recorder};
+use reorderlab_trace::counter;
 
 /// Packed descending-degree keys for hub selection, computed in parallel:
 /// ascending order of `((u32::MAX - degree) << 32) | original_id` equals the
@@ -87,7 +87,8 @@ fn masked_components(sub: &Csr, is_hub: &[bool]) -> (Vec<u32>, Vec<usize>) {
 /// [`Csr::induced_subgraph`]) instead of remainder + giant per round.
 /// Bit-identical at any thread count to the test-side reference in
 /// `crates/core/tests/support`, which sorts every round in full and
-/// extracts both the remainder and the giant.
+/// extracts both the remainder and the giant. Records the per-round
+/// counters `slashburn/rounds`, `slashburn/hubs` and `slashburn/spokes`.
 ///
 /// # Panics
 ///
@@ -104,18 +105,6 @@ fn masked_components(sub: &Csr, is_hub: &[bool]) -> (Vec<u32>, Vec<usize>) {
 /// assert_eq!(pi.rank(0), 0); // the hub is slashed first
 /// ```
 pub fn slashburn_order(graph: &Csr, k_frac: f64) -> Permutation {
-    slashburn_order_recorded(graph, k_frac, &mut NoopRecorder)
-}
-
-/// [`slashburn_order`] with instrumentation: per-round counters
-/// (`slashburn/rounds`, `slashburn/hubs`, `slashburn/spokes`) folded into
-/// `rec`. The recorder only observes — output is bit-identical to
-/// [`slashburn_order`].
-///
-/// # Panics
-///
-/// Panics if `k_frac` is not in `(0, 1]`.
-pub fn slashburn_order_recorded(graph: &Csr, k_frac: f64, rec: &mut dyn Recorder) -> Permutation {
     assert!(k_frac > 0.0 && k_frac <= 1.0, "k_frac must be in (0, 1]");
     let n = graph.num_vertices();
     let mut ranks = vec![u32::MAX; n];
@@ -144,11 +133,11 @@ pub fn slashburn_order_recorded(graph: &Csr, k_frac: f64, rec: &mut dyn Recorder
             reason = "SAFETY: k_frac is in (0, 1], so the product lies in (0, remaining]"
         )]
         let k = ((remaining as f64 * k_frac).ceil() as usize).max(1);
-        rec.counter("slashburn/rounds", 1);
+        counter("slashburn/rounds", 1);
         let mut keyed = hub_keys(&sub, &live);
         if remaining <= k {
             // Terminal round: everything left goes to the front by degree.
-            rec.counter("slashburn/hubs", remaining as u64);
+            counter("slashburn/hubs", remaining as u64);
             keyed.sort_unstable();
             for &(_, v) in &keyed {
                 ranks[live[v as usize] as usize] = front;
@@ -168,7 +157,7 @@ pub fn slashburn_order_recorded(graph: &Csr, k_frac: f64, rec: &mut dyn Recorder
             front += 1;
             is_hub[h as usize] = true;
         }
-        rec.counter("slashburn/hubs", k as u64);
+        counter("slashburn/hubs", k as u64);
 
         // Burn: components of the remainder, found in place on `sub` with
         // the hubs masked out.
@@ -208,7 +197,7 @@ pub fn slashburn_order_recorded(graph: &Csr, k_frac: f64, rec: &mut dyn Recorder
         let mut spoke_comps: Vec<u32> = (0..sizes.len() as u32).filter(|&c| c != giant).collect();
         spoke_comps.sort_by_key(|&c| (sizes[c as usize], c));
         let spoke_total: usize = spoke_comps.iter().map(|&c| sizes[c as usize]).sum();
-        rec.counter("slashburn/spokes", spoke_total as u64);
+        counter("slashburn/spokes", spoke_total as u64);
         for &c in &spoke_comps {
             for &v in members[c as usize].iter().rev() {
                 back -= 1;
@@ -301,10 +290,9 @@ mod tests {
 
     #[test]
     fn recorded_variant_is_identical_and_accounts_every_vertex() {
-        use reorderlab_trace::RunRecorder;
+        use reorderlab_trace::{recording, RunRecorder};
         let g = barabasi_albert(150, 2, 3);
-        let mut rec = RunRecorder::new();
-        let pi = slashburn_order_recorded(&g, 0.02, &mut rec);
+        let (pi, rec) = recording(RunRecorder::new(), || slashburn_order(&g, 0.02));
         assert_eq!(pi, slashburn_order(&g, 0.02));
         let c = rec.counters();
         assert!(c["slashburn/rounds"] >= 1);

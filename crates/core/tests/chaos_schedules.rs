@@ -12,6 +12,8 @@
 //! is unaffected. CI runs it in the dedicated `chaos-schedules` leg.
 #![cfg(feature = "chaos")]
 
+mod support;
+
 use reorderlab_core::measures::gap_measures;
 use reorderlab_core::Scheme;
 use reorderlab_datasets::{barabasi_albert, clique_chain, erdos_renyi_gnm, grid2d, tri_mesh};
@@ -93,7 +95,8 @@ fn every_scheme_is_bit_identical_under_adversarial_schedules() {
 
 /// Recording-differential guarantee under chaos: a recorded run under an
 /// adversarial schedule still matches the silent 1-thread oracle, and the
-/// recorder's span/counter books stay balanced and deterministic.
+/// recorder's books (span paths and counts, counters, series, notes) stay
+/// balanced and deterministic.
 #[test]
 fn recorded_runs_are_bit_identical_under_adversarial_schedules() {
     for (gname, g) in corpus() {
@@ -101,10 +104,10 @@ fn recorded_runs_are_bit_identical_under_adversarial_schedules() {
             if scheme.validate(g.num_vertices()).is_err() {
                 continue;
             }
-            let (oracle, oracle_counters) = with_threads(1, || {
+            let (oracle, oracle_books) = with_threads(1, || {
                 let mut rec = RunRecorder::new();
                 let pi = scheme.try_reorder_recorded(&g, &mut rec).expect("oracle run succeeds");
-                (pi, format!("{:?}", rec.counters()))
+                (pi, support::recorded_fingerprint(&rec))
             });
             for seed in SEEDS {
                 rayon::chaos::set_seed(seed);
@@ -129,9 +132,9 @@ fn recorded_runs_are_bit_identical_under_adversarial_schedules() {
                         scheme.name()
                     );
                     assert_eq!(
-                        format!("{:?}", rec.counters()),
-                        oracle_counters,
-                        "{} on {gname}: counters diverged at seed {seed}, {threads} threads",
+                        support::recorded_fingerprint(&rec),
+                        oracle_books,
+                        "{} on {gname}: recorded books diverged at seed {seed}, {threads} threads",
                         scheme.name()
                     );
                 }

@@ -1,9 +1,11 @@
 //! Differential guarantee of the observability layer: turning recording on
 //! must never change any result. Every scheme is run twice per thread count
-//! — once through `try_reorder` (NoopRecorder) and once through
+//! — once through `try_reorder` with no recorder installed and once through
 //! `try_reorder_recorded` with a live `RunRecorder` — and the permutations
 //! and downstream gap measures must be bit-identical, at 1, 2, and 7
 //! threads.
+
+mod support;
 
 use reorderlab_core::measures::gap_measures;
 use reorderlab_core::Scheme;
@@ -72,35 +74,34 @@ fn recording_never_changes_any_result_at_any_thread_count() {
     }
 }
 
-/// The recorder's counters are themselves deterministic: two recorded runs
-/// of the same scheme must produce identical counter maps, and those maps
-/// must agree across thread counts.
+/// The recorder's books are themselves deterministic: every scheme's span
+/// paths and counts, counters, series and notes agree across thread counts.
+/// A counter inside a parallel closure breaks this, since pool workers do
+/// not inherit the caller's recorder.
 #[test]
 fn recorded_counters_are_thread_invariant() {
-    let g = clique_chain(6, 8);
-    for scheme in [
-        Scheme::Rcm,
-        Scheme::Cdfs,
-        Scheme::SlashBurn { k_frac: 0.05 },
-        Scheme::Grappolo,
-        Scheme::GrappoloRcm,
-    ] {
-        let fingerprint = |threads: usize| {
-            build_pool(threads).install(|| {
-                let mut rec = RunRecorder::new();
-                scheme.try_reorder_recorded(&g, &mut rec).expect("runs");
-                format!("{:?}", rec.counters())
-            })
-        };
-        let base = fingerprint(1);
-        assert!(!base.is_empty());
-        for threads in [2usize, 7] {
-            assert_eq!(
-                fingerprint(threads),
-                base,
-                "{}: counters diverged at {threads} threads",
-                scheme.name()
-            );
+    for (graph_name, g) in corpus() {
+        for scheme in Scheme::all_schemes(42) {
+            if scheme.validate(g.num_vertices()).is_err() {
+                continue;
+            }
+            let fingerprint = |threads: usize| {
+                build_pool(threads).install(|| {
+                    let mut rec = RunRecorder::new();
+                    scheme.try_reorder_recorded(&g, &mut rec).expect("runs");
+                    support::recorded_fingerprint(&rec)
+                })
+            };
+            let base = fingerprint(1);
+            assert!(base.contains("\"reorder\", 1"), "{}: {base}", scheme.name());
+            for threads in [2usize, 7] {
+                assert_eq!(
+                    fingerprint(threads),
+                    base,
+                    "{} on {graph_name}: recorded books diverged at {threads} threads",
+                    scheme.name()
+                );
+            }
         }
     }
 }

@@ -8,8 +8,22 @@
 use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_core::schemes::{adaptive_decide, hub_threshold, AdaptiveChoice, CommIntra};
 use reorderlab_graph::{build_pool, pseudo_peripheral, Components, Csr, Permutation};
+use reorderlab_trace::RunRecorder;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
+
+/// What a recorded run must reproduce at every width and under every
+/// schedule: its span paths with their counts (not their times), counters,
+/// series and notes.
+pub fn recorded_fingerprint(rec: &RunRecorder) -> String {
+    let spans: Vec<(&String, u64)> = rec.spans().iter().map(|(path, t)| (path, t.count)).collect();
+    format!(
+        "spans {spans:?}\ncounters {:?}\nseries {:?}\nnotes {:?}",
+        rec.counters(),
+        rec.series_map(),
+        rec.notes()
+    )
+}
 
 pub fn assert_bijective(pi: &Permutation, n: usize, ctx: &str) {
     assert_eq!(pi.len(), n, "{ctx}: permutation length");

@@ -62,7 +62,6 @@ mod error;
 mod io;
 mod mtx;
 mod perm;
-pub mod recorded;
 mod stats;
 mod traversal;
 
@@ -85,9 +84,10 @@ pub use error::{GraphError, PermutationDefect};
 pub use io::{read_edge_list, read_metis, write_edge_list, write_metis};
 pub use mtx::{read_matrix_market, write_matrix_market};
 pub use perm::Permutation;
-pub use recorded::{bfs_levels_recorded, contract_recorded, pseudo_peripheral_recorded};
 pub use stats::{approx_diameter, common_neighbors, count_triangles, degree_histogram, GraphStats};
-pub use traversal::{bfs_levels, pseudo_peripheral, Bfs, Dfs, LevelScratch, LevelStructure};
+pub use traversal::{
+    bfs_levels, pseudo_peripheral, pseudo_peripheral_in, Bfs, Dfs, LevelScratch, LevelStructure,
+};
 
 #[cfg(test)]
 mod proptests {

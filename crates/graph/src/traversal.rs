@@ -227,8 +227,16 @@ pub fn pseudo_peripheral(graph: &Csr, start: u32) -> u32 {
 }
 
 /// [`pseudo_peripheral`] on a caller-held scratch, for callers that search
-/// once per component.
-pub(crate) fn pseudo_peripheral_in(graph: &Csr, start: u32, scratch: &mut LevelScratch) -> u32 {
+/// once per component. Each search runs under a `pseudo_peripheral` span
+/// and adds one to the `pseudo_peripheral/runs` counter of the installed
+/// recorder.
+///
+/// # Panics
+///
+/// Panics if `start` is out of bounds.
+pub fn pseudo_peripheral_in(graph: &Csr, start: u32, scratch: &mut LevelScratch) -> u32 {
+    let _span = reorderlab_trace::span("pseudo_peripheral");
+    reorderlab_trace::counter("pseudo_peripheral/runs", 1);
     let n = graph.num_vertices();
     assert!((start as usize) < n, "pseudo_peripheral start out of bounds");
     // The scratch is caller-built and may come from a smaller graph.
@@ -550,6 +558,45 @@ mod tests {
                 "start {start}"
             );
             assert!(scratch.reached.is_empty() && scratch.levels.iter().all(|&l| l == u32::MAX));
+        }
+    }
+
+    #[test]
+    fn pseudo_peripheral_in_records_one_span_per_search() {
+        let g = GraphBuilder::undirected(6)
+            .edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+            .build()
+            .unwrap();
+        let mut scratch = LevelScratch::new(g.num_vertices());
+        let ((), rec) = reorderlab_trace::recording(reorderlab_trace::RunRecorder::new(), || {
+            for start in [2, 5, 2] {
+                assert_eq!(
+                    pseudo_peripheral_in(&g, start, &mut scratch),
+                    pseudo_peripheral_serial(&g, start),
+                    "a reused scratch must not change the answer"
+                );
+            }
+        });
+        assert_eq!(rec.counters()["pseudo_peripheral/runs"], 3);
+        assert_eq!(rec.spans()["pseudo_peripheral"].count, 3);
+    }
+
+    #[test]
+    fn pseudo_peripheral_in_grows_a_scratch_built_for_a_smaller_graph() {
+        // A 10-vertex path and a clique: the clique is dense enough for the
+        // bottom-up step, which scans every vertex of the graph.
+        let g = GraphBuilder::undirected(20)
+            .edges((0..9u32).map(|i| (i, i + 1)))
+            .edges((10..20u32).flat_map(|u| (u + 1..20).map(move |v| (u, v))))
+            .build()
+            .unwrap();
+        let mut scratch = LevelScratch::new(4);
+        for start in [0, 19, 4, 12] {
+            assert_eq!(
+                pseudo_peripheral_in(&g, start, &mut scratch),
+                pseudo_peripheral(&g, start),
+                "start {start}"
+            );
         }
     }
 

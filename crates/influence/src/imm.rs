@@ -167,40 +167,6 @@ fn imm_core<G: Adjacency + Clone>(sampler: &RrSampler<'_, G>, cfg: &ImmConfig) -
     ImmResult { seeds: cov.seeds, influence_estimate: influence, stats }
 }
 
-/// [`imm`] with run recording: emits the sampling/selection wall-time split
-/// (spans `imm/sampling`, `imm/selection`), RR-set counters
-/// (`imm/rr_sets`, `imm/edges_examined`, `imm/vertices_visited`), and the
-/// selected seed count into `rec`.
-///
-/// Recording folds in the stats the engine collects anyway, after the
-/// computation finishes, so the result is bit-identical to [`imm`] with any
-/// recorder at any thread count.
-pub fn imm_recorded(
-    graph: &Csr,
-    cfg: &ImmConfig,
-    rec: &mut dyn reorderlab_trace::Recorder,
-) -> ImmResult {
-    rec.span_enter("imm");
-    let r = imm(graph, cfg);
-    rec.span_exit("imm");
-    record_sampling_stats(&r, rec);
-    r
-}
-
-/// Folds an already-computed [`ImmResult`]'s instrumentation into a
-/// recorder (shared by [`imm_recorded`] and harness code).
-pub fn record_sampling_stats(r: &ImmResult, rec: &mut dyn reorderlab_trace::Recorder) {
-    let s = &r.stats;
-    rec.span_add("imm/sampling", s.sampling_time);
-    rec.span_add("imm/selection", s.selection_time);
-    rec.counter("imm/rr_sets", s.rr_sets as u64);
-    rec.counter("imm/edges_examined", s.edges_examined);
-    rec.counter("imm/vertices_visited", s.vertices_visited);
-    rec.counter("imm/seeds", r.seeds.len() as u64);
-    rec.series("imm/throughput", s.throughput);
-    rec.series("imm/mean_rr_size", s.mean_rr_size);
-}
-
 /// One seed selection of the run, its wall time added to `selection_time`.
 /// CELF lazy greedy: provably identical output to plain greedy (see
 /// greedy.rs tests), with far fewer gain recomputations.
@@ -428,24 +394,6 @@ mod tests {
         assert!((log_binomial(10, 5) - 252f64.ln()).abs() < 1e-9);
         // Symmetric.
         assert!((log_binomial(20, 3) - log_binomial(20, 17)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn recorded_run_is_bit_identical_and_counts_samples() {
-        let g = erdos_renyi_gnm(120, 350, 5);
-        let plain = imm(&g, &quick_cfg(2));
-        let mut rec = reorderlab_trace::RunRecorder::new();
-        let recorded = imm_recorded(&g, &quick_cfg(2), &mut rec);
-        assert_eq!(plain.seeds, recorded.seeds);
-        assert_eq!(plain.influence_estimate, recorded.influence_estimate);
-        assert_eq!(plain.stats.rr_sets, recorded.stats.rr_sets);
-        assert_eq!(rec.counters()["imm/rr_sets"], plain.stats.rr_sets as u64);
-        assert_eq!(rec.counters()["imm/edges_examined"], plain.stats.edges_examined);
-        assert_eq!(rec.counters()["imm/seeds"], plain.seeds.len() as u64);
-        assert_eq!(rec.spans()["imm"].count, 1);
-        assert!(rec.spans()["imm/sampling"].wall <= rec.spans()["imm"].wall);
-        let noop = imm_recorded(&g, &quick_cfg(2), &mut reorderlab_trace::NoopRecorder);
-        assert_eq!(noop.seeds, plain.seeds);
     }
 
     #[test]

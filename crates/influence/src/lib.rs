@@ -50,7 +50,7 @@ mod simulate;
 
 pub use config::{DiffusionModel, ImmConfig};
 pub use greedy::{celf_max_coverage, Coverage};
-pub use imm::{imm, imm_compressed, imm_recorded, record_sampling_stats, ImmResult, SamplingStats};
+pub use imm::{imm, imm_compressed, ImmResult, SamplingStats};
 pub use rrset::{RrSampler, RrSets, RrTrace, SampleScratch};
 pub use simulate::{estimate_spread, SpreadEstimate};
 

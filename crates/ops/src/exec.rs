@@ -20,7 +20,7 @@ use crate::source::{read_graph_auto, ResolveGraph, ResolvedGraph};
 use reorderlab_core::measures::GapMeasures;
 use reorderlab_core::Scheme;
 use reorderlab_graph::{build_pool, Csr, Permutation};
-use reorderlab_trace::{Manifest, Recorder, RunRecorder};
+use reorderlab_trace::{recording, span, Manifest, RunRecorder};
 use std::borrow::Cow;
 use std::fs::File;
 use std::io::BufReader;
@@ -34,7 +34,8 @@ use std::sync::Arc;
 /// computed, as filled as earlier requests left them when it was cached.
 pub trait PermSource {
     /// Produces the ordering `scheme` defines on `resolved`, together with
-    /// whether it came from a cache.
+    /// whether it came from a cache. A computed ordering records its
+    /// phases on the installed recorder.
     ///
     /// # Errors
     ///
@@ -43,7 +44,6 @@ pub trait PermSource {
         &mut self,
         resolved: &ResolvedGraph,
         scheme: &Scheme,
-        rec: &mut RunRecorder,
     ) -> Result<(Arc<MeasuredOrdering>, bool), OpError>;
 }
 
@@ -56,9 +56,8 @@ impl PermSource for ComputePerm {
         &mut self,
         resolved: &ResolvedGraph,
         scheme: &Scheme,
-        rec: &mut RunRecorder,
     ) -> Result<(Arc<MeasuredOrdering>, bool), OpError> {
-        let pi = scheme.try_reorder_recorded(&resolved.graph, rec).map_err(OpError::Scheme)?;
+        let pi = scheme.try_reorder(&resolved.graph).map_err(OpError::Scheme)?;
         Ok((Arc::new(MeasuredOrdering::new(pi)), false))
     }
 }
@@ -183,10 +182,10 @@ fn gap_row(m: &GapMeasures) -> GapRow {
 
 fn exec_stats(resolved: &ResolvedGraph, facts: &mut FactTally) -> StatsReport {
     let g = &resolved.graph;
-    let mut rec = RunRecorder::new();
-    rec.span_enter("stats");
-    let s = resolved.facts.stats(g, facts);
-    rec.span_exit("stats");
+    let (s, rec) = recording(RunRecorder::new(), || {
+        let _stats = span("stats");
+        resolved.facts.stats(g, facts)
+    });
     let mut m = Manifest::new("stats", &resolved.id, g.num_vertices(), g.num_edges())
         .with_seed(42)
         .with_threads(rayon::current_num_threads());
@@ -218,34 +217,39 @@ fn exec_reorder(
     facts: &mut FactTally,
 ) -> Result<OpOutcome, OpError> {
     let g = Arc::clone(&resolved.graph);
-    let mut rec = RunRecorder::new();
-    let t0 = std::time::Instant::now();
-    // Either compute an ordering from a scheme, or apply a saved one.
-    let (pi, label, scheme, cache_hit) = if let Some(path) = apply_perm {
-        let file = File::open(path).map_err(|e| OpError::Io(format!("cannot open {path}: {e}")))?;
-        let pi = Permutation::read_text(BufReader::new(file))
-            .map_err(|e| OpError::Parse(format!("failed to parse {path}: {e}")))?;
-        if pi.len() != g.num_vertices() {
-            return Err(OpError::Parse(format!(
-                "permutation covers {} vertices but the graph has {}",
-                pi.len(),
-                g.num_vertices()
-            )));
-        }
-        (Arc::new(MeasuredOrdering::new(pi)), format!("perm file {path}"), None, false)
-    } else {
-        let spec = scheme_spec.ok_or_else(|| {
-            OpError::Usage("need --scheme NAME or --apply-perm FILE (see `reorderlab list`)".into())
-        })?;
-        let scheme = parse_scheme(spec)?;
-        let (pi, hit) = perms.ordering(resolved, &scheme, &mut rec)?;
-        (pi, scheme.name().to_string(), Some(scheme), hit)
-    };
-    let elapsed = t0.elapsed();
-    rec.span_enter("measure");
-    let before = resolved.facts.natural_gaps(&g, facts);
-    let after = pi.gaps(&g, facts);
-    rec.span_exit("measure");
+    let (run, rec) = recording(RunRecorder::new(), || {
+        let t0 = std::time::Instant::now();
+        // Either compute an ordering from a scheme, or apply a saved one.
+        let (pi, label, scheme, cache_hit) = if let Some(path) = apply_perm {
+            let file =
+                File::open(path).map_err(|e| OpError::Io(format!("cannot open {path}: {e}")))?;
+            let pi = Permutation::read_text(BufReader::new(file))
+                .map_err(|e| OpError::Parse(format!("failed to parse {path}: {e}")))?;
+            if pi.len() != g.num_vertices() {
+                return Err(OpError::Parse(format!(
+                    "permutation covers {} vertices but the graph has {}",
+                    pi.len(),
+                    g.num_vertices()
+                )));
+            }
+            (Arc::new(MeasuredOrdering::new(pi)), format!("perm file {path}"), None, false)
+        } else {
+            let spec = scheme_spec.ok_or_else(|| {
+                OpError::Usage(
+                    "need --scheme NAME or --apply-perm FILE (see `reorderlab list`)".into(),
+                )
+            })?;
+            let scheme = parse_scheme(spec)?;
+            let (pi, hit) = perms.ordering(resolved, &scheme)?;
+            (pi, scheme.name().to_string(), Some(scheme), hit)
+        };
+        let elapsed = t0.elapsed();
+        let _measure = span("measure");
+        let before = resolved.facts.natural_gaps(&g, facts);
+        let after = pi.gaps(&g, facts);
+        Ok((pi, label, scheme, cache_hit, elapsed, before, after))
+    });
+    let (pi, label, scheme, cache_hit, elapsed, before, after) = run?;
     let mut m = Manifest::new("reorder", &resolved.id, g.num_vertices(), g.num_edges())
         .with_seed(scheme.as_ref().map_or(42, scheme_seed))
         .with_threads(rayon::current_num_threads());
@@ -308,11 +312,12 @@ fn exec_measure(
     }
     let mut rows = Vec::with_capacity(schemes.len());
     for scheme in schemes {
-        let mut rec = RunRecorder::new();
-        let (pi, _) = perms.ordering(resolved, &scheme, &mut rec)?;
-        rec.span_enter("measure");
-        let m = pi.gaps(g, facts);
-        rec.span_exit("measure");
+        let (m, rec) = recording(RunRecorder::new(), || {
+            let (pi, _) = perms.ordering(resolved, &scheme)?;
+            let _measure = span("measure");
+            Ok::<_, OpError>(pi.gaps(g, facts))
+        });
+        let m = m?;
         let mut man = Manifest::new("measure", &resolved.id, g.num_vertices(), g.num_edges())
             .with_scheme(scheme.name(), &scheme.spec())
             .with_seed(scheme_seed(&scheme))
@@ -354,16 +359,18 @@ fn exec_compression(
     }
     let mut rows = Vec::with_capacity(schemes.len());
     for scheme in schemes {
-        let mut rec = RunRecorder::new();
-        let (pi, _) = perms.ordering(resolved, &scheme, &mut rec)?;
-        rec.span_enter("compress");
-        // Unreachable in practice: the ordering was produced for this very
-        // graph, so the lengths agree; keep the plumbing typed regardless.
-        let comp = pi
-            .compression(g, facts)
-            .map_err(|e| OpError::Parse(format!("{}: {e}", scheme.name())))?;
-        let gaps = pi.gaps(g, facts);
-        rec.span_exit("compress");
+        let (measured, rec) = recording(RunRecorder::new(), || {
+            let (pi, _) = perms.ordering(resolved, &scheme)?;
+            let _compress = span("compress");
+            // Unreachable in practice: the ordering was produced for this
+            // very graph, so the lengths agree; keep the plumbing typed
+            // regardless.
+            let comp = pi
+                .compression(g, facts)
+                .map_err(|e| OpError::Parse(format!("{}: {e}", scheme.name())))?;
+            Ok::<_, OpError>((comp, pi.gaps(g, facts)))
+        });
+        let (comp, gaps) = measured?;
         let mut man = Manifest::new("compression", &resolved.id, g.num_vertices(), g.num_edges())
             .with_scheme(scheme.name(), &scheme.spec())
             .with_seed(scheme_seed(&scheme))
@@ -491,9 +498,9 @@ fn exec_memsim(
             scheme
                 .validate(g.num_vertices())
                 .map_err(|e| OpError::Usage(format!("scheme {spec:?}: {e}")))?;
-            // The report carries no manifest, so the scheme's phases go
-            // unrecorded.
-            let (pi, _) = perms.ordering(resolved, &scheme, &mut RunRecorder::new())?;
+            // The report carries no manifest, so nothing installs a
+            // recorder for the scheme's phases.
+            let (pi, _) = perms.ordering(resolved, &scheme)?;
             let labels = pi.to_order();
             let laid_out = g
                 .permuted(&pi)
@@ -571,13 +578,12 @@ mod tests {
             &mut self,
             resolved: &ResolvedGraph,
             scheme: &Scheme,
-            rec: &mut RunRecorder,
         ) -> Result<(Arc<MeasuredOrdering>, bool), OpError> {
             let key = (resolved.id.clone(), scheme.spec());
             if let Some(kept) = self.0.get(&key) {
                 return Ok((Arc::clone(kept), true));
             }
-            let (pi, _) = ComputePerm.ordering(resolved, scheme, rec)?;
+            let (pi, _) = ComputePerm.ordering(resolved, scheme)?;
             self.0.insert(key, Arc::clone(&pi));
             Ok((pi, false))
         }

@@ -18,7 +18,6 @@
 
 use reorderlab_core::Scheme;
 use reorderlab_ops::{MeasuredOrdering, OpError, PermSource, ResolvedGraph};
-use reorderlab_trace::RunRecorder;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -82,7 +81,6 @@ impl PermCache {
         digest: u64,
         scheme: &Scheme,
         resolved: &ResolvedGraph,
-        rec: &mut RunRecorder,
     ) -> Result<(Arc<MeasuredOrdering>, bool), OpError> {
         let key = (digest, scheme.spec());
         {
@@ -109,7 +107,7 @@ impl PermCache {
         // whole cache. Two racing misses may both compute; the first to
         // store wins, and the other hands out the stored entry so that
         // every reader fills the same measure cells.
-        let pi = scheme.try_reorder_recorded(&resolved.graph, rec).map_err(OpError::Scheme)?;
+        let pi = scheme.try_reorder(&resolved.graph).map_err(OpError::Scheme)?;
         let pi = Arc::new(MeasuredOrdering::new(pi));
         self.misses.fetch_add(1, Ordering::Relaxed);
         if self.capacity > 0 {
@@ -191,13 +189,11 @@ impl PermSource for CachingPerms {
         &mut self,
         resolved: &ResolvedGraph,
         scheme: &Scheme,
-        rec: &mut RunRecorder,
     ) -> Result<(Arc<MeasuredOrdering>, bool), OpError> {
         let (pi, hit) = match resolved.digest {
-            Some(digest) => self.cache.get_or_compute(digest, scheme, resolved, rec)?,
+            Some(digest) => self.cache.get_or_compute(digest, scheme, resolved)?,
             None => {
-                let pi =
-                    scheme.try_reorder_recorded(&resolved.graph, rec).map_err(OpError::Scheme)?;
+                let pi = scheme.try_reorder(&resolved.graph).map_err(OpError::Scheme)?;
                 self.cache.misses.fetch_add(1, Ordering::Relaxed);
                 (Arc::new(MeasuredOrdering::new(pi)), false)
             }
@@ -240,11 +236,8 @@ mod tests {
     fn repeat_requests_hit() {
         let cache = PermCache::new(8);
         let r = resolved("euroroad");
-        let mut rec = RunRecorder::new();
-        let (a, hit_a) =
-            cache.get_or_compute(r.digest.unwrap(), &scheme("rcm"), &r, &mut rec).unwrap();
-        let (b, hit_b) =
-            cache.get_or_compute(r.digest.unwrap(), &scheme("rcm"), &r, &mut rec).unwrap();
+        let (a, hit_a) = cache.get_or_compute(r.digest.unwrap(), &scheme("rcm"), &r).unwrap();
+        let (b, hit_b) = cache.get_or_compute(r.digest.unwrap(), &scheme("rcm"), &r).unwrap();
         assert!(!hit_a);
         assert!(hit_b);
         assert_eq!(a.ranks(), b.ranks());
@@ -255,14 +248,13 @@ mod tests {
     fn a_hit_carries_the_measures_the_first_request_computed() {
         let cache = PermCache::new(8);
         let r = resolved("euroroad");
-        let mut rec = RunRecorder::new();
         let d = r.digest.unwrap();
-        let (first, _) = cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
+        let (first, _) = cache.get_or_compute(d, &scheme("rcm"), &r).unwrap();
         let (computed, tally) = gaps(&first, &r);
         assert_eq!(tally, COMPUTED);
         assert_eq!(computed, gap_measures(&r.graph, &first));
         // Any spelling of the spec reaches the same ordering and its cells.
-        let (second, hit) = cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
+        let (second, hit) = cache.get_or_compute(d, &scheme("rcm"), &r).unwrap();
         assert!(hit && Arc::ptr_eq(&first, &second));
         assert_eq!(gaps(&second, &r), (computed, REUSED));
     }
@@ -271,11 +263,9 @@ mod tests {
     fn spec_canonicalization_shares_entries() {
         let cache = PermCache::new(8);
         let r = resolved("euroroad");
-        let mut rec = RunRecorder::new();
         let d = r.digest.unwrap();
-        cache.get_or_compute(d, &scheme("metis:64"), &r, &mut rec).unwrap();
-        let (_, hit) =
-            cache.get_or_compute(d, &scheme("metis:parts=64,seed=42"), &r, &mut rec).unwrap();
+        cache.get_or_compute(d, &scheme("metis:64"), &r).unwrap();
+        let (_, hit) = cache.get_or_compute(d, &scheme("metis:parts=64,seed=42"), &r).unwrap();
         assert!(hit, "positional and keyword spellings must share a cache entry");
     }
 
@@ -288,10 +278,9 @@ mod tests {
         assert_eq!(from_suite.spec(), scheme("grappolo").spec());
         let cache = PermCache::new(8);
         let r = resolved("euroroad");
-        let mut rec = RunRecorder::new();
         let d = r.digest.unwrap();
-        cache.get_or_compute(d, from_suite, &r, &mut rec).unwrap();
-        let (_, hit) = cache.get_or_compute(d, &scheme("grappolo"), &r, &mut rec).unwrap();
+        cache.get_or_compute(d, from_suite, &r).unwrap();
+        let (_, hit) = cache.get_or_compute(d, &scheme("grappolo"), &r).unwrap();
         assert!(hit, "one permutation must not be cached under two keys");
     }
 
@@ -301,11 +290,8 @@ mod tests {
         let a = resolved("euroroad");
         let b = resolved("rovira");
         assert_ne!(a.digest, b.digest);
-        let mut rec = RunRecorder::new();
-        let (pa, _) =
-            cache.get_or_compute(a.digest.unwrap(), &scheme("rcm"), &a, &mut rec).unwrap();
-        let (pb, _) =
-            cache.get_or_compute(b.digest.unwrap(), &scheme("rcm"), &b, &mut rec).unwrap();
+        let (pa, _) = cache.get_or_compute(a.digest.unwrap(), &scheme("rcm"), &a).unwrap();
+        let (pb, _) = cache.get_or_compute(b.digest.unwrap(), &scheme("rcm"), &b).unwrap();
         assert_ne!(pa.len(), pb.len());
         assert_eq!(cache.misses(), 2);
     }
@@ -317,12 +303,9 @@ mod tests {
         let mut b = resolved("rovira");
         // Forge a 64-bit digest collision between two different graphs.
         b.digest = a.digest;
-        let mut rec = RunRecorder::new();
-        let (pa, _) =
-            cache.get_or_compute(a.digest.unwrap(), &scheme("rcm"), &a, &mut rec).unwrap();
+        let (pa, _) = cache.get_or_compute(a.digest.unwrap(), &scheme("rcm"), &a).unwrap();
         let (gaps_a, _) = gaps(&pa, &a);
-        let (pb, hit) =
-            cache.get_or_compute(b.digest.unwrap(), &scheme("rcm"), &b, &mut rec).unwrap();
+        let (pb, hit) = cache.get_or_compute(b.digest.unwrap(), &scheme("rcm"), &b).unwrap();
         assert!(!hit, "a collided entry must be recomputed, not served");
         assert_eq!(pb.len(), b.graph.num_vertices());
         assert_ne!(pa.len(), pb.len());
@@ -332,8 +315,7 @@ mod tests {
         assert_eq!(tally, COMPUTED);
         assert_eq!(gaps_b, gap_measures(&b.graph, &pb));
         assert_ne!(gaps_a, gaps_b);
-        let (again, hit) =
-            cache.get_or_compute(b.digest.unwrap(), &scheme("rcm"), &b, &mut rec).unwrap();
+        let (again, hit) = cache.get_or_compute(b.digest.unwrap(), &scheme("rcm"), &b).unwrap();
         assert!(hit);
         assert_eq!(gaps(&again, &b), (gaps_b, REUSED));
     }
@@ -352,8 +334,7 @@ mod tests {
                     scope.spawn(|| {
                         let mut perms = CachingPerms::new(Arc::clone(&cache));
                         barrier.wait();
-                        let (pi, _) =
-                            perms.ordering(&r, &scheme("rcm"), &mut RunRecorder::new()).unwrap();
+                        let (pi, _) = perms.ordering(&r, &scheme("rcm")).unwrap();
                         let (measured, _) = gaps(&pi, &r);
                         (pi, measured)
                     })
@@ -363,9 +344,7 @@ mod tests {
         });
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.hits() + cache.misses(), RACERS as u64);
-        let (stored, hit) = cache
-            .get_or_compute(r.digest.unwrap(), &scheme("rcm"), &r, &mut RunRecorder::new())
-            .unwrap();
+        let (stored, hit) = cache.get_or_compute(r.digest.unwrap(), &scheme("rcm"), &r).unwrap();
         assert!(hit);
         for (pi, measured) in &replies {
             assert!(Arc::ptr_eq(pi, &stored), "every racer reads the stored ordering");
@@ -378,12 +357,11 @@ mod tests {
     fn caching_perms_counts_hits_per_source() {
         let cache = Arc::new(PermCache::new(8));
         let r = resolved("euroroad");
-        let mut rec = RunRecorder::new();
         let mut first = CachingPerms::new(Arc::clone(&cache));
-        first.ordering(&r, &scheme("rcm"), &mut rec).unwrap();
+        first.ordering(&r, &scheme("rcm")).unwrap();
         assert_eq!(first.request_hits(), 0);
         let mut second = CachingPerms::new(Arc::clone(&cache));
-        second.ordering(&r, &scheme("rcm"), &mut rec).unwrap();
+        second.ordering(&r, &scheme("rcm")).unwrap();
         assert_eq!(second.request_hits(), 1);
         // The first source is unaffected by the second's hit.
         assert_eq!(first.request_hits(), 0);
@@ -394,11 +372,10 @@ mod tests {
         let cache = PermCache::new(2);
         let r = resolved("euroroad");
         let d = r.digest.unwrap();
-        let mut rec = RunRecorder::new();
         // With no intervening hits, LRU degenerates to insertion order.
         let mut first_gaps = None;
         for spec in ["rcm", "dbg", "degree"] {
-            let (pi, _) = cache.get_or_compute(d, &scheme(spec), &r, &mut rec).unwrap();
+            let (pi, _) = cache.get_or_compute(d, &scheme(spec), &r).unwrap();
             first_gaps.get_or_insert_with(|| gaps(&pi, &r).0);
         }
         assert_eq!(cache.len(), 2);
@@ -406,7 +383,7 @@ mod tests {
         // The least recently used entry (rcm) was evicted, measures and
         // all: re-requesting it misses and recomputes both, to the same
         // values.
-        let (pi, hit) = cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
+        let (pi, hit) = cache.get_or_compute(d, &scheme("rcm"), &r).unwrap();
         assert!(!hit);
         assert_eq!(gaps(&pi, &r), (first_gaps.unwrap(), COMPUTED));
     }
@@ -416,21 +393,20 @@ mod tests {
         let cache = PermCache::new(2);
         let r = resolved("euroroad");
         let d = r.digest.unwrap();
-        let mut rec = RunRecorder::new();
-        cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
-        cache.get_or_compute(d, &scheme("dbg"), &r, &mut rec).unwrap();
+        cache.get_or_compute(d, &scheme("rcm"), &r).unwrap();
+        cache.get_or_compute(d, &scheme("dbg"), &r).unwrap();
         // Hit rcm: under FIFO this is a no-op; under LRU it moves rcm to
         // the back of the recency queue, making dbg the eviction victim.
-        let (_, hit) = cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
+        let (_, hit) = cache.get_or_compute(d, &scheme("rcm"), &r).unwrap();
         assert!(hit);
-        cache.get_or_compute(d, &scheme("degree"), &r, &mut rec).unwrap();
+        cache.get_or_compute(d, &scheme("degree"), &r).unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
         // rcm survived the eviction FIFO would have taken...
-        let (_, hit) = cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
+        let (_, hit) = cache.get_or_compute(d, &scheme("rcm"), &r).unwrap();
         assert!(hit, "the re-touched entry must survive the eviction");
         // ...and dbg, the actual least recently used entry, was evicted.
-        let (_, hit) = cache.get_or_compute(d, &scheme("dbg"), &r, &mut rec).unwrap();
+        let (_, hit) = cache.get_or_compute(d, &scheme("dbg"), &r).unwrap();
         assert!(!hit, "the least recently used entry must be the victim");
     }
 
@@ -439,10 +415,9 @@ mod tests {
         let cache = PermCache::new(0);
         let r = resolved("euroroad");
         let d = r.digest.unwrap();
-        let mut rec = RunRecorder::new();
-        let (first, _) = cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
+        let (first, _) = cache.get_or_compute(d, &scheme("rcm"), &r).unwrap();
         let (first_gaps, _) = gaps(&first, &r);
-        let (second, _) = cache.get_or_compute(d, &scheme("rcm"), &r, &mut rec).unwrap();
+        let (second, _) = cache.get_or_compute(d, &scheme("rcm"), &r).unwrap();
         assert!(cache.is_empty());
         assert_eq!(cache.misses(), 2);
         // No stored ordering, so no stored measure either: the second

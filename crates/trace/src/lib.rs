@@ -7,9 +7,11 @@
 //!
 //! Three pieces:
 //!
-//! - [`Recorder`] — the event sink instrumented pipelines write to, with
-//!   [`NoopRecorder`] as the zero-overhead default and [`RunRecorder`] as
-//!   the live, monotonic-clock implementation.
+//! - [`recording`] installs a [`RunRecorder`] on the current thread for the
+//!   length of a closure, the way a thread pool's width is installed;
+//!   instrumented code writes to it through the free functions [`span`],
+//!   [`span_add`], [`counter`], [`series`] and [`note`], which drop the
+//!   event when nothing is installed.
 //! - [`Json`] — a minimal dependency-free JSON value (the build is
 //!   offline; no serde).
 //! - [`Manifest`] — the versioned run record, with strict parsing
@@ -19,12 +21,12 @@
 //! ## Quick start
 //!
 //! ```
-//! use reorderlab_trace::{Manifest, Recorder, RunRecorder};
+//! use reorderlab_trace::{counter, recording, span, Manifest, RunRecorder};
 //!
-//! let mut rec = RunRecorder::new();
-//! rec.span_enter("reorder");
-//! rec.counter("slashburn/rounds", 12);
-//! rec.span_exit("reorder");
+//! let ((), rec) = recording(RunRecorder::new(), || {
+//!     let _reorder = span("reorder");
+//!     counter("slashburn/rounds", 12);
+//! });
 //!
 //! let mut m = Manifest::new("reorder", "euroroad", 1190, 1305)
 //!     .with_scheme("SlashBurn", "slashburn:k_frac=0.005")
@@ -57,4 +59,6 @@ pub use manifest::{
     GraphInfo, Manifest, ManifestError, PhaseTiming, SchemeInfo, MANIFEST_VERSION, REQUIRED_KEYS,
     TOOL,
 };
-pub use recorder::{spanned, NoopRecorder, Recorder, RunRecorder, SpanTotals};
+pub use recorder::{
+    counter, note, recording, series, span, span_add, RunRecorder, Span, SpanTotals,
+};

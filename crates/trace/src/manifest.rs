@@ -460,7 +460,7 @@ impl From<JsonError> for ManifestError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::Recorder;
+    use crate::recorder::{counter, note, recording, series, span};
 
     fn sample() -> Manifest {
         let mut m = Manifest::new("measure", "euroroad", 1190, 1305)
@@ -517,12 +517,12 @@ mod tests {
 
     #[test]
     fn absorbs_recorder_state() {
-        let mut rec = RunRecorder::new();
-        rec.span_enter("reorder");
-        rec.counter("rounds", 7);
-        rec.series("modularity", 0.5);
-        rec.note("kernel", "flat");
-        rec.span_exit("reorder");
+        let ((), rec) = recording(RunRecorder::new(), || {
+            let _reorder = span("reorder");
+            counter("rounds", 7);
+            series("modularity", 0.5);
+            note("kernel", "flat");
+        });
         let mut m = Manifest::new("reorder", "g", 10, 20);
         m.absorb(&rec);
         assert_eq!(m.phases.len(), 1);

@@ -1,73 +1,130 @@
-//! The [`Recorder`] trait and its two implementations: [`NoopRecorder`]
-//! (the zero-overhead default every hot path compiles against) and
-//! [`RunRecorder`] (monotonic span timers, named counters, and value
-//! series that roll up into a run manifest).
+//! Ambient recording: [`RunRecorder`] (monotonic span timers, named
+//! counters, and value series that roll up into a run manifest) and the
+//! free functions instrumented code writes to it with.
 //!
-//! Instrumented kernels take `&mut dyn Recorder` and only ever *read* the
-//! computation state, so recording can never perturb results: a pipeline
-//! run with a live recorder is bit-identical to one run with the no-op at
-//! any thread count (pinned by `recording_differential` tests in
-//! `reorderlab-core`). Instrumentation sites are placed at per-phase /
-//! per-round granularity — never per vertex or per edge — so the disabled
-//! path costs a handful of virtual calls per run.
+//! A recorder is installed on the current thread by [`recording`], the way
+//! a thread pool's width is installed by `install`: nothing is passed per
+//! call. [`span`], [`span_add`], [`counter`], [`series`] and [`note`] write
+//! to the installed recorder; with none installed each is one thread-local
+//! read and the event is dropped.
+//!
+//! Instrumented kernels only ever *read* the computation state, so
+//! recording can never perturb results: a run under [`recording`] is
+//! bit-identical to one without at any thread count (pinned by the
+//! `recording_differential` tests in `reorderlab-core`). Instrumentation
+//! sites are placed at per-phase / per-round granularity, never per vertex
+//! or per edge, and never inside a parallel closure: the recorder lives on
+//! the caller's thread, and pool workers do not inherit it.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
-/// Sink for observability events emitted by instrumented pipelines.
-///
-/// All methods default to no-ops so implementations opt into exactly the
-/// signals they care about. Span names are `&'static str` by design: the
-/// instrumented code never formats strings on the hot path.
-pub trait Recorder {
-    /// `true` when events are actually retained. Instrumented code may use
-    /// this to skip *preparing* expensive event payloads; it must never
-    /// branch its computation on it.
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Opens a named span; spans nest, and a child span's time also counts
-    /// toward its parent.
-    fn span_enter(&mut self, _name: &'static str) {}
-
-    /// Closes the innermost open span named `name`.
-    fn span_exit(&mut self, _name: &'static str) {}
-
-    /// Folds an externally measured duration in as if a span named `name`
-    /// had run under the currently open spans. Used by kernels that already
-    /// collect their own timing structs (Louvain phases, IMM sampling).
-    fn span_add(&mut self, _name: &'static str, _elapsed: Duration) {}
-
-    /// Adds `delta` to a named counter.
-    fn counter(&mut self, _name: &'static str, _delta: u64) {}
-
-    /// Appends one value to a named series (e.g. the per-iteration
-    /// modularity trajectory of a Louvain run).
-    fn series(&mut self, _name: &'static str, _value: f64) {}
-
-    /// Attaches a free-form key/value annotation to the run.
-    fn note(&mut self, _key: &'static str, _value: &str) {}
+thread_local! {
+    /// The recorder [`recording`] installed on this thread, if any.
+    static CURRENT: RefCell<Option<RunRecorder>> = const { RefCell::new(None) };
 }
 
-/// The default recorder: discards everything. Every method is an empty
-/// body, so a `reorder` with recording disabled costs only a few virtual
-/// calls per phase.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
+/// Applies `f` to the installed recorder; drops the event when none is.
+/// Never panics, since span guards call it from `Drop`.
+fn with_current(f: impl FnOnce(&mut RunRecorder)) {
+    let _ = CURRENT.try_with(|slot| {
+        if let Ok(Some(rec)) = slot.try_borrow_mut().as_deref_mut() {
+            f(rec);
+        }
+    });
+}
 
-impl Recorder for NoopRecorder {}
+/// Puts the outer recorder back when [`recording`] ends, by return or by
+/// unwind, so a caught panic leaves nothing installed that it did not find.
+struct Restore(Option<RunRecorder>);
 
-/// Runs `f` inside a span on `rec`, closing the span on the way out.
-pub fn spanned<T>(
-    rec: &mut dyn Recorder,
+impl Drop for Restore {
+    fn drop(&mut self) {
+        let outer = self.0.take();
+        let _ = CURRENT.try_with(|slot| {
+            if let Ok(mut current) = slot.try_borrow_mut() {
+                *current = outer;
+            }
+        });
+    }
+}
+
+/// Runs `f` with `rec` installed as this thread's recorder and hands it
+/// back with everything `f` recorded into it.
+///
+/// Calls nest: an inner `recording` shadows the outer recorder and restores
+/// it on the way out, also when `f` panics.
+///
+/// # Examples
+///
+/// ```
+/// use reorderlab_trace::{counter, recording, span, RunRecorder};
+///
+/// let (answer, rec) = recording(RunRecorder::new(), || {
+///     let _reorder = span("reorder");
+///     counter("slashburn/rounds", 12);
+///     42
+/// });
+/// assert_eq!(answer, 42);
+/// assert_eq!(rec.counters()["slashburn/rounds"], 12);
+/// assert_eq!(rec.spans()["reorder"].count, 1);
+/// ```
+pub fn recording<T>(rec: RunRecorder, f: impl FnOnce() -> T) -> (T, RunRecorder) {
+    let restore = Restore(CURRENT.with(|slot| slot.replace(Some(rec))));
+    let out = f();
+    let rec = CURRENT.with(|slot| slot.take()).unwrap_or_default();
+    drop(restore);
+    (out, rec)
+}
+
+/// An open span; it closes when dropped. See [`span`].
+#[must_use = "a span closes when its guard drops"]
+#[derive(Debug)]
+pub struct Span {
     name: &'static str,
-    f: impl FnOnce(&mut dyn Recorder) -> T,
-) -> T {
-    rec.span_enter(name);
-    let out = f(rec);
-    rec.span_exit(name);
-    out
+    /// Not `Send`: the span belongs to the recorder of the thread that
+    /// opened it.
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        with_current(|rec| rec.span_exit(self.name));
+    }
+}
+
+/// Opens a named span on the installed recorder, closed when the returned
+/// guard drops. Spans nest, and a child span's time also counts toward its
+/// parent. Span names are `&'static str` by design: instrumented code never
+/// formats strings on the hot path.
+pub fn span(name: &'static str) -> Span {
+    with_current(|rec| rec.span_enter(name));
+    Span { name, _thread: PhantomData }
+}
+
+/// Folds an externally measured duration in as if a span named `name` had
+/// run under the currently open spans. Used by kernels that already collect
+/// their own timing structs (Louvain phases).
+pub fn span_add(name: &'static str, elapsed: Duration) {
+    with_current(|rec| rec.span_add(name, elapsed));
+}
+
+/// Adds `delta` to a named counter.
+pub fn counter(name: &'static str, delta: u64) {
+    with_current(|rec| rec.counter(name, delta));
+}
+
+/// Appends one value to a named series (e.g. the per-iteration modularity
+/// trajectory of a Louvain run).
+pub fn series(name: &'static str, value: f64) {
+    with_current(|rec| rec.series(name, value));
+}
+
+/// Attaches a free-form key/value annotation to the run.
+pub fn note(key: &'static str, value: &str) {
+    with_current(|rec| rec.note(key, value));
 }
 
 /// Aggregated timing of one span path.
@@ -75,7 +132,7 @@ pub fn spanned<T>(
 pub struct SpanTotals {
     /// Total wall time accumulated under this path.
     pub wall: Duration,
-    /// Number of enter/exit (or [`Recorder::span_add`]) events folded in.
+    /// Number of enter/exit (or [`span_add`]) events folded in.
     pub count: u64,
 }
 
@@ -88,13 +145,13 @@ pub struct SpanTotals {
 /// # Examples
 ///
 /// ```
-/// use reorderlab_trace::{Recorder, RunRecorder};
+/// use reorderlab_trace::{counter, recording, series, span, RunRecorder};
 ///
-/// let mut rec = RunRecorder::new();
-/// rec.span_enter("reorder");
-/// rec.counter("graph/vertices", 100);
-/// rec.series("modularity", 0.41);
-/// rec.span_exit("reorder");
+/// let ((), rec) = recording(RunRecorder::new(), || {
+///     let _reorder = span("reorder");
+///     counter("graph/vertices", 100);
+///     series("modularity", 0.41);
+/// });
 /// assert_eq!(rec.counters()["graph/vertices"], 100);
 /// assert_eq!(rec.spans()["reorder"].count, 1);
 /// ```
@@ -147,12 +204,6 @@ impl RunRecorder {
         path.push_str(name);
         path
     }
-}
-
-impl Recorder for RunRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
 
     fn span_enter(&mut self, name: &'static str) {
         self.stack.push((name, Instant::now()));
@@ -199,15 +250,59 @@ impl Recorder for RunRecorder {
 mod tests {
     use super::*;
 
+    fn installed() -> bool {
+        CURRENT.with(|slot| slot.borrow().is_some())
+    }
+
+    /// Nothing installed is the no-op recorder: every event is dropped,
+    /// and a recorder installed afterwards starts empty.
     #[test]
     fn noop_recorder_is_disabled_and_silent() {
-        let mut rec = NoopRecorder;
-        assert!(!rec.enabled());
-        rec.span_enter("a");
-        rec.counter("c", 3);
-        rec.series("s", 1.0);
-        rec.note("k", "v");
-        rec.span_exit("a");
+        assert!(!installed());
+        {
+            let _a = span("a");
+            counter("c", 3);
+            series("s", 1.0);
+            note("k", "v");
+            span_add("p", Duration::from_millis(1));
+        }
+        let ((), rec) = recording(RunRecorder::new(), || {});
+        assert!(rec.spans().is_empty() && rec.counters().is_empty());
+        assert!(rec.series_map().is_empty() && rec.notes().is_empty());
+    }
+
+    #[test]
+    fn a_panic_inside_recording_uninstalls_the_recorder() {
+        let caught = std::panic::catch_unwind(|| {
+            recording(RunRecorder::new(), || {
+                counter("before", 1);
+                panic!("kernel failed");
+            })
+        });
+        assert!(caught.is_err());
+        assert!(!installed(), "the recorder leaked past the caught panic");
+        counter("after", 1);
+        assert!(!installed());
+    }
+
+    #[test]
+    fn nested_recording_restores_the_outer_recorder() {
+        let ((), outer) = recording(RunRecorder::new(), || {
+            counter("outer", 1);
+            let ((), inner) = recording(RunRecorder::new(), || counter("inner", 1));
+            assert_eq!(inner.counters().keys().collect::<Vec<_>>(), ["inner"]);
+            counter("outer", 1);
+        });
+        assert_eq!(outer.counters().keys().collect::<Vec<_>>(), ["outer"]);
+        assert_eq!(outer.counters()["outer"], 2);
+        assert!(!installed());
+    }
+
+    #[test]
+    fn recording_keeps_what_the_recorder_already_held() {
+        let ((), first) = recording(RunRecorder::new(), || counter("x", 2));
+        let ((), both) = recording(first, || counter("x", 3));
+        assert_eq!(both.counters()["x"], 5);
     }
 
     #[test]
@@ -241,33 +336,34 @@ mod tests {
 
     #[test]
     fn span_add_respects_current_path() {
-        let mut rec = RunRecorder::new();
-        rec.span_enter("louvain");
-        rec.span_add("phase", Duration::from_millis(5));
-        rec.span_add("phase", Duration::from_millis(7));
-        rec.span_exit("louvain");
+        let ((), rec) = recording(RunRecorder::new(), || {
+            let _louvain = span("louvain");
+            span_add("phase", Duration::from_millis(5));
+            span_add("phase", Duration::from_millis(7));
+        });
         assert_eq!(rec.spans()["louvain/phase"].count, 2);
         assert_eq!(rec.spans()["louvain/phase"].wall, Duration::from_millis(12));
     }
 
     #[test]
     fn counters_accumulate_and_series_append() {
-        let mut rec = RunRecorder::new();
-        rec.counter("x", 2);
-        rec.counter("x", 3);
-        rec.series("q", 0.25);
-        rec.series("q", 0.5);
-        rec.note("kernel", "flat");
+        let ((), rec) = recording(RunRecorder::new(), || {
+            counter("x", 2);
+            counter("x", 3);
+            series("q", 0.25);
+            series("q", 0.5);
+            note("kernel", "flat");
+        });
         assert_eq!(rec.counters()["x"], 5);
         assert_eq!(rec.series_map()["q"], vec![0.25, 0.5]);
         assert_eq!(rec.notes()["kernel"], "flat");
     }
 
     #[test]
-    fn spanned_helper_balances() {
-        let mut rec = RunRecorder::new();
-        let out = spanned(&mut rec, "work", |r| {
-            r.counter("inner", 1);
+    fn span_guard_balances() {
+        let (out, rec) = recording(RunRecorder::new(), || {
+            let _work = span("work");
+            counter("inner", 1);
             42
         });
         assert_eq!(out, 42);
