@@ -50,8 +50,12 @@ pub struct Cache {
     config: CacheConfig,
     line_shift: u32,
     set_mask: u64,
-    /// `sets[s]` holds the resident line tags, most recently used first.
-    sets: Vec<Vec<u64>>,
+    /// Set `s` owns `tags[s * ways..(s + 1) * ways]`; its first `filled[s]`
+    /// slots hold the resident line tags, most recently used first. The
+    /// count, not a sentinel tag, marks the empty ways: with one-byte lines
+    /// every `u64` is a possible line.
+    tags: Vec<u64>,
+    filled: Vec<usize>,
     hits: u64,
     misses: u64,
 }
@@ -65,7 +69,8 @@ impl Cache {
             config,
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: (num_sets - 1) as u64,
-            sets: vec![Vec::with_capacity(config.associativity); num_sets],
+            tags: vec![0; num_sets * config.associativity],
+            filled: vec![0; num_sets],
             hits: 0,
             misses: 0,
         }
@@ -75,21 +80,30 @@ impl Cache {
     /// (evicting LRU if needed).
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
-        let set = &mut self.sets[(line & self.set_mask) as usize];
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            // Move to MRU position.
-            let tag = set.remove(pos);
-            set.insert(0, tag);
-            self.hits += 1;
-            true
-        } else {
-            if set.len() == self.config.associativity {
-                set.pop();
+        let set = (line & self.set_mask) as usize;
+        let ways = self.config.associativity;
+        let slots = &mut self.tags[set * ways..(set + 1) * ways];
+        let filled = &mut self.filled[set];
+        // One pass from the MRU slot: each slot takes the tag carried from
+        // the slot before it, so the line lands in front and every tag it
+        // passes moves one slot towards LRU.
+        let mut carried = line;
+        for slot in &mut slots[..*filled] {
+            let tag = std::mem::replace(slot, carried);
+            if tag == line {
+                self.hits += 1;
+                return true;
             }
-            set.insert(0, line);
-            self.misses += 1;
-            false
+            carried = tag;
         }
+        // A miss: `carried` is the old LRU tag. A full set drops it; a set
+        // with a free way keeps it one slot further down.
+        if *filled < ways {
+            slots[*filled] = carried;
+            *filled += 1;
+        }
+        self.misses += 1;
+        false
     }
 
     /// Hits so far.
@@ -109,17 +123,134 @@ impl Cache {
 
     /// Empties the cache and zeroes the counters.
     pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.filled.fill(0);
         self.hits = 0;
         self.misses = 0;
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The cache as it was first written, kept as the reference the flat
+    /// tag array must match: one heap `Vec` per set, MRU first, updated by
+    /// `remove` and `insert(0, _)`.
+    pub(crate) struct ReferenceLru {
+        config: CacheConfig,
+        line_shift: u32,
+        set_mask: u64,
+        sets: Vec<Vec<u64>>,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ReferenceLru {
+        pub(crate) fn new(config: CacheConfig) -> Self {
+            let num_sets = config.num_sets();
+            ReferenceLru {
+                config,
+                line_shift: config.line_bytes.trailing_zeros(),
+                set_mask: (num_sets - 1) as u64,
+                sets: vec![Vec::with_capacity(config.associativity); num_sets],
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        pub(crate) fn access(&mut self, addr: u64) -> bool {
+            let line = addr >> self.line_shift;
+            let set = &mut self.sets[(line & self.set_mask) as usize];
+            if let Some(pos) = set.iter().position(|&t| t == line) {
+                let tag = set.remove(pos);
+                set.insert(0, tag);
+                self.hits += 1;
+                true
+            } else {
+                if set.len() == self.config.associativity {
+                    set.pop();
+                }
+                set.insert(0, line);
+                self.misses += 1;
+                false
+            }
+        }
+
+        fn reset(&mut self) {
+            for s in &mut self.sets {
+                s.clear();
+            }
+            self.hits = 0;
+            self.misses = 0;
+        }
+    }
+
+    /// The geometries the differential property covers: `tiny()`'s three
+    /// levels, a direct-mapped cache, Cascade Lake's 11-way L3 and
+    /// one-byte lines, whose addresses are drawn next to `u64::MAX`.
+    fn differential_geometries() -> [(CacheConfig, bool); 6] {
+        let tiny = crate::HierarchyConfig::tiny();
+        [
+            (tiny.l1, false),
+            (tiny.l2, false),
+            (tiny.l3, false),
+            (CacheConfig::new(1024, 64, 1), false),
+            (crate::HierarchyConfig::cascade_lake().l3, false),
+            (CacheConfig::new(16, 1, 4), true),
+        ]
+    }
+
+    /// Folds a raw `(tag, set, offset)` draw onto a few sets of `config`
+    /// and more distinct tags than a set has ways, so the trace both hits
+    /// and evicts. `near_top` counts down from `u64::MAX` instead of up
+    /// from 0.
+    fn trace_address(config: CacheConfig, near_top: bool, (t, s, o): (u8, u8, u16)) -> u64 {
+        let line = config.line_bytes as u64;
+        let sets = config.num_sets() as u64;
+        let tag = u64::from(t) % (2 * config.associativity as u64 + 2);
+        let set = u64::from(s) % sets.min(4);
+        let offset = (tag * sets + set) * line + u64::from(o) % line;
+        if near_top {
+            u64::MAX - offset
+        } else {
+            offset
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn flat_tags_match_the_reference_lru(
+            geometry in 0usize..6,
+            draws in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u16>()), 1..600),
+        ) {
+            let (config, near_top) = differential_geometries()[geometry];
+            let trace: Vec<u64> =
+                draws.into_iter().map(|d| trace_address(config, near_top, d)).collect();
+            let mut cache = Cache::new(config);
+            let mut reference = ReferenceLru::new(config);
+            for round in 0..2 {
+                for (i, &addr) in trace.iter().enumerate() {
+                    prop_assert_eq!(
+                        cache.access(addr),
+                        reference.access(addr),
+                        "{:?} round {} access {} at {:#x}",
+                        config,
+                        round,
+                        i,
+                        addr
+                    );
+                }
+                prop_assert_eq!(cache.hits(), reference.hits);
+                prop_assert_eq!(cache.misses(), reference.misses);
+                cache.reset();
+                reference.reset();
+                prop_assert_eq!((cache.hits(), cache.misses()), (0, 0));
+            }
+        }
+    }
 
     #[test]
     fn geometry_checks() {

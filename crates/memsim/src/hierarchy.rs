@@ -170,7 +170,8 @@ impl Hierarchy {
         let level = self.touch(addr);
         self.level_hits[level_index(level)] += 1;
         if self.config.next_line_prefetch && level != MemLevel::L1 {
-            let next_line = addr + self.config.l1.line_bytes as u64;
+            // The line after the top of the address space is line 0.
+            let next_line = addr.wrapping_add(self.config.l1.line_bytes as u64);
             self.touch(next_line);
             self.prefetch_fills += 1;
         }
@@ -203,26 +204,7 @@ impl Hierarchy {
 
     /// Builds the metrics report for the trace replayed so far.
     pub fn report(&self) -> MemReport {
-        let loads = self.loads();
-        let lat = self.config.latency;
-        let cycles: [f64; 4] = [
-            self.level_hits[0] as f64 * lat[0] as f64,
-            self.level_hits[1] as f64 * lat[1] as f64,
-            self.level_hits[2] as f64 * lat[2] as f64,
-            self.level_hits[3] as f64 * lat[3] as f64,
-        ];
-        let total: f64 = cycles.iter().sum();
-        let bound = if total == 0.0 {
-            [0.0; 4]
-        } else {
-            [cycles[0] / total, cycles[1] / total, cycles[2] / total, cycles[3] / total]
-        };
-        MemReport {
-            loads,
-            avg_latency: if loads == 0 { 0.0 } else { total / loads as f64 },
-            level_hits: self.level_hits,
-            bound,
-        }
+        report_of(self.level_hits, self.config.latency)
     }
 
     /// The configured geometry and latencies.
@@ -240,6 +222,30 @@ impl Hierarchy {
     }
 }
 
+/// The report of a replay that `level_hits` loads were satisfied at, under
+/// per-level `latency`.
+fn report_of(level_hits: [u64; 4], latency: [u64; 4]) -> MemReport {
+    let loads = level_hits.iter().sum();
+    let cycles: [f64; 4] = [
+        level_hits[0] as f64 * latency[0] as f64,
+        level_hits[1] as f64 * latency[1] as f64,
+        level_hits[2] as f64 * latency[2] as f64,
+        level_hits[3] as f64 * latency[3] as f64,
+    ];
+    let total: f64 = cycles.iter().sum();
+    let bound = if total == 0.0 {
+        [0.0; 4]
+    } else {
+        [cycles[0] / total, cycles[1] / total, cycles[2] / total, cycles[3] / total]
+    };
+    MemReport {
+        loads,
+        avg_latency: if loads == 0 { 0.0 } else { total / loads as f64 },
+        level_hits,
+        bound,
+    }
+}
+
 fn level_index(level: MemLevel) -> usize {
     match level {
         MemLevel::L1 => 0,
@@ -252,6 +258,74 @@ fn level_index(level: MemLevel) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::tests::ReferenceLru;
+    use proptest::prelude::*;
+
+    /// [`Hierarchy::load`] over three [`ReferenceLru`] levels.
+    struct ReferenceHierarchy {
+        config: HierarchyConfig,
+        levels: [ReferenceLru; 3],
+        level_hits: [u64; 4],
+        prefetch_fills: u64,
+    }
+
+    impl ReferenceHierarchy {
+        fn new(config: HierarchyConfig) -> Self {
+            ReferenceHierarchy {
+                config,
+                levels: [config.l1, config.l2, config.l3].map(ReferenceLru::new),
+                level_hits: [0; 4],
+                prefetch_fills: 0,
+            }
+        }
+
+        fn touch(&mut self, addr: u64) -> MemLevel {
+            let answered = self.levels.iter_mut().position(|level| level.access(addr));
+            MemLevel::ALL[answered.unwrap_or(3)]
+        }
+
+        fn load(&mut self, addr: u64) -> MemLevel {
+            let level = self.touch(addr);
+            self.level_hits[level_index(level)] += 1;
+            if self.config.next_line_prefetch && level != MemLevel::L1 {
+                self.touch(addr.wrapping_add(self.config.l1.line_bytes as u64));
+                self.prefetch_fills += 1;
+            }
+            level
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn hierarchy_matches_the_reference_lru_hierarchy(
+            prefetch in any::<bool>(),
+            draws in proptest::collection::vec((any::<bool>(), 0u64..(1 << 17)), 1..800),
+        ) {
+            // A 128 KiB footprint overflows tiny()'s 64 KiB L3; the loads
+            // drawn with `top` sit in the last 4 KiB of the address space,
+            // where the next line wraps.
+            let mut config = HierarchyConfig::tiny();
+            config.next_line_prefetch = prefetch;
+            let mut h = Hierarchy::new(config);
+            let mut reference = ReferenceHierarchy::new(config);
+            for (i, &(top, offset)) in draws.iter().enumerate() {
+                let addr = if top { u64::MAX - offset % 4096 } else { offset };
+                prop_assert_eq!(h.load(addr), reference.load(addr), "load {} at {:#x}", i, addr);
+            }
+            prop_assert_eq!(h.report(), report_of(reference.level_hits, config.latency));
+            prop_assert_eq!(h.prefetch_fills(), reference.prefetch_fills);
+        }
+    }
+
+    #[test]
+    fn prefetch_at_the_top_of_the_address_space_wraps() {
+        let mut h = Hierarchy::new(HierarchyConfig::tiny().with_next_line_prefetch());
+        assert_eq!(h.load(u64::MAX - 8), MemLevel::Dram);
+        assert_eq!(h.loads(), 1);
+        assert_eq!(h.prefetch_fills(), 1);
+    }
 
     #[test]
     fn cold_miss_goes_to_dram_then_l1() {

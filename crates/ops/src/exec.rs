@@ -469,12 +469,21 @@ fn exec_memsim(
     };
 
     // Each workload replays the one kernel the applications run; `--kernel`
-    // may name it, and nothing else.
-    type Replay = fn(&Csr, &[u32], &mut Hierarchy);
+    // may name it, and nothing else. The replay gets the ordering the graph
+    // was laid out by (`None` for the natural layout); only the RR replay
+    // reads it, as the stable labels that keep its traversal
+    // layout-independent.
+    type Replay = fn(&Csr, Option<&MeasuredOrdering>, &mut Hierarchy);
     let (kernel_name, replay): (&str, Replay) = match workload {
         "louvain" => ("packed", |g, _, hier| replay_louvain_move(g, hier)),
         // Snapshot-corpus parameters: p = 0.25, 64 sets, seed 7.
-        "rr" => ("classic", |g, labels, hier| replay_rr_kernel(g, labels, 0.25, 64, 7, hier)),
+        "rr" => ("classic", |g, pi, hier| {
+            let labels = pi.map_or_else(
+                || (0..u32::try_from(g.num_vertices()).unwrap_or(u32::MAX)).collect(),
+                |pi| pi.to_order(),
+            );
+            replay_rr_kernel(g, &labels, 0.25, 64, 7, hier);
+        }),
         "pagerank" => ("pull", |g, _, hier| replay_pagerank_iteration(g, hier)),
         other => {
             return Err(OpError::Usage(format!(
@@ -490,9 +499,9 @@ fn exec_memsim(
 
     let g: &Csr = &resolved.graph;
     // Optional reordering pass first: replay the laid-out graph, keeping
-    // the original vertex labels so every layout walks the same logical
-    // traversal (matching the `bench snapshot` corpus semantics).
-    let (g, scheme_name, labels) = match scheme_spec {
+    // the ordering so every layout walks the same logical traversal
+    // (matching the `bench snapshot` corpus semantics).
+    let (g, scheme_name, pi) = match scheme_spec {
         Some(spec) => {
             let scheme = parse_scheme(spec)?;
             scheme
@@ -501,20 +510,16 @@ fn exec_memsim(
             // The report carries no manifest, so nothing installs a
             // recorder for the scheme's phases.
             let (pi, _) = perms.ordering(resolved, &scheme)?;
-            let labels = pi.to_order();
             let laid_out = g
                 .permuted(&pi)
                 .map_err(|e| OpError::Parse(format!("permutation rejected: {e}")))?;
-            (Cow::Owned(laid_out), scheme.name().to_string(), labels)
+            (Cow::Owned(laid_out), scheme.name().to_string(), Some(pi))
         }
-        None => {
-            let labels = (0..u32::try_from(g.num_vertices()).unwrap_or(u32::MAX)).collect();
-            (Cow::Borrowed(g), "Natural".to_string(), labels)
-        }
+        None => (Cow::Borrowed(g), "Natural".to_string(), None),
     };
 
     let mut hier = Hierarchy::new(HierarchyConfig::scaled_cascade_lake());
-    replay(&g, &labels, &mut hier);
+    replay(&g, pi.as_deref(), &mut hier);
     let r = hier.report();
     Ok(MemsimReport {
         graph: resolved.id.clone(),
