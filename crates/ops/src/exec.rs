@@ -4,12 +4,13 @@
 //! calls it with the filesystem resolver and the compute-always
 //! permutation source, the daemon injects its corpus resolver and its
 //! permutation cache. Behavior (numbers, manifests, error strings) is
-//! identical by construction: every measure is read through the fact cell
-//! of the ordering or graph it describes ([`crate::facts`]), and only who
-//! owns that cell differs between the frontends.
+//! identical by construction: every measure and every natural-layout memsim
+//! replay is read through the fact cell of the ordering or graph it
+//! describes ([`crate::facts`]), and only who owns that cell differs
+//! between the frontends.
 
 use crate::error::OpError;
-use crate::facts::{FactTally, MeasuredOrdering};
+use crate::facts::{FactTally, MeasuredOrdering, ReplayWorkload};
 use crate::report::{
     CompressionReport, CompressionRow, FileVerdict, GapRow, MeasureReport, MeasureRow,
     MemsimReport, OpReport, ReorderReport, StatsReport, ValidateReport,
@@ -21,7 +22,6 @@ use reorderlab_core::measures::GapMeasures;
 use reorderlab_core::Scheme;
 use reorderlab_graph::{build_pool, Csr, Permutation};
 use reorderlab_trace::{recording, span, Manifest, RunRecorder};
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::BufReader;
 use std::sync::Arc;
@@ -71,7 +71,7 @@ pub struct OpOutcome {
     /// The ordering a `reorder` produced.
     pub permutation: Option<Arc<MeasuredOrdering>>,
     /// The resolved input graph of a `reorder` (for writing the permuted
-    /// graph out).
+    /// graph out) or a `memsim` (whose report does not carry its size).
     pub graph: Option<Arc<Csr>>,
     /// The facts the operation read, reused against computed.
     pub facts: FactTally,
@@ -158,13 +158,18 @@ pub fn execute_with(
         }
         OpRequest::Memsim { source, scheme, workload, kernel } => {
             let resolved = resolver.resolve(source)?;
-            OpOutcome::report_only(OpReport::Memsim(exec_memsim(
+            let report = exec_memsim(
                 &resolved,
                 scheme.as_deref(),
                 workload,
                 kernel.as_deref(),
                 perms,
-            )?))
+                &mut facts,
+            )?;
+            OpOutcome {
+                graph: Some(resolved.graph),
+                ..OpOutcome::report_only(OpReport::Memsim(report))
+            }
         }
     };
     outcome.facts = facts;
@@ -462,46 +467,28 @@ fn exec_memsim(
     workload: &str,
     kernel: Option<&str>,
     perms: &mut dyn PermSource,
+    facts: &mut FactTally,
 ) -> Result<MemsimReport, OpError> {
-    use reorderlab_memsim::{
-        replay_louvain_move, replay_pagerank_iteration, replay_rr_kernel, Hierarchy,
-        HierarchyConfig,
-    };
-
     // Each workload replays the one kernel the applications run; `--kernel`
-    // may name it, and nothing else. The replay gets the ordering the graph
-    // was laid out by (`None` for the natural layout); only the RR replay
-    // reads it, as the stable labels that keep its traversal
-    // layout-independent.
-    type Replay = fn(&Csr, Option<&MeasuredOrdering>, &mut Hierarchy);
-    let (kernel_name, replay): (&str, Replay) = match workload {
-        "louvain" => ("packed", |g, _, hier| replay_louvain_move(g, hier)),
-        // Snapshot-corpus parameters: p = 0.25, 64 sets, seed 7.
-        "rr" => ("classic", |g, pi, hier| {
-            let labels = pi.map_or_else(
-                || (0..u32::try_from(g.num_vertices()).unwrap_or(u32::MAX)).collect(),
-                |pi| pi.to_order(),
-            );
-            replay_rr_kernel(g, &labels, 0.25, 64, 7, hier);
-        }),
-        "pagerank" => ("pull", |g, _, hier| replay_pagerank_iteration(g, hier)),
-        other => {
-            return Err(OpError::Usage(format!(
-                "unknown workload {other:?}; try louvain|rr|pagerank"
-            )))
-        }
-    };
-    if let Some(other) = kernel.filter(|&k| k != kernel_name) {
+    // may name it, and nothing else.
+    let workload = ReplayWorkload::parse(workload).ok_or_else(|| {
+        let names: Vec<&str> = ReplayWorkload::ALL.iter().map(|w| w.name()).collect();
+        OpError::Usage(format!("unknown workload {workload:?}; try {}", names.join("|")))
+    })?;
+    if let Some(other) = kernel.filter(|&k| k != workload.kernel()) {
         return Err(OpError::Usage(format!(
-            "unknown {workload} kernel {other:?}; try {kernel_name}"
+            "unknown {} kernel {other:?}; try {}",
+            workload.name(),
+            workload.kernel()
         )));
     }
 
     let g: &Csr = &resolved.graph;
-    // Optional reordering pass first: replay the laid-out graph, keeping
-    // the ordering so every layout walks the same logical traversal
-    // (matching the `bench snapshot` corpus semantics).
-    let (g, scheme_name, pi) = match scheme_spec {
+    // With a scheme, the replay walks the graph as that ordering lays it
+    // out, keeping the ordering so every layout walks the same logical
+    // traversal (matching the `bench snapshot` corpus semantics). Only the
+    // natural layout's replay is a fact of the graph's cell.
+    let (scheme_name, r) = match scheme_spec {
         Some(spec) => {
             let scheme = parse_scheme(spec)?;
             scheme
@@ -513,19 +500,15 @@ fn exec_memsim(
             let laid_out = g
                 .permuted(&pi)
                 .map_err(|e| OpError::Parse(format!("permutation rejected: {e}")))?;
-            (Cow::Owned(laid_out), scheme.name().to_string(), Some(pi))
+            (scheme.name().to_string(), workload.replay(&laid_out, Some(&pi)))
         }
-        None => (Cow::Borrowed(g), "Natural".to_string(), None),
+        None => ("Natural".to_string(), resolved.facts.replay(g, workload, facts)),
     };
-
-    let mut hier = Hierarchy::new(HierarchyConfig::scaled_cascade_lake());
-    replay(&g, pi.as_deref(), &mut hier);
-    let r = hier.report();
     Ok(MemsimReport {
         graph: resolved.id.clone(),
         scheme: scheme_name,
-        workload: workload.to_string(),
-        kernel: kernel_name.to_string(),
+        workload: workload.name().to_string(),
+        kernel: workload.kernel().to_string(),
         loads: r.loads,
         level_hits: r.level_hits.to_vec(),
         avg_latency: r.avg_latency,
@@ -619,7 +602,9 @@ mod tests {
         report
     }
 
-    fn fact_reading_requests(name: &str) -> [OpRequest; 4] {
+    /// Every request whose numbers are facts, on one graph: the memsim
+    /// requests replay each workload once in the natural layout.
+    fn fact_reading_requests(name: &str) -> [OpRequest; 7] {
         [
             OpRequest::Stats { source: instance(name) },
             OpRequest::Reorder {
@@ -635,6 +620,24 @@ mod tests {
             OpRequest::Compression {
                 source: instance(name),
                 schemes: vec!["natural".into(), "rcm".into()],
+            },
+            OpRequest::Memsim {
+                source: instance(name),
+                scheme: None,
+                workload: "louvain".into(),
+                kernel: None,
+            },
+            OpRequest::Memsim {
+                source: instance(name),
+                scheme: None,
+                workload: "rr".into(),
+                kernel: None,
+            },
+            OpRequest::Memsim {
+                source: instance(name),
+                scheme: None,
+                workload: "pagerank".into(),
+                kernel: None,
             },
         ]
     }
@@ -860,7 +863,9 @@ mod tests {
         let local = execute(&memsim("dbg"), &FsResolver).unwrap();
         assert_eq!(first.report, local.report);
         assert_eq!(again.report, local.report);
-        assert_eq!(first.facts, FactTally::default(), "a replay is not a memoized fact");
+        let unmemoized = "a replay in a scheme's layout is not memoized";
+        assert_eq!(first.facts, FactTally::default(), "{unmemoized}");
+        assert_eq!(again.facts, FactTally::default(), "{unmemoized}");
         // Parameters are still validated first, as a usage error.
         let e = execute_with(&memsim("metis:parts=99999"), &kept, &mut perms).unwrap_err();
         assert!(matches!(e, OpError::Usage(_)), "{e}");

@@ -5,22 +5,32 @@
 //! have measures that cannot change either, so each is stored beside the
 //! bytes it describes: a [`MeasuredOrdering`] carries the gap and
 //! compression measures of its permutation, and a [`GraphFacts`] cell
-//! carries the natural-order gap measures and the [`GraphStats`] of its
-//! graph. Both start empty and fill on first read. Who owns the cell
-//! decides how long a fact lives: the CLI's resolver and permutation source
-//! hand out fresh cells per request, so it computes what it always did; the
-//! daemon's corpus and permutation cache keep theirs, so a fact lives and
-//! dies with its corpus or cache entry. There is no other policy.
+//! carries the natural-order gap measures, the [`GraphStats`] and the
+//! natural-layout memsim replays of its graph. Both start empty and fill on
+//! first read. Who owns the cell decides how long a fact lives: the CLI's
+//! resolver and permutation source hand out fresh cells per request, so it
+//! computes what it always did; the daemon's corpus and permutation cache
+//! keep theirs, so a fact lives and dies with its corpus or cache entry.
+//! There is no other policy.
 //!
-//! Memoizing is only sound because every measure here is bit-identical at
-//! any thread count (DESIGN.md §2, "Deterministic parallel reductions"): a
-//! cell filled at `threads: 7` reads the same at `threads: 1`.
+//! Memoizing is only sound because every fact here is bit-identical at any
+//! thread count (DESIGN.md §2, "Deterministic parallel reductions"): a cell
+//! filled at `threads: 7` reads the same at `threads: 1`. A replay is such a
+//! fact too: it is a pure function of the graph bytes, the layout and the
+//! [`ReplayWorkload`], because the hierarchy is fixed at
+//! `scaled_cascade_lake()`, the RR parameters are fixed and the simulator
+//! has no parallel code. A replay in a scheme's layout is sound to memoize
+//! by the same argument but is not: no measured workload repeats one.
 
 use reorderlab_core::measures::{
     gap_measures, try_compression_measures, CompressionMeasures, GapMeasures,
 };
 use reorderlab_core::MeasureError;
 use reorderlab_graph::{Csr, GraphStats, Permutation};
+use reorderlab_memsim::{
+    replay_louvain_move, replay_pagerank_iteration, replay_rr_kernel, Hierarchy, HierarchyConfig,
+    MemReport,
+};
 use std::convert::Infallible;
 use std::ops::Deref;
 use std::sync::OnceLock;
@@ -64,6 +74,68 @@ impl<T: Clone> Fact<T> {
     fn get_or(&self, tally: &mut FactTally, compute: impl FnOnce() -> T) -> T {
         self.get_or_try(tally, || Ok::<T, Infallible>(compute()))
             .unwrap_or_else(|never| match never {})
+    }
+}
+
+/// A memsim replay: the one kernel an application runs, replayed through
+/// the scaled Cascade Lake hierarchy. The discriminant indexes the replay
+/// cells of [`GraphFacts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReplayWorkload {
+    /// Louvain's move scan (`packed`).
+    Louvain,
+    /// RR sampling (`classic`), with the snapshot corpus's parameters:
+    /// p = 0.25, 64 sets, seed 7.
+    Rr,
+    /// One pull PageRank iteration (`pull`).
+    Pagerank,
+}
+
+impl ReplayWorkload {
+    /// Every workload, in cell order.
+    pub const ALL: [ReplayWorkload; 3] =
+        [ReplayWorkload::Louvain, ReplayWorkload::Rr, ReplayWorkload::Pagerank];
+
+    /// The workload named `name`, if any.
+    pub fn parse(name: &str) -> Option<ReplayWorkload> {
+        ReplayWorkload::ALL.into_iter().find(|w| w.name() == name)
+    }
+
+    /// The wire name: `louvain`, `rr` or `pagerank`.
+    pub fn name(self) -> &'static str {
+        match self {
+            ReplayWorkload::Louvain => "louvain",
+            ReplayWorkload::Rr => "rr",
+            ReplayWorkload::Pagerank => "pagerank",
+        }
+    }
+
+    /// The name of the one kernel the workload replays.
+    pub fn kernel(self) -> &'static str {
+        match self {
+            ReplayWorkload::Louvain => "packed",
+            ReplayWorkload::Rr => "classic",
+            ReplayWorkload::Pagerank => "pull",
+        }
+    }
+
+    /// Replays the workload on `graph` as laid out by `pi` (`None` for the
+    /// natural layout). Only the RR replay reads the ordering, as the
+    /// stable labels that keep its traversal layout-independent.
+    pub fn replay(self, graph: &Csr, pi: Option<&Permutation>) -> MemReport {
+        let mut hier = Hierarchy::new(HierarchyConfig::scaled_cascade_lake());
+        match self {
+            ReplayWorkload::Louvain => replay_louvain_move(graph, &mut hier),
+            ReplayWorkload::Rr => {
+                let labels = pi.map_or_else(
+                    || (0..u32::try_from(graph.num_vertices()).unwrap_or(u32::MAX)).collect(),
+                    Permutation::to_order,
+                );
+                replay_rr_kernel(graph, &labels, 0.25, 64, 7, &mut hier);
+            }
+            ReplayWorkload::Pagerank => replay_pagerank_iteration(graph, &mut hier),
+        }
+        hier.report()
     }
 }
 
@@ -123,6 +195,7 @@ impl Deref for MeasuredOrdering {
 pub struct GraphFacts {
     natural_gaps: Fact<GapMeasures>,
     stats: Fact<GraphStats>,
+    replays: [Fact<MemReport>; ReplayWorkload::ALL.len()],
 }
 
 impl GraphFacts {
@@ -137,6 +210,16 @@ impl GraphFacts {
     pub fn stats(&self, graph: &Csr, tally: &mut FactTally) -> GraphStats {
         self.stats.get_or(tally, || GraphStats::compute(graph))
     }
+
+    /// The `workload` replay of `graph` in its natural layout.
+    pub(crate) fn replay(
+        &self,
+        graph: &Csr,
+        workload: ReplayWorkload,
+        tally: &mut FactTally,
+    ) -> MemReport {
+        self.replays[workload as usize].get_or(tally, || workload.replay(graph, None))
+    }
 }
 
 #[cfg(test)]
@@ -149,32 +232,45 @@ mod tests {
         reorderlab_datasets::by_name(name).unwrap().generate()
     }
 
+    type Facts = (GapMeasures, CompressionMeasures, GapMeasures, GraphStats, Vec<MemReport>);
+
+    /// Reads all seven facts of `g`: four measures, then the natural-layout
+    /// replay of every workload.
+    fn read_all(
+        g: &Csr,
+        ordering: &MeasuredOrdering,
+        facts: &GraphFacts,
+        tally: &mut FactTally,
+    ) -> Facts {
+        (
+            ordering.gaps(g, tally),
+            ordering.compression(g, tally).unwrap(),
+            facts.natural_gaps(g, tally),
+            facts.stats(g, tally),
+            ReplayWorkload::ALL.iter().map(|&w| facts.replay(g, w, tally)).collect(),
+        )
+    }
+
     #[test]
     fn each_fact_is_computed_once_and_then_reused() {
         let g = graph("euroroad");
         let ordering = MeasuredOrdering::new(Scheme::Rcm.reorder(&g));
         let facts = GraphFacts::default();
         let mut tally = FactTally::default();
-        let first = (
-            ordering.gaps(&g, &mut tally),
-            ordering.compression(&g, &mut tally).unwrap(),
-            facts.natural_gaps(&g, &mut tally),
-            facts.stats(&g, &mut tally),
-        );
-        assert_eq!(tally, FactTally { reused: 0, computed: 4 });
-        let second = (
-            ordering.gaps(&g, &mut tally),
-            ordering.compression(&g, &mut tally).unwrap(),
-            facts.natural_gaps(&g, &mut tally),
-            facts.stats(&g, &mut tally),
-        );
-        assert_eq!(tally, FactTally { reused: 4, computed: 4 });
+        let first = read_all(&g, &ordering, &facts, &mut tally);
+        assert_eq!(tally, FactTally { reused: 0, computed: 7 });
+        let second = read_all(&g, &ordering, &facts, &mut tally);
+        assert_eq!(tally, FactTally { reused: 7, computed: 7 });
         assert_eq!(first, second);
         // The cells hold what the direct calls return.
         assert_eq!(first.0, gap_measures(&g, &ordering));
         assert_eq!(first.1, try_compression_measures(&g, &ordering).unwrap());
         assert_eq!(first.2, gap_measures(&g, &Permutation::identity(g.num_vertices())));
         assert_eq!(first.3, GraphStats::compute(&g));
+        // Each workload's cell holds that workload's replay and no other.
+        for (i, w) in ReplayWorkload::ALL.into_iter().enumerate() {
+            assert_eq!(first.4[i], w.replay(&g, None), "{w:?}");
+        }
     }
 
     /// The memo is sound only because a fact does not depend on the width
@@ -189,24 +285,15 @@ mod tests {
                 let ordering = MeasuredOrdering::new(pi.clone());
                 let facts = GraphFacts::default();
                 build_pool(threads).install(|| {
-                    let mut tally = FactTally::default();
-                    ordering.gaps(&g, &mut tally);
-                    ordering.compression(&g, &mut tally).unwrap();
-                    facts.natural_gaps(&g, &mut tally);
-                    facts.stats(&g, &mut tally);
+                    read_all(&g, &ordering, &facts, &mut FactTally::default());
                 });
                 (ordering, facts)
             };
             let read = |(ordering, facts): &(MeasuredOrdering, GraphFacts)| {
                 build_pool(1).install(|| {
                     let mut tally = FactTally::default();
-                    let values = (
-                        ordering.gaps(&g, &mut tally),
-                        ordering.compression(&g, &mut tally).unwrap(),
-                        facts.natural_gaps(&g, &mut tally),
-                        facts.stats(&g, &mut tally),
-                    );
-                    assert_eq!(tally, FactTally { reused: 4, computed: 0 });
+                    let values = read_all(&g, ordering, facts, &mut tally);
+                    assert_eq!(tally, FactTally { reused: 7, computed: 0 });
                     values
                 })
             };

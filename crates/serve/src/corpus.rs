@@ -13,9 +13,10 @@
 //!
 //! A corpus graph never changes while the daemon runs, so each entry also
 //! owns the graph's fact cell (`reorderlab_ops::GraphFacts`): its
-//! natural-order gap measures and its `stats`, each computed by the first
-//! request that reads it and kept for as long as the entry is. A generator
-//! instance is regenerated per request and its facts go with it.
+//! natural-order gap measures, its `stats` and its natural-layout memsim
+//! replays, each computed by the first request that reads it and kept for
+//! as long as the entry is. A generator instance is regenerated per
+//! request and its facts go with it.
 
 use reorderlab_datasets::by_name;
 use reorderlab_graph::{csr_digest, Csr, BINARY_CSR_EXTENSION, COMPRESSED_CSR_EXTENSION};

@@ -440,12 +440,13 @@ fn audit_manifest(
     cache_hit: bool,
     outcome: Option<&OpOutcome>,
 ) -> Manifest {
-    let (graph_id, vertices, edges) = match outcome.map(|o| &o.report) {
-        Some(OpReport::Stats(s)) => (s.graph.clone(), s.vertices, s.edges),
-        Some(OpReport::Reorder(r)) => (r.graph.clone(), r.vertices, r.edges),
-        Some(OpReport::Measure(m)) => (m.graph.clone(), m.vertices, m.edges),
-        Some(OpReport::Compression(c)) => (c.graph.clone(), c.vertices, c.edges),
-        Some(OpReport::Memsim(m)) => (m.graph.clone(), 0, 0),
+    let (graph_id, vertices, edges) = match outcome.map(|o| (&o.report, o.graph.as_deref())) {
+        Some((OpReport::Stats(s), _)) => (s.graph.clone(), s.vertices, s.edges),
+        Some((OpReport::Reorder(r), _)) => (r.graph.clone(), r.vertices, r.edges),
+        Some((OpReport::Measure(m), _)) => (m.graph.clone(), m.vertices, m.edges),
+        Some((OpReport::Compression(c), _)) => (c.graph.clone(), c.vertices, c.edges),
+        // The memsim report carries no sizes; the outcome carries the graph.
+        Some((OpReport::Memsim(m), Some(g))) => (m.graph.clone(), g.num_vertices(), g.num_edges()),
         _ => (request_graph_id(&envelope.request), 0, 0),
     };
     let mut m = Manifest::new("serve", &graph_id, vertices, edges)
@@ -454,7 +455,10 @@ fn audit_manifest(
     m.push_note("op", envelope.request.op_name());
     m.push_note("status", status);
     m.push_note("cache", if cache_hit { "hit" } else { "miss" });
-    // Absent when the request read no fact (memsim, errors).
+    // Absent when the request read no fact: a failed one, or a memsim in a
+    // scheme's layout. A natural-layout replay is a fact like any measure:
+    // a pure function of the graph bytes and the workload, bit-identical at
+    // any width.
     match outcome.map(|o| o.facts) {
         Some(facts) if facts.computed > 0 => m.push_note("facts", "computed"),
         Some(facts) if facts.reused > 0 => m.push_note("facts", "reused"),

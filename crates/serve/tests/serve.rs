@@ -83,8 +83,10 @@ fn without_timing(mut report: OpReport) -> OpReport {
     report
 }
 
-/// The four operations whose numbers are memoized, on one graph.
-fn fact_reading_requests(source: GraphSource) -> [OpRequest; 4] {
+/// The operations whose numbers are memoized, on one graph. The memsim
+/// requests replay each workload once in the natural layout, whose replays
+/// live with the corpus entry.
+fn fact_reading_requests(source: GraphSource) -> [OpRequest; 7] {
     [
         OpRequest::Stats { source: source.clone() },
         OpRequest::Reorder {
@@ -94,8 +96,23 @@ fn fact_reading_requests(source: GraphSource) -> [OpRequest; 4] {
             return_perm: true,
         },
         OpRequest::Measure { source: source.clone(), schemes: vec!["rcm".into(), "dbg".into()] },
-        OpRequest::Compression { source, schemes: vec!["natural".into(), "rcm".into()] },
+        OpRequest::Compression {
+            source: source.clone(),
+            schemes: vec!["natural".into(), "rcm".into()],
+        },
+        memsim(source.clone(), None, "louvain"),
+        memsim(source.clone(), None, "rr"),
+        memsim(source, None, "pagerank"),
     ]
+}
+
+fn memsim(source: GraphSource, scheme: Option<&str>, workload: &str) -> OpRequest {
+    OpRequest::Memsim {
+        source,
+        scheme: scheme.map(str::to_string),
+        workload: workload.into(),
+        kernel: None,
+    }
 }
 
 fn corpus(graph: &str) -> GraphSource {
@@ -131,7 +148,8 @@ fn computed_memoized_and_recomputed_replies_equal_local_execution() {
                 assert!(client.send(&line).contains("\"status\":\"ok\""));
             }
             let recomputed = client.report(&request, None);
-            if !matches!(request, OpRequest::Stats { .. }) {
+            // What no ordering carries lives with the corpus entry.
+            if !matches!(request, OpRequest::Stats { .. } | OpRequest::Memsim { .. }) {
                 assert!(client.counter("cache_evictions") > evictions, "{request:?}");
                 assert!(client.counter("fact_misses") > misses, "{request:?}");
             }
@@ -163,8 +181,8 @@ fn a_warmed_daemon_answers_repeats_without_a_graph_pass() {
         }
     }
     assert_eq!(client.counter("fact_misses"), misses);
-    // Per round: stats 1, reorder 2, measure 2, compression 4.
-    assert_eq!(client.counter("fact_hits"), hits + 50 * 9);
+    // Per round: stats 1, reorder 2, measure 2, compression 4, memsim 3.
+    assert_eq!(client.counter("fact_hits"), hits + 50 * 12);
     let fresh = OpRequest::Reorder {
         source: corpus("rovira"),
         scheme: Some("random:seed=7".into()),
@@ -173,12 +191,13 @@ fn a_warmed_daemon_answers_repeats_without_a_graph_pass() {
     };
     client.report(&fresh, None);
     assert_eq!(client.counter("fact_misses"), misses + 1);
-    assert_eq!(client.counter("fact_hits"), hits + 50 * 9 + 1);
+    assert_eq!(client.counter("fact_hits"), hits + 50 * 12 + 1);
     handle.stop();
 }
 
 /// `cache_cap: 0` stores no ordering, so no measure of one either; the
-/// graph's own facts still live with the corpus entry.
+/// graph's own facts, its natural-layout replays among them, still live
+/// with the corpus entry.
 #[test]
 fn a_cacheless_daemon_answers_correctly_and_memoizes_nothing_per_ordering() {
     let mut handle = start_daemon_with(ServerConfig { cache_cap: 0, ..ServerConfig::default() });
@@ -196,6 +215,20 @@ fn a_cacheless_daemon_answers_correctly_and_memoizes_nothing_per_ordering() {
     assert_eq!(client.counter("cache_misses"), 3);
     // `before` once for the graph; `after` once per request.
     assert_eq!((client.counter("fact_misses"), client.counter("fact_hits")), (4, 2));
+    // A natural replay is computed once per corpus entry and then read; a
+    // replay in a scheme's layout reads no cell and runs on every request.
+    for (scheme, tally) in [(None, (1, 2)), (Some("rcm"), (0, 0))] {
+        let request = memsim(corpus("euroroad"), scheme, "pagerank");
+        let local = execute(&memsim(instance("euroroad"), scheme, "pagerank"), &FsResolver);
+        let local = local.unwrap().report;
+        let (misses, hits) = (client.counter("fact_misses"), client.counter("fact_hits"));
+        for round in 0..3 {
+            assert_eq!(client.report(&request, None), local, "round {round}");
+        }
+        let read = (client.counter("fact_misses") - misses, client.counter("fact_hits") - hits);
+        assert_eq!(read, tally, "{request:?}");
+    }
+    assert_eq!(client.counter("cache_len"), 0);
     handle.stop();
 }
 
@@ -217,6 +250,7 @@ fn daemon_reports_match_local_execution_across_thread_bounds() {
             source: GraphSource::Instance("euroroad".into()),
             schemes: vec!["natural".into(), "rcm".into(), "dbg".into()],
         },
+        memsim(instance("euroroad"), Some("rcm"), "rr"),
     ];
     for threads in [1usize, 2, 7] {
         for request in &requests {
@@ -238,6 +272,7 @@ fn daemon_reports_match_local_execution_across_thread_bounds() {
                     (strip(a.summary_line()), strip(b.summary_line()))
                 }
                 (OpReport::Measure(a), OpReport::Measure(b)) => (a.render_text(), b.render_text()),
+                (OpReport::Memsim(a), OpReport::Memsim(b)) => (a.render_text(), b.render_text()),
                 other => panic!("report kind mismatch: {other:?}"),
             };
             assert_eq!(
@@ -343,10 +378,15 @@ fn audit_log_records_every_executed_request() {
     client.send("{\"op\":\"reorder\",\"source\":{\"corpus\":\"rovira\"},\"scheme\":\"rcm\"}");
     client.send("{\"op\":\"stats\",\"source\":{\"corpus\":\"missing\"}}");
     client.send("{\"op\":\"stats\",\"source\":{\"corpus\":\"euroroad\"}}");
+    let memsim =
+        "{\"op\":\"memsim\",\"source\":{\"corpus\":\"euroroad\"},\"workload\":\"pagerank\"}";
+    for _ in 0..2 {
+        assert!(client.send(memsim).contains("\"status\":\"ok\""));
+    }
     handle.stop();
     let text = std::fs::read_to_string(&audit).unwrap();
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 4, "{text}");
+    assert_eq!(lines.len(), 6, "{text}");
     for line in &lines {
         let m = reorderlab_trace::Manifest::parse(line).unwrap();
         assert_eq!(m.command, "serve");
@@ -375,6 +415,12 @@ fn audit_log_records_every_executed_request() {
         "{text}"
     );
     assert_eq!(count(&["\"op\":\"reorder\"", "\"facts\":\"computed\""]), 1, "{text}");
+    // A memsim line names the graph it replayed, and its replay is a fact:
+    // the first request ran it, the repeat read it.
+    let memsim_lines =
+        |facts| count(&["\"op\":\"memsim\"", "\"vertices\":1190", "\"edges\":1399", facts]);
+    assert_eq!(memsim_lines("\"facts\":\"computed\""), 1, "{text}");
+    assert_eq!(memsim_lines("\"facts\":\"reused\""), 1, "{text}");
     assert_eq!(count(&["\"status\":\"usage\""]), 1, "{text}");
     assert_eq!(count(&["\"status\":\"usage\"", "\"facts\""]), 0, "{text}");
     let _ = std::fs::remove_file(&audit);
