@@ -8,7 +8,7 @@
 
 use crate::error::MeasureError;
 use rayon::prelude::*;
-use reorderlab_graph::{Csr, Permutation};
+use reorderlab_graph::{det_sum_f64, Csr, Permutation};
 
 /// Checks that `pi` covers exactly the graph's vertices.
 fn check_cover(graph: &Csr, pi: &Permutation) -> Result<(), MeasureError> {
@@ -102,80 +102,100 @@ pub fn try_gap_measures(graph: &Csr, pi: &Permutation) -> Result<GapMeasures, Me
             avg_log_gap: 0.0,
         });
     }
-    // Parallel reduction over CSR rows. Integer accumulators are order-free;
-    // the f64 log-gap partials are produced per vertex and folded in index
-    // order below, so results never depend on worker count or chunking.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
-    )]
-    let partials: Vec<RowPartial> =
-        (0..n as u32).into_par_iter().map(|u| row_partial(graph, pi, u)).collect();
+    // One contiguous row span per worker of the ambient pool. The integers
+    // are reduced per span and are order-free; the f64 log-gap is kept per
+    // row and folded in index order below, so the result never depends on
+    // the worker count or the span boundaries.
+    let directed = graph.is_directed();
+    let mut log_sums = vec![0.0f64; n];
+    // A directed row sees only its out-arcs, so its vertex bandwidth waits
+    // for the in-arc pass below; an undirected row's is final, so there
+    // are no band slices and every span gets `None`.
+    let mut vertex_band = vec![0u32; if directed { n } else { 0 }];
+    let span = n.div_ceil(rayon::current_num_threads().max(1)).max(1);
+    let mut band_spans = vertex_band.chunks_mut(span);
+    let spans: Vec<SpanPartial> = log_sums
+        .chunks_mut(span)
+        .map(|logs| (logs, band_spans.next()))
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .enumerate()
+        .map(|(i, (logs, bands))| span_partial(graph, pi, i * span, logs, bands))
+        .collect();
 
     let mut sum = 0u64;
-    let mut log_sum = 0.0f64;
     let mut count = 0u64;
     let mut bandwidth = 0u32;
-    let mut band_sum = 0.0f64;
-    for p in &partials {
+    let mut band_sum = 0u64;
+    for p in &spans {
         sum += p.sum;
-        log_sum += p.log_sum;
         count += p.count;
         bandwidth = bandwidth.max(p.edge_band);
+        band_sum += p.band_sum;
     }
-    // A directed row only sees its out-arcs; fold in-arc contributions to
-    // the target's vertex bandwidth serially, as the serial reference did.
-    if graph.is_directed() {
-        let mut vertex_band: Vec<u32> = partials.iter().map(|p| p.row_band).collect();
+    if directed {
         for (u, v, _) in graph.edges() {
             let gap = pi.rank(u).abs_diff(pi.rank(v));
             vertex_band[v as usize] = vertex_band[v as usize].max(gap);
         }
-        for &b in &vertex_band {
-            band_sum += b as f64;
-        }
-    } else {
-        for p in &partials {
-            band_sum += p.row_band as f64;
-        }
+        band_sum = vertex_band.iter().map(|&b| u64::from(b)).sum();
     }
+    let log_sum = det_sum_f64(&log_sums);
 
     let avg_gap = if count == 0 { 0.0 } else { sum as f64 / count as f64 };
     let avg_log_gap = if count == 0 { 0.0 } else { log_sum / count as f64 };
-    let avg_bandwidth = band_sum / n as f64;
+    let avg_bandwidth = band_sum as f64 / n as f64;
     Ok(GapMeasures { avg_gap, bandwidth, avg_bandwidth, avg_log_gap })
 }
 
-/// Per-row partial reduction of [`gap_measures`].
-struct RowPartial {
-    /// Sum of gaps over this row's *logical* edges.
+/// One row span's partial reduction of [`gap_measures`].
+struct SpanPartial {
+    /// Sum of gaps over the span's *logical* edges.
     sum: u64,
-    /// Sum of `log2(1 + gap)` over this row's logical edges, accumulated in
-    /// arc order.
-    log_sum: f64,
-    /// Logical edges owned by this row.
+    /// Logical edges owned by the span's rows.
     count: u64,
-    /// Max gap over this row's logical edges.
+    /// Max gap over the span's logical edges.
     edge_band: u32,
-    /// Max gap over *all* arcs of this row — for an undirected graph the
-    /// mirror arcs make this exactly the vertex bandwidth `β_u`.
-    row_band: u32,
+    /// Sum of the rows' bandwidths, for an undirected graph: its mirror
+    /// arcs make a row's max gap exactly the vertex bandwidth `β_u`.
+    band_sum: u64,
 }
 
-fn row_partial(graph: &Csr, pi: &Permutation, u: u32) -> RowPartial {
-    let ru = pi.rank(u);
+/// Reduces the rows `first..first + logs.len()`: each row's `log2(1 + gap)`
+/// sum, in arc order, goes to `logs`, and each row's max arc gap to
+/// `bands` when the graph is directed.
+fn span_partial(
+    graph: &Csr,
+    pi: &Permutation,
+    first: usize,
+    logs: &mut [f64],
+    mut bands: Option<&mut [u32]>,
+) -> SpanPartial {
     let directed = graph.is_directed();
-    let mut p = RowPartial { sum: 0, log_sum: 0.0, count: 0, edge_band: 0, row_band: 0 };
-    for &v in graph.neighbors(u) {
-        let gap = ru.abs_diff(pi.rank(v));
-        p.row_band = p.row_band.max(gap);
-        if !directed && v < u {
-            continue; // mirror arc; the (v, u) row owns this undirected edge
+    let mut p = SpanPartial { sum: 0, count: 0, edge_band: 0, band_sum: 0 };
+    for (i, log_sum) in logs.iter_mut().enumerate() {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SAFETY: a vertex id, so at most num_vertices() <= u32::MAX"
+        )]
+        let u = (first + i) as u32;
+        let ru = pi.rank(u);
+        let mut row_band = 0u32;
+        for &v in graph.neighbors(u) {
+            let gap = ru.abs_diff(pi.rank(v));
+            row_band = row_band.max(gap);
+            if !directed && v < u {
+                continue; // mirror arc; the (v, u) row owns this undirected edge
+            }
+            p.sum += u64::from(gap);
+            *log_sum += (1.0 + f64::from(gap)).log2();
+            p.count += 1;
+            p.edge_band = p.edge_band.max(gap);
         }
-        p.sum += gap as u64;
-        p.log_sum += (1.0 + gap as f64).log2();
-        p.count += 1;
-        p.edge_band = p.edge_band.max(gap);
+        match bands.as_deref_mut() {
+            Some(bands) => bands[i] = row_band,
+            None => p.band_sum += u64::from(row_band),
+        }
     }
     p
 }
@@ -269,7 +289,7 @@ pub fn try_vertex_bandwidths(graph: &Csr, pi: &Permutation) -> Result<Vec<u32>, 
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use reorderlab_graph::GraphBuilder;
+    use reorderlab_graph::{assert_thread_invariant, GraphBuilder};
 
     /// The serial reference the parallel implementation must reproduce —
     /// the original single-threaded edge-iteration scan.
@@ -347,19 +367,27 @@ mod proptests {
         #[test]
         fn parallel_gap_measures_match_serial(
             n in 1usize..48,
+            fewer_rows_than_workers in any::<bool>(),
             edges in proptest::collection::vec((0u32..48, 0u32..48), 0..160),
             seed in any::<u64>(),
             directed in any::<bool>(),
         ) {
+            // Half the cases have n < 7: fewer rows than the 7-thread workers.
+            let n = if fewer_rows_than_workers { 1 + n % 6 } else { n };
             let g = build(n, edges, directed);
             let pi = random_perm(n, seed);
+            // Bit for bit at 1, 2 and 7 threads, whatever the span bounds.
+            assert_thread_invariant(|| {
+                let m = gap_measures(&g, &pi);
+                (m.avg_gap.to_bits(), m.bandwidth, m.avg_bandwidth.to_bits(), m.avg_log_gap.to_bits())
+            });
             let par = gap_measures(&g, &pi);
             let ser = serial_gap_measures(&g, &pi);
             prop_assert_eq!(par.bandwidth, ser.bandwidth);
             // Integer-derived quantities are exact.
             prop_assert_eq!(par.avg_gap.to_bits(), ser.avg_gap.to_bits());
             prop_assert_eq!(par.avg_bandwidth.to_bits(), ser.avg_bandwidth.to_bits());
-            // The log-gap accumulates per-vertex partials in index order —
+            // The log-gap accumulates per-row partials in index order —
             // deterministic, but grouped differently than the flat serial
             // scan, so it agrees to rounding error rather than bit-for-bit.
             prop_assert!(

@@ -4,10 +4,10 @@
 //! calls it with the filesystem resolver and the compute-always
 //! permutation source, the daemon injects its corpus resolver and its
 //! permutation cache. Behavior (numbers, manifests, error strings) is
-//! identical by construction: every measure and every natural-layout memsim
-//! replay is read through the fact cell of the ordering or graph it
-//! describes ([`crate::facts`]), and only who owns that cell differs
-//! between the frontends.
+//! identical by construction: every measure, every natural-layout memsim
+//! replay and a returned permutation's text is read through the fact cell
+//! of the ordering or graph it describes ([`crate::facts`]), and only who
+//! owns that cell differs between the frontends.
 
 use crate::error::OpError;
 use crate::facts::{FactTally, MeasuredOrdering, ReplayWorkload};
@@ -273,9 +273,7 @@ fn exec_reorder(
     m.push_measure("avg_bandwidth", after.avg_bandwidth);
     m.push_measure("avg_log_gap", after.avg_log_gap);
     let permutation = if return_perm {
-        let mut buf = Vec::new();
-        pi.write_text(&mut buf).map_err(|e| OpError::Io(e.to_string()))?;
-        Some(String::from_utf8(buf).map_err(|e| OpError::Io(e.to_string()))?)
+        Some(pi.text(facts).map_err(|e| OpError::Io(e.to_string()))?.to_string())
     } else {
         None
     };

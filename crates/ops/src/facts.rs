@@ -4,7 +4,8 @@
 //! A graph that cannot change and an ordering of it that cannot change
 //! have measures that cannot change either, so each is stored beside the
 //! bytes it describes: a [`MeasuredOrdering`] carries the gap and
-//! compression measures of its permutation, and a [`GraphFacts`] cell
+//! compression measures of its permutation and the permutation's text
+//! form (a pure function of its bytes), and a [`GraphFacts`] cell
 //! carries the natural-order gap measures, the [`GraphStats`] and the
 //! natural-layout memsim replays of its graph. Both start empty and fill on
 //! first read. Who owns the cell decides how long a fact lives: the CLI's
@@ -32,8 +33,9 @@ use reorderlab_memsim::{
     MemReport,
 };
 use std::convert::Infallible;
+use std::io;
 use std::ops::Deref;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// How many facts one request read, by whether the cell already held them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -139,7 +141,8 @@ impl ReplayWorkload {
     }
 }
 
-/// An ordering of one graph and the measures of that graph under it.
+/// An ordering of one graph, the measures of that graph under it, and its
+/// text form.
 ///
 /// Dereferences to its [`Permutation`]. The measure methods take the graph
 /// the ordering was computed for; passing any other is a caller bug (the
@@ -149,12 +152,18 @@ pub struct MeasuredOrdering {
     pi: Permutation,
     gaps: Fact<GapMeasures>,
     compression: Fact<CompressionMeasures>,
+    text: Fact<Arc<str>>,
 }
 
 impl MeasuredOrdering {
     /// Wraps `pi` with empty measure cells.
     pub fn new(pi: Permutation) -> MeasuredOrdering {
-        MeasuredOrdering { pi, gaps: Fact::default(), compression: Fact::default() }
+        MeasuredOrdering {
+            pi,
+            gaps: Fact::default(),
+            compression: Fact::default(),
+            text: Fact::default(),
+        }
     }
 
     /// The gap measures of `graph` under this ordering.
@@ -178,6 +187,22 @@ impl MeasuredOrdering {
         tally: &mut FactTally,
     ) -> Result<CompressionMeasures, MeasureError> {
         self.compression.get_or_try(tally, || try_compression_measures(graph, &self.pi))
+    }
+
+    /// The permutation as [`Permutation::write_text`] renders it, one rank
+    /// per line (about 6 bytes per vertex once filled).
+    ///
+    /// # Errors
+    ///
+    /// Whatever `write_text` returns (failures are not stored).
+    pub fn text(&self, tally: &mut FactTally) -> io::Result<Arc<str>> {
+        self.text.get_or_try(tally, || {
+            let mut buf = Vec::new();
+            self.pi.write_text(&mut buf)?;
+            let text = String::from_utf8(buf)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            Ok(Arc::from(text))
+        })
     }
 }
 
@@ -232,10 +257,12 @@ mod tests {
         reorderlab_datasets::by_name(name).unwrap().generate()
     }
 
-    type Facts = (GapMeasures, CompressionMeasures, GapMeasures, GraphStats, Vec<MemReport>);
+    type Facts =
+        (GapMeasures, CompressionMeasures, Arc<str>, GapMeasures, GraphStats, Vec<MemReport>);
 
-    /// Reads all seven facts of `g`: four measures, then the natural-layout
-    /// replay of every workload.
+    /// Reads all eight facts of `g`: the ordering's two measures and its
+    /// text, the graph's two measures, then the natural-layout replay of
+    /// every workload.
     fn read_all(
         g: &Csr,
         ordering: &MeasuredOrdering,
@@ -245,6 +272,7 @@ mod tests {
         (
             ordering.gaps(g, tally),
             ordering.compression(g, tally).unwrap(),
+            ordering.text(tally).unwrap(),
             facts.natural_gaps(g, tally),
             facts.stats(g, tally),
             ReplayWorkload::ALL.iter().map(|&w| facts.replay(g, w, tally)).collect(),
@@ -258,18 +286,21 @@ mod tests {
         let facts = GraphFacts::default();
         let mut tally = FactTally::default();
         let first = read_all(&g, &ordering, &facts, &mut tally);
-        assert_eq!(tally, FactTally { reused: 0, computed: 7 });
+        assert_eq!(tally, FactTally { reused: 0, computed: 8 });
         let second = read_all(&g, &ordering, &facts, &mut tally);
-        assert_eq!(tally, FactTally { reused: 7, computed: 7 });
+        assert_eq!(tally, FactTally { reused: 8, computed: 8 });
         assert_eq!(first, second);
         // The cells hold what the direct calls return.
         assert_eq!(first.0, gap_measures(&g, &ordering));
         assert_eq!(first.1, try_compression_measures(&g, &ordering).unwrap());
-        assert_eq!(first.2, gap_measures(&g, &Permutation::identity(g.num_vertices())));
-        assert_eq!(first.3, GraphStats::compute(&g));
+        let mut text = Vec::new();
+        ordering.write_text(&mut text).unwrap();
+        assert_eq!(first.2.as_bytes(), text);
+        assert_eq!(first.3, gap_measures(&g, &Permutation::identity(g.num_vertices())));
+        assert_eq!(first.4, GraphStats::compute(&g));
         // Each workload's cell holds that workload's replay and no other.
         for (i, w) in ReplayWorkload::ALL.into_iter().enumerate() {
-            assert_eq!(first.4[i], w.replay(&g, None), "{w:?}");
+            assert_eq!(first.5[i], w.replay(&g, None), "{w:?}");
         }
     }
 
@@ -293,7 +324,7 @@ mod tests {
                 build_pool(1).install(|| {
                     let mut tally = FactTally::default();
                     let values = read_all(&g, ordering, facts, &mut tally);
-                    assert_eq!(tally, FactTally { reused: 7, computed: 0 });
+                    assert_eq!(tally, FactTally { reused: 8, computed: 0 });
                     values
                 })
             };

@@ -5,16 +5,17 @@
 //! `Scheme::spec()` is the canonical rendering of a parsed spec, so
 //! `metis:64` and `metis:parts=64,seed=42` share one entry. The value is a
 //! [`MeasuredOrdering`]: the permutation plus the gap and compression
-//! measures of that graph under it, each filled by the first request that
-//! reads it. The key names the inputs of those measures exactly, so a hit
-//! runs no graph pass, and the measures are evicted with the ordering they
-//! describe: there is no second table, lifetime or capacity. Eviction is
-//! LRU under a fixed capacity: every hit re-touches its entry, so the
-//! hot schemes of a zipf-skewed trace stay resident even when a burst of
-//! one-off requests would have flushed them under insertion-order (FIFO)
-//! eviction. The re-touch is an O(capacity) queue scan, which is noise at
-//! the capacities this daemon runs (a permutation costs ~4·|V| bytes, so
-//! capacity stays in the tens).
+//! measures of that graph under it and the permutation's text form, each
+//! filled by the first request that reads it. The key names the inputs of
+//! those facts exactly, so a hit runs no graph pass, and the facts are
+//! evicted with the ordering they describe: there is no second table,
+//! lifetime or capacity. Eviction is LRU under a fixed capacity: every hit
+//! re-touches its entry, so the hot schemes of a zipf-skewed trace stay
+//! resident even when a burst of one-off requests would have flushed them
+//! under insertion-order (FIFO) eviction. The re-touch is an O(capacity)
+//! queue scan, which is noise at the capacities this daemon runs (a
+//! permutation costs ~4·|V| bytes, plus ~6·|V| for its text once a
+//! `return_perm` request has asked for it, so capacity stays in the tens).
 
 use reorderlab_core::Scheme;
 use reorderlab_ops::{MeasuredOrdering, OpError, PermSource, ResolvedGraph};

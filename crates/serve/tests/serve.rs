@@ -181,8 +181,9 @@ fn a_warmed_daemon_answers_repeats_without_a_graph_pass() {
         }
     }
     assert_eq!(client.counter("fact_misses"), misses);
-    // Per round: stats 1, reorder 2, measure 2, compression 4, memsim 3.
-    assert_eq!(client.counter("fact_hits"), hits + 50 * 12);
+    // Per round: stats 1, reorder 3 (two gap rows and the returned
+    // text), measure 2, compression 4, memsim 3.
+    assert_eq!(client.counter("fact_hits"), hits + 50 * 13);
     let fresh = OpRequest::Reorder {
         source: corpus("rovira"),
         scheme: Some("random:seed=7".into()),
@@ -191,11 +192,11 @@ fn a_warmed_daemon_answers_repeats_without_a_graph_pass() {
     };
     client.report(&fresh, None);
     assert_eq!(client.counter("fact_misses"), misses + 1);
-    assert_eq!(client.counter("fact_hits"), hits + 50 * 12 + 1);
+    assert_eq!(client.counter("fact_hits"), hits + 50 * 13 + 1);
     handle.stop();
 }
 
-/// `cache_cap: 0` stores no ordering, so no measure of one either; the
+/// `cache_cap: 0` stores no ordering, so no measure or text of one; the
 /// graph's own facts, its natural-layout replays among them, still live
 /// with the corpus entry.
 #[test]
@@ -213,8 +214,9 @@ fn a_cacheless_daemon_answers_correctly_and_memoizes_nothing_per_ordering() {
     }
     assert_eq!(client.counter("cache_len"), 0);
     assert_eq!(client.counter("cache_misses"), 3);
-    // `before` once for the graph; `after` once per request.
-    assert_eq!((client.counter("fact_misses"), client.counter("fact_hits")), (4, 2));
+    // `before` once for the graph; `after` and the returned text once per
+    // request.
+    assert_eq!((client.counter("fact_misses"), client.counter("fact_hits")), (7, 2));
     // A natural replay is computed once per corpus entry and then read; a
     // replay in a scheme's layout reads no cell and runs on every request.
     for (scheme, tally) in [(None, (1, 2)), (Some("rcm"), (0, 0))] {

@@ -175,22 +175,32 @@ fn write_num(out: &mut String, x: f64) {
     }
 }
 
+/// Writes `s` as a JSON string literal. Only ASCII bytes are ever escaped,
+/// and an ASCII byte is always a char boundary, so the text between two
+/// escapes is copied as one run.
 fn write_str(out: &mut String, s: &str) {
     use fmt::Write;
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -482,6 +492,50 @@ mod tests {
         let s = "line\nbreak \"quoted\" back\\slash \t control:\u{1}";
         let v = Json::Str(s.to_string());
         assert_eq!(Json::parse(&v.to_line()).unwrap(), v);
+    }
+
+    /// The per-char writer `write_str` replaced: the reference its output
+    /// must match byte for byte.
+    fn write_str_per_char(out: &mut String, s: &str) {
+        use fmt::Write;
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn run_writer_matches_the_per_char_reference() {
+        let mut cases: Vec<String> = (0u8..=0x7f).map(|b| char::from(b).to_string()).collect();
+        cases.push((0u8..=0x7f).map(char::from).collect());
+        for c in ['"', '\\', '\u{7f}', '\u{2028}', '\u{ffff}', '\u{1f600}'] {
+            cases.push(c.to_string());
+            cases.push(format!("a{c}b{c}"));
+        }
+        cases.push(String::new());
+        cases.push("ends in an escape\n".into());
+        cases.push("é\u{1}→\"😀\\".repeat(100));
+        // The text form of a 100k-rank permutation (`Permutation::write_text`
+        // writes one rank and a newline per vertex), ranks scrambled.
+        cases.push((0..100_000u64).map(|i| format!("{}\n", i * 7919 % 100_000)).collect());
+        for s in cases {
+            let (mut runs, mut per_char) = (String::new(), String::new());
+            write_str(&mut runs, &s);
+            write_str_per_char(&mut per_char, &s);
+            assert_eq!(runs, per_char, "{s:?}");
+            assert_eq!(Json::parse(&runs).unwrap(), Json::Str(s));
+        }
     }
 
     #[test]
