@@ -609,12 +609,12 @@ fn scatter_phase<G: Adjacency, S: Send>(
     }
     let mut prev_q = communities.q(m2);
 
-    // One contiguous vertex span per worker. The scratch and the proposal
-    // array are allocated once here and reused by every iteration; within a
-    // worker the epoch stamp makes per-vertex resets O(touched).
-    let workers = rayon::current_num_threads().clamp(1, n);
-    let span = n.div_ceil(workers);
-    let mut scratches: Vec<S> = (0..workers).map(|_| new_scratch(n)).collect();
+    // One contiguous vertex span of near-equal arcs per worker. The spans,
+    // the scratch and the proposal array are fixed here and reused by every
+    // iteration; within a worker the epoch stamp makes per-vertex resets
+    // O(touched).
+    let spans = rayon::arc_spans(level.offsets());
+    let mut scratches: Vec<S> = spans.iter().map(|_| new_scratch(n)).collect();
     let mut proposals: Vec<u32> = vec![NO_MOVE; n];
     let mut apply_row: Vec<u32> = Vec::new();
 
@@ -626,15 +626,16 @@ fn scatter_phase<G: Adjacency, S: Send>(
         let comm_snap: &[u32] = &communities.comm;
         let tot_snap: &[f64] = &communities.tot;
         let per_worker: Vec<(u64, Duration)> = scratches
-            .par_iter_mut()
-            .zip(proposals.chunks_mut(span).collect::<Vec<_>>())
-            .enumerate()
-            .map(|(w, (scratch, slice))| {
+            .iter_mut()
+            .zip(&spans)
+            .zip(rayon::span_slices(&mut proposals, &spans))
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|((scratch, span), slice)| {
                 let t0 = Instant::now();
                 let mut loads = 0u64;
-                let first = (w * span) as u32;
-                for (i, slot) in slice.iter_mut().enumerate() {
-                    let v = first + i as u32;
+                for (v, slot) in span.clone().zip(slice) {
+                    let v = v as u32;
                     *slot = propose(scratch, level, v, comm_snap, tot_snap, &ctx.k, m2, &mut loads);
                 }
                 (loads, t0.elapsed())

@@ -21,25 +21,26 @@ pub struct ModularityContext {
 
 impl ModularityContext {
     /// Precomputes degrees and totals for `graph`, one contiguous vertex
-    /// span per worker of the ambient pool. Each `k[v]` is its own row's sum
-    /// in row order and `total` is the serial sum of `k`, so the context is
-    /// the same bit for bit at any width, and every [`Adjacency`]
-    /// accumulates the identical float sequence: the contexts of a flat and
-    /// a compressed graph match too.
+    /// span of near-equal arcs per worker of the ambient pool
+    /// ([`rayon::arc_spans`]). Each `k[v]` is its own row's sum in row order
+    /// and `total` is the serial sum of `k`, so the context is the same bit
+    /// for bit at any width, and every [`Adjacency`] accumulates the
+    /// identical float sequence: the contexts of a flat and a compressed
+    /// graph match too.
     pub fn new<G: Adjacency>(graph: &G) -> Self {
         let n = graph.num_vertices();
         let mut k = vec![0.0f64; n];
         let mut self_weight = vec![0.0f64; n];
-        let span = n.div_ceil(rayon::current_num_threads().max(1)).max(1);
-        k.chunks_mut(span)
-            .zip(self_weight.chunks_mut(span))
+        let spans = rayon::arc_spans(graph.offsets());
+        spans
+            .iter()
+            .zip(rayon::span_slices(&mut k, &spans))
+            .zip(rayon::span_slices(&mut self_weight, &spans))
             .collect::<Vec<_>>()
             .into_par_iter()
-            .enumerate()
-            .for_each(|(chunk, (k, self_weight))| {
+            .for_each(|((span, k), self_weight)| {
                 let mut row: Vec<u32> = Vec::new();
-                for (i, (kv, sv)) in k.iter_mut().zip(self_weight).enumerate() {
-                    let v = (chunk * span + i) as u32;
+                for ((v, kv), sv) in span.clone().map(|v| v as u32).zip(k).zip(self_weight) {
                     graph.for_each_weighted(v, &mut row, |u, w| {
                         if u == v {
                             *sv = w;

@@ -102,25 +102,26 @@ pub fn try_gap_measures(graph: &Csr, pi: &Permutation) -> Result<GapMeasures, Me
             avg_log_gap: 0.0,
         });
     }
-    // One contiguous row span per worker of the ambient pool. The integers
-    // are reduced per span and are order-free; the f64 log-gap is kept per
-    // row and folded in index order below, so the result never depends on
-    // the worker count or the span boundaries.
+    // One contiguous row span of near-equal arcs per worker of the ambient
+    // pool. The integers are reduced per span and are order-free; the f64
+    // log-gap is kept per row and folded in index order below, so the
+    // result never depends on the worker count or the span boundaries.
     let directed = graph.is_directed();
     let mut log_sums = vec![0.0f64; n];
     // A directed row sees only its out-arcs, so its vertex bandwidth waits
     // for the in-arc pass below; an undirected row's is final, so there
     // are no band slices and every span gets `None`.
     let mut vertex_band = vec![0u32; if directed { n } else { 0 }];
-    let span = n.div_ceil(rayon::current_num_threads().max(1)).max(1);
-    let mut band_spans = vertex_band.chunks_mut(span);
-    let spans: Vec<SpanPartial> = log_sums
-        .chunks_mut(span)
-        .map(|logs| (logs, band_spans.next()))
+    let row_spans = rayon::arc_spans(graph.offsets());
+    let mut band_spans =
+        directed.then(|| rayon::span_slices(&mut vertex_band, &row_spans).into_iter());
+    let spans: Vec<SpanPartial> = row_spans
+        .iter()
+        .zip(rayon::span_slices(&mut log_sums, &row_spans))
+        .map(|(rows, logs)| (rows.start, logs, band_spans.as_mut().and_then(Iterator::next)))
         .collect::<Vec<_>>()
         .into_par_iter()
-        .enumerate()
-        .map(|(i, (logs, bands))| span_partial(graph, pi, i * span, logs, bands))
+        .map(|(first, logs, bands)| span_partial(graph, pi, first, logs, bands))
         .collect();
 
     let mut sum = 0u64;

@@ -10,6 +10,8 @@
 //! unaffected. CI runs it in the `chaos-schedules` leg.
 #![cfg(feature = "chaos")]
 
+mod support;
+
 use reorderlab_community::{louvain, CommunityResult, LouvainConfig};
 use reorderlab_datasets::{barabasi_albert, clique_chain, erdos_renyi_gnm, grid2d};
 use reorderlab_graph::{build_pool, CompressedCsr, Csr};
@@ -19,16 +21,19 @@ use reorderlab_kernels::{pagerank, pagerank_compressed, PageRankConfig, PageRank
 const SEEDS: std::ops::Range<u64> = 0..8;
 const THREADS: [usize; 2] = [2, 7];
 
-/// Small corpus with hubs (long rows in the scatter scan), a mesh, and
-/// community structure (multi-phase Louvain), affordable under 8 seeds × 2
-/// thread counts.
+/// Small corpus with hubs (long rows in the scatter scan), a mesh,
+/// community structure (multi-phase Louvain), and the hub-heavy graphs on
+/// which rows cut by arcs and rows cut by count part differently,
+/// affordable under 8 seeds × 2 thread counts.
 fn corpus() -> Vec<(&'static str, Csr)> {
-    vec![
+    let mut corpus = vec![
         ("clique-chain", clique_chain(5, 6)),
         ("grid", grid2d(10, 10)),
         ("random", erdos_renyi_gnm(80, 240, 11)),
         ("powerlaw", barabasi_albert(150, 3, 5)),
-    ]
+    ];
+    corpus.extend(support::skewed_corpus());
+    corpus
 }
 
 /// Everything a Louvain run decides, down to per-iteration counters.
@@ -68,9 +73,10 @@ fn louvain_bit_identical_under_adversarial_schedules() {
 /// threads.
 #[test]
 fn imm_bit_identical_under_adversarial_schedules() {
-    for (gname, g) in
-        [("random", erdos_renyi_gnm(120, 420, 17)), ("powerlaw", barabasi_albert(150, 3, 5))]
-    {
+    let mut graphs =
+        vec![("random", erdos_renyi_gnm(120, 420, 17)), ("powerlaw", barabasi_albert(150, 3, 5))];
+    graphs.extend(support::skewed_corpus());
+    for (gname, g) in graphs {
         let cfg = ImmConfig::new(3).seed(9);
         let oracle = build_pool(1).install(|| imm(&g, &cfg));
         for seed in SEEDS {

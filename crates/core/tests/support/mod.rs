@@ -6,8 +6,11 @@
 #![allow(dead_code, reason = "each test crate uses its own subset")]
 
 use reorderlab_community::{louvain, LouvainConfig};
-use reorderlab_core::schemes::{adaptive_decide, hub_threshold, AdaptiveChoice, CommIntra};
-use reorderlab_graph::{build_pool, pseudo_peripheral, Components, Csr, Permutation};
+use reorderlab_core::schemes::{
+    adaptive_decide, dbg_order, hub_threshold, AdaptiveChoice, CommIntra,
+};
+use reorderlab_datasets::{barabasi_albert, star};
+use reorderlab_graph::{build_pool, pseudo_peripheral, Components, Csr, GraphBuilder, Permutation};
 use reorderlab_trace::RunRecorder;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
@@ -23,6 +26,20 @@ pub fn recorded_fingerprint(rec: &RunRecorder) -> String {
         rec.series_map(),
         rec.notes()
     )
+}
+
+/// Hub-heavy graphs, on which rows cut by arcs (`rayon::arc_spans`) and
+/// rows cut by count part at different vertices: a star with its hub
+/// first, the same star with its hub last, and a preferential-attachment
+/// graph in DBG order (hubs at low ids).
+pub fn skewed_corpus() -> Vec<(&'static str, Csr)> {
+    let hub_last = GraphBuilder::undirected(200)
+        .edges((0..199u32).map(|v| (v, 199)))
+        .build()
+        .expect("valid star");
+    let ba = barabasi_albert(300, 3, 5);
+    let dbg = ba.permuted(&dbg_order(&ba)).expect("a permutation of the graph");
+    vec![("star-hub-first", star(200)), ("star-hub-last", hub_last), ("ba-dbg", dbg)]
 }
 
 pub fn assert_bijective(pi: &Permutation, n: usize, ctx: &str) {

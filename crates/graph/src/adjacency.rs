@@ -45,6 +45,11 @@ pub trait Adjacency: Sync {
     /// Number of stored arcs leaving `v`.
     fn degree(&self, v: u32) -> usize;
 
+    /// The arc prefix, `n + 1` entries: row `v` holds stored arcs
+    /// `offsets()[v]..offsets()[v + 1]`. A per-row parallel pass cuts its
+    /// rows by it with `rayon::arc_spans`.
+    fn offsets(&self) -> &[usize];
+
     /// The targets of `v`'s row in stored order, with an exact
     /// `size_hint`.
     fn neighbors(&self, v: u32) -> Self::Neighbors<'_>;
@@ -109,6 +114,10 @@ impl Adjacency for Csr {
         Csr::degree(self, v)
     }
 
+    fn offsets(&self) -> &[usize] {
+        Csr::offsets(self)
+    }
+
     #[inline]
     fn neighbors(&self, v: u32) -> Self::Neighbors<'_> {
         Csr::neighbors(self, v).iter().copied()
@@ -148,6 +157,10 @@ impl Adjacency for CompressedCsr {
         CompressedCsr::degree(self, v)
     }
 
+    fn offsets(&self) -> &[usize] {
+        CompressedCsr::offsets(self)
+    }
+
     #[inline]
     fn neighbors(&self, v: u32) -> GapNeighbors<'_> {
         CompressedCsr::neighbors(self, v)
@@ -177,6 +190,7 @@ mod tests {
         assert_eq!(g.num_edges(), oracle.num_edges());
         assert_eq!(g.num_arcs(), oracle.num_arcs());
         assert_eq!(g.is_directed(), oracle.is_directed());
+        assert_eq!(g.offsets(), oracle.offsets());
         let mut buf = Vec::new();
         for v in oracle.vertices() {
             let row = oracle.neighbors(v);

@@ -326,6 +326,12 @@ impl CompressedCsr {
         self.directed
     }
 
+    /// The arc offsets (`n + 1` entries), as in [`Csr::offsets`]: the
+    /// encoding keeps them flat, so they equal the decoded graph's.
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
     /// Whether arcs carry explicit weights.
     #[inline]
     pub fn is_weighted(&self) -> bool {

@@ -9,11 +9,28 @@
 use crate::error::GraphError;
 use crate::perm::Permutation;
 use rayon::prelude::*;
+use std::ops::Range;
 
-/// A disjoint slice of the output arrays under construction: the range's
-/// starting vertex plus its target (and optional weight) storage. Used to
-/// hand each parallel worker its own writable region.
-type OutSlice<'a> = (usize, &'a mut [u32], Option<&'a mut [f64]>);
+/// One worker's share of a CSR under construction: a span of its rows plus
+/// that span's target (and optional weight) storage.
+type OutSpan<'a> = (Range<usize>, &'a mut [u32], Option<&'a mut [f64]>);
+
+/// Cuts the rows of the output prefix `offsets` by [`rayon::arc_spans`] and
+/// splits the output arrays to match, so each worker of a parallel fill
+/// owns a disjoint region of near-equal arcs.
+fn out_spans<'a>(
+    offsets: &[usize],
+    targets: &'a mut [u32],
+    weights: Option<&'a mut [f64]>,
+) -> Vec<OutSpan<'a>> {
+    let rows = rayon::arc_spans(offsets);
+    let arcs: Vec<Range<usize>> = rows.iter().map(|r| offsets[r.start]..offsets[r.end]).collect();
+    let mut weights = weights.map(|w| rayon::span_slices(w, &arcs).into_iter());
+    rows.into_iter()
+        .zip(rayon::span_slices(targets, &arcs))
+        .map(|(r, t)| (r, t, weights.as_mut().and_then(Iterator::next)))
+        .collect()
+}
 
 /// A graph in compressed sparse row form.
 ///
@@ -294,6 +311,12 @@ impl Csr {
     /// `pi.rank(v)`. Neighbor lists of the result are sorted. The graph
     /// structure (edge set, weights) is preserved.
     ///
+    /// The output rows are filled in parallel, one contiguous span of
+    /// near-equal arcs per worker ([`rayon::arc_spans`] over the output
+    /// prefix), so a hub-first order does not load one worker with most of
+    /// the arcs. Every row is written alone, so the result is the same at
+    /// any width.
+    ///
     /// # Errors
     ///
     /// Returns [`GraphError::PermutationLengthMismatch`] when `pi` does not
@@ -309,7 +332,8 @@ impl Csr {
         let order = pi.to_order();
         // Per-vertex offset precomputation: a prefix sum over the permuted
         // degrees fixes every row's output range up front, so rows can be
-        // relabeled and sorted fully in parallel into disjoint slices.
+        // relabeled and sorted fully in parallel into disjoint slices, one
+        // span of near-equal arcs per worker.
         let mut offsets = vec![0usize; n + 1];
         for new_v in 0..n {
             let old_v = order[new_v];
@@ -318,51 +342,45 @@ impl Csr {
         let mut targets = vec![0u32; self.targets.len()];
         let mut weights = self.weights.as_ref().map(|_| vec![0.0f64; self.targets.len()]);
 
-        // Split the output arrays into one mutable slice per row.
-        let mut rows: Vec<OutSlice<'_>> = Vec::with_capacity(n);
-        let mut t_rest: &mut [u32] = &mut targets;
-        let mut w_rest: Option<&mut [f64]> = weights.as_deref_mut();
-        for new_v in 0..n {
-            let deg = offsets[new_v + 1] - offsets[new_v];
-            let (t_row, t_tail) = t_rest.split_at_mut(deg);
-            t_rest = t_tail;
-            let w_row = w_rest.take().map(|w| {
-                let (w_row, w_tail) = w.split_at_mut(deg);
-                w_rest = Some(w_tail);
-                w_row
-            });
-            rows.push((new_v, t_row, w_row));
-        }
-
-        rows.into_par_iter().for_each(|(new_v, t_row, w_row)| {
-            let old_v = order[new_v];
-            let src_lo = self.offsets[old_v as usize];
-            let deg = t_row.len();
-            let src_row = &self.targets[src_lo..src_lo + deg];
-            match (w_row, self.weights.as_ref()) {
-                (Some(w_row), Some(src_w)) => {
-                    // Relabel and sort this neighbor list with its weights;
-                    // ties (duplicate targets) keep their original arc order.
-                    #[expect(
-                        clippy::cast_possible_truncation,
-                        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
-                    )]
-                    let mut pairs: Vec<(u32, u32)> =
-                        src_row.iter().enumerate().map(|(i, &t)| (pi.rank(t), i as u32)).collect();
-                    pairs.sort_unstable();
-                    for (j, &(t, i)) in pairs.iter().enumerate() {
-                        t_row[j] = t;
-                        w_row[j] = src_w[src_lo + i as usize];
+        out_spans(&offsets, &mut targets, weights.as_deref_mut()).into_par_iter().for_each(
+            |(rows, t_span, mut w_span)| {
+                let base = offsets[rows.start];
+                let mut pairs: Vec<(u32, u32)> = Vec::new();
+                for new_v in rows {
+                    let (lo, hi) = (offsets[new_v] - base, offsets[new_v + 1] - base);
+                    let t_row = &mut t_span[lo..hi];
+                    let src_lo = self.offsets[order[new_v] as usize];
+                    let src_row = &self.targets[src_lo..src_lo + t_row.len()];
+                    match (w_span.as_deref_mut(), self.weights.as_ref()) {
+                        (Some(w_span), Some(src_w)) => {
+                            // Relabel and sort this neighbor list with its
+                            // weights; ties (duplicate targets) keep their
+                            // original arc order.
+                            #[expect(
+                                clippy::cast_possible_truncation,
+                                reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+                            )]
+                            pairs.extend(
+                                src_row.iter().enumerate().map(|(i, &t)| (pi.rank(t), i as u32)),
+                            );
+                            pairs.sort_unstable();
+                            let w_row = &mut w_span[lo..hi];
+                            for (j, &(t, i)) in pairs.iter().enumerate() {
+                                t_row[j] = t;
+                                w_row[j] = src_w[src_lo + i as usize];
+                            }
+                            pairs.clear();
+                        }
+                        _ => {
+                            for (dst, &t) in t_row.iter_mut().zip(src_row) {
+                                *dst = pi.rank(t);
+                            }
+                            t_row.sort_unstable();
+                        }
                     }
                 }
-                _ => {
-                    for (dst, &t) in t_row.iter_mut().zip(src_row) {
-                        *dst = pi.rank(t);
-                    }
-                    t_row.sort_unstable();
-                }
-            }
-        });
+            },
+        );
         Ok(Csr::from_raw_parts(offsets, targets, weights, self.num_edges, self.directed))
     }
 
@@ -434,6 +452,10 @@ impl Csr {
     /// Transposes a directed graph (reverses every arc). For undirected
     /// graphs this returns a clone, since the stored adjacency is already
     /// symmetric.
+    ///
+    /// Each worker owns a band of destination rows of near-equal in-arcs
+    /// ([`rayon::arc_spans`] over the in-degree prefix) and fills it in
+    /// source order, so the result is the same at any width.
     pub fn transposed(&self) -> Csr {
         if !self.directed {
             return self.clone();
@@ -450,58 +472,38 @@ impl Csr {
         let mut targets = vec![0u32; self.targets.len()];
         let mut weights = self.weights.as_ref().map(|_| vec![0.0f64; self.targets.len()]);
 
-        // Partition destination vertices into one contiguous band per
-        // worker; a band's rows occupy a contiguous output range, so each
-        // worker owns a disjoint slice. Every worker sweeps the arc array in
-        // source order and scatters only the arcs landing in its band, which
-        // reproduces the serial fill order (per-row lists sorted by source)
-        // exactly, independent of the worker count.
-        let workers = rayon::current_num_threads().clamp(1, n.max(1));
-        let band = n.div_ceil(workers.max(1)).max(1);
-        let mut bands: Vec<OutSlice<'_>> = Vec::with_capacity(workers);
-        let mut t_rest: &mut [u32] = &mut targets;
-        let mut w_rest: Option<&mut [f64]> = weights.as_deref_mut();
-        let mut lo_v = 0usize;
-        while lo_v < n {
-            let hi_v = (lo_v + band).min(n);
-            let len = offsets[hi_v] - offsets[lo_v];
-            let (t_band, t_tail) = t_rest.split_at_mut(len);
-            t_rest = t_tail;
-            let w_band = w_rest.take().map(|w| {
-                let (w_band, w_tail) = w.split_at_mut(len);
-                w_rest = Some(w_tail);
-                w_band
-            });
-            bands.push((lo_v, t_band, w_band));
-            lo_v = hi_v;
-        }
-
-        let offsets_ref: &[usize] = &offsets;
-        bands.into_par_iter().for_each(|(lo_v, t_band, mut w_band)| {
-            let hi_v = (lo_v + band).min(n);
-            let base = offsets_ref[lo_v];
-            let mut cursor: Vec<usize> =
-                offsets_ref[lo_v..hi_v].iter().map(|&o| o - base).collect();
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
-            )]
-            for u in 0..n as u32 {
-                let row_lo = self.offsets[u as usize];
-                for (i, &v) in self.neighbors(u).iter().enumerate() {
-                    let vi = v as usize;
-                    if vi < lo_v || vi >= hi_v {
-                        continue;
-                    }
-                    let slot = cursor[vi - lo_v];
-                    cursor[vi - lo_v] += 1;
-                    t_band[slot] = u;
-                    if let (Some(dst), Some(src)) = (w_band.as_mut(), self.weights.as_ref()) {
-                        dst[slot] = src[row_lo + i];
+        // Partition destination vertices into contiguous bands of near-equal
+        // in-arcs, one per worker; a band's rows occupy a contiguous output
+        // range, so each worker owns a disjoint slice. Every worker sweeps the
+        // arc array in source order and scatters only the arcs landing in its
+        // band, which reproduces the serial fill order (per-row lists sorted
+        // by source) exactly, independent of the worker count.
+        out_spans(&offsets, &mut targets, weights.as_deref_mut()).into_par_iter().for_each(
+            |(band, t_band, mut w_band)| {
+                let base = offsets[band.start];
+                let mut cursor: Vec<usize> =
+                    offsets[band.clone()].iter().map(|&o| o - base).collect();
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+                )]
+                for u in 0..n as u32 {
+                    let row_lo = self.offsets[u as usize];
+                    for (i, &v) in self.neighbors(u).iter().enumerate() {
+                        let vi = v as usize;
+                        if !band.contains(&vi) {
+                            continue;
+                        }
+                        let slot = cursor[vi - band.start];
+                        cursor[vi - band.start] += 1;
+                        t_band[slot] = u;
+                        if let (Some(dst), Some(src)) = (w_band.as_mut(), self.weights.as_ref()) {
+                            dst[slot] = src[row_lo + i];
+                        }
                     }
                 }
-            }
-        });
+            },
+        );
         Csr::from_raw_parts(offsets, targets, weights, self.num_edges, true)
     }
 }

@@ -242,16 +242,13 @@ impl<G: Adjacency + Clone> RrSampler<'_, G> {
         scratch.begin(n, root);
         let trace = match self.model {
             DiffusionModel::IndependentCascade { probability } => {
-                self.reverse_bfs(scratch, &mut rng, |_, p_rng| p_rng < probability)
+                self.reverse_bfs(scratch, &mut rng, |_| probability)
             }
             DiffusionModel::WeightedCascade => {
                 // p(u -> v) = 1 / indeg(v): while scanning v's in-neighbors,
                 // each passes with probability 1/indeg(v).
                 let reverse: &G = &self.reverse;
-                self.reverse_bfs(scratch, &mut rng, |v, p_rng| {
-                    let indeg = reverse.degree(v).max(1) as f64;
-                    p_rng < 1.0 / indeg
-                })
+                self.reverse_bfs(scratch, &mut rng, |v| 1.0 / reverse.degree(v).max(1) as f64)
             }
             DiffusionModel::LinearThreshold => self.reverse_walk(scratch, &mut rng),
         };
@@ -259,13 +256,14 @@ impl<G: Adjacency + Clone> RrSampler<'_, G> {
     }
 
     /// IC-style probabilistic reverse BFS: each in-edge `(u -> v)` of a
-    /// visited `v` is live independently, as judged by `live(v, coin)`.
-    /// `scratch` arrives seeded with the root.
-    fn reverse_bfs<F: Fn(u32, f64) -> bool>(
+    /// visited `v` is live independently with probability `p_of(v)`, which
+    /// is computed once per popped `v`, not once per arc. `scratch` arrives
+    /// seeded with the root.
+    fn reverse_bfs(
         &self,
         scratch: &mut SampleScratch,
         rng: &mut StdRng,
-        live: F,
+        p_of: impl Fn(u32) -> f64,
     ) -> RrTrace {
         let reverse: &G = &self.reverse;
         let mut trace = RrTrace { edges_examined: 0, vertices_visited: 1 };
@@ -273,9 +271,10 @@ impl<G: Adjacency + Clone> RrSampler<'_, G> {
         while head < scratch.set.len() {
             let v = scratch.set[head];
             head += 1;
+            let p = p_of(v);
             for u in reverse.neighbors(v) {
                 trace.edges_examined += 1;
-                if !scratch.is_visited(u) && live(v, rng.gen::<f64>()) {
+                if !scratch.is_visited(u) && rng.gen::<f64>() < p {
                     scratch.visit(u);
                     trace.vertices_visited += 1;
                 }

@@ -169,6 +169,7 @@ fn pagerank_pull<G: Adjacency>(graph: &G, pull: &G, config: &PageRankConfig) -> 
     let mut next = vec![0.0f64; n];
     let mut next_share = vec![0.0f64; n];
     let mut diff = vec![0.0f64; n];
+    let spans = rayon::arc_spans(pull.offsets());
     let mut iterations = 0;
     let mut converged = false;
 
@@ -179,22 +180,31 @@ fn pagerank_pull<G: Adjacency>(graph: &G, pull: &G, config: &PageRankConfig) -> 
         let dangling_mass: f64 = dangling.iter().map(|&v| scores[v]).sum();
         let dangling_share = d * dangling_mass / n as f64;
 
-        next.par_iter_mut()
-            .zip(next_share.par_iter_mut())
-            .zip(diff.par_iter_mut())
-            .enumerate()
-            .for_each(|(v, ((score, own_share), change))| {
-                // `fold`, not a `for` loop: compressed rows specialize
-                // `fold` into a single tight pass over the gap byte stream,
-                // and the flat-slice path compiles identically either way.
-                #[expect(
-                    clippy::cast_possible_truncation,
-                    reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
-                )]
-                let acc = pull.neighbors(v as u32).fold(0.0, |acc, u| acc + share[u as usize]);
-                *score = base + dangling_share + d * acc;
-                *own_share = share_of(*score, out_degree[v]);
-                *change = (scores[v] - *score).abs();
+        // One loop per span of near-equal pulled arcs; every vertex's
+        // values are its own, so the spans never change a bit.
+        spans
+            .iter()
+            .zip(rayon::span_slices(&mut next, &spans))
+            .zip(rayon::span_slices(&mut next_share, &spans))
+            .zip(rayon::span_slices(&mut diff, &spans))
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .for_each(|(((span, next), next_share), diff)| {
+                for (i, v) in span.clone().enumerate() {
+                    // `fold`, not a `for` loop: compressed rows specialize
+                    // `fold` into a single tight pass over the gap byte
+                    // stream, and the flat-slice path compiles identically
+                    // either way.
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
+                    )]
+                    let acc = pull.neighbors(v as u32).fold(0.0, |acc, u| acc + share[u as usize]);
+                    let score = base + dangling_share + d * acc;
+                    next[i] = score;
+                    next_share[i] = share_of(score, out_degree[v]);
+                    diff[i] = (scores[v] - score).abs();
+                }
             });
 
         // D2 contract: the float reduction goes through the order-fixed

@@ -39,6 +39,19 @@
 //! one `std::thread::scope` that spawns its workers, about 20 µs per call
 //! on the development host, so a loop much shorter than that is cheaper on
 //! one thread.
+//!
+//! # Spans by arcs
+//!
+//! Even spans suit items of even cost, but a pass over a graph's rows costs
+//! about one unit per arc plus a constant per row (weighed here as one
+//! arc), and on a hub-first layout the first even span holds most of the
+//! arcs while the other workers idle.
+//! Such a pass cuts its rows with [`arc_spans`] instead: at most
+//! `current_num_threads()` contiguous spans of near-equal weight
+//! Σ (degree(v) + 1), read off the CSR arc prefix the graph already keeps,
+//! so the cut costs one binary search per worker and no pass. It runs the
+//! spans as the items of a parallel call (one per worker), with each span's
+//! piece of an output array split off by [`span_slices`].
 #![forbid(unsafe_code)]
 
 use plumbing::{Chunks, Enumerate, Zip};
@@ -409,6 +422,93 @@ fn split_spans<P: plumbing::Producer>(producer: P, sizes: &[usize]) -> Vec<P> {
     spans.push(rest);
     spans.reverse();
     spans
+}
+
+/// Cuts the rows `0..n` of a CSR arc prefix — `offsets` has `n + 1`
+/// entries and row `v` owns arcs `offsets[v]..offsets[v + 1]` — into at
+/// most `current_num_threads()` contiguous, non-empty spans of near-equal
+/// weight Σ (degree(v) + 1), in row order. No span outweighs the total
+/// divided by the width by more than its heaviest row, so a hub costs its
+/// own span's worker and no one else's. No rows (`n = 0`) give no spans;
+/// one thread, or one row, gives the single span `0..n`.
+///
+/// Under `--features chaos` the cut points come from the seeded plan
+/// instead, so the chaos tiers still move every caller's row boundaries.
+pub fn arc_spans(offsets: &[usize]) -> Vec<std::ops::Range<usize>> {
+    let n = offsets.len().saturating_sub(1);
+    if n == 0 {
+        return Vec::new();
+    }
+    let threads = current_num_threads().clamp(1, n);
+    if threads == 1 {
+        return std::iter::once(0..n).collect();
+    }
+    #[cfg(feature = "chaos")]
+    return chaos::plan(n, threads)
+        .sizes
+        .into_iter()
+        .scan(0, |start, len| {
+            let span = *start..*start + len;
+            *start += len;
+            Some(span)
+        })
+        .collect();
+    #[cfg(not(feature = "chaos"))]
+    balanced_spans(offsets, threads)
+}
+
+/// The weight-balanced cut of [`arc_spans`] for `2 <= threads <= n`: span
+/// `k` ends at the first row boundary whose prefix weight reaches `k / threads`
+/// of the total, found by binary search; a boundary that repeats (a row
+/// heavier than a whole share) closes no second, empty span.
+#[cfg(not(feature = "chaos"))]
+fn balanced_spans(offsets: &[usize], threads: usize) -> Vec<std::ops::Range<usize>> {
+    let n = offsets.len() - 1;
+    // The weight of rows `0..v`; it rises by at least one per row.
+    let before = |v: usize| offsets[v] - offsets[0] + v;
+    let total = before(n) as u128;
+    let mut spans = Vec::with_capacity(threads);
+    let mut start = 0;
+    for k in 1..=threads as u128 {
+        let target = (total * k / threads as u128) as usize;
+        let (mut lo, mut hi) = (start, n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before(mid) < target {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        if lo > start {
+            spans.push(start..lo);
+            start = lo;
+        }
+    }
+    spans
+}
+
+/// Splits `slice` into the pieces `slice[span]` of `spans` (in order and
+/// disjoint), as mutable borrows a parallel call can hand one per worker.
+///
+/// # Panics
+///
+/// Panics if the spans are out of order or out of the slice's bounds.
+pub fn span_slices<'a, T>(
+    mut rest: &'a mut [T],
+    spans: &[std::ops::Range<usize>],
+) -> Vec<&'a mut [T]> {
+    let mut at = 0;
+    spans
+        .iter()
+        .map(|span| {
+            let tail = std::mem::take(&mut rest).split_at_mut(span.start - at).1;
+            let (piece, tail) = tail.split_at_mut(span.len());
+            rest = tail;
+            at = span.end;
+            piece
+        })
+        .collect()
 }
 
 /// Concatenates span outputs in span order. The first span's buffer grows
@@ -900,6 +1000,34 @@ mod tests {
     }
 
     #[test]
+    fn arc_spans_cover_the_rows_and_span_slices_split_them() {
+        // A hub at row 0 over 40 one-arc rows, at every width.
+        let offsets: Vec<usize> = std::iter::once(0).chain((0..=40).map(|v| 40 + v)).collect();
+        for threads in [1usize, 2, 3, 7, 64] {
+            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let spans = pool.install(|| arc_spans(&offsets));
+            assert!((1..=threads).contains(&spans.len()), "{threads} threads");
+            assert_eq!(spans[0].start, 0);
+            assert_eq!(spans[spans.len() - 1].end, 41);
+            assert!(spans.windows(2).all(|w| w[0].end == w[1].start));
+            assert!(spans.iter().all(|s| !s.is_empty()));
+            let mut rows: Vec<usize> = vec![0; 41];
+            for (span, piece) in spans.iter().zip(span_slices(&mut rows, &spans)) {
+                assert_eq!(piece.len(), span.len());
+                for (v, slot) in span.clone().zip(piece) {
+                    *slot = v + 1;
+                }
+            }
+            assert!(rows.iter().enumerate().all(|(v, &x)| x == v + 1));
+        }
+        assert!(arc_spans(&[0]).is_empty(), "no rows, no spans");
+        assert!(arc_spans(&[]).is_empty());
+        let mut arcs = [0u8; 10];
+        let pieces = span_slices(&mut arcs, &[2..5, 5..5, 7..10]);
+        assert_eq!(pieces.iter().map(|p| p.len()).collect::<Vec<_>>(), [3, 0, 3]);
+    }
+
+    #[test]
     fn zip_pairs_in_order() {
         let a = vec![1, 2, 3];
         let b = vec![4, 5, 6];
@@ -1112,6 +1240,26 @@ mod chaos_tests {
                 assert_eq!(plan.yields.len(), k);
             }
         }
+    }
+
+    #[test]
+    fn chaos_arc_spans_cover_the_rows_unevenly() {
+        // 1000 rows of three arcs: the balanced cut at 4 threads is four
+        // spans of 250 rows, which the seeded plans must move.
+        let offsets: Vec<usize> = (0..=1000).map(|v| 3 * v).collect();
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let mut uneven = 0;
+        for seed in 0..8 {
+            chaos::set_seed(seed);
+            let spans = pool.install(|| arc_spans(&offsets));
+            assert!((2..=4).contains(&spans.len()), "seed {seed}");
+            assert_eq!(spans[0].start, 0, "seed {seed}");
+            assert_eq!(spans[spans.len() - 1].end, 1000, "seed {seed}");
+            assert!(spans.windows(2).all(|w| w[0].end == w[1].start), "seed {seed}");
+            assert!(spans.iter().all(|s| !s.is_empty()), "seed {seed}");
+            uneven += usize::from(spans.iter().any(|s| s.len() != 250));
+        }
+        assert!(uneven > 0, "no seed moved a span boundary");
     }
 
     #[test]
