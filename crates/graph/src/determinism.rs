@@ -11,13 +11,33 @@
 /// Order-fixed reduction of parallel-computed float parts.
 ///
 /// Float addition is not associative, so reducing a parallel iterator
-/// directly (`par_iter().map(..).sum()`) ties the result to however the
-/// scheduler grouped the work. The repo's D2 static-analysis contract
-/// (see `crates/analyze`) therefore requires parallel float reductions to
-/// go through this wrapper: compute the parts in parallel into an
-/// index-ordered buffer (a `collect`, or a per-vertex array the parallel
-/// pass writes), and fold it sequentially here, so the accumulation order
-/// never depends on thread count or schedule.
+/// directly (`par_iter().map(..).sum()`) would tie the result to however
+/// the scheduler grouped the work. The workspace's rayon has no parallel
+/// `sum`, `fold`, `reduce` or `product` (DESIGN.md §8), so that chain does
+/// not compile:
+///
+/// ```compile_fail,E0599
+/// use rayon::prelude::*;
+///
+/// let v = vec![0.1f64; 1000];
+/// let total = v.par_iter().map(|x| *x).sum::<f64>();
+/// ```
+///
+/// A parallel float reduction goes through this wrapper instead: compute
+/// the parts in parallel into an index-ordered buffer (a `collect`, or a
+/// per-vertex array the parallel pass writes), and fold it sequentially
+/// here, so the accumulation order never depends on thread count or
+/// schedule:
+///
+/// ```
+/// use rayon::prelude::*;
+/// use reorderlab_graph::det_sum_f64;
+///
+/// let v = vec![0.1f64; 1000];
+/// let parts: Vec<f64> = v.par_iter().map(|x| *x).collect();
+/// let total = det_sum_f64(&parts);
+/// assert_eq!(total.to_bits(), v.iter().sum::<f64>().to_bits());
+/// ```
 #[inline]
 pub fn det_sum_f64(parts: &[f64]) -> f64 {
     parts.iter().sum()

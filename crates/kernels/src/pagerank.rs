@@ -140,7 +140,7 @@ pub fn pagerank_compressed(
 /// The pull iteration over any [`Adjacency`]: out-degrees come from `graph`,
 /// in-neighbor rows from `pull` (its transpose, or `graph` itself when the
 /// adjacency is symmetric). One body for every storage form, so they
-/// execute the identical float-operation sequence (the D2-safe delta
+/// execute the identical float-operation sequence (the order-fixed delta
 /// reduction included) and differ only in how a row is decoded.
 ///
 /// An iteration is one parallel pass over the vertices. Vertex `v` gathers
@@ -207,8 +207,9 @@ fn pagerank_pull<G: Adjacency>(graph: &G, pull: &G, config: &PageRankConfig) -> 
                 }
             });
 
-        // D2 contract: the float reduction goes through the order-fixed
-        // wrapper so the accumulation never depends on the schedule.
+        // The rayon shim has no parallel `sum`: the float reduction goes
+        // through the order-fixed wrapper, so the accumulation never
+        // depends on the schedule.
         let delta = det_sum_f64(&diff);
         std::mem::swap(&mut scores, &mut next);
         std::mem::swap(&mut share, &mut next_share);

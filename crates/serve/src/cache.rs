@@ -21,14 +21,9 @@ use reorderlab_core::Scheme;
 use reorderlab_ops::{MeasuredOrdering, OpError, PermSource, ResolvedGraph};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
-/// Recover from a poisoned lock: every critical section here leaves the
-/// map and recency queue consistent at every await-free step, so the data
-/// is usable even if a panicking thread held the guard.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use crate::with_lock;
 
 type CacheKey = (u64, String);
 
@@ -84,25 +79,26 @@ impl PermCache {
         resolved: &ResolvedGraph,
     ) -> Result<(Arc<MeasuredOrdering>, bool), OpError> {
         let key = (digest, scheme.spec());
-        {
-            let mut inner = lock(&self.inner);
-            if let Some(pi) = inner.map.get(&key).cloned() {
-                if pi.len() == resolved.graph.num_vertices() {
-                    // Re-touch: this entry is now the most recently used.
-                    if let Some(pos) = inner.lru.iter().position(|k| k == &key) {
-                        inner.lru.remove(pos);
-                        inner.lru.push_back(key);
-                    }
-                    drop(inner);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((pi, true));
+        let hit = with_lock(&self.inner, |inner| {
+            let pi = inner.map.get(&key).cloned()?;
+            if pi.len() == resolved.graph.num_vertices() {
+                // Re-touch: this entry is now the most recently used.
+                let pos = inner.lru.iter().position(|k| k == &key);
+                if let Some(touched) = pos.and_then(|pos| inner.lru.remove(pos)) {
+                    inner.lru.push_back(touched);
                 }
-                // Digest collision: the cached ordering belongs to a
-                // different graph. Drop the stale entry and fall through
-                // to recompute for this one.
-                inner.map.remove(&key);
-                inner.lru.retain(|k| k != &key);
+                return Some(pi);
             }
+            // Digest collision: the cached ordering belongs to a different
+            // graph. Drop the stale entry and fall through to recompute for
+            // this one.
+            inner.map.remove(&key);
+            inner.lru.retain(|k| k != &key);
+            None
+        });
+        if let Some(pi) = hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((pi, true));
         }
         // Compute outside the lock: a slow scheme must not serialize the
         // whole cache. Two racing misses may both compute; the first to
@@ -111,29 +107,25 @@ impl PermCache {
         let pi = scheme.try_reorder(&resolved.graph).map_err(OpError::Scheme)?;
         let pi = Arc::new(MeasuredOrdering::new(pi));
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if self.capacity > 0 {
-            let mut inner = lock(&self.inner);
-            match inner.map.get(&key) {
-                Some(stored) if stored.len() == pi.len() => {
-                    return Ok((Arc::clone(stored), false));
-                }
-                // A colliding graph stored first: serve ours, unshared.
-                Some(_) => {}
-                None => {
-                    inner.map.insert(key.clone(), Arc::clone(&pi));
-                    inner.lru.push_back(key);
-                    while inner.map.len() > self.capacity {
-                        if let Some(old) = inner.lru.pop_front() {
-                            inner.map.remove(&old);
-                            self.evictions.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            break;
-                        }
-                    }
-                }
-            }
+        if self.capacity == 0 {
+            return Ok((pi, false));
         }
-        Ok((pi, false))
+        let stored = with_lock(&self.inner, |inner| match inner.map.get(&key) {
+            Some(stored) if stored.len() == pi.len() => Arc::clone(stored),
+            // A colliding graph stored first: serve ours, unshared.
+            Some(_) => Arc::clone(&pi),
+            None => {
+                inner.map.insert(key.clone(), Arc::clone(&pi));
+                inner.lru.push_back(key);
+                while inner.map.len() > self.capacity {
+                    let Some(old) = inner.lru.pop_front() else { break };
+                    inner.map.remove(&old);
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+                Arc::clone(&pi)
+            }
+        });
+        Ok((stored, false))
     }
 
     /// Cache hits so far.
@@ -153,7 +145,7 @@ impl PermCache {
 
     /// Entries currently resident.
     pub fn len(&self) -> usize {
-        lock(&self.inner).map.len()
+        with_lock(&self.inner, |inner| inner.map.len())
     }
 
     /// True when nothing is cached.

@@ -51,3 +51,22 @@ pub use proto::{
     STATUS_SHED,
 };
 pub use server::{serve, Engine, ServeStats, ServerConfig, ServerHandle, SubmitResult};
+
+use std::sync::{Mutex, PoisonError};
+
+/// Runs `f` on the data behind `m` and releases the lock when `f` returns:
+/// the guard cannot outlive the closure, so no caller holds a lock across
+/// work it does afterwards. A poisoned lock is recovered, because every
+/// closure leaves its data consistent, so a panicking holder does not
+/// invalidate it.
+pub(crate) fn with_lock<T, R>(m: &Mutex<T>, f: impl FnOnce(&mut T) -> R) -> R {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "SAFETY: the one lock site: the guard dies with this call. Every closure is a \
+                  bounded in-memory update, except the audit-log append, whose lock exists to \
+                  serialize exactly that JSONL write (no socket I/O, no kernel work, and after \
+                  the reply)"
+    )]
+    let mut guard = m.lock().unwrap_or_else(PoisonError::into_inner);
+    f(&mut guard)
+}

@@ -11,6 +11,7 @@
 use crate::cache::{CachingPerms, PermCache};
 use crate::corpus::{Corpus, CorpusResolver};
 use crate::proto::{error_response, ok_response, parse_control, shed_response, Control};
+use crate::with_lock;
 use reorderlab_graph::fnv1a;
 use reorderlab_ops::{
     execute_with, parse_scheme, run_with_threads, scheme_seed, OpError, OpOutcome, OpReport,
@@ -22,14 +23,8 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-
-/// Recover from a poisoned lock; every critical section leaves the data
-/// consistent, so a panicking holder does not invalidate it.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
@@ -96,17 +91,23 @@ struct JobCell {
 
 impl JobCell {
     fn publish(&self, response: String) {
-        *lock(&self.slot) = Some(frame(response));
+        let line = frame(response);
+        with_lock(&self.slot, |slot| *slot = Some(line));
         self.ready.notify_all();
     }
 
     fn wait(&self) -> Arc<str> {
-        let mut guard = lock(&self.slot);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "`Condvar::wait` takes the guard by value, which a `with_lock` closure cannot \
+                      give it; waiting for the publish is the one thing this guard spans"
+        )]
+        let mut guard = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(resp) = guard.as_ref() {
                 return Arc::clone(resp);
             }
-            guard = self.ready.wait(guard).unwrap_or_else(|poisoned| poisoned.into_inner());
+            guard = self.ready.wait(guard).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -280,8 +281,7 @@ impl Engine {
         // The canonical wire form is the coalescing/shard key: two
         // requests that decode equal serialize equal.
         let key = envelope.to_json().to_line();
-        let (cell, needs_enqueue) = {
-            let mut pending = lock(&self.shared.pending);
+        let (cell, needs_enqueue) = with_lock(&self.shared.pending, |pending| {
             if let Some(cell) = pending.get(&key) {
                 stats.coalesced.fetch_add(1, Ordering::Relaxed);
                 (Arc::clone(cell), false)
@@ -290,31 +290,32 @@ impl Engine {
                 pending.insert(key.clone(), Arc::clone(&cell));
                 (cell, true)
             }
-        };
-        if needs_enqueue {
-            let senders = lock(&self.senders);
+        });
+        if !needs_enqueue {
+            return Enqueued::Wait(cell);
+        }
+        let hash = fnv1a(key.as_bytes());
+        let job = Job { envelope, key: key.clone(), cell: Arc::clone(&cell) };
+        let shutting_down = || error_response(&OpError::Io("server is shutting down".into()));
+        let refusal = with_lock(&self.senders, |senders| {
             if senders.is_empty() {
-                lock(&self.shared.pending).remove(&key);
-                cell.publish(error_response(&OpError::Io("server is shutting down".into())));
-                return Enqueued::Wait(cell);
+                return Some(shutting_down());
             }
-            let shard = usize::try_from(fnv1a(key.as_bytes()) % senders.len() as u64).unwrap_or(0);
-            let job = Job { envelope, key: key.clone(), cell: Arc::clone(&cell) };
+            let shard = usize::try_from(hash % senders.len() as u64).unwrap_or(0);
             match senders[shard].try_send(job) {
-                Ok(()) => {}
-                Err(TrySendError::Full(job)) => {
-                    // Publish the shed response through the cell so any
-                    // coalesced waiters that raced in are released too.
-                    lock(&self.shared.pending).remove(&job.key);
+                Ok(()) => None,
+                Err(TrySendError::Full(_)) => {
                     stats.shed.fetch_add(1, Ordering::Relaxed);
-                    job.cell.publish(shed_response());
+                    Some(shed_response())
                 }
-                Err(TrySendError::Disconnected(job)) => {
-                    lock(&self.shared.pending).remove(&job.key);
-                    job.cell
-                        .publish(error_response(&OpError::Io("server is shutting down".into())));
-                }
+                Err(TrySendError::Disconnected(_)) => Some(shutting_down()),
             }
+        });
+        // A refused job is answered through its cell, so any coalesced
+        // waiters that raced in are released too.
+        if let Some(response) = refusal {
+            with_lock(&self.shared.pending, |pending| pending.remove(&key));
+            cell.publish(response);
         }
         Enqueued::Wait(cell)
     }
@@ -342,9 +343,8 @@ impl Engine {
     /// Stops the workers: closes every shard queue and joins the worker
     /// threads (queued jobs finish first).
     pub fn shutdown_workers(&self) {
-        lock(&self.senders).clear();
-        let handles: Vec<JoinHandle<()>> = lock(&self.workers).drain(..).collect();
-        for h in handles {
+        with_lock(&self.senders, Vec::clear);
+        for h in with_lock(&self.workers, std::mem::take) {
             let _ = h.join();
         }
     }
@@ -386,7 +386,7 @@ fn worker_loop(shared: &Shared, rx: &Receiver<Job>) {
         // Remove from pending BEFORE publishing: a request arriving after
         // removal starts a fresh computation; one arriving before it
         // attaches to this cell and is released by the publish below.
-        lock(&shared.pending).remove(&job.key);
+        with_lock(&shared.pending, |pending| pending.remove(&job.key));
         job.cell.publish(response);
         // The reply is out; the audit append is off the client's clock.
         if let Some((log, manifest)) = audit {
@@ -468,15 +468,15 @@ fn audit_manifest(
     m
 }
 
+/// The one closure that blocks under a lock: the audit log is a shared
+/// JSONL file and interleaved writes would corrupt it, so the lock exists
+/// to serialize exactly this append (see `with_lock`).
 fn append_audit(audit: &AuditLog, m: &Manifest) {
-    // SAFETY: this lock exists precisely to serialize the append — the
-    // audit log is a shared JSONL file and interleaved writes would corrupt
-    // it. The guard spans only this one bounded write (no socket I/O, no
-    // kernel work), and workers audit after responding to their client.
-    let _held = lock(&audit.guard);
-    if let Err(e) = m.append_jsonl(&audit.path) {
-        eprintln!("serve: cannot append audit manifest to {}: {e}", audit.path);
-    }
+    with_lock(&audit.guard, |()| {
+        if let Err(e) = m.append_jsonl(&audit.path) {
+            eprintln!("serve: cannot append audit manifest to {}: {e}", audit.path);
+        }
+    });
 }
 
 /// The seed the audit manifest records: the request scheme's own seed

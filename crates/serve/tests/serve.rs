@@ -12,6 +12,7 @@ use reorderlab_trace::{Json, Manifest};
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn start_daemon(audit: Option<String>) -> ServerHandle {
     start_daemon_with(ServerConfig { audit_path: audit, ..ServerConfig::default() })
@@ -528,5 +529,73 @@ fn a_huge_gorder_window_is_answered_and_the_daemon_stays_up() {
     );
     assert!(reply.contains("\"status\":\"ok\""), "{reply}");
     assert!(Client::connect(&handle).send("{\"control\":\"ping\"}").contains("\"pong\":true"));
+    handle.stop();
+}
+
+/// A client that asks for large replies and never reads them stalls its own
+/// connection and nothing else. Its replies fill the socket buffers and the
+/// daemon's write to it blocks; every lock is released by then, since a
+/// guard lives only inside a `with_lock` closure, so other clients'
+/// requests on the same daemon all finish within a fixed deadline.
+#[test]
+fn a_client_that_never_reads_stalls_no_other_client() {
+    const DEADLINE: Duration = Duration::from_secs(20);
+    // ~64 KB of permutation text per reply: far more than loopback
+    // buffers hold, and few enough request bytes to send without reading.
+    const PIPELINED: u64 = 640;
+    let mut corpus = Corpus::new();
+    corpus.insert("euroroad", reorderlab_datasets::by_name("euroroad").unwrap().generate());
+    corpus.insert("social", reorderlab_datasets::by_name("pgp").unwrap().generate());
+    let mut handle = serve(Arc::new(corpus), ServerConfig::default()).unwrap();
+    let perm = "{\"op\":\"reorder\",\"source\":{\"corpus\":\"social\"},\"scheme\":\"rcm\",\
+                \"return_perm\":true}";
+
+    // Declared after `handle`, so it is dropped first even on a failed
+    // assertion: closing it unblocks the daemon's write before `stop`.
+    let mut silent = TcpStream::connect(handle.addr()).unwrap();
+    silent.write_all(format!("{perm}\n").repeat(PIPELINED as usize).as_bytes()).unwrap();
+    // Another client too: it watches the silent one's replies stop.
+    let mut observer = Client::connect(&handle);
+    observer.writer.set_read_timeout(Some(DEADLINE)).unwrap();
+    let mut ok_count = || {
+        let reply = exchange(&mut observer.writer, &mut observer.reader, "{\"control\":\"stats\"}")
+            .unwrap_or_else(|e| panic!("stats: no reply within {DEADLINE:?}: {e}"));
+        Json::parse(&reply).unwrap().get("ok").and_then(Json::as_f64).unwrap() as u64
+    };
+    let stalled_at = Instant::now();
+    let mut served = ok_count();
+    loop {
+        std::thread::sleep(Duration::from_millis(300));
+        let now = ok_count();
+        if now == served && now > 0 {
+            break;
+        }
+        served = now;
+        assert!(stalled_at.elapsed() < Duration::from_secs(120), "the silent client never stalled");
+    }
+    assert!(served < PIPELINED, "every reply fit in the socket buffers; nothing blocked");
+
+    let start = Instant::now();
+    let requests = [
+        perm,
+        "{\"op\":\"stats\",\"source\":{\"corpus\":\"euroroad\"}}",
+        "{\"op\":\"measure\",\"source\":{\"corpus\":\"euroroad\"},\"schemes\":[\"rcm\"]}",
+        "{\"op\":\"reorder\",\"source\":{\"corpus\":\"social\"},\"scheme\":\"dbg\"}",
+    ];
+    std::thread::scope(|scope| {
+        for _ in 0..3 {
+            scope.spawn(|| {
+                let mut client = Client::connect(&handle);
+                client.writer.set_read_timeout(Some(DEADLINE)).unwrap();
+                for line in requests {
+                    let reply = exchange(&mut client.writer, &mut client.reader, line)
+                        .unwrap_or_else(|e| panic!("{line}: no reply within {DEADLINE:?}: {e}"));
+                    assert!(reply.contains("\"status\":\"ok\""), "{reply}");
+                }
+            });
+        }
+    });
+    assert!(start.elapsed() < DEADLINE, "other clients took {:?}", start.elapsed());
+    drop(silent);
     handle.stop();
 }

@@ -5,8 +5,8 @@
 //! implemented with `std::thread::scope` and no `unsafe`. Semantics match
 //! rayon where it matters here:
 //!
-//! - parallel iterators preserve input order in `collect`/`sum`, so results
-//!   are deterministic and independent of the worker count;
+//! - parallel iterators preserve input order in `collect`, so results are
+//!   deterministic and independent of the worker count;
 //! - `ThreadPoolBuilder::num_threads(k)` bounds the concurrency of parallel
 //!   calls made inside `ThreadPool::install`, including the ones nested in a
 //!   worker of such a call;
@@ -26,13 +26,18 @@
 //! first item, `zip` splits both sides at one index (its length is the
 //! shorter one's, as in rayon), and `chunks` splits at multiples of its size.
 //!
-//! A terminal call (`for_each`, `collect`, `sum`) cuts its producer into at
+//! A terminal call (`for_each`, `collect`) cuts its producer into at
 //! most `current_num_threads()` contiguous spans, runs the first on the
 //! calling thread and every other one on a scoped thread of its own, and
 //! returns the per-span results in span order. `for_each` allocates nothing
 //! per item; `collect` concatenates the span outputs once, and a one-span
-//! call returns its `Vec` as is; `sum` adds the mapped values in input
-//! order, so a float sum is the serial one at any width.
+//! call returns its `Vec` as is.
+//!
+//! There is no parallel `sum`, `fold`, `reduce` or `product`: a float
+//! reduction regrouped by the schedule would change its bits with the
+//! width. A reduction collects its parts in input order and folds them
+//! serially (`reorderlab_graph::det_sum_f64`), and rustc rejects any other
+//! way to write it.
 //!
 //! What it is not: spans are static (even, fixed by length and width), no
 //! work is stolen, and no worker outlives its call. Every parallel call is
@@ -755,13 +760,9 @@ impl<P: plumbing::Producer> ParIter<P> {
     pub fn collect<C: FromIterator<P::Item>>(self) -> C {
         self.producer.into_iter().collect()
     }
-
-    pub fn sum<S: std::iter::Sum<P::Item>>(self) -> S {
-        self.producer.into_iter().sum()
-    }
 }
 
-/// Lazy `map` stage of [`ParIter`]; executes on `collect`/`sum`/`for_each`.
+/// Lazy `map` stage of [`ParIter`]; executes on `collect`/`for_each`.
 pub struct Map<P, F> {
     producer: P,
     f: F,
@@ -776,16 +777,6 @@ where
     pub fn collect<C: FromIterator<R>>(self) -> C {
         let Map { producer, f } = self;
         concat(run_spans(producer, |span| span.into_iter().map(&f).collect())).into_iter().collect()
-    }
-
-    /// Deterministic sum: parallel map, then a sequential fold in input
-    /// order, so float accumulation order never depends on thread count.
-    pub fn sum<S: std::iter::Sum<R>>(self) -> S {
-        let Map { producer, f } = self;
-        run_spans(producer, |span| span.into_iter().map(&f).collect::<Vec<R>>())
-            .into_iter()
-            .flatten()
-            .sum()
     }
 
     pub fn for_each<G: Fn(R) + Sync>(self, g: G) {
@@ -925,7 +916,8 @@ mod tests {
     #[test]
     fn sum_is_deterministic() {
         let v: Vec<f64> = (0..10_000).map(|i| (i as f64).sqrt()).collect();
-        let a: f64 = v.par_iter().map(|&x| x).sum();
+        let parts: Vec<f64> = v.par_iter().map(|&x| x).collect();
+        let a: f64 = parts.iter().sum();
         let b: f64 = v.iter().sum();
         assert_eq!(a, b);
     }
@@ -1031,8 +1023,9 @@ mod tests {
     fn zip_pairs_in_order() {
         let a = vec![1, 2, 3];
         let b = vec![4, 5, 6];
-        let s: i32 = a.par_iter().zip(b.par_iter()).map(|(x, y)| x * y).sum();
-        assert_eq!(s, 4 + 10 + 18);
+        let products: Vec<i32> = a.par_iter().zip(b.par_iter()).map(|(x, y)| x * y).collect();
+        assert_eq!(products, [4, 10, 18]);
+        assert_eq!(products.iter().sum::<i32>(), 4 + 10 + 18);
     }
 }
 
@@ -1219,7 +1212,8 @@ mod chaos_tests {
         let serial: f64 = v.iter().sum();
         for seed in [0u64, 1, 5, 17, 0xDEAD_BEEF] {
             chaos::set_seed(seed);
-            let par: f64 = v.par_iter().map(|&x| x).sum();
+            let parts: Vec<f64> = v.par_iter().map(|&x| x).collect();
+            let par: f64 = parts.iter().sum();
             assert_eq!(par.to_bits(), serial.to_bits(), "seed {seed}");
         }
     }
