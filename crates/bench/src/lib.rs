@@ -32,11 +32,11 @@
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod render;
+mod render;
 pub mod sweep;
 
 pub use args::HarnessArgs;
-pub use render::{heat_row, render_heatmap, render_profile, render_table, render_violin, Table};
+pub use render::{render_heatmap, render_profile, render_violin, Table};
 
 #[cfg(test)]
 mod tests {

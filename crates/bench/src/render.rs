@@ -97,7 +97,7 @@ pub fn render_profile(profile: &PerformanceProfile) -> String {
 /// Normalizes one heat-map row to `\[0, 1\]` where 0 marks the *best* value
 /// ("redder is better" in the paper's figures). `lower_is_better` selects
 /// the direction. Constant rows map to all zeros.
-pub fn heat_row(values: &[f64], lower_is_better: bool) -> Vec<f64> {
+pub(crate) fn heat_row(values: &[f64], lower_is_better: bool) -> Vec<f64> {
     let (min, max) = values
         .iter()
         .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
@@ -178,15 +178,6 @@ pub fn render_violin(label: &str, dist: &reorderlab_core::GapDistribution, width
         out.push_str(&format!("  [{lo:>7}, {hi:>8})  {bar:<w$} {:.1}%\n", frac * 100.0, w = width));
     }
     out
-}
-
-/// Renders a plain table (convenience wrapper used by a few binaries).
-pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut t = Table::new(header.iter().copied());
-    for r in rows {
-        t.row(r.clone());
-    }
-    t.render()
 }
 
 #[cfg(test)]
@@ -272,12 +263,5 @@ mod tests {
         let s = render_violin("empty", &d, 20);
         assert!(s.contains("n=0"));
         assert_eq!(s.lines().count(), 1);
-    }
-
-    #[test]
-    fn render_table_wrapper() {
-        let s = render_table(&["x"], &[vec!["1".into()]]);
-        assert!(s.contains('x'));
-        assert!(s.contains('1'));
     }
 }

@@ -525,6 +525,44 @@ fn validate_rejects_every_adversarial_fixture_with_a_line_number() {
     }
 }
 
+/// `validate FILE` in a child whose address space is capped at ~1.5 GB, so
+/// that a reader which sizes an allocation by the file fails to allocate
+/// here instead of touching the memory on a host that has it.
+fn validate_under_memory_cap(file: &str) -> Output {
+    Command::new("sh")
+        .args(["-c", "ulimit -v 1500000; exec \"$0\" \"$@\""])
+        .args([env!("CARGO_BIN_EXE_reorderlab"), "validate", file])
+        .output()
+        .expect("sh runs")
+}
+
+/// A size line that declares 2·10⁹ vertices and one entry asks for 16 GB of
+/// row offsets; an edge list's largest id sizes the graph the same way.
+/// Both are refused with the line that set the size, not aborted.
+#[test]
+fn validate_refuses_a_graph_too_large_to_allocate_with_its_size_line() {
+    for (name, text, line) in [
+        (
+            "huge_header.mtx",
+            "%%MatrixMarket matrix coordinate pattern general\n2000000000 2000000000 1\n1 2\n",
+            2,
+        ),
+        ("huge_id.el", "0 4000000000\n", 1),
+    ] {
+        let (path, p) = tmp(name);
+        std::fs::write(&path, text).unwrap();
+        let out = validate_under_memory_cap(&p);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(
+            stderr.contains(&format!("parse error at line {line}: cannot allocate")),
+            "{name}: {stderr}"
+        );
+        assert!(stderr.contains("malformed"), "{name}: {stderr}");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 #[test]
 fn validate_exit_codes_rank_malformed_over_unreadable() {
     // A missing file alone: I/O problem, exit 1.

@@ -253,20 +253,6 @@ pub fn try_edge_gaps(graph: &Csr, pi: &Permutation) -> Result<Vec<u32>, MeasureE
 /// Returns the bandwidth `β_v` of every vertex: the maximum gap between `v`
 /// and any neighbor (0 for isolated vertices).
 ///
-/// # Panics
-///
-/// Panics if `pi` does not cover exactly the graph's vertices.
-pub fn vertex_bandwidths(graph: &Csr, pi: &Permutation) -> Vec<u32> {
-    #[expect(
-        clippy::panic,
-        reason = "SAFETY: documented panicking twin over `try_vertex_bandwidths` (# Panics in the doc above)"
-    )]
-    try_vertex_bandwidths(graph, pi).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`vertex_bandwidths`]: returns a typed error instead of
-/// panicking when `pi` does not cover exactly the graph's vertices.
-///
 /// # Errors
 ///
 /// [`MeasureError::PermutationMismatch`] when `pi.len() != n`.
@@ -418,7 +404,7 @@ mod proptests {
         ) {
             let g = build(n, edges, directed);
             let pi = random_perm(n, seed);
-            prop_assert_eq!(vertex_bandwidths(&g, &pi), serial_vertex_bandwidths(&g, &pi));
+            prop_assert_eq!(try_vertex_bandwidths(&g, &pi).unwrap(), serial_vertex_bandwidths(&g, &pi));
         }
     }
 }
@@ -523,7 +509,7 @@ mod tests {
     fn vertex_bandwidths_match_avg() {
         let g = fig2_graph();
         let pi = Permutation::identity(7);
-        let bands = vertex_bandwidths(&g, &pi);
+        let bands = try_vertex_bandwidths(&g, &pi).unwrap();
         let m = gap_measures(&g, &pi);
         let avg = bands.iter().map(|&b| b as f64).sum::<f64>() / 7.0;
         assert!((avg - m.avg_bandwidth).abs() < 1e-12);
@@ -533,7 +519,7 @@ mod tests {
     #[test]
     fn isolated_vertices_have_zero_bandwidth() {
         let g = GraphBuilder::undirected(3).edge(0, 1).build().unwrap();
-        let bands = vertex_bandwidths(&g, &Permutation::identity(3));
+        let bands = try_vertex_bandwidths(&g, &Permutation::identity(3)).unwrap();
         assert_eq!(bands[2], 0);
     }
 

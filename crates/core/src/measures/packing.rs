@@ -33,7 +33,7 @@ pub struct PackingFactor {
 /// cache lines (64 on the paper's platform).
 ///
 /// Hot vertices are those with degree strictly above the mean degree — the
-/// same threshold [`hub_sort`](crate::schemes::hub_sort) uses.
+/// same threshold `hub_sort` uses.
 ///
 /// # Panics
 ///

@@ -153,7 +153,7 @@ impl PerformanceProfile {
     }
 
     /// Number of instances the profile covers.
-    pub fn num_instances(&self) -> usize {
+    pub(crate) fn num_instances(&self) -> usize {
         self.ratios[0].len()
     }
 

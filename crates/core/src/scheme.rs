@@ -279,22 +279,6 @@ impl Scheme {
         Self::parse_impl(spec)
     }
 
-    /// Normalizes any accepted spec spelling into the canonical
-    /// round-trippable form: `canonical_spec("RCM")` is `"rcm"`,
-    /// `canonical_spec("metis:64")` is `"metis:parts=64,seed=42"`.
-    ///
-    /// Two specs canonicalize equal iff they denote the same scheme, which
-    /// makes the canonical form a sound cache key: the serve layer keys its
-    /// permutation cache by `(graph digest, canonical spec)` so that
-    /// alias/default/ordering variations of one spec share a cache entry.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`Scheme::parse`].
-    pub fn canonical_spec(spec: &str) -> Result<String, SchemeError> {
-        Ok(Scheme::parse(spec)?.spec())
-    }
-
     fn parse_impl(spec: &str) -> Result<Scheme, SchemeError> {
         let (name, mut params) = match spec.split_once(':') {
             Some((n, p)) => (n, Params::parse(p)?),
@@ -396,7 +380,7 @@ impl Scheme {
     /// Every scheme in the crate — the 11-scheme evaluation suite plus the
     /// extensions (Hub Sort, Hub Clustering, ascending Degree Sort, CDFS) —
     /// for exhaustive sweeps.
-    pub fn extended_suite(seed: u64) -> Vec<Scheme> {
+    pub(crate) fn extended_suite(seed: u64) -> Vec<Scheme> {
         let mut all = Scheme::evaluation_suite(seed);
         all.push(Scheme::HubSort);
         all.push(Scheme::HubCluster);

@@ -33,17 +33,6 @@ pub enum CommIntra {
     Degree,
 }
 
-impl CommIntra {
-    /// Canonical spec suffix (`comm-bfs`, `comm-dfs`, `comm-degree`).
-    pub fn token(self) -> &'static str {
-        match self {
-            CommIntra::Bfs => "bfs",
-            CommIntra::Dfs => "dfs",
-            CommIntra::Degree => "degree",
-        }
-    }
-}
-
 /// Community-traversal ordering: Louvain communities in first-appearance
 /// order, each traversed per `intra`. Records Louvain's span, phase
 /// timings, counters and trajectory, plus a `comm/communities` counter.

@@ -59,11 +59,11 @@ pub fn nd_order(graph: &Csr, seed: u64) -> Permutation {
 /// Grappolo ordering (§III-D): detect communities with parallel Louvain and
 /// label each community's vertices contiguously; the relative order of the
 /// communities themselves is arbitrary (first-appearance order here).
-pub fn grappolo_order(graph: &Csr) -> Permutation {
+pub(crate) fn grappolo_order(graph: &Csr) -> Permutation {
     grappolo_order_with(graph, &LouvainConfig::default())
 }
 
-/// [`grappolo_order`] with an explicit Louvain configuration (thread count,
+/// `grappolo_order` with an explicit Louvain configuration (thread count,
 /// thresholds). Records Louvain's `louvain` span, phase timings, sweep
 /// counters and modularity trajectory, plus a `grappolo/communities`
 /// counter.
@@ -80,14 +80,14 @@ pub fn grappolo_order_with(graph: &Csr, cfg: &LouvainConfig) -> Permutation {
 /// "The intuition is to take advantage of the multilevel hierarchical
 /// information exposed by Grappolo to achieve a relative ordering among
 /// communities."
-pub fn grappolo_rcm_order(graph: &Csr) -> Permutation {
+pub(crate) fn grappolo_rcm_order(graph: &Csr) -> Permutation {
     grappolo_rcm_order_with(graph, &LouvainConfig::default())
 }
 
 /// [`grappolo_rcm_order`] with an explicit Louvain configuration. Records
 /// what [`grappolo_order_with`] does, the coarsening's `contract` span and
 /// size counters, and the community-graph RCM pass.
-pub fn grappolo_rcm_order_with(graph: &Csr, cfg: &LouvainConfig) -> Permutation {
+pub(crate) fn grappolo_rcm_order_with(graph: &Csr, cfg: &LouvainConfig) -> Permutation {
     let r = louvain_reported(graph, cfg);
     counter("grappolo/communities", r.num_communities as u64);
     if r.num_communities == 0 {

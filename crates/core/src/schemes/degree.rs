@@ -49,7 +49,7 @@ pub fn degree_sort(graph: &Csr, direction: DegreeDirection) -> Permutation {
     super::order_permutation(&order)
 }
 
-/// The hub threshold used by [`hub_sort`] and [`hub_cluster`]: a vertex is a
+/// The hub threshold used by `hub_sort` and [`hub_cluster`]: a vertex is a
 /// hub when its degree exceeds the average degree, the standard cutoff from
 /// the hub-sorting literature \[38\].
 pub fn hub_threshold(graph: &Csr) -> f64 {
@@ -63,7 +63,7 @@ pub fn hub_threshold(graph: &Csr) -> f64 {
 /// Hub Sort \[38\]: hubs (degree above the mean) are placed first in
 /// non-increasing degree order; all remaining vertices keep their relative
 /// natural order afterwards.
-pub fn hub_sort(graph: &Csr) -> Permutation {
+pub(crate) fn hub_sort(graph: &Csr) -> Permutation {
     let n = graph.num_vertices();
     let threshold = hub_threshold(graph);
     #[expect(

@@ -35,12 +35,6 @@ impl HybridConfig {
         self.leaf_size = n.max(2);
         self
     }
-
-    /// Sets the recursion depth cap.
-    pub fn max_depth(mut self, d: usize) -> Self {
-        self.max_depth = d.max(1);
-        self
-    }
 }
 
 impl Default for HybridConfig {
@@ -192,7 +186,10 @@ mod tests {
     #[test]
     fn depth_cap_terminates_degenerate_recursion() {
         let g = path(64);
-        let pi = hybrid_multiscale_order(&g, &HybridConfig::new().leaf_size(2).max_depth(2));
+        let pi = hybrid_multiscale_order(
+            &g,
+            &HybridConfig { max_depth: 2, ..HybridConfig::new().leaf_size(2) },
+        );
         assert_eq!(pi.len(), 64);
     }
 

@@ -21,11 +21,10 @@ mod slashburn;
 pub use adaptive::{adaptive_decide, adaptive_order, AdaptiveChoice, AdaptiveDecision};
 pub use basic::{natural_order, random_order};
 pub use comm::{comm_order, CommIntra};
-pub use composite::{
-    grappolo_order, grappolo_order_with, grappolo_rcm_order, grappolo_rcm_order_with, metis_order,
-    nd_order,
-};
-pub use degree::{degree_sort, hub_cluster, hub_sort, hub_threshold, DegreeDirection};
+pub(crate) use composite::{grappolo_order, grappolo_rcm_order};
+pub use composite::{grappolo_order_with, metis_order, nd_order};
+pub(crate) use degree::hub_sort;
+pub use degree::{degree_sort, hub_cluster, hub_threshold, DegreeDirection};
 pub use gorder::gorder;
 pub use hybrid::{hybrid_multiscale_order, HybridConfig};
 pub use lightweight::{dbg_order, hub_cluster_dbg_order, hub_sort_dbg_order};

@@ -82,7 +82,7 @@ fn masked_components(sub: &Csr, is_hub: &[bool]) -> (Vec<u32>, Vec<usize>) {
 ///
 /// Hub extraction scores vertices in parallel (packed descending-degree
 /// keys) and selects the exact top `k` with a linear-time partition instead
-/// of a full sort per round; burning runs [`masked_components`] directly on
+/// of a full sort per round; burning runs `masked_components` directly on
 /// the working graph so only the giant component is ever materialized (via
 /// [`Csr::induced_subgraph`]) instead of remainder + giant per round.
 /// Bit-identical at any thread count to the test-side reference in

@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 /// What a recorded run must reproduce at every width and under every
 /// schedule: its span paths with their counts (not their times), counters,
 /// series and notes.
-pub fn recorded_fingerprint(rec: &RunRecorder) -> String {
+pub(crate) fn recorded_fingerprint(rec: &RunRecorder) -> String {
     let spans: Vec<(&String, u64)> = rec.spans().iter().map(|(path, t)| (path, t.count)).collect();
     format!(
         "spans {spans:?}\ncounters {:?}\nseries {:?}\nnotes {:?}",
@@ -32,7 +32,7 @@ pub fn recorded_fingerprint(rec: &RunRecorder) -> String {
 /// rows cut by count part at different vertices: a star with its hub
 /// first, the same star with its hub last, and a preferential-attachment
 /// graph in DBG order (hubs at low ids).
-pub fn skewed_corpus() -> Vec<(&'static str, Csr)> {
+pub(crate) fn skewed_corpus() -> Vec<(&'static str, Csr)> {
     let hub_last = GraphBuilder::undirected(200)
         .edges((0..199u32).map(|v| (v, 199)))
         .build()
@@ -42,7 +42,7 @@ pub fn skewed_corpus() -> Vec<(&'static str, Csr)> {
     vec![("star-hub-first", star(200)), ("star-hub-last", hub_last), ("ba-dbg", dbg)]
 }
 
-pub fn assert_bijective(pi: &Permutation, n: usize, ctx: &str) {
+pub(crate) fn assert_bijective(pi: &Permutation, n: usize, ctx: &str) {
     assert_eq!(pi.len(), n, "{ctx}: permutation length");
     assert!(
         Permutation::from_ranks(pi.ranks().to_vec()).is_ok(),
@@ -58,7 +58,7 @@ fn from_order(order: &[u32]) -> Permutation {
 /// cheapest vertex, each a FIFO BFS from its pseudo-peripheral root that
 /// enqueues a vertex's unvisited neighbors sorted by `(degree, id)` when
 /// `sorted` (RCM) or in adjacency order (CDFS); the visit sequence reversed.
-pub fn cuthill_mckee_serial(graph: &Csr, sorted: bool) -> Permutation {
+pub(crate) fn cuthill_mckee_serial(graph: &Csr, sorted: bool) -> Permutation {
     let n = graph.num_vertices();
     let mut visited = vec![false; n];
     let mut order: Vec<u32> = Vec::with_capacity(n);
@@ -106,26 +106,26 @@ fn dbg_family_serial<K: Ord>(
 }
 
 /// Reference DBG: `(Reverse(bucket), id)`.
-pub fn dbg_serial(graph: &Csr) -> Permutation {
+pub(crate) fn dbg_serial(graph: &Csr) -> Permutation {
     dbg_family_serial(graph, |bucket, _, _| bucket)
 }
 
 /// Reference HubSortDBG: within a bucket, hubs by descending degree, then
 /// the non-hubs in id order.
-pub fn hub_sort_dbg_serial(graph: &Csr) -> Permutation {
+pub(crate) fn hub_sort_dbg_serial(graph: &Csr) -> Permutation {
     dbg_family_serial(graph, |bucket, d, hub| (bucket, !hub, Reverse(if hub { d } else { 0 })))
 }
 
 /// Reference HubClusterDBG: the hubs by bucket, then every cold vertex in
 /// id order.
-pub fn hub_cluster_dbg_serial(graph: &Csr) -> Permutation {
+pub(crate) fn hub_cluster_dbg_serial(graph: &Csr) -> Permutation {
     dbg_family_serial(graph, |bucket, _, hub| (!hub, hub.then_some(bucket)))
 }
 
 /// Reference SlashBurn: every round sorts the working graph in full by
 /// `(Reverse(degree), original id)`, and extracts both the remainder and its
 /// giant component with [`Csr::induced_subgraph`].
-pub fn slashburn_serial(graph: &Csr, k_frac: f64) -> Permutation {
+pub(crate) fn slashburn_serial(graph: &Csr, k_frac: f64) -> Permutation {
     let n = graph.num_vertices();
     let mut ranks = vec![u32::MAX; n];
     let mut front = 0u32;
@@ -181,7 +181,7 @@ pub fn slashburn_serial(graph: &Csr, k_frac: f64) -> Permutation {
 /// member through same-community neighbors — FIFO in adjacency order (BFS),
 /// LIFO with neighbors pushed in reverse adjacency order (DFS) — or sorted
 /// by `(Reverse(degree), id)`.
-pub fn comm_serial(graph: &Csr, intra: CommIntra) -> Permutation {
+pub(crate) fn comm_serial(graph: &Csr, intra: CommIntra) -> Permutation {
     let r = build_pool(1).install(|| louvain(graph, &LouvainConfig::default()));
     let n = graph.num_vertices();
     let mut visited = vec![false; n];
@@ -226,7 +226,7 @@ pub fn comm_serial(graph: &Csr, intra: CommIntra) -> Permutation {
 
 /// Reference Adaptive: the thread-invariant decision, dispatched to the
 /// references above.
-pub fn adaptive_serial(graph: &Csr) -> Permutation {
+pub(crate) fn adaptive_serial(graph: &Csr) -> Permutation {
     match adaptive_decide(graph).choice {
         AdaptiveChoice::Natural => Permutation::identity(graph.num_vertices()),
         AdaptiveChoice::HubSortDbg => hub_sort_dbg_serial(graph),

@@ -43,42 +43,42 @@ pub fn degenerate_suite() -> Vec<DegenerateCase> {
 }
 
 /// The empty graph: zero vertices, zero edges.
-pub fn empty() -> Csr {
+pub(crate) fn empty() -> Csr {
     GraphBuilder::undirected(0).build_expect()
 }
 
 /// `n` isolated vertices, no edges.
-pub fn zero_edge(n: usize) -> Csr {
+pub(crate) fn zero_edge(n: usize) -> Csr {
     GraphBuilder::undirected(n).build_expect()
 }
 
 /// Two vertices joined by one edge plus one isolated vertex.
-pub fn single_edge() -> Csr {
+pub(crate) fn single_edge() -> Csr {
     GraphBuilder::undirected(3).edge(0, 1).build_expect()
 }
 
 /// `n` vertices, each carrying only a self loop (a diagonal matrix).
-pub fn all_self_loops(n: usize) -> Csr {
+pub(crate) fn all_self_loops(n: usize) -> Csr {
     let edges = (0..n as u32).map(|v| (v, v));
     GraphBuilder::undirected(n).self_loops(SelfLoopPolicy::Keep).edges(edges).build_expect()
 }
 
 /// `pairs` disjoint edges: a perfect matching with no connecting structure.
-pub fn disconnected_pairs(pairs: usize) -> Csr {
+pub(crate) fn disconnected_pairs(pairs: usize) -> Csr {
     let edges = (0..pairs as u32).map(|i| (2 * i, 2 * i + 1));
     GraphBuilder::undirected(2 * pairs).edges(edges).build_expect()
 }
 
 /// A triangle and a path, unconnected, plus an isolated vertex — the
 /// smallest graph exercising multi-component traversal orders.
-pub fn two_components() -> Csr {
+pub(crate) fn two_components() -> Csr {
     GraphBuilder::undirected(7).edges([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]).build_expect()
 }
 
 /// A path whose every edge is inserted many times in both directions; the
 /// builder's merge policy collapses them, so degrees stay small while the
 /// raw insertion stream is heavily duplicated.
-pub fn duplicate_heavy(n: usize) -> Csr {
+pub(crate) fn duplicate_heavy(n: usize) -> Csr {
     let mut b = GraphBuilder::undirected(n);
     for i in 0..n.saturating_sub(1) as u32 {
         for _ in 0..5 {

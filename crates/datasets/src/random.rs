@@ -155,7 +155,7 @@ mod tests {
                 let d2 = (pts[i].0 - pts[j].0).powi(2) + (pts[i].1 - pts[j].1).powi(2);
                 if d2 <= 0.25 * 0.25 {
                     expect += 1;
-                    assert!(g.has_edge(i as u32, j as u32), "missing edge ({i},{j})");
+                    assert!(g.neighbors(i as u32).contains(&(j as u32)), "missing edge ({i},{j})");
                 }
             }
         }

@@ -153,7 +153,7 @@ mod tests {
         assert_eq!(g.num_edges(), 17);
         assert_eq!(g.degree(0), 2); // corner
         assert_eq!(g.degree(5), 4); // interior
-        assert!(Components::find(&g).is_connected());
+        assert!(Components::find(&g).count() <= 1);
     }
 
     #[test]
@@ -163,7 +163,7 @@ mod tests {
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(1), 3);
         assert_eq!(g.degree(6), 1);
-        assert!(Components::find(&g).is_connected());
+        assert!(Components::find(&g).count() <= 1);
     }
 
     #[test]
@@ -172,6 +172,6 @@ mod tests {
         assert_eq!(g.num_vertices(), 12);
         // 3 cliques of C(4,2)=6 edges + 2 bridges
         assert_eq!(g.num_edges(), 20);
-        assert!(Components::find(&g).is_connected());
+        assert!(Components::find(&g).count() <= 1);
     }
 }

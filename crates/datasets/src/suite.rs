@@ -199,8 +199,7 @@ impl InstanceSpec {
     /// (e.g. row-major grids), whereas real collected datasets arrive in a
     /// crawl/collection order with only partial locality — the paper's
     /// results place the Natural scheme mid-field, and this jitter
-    /// reproduces that property. Use [`InstanceSpec::generate_unjittered`]
-    /// for the raw generator layout.
+    /// reproduces that property.
     pub fn generate(&self) -> Csr {
         let g = self.generate_unjittered();
         let pi = jitter_permutation(g.num_vertices(), self.seed() ^ 0x6a77);
@@ -213,7 +212,7 @@ impl InstanceSpec {
 
     /// Synthesizes the graph in raw generator order (no collection-order
     /// jitter).
-    pub fn generate_unjittered(&self) -> Csr {
+    pub(crate) fn generate_unjittered(&self) -> Csr {
         self.recipe.generate(self.seed())
     }
 

@@ -41,7 +41,7 @@ use std::io::{Read, Write};
 pub const BINARY_CSR_MAGIC: [u8; 8] = *b"RLCSRB01";
 
 /// Current format version written by [`write_binary_csr`].
-pub const BINARY_CSR_VERSION: u32 = 1;
+pub(crate) const BINARY_CSR_VERSION: u32 = 1;
 
 /// Canonical file extension for the format.
 pub const BINARY_CSR_EXTENSION: &str = "csrbin";

@@ -120,11 +120,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of edges added so far (before any policy is applied).
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Panicking twin of [`build`](Self::build), for callers whose edges are
     /// in-bounds by construction (the synthetic dataset generators).
     ///
@@ -145,8 +140,9 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::VertexOutOfBounds`] for endpoints `>= n` and
-    /// [`GraphError::InvalidWeight`] for non-finite or negative weights.
+    /// Returns [`GraphError::VertexOutOfBounds`] for endpoints `>= n`,
+    /// [`GraphError::InvalidWeight`] for non-finite or negative weights, and
+    /// [`GraphError::TooLarge`] when `n` vertices cannot be allocated.
     pub fn build(self) -> Result<Csr, GraphError> {
         let n = self.num_vertices;
         // Validate endpoints and weights up front.
@@ -335,11 +331,5 @@ mod tests {
         // Unweighted insertions default to weight 1.
         assert_eq!(g.edge_weight(0, 1), Some(1.0));
         assert_eq!(g.edge_weight(2, 3), Some(4.0));
-    }
-
-    #[test]
-    fn pending_edges_counts_raw_insertions() {
-        let b = GraphBuilder::undirected(3).edge(0, 1).edge(0, 1);
-        assert_eq!(b.pending_edges(), 2);
     }
 }

@@ -11,14 +11,14 @@
 /// Converts a 0-based `usize` index into a `u32` vertex id, or `None` if
 /// it does not fit the vertex-id space.
 #[inline]
-pub fn try_vertex_id(x: usize) -> Option<u32> {
+pub(crate) fn try_vertex_id(x: usize) -> Option<u32> {
     u32::try_from(x).ok()
 }
 
 /// Converts a (possibly negative) `i64` into a `usize`, or `None` when the
 /// value is negative or exceeds the address space.
 #[inline]
-pub fn try_usize_from_i64(x: i64) -> Option<usize> {
+pub(crate) fn try_usize_from_i64(x: i64) -> Option<usize> {
     usize::try_from(x).ok()
 }
 
@@ -28,7 +28,7 @@ pub fn try_usize_from_i64(x: i64) -> Option<usize> {
 /// assertion below rejects targets whose `usize` is narrower than 32 bits,
 /// so the conversion can never truncate.
 #[inline]
-pub fn usize_from_u32(x: u32) -> usize {
+pub(crate) fn usize_from_u32(x: u32) -> usize {
     const _: () =
         assert!(usize::BITS >= 32, "reorderlab requires usize to hold every u32 vertex id");
     // Lossless by the compile-time width assertion above; this is the

@@ -248,8 +248,9 @@ fn cluster_members(assignment: &[u32], cluster_sizes: &[usize]) -> (Vec<usize>, 
 ///     .build()?;
 /// let c = contract(&g, &[0, 0, 0, 1, 1, 1], 2)?;
 /// assert_eq!(c.coarse.num_vertices(), 2);
-/// assert_eq!(c.coarse.edge_weight(0, 1), Some(1.0)); // the bridge
-/// assert_eq!(c.coarse.edge_weight(0, 0), Some(3.0)); // triangle self-loop
+/// // A triangle self-loop of weight 3, and the bridge of weight 1.
+/// let row: Vec<(u32, f64)> = c.coarse.weighted_neighbors(0).collect();
+/// assert_eq!(row, vec![(0, 3.0), (1, 1.0)]);
 /// # Ok(())
 /// # }
 /// ```

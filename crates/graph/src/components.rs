@@ -67,13 +67,8 @@ impl Components {
     /// # Panics
     ///
     /// Panics if `v` is out of bounds.
-    pub fn component_of(&self, v: u32) -> u32 {
+    pub(crate) fn component_of(&self, v: u32) -> u32 {
         self.assignment[v as usize]
-    }
-
-    /// Per-vertex component assignment.
-    pub fn assignment(&self) -> &[u32] {
-        &self.assignment
     }
 
     /// Size of component `c`.
@@ -104,11 +99,6 @@ impl Components {
             .map(|(i, _)| i as u32)
     }
 
-    /// Whether the graph is connected (one component, or empty).
-    pub fn is_connected(&self) -> bool {
-        self.sizes.len() <= 1
-    }
-
     /// Groups vertex ids per component.
     pub fn members(&self) -> Vec<Vec<u32>> {
         let mut groups: Vec<Vec<u32>> = self.sizes.iter().map(|&s| Vec::with_capacity(s)).collect();
@@ -131,7 +121,6 @@ impl Components {
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
-    count: usize,
 }
 
 impl UnionFind {
@@ -141,7 +130,7 @@ impl UnionFind {
             clippy::cast_possible_truncation,
             reason = "SAFETY: a vertex id, count or degree, so at most num_vertices() <= u32::MAX"
         )]
-        UnionFind { parent: (0..n as u32).collect(), size: vec![1; n], count: n }
+        UnionFind { parent: (0..n as u32).collect(), size: vec![1; n] }
     }
 
     /// Number of elements.
@@ -152,11 +141,6 @@ impl UnionFind {
     /// Whether the structure is empty.
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
-    }
-
-    /// Number of disjoint sets remaining.
-    pub fn set_count(&self) -> usize {
-        self.count
     }
 
     /// Finds the representative of `x`'s set, with path halving.
@@ -191,19 +175,7 @@ impl UnionFind {
             if self.size[ra as usize] >= self.size[rb as usize] { (ra, rb) } else { (rb, ra) };
         self.parent[small as usize] = big;
         self.size[big as usize] += self.size[small as usize];
-        self.count -= 1;
         true
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: u32) -> usize {
-        let r = self.find(x);
-        self.size[r as usize] as usize
-    }
-
-    /// Whether `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
     }
 }
 
@@ -217,7 +189,6 @@ mod tests {
         let g = GraphBuilder::undirected(3).edge(0, 1).edge(1, 2).build().unwrap();
         let c = Components::find(&g);
         assert_eq!(c.count(), 1);
-        assert!(c.is_connected());
         assert_eq!(c.size(0), 3);
         assert_eq!(c.largest(), Some(0));
     }
@@ -231,7 +202,6 @@ mod tests {
         assert_ne!(c.component_of(0), c.component_of(2));
         assert_eq!(c.size(c.component_of(2)), 1);
         assert_eq!(c.largest(), Some(c.component_of(3)));
-        assert!(!c.is_connected());
     }
 
     #[test]
@@ -257,22 +227,17 @@ mod tests {
         let g = GraphBuilder::undirected(0).build().unwrap();
         let c = Components::find(&g);
         assert_eq!(c.count(), 0);
-        assert!(c.is_connected());
         assert_eq!(c.largest(), None);
     }
 
     #[test]
     fn union_find_basic() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.set_count(), 5);
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2));
-        assert_eq!(uf.set_count(), 3);
-        assert!(uf.connected(0, 2));
-        assert!(!uf.connected(0, 3));
-        assert_eq!(uf.set_size(1), 3);
-        assert_eq!(uf.set_size(4), 1);
+        assert_eq!(uf.find(0), uf.find(2));
+        assert_ne!(uf.find(0), uf.find(3));
     }
 
     #[test]
@@ -283,7 +248,6 @@ mod tests {
         let uf2 = UnionFind::new(3);
         assert!(!uf2.is_empty());
         assert_eq!(uf2.len(), 3);
-        assert_eq!(uf2.set_count(), 3);
     }
 
     #[test]
@@ -307,11 +271,10 @@ mod tests {
             uf.union(u, v);
         }
         let c = Components::find(&g);
-        assert_eq!(uf.set_count(), c.count());
         for u in 0..6u32 {
             for v in 0..6u32 {
                 assert_eq!(
-                    uf.connected(u, v),
+                    uf.find(u) == uf.find(v),
                     c.component_of(u) == c.component_of(v),
                     "disagreement on ({u},{v})"
                 );

@@ -37,7 +37,7 @@ use std::io::{Read, Write};
 pub const COMPRESSED_CSR_MAGIC: [u8; 8] = *b"RLCSRZ01";
 
 /// Current format version written by [`write_compressed_csr`].
-pub const COMPRESSED_CSR_VERSION: u32 = 1;
+pub(crate) const COMPRESSED_CSR_VERSION: u32 = 1;
 
 /// Canonical file extension for the compressed format.
 pub const COMPRESSED_CSR_EXTENSION: &str = "csrz";
@@ -365,7 +365,7 @@ impl CompressedCsr {
     }
 
     /// The weight slice of `v`'s row, when the graph is weighted.
-    pub fn row_weights(&self, v: u32) -> Option<&[f64]> {
+    pub(crate) fn row_weights(&self, v: u32) -> Option<&[f64]> {
         let ws = self.weights.as_deref()?;
         let i = usize_from_u32(v);
         let (a, b) = (*self.offsets.get(i)?, *self.offsets.get(i + 1)?);

@@ -38,8 +38,8 @@ fn out_spans<'a>(
 /// two arcs `u -> v` and `v -> u`; a self loop `{u, u}` is stored as a single
 /// arc. For directed graphs each arc is stored exactly once.
 ///
-/// Construct via [`GraphBuilder`](crate::builder::GraphBuilder), the
-/// generators in `reorderlab-datasets`, or [`Csr::from_sorted_arcs`].
+/// Construct via [`GraphBuilder`](crate::builder::GraphBuilder) or the
+/// generators in `reorderlab-datasets`.
 ///
 /// # Examples
 ///
@@ -80,20 +80,25 @@ impl Csr {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::VertexOutOfBounds`] if an endpoint is `>= n` and
-    /// [`GraphError::InvalidWeight`] for non-finite or negative weights.
+    /// Returns [`GraphError::VertexOutOfBounds`] if an endpoint is `>= n`,
+    /// [`GraphError::InvalidWeight`] for non-finite or negative weights, and
+    /// [`GraphError::TooLarge`] when the `n + 1` offsets cannot be allocated.
     ///
     /// # Panics
     ///
     /// Panics if `arcs` is not sorted by source vertex.
-    pub fn from_sorted_arcs(
+    pub(crate) fn from_sorted_arcs(
         n: usize,
         arcs: &[(u32, u32, f64)],
         num_edges: usize,
         directed: bool,
         weighted: bool,
     ) -> Result<Self, GraphError> {
-        let mut offsets = vec![0usize; n + 1];
+        // `n` can come from a file header, so the allocation it sizes is
+        // fallible: a forged size line is a typed error, not an abort.
+        let mut offsets = Vec::new();
+        offsets.try_reserve_exact(n + 1).map_err(|_| GraphError::TooLarge { num_vertices: n })?;
+        offsets.resize(n + 1, 0usize);
         let mut targets = Vec::with_capacity(arcs.len());
         let mut weights = if weighted { Some(Vec::with_capacity(arcs.len())) } else { None };
         let mut prev_src = 0u32;
@@ -200,12 +205,6 @@ impl Csr {
         &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
-    /// Weights parallel to [`Csr::neighbors`]; `None` for unweighted graphs.
-    #[inline]
-    pub fn neighbor_weights(&self, v: u32) -> Option<&[f64]> {
-        self.weights.as_ref().map(|ws| &ws[self.offsets[v as usize]..self.offsets[v as usize + 1]])
-    }
-
     /// Iterates `(neighbor, weight)` pairs for `v`, substituting `1.0` when
     /// the graph is unweighted.
     pub fn weighted_neighbors(&self, v: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
@@ -221,14 +220,6 @@ impl Csr {
     #[inline]
     pub fn degree(&self, v: u32) -> usize {
         self.offsets[v as usize + 1] - self.offsets[v as usize]
-    }
-
-    /// Sum of weights of arcs leaving `v` (`degree` for unweighted graphs).
-    pub fn weighted_degree(&self, v: u32) -> f64 {
-        match &self.weights {
-            Some(ws) => ws[self.offsets[v as usize]..self.offsets[v as usize + 1]].iter().sum(),
-            None => self.degree(v) as f64,
-        }
     }
 
     /// Maximum degree Δ over all vertices (0 for an empty graph).
@@ -255,27 +246,6 @@ impl Csr {
     /// directed graphs every arc is yielded.
     pub fn edges(&self) -> Edges<'_> {
         Edges { csr: self, vertex: 0, pos: 0 }
-    }
-
-    /// Total edge weight: sum of `w(e)` over logical edges.
-    pub fn total_edge_weight(&self) -> f64 {
-        self.edges().map(|(_, _, w)| w).sum()
-    }
-
-    /// Whether the arc `u -> v` exists (binary search when the adjacency of
-    /// `u` is sorted, which holds for builder- and transform-produced graphs).
-    pub fn has_edge(&self, u: u32, v: u32) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
-    }
-
-    /// Weight of arc `u -> v`, if present.
-    pub fn edge_weight(&self, u: u32, v: u32) -> Option<f64> {
-        let lo = self.offsets[u as usize];
-        let nbrs = self.neighbors(u);
-        nbrs.binary_search(&v).ok().map(|i| match &self.weights {
-            Some(ws) => ws[lo + i],
-            None => 1.0,
-        })
     }
 
     /// The raw offsets array (length `n + 1`). Exposed for cache-simulation
@@ -544,6 +514,46 @@ impl Iterator for Edges<'_> {
             let w = self.csr.weights.as_ref().map_or(1.0, |ws| ws[i]);
             return Some((u, v, w));
         }
+    }
+}
+
+/// Probes that unit tests use to check weights and arcs; nothing outside
+/// tests reads a graph this way.
+#[cfg(test)]
+impl Csr {
+    /// Weights parallel to [`Csr::neighbors`]; `None` for unweighted graphs.
+    #[inline]
+    pub(crate) fn neighbor_weights(&self, v: u32) -> Option<&[f64]> {
+        self.weights.as_ref().map(|ws| &ws[self.offsets[v as usize]..self.offsets[v as usize + 1]])
+    }
+
+    /// Sum of weights of arcs leaving `v` (`degree` for unweighted graphs).
+    pub(crate) fn weighted_degree(&self, v: u32) -> f64 {
+        match &self.weights {
+            Some(ws) => ws[self.offsets[v as usize]..self.offsets[v as usize + 1]].iter().sum(),
+            None => self.degree(v) as f64,
+        }
+    }
+
+    /// Total edge weight: sum of `w(e)` over logical edges.
+    pub(crate) fn total_edge_weight(&self) -> f64 {
+        self.edges().map(|(_, _, w)| w).sum()
+    }
+
+    /// Whether the arc `u -> v` exists (binary search when the adjacency of
+    /// `u` is sorted, which holds for builder- and transform-produced graphs).
+    pub(crate) fn has_edge(&self, u: u32, v: u32) -> bool {
+        self.neighbors(u).binary_search(&v).is_ok()
+    }
+
+    /// Weight of arc `u -> v`, if present.
+    pub(crate) fn edge_weight(&self, u: u32, v: u32) -> Option<f64> {
+        let lo = self.offsets[u as usize];
+        let nbrs = self.neighbors(u);
+        nbrs.binary_search(&v).ok().map(|i| match &self.weights {
+            Some(ws) => ws[lo + i],
+            None => 1.0,
+        })
     }
 }
 

@@ -37,6 +37,11 @@ pub enum GraphError {
         /// Description of the problem.
         message: String,
     },
+    /// The vertex count asks for more memory than can be allocated.
+    TooLarge {
+        /// The requested number of vertices.
+        num_vertices: usize,
+    },
     /// A cluster assignment referenced a cluster id at or beyond the declared count.
     ClusterOutOfBounds {
         /// The offending cluster id.
@@ -96,6 +101,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
+            }
+            GraphError::TooLarge { num_vertices } => {
+                write!(f, "cannot allocate a graph of {num_vertices} vertices")
             }
             GraphError::ClusterOutOfBounds { cluster, num_clusters } => {
                 write!(f, "cluster id {cluster} out of bounds for {num_clusters} clusters")

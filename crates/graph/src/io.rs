@@ -34,6 +34,8 @@ pub(crate) const MAX_TRUSTED_RESERVE: usize = 1 << 20;
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Csr, GraphError> {
     let mut edges: Vec<(u32, u32, f64)> = Vec::new();
     let mut max_vertex: i64 = -1;
+    // The line that set `max_vertex`, which sizes the graph.
+    let mut max_line = 0;
     let mut weighted = false;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line.map_err(|e| GraphError::Parse {
@@ -66,7 +68,10 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Csr, GraphError> {
             }
             None => 1.0,
         };
-        max_vertex = max_vertex.max(i64::from(u)).max(i64::from(v));
+        if i64::from(u.max(v)) > max_vertex {
+            max_vertex = i64::from(u.max(v));
+            max_line = lineno + 1;
+        }
         edges.push((u, v, w));
     }
     // max_vertex is -1 (empty input) or a u32 id, so the +1 always fits a
@@ -80,7 +85,10 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Csr, GraphError> {
     } else {
         b = b.edges(edges.into_iter().map(|(u, v, _)| (u, v)));
     }
-    b.build()
+    b.build().map_err(|e| match e {
+        GraphError::TooLarge { .. } => GraphError::Parse { line: max_line, message: e.to_string() },
+        e => e,
+    })
 }
 
 fn parse_field(tok: Option<&str>, line: usize, what: &str) -> Result<u32, GraphError> {

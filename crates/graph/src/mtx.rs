@@ -174,7 +174,12 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, GraphError> {
             message: format!("expected {nnz} entries, found {seen}"),
         });
     }
-    b.build()
+    b.build().map_err(|e| match e {
+        GraphError::TooLarge { .. } => {
+            GraphError::Parse { line: size_line, message: e.to_string() }
+        }
+        e => e,
+    })
 }
 
 /// Writes a graph as Matrix Market coordinate data (`pattern` for

@@ -159,11 +159,6 @@ impl Permutation {
         &self.ranks
     }
 
-    /// Consumes the permutation, returning the forward rank map.
-    pub fn into_ranks(self) -> Vec<u32> {
-        self.ranks
-    }
-
     /// Computes the inverse permutation `Π⁻¹`, where
     /// `inverse.rank(r)` is the vertex occupying rank `r`.
     pub fn inverse(&self) -> Permutation {
@@ -181,25 +176,6 @@ impl Permutation {
             order[r as usize] = v as u32;
         }
         order
-    }
-
-    /// Composes `self` after `other`: the result maps `v` to
-    /// `self.rank(other.rank(v))`. Useful for chaining reorderings (e.g.
-    /// reorder an already-reordered graph).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two permutations have different lengths.
-    pub fn compose(&self, other: &Permutation) -> Permutation {
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "cannot compose permutations of lengths {} and {}",
-            self.len(),
-            other.len()
-        );
-        let ranks = other.ranks.iter().map(|&mid| self.ranks[mid as usize]).collect();
-        Permutation { ranks }
     }
 
     /// Whether this permutation is the identity (natural order).
@@ -344,13 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn compose_with_inverse_is_identity() {
-        let p = Permutation::from_ranks(vec![3, 1, 0, 2]).unwrap();
-        let composed = p.inverse().compose(&p);
-        assert!(composed.is_identity());
-    }
-
-    #[test]
     fn reversed_flips_ranks() {
         let p = Permutation::identity(4).reversed();
         assert_eq!(p.ranks(), &[3, 2, 1, 0]);
@@ -369,14 +338,6 @@ mod tests {
         assert!(p.is_empty());
         assert!(p.is_identity());
         assert_eq!(p.inverse().len(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot compose")]
-    fn compose_length_mismatch_panics() {
-        let a = Permutation::identity(3);
-        let b = Permutation::identity(4);
-        let _ = a.compose(&b);
     }
 
     #[test]

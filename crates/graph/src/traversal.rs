@@ -51,23 +51,6 @@ impl<'a> Bfs<'a> {
         queue.push_back(source);
         Bfs { graph, queue, visited }
     }
-
-    /// Continues this BFS from an additional source (used to sweep multiple
-    /// components with one shared `visited` set). Returns `false` if the
-    /// vertex was already visited.
-    pub fn restart_at(&mut self, source: u32) -> bool {
-        if self.visited[source as usize] {
-            return false;
-        }
-        self.visited[source as usize] = true;
-        self.queue.push_back(source);
-        true
-    }
-
-    /// Read-only view of the visited set.
-    pub fn visited(&self) -> &[bool] {
-        &self.visited
-    }
 }
 
 impl Iterator for Bfs<'_> {
@@ -85,52 +68,10 @@ impl Iterator for Bfs<'_> {
     }
 }
 
-/// Depth-first (preorder) iterator over the vertices reachable from a source.
-#[derive(Debug)]
-pub struct Dfs<'a> {
-    graph: &'a Csr,
-    stack: Vec<u32>,
-    visited: Vec<bool>,
-}
-
-impl<'a> Dfs<'a> {
-    /// Starts a DFS from `source`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is out of bounds.
-    pub fn new(graph: &'a Csr, source: u32) -> Self {
-        assert!((source as usize) < graph.num_vertices(), "DFS source out of bounds");
-        Dfs { graph, stack: vec![source], visited: vec![false; graph.num_vertices()] }
-    }
-}
-
-impl Iterator for Dfs<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        loop {
-            let v = self.stack.pop()?;
-            if self.visited[v as usize] {
-                continue;
-            }
-            self.visited[v as usize] = true;
-            // Push in reverse so that the smallest-id neighbor is explored
-            // first, giving a deterministic preorder.
-            for &w in self.graph.neighbors(v).iter().rev() {
-                if !self.visited[w as usize] {
-                    self.stack.push(w);
-                }
-            }
-            return Some(v);
-        }
-    }
-}
-
 /// The rooted level structure of a BFS: which level each reachable vertex
 /// occupies, plus the vertices grouped per level.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LevelStructure {
+pub(crate) struct LevelStructure {
     /// `levels[v]` is the BFS depth of `v`, or `u32::MAX` if unreachable.
     pub levels: Vec<u32>,
     /// Vertices grouped by level; `tiers[d]` lists the vertices at depth `d`.
@@ -140,18 +81,8 @@ pub struct LevelStructure {
 impl LevelStructure {
     /// Eccentricity of the root within its component: the index of the last
     /// non-empty level.
-    pub fn eccentricity(&self) -> usize {
+    pub(crate) fn eccentricity(&self) -> usize {
         self.tiers.len().saturating_sub(1)
-    }
-
-    /// Width of the level structure: the size of the largest level.
-    pub fn width(&self) -> usize {
-        self.tiers.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Number of vertices reachable from the root (including the root).
-    pub fn reached(&self) -> usize {
-        self.tiers.iter().map(Vec::len).sum()
     }
 }
 
@@ -162,7 +93,7 @@ impl LevelStructure {
 /// # Panics
 ///
 /// Panics if `source` is out of bounds.
-pub fn bfs_levels(graph: &Csr, source: u32) -> LevelStructure {
+pub(crate) fn bfs_levels(graph: &Csr, source: u32) -> LevelStructure {
     let n = graph.num_vertices();
     assert!((source as usize) < n, "bfs_levels source out of bounds");
     let mut levels = vec![u32::MAX; n];
@@ -393,57 +324,12 @@ mod tests {
     }
 
     #[test]
-    fn bfs_restart_sweeps_components() {
-        let g = GraphBuilder::undirected(4).edge(0, 1).edge(2, 3).build().unwrap();
-        let mut bfs = Bfs::new(&g, 0);
-        let mut order = Vec::new();
-        for v in bfs.by_ref() {
-            order.push(v);
-        }
-        assert!(bfs.restart_at(2));
-        assert!(!bfs.restart_at(0)); // already visited
-        order.extend(&mut bfs);
-        assert_eq!(order, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn bfs_visited_reflects_progress() {
-        let g = GraphBuilder::undirected(3).edge(0, 1).edge(1, 2).build().unwrap();
-        let mut bfs = Bfs::new(&g, 0);
-        assert!(bfs.visited()[0]);
-        assert!(!bfs.visited()[2]);
-        let _ = bfs.by_ref().count();
-        assert!(bfs.visited().iter().all(|&v| v));
-    }
-
-    #[test]
-    fn dfs_preorder_deterministic() {
-        let g = GraphBuilder::undirected(5)
-            .edge(0, 1)
-            .edge(0, 2)
-            .edge(1, 3)
-            .edge(1, 4)
-            .build()
-            .unwrap();
-        let order: Vec<u32> = Dfs::new(&g, 0).collect();
-        assert_eq!(order, vec![0, 1, 3, 4, 2]);
-    }
-
-    #[test]
-    fn dfs_single_vertex() {
-        let g = GraphBuilder::undirected(1).build().unwrap();
-        let order: Vec<u32> = Dfs::new(&g, 0).collect();
-        assert_eq!(order, vec![0]);
-    }
-
-    #[test]
     fn levels_on_path() {
         let g = path(5);
         let ls = bfs_levels(&g, 0);
         assert_eq!(ls.levels, vec![0, 1, 2, 3, 4]);
         assert_eq!(ls.eccentricity(), 4);
-        assert_eq!(ls.width(), 1);
-        assert_eq!(ls.reached(), 5);
+        assert!(ls.tiers.iter().all(|t| t.len() == 1));
     }
 
     #[test]
@@ -451,7 +337,7 @@ mod tests {
         let g = GraphBuilder::undirected(3).edge(0, 1).build().unwrap();
         let ls = bfs_levels(&g, 0);
         assert_eq!(ls.levels[2], u32::MAX);
-        assert_eq!(ls.reached(), 2);
+        assert_eq!(ls.tiers.concat(), vec![0, 1]);
     }
 
     #[test]

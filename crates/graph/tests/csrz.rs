@@ -116,7 +116,7 @@ fn family(idx: usize, seed: u64) -> Csr {
         1 => road_fragment(5, 6, 0.2, seed),
         2 => tri_mesh(5, 5, 0.3, seed),
         3 => barabasi_albert(40, 2, seed),
-        4 => rmat(32, 60, RmatParams::graph500(), seed),
+        4 => rmat(32, 60, RmatParams { a: 0.57, b: 0.19, c: 0.19 }, seed),
         5 => hub_and_spokes(40, 3, 0.4, 15, seed),
         6 => watts_strogatz(30, 4, 0.2, seed),
         7 => erdos_renyi_gnm(30, 50, seed),

@@ -76,17 +76,6 @@ impl ImmConfig {
         self
     }
 
-    /// Sets ℓ.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `ℓ > 0`.
-    pub fn ell(mut self, ell: f64) -> Self {
-        assert!(ell > 0.0, "ell must be positive");
-        self.ell = ell;
-        self
-    }
-
     /// Sets the diffusion model.
     ///
     /// # Panics
@@ -121,10 +110,8 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c =
-            ImmConfig::new(5).epsilon(0.3).ell(2.0).model(DiffusionModel::WeightedCascade).seed(9);
+        let c = ImmConfig::new(5).epsilon(0.3).model(DiffusionModel::WeightedCascade).seed(9);
         assert_eq!(c.epsilon, 0.3);
-        assert_eq!(c.ell, 2.0);
         assert_eq!(c.model, DiffusionModel::WeightedCascade);
     }
 

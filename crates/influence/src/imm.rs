@@ -82,7 +82,7 @@ pub fn imm(graph: &Csr, cfg: &ImmConfig) -> ImmResult {
 /// # Errors
 ///
 /// [`CompressError::UnsortedRow`] — provably unreachable (see
-/// [`RrSampler::from_gap_rows`]), surfaced as a typed error
+/// `RrSampler::from_gap_rows`), surfaced as a typed error
 /// rather than a panic.
 pub fn imm_compressed(cz: &CompressedCsr, cfg: &ImmConfig) -> Result<ImmResult, CompressError> {
     Ok(imm_core(&RrSampler::from_gap_rows(cz, cfg.model)?, cfg))

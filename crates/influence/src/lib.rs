@@ -51,7 +51,7 @@ mod simulate;
 pub use config::{DiffusionModel, ImmConfig};
 pub use greedy::{celf_max_coverage, Coverage};
 pub use imm::{imm, imm_compressed, ImmResult, SamplingStats};
-pub use rrset::{RrSampler, RrSets, RrTrace, SampleScratch};
+pub use rrset::{RrSampler, RrSets, RrTrace};
 pub use simulate::{estimate_spread, SpreadEstimate};
 
 #[cfg(test)]
@@ -73,15 +73,15 @@ mod proptests {
             let edges: Vec<(u32, u32)> = edges.into_iter()
                 .map(|(u, v)| (u % n as u32, v % n as u32)).collect();
             let g = GraphBuilder::undirected(n).edges(edges).build().unwrap();
-            let comps = reorderlab_graph::Components::find(&g);
+            let members = reorderlab_graph::Components::find(&g).members();
             let s = RrSampler::new(&g, DiffusionModel::IndependentCascade { probability: 0.5 });
             for i in 0..10u64 {
                 let (set, trace) = s.sample(seed, i);
                 prop_assert!(!set.is_empty());
                 prop_assert_eq!(trace.vertices_visited as usize, set.len());
-                let root_comp = comps.component_of(set[0]);
+                let root_comp = members.iter().find(|m| m.contains(&set[0])).unwrap();
                 for &v in &set {
-                    prop_assert_eq!(comps.component_of(v), root_comp);
+                    prop_assert!(root_comp.contains(&v));
                 }
                 // No duplicates.
                 let distinct: std::collections::BTreeSet<_> = set.iter().collect();

@@ -74,12 +74,13 @@ impl RrSets {
     }
 
     /// Every set in index order.
-    pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u32]> {
         self.offsets.windows(2).map(|w| &self.members[w[0]..w[1]])
     }
 
     /// Appends `set` as the next index. An empty set is a valid entry.
-    pub fn push(&mut self, set: &[u32]) {
+    pub(crate) fn push(&mut self, set: &[u32]) {
         self.members.extend_from_slice(set);
         self.offsets.push(self.members.len());
     }
@@ -136,7 +137,7 @@ impl FromIterator<Vec<u32>> for RrSets {
 /// `(seed, index)`-derived RNG streams only, so `sample_with` returns the
 /// same set as [`RrSampler::sample`] for the same arguments.
 #[derive(Debug, Clone)]
-pub struct SampleScratch {
+pub(crate) struct SampleScratch {
     /// `stamp[v] == epoch` marks `v` visited in the current sample.
     stamp: Vec<u64>,
     epoch: u64,
@@ -146,7 +147,7 @@ pub struct SampleScratch {
 
 impl SampleScratch {
     /// A scratch for graphs of up to `n` vertices.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         SampleScratch { stamp: vec![0; n], epoch: 0, set: Vec::new() }
     }
 
@@ -192,7 +193,7 @@ impl<'g> RrSampler<'g, CompressedCsr> {
     /// [`CompressError::UnsortedRow`] — provably unreachable (the
     /// transpose of a decoded graph always has sorted rows), surfaced as
     /// a typed error rather than a panic to keep library code panic-free.
-    pub fn from_gap_rows(
+    pub(crate) fn from_gap_rows(
         cz: &'g CompressedCsr,
         model: DiffusionModel,
     ) -> Result<Self, CompressError> {
@@ -215,8 +216,7 @@ impl<G: Adjacency + Clone> RrSampler<'_, G> {
     /// vector. The RNG is derived from `(seed, index)`, so set `i` is
     /// identical no matter which thread draws it.
     ///
-    /// Returns the RR set (root first) and the traversal counters. Hot
-    /// loops should prefer [`RrSampler::sample_with`], which reuses buffers.
+    /// Returns the RR set (root first) and the traversal counters.
     pub fn sample(&self, seed: u64, index: u64) -> (Vec<u32>, RrTrace) {
         let mut scratch = SampleScratch::new(self.num_vertices());
         let (set, trace) = self.sample_with(seed, index, &mut scratch);
@@ -228,7 +228,7 @@ impl<G: Adjacency + Clone> RrSampler<'_, G> {
     /// exactly the same set and trace as `sample(seed, index)` — the stable
     /// `(seed, index)` coin streams make the result independent of both the
     /// thread drawing it and any scratch reuse.
-    pub fn sample_with<'s>(
+    pub(crate) fn sample_with<'s>(
         &self,
         seed: u64,
         index: u64,

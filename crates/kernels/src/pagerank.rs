@@ -25,17 +25,6 @@ impl PageRankConfig {
         PageRankConfig { damping: 0.85, tolerance: 1e-8, max_iterations: 200 }
     }
 
-    /// Sets the damping factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < d < 1`.
-    pub fn damping(mut self, d: f64) -> Self {
-        assert!(d > 0.0 && d < 1.0, "damping must be in (0, 1)");
-        self.damping = d;
-        self
-    }
-
     /// Sets the convergence tolerance.
     ///
     /// # Panics
@@ -44,12 +33,6 @@ impl PageRankConfig {
     pub fn tolerance(mut self, t: f64) -> Self {
         assert!(t > 0.0, "tolerance must be positive");
         self.tolerance = t;
-        self
-    }
-
-    /// Sets the iteration cap.
-    pub fn max_iterations(mut self, n: usize) -> Self {
-        self.max_iterations = n.max(1);
         self
     }
 }
@@ -301,7 +284,10 @@ mod tests {
     #[test]
     fn iteration_cap_respected() {
         let g = path(100);
-        let r = pagerank(&g, &PageRankConfig::new().tolerance(1e-15).max_iterations(3));
+        let r = pagerank(
+            &g,
+            &PageRankConfig { max_iterations: 3, ..PageRankConfig::new().tolerance(1e-15) },
+        );
         assert_eq!(r.iterations, 3);
         assert!(!r.converged);
     }
@@ -312,12 +298,6 @@ mod tests {
         let r = pagerank(&g, &PageRankConfig::new());
         assert!(r.scores.is_empty());
         assert!(r.converged);
-    }
-
-    #[test]
-    #[should_panic(expected = "damping")]
-    fn rejects_bad_damping() {
-        let _ = PageRankConfig::new().damping(1.5);
     }
 
     /// The acceptance contract: compressed-mode PageRank is bit-identical

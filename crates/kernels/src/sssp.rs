@@ -17,13 +17,6 @@ pub struct SsspResult {
     pub relaxations: u64,
 }
 
-impl SsspResult {
-    /// The largest finite distance (0 when only the source is reachable).
-    pub fn eccentricity(&self) -> f64 {
-        self.distance.iter().copied().filter(|d| d.is_finite()).fold(0.0, f64::max)
-    }
-}
-
 /// Unweighted SSSP: level-synchronous BFS from `source` (edge weights are
 /// ignored; every edge has length 1).
 ///
@@ -143,7 +136,6 @@ mod tests {
         let r = bfs_sssp(&g, 0);
         assert_eq!(r.distance, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
         assert_eq!(r.reached, 5);
-        assert_eq!(r.eccentricity(), 4.0);
     }
 
     #[test]

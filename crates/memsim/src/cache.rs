@@ -29,7 +29,7 @@ impl CacheConfig {
     }
 
     /// Number of sets implied by the geometry.
-    pub fn num_sets(&self) -> usize {
+    pub(crate) fn num_sets(&self) -> usize {
         self.size_bytes / (self.line_bytes * self.associativity)
     }
 }
@@ -122,7 +122,8 @@ impl Cache {
     }
 
     /// Empties the cache and zeroes the counters.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
         self.filled.fill(0);
         self.hits = 0;
         self.misses = 0;
@@ -196,7 +197,7 @@ pub(crate) mod tests {
             (tiny.l2, false),
             (tiny.l3, false),
             (CacheConfig::new(1024, 64, 1), false),
-            (crate::HierarchyConfig::cascade_lake().l3, false),
+            (CacheConfig::new(11 * 4 * 1024 * 1024, 64, 11), false),
             (CacheConfig::new(16, 1, 4), true),
         ]
     }

@@ -17,11 +17,6 @@ pub enum MemLevel {
     Dram,
 }
 
-impl MemLevel {
-    /// All levels, nearest first.
-    pub const ALL: [MemLevel; 4] = [MemLevel::L1, MemLevel::L2, MemLevel::L3, MemLevel::Dram];
-}
-
 /// Geometry and latency of the simulated hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
@@ -40,25 +35,13 @@ pub struct HierarchyConfig {
 }
 
 impl HierarchyConfig {
-    /// The paper's test platform, per core: Intel Xeon Platinum 8276
-    /// (Cascade Lake) — 32 KiB 8-way L1, 1 MiB 16-way L2, 38.5 MiB L3
-    /// (modeled 11-way), 64-byte lines; latencies 4 / 14 / 50 / 180 cycles.
-    pub fn cascade_lake() -> Self {
-        HierarchyConfig {
-            l1: CacheConfig::new(32 * 1024, 64, 8),
-            l2: CacheConfig::new(1024 * 1024, 64, 16),
-            // 38.5 MiB rounded to a power-of-two set count: 44 MiB, 11-way.
-            l3: CacheConfig::new(11 * 4 * 1024 * 1024, 64, 11),
-            latency: [4, 14, 50, 180],
-            next_line_prefetch: false,
-        }
-    }
-
-    /// The Cascade Lake hierarchy scaled down ~16–20× (32 KiB L1 kept,
-    /// 128 KiB L2, 2 MiB L3), matching the 1/16–1/64 down-scaling of the
-    /// large instance suite so that the *ratio* of graph working set to
-    /// cache capacity — which is what decides the paper's boundedness
-    /// results — is preserved.
+    /// The paper's test platform, per core (Intel Xeon Platinum 8276,
+    /// Cascade Lake: 32 KiB 8-way L1, 1 MiB 16-way L2, 38.5 MiB L3, 64-byte
+    /// lines, latencies 4 / 14 / 50 / 180 cycles), scaled down ~16–20×
+    /// (32 KiB L1 kept, 128 KiB L2, 2 MiB L3). This matches the 1/16–1/64
+    /// down-scaling of the large instance suite, so the *ratio* of graph
+    /// working set to cache capacity — which is what decides the paper's
+    /// boundedness results — is preserved.
     pub fn scaled_cascade_lake() -> Self {
         HierarchyConfig {
             l1: CacheConfig::new(32 * 1024, 64, 8),
@@ -81,14 +64,6 @@ impl HierarchyConfig {
     }
 }
 
-impl HierarchyConfig {
-    /// Enables the next-line prefetcher.
-    pub fn with_next_line_prefetch(mut self) -> Self {
-        self.next_line_prefetch = true;
-        self
-    }
-}
-
 /// Aggregated metrics of a replay, in the paper's §VI-A vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemReport {
@@ -105,16 +80,8 @@ pub struct MemReport {
 }
 
 impl MemReport {
-    /// Fraction of loads that hit in the private caches (L1 + L2).
-    pub fn private_hit_rate(&self) -> f64 {
-        if self.loads == 0 {
-            return 0.0;
-        }
-        (self.level_hits[0] + self.level_hits[1]) as f64 / self.loads as f64
-    }
-
     /// Fraction of loads satisfied at `level` (0 for a zero-load replay).
-    pub fn hit_rate(&self, level: MemLevel) -> f64 {
+    pub(crate) fn hit_rate(&self, level: MemLevel) -> f64 {
         if self.loads == 0 {
             return 0.0;
         }
@@ -211,15 +178,6 @@ impl Hierarchy {
     pub fn config(&self) -> HierarchyConfig {
         self.config
     }
-
-    /// Clears cache contents and counters.
-    pub fn reset(&mut self) {
-        self.l1.reset();
-        self.l2.reset();
-        self.l3.reset();
-        self.level_hits = [0; 4];
-        self.prefetch_fills = 0;
-    }
 }
 
 /// The report of a replay that `level_hits` loads were satisfied at, under
@@ -261,6 +219,11 @@ mod tests {
     use crate::cache::tests::ReferenceLru;
     use proptest::prelude::*;
 
+    /// `tiny()` with the next-line prefetcher on.
+    fn prefetching() -> HierarchyConfig {
+        HierarchyConfig { next_line_prefetch: true, ..HierarchyConfig::tiny() }
+    }
+
     /// [`Hierarchy::load`] over three [`ReferenceLru`] levels.
     struct ReferenceHierarchy {
         config: HierarchyConfig,
@@ -281,7 +244,7 @@ mod tests {
 
         fn touch(&mut self, addr: u64) -> MemLevel {
             let answered = self.levels.iter_mut().position(|level| level.access(addr));
-            MemLevel::ALL[answered.unwrap_or(3)]
+            [MemLevel::L1, MemLevel::L2, MemLevel::L3, MemLevel::Dram][answered.unwrap_or(3)]
         }
 
         fn load(&mut self, addr: u64) -> MemLevel {
@@ -321,7 +284,7 @@ mod tests {
 
     #[test]
     fn prefetch_at_the_top_of_the_address_space_wraps() {
-        let mut h = Hierarchy::new(HierarchyConfig::tiny().with_next_line_prefetch());
+        let mut h = Hierarchy::new(prefetching());
         assert_eq!(h.load(u64::MAX - 8), MemLevel::Dram);
         assert_eq!(h.loads(), 1);
         assert_eq!(h.prefetch_fills(), 1);
@@ -400,21 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn cascade_lake_geometry() {
-        let c = HierarchyConfig::cascade_lake();
-        assert_eq!(c.l1.size_bytes, 32 * 1024);
-        assert_eq!(c.l2.size_bytes, 1024 * 1024);
-        assert_eq!(c.latency, [4, 14, 50, 180]);
-        // Must construct without panicking (power-of-two set counts).
-        let _ = Hierarchy::new(c);
-    }
-
-    #[test]
-    fn mem_level_all_nearest_first() {
-        assert_eq!(MemLevel::ALL, [MemLevel::L1, MemLevel::L2, MemLevel::L3, MemLevel::Dram]);
-    }
-
-    #[test]
     fn prefetcher_converts_stream_misses_to_hits() {
         // A line-strided stream misses every access without prefetch…
         let mut cold = Hierarchy::new(HierarchyConfig::tiny());
@@ -422,7 +370,7 @@ mod tests {
             cold.load(i * 64);
         }
         // …but with the next-line prefetcher, alternate lines are resident.
-        let mut pf = Hierarchy::new(HierarchyConfig::tiny().with_next_line_prefetch());
+        let mut pf = Hierarchy::new(prefetching());
         for i in 0..512u64 {
             pf.load(i * 64);
         }
@@ -446,7 +394,7 @@ mod tests {
 
     #[test]
     fn prefetch_does_not_count_as_demand_load() {
-        let mut h = Hierarchy::new(HierarchyConfig::tiny().with_next_line_prefetch());
+        let mut h = Hierarchy::new(prefetching());
         h.load(0); // miss, prefetches line 1
         assert_eq!(h.loads(), 1, "prefetch fills are not demand loads");
         assert_eq!(h.load(64), MemLevel::L1, "prefetched line must be resident");
@@ -458,7 +406,7 @@ mod tests {
         // k % 8. A miss on a line in the last set (set 7) prefetches the
         // following line, which wraps into set 0 — the fill must land there,
         // not alias back into set 7.
-        let mut h = Hierarchy::new(HierarchyConfig::tiny().with_next_line_prefetch());
+        let mut h = Hierarchy::new(prefetching());
         assert_eq!(h.load(7 * 64), MemLevel::Dram); // set 7: miss, prefetch line 8
         assert_eq!(h.prefetch_fills(), 1);
         assert_eq!(h.load(8 * 64), MemLevel::L1, "prefetched line must sit in set 0");
@@ -472,7 +420,7 @@ mod tests {
         // A line-strided stream walks sets 0,1,2,…; each miss prefetches
         // exactly the next line (the next set), so demand accesses alternate
         // miss (even lines) / L1 hit (odd lines) regardless of set wraps.
-        let mut h = Hierarchy::new(HierarchyConfig::tiny().with_next_line_prefetch());
+        let mut h = Hierarchy::new(prefetching());
         for line in 0..20u64 {
             let level = h.load(line * 64);
             if line % 2 == 0 {
@@ -485,30 +433,11 @@ mod tests {
     }
 
     #[test]
-    fn private_hit_rate_counts_l1_l2() {
-        let mut h = Hierarchy::new(HierarchyConfig::tiny());
-        h.load(0); // DRAM
-        h.load(0); // L1
-        let r = h.report();
-        assert!((r.private_hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_restores_cold_state() {
-        let mut h = Hierarchy::new(HierarchyConfig::tiny());
-        h.load(0);
-        h.reset();
-        assert_eq!(h.loads(), 0);
-        assert_eq!(h.load(0), MemLevel::Dram);
-    }
-
-    #[test]
     fn empty_report_is_zeroed() {
         let h = Hierarchy::new(HierarchyConfig::tiny());
         let r = h.report();
         assert_eq!(r.loads, 0);
         assert_eq!(r.avg_latency, 0.0);
         assert_eq!(r.bound, [0.0; 4]);
-        assert_eq!(r.private_hit_rate(), 0.0);
     }
 }

@@ -475,7 +475,7 @@ mod tests {
             let r = h.report();
             assert!(r.avg_latency.is_finite(), "{}: avg_latency", case.name);
             assert!(r.bound.iter().all(|b| b.is_finite()), "{}: bound", case.name);
-            assert!(r.private_hit_rate().is_finite(), "{}", case.name);
+            assert!(r.l1_hit_rate().is_finite(), "{}", case.name);
             assert!(r.l1_hit_rate().is_finite(), "{}", case.name);
             let bound_sum: f64 = r.bound.iter().sum();
             assert!(bound_sum == 0.0 || (bound_sum - 1.0).abs() < 1e-9, "{}", case.name);

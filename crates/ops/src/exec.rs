@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 /// Where orderings come from.
 ///
-/// The CLI always computes ([`ComputePerm`]); the daemon consults its
+/// The CLI always computes (`ComputePerm`); the daemon consults its
 /// permutation cache first and reports whether the request hit it. Either
 /// way the ordering arrives with its measure cells: empty when it was just
 /// computed, as filled as earlier requests left them when it was cached.
@@ -49,7 +49,7 @@ pub trait PermSource {
 
 /// The cache-free permutation source: always runs the scheme.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ComputePerm;
+pub(crate) struct ComputePerm;
 
 impl PermSource for ComputePerm {
     fn ordering(

@@ -95,16 +95,16 @@ pub(crate) enum ReplayWorkload {
 
 impl ReplayWorkload {
     /// Every workload, in cell order.
-    pub const ALL: [ReplayWorkload; 3] =
+    pub(crate) const ALL: [ReplayWorkload; 3] =
         [ReplayWorkload::Louvain, ReplayWorkload::Rr, ReplayWorkload::Pagerank];
 
     /// The workload named `name`, if any.
-    pub fn parse(name: &str) -> Option<ReplayWorkload> {
+    pub(crate) fn parse(name: &str) -> Option<ReplayWorkload> {
         ReplayWorkload::ALL.into_iter().find(|w| w.name() == name)
     }
 
     /// The wire name: `louvain`, `rr` or `pagerank`.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ReplayWorkload::Louvain => "louvain",
             ReplayWorkload::Rr => "rr",
@@ -113,7 +113,7 @@ impl ReplayWorkload {
     }
 
     /// The name of the one kernel the workload replays.
-    pub fn kernel(self) -> &'static str {
+    pub(crate) fn kernel(self) -> &'static str {
         match self {
             ReplayWorkload::Louvain => "packed",
             ReplayWorkload::Rr => "classic",
@@ -124,7 +124,7 @@ impl ReplayWorkload {
     /// Replays the workload on `graph` as laid out by `pi` (`None` for the
     /// natural layout). Only the RR replay reads the ordering, as the
     /// stable labels that keep its traversal layout-independent.
-    pub fn replay(self, graph: &Csr, pi: Option<&Permutation>) -> MemReport {
+    pub(crate) fn replay(self, graph: &Csr, pi: Option<&Permutation>) -> MemReport {
         let mut hier = Hierarchy::new(HierarchyConfig::scaled_cascade_lake());
         match self {
             ReplayWorkload::Louvain => replay_louvain_move(graph, &mut hier),
@@ -181,7 +181,7 @@ impl MeasuredOrdering {
     ///
     /// [`MeasureError`] if the ordering does not cover exactly `graph`'s
     /// vertices (failures are not stored).
-    pub fn compression(
+    pub(crate) fn compression(
         &self,
         graph: &Csr,
         tally: &mut FactTally,
@@ -195,7 +195,7 @@ impl MeasuredOrdering {
     /// # Errors
     ///
     /// Whatever `write_text` returns (failures are not stored).
-    pub fn text(&self, tally: &mut FactTally) -> io::Result<Arc<str>> {
+    pub(crate) fn text(&self, tally: &mut FactTally) -> io::Result<Arc<str>> {
         self.text.get_or_try(tally, || {
             let mut buf = Vec::new();
             self.pi.write_text(&mut buf)?;
@@ -226,7 +226,7 @@ pub struct GraphFacts {
 impl GraphFacts {
     /// The gap measures of `graph` in its natural order (the `before` row
     /// of `reorder`).
-    pub fn natural_gaps(&self, graph: &Csr, tally: &mut FactTally) -> GapMeasures {
+    pub(crate) fn natural_gaps(&self, graph: &Csr, tally: &mut FactTally) -> GapMeasures {
         self.natural_gaps
             .get_or(tally, || gap_measures(graph, &Permutation::identity(graph.num_vertices())))
     }

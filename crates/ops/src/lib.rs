@@ -41,7 +41,7 @@ mod schemes;
 mod source;
 
 pub use error::OpError;
-pub use exec::{execute, execute_with, run_with_threads, ComputePerm, OpOutcome, PermSource};
+pub use exec::{execute, execute_with, run_with_threads, OpOutcome, PermSource};
 pub use facts::{FactTally, GraphFacts, MeasuredOrdering};
 pub use report::{
     CompressionReport, CompressionRow, FileVerdict, GapRow, MeasureReport, MeasureRow,

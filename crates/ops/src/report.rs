@@ -158,12 +158,6 @@ impl MeasureReport {
         }
         out
     }
-
-    /// The CLI's `--json` output: one compact manifest line per scheme.
-    pub fn render_jsonl(&self) -> String {
-        let lines: Vec<String> = self.rows.iter().map(|r| r.manifest.to_line()).collect();
-        lines.join("\n")
-    }
 }
 
 /// One scheme's row in a `compression` table.
@@ -221,12 +215,6 @@ impl CompressionReport {
         }
         out
     }
-
-    /// The CLI's `--json` output: one compact manifest line per scheme.
-    pub fn render_jsonl(&self) -> String {
-        let lines: Vec<String> = self.rows.iter().map(|r| r.manifest.to_line()).collect();
-        lines.join("\n")
-    }
 }
 
 /// One file's verdict under `validate`.
@@ -265,12 +253,12 @@ pub struct ValidateReport {
 
 impl ValidateReport {
     /// Number of files diagnosed as malformed.
-    pub fn malformed(&self) -> usize {
+    pub(crate) fn malformed(&self) -> usize {
         self.files.iter().filter(|f| f.status == "malformed").count()
     }
 
     /// Number of files that could not be read at all.
-    pub fn unreadable(&self) -> usize {
+    pub(crate) fn unreadable(&self) -> usize {
         self.files.iter().filter(|f| f.status == "unreadable").count()
     }
 
@@ -784,7 +772,6 @@ mod tests {
             let text = m.render_text();
             assert!(text.starts_with("gap measures on g (|V|=5, |E|=4):\n"));
             assert!(text.contains("RCM "), "{text}");
-            assert_eq!(m.render_jsonl().lines().count(), 1);
         }
     }
 
@@ -824,7 +811,6 @@ mod tests {
             );
             assert!(text.contains("bits/edge"), "{text}");
             assert!(text.contains("RCM "), "{text}");
-            assert_eq!(c.render_jsonl().lines().count(), 2);
         }
     }
 

@@ -10,7 +10,7 @@ use reorderlab_graph::{contract, Csr};
 
 /// A two-way split of a vertex set.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Bisection {
+pub(crate) struct Bisection {
     /// `side[v]` is `false` for the left part, `true` for the right.
     pub side: Vec<bool>,
     /// Edge weight crossing the split.
@@ -34,7 +34,7 @@ pub(crate) struct BisectParams {
 ///
 /// Panics if `left_frac` is not in `(0, 1)` or `vertex_weights` has the
 /// wrong length.
-pub fn bisect(
+pub(crate) fn bisect(
     graph: &Csr,
     vertex_weights: &[f64],
     left_frac: f64,

@@ -10,7 +10,7 @@
 /// ```
 /// use reorderlab_partition::PartitionConfig;
 ///
-/// let cfg = PartitionConfig::new(32).balance(0.05).seed(42);
+/// let cfg = PartitionConfig { epsilon: 0.1, ..PartitionConfig::new(32).seed(42) };
 /// assert_eq!(cfg.num_parts, 32);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -56,38 +56,6 @@ impl PartitionConfig {
         }
     }
 
-    /// Sets the imbalance tolerance ε.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon` is negative or not finite.
-    pub fn balance(mut self, epsilon: f64) -> Self {
-        assert!(
-            epsilon >= 0.0 && epsilon.is_finite(),
-            "epsilon must be a small non-negative number"
-        );
-        self.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the coarsening floor.
-    pub fn coarsen_until(mut self, n: usize) -> Self {
-        self.coarsen_until = n.max(2);
-        self
-    }
-
-    /// Sets the number of FM refinement passes.
-    pub fn refine_passes(mut self, passes: usize) -> Self {
-        self.refine_passes = passes;
-        self
-    }
-
-    /// Sets the number of final direct k-way refinement passes.
-    pub fn kway_refine_passes(mut self, passes: usize) -> Self {
-        self.kway_refine_passes = passes;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -107,11 +75,8 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let cfg = PartitionConfig::new(8).balance(0.1).coarsen_until(50).refine_passes(3).seed(7);
+        let cfg = PartitionConfig::new(8).seed(7);
         assert_eq!(cfg.num_parts, 8);
-        assert_eq!(cfg.epsilon, 0.1);
-        assert_eq!(cfg.coarsen_until, 50);
-        assert_eq!(cfg.refine_passes, 3);
         assert_eq!(cfg.seed, 7);
     }
 
@@ -119,11 +84,6 @@ mod tests {
     #[should_panic(expected = "at least one part")]
     fn rejects_zero_parts() {
         let _ = PartitionConfig::new(0);
-    }
-
-    #[test]
-    fn coarsen_floor_clamped() {
-        assert_eq!(PartitionConfig::new(2).coarsen_until(0).coarsen_until, 2);
     }
 
     #[test]

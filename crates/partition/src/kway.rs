@@ -74,37 +74,12 @@ pub fn partition_kway(graph: &Csr, cfg: &PartitionConfig) -> Partitioning {
 }
 
 /// Total weight of edges whose endpoints land in different parts.
-pub fn kway_cut(graph: &Csr, assignment: &[u32]) -> f64 {
+pub(crate) fn kway_cut(graph: &Csr, assignment: &[u32]) -> f64 {
     graph
         .edges()
         .filter(|&(u, v, _)| assignment[u as usize] != assignment[v as usize])
         .map(|(_, _, w)| w)
         .sum()
-}
-
-/// Total *communication volume* of a partition: for every vertex, the
-/// number of distinct foreign parts its neighborhood touches, summed — the
-/// data a distributed computation would ship per superstep. Often a better
-/// quality proxy than edge cut for replication-based systems.
-///
-/// # Panics
-///
-/// Panics if `assignment` does not cover every vertex.
-pub fn communication_volume(graph: &Csr, assignment: &[u32]) -> u64 {
-    assert_eq!(assignment.len(), graph.num_vertices(), "assignment must cover every vertex");
-    let mut volume = 0u64;
-    let mut foreign: Vec<u32> = Vec::new();
-    for v in graph.vertices() {
-        let home = assignment[v as usize];
-        foreign.clear();
-        foreign.extend(
-            graph.neighbors(v).iter().map(|&u| assignment[u as usize]).filter(|&p| p != home),
-        );
-        foreign.sort_unstable();
-        foreign.dedup();
-        volume += foreign.len() as u64;
-    }
-    volume
 }
 
 /// Recursively bisects the subgraph induced by `vertices` (original ids)
@@ -192,7 +167,10 @@ mod tests {
     fn kway_recovers_planted_cliques() {
         // 4 cliques of 8, chained: the 4-way cut should be the 3 bridges.
         let g = clique_chain(4, 8);
-        let p = partition_kway(&g, &PartitionConfig::new(4).seed(5).coarsen_until(16));
+        let p = partition_kway(
+            &g,
+            &PartitionConfig { coarsen_until: 16, ..PartitionConfig::new(4).seed(5) },
+        );
         assert_eq!(p.edge_cut, 3.0, "should cut exactly the bridges");
     }
 
@@ -266,28 +244,6 @@ mod tests {
         let p = partition_kway(&g, &PartitionConfig::new(8).seed(0));
         // Some parts stay empty; assignment must still be in range.
         assert!(p.assignment.iter().all(|&a| (a as usize) < 8));
-    }
-
-    #[test]
-    fn communication_volume_counts_distinct_foreign_parts() {
-        // Path 0-1-2 with parts [0, 1, 2]: vertex 1 touches 2 foreign
-        // parts, the endpoints 1 each -> volume 4.
-        let g = GraphBuilder::undirected(3).edge(0, 1).edge(1, 2).build().unwrap();
-        assert_eq!(communication_volume(&g, &[0, 1, 2]), 4);
-        // Single part: no communication.
-        assert_eq!(communication_volume(&g, &[0, 0, 0]), 0);
-        // Two parts cutting one edge: both endpoints ship once.
-        assert_eq!(communication_volume(&g, &[0, 0, 1]), 2);
-    }
-
-    #[test]
-    fn communication_volume_bounded_by_cut_degree() {
-        let g = grid2d(8, 8);
-        let p = partition_kway(&g, &PartitionConfig::new(4).seed(3));
-        let vol = communication_volume(&g, &p.assignment);
-        // Each cut edge contributes at most 2 to the volume.
-        assert!(vol as f64 <= 2.0 * p.edge_cut, "vol {vol} vs cut {}", p.edge_cut);
-        assert!(vol > 0);
     }
 
     #[test]

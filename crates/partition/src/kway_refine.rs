@@ -87,7 +87,7 @@ fn propose(
 ///
 /// Panics if `assignment` does not cover every vertex or mentions a part
 /// `>= num_parts`.
-pub fn kway_refine(
+pub(crate) fn kway_refine(
     graph: &Csr,
     assignment: &mut [u32],
     num_parts: usize,

@@ -48,18 +48,18 @@ mod nd;
 mod refine;
 mod separator;
 
-pub use bisect::{bisect, Bisection};
 pub use config::PartitionConfig;
-pub use kway::{communication_volume, kway_cut, partition_kway, Partitioning};
-pub use kway_refine::kway_refine;
-pub use matching::{heavy_edge_matching, Matching};
+pub use kway::{partition_kway, Partitioning};
 pub use nd::nested_dissection_order;
 pub use refine::{edge_cut, fm_refine};
-pub use separator::{vertex_separator, Separator};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::kway::kway_cut;
+    use crate::kway_refine::kway_refine;
+    use crate::matching::heavy_edge_matching;
+    use crate::separator::vertex_separator;
     use proptest::prelude::*;
     use reorderlab_graph::{GraphBuilder, SelfLoopPolicy};
 

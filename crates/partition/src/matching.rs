@@ -11,7 +11,7 @@ use reorderlab_graph::Csr;
 /// The result of one matching round: a cluster assignment ready for
 /// contraction.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Matching {
+pub(crate) struct Matching {
     /// `assignment[v]` is the coarse vertex id of `v`.
     pub assignment: Vec<u32>,
     /// Number of coarse vertices.
@@ -80,7 +80,7 @@ fn coarse_ids(mate: &[u32]) -> Matching {
 ///
 /// The scan is serial: each decision reads the matches made before it, and
 /// one candidate search is a single adjacency row.
-pub fn heavy_edge_matching(graph: &Csr, seed: u64) -> Matching {
+pub(crate) fn heavy_edge_matching(graph: &Csr, seed: u64) -> Matching {
     let n = graph.num_vertices();
     let visit = visit_order(n, seed);
     let mut mate = vec![u32::MAX; n];

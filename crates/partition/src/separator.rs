@@ -11,7 +11,7 @@ use reorderlab_graph::Csr;
 
 /// A three-way split: two disconnected sides plus the separating vertex set.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Separator {
+pub(crate) struct Separator {
     /// Vertices of the left side.
     pub left: Vec<u32>,
     /// Vertices of the right side.
@@ -25,7 +25,7 @@ pub struct Separator {
 ///
 /// The returned sides have no edge between them (every such edge has an
 /// endpoint in the separator).
-pub fn vertex_separator(graph: &Csr, cfg: &PartitionConfig) -> Separator {
+pub(crate) fn vertex_separator(graph: &Csr, cfg: &PartitionConfig) -> Separator {
     let n = graph.num_vertices();
     if n == 0 {
         return Separator { left: Vec::new(), right: Vec::new(), separator: Vec::new() };

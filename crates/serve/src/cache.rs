@@ -72,7 +72,7 @@ impl PermCache {
     ///
     /// [`OpError::Scheme`] when the scheme rejects the graph (failures
     /// are not cached).
-    pub fn get_or_compute(
+    pub(crate) fn get_or_compute(
         &self,
         digest: u64,
         scheme: &Scheme,
@@ -129,17 +129,17 @@ impl PermCache {
     }
 
     /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
     /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
     /// Entries evicted so far.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 
@@ -172,7 +172,7 @@ impl CachingPerms {
     /// Hits observed through *this* source (one per request in the
     /// daemon) — unlike the shared cache's global counters, this cannot
     /// be perturbed by concurrent requests on other workers.
-    pub fn request_hits(&self) -> u64 {
+    pub(crate) fn request_hits(&self) -> u64 {
         self.request_hits
     }
 }

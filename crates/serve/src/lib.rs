@@ -46,10 +46,7 @@ mod server;
 
 pub use cache::{CachingPerms, PermCache};
 pub use corpus::{prepare_corpus, Corpus, CorpusEntry, CorpusResolver};
-pub use proto::{
-    error_response, exchange, ok_response, parse_control, shed_response, Control, Response,
-    STATUS_SHED,
-};
+pub use proto::{exchange, ok_response, Response};
 pub use server::{serve, Engine, ServeStats, ServerConfig, ServerHandle, SubmitResult};
 
 use std::sync::{Mutex, PoisonError};

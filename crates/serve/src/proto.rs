@@ -21,11 +21,11 @@ use std::net::TcpStream;
 
 /// Status keyword for a shed (overload) response. Maps onto
 /// [`OpError::Io`] client-side: a runtime failure, not a caller mistake.
-pub const STATUS_SHED: &str = "shed";
+pub(crate) const STATUS_SHED: &str = "shed";
 
 /// A control verb, parsed from `{"control": ...}` lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Control {
+pub(crate) enum Control {
     /// Liveness probe.
     Ping,
     /// Server counters snapshot.
@@ -40,7 +40,7 @@ pub enum Control {
 /// # Errors
 ///
 /// `Some(Err)` for an unknown control verb.
-pub fn parse_control(v: &Json) -> Option<Result<Control, OpError>> {
+pub(crate) fn parse_control(v: &Json) -> Option<Result<Control, OpError>> {
     let verb = v.get("control")?.as_str();
     Some(match verb {
         Some("ping") => Ok(Control::Ping),
@@ -57,7 +57,7 @@ pub fn ok_response(report: &OpReport) -> String {
 }
 
 /// Serializes an error response with the taxonomy's status keyword.
-pub fn error_response(e: &OpError) -> String {
+pub(crate) fn error_response(e: &OpError) -> String {
     Json::Obj(vec![
         ("status".into(), Json::Str(e.status().into())),
         ("error".into(), Json::Str(e.to_string())),
@@ -66,7 +66,7 @@ pub fn error_response(e: &OpError) -> String {
 }
 
 /// Serializes the overload response.
-pub fn shed_response() -> String {
+pub(crate) fn shed_response() -> String {
     Json::Obj(vec![
         ("status".into(), Json::Str(STATUS_SHED.into())),
         ("error".into(), Json::Str("server overloaded; request shed, retry later".into())),

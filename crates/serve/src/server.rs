@@ -212,11 +212,6 @@ impl Engine {
         }
     }
 
-    /// The shared permutation cache.
-    pub fn cache(&self) -> Arc<PermCache> {
-        Arc::clone(&self.shared.cache)
-    }
-
     /// Request counters.
     pub fn stats(&self) -> &ServeStats {
         &self.shared.stats
@@ -342,7 +337,7 @@ impl Engine {
 
     /// Stops the workers: closes every shard queue and joins the worker
     /// threads (queued jobs finish first).
-    pub fn shutdown_workers(&self) {
+    pub(crate) fn shutdown_workers(&self) {
         with_lock(&self.senders, Vec::clear);
         for h in with_lock(&self.workers, std::mem::take) {
             let _ = h.join();
@@ -522,11 +517,6 @@ impl ServerHandle {
         Arc::clone(&self.engine)
     }
 
-    /// True once a shutdown verb has been received.
-    pub fn is_stopping(&self) -> bool {
-        self.stopping.load(Ordering::SeqCst)
-    }
-
     /// Stops accepting, drains the workers, and joins every thread.
     pub fn stop(&mut self) {
         self.stopping.store(true, Ordering::SeqCst);
@@ -702,7 +692,7 @@ mod tests {
         let second = response_of(&engine, line);
         assert!(first.contains("\"cache_hit\":false"), "{first}");
         assert!(second.contains("\"cache_hit\":true"), "{second}");
-        assert_eq!(engine.cache().hits(), 1);
+        assert_eq!(engine.shared.cache.hits(), 1);
         engine.shutdown_workers();
     }
 

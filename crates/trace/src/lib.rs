@@ -55,10 +55,7 @@ mod manifest;
 mod recorder;
 
 pub use json::{Json, JsonError};
-pub use manifest::{
-    GraphInfo, Manifest, ManifestError, PhaseTiming, SchemeInfo, MANIFEST_VERSION, REQUIRED_KEYS,
-    TOOL,
-};
+pub use manifest::{GraphInfo, Manifest, ManifestError, PhaseTiming, SchemeInfo};
 pub use recorder::{
     counter, note, recording, series, span, span_add, RunRecorder, Span, SpanTotals,
 };

@@ -32,13 +32,13 @@ use std::fmt;
 use std::io::Write;
 
 /// Current manifest schema version.
-pub const MANIFEST_VERSION: u64 = 1;
+pub(crate) const MANIFEST_VERSION: u64 = 1;
 
 /// Tool identifier stamped into every manifest.
-pub const TOOL: &str = "reorderlab";
+pub(crate) const TOOL: &str = "reorderlab";
 
 /// Top-level keys every valid manifest must carry.
-pub const REQUIRED_KEYS: &[&str] = &[
+pub(crate) const REQUIRED_KEYS: &[&str] = &[
     "manifest_version",
     "tool",
     "command",
@@ -179,7 +179,7 @@ impl Manifest {
         self.notes.push((key.to_string(), value.to_string()));
     }
 
-    /// Serializes to a [`Json`] value (always at [`MANIFEST_VERSION`]).
+    /// Serializes to a [`Json`] value (always at `MANIFEST_VERSION`).
     pub fn to_json(&self) -> Json {
         let mut obj: Vec<(String, Json)> = vec![
             ("manifest_version".into(), Json::from(MANIFEST_VERSION)),
@@ -390,11 +390,6 @@ impl Manifest {
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
     }
-
-    /// Total wall seconds across phases matching `prefix`.
-    pub fn phase_wall_s(&self, prefix: &str) -> f64 {
-        self.phases.iter().filter(|p| p.name.starts_with(prefix)).map(|p| p.wall_s).sum()
-    }
 }
 
 fn req_str<'a>(v: &'a Json, key: &'static str) -> Result<&'a str, ManifestError> {
@@ -538,8 +533,6 @@ mod tests {
         assert_eq!(m.measure("avg_gap"), Some(187.25));
         assert_eq!(m.measure("nope"), None);
         assert_eq!(m.counter("graph/vertices"), Some(1190));
-        assert!(m.phase_wall_s("reorder") > 0.0);
-        assert_eq!(m.phase_wall_s("zzz"), 0.0);
     }
 
     #[test]
