@@ -27,7 +27,7 @@
 //! | `prior_kernels` | Beyond the paper — PageRank/SSSP/BC baseline suite | EXPERIMENTS.md "Prior-work kernel suite"; `results/prior_kernels.txt` |
 //! | `sbm_transition` | Beyond the paper — community-detectability mechanism | EXPERIMENTS.md "SBM detectability transition"; `results/sbm_transition.txt` |
 //! | `summary` | One-page end-to-end summary card | README "Reproducing the paper"; `results/summary.txt` |
-//! | `snapshot` | `BENCH_*.json` exact memsim + compression counters: emit + `--diff` (DESIGN.md §9) | CI `bench-snapshot`; `BENCH_0016.json` |
+//! | `snapshot` | `BENCH_*.json` exact memsim + compression counters: emit + `--diff` (DESIGN.md §9) | `tests/snapshot_gate.rs` (tier-1, at 1 and 7 threads); `BENCH_0016.json` |
 
 #![warn(missing_docs)]
 

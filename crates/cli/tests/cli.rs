@@ -1,5 +1,6 @@
 //! End-to-end tests of the `reorderlab` binary.
 
+use reorderlab_ops::{execute, run_with_threads, FsResolver, GraphSource, OpReport, OpRequest};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -90,6 +91,46 @@ fn generate_stats_reorder_roundtrip() {
     for p in [p1, p2, p3] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+/// What `reorderlab` prints is the `render_text` of a local `execute` at
+/// the same width, as the daemon's `--render` is (`crates/serve/tests`),
+/// and a `--perm` file is `Permutation::write_text` byte for byte.
+#[test]
+fn stdout_is_the_render_text_of_a_local_execute() {
+    let euroroad = || GraphSource::Instance("euroroad".into());
+    let (source, workload) = (euroroad(), "pagerank".into());
+    let memsim = OpRequest::Memsim { source, scheme: None, workload, kernel: None };
+    let schemes = vec!["rcm".into(), "dbg".into()];
+    let measure = OpRequest::Measure { source: euroroad(), schemes };
+    let cases = [
+        ("stats", None, OpRequest::Stats { source: euroroad() }),
+        ("measure --scheme rcm --scheme dbg --threads 2", Some(2), measure),
+        ("memsim --workload pagerank", None, memsim),
+    ];
+    for (args, threads, request) in cases {
+        let out = run(&format!("{args} --instance euroroad").split(' ').collect::<Vec<_>>());
+        assert!(out.status.success(), "{args}: {}", String::from_utf8_lossy(&out.stderr));
+        let local = run_with_threads(threads, || execute(&request, &FsResolver)).unwrap();
+        let text = match &local.report {
+            OpReport::Stats(s) => s.render_text(),
+            OpReport::Measure(m) => m.render_text(),
+            OpReport::Memsim(m) => m.render_text(),
+            other => panic!("no rendering for {other:?}"),
+        };
+        assert_eq!(String::from_utf8_lossy(&out.stdout), format!("{text}\n"), "{args}");
+    }
+
+    let (path, file) = tmp("rcm.perm");
+    let out = run(&["reorder", "--instance", "euroroad", "--scheme", "rcm", "--perm", &file]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let (scheme, source) = (Some("rcm".into()), euroroad());
+    let request = OpRequest::Reorder { source, scheme, apply_perm: None, return_perm: false };
+    let mut expected = Vec::new();
+    let local = execute(&request, &FsResolver).unwrap().permutation;
+    local.expect("a computed permutation").write_text(&mut expected).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), expected, "the --perm file is not write_text");
+    let _ = std::fs::remove_file(path);
 }
 
 #[test]

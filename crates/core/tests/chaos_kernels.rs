@@ -7,7 +7,7 @@
 //! `chaos_schedules.rs`.
 //!
 //! Compiles to nothing without `--features chaos`; tier-1 `cargo test` is
-//! unaffected. CI runs it in the `chaos-schedules` leg.
+//! unaffected. CI's `chaos-schedules` job runs it with the core suite.
 #![cfg(feature = "chaos")]
 
 mod support;

@@ -9,7 +9,7 @@
 //! 1-thread path never engages the chaos scheduler, so it is the oracle.
 //!
 //! This file compiles to nothing without the feature; tier-1 `cargo test`
-//! is unaffected. CI runs it in the dedicated `chaos-schedules` leg.
+//! is unaffected. CI's `chaos-schedules` job runs it with the core suite.
 #![cfg(feature = "chaos")]
 
 mod support;

@@ -3,14 +3,17 @@
 
 use reorderlab_graph::COMPRESSED_CSR_EXTENSION;
 use reorderlab_ops::{
-    execute, FsResolver, GraphSource, OpError, OpReport, OpRequest, RequestEnvelope,
+    execute, run_with_threads, FsResolver, GraphSource, OpError, OpReport, OpRequest,
+    RequestEnvelope,
 };
 use reorderlab_serve::{
     exchange, prepare_corpus, serve, Corpus, Response, ServerConfig, ServerHandle,
 };
 use reorderlab_trace::{Json, Manifest};
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
+use std::process::{Child, ChildStdout, Command, Output, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -599,15 +602,111 @@ fn a_client_that_never_reads_stalls_no_other_client() {
     handle.stop();
 }
 
-/// A `reorderlab-serve run` process, killed when dropped so that a failed
-/// assertion never leaves a daemon running.
-struct DaemonProcess(std::process::Child);
+/// A `reorderlab-serve run` process on a corpus of `euroroad` written by
+/// `reorderlab-serve prepare`. Dropping it kills the daemon and removes
+/// the corpus, so that a failed assertion never leaves a daemon running.
+struct DaemonProcess {
+    child: Child,
+    /// Kept open while the daemon runs: it prints a second banner line, and
+    /// a write to a closed pipe would end it for a reason of our own.
+    _stdout: BufReader<ChildStdout>,
+    addr: String,
+    corpus: PathBuf,
+}
+
+impl DaemonProcess {
+    fn start(name: &str) -> DaemonProcess {
+        let corpus = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
+        let bin = env!("CARGO_BIN_EXE_reorderlab-serve");
+        let prepare = ["prepare", "--instances", "euroroad", "--dir"];
+        let prepared = Command::new(bin).args(prepare).arg(&corpus).output().unwrap();
+        assert!(prepared.status.success(), "{}", String::from_utf8_lossy(&prepared.stderr));
+        let mut child = Command::new(bin)
+            .args(["run", "--corpus"])
+            .arg(&corpus)
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("the daemon binary starts");
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        let mut banner = String::new();
+        stdout.read_line(&mut banner).unwrap();
+        let addr = banner.trim().strip_prefix("listening on ").expect("a listening line").into();
+        DaemonProcess { child, _stdout: stdout, addr, corpus }
+    }
+
+    /// `reorderlab-serve request --addr ADDR` with `args`.
+    fn request(&self, args: &[&str]) -> Output {
+        let bin = env!("CARGO_BIN_EXE_reorderlab-serve");
+        Command::new(bin).args(["request", "--addr", &self.addr]).args(args).output().unwrap()
+    }
+}
 
 impl Drop for DaemonProcess {
     fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = std::fs::remove_dir_all(&self.corpus);
     }
+}
+
+/// What `reorderlab-serve request --render` prints is what `reorderlab`
+/// prints (`crates/cli/tests/cli.rs`): the `render_text` of a local
+/// `execute` at the same width. Each request goes twice, so that the
+/// memoized reply is checked too. A `return_perm` reply carries
+/// `Permutation::write_text` both times, and a malformed request exits 2.
+#[test]
+fn the_binaries_render_what_a_local_execute_renders() {
+    let daemon = DaemonProcess::start("serve_render");
+    // The daemon reads the named source; the local run, the instance.
+    type Case = (fn(GraphSource) -> OpRequest, GraphSource, Option<usize>);
+    let cases: [Case; 4] = [
+        (|source| OpRequest::Stats { source }, instance("euroroad"), None),
+        (|source| OpRequest::Stats { source }, corpus("euroroad"), None),
+        (
+            |source| OpRequest::Measure { source, schemes: vec!["rcm".into(), "dbg".into()] },
+            instance("euroroad"),
+            Some(2),
+        ),
+        (|source| memsim(source, None, "pagerank"), corpus("euroroad"), None),
+    ];
+    for (request, source, threads) in cases {
+        let local = request(instance("euroroad"));
+        let local = run_with_threads(threads, || execute(&local, &FsResolver)).unwrap();
+        let text = match &local.report {
+            OpReport::Stats(s) => s.render_text(),
+            OpReport::Measure(m) => m.render_text(),
+            OpReport::Memsim(m) => m.render_text(),
+            other => panic!("no rendering for {other:?}"),
+        };
+        let line = RequestEnvelope { request: request(source), threads }.to_json().to_line();
+        for _ in 0..2 {
+            let out = daemon.request(&["--render", "--json", &line]);
+            assert!(out.status.success(), "{line}: {}", String::from_utf8_lossy(&out.stderr));
+            assert_eq!(String::from_utf8_lossy(&out.stdout), format!("{text}\n"), "{line}");
+        }
+    }
+
+    let rcm = |source, return_perm| OpRequest::Reorder {
+        source,
+        scheme: Some("rcm".into()),
+        apply_perm: None,
+        return_perm,
+    };
+    let local = execute(&rcm(instance("euroroad"), false), &FsResolver).unwrap();
+    let mut expected = Vec::new();
+    local.permutation.expect("a computed permutation").write_text(&mut expected).unwrap();
+    let request = RequestEnvelope { request: rcm(corpus("euroroad"), true), threads: None };
+    for _ in 0..2 {
+        let reply = daemon.request(&["--json", &request.to_json().to_line()]).stdout;
+        let Ok(Response::Ok(report)) = Response::parse(&String::from_utf8_lossy(&reply)) else {
+            panic!("expected a report");
+        };
+        let OpReport::Reorder(r) = *report else { panic!("expected a reorder report") };
+        assert_eq!(r.permutation.map(String::into_bytes).as_ref(), Some(&expected));
+    }
+
+    let out = daemon.request(&["--render", "--json", "{\"op\":\"frobnicate\"}"]);
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
 /// One line of 10,000 `[` is under the request-line cap. The parser must
@@ -616,26 +715,9 @@ impl Drop for DaemonProcess {
 /// why this test runs the daemon binary rather than an in-process server.
 #[test]
 fn a_deeply_nested_request_line_is_refused_and_the_daemon_stays_up() {
-    use std::io::BufRead;
-    let dir = std::env::temp_dir().join(format!("serve_deep_{}", std::process::id()));
-    prepare_corpus(&dir, &["euroroad".to_string()], reorderlab_graph::BINARY_CSR_EXTENSION)
-        .unwrap();
-    let mut daemon = DaemonProcess(
-        std::process::Command::new(env!("CARGO_BIN_EXE_reorderlab-serve"))
-            .args(["run", "--corpus"])
-            .arg(&dir)
-            .stdout(std::process::Stdio::piped())
-            .spawn()
-            .expect("the daemon binary starts"),
-    );
-    // Kept open while the daemon runs: it prints a second banner line, and
-    // a write to a closed pipe would end it for a reason of our own.
-    let mut stdout = BufReader::new(daemon.0.stdout.take().unwrap());
-    let mut banner = String::new();
-    stdout.read_line(&mut banner).unwrap();
-    let addr = banner.trim().strip_prefix("listening on ").expect("a listening line").to_string();
+    let mut daemon = DaemonProcess::start("serve_deep");
 
-    let mut stream = TcpStream::connect(&addr).unwrap();
+    let mut stream = TcpStream::connect(&daemon.addr).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     stream.write_all(format!("{}\n", "[".repeat(10_000)).as_bytes()).unwrap();
     let mut reply = String::new();
@@ -645,13 +727,10 @@ fn a_deeply_nested_request_line_is_refused_and_the_daemon_stays_up() {
     };
     assert!(message.contains("nesting deeper than"), "{message}");
 
-    let mut second = TcpStream::connect(&addr).expect("the daemon still accepts");
+    let mut second = TcpStream::connect(&daemon.addr).expect("the daemon still accepts");
     second.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut reader = BufReader::new(second.try_clone().unwrap());
     let pong = exchange(&mut second, &mut reader, "{\"control\":\"ping\"}").unwrap();
     assert!(pong.contains("\"pong\":true"), "{pong}");
-    assert!(daemon.0.try_wait().unwrap().is_none(), "the daemon process is alive");
-    drop(daemon);
-    drop(stdout);
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(daemon.child.try_wait().unwrap().is_none(), "the daemon process is alive");
 }
