@@ -10,24 +10,20 @@
 //! 5. **MinLA annealing headroom**: how much does local search improve each
 //!    scheme's ξ̂ (the §III-A class the paper calls too expensive)?
 
-use reorderlab_bench::args::maybe_write_csv;
-use reorderlab_bench::{HarnessArgs, Table};
+use super::{Ctx, FigureText};
+use crate::render::Table;
 use reorderlab_core::measures::gap_measures;
 use reorderlab_core::schemes::{minla_anneal, MinlaConfig};
 use reorderlab_core::Scheme;
 use reorderlab_datasets::by_name;
+use std::fmt::Write;
 
-fn main() {
-    let args = HarnessArgs::from_env("Ablations: window sizes, slash fractions, community order, degree sort, annealing headroom");
-    let instances = if args.quick {
-        vec!["euroroad", "figeys"]
-    } else {
-        vec!["euroroad", "delaunay_n12", "figeys", "hamster_small", "pgp"]
-    };
-    let mut csv = Vec::new();
+pub(super) fn run(_: &Ctx) -> FigureText {
+    let instances = ["euroroad", "delaunay_n12", "figeys", "hamster_small", "pgp"];
+    let mut out = String::new();
 
     // 1. Gorder window sweep.
-    println!("=== Ablation 1: Gorder window size (ξ̂) ===\n");
+    writeln!(out, "=== Ablation 1: Gorder window size (ξ̂) ===\n")?;
     let windows = [1usize, 2, 3, 5, 10, 20];
     let mut t = Table::new(
         std::iter::once("instance".to_string()).chain(windows.iter().map(|w| format!("w={w}"))),
@@ -38,14 +34,13 @@ fn main() {
         for &w in &windows {
             let m = gap_measures(&g, &Scheme::Gorder { window: w }.reorder(&g));
             row.push(format!("{:.1}", m.avg_gap));
-            csv.push(format!("gorder_window,{name},{w},{}", m.avg_gap));
         }
         t.row(row);
     }
-    println!("{}", t.render());
+    writeln!(out, "{}", t.render())?;
 
     // 2. SlashBurn slash-fraction sweep.
-    println!("=== Ablation 2: SlashBurn slash fraction (ξ̂) ===\n");
+    writeln!(out, "=== Ablation 2: SlashBurn slash fraction (ξ̂) ===\n")?;
     let fracs = [0.001f64, 0.005, 0.02, 0.05];
     let mut t = Table::new(
         std::iter::once("instance".to_string()).chain(fracs.iter().map(|f| format!("k={f}"))),
@@ -56,14 +51,13 @@ fn main() {
         for &f in &fracs {
             let m = gap_measures(&g, &Scheme::SlashBurn { k_frac: f }.reorder(&g));
             row.push(format!("{:.1}", m.avg_gap));
-            csv.push(format!("slashburn_frac,{name},{f},{}", m.avg_gap));
         }
         t.row(row);
     }
-    println!("{}", t.render());
+    writeln!(out, "{}", t.render())?;
 
     // 3. Community-order ablation.
-    println!("=== Ablation 3: inter-community order (ξ̂) — the Grappolo-RCM idea ===\n");
+    writeln!(out, "=== Ablation 3: inter-community order (ξ̂) — the Grappolo-RCM idea ===\n")?;
     let mut t = Table::new(["instance", "Grappolo (arbitrary)", "Grappolo-RCM", "Rabbit (DFS)"]);
     for name in &instances {
         let g = by_name(name).expect("instance in suite").generate();
@@ -71,14 +65,11 @@ fn main() {
         let gr = gap_measures(&g, &Scheme::GrappoloRcm.reorder(&g)).avg_gap;
         let rb = gap_measures(&g, &Scheme::RabbitOrder.reorder(&g)).avg_gap;
         t.row([name.to_string(), format!("{ga:.1}"), format!("{gr:.1}"), format!("{rb:.1}")]);
-        csv.push(format!("community_order,{name},arbitrary,{ga}"));
-        csv.push(format!("community_order,{name},rcm,{gr}"));
-        csv.push(format!("community_order,{name},rabbit_dfs,{rb}"));
     }
-    println!("{}", t.render());
+    writeln!(out, "{}", t.render())?;
 
     // 4. RCM vs CDFS (degree-sort ablation) on bandwidth.
-    println!("=== Ablation 4: RCM's per-level degree sort (β) ===\n");
+    writeln!(out, "=== Ablation 4: RCM's per-level degree sort (β) ===\n")?;
     let mut t = Table::new(["instance", "RCM β", "CDFS β", "RCM ξ̂", "CDFS ξ̂"]);
     for name in &instances {
         let g = by_name(name).expect("instance in suite").generate();
@@ -91,13 +82,11 @@ fn main() {
             format!("{:.1}", rcm.avg_gap),
             format!("{:.1}", cdfs.avg_gap),
         ]);
-        csv.push(format!("degree_sort,{name},rcm,{},{}", rcm.bandwidth, rcm.avg_gap));
-        csv.push(format!("degree_sort,{name},cdfs,{},{}", cdfs.bandwidth, cdfs.avg_gap));
     }
-    println!("{}", t.render());
+    writeln!(out, "{}", t.render())?;
 
     // 5. MinLA annealing headroom over each base scheme.
-    println!("=== Ablation 5: MinLA annealing headroom (ξ̂ before -> after) ===\n");
+    writeln!(out, "=== Ablation 5: MinLA annealing headroom (ξ̂ before -> after) ===\n")?;
     let bases = [
         Scheme::Natural,
         Scheme::DegreeSort { direction: Default::default() },
@@ -117,21 +106,20 @@ fn main() {
             let refined = minla_anneal(&g, &start, &MinlaConfig::budget(n, 50, 9));
             let after = gap_measures(&g, &refined).avg_gap;
             row.push(format!("{before:.1}->{after:.1}"));
-            csv.push(format!("minla_headroom,{name},{},{before},{after}", base.name()));
         }
         t.row(row);
     }
-    println!("{}", t.render());
+    writeln!(out, "{}", t.render())?;
 
     // 6. IC edge-probability sweep (the paper "tested with lower and higher
     // edge probability settings" and presents p = 0.25): how the diffusion
     // rate changes RR-set size and sampling cost.
-    println!("=== Ablation 6: IC edge probability (RR-set size, sampling cost) ===\n");
+    writeln!(out, "=== Ablation 6: IC edge probability (RR-set size, sampling cost) ===\n")?;
     {
         use reorderlab_influence::{DiffusionModel, RrSampler};
         let g = reorderlab_datasets::by_name("livemocha").expect("in suite").generate();
         let probs = [0.01f64, 0.05, 0.1, 0.25, 0.5];
-        let sets = if args.quick { 64 } else { 256 };
+        let sets = 256;
         let mut t = Table::new(["p", "mean RR size", "edges examined / set"]);
         for &p in &probs {
             let sampler = RrSampler::new(&g, DiffusionModel::IndependentCascade { probability: p });
@@ -147,18 +135,13 @@ fn main() {
                 format!("{:.1}", vertices as f64 / sets as f64),
                 format!("{:.0}", edges as f64 / sets as f64),
             ]);
-            csv.push(format!(
-                "ic_probability,livemocha,{p},{:.2},{:.1}",
-                vertices as f64 / sets as f64,
-                edges as f64 / sets as f64
-            ));
         }
-        println!("{}", t.render());
-        println!(
+        writeln!(out, "{}", t.render())?;
+        writeln!(
+            out,
             "Above the percolation threshold RR sets engulf the graph — the regime \
              where IMM needs few but expensive samples (the paper's p = 0.25 setting).\n"
-        );
+        )?;
     }
-
-    maybe_write_csv(&args.csv, "ablation,instance,setting,value,extra", &csv);
+    Ok(out)
 }

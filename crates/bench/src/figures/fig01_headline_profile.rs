@@ -3,30 +3,22 @@
 //! small inputs, plus the headline statistic — the factor between the best
 //! and poorest scheme (the paper reports up to 40×).
 
-use reorderlab_bench::args::maybe_write_csv;
-use reorderlab_bench::sweep::gap_sweep;
-use reorderlab_bench::{render_profile, HarnessArgs};
-use reorderlab_core::{PerformanceProfile, Scheme};
-use reorderlab_datasets::small_suite;
+use super::{Ctx, FigureText};
+use crate::render::render_profile;
+use reorderlab_core::PerformanceProfile;
+use std::fmt::Write;
 
-fn main() {
-    let args = HarnessArgs::from_env(
-        "Figure 1: headline performance profile of average linear-arrangement gap",
-    );
-    let mut instances = small_suite();
-    if args.quick {
-        instances.truncate(6);
-    }
-    let schemes = Scheme::evaluation_suite(42);
-    let sweep = gap_sweep(&instances, &schemes);
+pub(super) fn run(ctx: &Ctx) -> FigureText {
+    let sweep = ctx.evaluation_sweep();
     let profile = PerformanceProfile::new(
         &sweep.schemes,
         &sweep.avg_gap,
         &PerformanceProfile::default_taus(),
     );
 
-    println!("=== Figure 1: relative avg-gap performance profile ===\n");
-    println!("{}", render_profile(&profile));
+    let mut out = String::new();
+    writeln!(out, "=== Figure 1: relative avg-gap performance profile ===\n")?;
+    writeln!(out, "{}", render_profile(&profile))?;
 
     // Headline: spread between best and poorest scheme per instance.
     let mut worst_factor = 0.0f64;
@@ -40,15 +32,9 @@ fn main() {
             worst_instance = inst.clone();
         }
     }
-    println!(
+    writeln!(
+        out,
         "Best-vs-poorest ξ̂ spread: up to {worst_factor:.1}x (on {worst_instance}); the paper reports up to 40x.",
-    );
-
-    let mut csv = Vec::new();
-    for (s, name) in profile.methods.iter().enumerate() {
-        for (t, &tau) in profile.taus.iter().enumerate() {
-            csv.push(format!("{name},{tau},{}", profile.curves[s][t]));
-        }
-    }
-    maybe_write_csv(&args.csv, "scheme,tau,fraction", &csv);
+    )?;
+    Ok(out)
 }

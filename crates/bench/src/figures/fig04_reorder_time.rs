@@ -5,30 +5,25 @@
 //! Expected shape (paper §III-F): Degree Sort and RCM are the cheapest;
 //! Grappolo and METIS-32 cost more but stay within a modest factor.
 
-use reorderlab_bench::args::{maybe_append_manifests, maybe_write_csv};
-use reorderlab_bench::sweep::gap_sweep;
-use reorderlab_bench::{render_profile, HarnessArgs, Table};
+use super::{Ctx, FigureText};
+use crate::render::{render_profile, Table};
+use crate::sweep::gap_sweep;
 use reorderlab_core::schemes::DegreeDirection;
 use reorderlab_core::{PerformanceProfile, Scheme};
 use reorderlab_datasets::large_suite;
+use std::fmt::Write;
 
-fn main() {
-    let args = HarnessArgs::from_env(
-        "Figure 4: performance profile of reordering compute time (RCM, DegreeSort, Grappolo, METIS-32) on the 9 large inputs",
-    );
-    let mut instances = large_suite();
-    if args.quick {
-        instances.truncate(3);
-    }
+pub(super) fn run(_: &Ctx) -> FigureText {
     let schemes = vec![
         Scheme::Rcm,
         Scheme::DegreeSort { direction: DegreeDirection::Decreasing },
         Scheme::Grappolo,
         Scheme::Metis { parts: 32, seed: 42 },
     ];
-    let sweep = args.in_pool(|| gap_sweep(&instances, &schemes));
+    let sweep = gap_sweep(&large_suite(), &schemes);
 
-    println!("=== Reordering wall time (seconds) per scheme × instance ===\n");
+    let mut out = String::new();
+    writeln!(out, "=== Reordering wall time (seconds) per scheme × instance ===\n")?;
     let mut raw =
         Table::new(std::iter::once("scheme".to_string()).chain(sweep.instances.iter().cloned()));
     for (s, name) in sweep.schemes.iter().enumerate() {
@@ -36,7 +31,7 @@ fn main() {
         row.extend(sweep.reorder_secs[s].iter().map(|v| format!("{v:.3}")));
         raw.row(row);
     }
-    println!("{}", raw.render());
+    writeln!(out, "{}", raw.render())?;
 
     // A wider factor grid than the gap figures: a Rust sort (Degree Sort)
     // on a scaled-down graph is microseconds, so the heavyweight schemes
@@ -47,19 +42,8 @@ fn main() {
         50000.0,
     ];
     let profile = PerformanceProfile::try_new(&sweep.schemes, &sweep.reorder_secs, &taus)
-        .unwrap_or_else(|e| {
-            eprintln!("fig04_reorder_time: cannot build timing profile: {e}");
-            std::process::exit(2);
-        });
-    println!("=== Figure 4: fraction of inputs within τ × fastest ===\n");
-    println!("{}", render_profile(&profile));
-
-    let mut csv = Vec::new();
-    for (s, name) in sweep.schemes.iter().enumerate() {
-        for (i, inst) in sweep.instances.iter().enumerate() {
-            csv.push(format!("{name},{inst},{}", sweep.reorder_secs[s][i]));
-        }
-    }
-    maybe_write_csv(&args.csv, "scheme,instance,seconds", &csv);
-    maybe_append_manifests(&args.manifests, &sweep.manifests("fig04_reorder_time"));
+        .map_err(|e| format!("cannot build timing profile: {e}"))?;
+    writeln!(out, "=== Figure 4: fraction of inputs within τ × fastest ===\n")?;
+    writeln!(out, "{}", render_profile(&profile))?;
+    Ok(out)
 }

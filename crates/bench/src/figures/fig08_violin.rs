@@ -3,25 +3,20 @@
 //! evaluation scheme, plus the best/worst factors for ξ̂, β, and β̂ the
 //! paper quotes (41×/39×/28×, 4×/22×/2×, 93×/17×/4×).
 
-use reorderlab_bench::args::maybe_write_csv;
-use reorderlab_bench::{render_violin, HarnessArgs, Table};
+use super::{Ctx, FigureText};
+use crate::render::{render_violin, Table};
 use reorderlab_core::measures::{edge_gaps, gap_measures};
 use reorderlab_core::{GapDistribution, Scheme};
 use reorderlab_datasets::by_name;
+use std::fmt::Write;
 
-fn main() {
-    let args = HarnessArgs::from_env(
-        "Figure 8: gap distributions (violin summaries) for Chicago, fe_4elt2, vsp",
-    );
-    let picks =
-        if args.quick { vec!["chicago_road"] } else { vec!["chicago_road", "fe_4elt2", "vsp"] };
+pub(super) fn run(_: &Ctx) -> FigureText {
     let schemes = Scheme::evaluation_suite(42);
-    let mut csv = Vec::new();
-
-    for name in picks {
+    let mut out = String::new();
+    for name in ["chicago_road", "fe_4elt2", "vsp"] {
         let spec = by_name(name).expect("instance exists");
         let g = spec.generate();
-        println!("=== {} (|V|={}, |E|={}) ===\n", name, g.num_vertices(), g.num_edges());
+        writeln!(out, "=== {} (|V|={}, |E|={}) ===\n", name, g.num_vertices(), g.num_edges())?;
         let mut table = Table::new([
             "scheme",
             "min",
@@ -58,19 +53,8 @@ fn main() {
                 m.bandwidth as f64,
                 m.avg_bandwidth,
             ));
-            csv.push(format!(
-                "{name},{},{},{:.2},{:.2},{:.2},{},{:.3},{:.3}",
-                scheme.name(),
-                d.min,
-                d.q1,
-                d.median,
-                d.q3,
-                d.max,
-                d.mean,
-                short
-            ));
         }
-        println!("{}", table.render());
+        writeln!(out, "{}", table.render())?;
 
         // Visual violins for the extremes of ξ̂ on this instance.
         let best_idx = best_worst
@@ -89,7 +73,7 @@ fn main() {
             let scheme = &schemes[idx];
             let gaps = edge_gaps(&g, &scheme.reorder(&g));
             let d = GapDistribution::from_gaps(&gaps);
-            println!("{}", render_violin(scheme.name(), &d, 40));
+            writeln!(out, "{}", render_violin(scheme.name(), &d, 40))?;
         }
 
         for (label, idx) in [("ξ̂", 1usize), ("β", 2), ("β̂", 3)] {
@@ -108,16 +92,17 @@ fn main() {
                 .expect("schemes present");
             let factor =
                 if vals(idx, best) > 0.0 { vals(idx, worst) / vals(idx, best) } else { 0.0 };
-            println!(
+            writeln!(
+                out,
                 "{label}: best {} ({:.1}) vs worst {} ({:.1}) — {:.0}x spread",
                 best.0,
                 vals(idx, best),
                 worst.0,
                 vals(idx, worst),
                 factor
-            );
+            )?;
         }
-        println!();
+        writeln!(out)?;
     }
-    maybe_write_csv(&args.csv, "instance,scheme,min,q1,median,q3,max,mean,frac_le_10", &csv);
+    Ok(out)
 }

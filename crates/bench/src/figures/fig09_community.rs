@@ -7,15 +7,16 @@
 //!
 //! Expected shape (paper §VI-B): the Grappolo ordering usually beats Degree
 //! Sort on phase/iteration time (2–4×), has the best Work% and lowest
-//! work/edge; modularity spreads stay small; with `--serial` the spread
-//! shrinks to 1.3–2.5×.
+//! work/edge; modularity spreads stay small; at `RAYON_NUM_THREADS=1` the
+//! spread shrinks to 1.3–2.5×.
 
+use super::{Ctx, FigureText};
+use crate::render::render_heatmap;
 use rayon::prelude::*;
-use reorderlab_bench::args::maybe_write_csv;
-use reorderlab_bench::{render_heatmap, HarnessArgs};
 use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_core::Scheme;
 use reorderlab_datasets::large_suite;
+use std::fmt::Write;
 
 struct Cell {
     phase_secs: f64,
@@ -26,26 +27,22 @@ struct Cell {
     work_per_edge: f64,
 }
 
-fn main() {
-    let args = HarnessArgs::from_env(
-        "Figure 9: community-detection heat maps (phase s, iteration s, #iters, modularity, Work%, work/edge)",
-    );
-    let mut instances = large_suite();
-    if args.quick {
-        instances.truncate(3);
-    }
-    let threads = args.in_pool(rayon::current_num_threads);
+pub(super) fn run(_: &Ctx) -> FigureText {
+    let instances = large_suite();
+    let threads = rayon::current_num_threads();
     let schemes = Scheme::application_suite();
     let scheme_names: Vec<String> = schemes.iter().map(|s| s.name().to_string()).collect();
 
-    println!(
+    let mut out = String::new();
+    writeln!(
+        out,
         "Running Louvain under {} orderings × {} instances with {threads} thread(s)…\n",
         schemes.len(),
         instances.len()
-    );
+    )?;
 
-    // Parallelize ordering computation per instance, but run Louvain itself
-    // in the pool the flags ask for so Work% is meaningful.
+    // Parallelize ordering computation per instance; Louvain runs in the
+    // ambient pool, whose width Work% is measured against.
     let results: Vec<(String, Vec<Cell>)> = instances
         .iter()
         .map(|spec| {
@@ -55,7 +52,7 @@ fn main() {
                 .iter()
                 .map(|pi| {
                     let h = g.permuted(pi).expect("scheme permutations are valid");
-                    let r = args.in_pool(|| louvain(&h, &LouvainConfig::default()));
+                    let r = louvain(&h, &LouvainConfig::default());
                     let p = r.stats.first_phase().expect("at least one phase");
                     Cell {
                         phase_secs: p.duration.as_secs_f64(),
@@ -83,12 +80,12 @@ fn main() {
     let work = extract(&|c: &Cell| c.work_pct);
     let wpe = extract(&|c: &Cell| c.work_per_edge);
 
-    println!("{}", render_heatmap("Phase (s)", &rows, &scheme_names, &phase, true, 3));
-    println!("{}", render_heatmap("Iteration (s)", &rows, &scheme_names, &iter, true, 4));
-    println!("{}", render_heatmap("Iteration Count", &rows, &scheme_names, &iters, true, 0));
-    println!("{}", render_heatmap("Modularity", &rows, &scheme_names, &modularity, false, 3));
-    println!("{}", render_heatmap("Work%", &rows, &scheme_names, &work, false, 0));
-    println!("{}", render_heatmap("Work/edge (loads)", &rows, &scheme_names, &wpe, true, 1));
+    writeln!(out, "{}", render_heatmap("Phase (s)", &rows, &scheme_names, &phase, true, 3))?;
+    writeln!(out, "{}", render_heatmap("Iteration (s)", &rows, &scheme_names, &iter, true, 4))?;
+    writeln!(out, "{}", render_heatmap("Iteration Count", &rows, &scheme_names, &iters, true, 0))?;
+    writeln!(out, "{}", render_heatmap("Modularity", &rows, &scheme_names, &modularity, false, 3))?;
+    writeln!(out, "{}", render_heatmap("Work%", &rows, &scheme_names, &work, false, 0))?;
+    writeln!(out, "{}", render_heatmap("Work/edge (loads)", &rows, &scheme_names, &wpe, true, 1))?;
 
     // Headline contrast the paper reports.
     let mut max_iter_spread = 0.0f64;
@@ -99,29 +96,10 @@ fn main() {
             max_iter_spread = max_iter_spread.max(worst / best);
         }
     }
-    println!(
+    writeln!(
+        out,
         "Max best-vs-worst iteration-time spread: {max_iter_spread:.1}x \
          (paper: 2-4x parallel, 1.3-2.5x serial; this run used {threads} thread(s))."
-    );
-
-    let mut csv = Vec::new();
-    for ((name, cells), _) in results.iter().zip(0..) {
-        for (s, c) in cells.iter().enumerate() {
-            csv.push(format!(
-                "{name},{},{:.4},{:.5},{},{:.4},{:.1},{:.2}",
-                scheme_names[s],
-                c.phase_secs,
-                c.iter_secs,
-                c.iters,
-                c.modularity,
-                c.work_pct,
-                c.work_per_edge
-            ));
-        }
-    }
-    maybe_write_csv(
-        &args.csv,
-        "instance,scheme,phase_secs,iter_secs,iterations,modularity,work_pct,work_per_edge",
-        &csv,
-    );
+    )?;
+    Ok(out)
 }

@@ -8,31 +8,29 @@
 //! does not always mean less DRAM-bound, because the auxiliary map
 //! dominates part of the stream.
 
+use super::{Ctx, FigureText};
+use crate::render::Table;
 use rayon::prelude::*;
-use reorderlab_bench::args::maybe_write_csv;
-use reorderlab_bench::{HarnessArgs, Table};
 use reorderlab_core::Scheme;
 use reorderlab_datasets::large_suite;
 use reorderlab_memsim::{replay_louvain_scan, Hierarchy, HierarchyConfig, MemReport};
+use std::fmt::Write;
 
-fn main() {
-    let args = HarnessArgs::from_env(
-        "Figure 10: Louvain hot-routine memory metrics (latency, L1/L2/L3/DRAM bound) on the 5 largest instances",
-    );
+pub(super) fn run(_: &Ctx) -> FigureText {
     let mut instances = large_suite();
     // The paper focuses on the five largest graphs; ours are ordered by
     // paper size, so take the tail.
-    let keep = if args.quick { 2 } else { 5 };
-    let skip = instances.len().saturating_sub(keep);
+    let skip = instances.len().saturating_sub(5);
     instances.drain(..skip);
 
     let schemes = Scheme::application_suite();
     let scheme_names: Vec<String> = schemes.iter().map(|s| s.name().to_string()).collect();
-    println!(
+    let mut out = String::new();
+    writeln!(
+out,
         "Replaying the Louvain neighbor-community scan through a simulated (scaled) Cascade Lake hierarchy…\n"
-    );
+    )?;
 
-    let mut csv = Vec::new();
     for spec in &instances {
         let g = spec.generate();
         let reports: Vec<MemReport> = schemes
@@ -46,7 +44,7 @@ fn main() {
             })
             .collect();
 
-        println!("=== {} (|V|={}, |E|={}) ===\n", spec.name, g.num_vertices(), g.num_edges());
+        writeln!(out, "=== {} (|V|={}, |E|={}) ===\n", spec.name, g.num_vertices(), g.num_edges())?;
         let mut table = Table::new(["Order", "Lat (cyc)", "L1", "L2", "L3", "DRAM"]);
         for (name, r) in scheme_names.iter().zip(&reports) {
             table.row([
@@ -57,12 +55,8 @@ fn main() {
                 format!("{:.0}%", r.bound[2] * 100.0),
                 format!("{:.0}%", r.bound[3] * 100.0),
             ]);
-            csv.push(format!(
-                "{},{},{:.2},{:.4},{:.4},{:.4},{:.4}",
-                spec.name, name, r.avg_latency, r.bound[0], r.bound[1], r.bound[2], r.bound[3]
-            ));
         }
-        println!("{}", table.render());
+        writeln!(out, "{}", table.render())?;
 
         let best = scheme_names
             .iter()
@@ -74,18 +68,15 @@ fn main() {
             .zip(&reports)
             .max_by(|a, b| a.1.avg_latency.total_cmp(&b.1.avg_latency))
             .expect("non-empty");
-        println!(
+        writeln!(
+            out,
             "Latency spread: {} {:.1} vs {} {:.1} cycles ({:.1}x; paper reports up to 2.6x).\n",
             best.0,
             best.1.avg_latency,
             worst.0,
             worst.1.avg_latency,
             worst.1.avg_latency / best.1.avg_latency.max(1e-9)
-        );
+        )?;
     }
-    maybe_write_csv(
-        &args.csv,
-        "instance,scheme,avg_latency_cycles,l1_bound,l2_bound,l3_bound,dram_bound",
-        &csv,
-    );
+    Ok(out)
 }

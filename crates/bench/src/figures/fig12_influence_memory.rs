@@ -8,29 +8,29 @@
 //! marginal — the paper's point that cache placement alone does not decide
 //! sampling throughput.
 
+use super::{Ctx, FigureText};
+use crate::render::Table;
 use rayon::prelude::*;
-use reorderlab_bench::args::maybe_write_csv;
-use reorderlab_bench::{HarnessArgs, Table};
 use reorderlab_core::Scheme;
 use reorderlab_datasets::by_name;
 use reorderlab_memsim::{replay_rr_sampling, Hierarchy, HierarchyConfig, MemReport};
+use std::fmt::Write;
 
-fn main() {
-    let args = HarnessArgs::from_env(
-        "Figure 12: memory counters for the RR-sampling hotspot on skitter (IC, p = 0.25)",
-    );
+pub(super) fn run(_: &Ctx) -> FigureText {
     let spec = by_name("skitter").expect("skitter is in the large suite");
     let g = spec.generate();
-    let num_sets = if args.quick { 8 } else { 64 };
+    let num_sets = 64;
     let schemes = Scheme::application_suite();
     let scheme_names: Vec<String> = schemes.iter().map(|s| s.name().to_string()).collect();
 
-    println!(
+    let mut out = String::new();
+    writeln!(
+        out,
         "Replaying {num_sets} IC reverse-BFS samples (p = 0.25) on {} (|V|={}, |E|={})…\n",
         spec.name,
         g.num_vertices(),
         g.num_edges()
-    );
+    )?;
 
     let reports: Vec<MemReport> = schemes
         .par_iter()
@@ -48,7 +48,6 @@ fn main() {
         .collect();
 
     let mut table = Table::new(["Order", "LL (cyc)", "L1", "L2", "L3", "DRAM", "loads"]);
-    let mut csv = Vec::new();
     for (name, r) in scheme_names.iter().zip(&reports) {
         table.row([
             name.clone(),
@@ -59,27 +58,20 @@ fn main() {
             format!("{:.0}%", r.bound[3] * 100.0),
             r.loads.to_string(),
         ]);
-        csv.push(format!(
-            "{},{:.2},{:.4},{:.4},{:.4},{:.4},{}",
-            name, r.avg_latency, r.bound[0], r.bound[1], r.bound[2], r.bound[3], r.loads
-        ));
     }
-    println!("{}", table.render());
+    writeln!(out, "{}", table.render())?;
 
     let best_l1 = scheme_names
         .iter()
         .zip(&reports)
         .max_by(|a, b| a.1.bound[0].total_cmp(&b.1.bound[0]))
         .expect("non-empty");
-    println!(
+    writeln!(
+        out,
         "Most L1-bound ordering: {} ({:.0}% of stall cycles at L1) — the paper singles out \
          Degree Sort and Grappolo on this metric.",
         best_l1.0,
         best_l1.1.bound[0] * 100.0
-    );
-    maybe_write_csv(
-        &args.csv,
-        "scheme,avg_latency_cycles,l1_bound,l2_bound,l3_bound,dram_bound,loads",
-        &csv,
-    );
+    )?;
+    Ok(out)
 }

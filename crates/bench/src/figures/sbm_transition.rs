@@ -8,27 +8,22 @@
 //! recovery quality against ground truth (NMI/ARI) and (b) the ξ̂ of the
 //! community-based orderings versus RCM and Random.
 
-use reorderlab_bench::args::maybe_write_csv;
-use reorderlab_bench::{HarnessArgs, Table};
+use super::{Ctx, FigureText};
+use crate::render::Table;
 use reorderlab_community::{adjusted_rand_index, louvain, nmi, LouvainConfig};
 use reorderlab_core::measures::gap_measures;
 use reorderlab_core::Scheme;
 use reorderlab_datasets::stochastic_block_model;
+use std::fmt::Write;
 
-fn main() {
-    let args = HarnessArgs::from_env(
-        "SBM detectability transition: community recovery vs reordering benefit",
-    );
-    let n = if args.quick { 1_000 } else { 4_000 };
+pub(super) fn run(_: &Ctx) -> FigureText {
+    let n = 4_000;
     let k = 8;
     let p_in = 0.04;
-    let p_outs: &[f64] = if args.quick {
-        &[0.0005, 0.005, 0.02]
-    } else {
-        &[0.0002, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.04]
-    };
+    let p_outs = [0.0002, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.04];
+    let mut out = String::new();
 
-    println!("SBM sweep: n = {n}, k = {k}, p_in = {p_in}\n");
+    writeln!(out, "SBM sweep: n = {n}, k = {k}, p_in = {p_in}\n")?;
     let mut table = Table::new([
         "p_out",
         "edges",
@@ -40,8 +35,7 @@ fn main() {
         "ξ̂ RCM",
         "ξ̂ Random",
     ]);
-    let mut csv = Vec::new();
-    for &p_out in p_outs {
+    for p_out in p_outs {
         let pp = stochastic_block_model(n, k, p_in, p_out, 42);
         let g = &pp.graph;
         let r = louvain(g, &LouvainConfig::default());
@@ -63,21 +57,13 @@ fn main() {
             format!("{rcm:.0}"),
             format!("{random:.0}"),
         ]);
-        csv.push(format!(
-            "{p_out},{},{},{score_nmi:.4},{score_ari:.4},{grap:.1},{rabbit:.1},{rcm:.1},{random:.1}",
-            g.num_edges(),
-            r.num_communities
-        ));
     }
-    println!("{}", table.render());
-    println!(
+    writeln!(out, "{}", table.render())?;
+    writeln!(
+        out,
         "Reading: while NMI ≈ 1 the community orderings crush Random; once the \
          transition dissolves the blocks (NMI → 0), their edge disappears — the \
          per-input variance the paper reports, reproduced with a controlled knob."
-    );
-    maybe_write_csv(
-        &args.csv,
-        "p_out,edges,communities,nmi,ari,gap_grappolo,gap_rabbit,gap_rcm,gap_random",
-        &csv,
-    );
+    )?;
+    Ok(out)
 }

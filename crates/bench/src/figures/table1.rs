@@ -3,20 +3,15 @@
 //! paper-reported sizes for side-by-side comparison, and the connectivity
 //! indicators (clustering coefficient, triangles) the paper mentions.
 
+use super::{Ctx, FigureText};
+use crate::render::Table;
 use rayon::prelude::*;
-use reorderlab_bench::args::maybe_write_csv;
-use reorderlab_bench::{HarnessArgs, Table};
 use reorderlab_datasets::{full_suite, InstanceSpec};
 use reorderlab_graph::GraphStats;
+use std::fmt::Write;
 
-fn main() {
-    let args = HarnessArgs::from_env("Table I: instance statistics (synthetic suite vs paper)");
-    let mut instances = full_suite();
-    if args.quick {
-        instances.truncate(6);
-    }
-
-    let stats: Vec<(InstanceSpec, GraphStats)> = instances
+pub(super) fn run(_: &Ctx) -> FigureText {
+    let stats: Vec<(InstanceSpec, GraphStats)> = full_suite()
         .into_par_iter()
         .map(|spec| {
             let g = spec.generate();
@@ -38,7 +33,6 @@ fn main() {
         "Paper|E|",
         "Scale",
     ]);
-    let mut csv_rows = Vec::new();
     for (spec, s) in &stats {
         table.row([
             spec.name.to_string(),
@@ -53,27 +47,10 @@ fn main() {
             spec.paper_edges.to_string(),
             if spec.is_scaled() { format!("1/{}", spec.scale_denominator) } else { "1".into() },
         ]);
-        csv_rows.push(format!(
-            "{},{},{},{},{},{:.3},{:.4},{},{},{},{}",
-            spec.name,
-            spec.domain,
-            s.num_vertices,
-            s.num_edges,
-            s.max_degree,
-            s.degree_std_dev,
-            s.clustering_coefficient,
-            s.triangles,
-            spec.paper_vertices,
-            spec.paper_edges,
-            spec.scale_denominator
-        ));
     }
 
-    println!("=== Table I: instance summary (synthetic stand-ins) ===\n");
-    println!("{}", table.render());
-    maybe_write_csv(
-        &args.csv,
-        "input,domain,vertices,edges,max_degree,degree_stddev,clustering,triangles,paper_vertices,paper_edges,scale_denominator",
-        &csv_rows,
-    );
+    let mut out = String::new();
+    writeln!(out, "=== Table I: instance summary (synthetic stand-ins) ===\n")?;
+    writeln!(out, "{}", table.render())?;
+    Ok(out)
 }

@@ -1,45 +1,56 @@
 //! # reorderlab-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper, plus
-//! shared rendering and sweep utilities. Run any binary with `--help` for
-//! its options; all binaries accept `--quick` to run a reduced instance set
-//! for smoke-testing.
+//! The experiment harness: a registry with one entry per table and figure
+//! of the paper, plus shared rendering and sweep utilities. One binary runs
+//! it, `figures --out DIR [ID...]`: it writes `DIR/<id>.txt` for each id
+//! given, or for every entry when none is. `results/` holds the committed
+//! texts, all written by one `figures --out results` run.
 //!
-//! Every binary exists because something regenerates from it; a binary
-//! (or a `results/*.txt`) with no consumer is deleted, and a test below
-//! keeps the two lists in step. None of them is a benchmark: wall time is
-//! measured by `benchmark/` (`BENCHMARK.json`) and nowhere else.
+//! An *exact* entry reads no clock and no worker count, so its text is the
+//! same at any width and on any host; `tests/exact_figures.rs` rebuilds
+//! each one and diffs it byte for byte against `results/`. A *timing* entry
+//! prints wall times or the worker count, and is re-recorded by hand. None
+//! of them is a benchmark: wall time is measured by `benchmark/`
+//! (`BENCHMARK.json`) and nowhere else.
 //!
-//! | Binary | Paper artifact | Consumed by |
-//! |---|---|---|
-//! | `table1` | Table I — instance statistics | EXPERIMENTS.md "Table I"; `results/table1.txt` |
-//! | `fig01_headline_profile` | Fig. 1 — headline avg-gap performance profile | EXPERIMENTS.md "Figure 1"; `results/fig01_headline_profile.txt` |
-//! | `fig04_reorder_time` | Fig. 4 — reordering compute-time profile | EXPERIMENTS.md "Figure 4"; `results/fig04_reorder_time.txt` |
-//! | `fig05_avg_gap_profile` | Fig. 5 — ξ̂ performance profile | EXPERIMENTS.md "Figure 5"; `results/fig05_avg_gap_profile.txt` |
-//! | `fig06_bandwidth` | Fig. 6 — β and β̂ performance profiles | EXPERIMENTS.md "Figure 6a/6b"; `results/fig06_bandwidth.txt` |
-//! | `fig07_metis_sweep` | Fig. 7 — METIS partition-count sweep | EXPERIMENTS.md "Figure 7"; `results/fig07_metis_sweep.txt` |
-//! | `fig08_violin` | Fig. 8 — gap distributions + best/worst factors | EXPERIMENTS.md "Figure 8"; `results/fig08_violin.txt` |
-//! | `fig09_community` | Fig. 9 — community-detection heat maps | EXPERIMENTS.md "Figure 9" and "§VI-B" (`--serial`); `results/fig09_community.txt` |
-//! | `fig10_community_memory` | Fig. 10 — Louvain memory metrics | EXPERIMENTS.md "Figure 10"; `results/fig10_community_memory.txt` |
-//! | `fig11_influence` | Fig. 11 — IMM throughput / total time | EXPERIMENTS.md "Figure 11"; `results/fig11_influence.txt` |
-//! | `fig12_influence_memory` | Fig. 12 — sampling-hotspot memory counters | EXPERIMENTS.md "Figure 12"; `results/fig12_influence_memory.txt` |
-//! | `ablations` | Beyond the paper — design-choice ablations | EXPERIMENTS.md "Ablations"; `results/ablations.txt` |
-//! | `prior_kernels` | Beyond the paper — PageRank/SSSP/BC baseline suite | EXPERIMENTS.md "Prior-work kernel suite"; `results/prior_kernels.txt` |
-//! | `sbm_transition` | Beyond the paper — community-detectability mechanism | EXPERIMENTS.md "SBM detectability transition"; `results/sbm_transition.txt` |
-//! | `summary` | One-page end-to-end summary card | README "Reproducing the paper"; `results/summary.txt` |
-//! | `snapshot` | `BENCH_*.json` exact memsim + compression counters: emit + `--diff` (DESIGN.md §9) | `tests/snapshot_gate.rs` (tier-1, at 1 and 7 threads); `BENCH_0016.json` |
+//! Every entry exists because something reads its text; an entry (or a
+//! `results/*.txt`) with no reader is deleted, and a test below keeps the
+//! registry, this table and `results/` in step.
+//!
+//! | Id | Kind | Paper artifact | Read by |
+//! |---|---|---|---|
+//! | `table1` | exact | Table I — instance statistics | EXPERIMENTS.md "Table I" |
+//! | `fig01_headline_profile` | exact | Fig. 1 — headline avg-gap performance profile | EXPERIMENTS.md "Figure 1" |
+//! | `fig04_reorder_time` | timing | Fig. 4 — reordering compute-time profile | EXPERIMENTS.md "Figure 4" |
+//! | `fig05_avg_gap_profile` | exact | Fig. 5 — ξ̂ performance profile | EXPERIMENTS.md "Figure 5" |
+//! | `fig06_bandwidth` | exact | Fig. 6 — β and β̂ performance profiles | EXPERIMENTS.md "Figure 6a/6b" |
+//! | `fig07_metis_sweep` | exact | Fig. 7 — METIS partition-count sweep | EXPERIMENTS.md "Figure 7" |
+//! | `fig08_violin` | exact | Fig. 8 — gap distributions + best/worst factors | EXPERIMENTS.md "Figure 8" |
+//! | `fig09_community` | timing | Fig. 9 — community-detection heat maps | EXPERIMENTS.md "Figure 9" and, at `RAYON_NUM_THREADS=1`, "§VI-B" |
+//! | `fig10_community_memory` | exact | Fig. 10 — Louvain memory metrics | EXPERIMENTS.md "Figure 10" |
+//! | `fig11_influence` | timing | Fig. 11 — IMM throughput / total time | EXPERIMENTS.md "Figure 11" |
+//! | `fig12_influence_memory` | exact | Fig. 12 — sampling-hotspot memory counters | EXPERIMENTS.md "Figure 12" |
+//! | `ablations` | exact | Beyond the paper — design-choice ablations | EXPERIMENTS.md "Ablations" |
+//! | `prior_kernels` | timing | Beyond the paper — PageRank/SSSP/BC baseline suite | EXPERIMENTS.md "Prior-work kernel suite" |
+//! | `sbm_transition` | exact | Beyond the paper — community-detectability mechanism | EXPERIMENTS.md "SBM detectability transition" |
+//! | `summary` | timing | One-page end-to-end summary card | README "Reproducing the paper" |
+//!
+//! The crate's other binary, `snapshot`, is a gate rather than a figure: it
+//! emits and `--diff`s the `BENCH_*.json` exact memsim and compression
+//! counters (DESIGN.md §9), which `tests/snapshot_gate.rs` checks against
+//! `BENCH_0016.json` at 1 and 7 threads.
 
 #![warn(missing_docs)]
 
-pub mod args;
+mod figures;
 mod render;
-pub mod sweep;
+mod sweep;
 
-pub use args::HarnessArgs;
-pub use render::{render_heatmap, render_profile, render_violin, Table};
+pub use figures::{Ctx, Figure, FigureText, FIGURES};
 
 #[cfg(test)]
 mod tests {
+    use super::FIGURES;
     use std::collections::BTreeSet;
     use std::path::Path;
 
@@ -52,18 +63,34 @@ mod tests {
             .collect()
     }
 
-    /// No orphans: a `results/*.txt` nobody can regenerate, or a binary the
-    /// crate docs do not account for, fails here.
+    /// No orphans: the registry, the doc table above and `results/*.txt`
+    /// name the same ids, each doc row gives its entry's kind, and the only
+    /// binaries are the driver and the snapshot gate.
     #[test]
-    fn every_result_has_a_generating_bin_and_every_bin_is_documented() {
+    fn registry_doc_table_and_results_name_the_same_figures() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-        let bins = stems(&root.join("src/bin"), "rs");
-        let results = stems(&root.join("../../results"), "txt");
-        let orphans: Vec<_> = results.difference(&bins).collect();
-        assert!(orphans.is_empty(), "results/*.txt without a src/bin/*.rs: {orphans:?}");
-        let docs = include_str!("lib.rs");
-        for bin in &bins {
-            assert!(docs.contains(&format!("//! | `{bin}` |")), "{bin} missing from the doc table");
+        let registry: BTreeSet<String> = FIGURES.iter().map(|f| f.id.to_string()).collect();
+        assert_eq!(registry.len(), FIGURES.len(), "duplicate registry id");
+        assert_eq!(stems(&root.join("../../results"), "txt"), registry, "results/*.txt");
+
+        let rows: Vec<(String, String)> = include_str!("lib.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! | `"))
+            .map(|row| {
+                let (id, rest) = row.split_once("` | ").expect("id cell");
+                let kind = rest.split(" | ").next().expect("kind cell");
+                (id.to_string(), kind.to_string())
+            })
+            .collect();
+        let documented: BTreeSet<String> = rows.iter().map(|(id, _)| id.clone()).collect();
+        assert_eq!(documented.len(), rows.len(), "duplicate doc row");
+        assert_eq!(documented, registry, "doc table rows");
+        for (id, kind) in &rows {
+            let figure = FIGURES.iter().find(|f| f.id == id).expect("registered");
+            assert_eq!(kind, if figure.exact { "exact" } else { "timing" }, "{id}'s kind");
         }
+
+        let bins: BTreeSet<String> = stems(&root.join("src/bin"), "rs");
+        assert_eq!(bins, ["figures", "snapshot"].map(String::from).into(), "src/bin/*.rs");
     }
 }

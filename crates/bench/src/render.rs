@@ -5,14 +5,14 @@ use reorderlab_core::PerformanceProfile;
 
 /// A simple aligned text table.
 #[derive(Debug, Clone, Default)]
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Starts a table with the given column headers.
-    pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(header: I) -> Self {
+    pub(crate) fn new<S: Into<String>, I: IntoIterator<Item = S>>(header: I) -> Self {
         Table { header: header.into_iter().map(Into::into).collect(), rows: Vec::new() }
     }
 
@@ -21,7 +21,10 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row is wider than the header.
-    pub fn row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) -> &mut Self {
+    pub(crate) fn row<S: Into<String>, I: IntoIterator<Item = S>>(
+        &mut self,
+        cells: I,
+    ) -> &mut Self {
         let mut row: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert!(row.len() <= self.header.len(), "row wider than header");
         row.resize(self.header.len(), String::new());
@@ -29,18 +32,8 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
@@ -76,7 +69,7 @@ impl Table {
 
 /// Renders a performance profile as a text table: one row per method, one
 /// column per τ, cells holding the fraction of instances within τ × best.
-pub fn render_profile(profile: &PerformanceProfile) -> String {
+pub(crate) fn render_profile(profile: &PerformanceProfile) -> String {
     let mut header: Vec<String> = vec!["scheme".into()];
     header.extend(profile.taus.iter().map(|t| format!("τ≤{t:.1}")));
     header.push("AUC".into());
@@ -119,7 +112,7 @@ pub(crate) fn heat_row(values: &[f64], lower_is_better: bool) -> Vec<f64> {
 /// Renders a heat map: rows labeled by `row_labels`, columns by
 /// `col_labels`; each cell shows the value plus a shade glyph derived from
 /// the per-row normalization (`*` best … `....` worst).
-pub fn render_heatmap(
+pub(crate) fn render_heatmap(
     title: &str,
     row_labels: &[String],
     col_labels: &[String],
@@ -160,7 +153,11 @@ fn shade(h: f64) -> &'static str {
 /// width proportional to the share of edges in that decade — the textual
 /// twin of the paper's Figure 8 violins, where wide low ridges mean most
 /// gaps are small.
-pub fn render_violin(label: &str, dist: &reorderlab_core::GapDistribution, width: usize) -> String {
+pub(crate) fn render_violin(
+    label: &str,
+    dist: &reorderlab_core::GapDistribution,
+    width: usize,
+) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{label}: n={} min={} q1={:.0} med={:.0} q3={:.0} max={} mean={:.1}\n",
@@ -192,8 +189,7 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         assert!(lines[0].starts_with("name"));
         assert!(lines[2].starts_with("a"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(lines.len(), 4, "header, rule and two rows");
     }
 
     #[test]

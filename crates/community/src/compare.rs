@@ -158,6 +158,11 @@ mod tests {
         let coarse = [0u32, 0, 0, 0];
         let fine = [0u32, 1, 2, 3];
         assert!(nmi(&coarse, &fine) < 1.0);
+        // H(halves) = ln 2 and H(singletons) = ln 4, and the halves are a
+        // function of the singletons, so I = ln 2 and NMI = 2 I / (ln 2 +
+        // ln 4) = 2/3 (dividing by the larger entropy would give 1/2).
+        let halves = [0u32, 0, 1, 1];
+        assert!((nmi(&halves, &fine) - 2.0 / 3.0).abs() < 1e-12, "{}", nmi(&halves, &fine));
     }
 
     #[test]

@@ -207,8 +207,12 @@ mod tests {
         assert_eq!(p.curves[0], vec![1.0, 1.0, 1.0]);
         assert_eq!(p.curves[1], vec![0.0, 1.0, 1.0]);
         assert_eq!(p.win_fraction(), vec![1.0, 0.0]);
+        // Trapezoids over τ ∈ [1, 4]: A is 1 throughout; B rises 0 → 1 on
+        // [1, 2], so its area is (1 · 0.5 + 2 · 1) / 3 (left rectangles
+        // would give 2/3).
         let auc = p.auc();
-        assert!(auc[0] > auc[1]);
+        assert_eq!(auc[0], 1.0);
+        assert!((auc[1] - 2.5 / 3.0).abs() < 1e-12, "{auc:?}");
     }
 
     #[test]

@@ -87,6 +87,45 @@ fn the_lint_inheritance_check_names_a_manifest_that_opts_out() {
     assert!(missing[0].ends_with("crates/b/Cargo.toml"), "{missing:?}");
 }
 
+/// The entries of the one-line array `key = [..]` in a manifest's text.
+fn manifest_array(text: &str, key: &str) -> Vec<String> {
+    let line = text
+        .lines()
+        .find_map(|l| l.strip_prefix(key)?.trim_start().strip_prefix('='))
+        .unwrap_or_else(|| panic!("the manifest has a one-line `{key} = [..]`"));
+    line.split('"').skip(1).step_by(2).map(String::from).collect()
+}
+
+/// How the root manifest's `default-members` differs from `"."` plus every
+/// `members` entry: each entry missing from it, then each extra one.
+fn default_members_gaps(root_manifest: &str) -> Vec<String> {
+    let defaults = manifest_array(root_manifest, "default-members");
+    let mut all = vec![".".to_string()];
+    all.extend(manifest_array(root_manifest, "members"));
+    let missing = all.iter().filter(|m| !defaults.contains(m)).map(|m| format!("missing {m}"));
+    let extra = defaults.iter().filter(|d| !all.contains(d)).map(|d| format!("extra {d}"));
+    missing.chain(extra).collect()
+}
+
+/// Plain `cargo test` is the whole gate only while `default-members` is
+/// the facade plus every workspace member.
+#[test]
+fn default_members_keep_the_facade_and_every_member() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let gaps = default_members_gaps(&text);
+    assert!(gaps.is_empty(), "default-members differs from \".\" + members: {gaps:?}");
+}
+
+#[test]
+fn the_default_members_check_names_a_narrowed_list() {
+    let manifest = "[workspace]\nmembers = [\"crates/*\", \"shims/*\"]\n\
+                    default-members = [\".\", \"crates/*\"]\n";
+    assert_eq!(default_members_gaps(manifest), ["missing shims/*"]);
+    let manifest = "[workspace]\nmembers = [\"crates/*\"]\ndefault-members = [\"crates/*\"]\n";
+    assert_eq!(default_members_gaps(manifest), ["missing ."]);
+}
+
 /// The part of a file that a row reads.
 enum Cut {
     Whole,
