@@ -1,5 +1,6 @@
 //! End-to-end tests of the `reorderlab` binary.
 
+use reorderlab_core::Provenance::Extension;
 use reorderlab_ops::{execute, run_with_threads, FsResolver, GraphSource, OpReport, OpRequest};
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -203,9 +204,10 @@ fn bad_scheme_is_reported() {
 
 #[test]
 fn lightweight_and_adaptive_family_reorders_end_to_end() {
-    for scheme in
-        ["dbg", "hubsort-dbg", "hubcluster-dbg", "comm-bfs", "comm-dfs", "comm-degree", "adaptive"]
-    {
+    // Every extension row: the lightweight and adaptive family, plus
+    // ascending Degree Sort and CDFS.
+    let extensions = reorderlab_core::SCHEMES.iter().filter(|d| d.provenance == Extension);
+    for scheme in extensions.map(|d| d.spec) {
         let (p, f) = tmp(&format!("{scheme}.perm"));
         let out = run(&["reorder", "--scheme", scheme, "--input", GOLDEN, "--perm", &f]);
         assert!(out.status.success(), "{scheme}: {}", String::from_utf8_lossy(&out.stderr));
@@ -226,7 +228,7 @@ fn unknown_scheme_error_lists_every_accepted_name_exactly() {
     assert_eq!(out.status.code(), Some(2));
     let expected = format!(
         "error: unknown scheme \"bogus\"; accepted schemes: {}\n",
-        reorderlab_core::Scheme::ACCEPTED_NAMES.join(", ")
+        reorderlab_core::SCHEMES.iter().map(|d| d.spec).collect::<Vec<_>>().join(", ")
     );
     assert_eq!(String::from_utf8_lossy(&out.stderr), expected);
 }

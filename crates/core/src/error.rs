@@ -85,11 +85,13 @@ impl std::fmt::Display for SchemeError {
             SchemeError::PartsExceedVertices { parts, vertices } => {
                 write!(f, "metis parts {parts} exceed the graph's {vertices} vertices")
             }
-            SchemeError::UnknownScheme { name } => write!(
-                f,
-                "unknown scheme {name:?}; accepted schemes: {}",
-                crate::Scheme::ACCEPTED_NAMES.join(", ")
-            ),
+            SchemeError::UnknownScheme { name } => {
+                write!(f, "unknown scheme {name:?}; accepted schemes: ")?;
+                for (i, def) in crate::SCHEMES.iter().enumerate() {
+                    write!(f, "{}{}", if i == 0 { "" } else { ", " }, def.spec)?;
+                }
+                Ok(())
+            }
             SchemeError::UnknownParameter { scheme, key } => {
                 write!(f, "scheme {scheme} has no parameter {key:?}")
             }
@@ -218,8 +220,8 @@ mod tests {
         let e = SchemeError::UnknownScheme { name: "nope".into() };
         let msg = e.to_string();
         assert!(msg.starts_with("unknown scheme \"nope\"; accepted schemes: natural, "), "{msg}");
-        for name in crate::Scheme::ACCEPTED_NAMES {
-            assert!(msg.contains(name), "error must list accepted scheme {name:?}");
+        for def in crate::SCHEMES {
+            assert!(msg.contains(def.spec), "error must list accepted scheme {:?}", def.spec);
         }
         let e = SchemeError::UnknownParameter { scheme: "RCM", key: "window".into() };
         assert_eq!(e.to_string(), "scheme RCM has no parameter \"window\"");

@@ -11,14 +11,15 @@
 //!   graph bandwidth β, average graph bandwidth β̂, plus distribution
 //!   summaries (violin plots, Fig. 8) and performance profiles (Figs. 1,
 //!   4–7) in [`measures`].
-//! - **Twenty-two ordering schemes** in [`schemes`], uniformly dispatchable
-//!   through [`Scheme`] and enumerated by [`Scheme::all_schemes`]: the
-//!   paper's §III set (Natural, Random, Degree Sort ascending and
-//!   descending, Hub Sort, Hub Clustering, SlashBurn, Gorder, RCM, CDFS,
+//! - **Twenty-two ordering schemes** in [`schemes`], one row each in
+//!   [`SCHEMES`] and uniformly dispatchable through [`Scheme`]. A row's
+//!   [`Provenance`] says where the scheme comes from: the 11 the paper
+//!   evaluates (§V: Natural, Random, Degree Sort, SlashBurn, Gorder, RCM,
 //!   Nested Dissection, METIS-induced, Grappolo, Grappolo-RCM, Rabbit
-//!   Order), the degree-grouping family (DBG, HubSort-DBG, HubCluster-DBG),
-//!   the community-major family (Comm-BFS, Comm-DFS, Comm-Degree), and
-//!   Adaptive.
+//!   Order), the two it describes (§III: Hub Sort, Hub Clustering), and
+//!   nine extensions (ascending Degree Sort, CDFS, the degree-grouping
+//!   family DBG, HubSort-DBG and HubCluster-DBG, the community-major family
+//!   Comm-BFS, Comm-DFS and Comm-Degree, and Adaptive).
 //!
 //! No scheme takes a thread count: every kernel is bit-identical at any
 //! width, so a scheme runs on the rayon pool it is called in (bound it with
@@ -61,7 +62,7 @@ pub mod schemes;
 
 pub use error::{MeasureError, SchemeError};
 pub use measures::{CompressionMeasures, GapDistribution, GapMeasures, PerformanceProfile};
-pub use scheme::Scheme;
+pub use scheme::{Provenance, Scheme, SchemeDef, SCHEMES};
 
 #[cfg(test)]
 mod proptests {

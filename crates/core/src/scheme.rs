@@ -1,7 +1,9 @@
-//! The scheme registry: a closed enumeration of every reordering scheme the
-//! paper evaluates, with uniform dispatch. Harness code sweeps
-//! [`Scheme::evaluation_suite`] to reproduce the 11-scheme comparisons of
-//! §V.
+//! The scheme registry: [`SCHEMES`], one row per scheme, and the closed
+//! [`Scheme`] enumeration with uniform dispatch. Parsing, specs, names,
+//! help and the test matrices read the table; adding a scheme is one row,
+//! one variant, one [`Scheme::try_reorder`] arm and its body. Harness code
+//! sweeps [`Scheme::evaluation_suite`] to reproduce the 11-scheme
+//! comparisons of §V.
 //!
 //! The registry offers three dispatch entry points:
 //!
@@ -32,6 +34,105 @@ use crate::schemes::{
 };
 use reorderlab_graph::{Csr, Permutation};
 use reorderlab_trace::{recording, span, RunRecorder};
+use std::fmt;
+use DegreeDirection::{Decreasing, Increasing};
+use Provenance::{Described, Evaluated, Extension};
+
+/// Where a scheme comes from, relative to the paper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Provenance {
+    /// One of the 11 schemes the paper evaluates (§V).
+    Evaluated,
+    /// Described in the paper's survey of schemes (§III), not evaluated.
+    Described,
+    /// Beyond the paper.
+    Extension,
+}
+
+/// One row of [`SCHEMES`].
+#[derive(Debug)]
+pub struct SchemeDef {
+    /// The canonical spec name, which [`Scheme::spec`] writes.
+    pub spec: &'static str,
+    /// Other spellings [`Scheme::parse`] accepts.
+    pub aliases: &'static [&'static str],
+    /// The display name, as in the paper's figure legends.
+    pub name: &'static str,
+    /// Where the scheme comes from.
+    pub provenance: Provenance,
+    /// The scheme with every parameter at its default.
+    pub default: Scheme,
+    /// The parameter keys; the first also takes the positional form.
+    pub keys: &'static [&'static str],
+    /// A one-line description for the help text.
+    pub help: &'static str,
+}
+
+/// The seed of every seeded scheme's default, and the seed a manifest
+/// reports for an unseeded scheme.
+const SEED: u64 = 42;
+
+/// Every scheme [`Scheme::parse`] accepts, one row per canonical name, in
+/// the order that [`Scheme::all_schemes`] and the unknown-scheme message
+/// list them.
+#[rustfmt::skip]
+pub const SCHEMES: &[SchemeDef] = &[
+    SchemeDef { spec: "natural", aliases: &[], name: "Natural", provenance: Evaluated,
+        default: Scheme::Natural, keys: &[], help: "input order" },
+    SchemeDef { spec: "random", aliases: &[], name: "Random", provenance: Evaluated,
+        default: Scheme::Random { seed: SEED }, keys: &["seed"], help: "uniform shuffle" },
+    SchemeDef { spec: "degree", aliases: &["degreesort"], name: "DegreeSort", provenance: Evaluated,
+        default: Scheme::DegreeSort { direction: Decreasing }, keys: &[],
+        help: "degree sort, decreasing" },
+    SchemeDef { spec: "degree-asc", aliases: &[], name: "DegreeSortAsc", provenance: Extension,
+        default: Scheme::DegreeSort { direction: Increasing }, keys: &[],
+        help: "degree sort, increasing" },
+    SchemeDef { spec: "hubsort", aliases: &[], name: "HubSort", provenance: Described,
+        default: Scheme::HubSort, keys: &[], help: "hubs first, sorted [38]" },
+    SchemeDef { spec: "hubcluster", aliases: &[], name: "HubCluster", provenance: Described,
+        default: Scheme::HubCluster, keys: &[], help: "hubs first, natural order [2]" },
+    SchemeDef { spec: "slashburn", aliases: &[], name: "SlashBurn", provenance: Evaluated,
+        default: Scheme::SlashBurn { k_frac: 0.005 }, keys: &["k_frac"],
+        help: "iterative hub slashing [21]" },
+    SchemeDef { spec: "gorder", aliases: &[], name: "Gorder", provenance: Evaluated,
+        default: Scheme::Gorder { window: 5 }, keys: &["window"],
+        help: "windowed Gscore greedy [37]" },
+    SchemeDef { spec: "rcm", aliases: &[], name: "RCM", provenance: Evaluated, default: Scheme::Rcm,
+        keys: &[], help: "Reverse Cuthill-McKee [9]" },
+    SchemeDef { spec: "cdfs", aliases: &[], name: "CDFS", provenance: Extension,
+        default: Scheme::Cdfs, keys: &[], help: "Children-DFS (RCM without degree sort) [3]" },
+    SchemeDef { spec: "nd", aliases: &["nested-dissection"], name: "ND", provenance: Evaluated,
+        default: Scheme::NestedDissection { seed: SEED }, keys: &["seed"],
+        help: "nested dissection [15,23]" },
+    SchemeDef { spec: "metis", aliases: &[], name: "METIS", provenance: Evaluated,
+        default: Scheme::Metis { parts: 32, seed: SEED }, keys: &["parts", "seed"],
+        help: "partition-induced order [22]" },
+    SchemeDef { spec: "grappolo", aliases: &[], name: "Grappolo", provenance: Evaluated,
+        default: Scheme::Grappolo, keys: &[],
+        help: "community-contiguous (parallel Louvain) [28]" },
+    SchemeDef { spec: "grappolo-rcm", aliases: &["grappolorcm"], name: "Grappolo-RCM",
+        provenance: Evaluated, default: Scheme::GrappoloRcm, keys: &[],
+        help: "communities ordered by RCM (this paper)" },
+    SchemeDef { spec: "rabbit", aliases: &["rabbit-order"], name: "Rabbit", provenance: Evaluated,
+        default: Scheme::RabbitOrder, keys: &[], help: "incremental-aggregation communities [1]" },
+    SchemeDef { spec: "dbg", aliases: &[], name: "DBG", provenance: Extension, default: Scheme::Dbg,
+        keys: &[], help: "degree-based grouping, log2 buckets" },
+    SchemeDef { spec: "hubsort-dbg", aliases: &["hubsortdbg"], name: "HubSortDBG",
+        provenance: Extension, default: Scheme::HubSortDbg, keys: &[],
+        help: "DBG with hubs degree-sorted in-bucket" },
+    SchemeDef { spec: "hubcluster-dbg", aliases: &["hubclusterdbg"], name: "HubClusterDBG",
+        provenance: Extension, default: Scheme::HubClusterDbg, keys: &[],
+        help: "DBG hot buckets + natural cold block" },
+    SchemeDef { spec: "comm-bfs", aliases: &["commbfs"], name: "CommBFS", provenance: Extension,
+        default: Scheme::CommunityBfs, keys: &[], help: "Louvain communities, BFS within each" },
+    SchemeDef { spec: "comm-dfs", aliases: &["commdfs"], name: "CommDFS", provenance: Extension,
+        default: Scheme::CommunityDfs, keys: &[], help: "Louvain communities, DFS within each" },
+    SchemeDef { spec: "comm-degree", aliases: &["commdegree"], name: "CommDegree",
+        provenance: Extension, default: Scheme::CommunityDegree, keys: &[],
+        help: "Louvain communities, degree-sorted within" },
+    SchemeDef { spec: "adaptive", aliases: &[], name: "Adaptive", provenance: Extension,
+        default: Scheme::Adaptive, keys: &[], help: "picks a scheme from structural features" },
+];
 
 /// A vertex reordering scheme, parameterized where the paper parameterizes
 /// it (Random's seed, METIS's part count, Gorder's window, SlashBurn's hub
@@ -121,32 +222,51 @@ pub enum Scheme {
 }
 
 impl Scheme {
+    /// This scheme's row of [`SCHEMES`].
+    #[expect(
+        clippy::expect_used,
+        reason = "SAFETY: every variant has a row; `table_and_enum_are_in_bijection` checks it"
+    )]
+    fn def(&self) -> &'static SchemeDef {
+        SCHEMES.iter().find(|def| def.default.same_row(self)).expect("every Scheme has a row")
+    }
+
+    /// True when `self` and `other` share a row of [`SCHEMES`], whatever
+    /// their parameters.
+    fn same_row(&self, other: &Scheme) -> bool {
+        match (self, other) {
+            (Scheme::DegreeSort { direction: a }, Scheme::DegreeSort { direction: b }) => a == b,
+            _ => std::mem::discriminant(self) == std::mem::discriminant(other),
+        }
+    }
+
+    /// The field behind the parameter `key`, if this scheme has one.
+    fn field(&mut self, key: &str) -> Option<&mut dyn Field> {
+        let field: &mut dyn Field = match (self, key) {
+            (
+                Scheme::Random { seed }
+                | Scheme::NestedDissection { seed }
+                | Scheme::Metis { seed, .. },
+                "seed",
+            ) => seed,
+            (Scheme::Metis { parts, .. }, "parts") => parts,
+            (Scheme::Gorder { window }, "window") => window,
+            (Scheme::SlashBurn { k_frac }, "k_frac") => k_frac,
+            _ => return None,
+        };
+        Some(field)
+    }
+
     /// Stable display name matching the paper's figure legends.
     pub fn name(&self) -> &'static str {
-        match self {
-            Scheme::Natural => "Natural",
-            Scheme::Random { .. } => "Random",
-            Scheme::DegreeSort { direction: DegreeDirection::Decreasing } => "DegreeSort",
-            Scheme::DegreeSort { direction: DegreeDirection::Increasing } => "DegreeSortAsc",
-            Scheme::HubSort => "HubSort",
-            Scheme::HubCluster => "HubCluster",
-            Scheme::SlashBurn { .. } => "SlashBurn",
-            Scheme::Gorder { .. } => "Gorder",
-            Scheme::Rcm => "RCM",
-            Scheme::Cdfs => "CDFS",
-            Scheme::NestedDissection { .. } => "ND",
-            Scheme::Metis { .. } => "METIS",
-            Scheme::Grappolo => "Grappolo",
-            Scheme::GrappoloRcm => "Grappolo-RCM",
-            Scheme::RabbitOrder => "Rabbit",
-            Scheme::Dbg => "DBG",
-            Scheme::HubSortDbg => "HubSortDBG",
-            Scheme::HubClusterDbg => "HubClusterDBG",
-            Scheme::CommunityBfs => "CommBFS",
-            Scheme::CommunityDfs => "CommDFS",
-            Scheme::CommunityDegree => "CommDegree",
-            Scheme::Adaptive => "Adaptive",
-        }
+        self.def().name
+    }
+
+    /// The seed a manifest of this scheme reports: its own `seed`
+    /// parameter where it has one, otherwise 42.
+    pub fn manifest_seed(&self) -> u64 {
+        let seed = self.clone().field("seed").map(|field| field.to_string());
+        seed.and_then(|text| text.parse().ok()).unwrap_or(SEED)
     }
 
     /// Checks this scheme's parameters against a graph of `vertices`
@@ -250,11 +370,11 @@ impl Scheme {
     }
 
     /// Parses a scheme spec: `name[:key=val,...]`, or a single positional
-    /// parameter for the schemes that take one (`random:7` ≡
-    /// `random:seed=7`, `metis:64` ≡ `metis:parts=64`, `gorder:10`,
-    /// `slashburn:0.01`, `nd:3`). Names are case-insensitive; `degreesort`,
-    /// `nested-dissection`, `grappolorcm`, and `rabbit-order` are accepted
-    /// aliases.
+    /// value for the row's first key (`random:7` ≡ `random:seed=7`,
+    /// `metis:64` ≡ `metis:parts=64`, `gorder:10`, `slashburn:0.01`,
+    /// `nd:3`). The name is a canonical name or an alias of a row of
+    /// [`SCHEMES`], in any case; keys the spec leaves out keep the row's
+    /// defaults.
     ///
     /// Parameter ranges that do not depend on the graph (`k_frac`,
     /// `window`, `parts ≥ 1`) are validated here; `parts ≤ n` is checked
@@ -276,49 +396,25 @@ impl Scheme {
     /// assert_eq!(Scheme::parse(&s.spec()).unwrap(), s);
     /// ```
     pub fn parse(spec: &str) -> Result<Scheme, SchemeError> {
-        Self::parse_impl(spec)
-    }
-
-    fn parse_impl(spec: &str) -> Result<Scheme, SchemeError> {
         let (name, mut params) = match spec.split_once(':') {
             Some((n, p)) => (n, Params::parse(p)?),
             None => (spec, Params::default()),
         };
-        let scheme = match name.to_ascii_lowercase().as_str() {
-            "natural" => Scheme::Natural,
-            "random" => Scheme::Random { seed: params.take_u64("seed", 42)? },
-            "degree" | "degreesort" => {
-                Scheme::DegreeSort { direction: DegreeDirection::Decreasing }
+        let answers = |alias: &&str| alias.eq_ignore_ascii_case(name);
+        let def = SCHEMES
+            .iter()
+            .find(|def| answers(&def.spec) || def.aliases.iter().any(answers))
+            .ok_or_else(|| SchemeError::UnknownScheme { name: name.to_ascii_lowercase() })?;
+        let mut scheme = def.default.clone();
+        for key in def.keys {
+            if let Some(text) = params.take(key) {
+                if !scheme.field(key).is_some_and(|field| field.set(text)) {
+                    let (key, value) = (key.to_string(), text.to_string());
+                    return Err(SchemeError::InvalidValue { key, value });
+                }
             }
-            "degree-asc" => Scheme::DegreeSort { direction: DegreeDirection::Increasing },
-            "hubsort" => Scheme::HubSort,
-            "hubcluster" => Scheme::HubCluster,
-            "slashburn" => Scheme::SlashBurn { k_frac: params.take_f64("k_frac", 0.005)? },
-            "gorder" => Scheme::Gorder { window: params.take_usize("window", 5)? },
-            "rcm" => Scheme::Rcm,
-            "cdfs" => Scheme::Cdfs,
-            "nd" | "nested-dissection" => {
-                Scheme::NestedDissection { seed: params.take_u64("seed", 42)? }
-            }
-            "metis" => {
-                // Positional `metis:64` sets parts; `seed` is key-only.
-                let parts = params.take_usize("parts", 32)?;
-                let seed = params.take_u64("seed", 42)?;
-                Scheme::Metis { parts, seed }
-            }
-            "grappolo" => Scheme::Grappolo,
-            "grappolo-rcm" | "grappolorcm" => Scheme::GrappoloRcm,
-            "rabbit" | "rabbit-order" => Scheme::RabbitOrder,
-            "dbg" => Scheme::Dbg,
-            "hubsort-dbg" | "hubsortdbg" => Scheme::HubSortDbg,
-            "hubcluster-dbg" | "hubclusterdbg" => Scheme::HubClusterDbg,
-            "comm-bfs" | "commbfs" => Scheme::CommunityBfs,
-            "comm-dfs" | "commdfs" => Scheme::CommunityDfs,
-            "comm-degree" | "commdegree" => Scheme::CommunityDegree,
-            "adaptive" => Scheme::Adaptive,
-            other => return Err(SchemeError::UnknownScheme { name: other.to_string() }),
-        };
-        params.finish(&scheme)?;
+        }
+        params.finish(def.name)?;
         // Graph-independent ranges are rejected at parse time; `usize::MAX`
         // stands in for "any graph" so only `parts ≤ n` is deferred.
         scheme.validate(usize::MAX)?;
@@ -331,30 +427,17 @@ impl Scheme {
     /// and never changes a permutation — so the spec is a sound cache key.
     /// `Scheme::parse(&s.spec())` reconstructs `s` exactly.
     pub fn spec(&self) -> String {
-        match *self {
-            Scheme::Natural => "natural".into(),
-            Scheme::Random { seed } => format!("random:seed={seed}"),
-            Scheme::DegreeSort { direction: DegreeDirection::Decreasing } => "degree".into(),
-            Scheme::DegreeSort { direction: DegreeDirection::Increasing } => "degree-asc".into(),
-            Scheme::HubSort => "hubsort".into(),
-            Scheme::HubCluster => "hubcluster".into(),
-            Scheme::SlashBurn { k_frac } => format!("slashburn:k_frac={k_frac}"),
-            Scheme::Gorder { window } => format!("gorder:window={window}"),
-            Scheme::Rcm => "rcm".into(),
-            Scheme::Cdfs => "cdfs".into(),
-            Scheme::NestedDissection { seed } => format!("nd:seed={seed}"),
-            Scheme::Metis { parts, seed } => format!("metis:parts={parts},seed={seed}"),
-            Scheme::Grappolo => "grappolo".into(),
-            Scheme::GrappoloRcm => "grappolo-rcm".into(),
-            Scheme::RabbitOrder => "rabbit".into(),
-            Scheme::Dbg => "dbg".into(),
-            Scheme::HubSortDbg => "hubsort-dbg".into(),
-            Scheme::HubClusterDbg => "hubcluster-dbg".into(),
-            Scheme::CommunityBfs => "comm-bfs".into(),
-            Scheme::CommunityDfs => "comm-dfs".into(),
-            Scheme::CommunityDegree => "comm-degree".into(),
-            Scheme::Adaptive => "adaptive".into(),
+        use std::fmt::Write;
+        let def = self.def();
+        let mut spec = def.spec.to_string();
+        let mut fields = self.clone();
+        for (i, key) in def.keys.iter().enumerate() {
+            if let Some(value) = fields.field(key) {
+                let sep = if i == 0 { ':' } else { ',' };
+                let _ = write!(spec, "{sep}{key}={value}");
+            }
         }
+        spec
     }
 
     /// The 11 schemes of the paper's qualitative study (§V): Natural,
@@ -377,63 +460,18 @@ impl Scheme {
         ]
     }
 
-    /// Every scheme in the crate — the 11-scheme evaluation suite plus the
-    /// extensions (Hub Sort, Hub Clustering, ascending Degree Sort, CDFS) —
-    /// for exhaustive sweeps.
-    pub(crate) fn extended_suite(seed: u64) -> Vec<Scheme> {
-        let mut all = Scheme::evaluation_suite(seed);
-        all.push(Scheme::HubSort);
-        all.push(Scheme::HubCluster);
-        all.push(Scheme::DegreeSort { direction: DegreeDirection::Increasing });
-        all.push(Scheme::Cdfs);
-        all
-    }
-
-    /// Every canonical spec name [`Scheme::parse`] accepts (aliases and
-    /// parameter forms excluded), in the order schemes are listed by the
-    /// suites. [`SchemeError::UnknownScheme`] messages enumerate this list.
-    pub const ACCEPTED_NAMES: [&'static str; 22] = [
-        "natural",
-        "random",
-        "degree",
-        "degree-asc",
-        "hubsort",
-        "hubcluster",
-        "slashburn",
-        "gorder",
-        "rcm",
-        "cdfs",
-        "nd",
-        "metis",
-        "grappolo",
-        "grappolo-rcm",
-        "rabbit",
-        "dbg",
-        "hubsort-dbg",
-        "hubcluster-dbg",
-        "comm-bfs",
-        "comm-dfs",
-        "comm-degree",
-        "adaptive",
-    ];
-
-    /// Every scheme in the registry with its suite parameterization: the
-    /// extended suite plus the lightweight + adaptive family. This is the
-    /// canonical enumeration the contract, degenerate, chaos, and recording
-    /// test matrices sweep — a scheme absent here escapes every gate, so
-    /// the registry's own tests assert each enum variant appears.
+    /// Every row of [`SCHEMES`] at its defaults, with `seed` for every
+    /// seed. This is the enumeration the contract, degenerate, chaos, and
+    /// recording test matrices sweep.
     pub fn all_schemes(seed: u64) -> Vec<Scheme> {
-        let mut all = Scheme::extended_suite(seed);
-        all.extend([
-            Scheme::Dbg,
-            Scheme::HubSortDbg,
-            Scheme::HubClusterDbg,
-            Scheme::CommunityBfs,
-            Scheme::CommunityDfs,
-            Scheme::CommunityDegree,
-            Scheme::Adaptive,
-        ]);
-        all
+        let seeded = |def: &SchemeDef| {
+            let mut scheme = def.default.clone();
+            if let Some(field) = scheme.field("seed") {
+                field.set(&seed.to_string());
+            }
+            scheme
+        };
+        SCHEMES.iter().map(seeded).collect()
     }
 
     /// The four schemes of the application study (§VI): Grappolo, RCM,
@@ -448,8 +486,8 @@ impl Scheme {
     }
 }
 
-impl std::fmt::Display for Scheme {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for Scheme {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
 }
@@ -462,79 +500,70 @@ impl std::str::FromStr for Scheme {
     }
 }
 
+/// A parameter field of a scheme value: it prints as its spec text and
+/// parses back from it.
+trait Field: fmt::Display {
+    /// Sets the field from `text`; false, and unchanged, if it does not parse.
+    fn set(&mut self, text: &str) -> bool;
+}
+
+impl<T: fmt::Display + std::str::FromStr> Field for T {
+    fn set(&mut self, text: &str) -> bool {
+        text.parse().map(|value| *self = value).is_ok()
+    }
+}
+
 /// Parsed `key=val` pairs (or one positional value) from the text after
 /// `name:`. Each key may be consumed once; leftovers are reported by
 /// [`Params::finish`].
 #[derive(Default)]
-struct Params {
-    /// `(key, value)` pairs; the positional form is stored under `""`.
-    pairs: Vec<(String, String)>,
-    taken: Vec<bool>,
+struct Params<'a> {
+    /// `(key, value, taken)`; the positional form is stored under `""`.
+    pairs: Vec<(&'a str, &'a str, bool)>,
     /// True when the spec used the positional form, which parameterless
     /// schemes report as [`SchemeError::UnexpectedParameter`].
     positional: bool,
 }
 
-impl Params {
-    fn parse(text: &str) -> Result<Params, SchemeError> {
-        let mut pairs = Vec::new();
-        let mut positional = false;
-        if text.contains('=') {
-            for item in text.split(',') {
-                let (k, v) = item.split_once('=').ok_or_else(|| SchemeError::InvalidValue {
-                    key: "parameter".into(),
-                    value: item.to_string(),
-                })?;
-                pairs.push((k.trim().to_string(), v.trim().to_string()));
-            }
-        } else {
+impl<'a> Params<'a> {
+    fn parse(text: &'a str) -> Result<Params<'a>, SchemeError> {
+        if !text.contains('=') {
             // Positional back-compat: a single bare value for the scheme's
             // primary parameter.
-            pairs.push((String::new(), text.to_string()));
-            positional = true;
+            return Ok(Params { pairs: vec![("", text, false)], positional: true });
         }
-        let taken = vec![false; pairs.len()];
-        Ok(Params { pairs, taken, positional })
+        let mut pairs = Vec::new();
+        for item in text.split(',') {
+            let (k, v) = item.split_once('=').ok_or_else(|| SchemeError::InvalidValue {
+                key: "parameter".into(),
+                value: item.to_string(),
+            })?;
+            pairs.push((k.trim(), v.trim(), false));
+        }
+        Ok(Params { pairs, positional: false })
     }
 
-    /// Consumes `key` (or the positional value), parsing it as `T`.
-    fn take<T: std::str::FromStr>(&mut self, key: &str, default: T) -> Result<T, SchemeError> {
-        for (i, (k, v)) in self.pairs.iter().enumerate() {
-            if !self.taken[i] && (k == key || (k.is_empty() && !self.taken.iter().any(|&t| t))) {
-                self.taken[i] = true;
-                return v.parse().map_err(|_| SchemeError::InvalidValue {
-                    key: key.to_string(),
-                    value: v.clone(),
-                });
+    /// Consumes `key` (or the positional value, before anything else is
+    /// consumed) and returns its text.
+    fn take(&mut self, key: &str) -> Option<&'a str> {
+        let fresh = self.pairs.iter().all(|&(_, _, taken)| !taken);
+        let (_, value, taken) = self
+            .pairs
+            .iter_mut()
+            .find(|(k, _, taken)| !*taken && (*k == key || (k.is_empty() && fresh)))?;
+        *taken = true;
+        Some(*value)
+    }
+
+    /// Reports the first parameter no `take` call consumed.
+    fn finish(&self, scheme: &'static str) -> Result<(), SchemeError> {
+        match self.pairs.iter().find(|&&(_, _, taken)| !taken) {
+            None => Ok(()),
+            Some(&(_, v, _)) if self.positional => {
+                Err(SchemeError::UnexpectedParameter { scheme, param: v.to_string() })
             }
+            Some(&(k, _, _)) => Err(SchemeError::UnknownParameter { scheme, key: k.to_string() }),
         }
-        Ok(default)
-    }
-
-    fn take_u64(&mut self, key: &str, default: u64) -> Result<u64, SchemeError> {
-        self.take(key, default)
-    }
-
-    fn take_usize(&mut self, key: &str, default: usize) -> Result<usize, SchemeError> {
-        self.take(key, default)
-    }
-
-    fn take_f64(&mut self, key: &str, default: f64) -> Result<f64, SchemeError> {
-        self.take(key, default)
-    }
-
-    /// Reports any parameter no `take` call consumed.
-    fn finish(&self, scheme: &Scheme) -> Result<(), SchemeError> {
-        for (i, (k, v)) in self.pairs.iter().enumerate() {
-            if !self.taken[i] {
-                return Err(if self.positional {
-                    SchemeError::UnexpectedParameter { scheme: scheme.name(), param: v.clone() }
-                } else {
-                    SchemeError::UnknownParameter { scheme: scheme.name(), key: k.clone() }
-                });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -542,14 +571,24 @@ impl Params {
 mod tests {
     use super::*;
     use reorderlab_datasets::{clique_chain, grid2d};
+    use std::collections::BTreeSet;
+
     #[test]
     fn evaluation_suite_has_eleven_schemes() {
         let suite = Scheme::evaluation_suite(0);
         assert_eq!(suite.len(), 11);
-        let names: std::collections::BTreeSet<&str> = suite.iter().map(|s| s.name()).collect();
+        let names: BTreeSet<&str> = suite.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), 11, "scheme names must be unique");
-        assert!(names.contains("METIS"));
-        assert!(names.contains("Grappolo-RCM"));
+        // The suite is the table's paper-§V rows, at their defaults.
+        let evaluated: BTreeSet<&str> = Scheme::all_schemes(0)
+            .iter()
+            .filter(|s| s.def().provenance == Evaluated)
+            .map(|s| s.name())
+            .collect();
+        assert_eq!(names, evaluated);
+        for scheme in &suite {
+            assert_eq!(Scheme::all_schemes(0).iter().find(|s| s.same_row(scheme)), Some(scheme));
+        }
     }
 
     #[test]
@@ -577,20 +616,6 @@ mod tests {
         let g = clique_chain(4, 8);
         for scheme in Scheme::evaluation_suite(1) {
             assert_eq!(scheme.reorder(&g).len(), 32, "{scheme}");
-        }
-    }
-
-    #[test]
-    fn extended_suite_is_superset_with_unique_names() {
-        let ext = Scheme::extended_suite(1);
-        assert_eq!(ext.len(), 15);
-        let names: std::collections::BTreeSet<&str> = ext.iter().map(|s| s.name()).collect();
-        assert_eq!(names.len(), 15);
-        assert!(names.contains("HubSort"));
-        assert!(names.contains("CDFS"));
-        let g = grid2d(6, 6);
-        for s in &ext {
-            assert_eq!(s.reorder(&g).len(), 36, "{s}");
         }
     }
 
@@ -660,78 +685,70 @@ mod tests {
         Scheme::Metis { parts: 32, seed: 1 }.reorder(&g);
     }
 
-    /// One slot per enum variant. The `match` has no wildcard arm, so
-    /// adding a `Scheme` variant fails to compile until it is listed here —
-    /// and the `all_schemes_covers_every_variant` test then fails until the
-    /// variant joins [`Scheme::all_schemes`], keeping every test matrix
-    /// exhaustive by construction.
-    fn variant_slot(s: &Scheme) -> usize {
-        match s {
-            Scheme::Natural => 0,
-            Scheme::Random { .. } => 1,
-            Scheme::DegreeSort { direction: DegreeDirection::Decreasing } => 2,
-            Scheme::DegreeSort { direction: DegreeDirection::Increasing } => 3,
-            Scheme::HubSort => 4,
-            Scheme::HubCluster => 5,
-            Scheme::SlashBurn { .. } => 6,
-            Scheme::Gorder { .. } => 7,
-            Scheme::Rcm => 8,
-            Scheme::Cdfs => 9,
-            Scheme::NestedDissection { .. } => 10,
-            Scheme::Metis { .. } => 11,
-            Scheme::Grappolo => 12,
-            Scheme::GrappoloRcm => 13,
-            Scheme::RabbitOrder => 14,
-            Scheme::Dbg => 15,
-            Scheme::HubSortDbg => 16,
-            Scheme::HubClusterDbg => 17,
-            Scheme::CommunityBfs => 18,
-            Scheme::CommunityDfs => 19,
-            Scheme::CommunityDegree => 20,
-            Scheme::Adaptive => 21,
+    /// Each row's default maps back to that row and to no other, so rows
+    /// and the variants they name are one-to-one. Every spelling is unique
+    /// and parses to its row's default, every key names a field, and every
+    /// row runs. A variant with no row is unreachable from a spec, and
+    /// `name` and `spec` refuse it at first use.
+    #[test]
+    fn table_and_enum_are_in_bijection() {
+        let g = grid2d(6, 6);
+        let mut spellings = BTreeSet::new();
+        let mut displays = BTreeSet::new();
+        for (row, def) in SCHEMES.iter().enumerate() {
+            let claims: Vec<usize> =
+                (0..SCHEMES.len()).filter(|&i| SCHEMES[i].default.same_row(&def.default)).collect();
+            assert_eq!(claims, [row], "{}: the rows that claim its default", def.spec);
+            assert!(displays.insert(def.name), "display name {} repeats", def.name);
+            for spelling in std::iter::once(&def.spec).chain(def.aliases) {
+                assert!(spellings.insert(*spelling), "spelling {spelling} repeats");
+                assert_eq!(Scheme::parse(spelling).as_ref(), Ok(&def.default), "{spelling}");
+            }
+            for key in def.keys {
+                let mut scheme = def.default.clone();
+                let field = scheme.field(key);
+                assert!(
+                    field.is_some_and(|f| f.set("1")),
+                    "{}: key {key} names no field",
+                    def.spec
+                );
+            }
+            assert_eq!(def.default.spec().split(':').next(), Some(def.spec));
+            assert_eq!(def.default.reorder(&g).len(), 36, "{}", def.spec);
         }
+        assert_eq!(Scheme::all_schemes(42).len(), SCHEMES.len());
     }
 
     #[test]
-    fn all_schemes_covers_every_variant() {
-        let all = Scheme::all_schemes(42);
-        assert_eq!(all.len(), 22);
-        let mut seen = [false; 22];
-        for s in &all {
-            seen[variant_slot(s)] = true;
+    fn seed_rule_matches_the_manifest_contract() {
+        assert_eq!(Scheme::Rcm.manifest_seed(), 42);
+        assert_eq!(Scheme::Random { seed: 7 }.manifest_seed(), 7);
+        assert_eq!(Scheme::Metis { parts: 8, seed: 9 }.manifest_seed(), 9);
+        assert_eq!(Scheme::NestedDissection { seed: 3 }.manifest_seed(), 3);
+        for scheme in Scheme::all_schemes(5) {
+            let seeded = scheme.def().keys.contains(&"seed");
+            assert_eq!(scheme.manifest_seed(), if seeded { 5 } else { 42 }, "{scheme}");
         }
-        assert!(seen.iter().all(|&hit| hit), "a Scheme variant is missing from all_schemes");
-        let names: std::collections::BTreeSet<&str> = all.iter().map(|s| s.name()).collect();
-        assert_eq!(names.len(), 22, "scheme names must be unique");
     }
 
     #[test]
     fn accepted_names_parse_and_cover_all_schemes() {
-        for name in Scheme::ACCEPTED_NAMES {
-            Scheme::parse(name).unwrap_or_else(|e| panic!("accepted name {name:?} rejected: {e}"));
+        for def in SCHEMES {
+            Scheme::parse(def.spec)
+                .unwrap_or_else(|e| panic!("accepted name {:?} rejected: {e}", def.spec));
         }
         for scheme in Scheme::all_schemes(3) {
             let spec = scheme.spec();
             let head = spec.split(':').next().unwrap_or(&spec);
-            assert!(
-                Scheme::ACCEPTED_NAMES.contains(&head),
-                "spec head {head:?} missing from ACCEPTED_NAMES"
-            );
+            assert!(SCHEMES.iter().any(|d| d.spec == head), "spec head {head:?} has no row");
         }
     }
 
     #[test]
     fn lightweight_family_dispatches() {
         let g = clique_chain(4, 8);
-        for scheme in [
-            Scheme::Dbg,
-            Scheme::HubSortDbg,
-            Scheme::HubClusterDbg,
-            Scheme::CommunityBfs,
-            Scheme::CommunityDfs,
-            Scheme::CommunityDegree,
-            Scheme::Adaptive,
-        ] {
+        for def in SCHEMES.iter().filter(|def| def.keys.is_empty()) {
+            let scheme = &def.default;
             assert_eq!(scheme.reorder(&g).len(), 32, "{scheme}");
             assert_eq!(scheme.validate(0), Ok(()), "{scheme} takes no parameters");
         }
@@ -793,7 +810,7 @@ mod tests {
     #[test]
     fn recorded_reorder_is_bit_identical_and_times_the_run() {
         let g = clique_chain(4, 8);
-        for scheme in Scheme::extended_suite(5) {
+        for scheme in Scheme::all_schemes(5) {
             let plain = scheme.reorder(&g);
             let (recorded, rec) = recording(RunRecorder::new(), || scheme.reorder(&g));
             assert_eq!(plain, recorded, "{scheme}: recording perturbed the permutation");

@@ -7,7 +7,8 @@
 //!
 //! A second group pins scheme parameter validation on tiny graphs:
 //! SlashBurn `k_frac` rounding, Gorder windows larger than the graph,
-//! METIS `parts > n`, RCM on disconnected inputs.
+//! METIS `parts > n`, RCM on disconnected inputs. A third sets every key of
+//! every row of the scheme table to hostile values.
 
 mod support;
 
@@ -15,8 +16,8 @@ use reorderlab_community::{louvain, LouvainConfig};
 use reorderlab_core::measures::{
     try_edge_gaps, try_gap_measures, try_packing_factor, try_vertex_bandwidths, GapDistribution,
 };
-use reorderlab_core::{Scheme, SchemeError};
-use reorderlab_datasets::{degenerate_suite, star};
+use reorderlab_core::{Scheme, SchemeError, SCHEMES};
+use reorderlab_datasets::{by_name, degenerate_suite, star};
 use reorderlab_graph::{assert_thread_invariant, build_pool, Csr, GraphBuilder, Permutation};
 use reorderlab_influence::{imm, DiffusionModel, ImmConfig};
 use support::assert_bijective;
@@ -210,4 +211,53 @@ fn rcm_and_cdfs_cover_disconnected_graphs() {
     let s = star(6);
     let pi = Scheme::Rcm.try_reorder(&s).unwrap();
     assert_bijective(&pi, 6, "RCM on star");
+}
+
+/// Every key of every row of the scheme table, set alone to each of
+/// {0, 1, n − 1, n, n + 1, 2^32, 2^40, `usize::MAX`, NaN, ±∞}, on every
+/// degenerate-suite graph and `euroroad`. Each case ends in a valid
+/// permutation or in a typed value or range error; a panic fails it. A
+/// number that sizes work before anything checks it (a Gorder window of
+/// 2^40, say) shows up here as a panic or an abort.
+#[test]
+fn hostile_parameters_end_in_a_permutation_or_a_typed_error() {
+    let mut graphs: Vec<(&str, Csr)> =
+        degenerate_suite().into_iter().map(|case| (case.name, case.graph)).collect();
+    graphs.push(("euroroad", by_name("euroroad").expect("in the suite").generate()));
+    let mut panicked = Vec::new();
+    for (gname, g) in &graphs {
+        let n = g.num_vertices();
+        let numbers = [0, 1, n.saturating_sub(1), n, n + 1, 1 << 32, 1 << 40, usize::MAX];
+        let values = numbers
+            .map(|v| v.to_string())
+            .into_iter()
+            .chain(["NaN", "inf", "-inf"].map(String::from));
+        for value in values {
+            for def in SCHEMES {
+                for key in def.keys {
+                    let spec = format!("{}:{key}={value}", def.spec);
+                    let ctx = format!("{spec} on {gname}");
+                    let run = std::panic::catch_unwind(|| {
+                        Scheme::parse(&spec).and_then(|scheme| scheme.try_reorder(g))
+                    });
+                    match run {
+                        Err(_) => panicked.push(ctx),
+                        Ok(Ok(pi)) => assert_bijective(&pi, n, &ctx),
+                        Ok(Err(e)) => assert!(
+                            matches!(
+                                e,
+                                SchemeError::InvalidValue { .. }
+                                    | SchemeError::KFracOutOfRange { .. }
+                                    | SchemeError::WindowTooSmall { .. }
+                                    | SchemeError::PartsTooSmall { .. }
+                                    | SchemeError::PartsExceedVertices { .. }
+                            ),
+                            "{ctx}: {e}"
+                        ),
+                    }
+                }
+            }
+        }
+    }
+    assert!(panicked.is_empty(), "hostile parameters panicked:\n{}", panicked.join("\n"));
 }

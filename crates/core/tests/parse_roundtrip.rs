@@ -1,59 +1,34 @@
-//! Spec-grammar round-trip property: `Scheme::parse(s.spec()) == s` for
-//! every registry variant under randomized parameters, plus
-//! case-insensitivity of the scheme name. Catches spec-grammar drift at the
-//! registry level, before it can surface in CLI integration tests.
+//! Spec-grammar round-trip property: for every row of the scheme table
+//! under randomized values of its keys, `Scheme::parse` accepts the spec,
+//! `Scheme::spec` writes it back unchanged, and the scheme name is
+//! case-insensitive. Catches spec-grammar drift at the registry level,
+//! before it can surface in CLI integration tests.
 
 use proptest::prelude::*;
-use reorderlab_core::schemes::DegreeDirection;
-use reorderlab_core::{Scheme, SchemeError};
-
-/// One scheme per registry variant, parameterized from the generated
-/// values. `slot` indexes the same 22-variant enumeration as
-/// `Scheme::all_schemes`, so new variants extend the range (and the
-/// `all_schemes_covers_every_variant` registry test keeps the count
-/// honest).
-fn scheme_from(slot: usize, seed: u64, window: usize, parts: usize, k_milli: u64) -> Scheme {
-    match slot {
-        0 => Scheme::Natural,
-        1 => Scheme::Random { seed },
-        2 => Scheme::DegreeSort { direction: DegreeDirection::Decreasing },
-        3 => Scheme::DegreeSort { direction: DegreeDirection::Increasing },
-        4 => Scheme::HubSort,
-        5 => Scheme::HubCluster,
-        6 => Scheme::SlashBurn { k_frac: k_milli as f64 / 1000.0 },
-        7 => Scheme::Gorder { window },
-        8 => Scheme::Rcm,
-        9 => Scheme::Cdfs,
-        10 => Scheme::NestedDissection { seed },
-        11 => Scheme::Metis { parts, seed },
-        12 => Scheme::Grappolo,
-        13 => Scheme::GrappoloRcm,
-        14 => Scheme::RabbitOrder,
-        15 => Scheme::Dbg,
-        16 => Scheme::HubSortDbg,
-        17 => Scheme::HubClusterDbg,
-        18 => Scheme::CommunityBfs,
-        19 => Scheme::CommunityDfs,
-        20 => Scheme::CommunityDegree,
-        _ => Scheme::Adaptive,
-    }
-}
+use reorderlab_core::{Scheme, SchemeError, SCHEMES};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
     #[test]
     fn spec_round_trips_for_every_variant(
-        slot in 0usize..22,
+        row in 0..SCHEMES.len(),
         seed in 0u64..1_000_000,
-        window in 1usize..100,
-        parts in 1usize..512,
+        count in 1usize..512,
         k_milli in 1u64..1001,
     ) {
-        let scheme = scheme_from(slot, seed, window, parts, k_milli);
-        let spec = scheme.spec();
+        let def = &SCHEMES[row];
+        let value = |key: &str| match key {
+            "seed" => seed.to_string(),
+            "k_frac" => (k_milli as f64 / 1000.0).to_string(),
+            _ => count.to_string(),
+        };
+        let params: Vec<String> = def.keys.iter().map(|k| format!("{k}={}", value(k))).collect();
+        let spec =
+            if params.is_empty() { def.spec.to_string() } else { format!("{}:{}", def.spec, params.join(",")) };
         let parsed = Scheme::parse(&spec);
         prop_assert!(parsed.is_ok(), "spec {:?} failed to parse: {:?}", spec, parsed);
-        prop_assert_eq!(parsed.unwrap(), scheme.clone(), "spec {:?} did not round-trip", spec);
+        let scheme = parsed.unwrap();
+        prop_assert_eq!(scheme.spec(), spec.clone(), "spec {:?} did not round-trip", spec);
 
         // Scheme names are case-insensitive (parameter keys are not).
         let upper = match spec.split_once(':') {
@@ -82,7 +57,7 @@ fn every_suite_scheme_and_accepted_name_round_trips() {
             assert_eq!(parsed, scheme, "spec {spec:?} did not round-trip");
         }
     }
-    for name in Scheme::ACCEPTED_NAMES {
+    for name in SCHEMES.iter().map(|d| d.spec) {
         let scheme =
             Scheme::parse(name).unwrap_or_else(|e| panic!("accepted name {name:?} rejected: {e}"));
         let head = scheme.spec();

@@ -10,6 +10,10 @@
 //! maximization): simple iterative traversals whose per-edge indirection
 //! responds directly to vertex reordering.
 //!
+//! The crate holds PageRank, SSSP (BFS and Dijkstra) and Betweenness
+//! Centrality. The direction-optimizing BFS the schemes run is RCM's
+//! summary BFS in `reorderlab_graph`'s traversal module, not a kernel here.
+//!
 //! PageRank's pull iteration is one body generic over
 //! `reorderlab_graph::Adjacency`; [`pagerank`] and [`pagerank_compressed`]
 //! only pick the pull view (the graph itself when undirected, its
@@ -45,12 +49,10 @@
 )]
 
 mod bc;
-mod dobfs;
 mod pagerank;
 mod sssp;
 
 pub use bc::{betweenness, betweenness_from, BcResult};
-pub use dobfs::{direction_optimizing_bfs, DoBfsConfig, DoBfsResult};
 pub use pagerank::{pagerank, pagerank_compressed, PageRankConfig, PageRankResult};
 pub use sssp::{bfs_sssp, dijkstra, SsspResult};
 

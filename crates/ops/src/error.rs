@@ -108,6 +108,17 @@ mod tests {
     }
 
     #[test]
+    fn failures_carry_exit_code_two_and_list_accepted_names() {
+        let err = OpError::from(reorderlab_core::Scheme::parse("nope").unwrap_err());
+        assert_eq!(err.exit_code(), 2);
+        let msg = err.to_string();
+        assert!(msg.contains("accepted schemes:"), "{msg}");
+        for def in reorderlab_core::SCHEMES {
+            assert!(msg.contains(def.spec), "error must list {}: {msg}", def.spec);
+        }
+    }
+
+    #[test]
     fn status_keywords_are_stable() {
         assert_eq!(OpError::Usage("x".into()).status(), "usage");
         assert_eq!(

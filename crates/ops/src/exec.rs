@@ -16,7 +16,6 @@ use crate::report::{
     MemsimReport, OpReport, ReorderReport, StatsReport, ValidateReport,
 };
 use crate::request::OpRequest;
-use crate::schemes::{parse_scheme, scheme_seed};
 use crate::source::{read_graph_auto, ResolveGraph, ResolvedGraph};
 use reorderlab_core::measures::GapMeasures;
 use reorderlab_core::Scheme;
@@ -244,7 +243,7 @@ fn exec_reorder(
                     "need --scheme NAME or --apply-perm FILE (see `reorderlab list`)".into(),
                 )
             })?;
-            let scheme = parse_scheme(spec)?;
+            let scheme = Scheme::parse(spec)?;
             let (pi, hit) = perms.ordering(resolved, &scheme)?;
             (pi, scheme.name().to_string(), Some(scheme), hit)
         };
@@ -256,7 +255,7 @@ fn exec_reorder(
     });
     let (pi, label, scheme, cache_hit, elapsed, before, after) = run?;
     let mut m = Manifest::new("reorder", &resolved.id, g.num_vertices(), g.num_edges())
-        .with_seed(scheme.as_ref().map_or(42, scheme_seed))
+        .with_seed(scheme.as_ref().map_or(42, Scheme::manifest_seed))
         .with_threads(rayon::current_num_threads());
     if let Some(s) = &scheme {
         m = m.with_scheme(s.name(), &s.spec());
@@ -308,7 +307,7 @@ fn exec_measure(
     // before any scheme runs (matching the CLI).
     let mut schemes: Vec<Scheme> = Vec::new();
     for s in specs {
-        schemes.push(parse_scheme(s)?);
+        schemes.push(Scheme::parse(s)?);
     }
     if schemes.is_empty() {
         schemes = Scheme::evaluation_suite(42);
@@ -323,7 +322,7 @@ fn exec_measure(
         let m = m?;
         let mut man = Manifest::new("measure", &resolved.id, g.num_vertices(), g.num_edges())
             .with_scheme(scheme.name(), &scheme.spec())
-            .with_seed(scheme_seed(&scheme))
+            .with_seed(scheme.manifest_seed())
             .with_threads(rayon::current_num_threads());
         man.absorb(&rec);
         man.push_measure("avg_gap", m.avg_gap);
@@ -355,7 +354,7 @@ fn exec_compression(
     // before any scheme runs (matching `measure`).
     let mut schemes: Vec<Scheme> = Vec::new();
     for s in specs {
-        schemes.push(parse_scheme(s)?);
+        schemes.push(Scheme::parse(s)?);
     }
     if schemes.is_empty() {
         schemes = Scheme::evaluation_suite(42);
@@ -376,7 +375,7 @@ fn exec_compression(
         let (comp, gaps) = measured?;
         let mut man = Manifest::new("compression", &resolved.id, g.num_vertices(), g.num_edges())
             .with_scheme(scheme.name(), &scheme.spec())
-            .with_seed(scheme_seed(&scheme))
+            .with_seed(scheme.manifest_seed())
             .with_threads(rayon::current_num_threads());
         man.absorb(&rec);
         man.push_measure("gap_bytes", u64_f64(comp.gap_bytes));
@@ -488,7 +487,7 @@ fn exec_memsim(
     // natural layout's replay is a fact of the graph's cell.
     let (scheme_name, r) = match scheme_spec {
         Some(spec) => {
-            let scheme = parse_scheme(spec)?;
+            let scheme = Scheme::parse(spec)?;
             scheme
                 .validate(g.num_vertices())
                 .map_err(|e| OpError::Usage(format!("scheme {spec:?}: {e}")))?;

@@ -48,7 +48,7 @@ pub use report::{
     MemsimReport, OpReport, ReorderReport, StatsReport, ValidateReport,
 };
 pub use request::{OpRequest, RequestEnvelope};
-pub use schemes::{parse_scheme, scheme_help, scheme_seed};
+pub use schemes::scheme_help;
 pub use source::{
     read_graph_auto, write_graph_auto, FsResolver, GraphSource, ResolveGraph, ResolvedGraph,
 };

@@ -12,10 +12,10 @@ use crate::cache::{CachingPerms, PermCache};
 use crate::corpus::{Corpus, CorpusResolver};
 use crate::proto::{error_response, ok_response, parse_control, shed_response, Control};
 use crate::with_lock;
+use reorderlab_core::Scheme;
 use reorderlab_graph::fnv1a;
 use reorderlab_ops::{
-    execute_with, parse_scheme, run_with_threads, scheme_seed, OpError, OpOutcome, OpReport,
-    OpRequest, RequestEnvelope,
+    execute_with, run_with_threads, OpError, OpOutcome, OpReport, OpRequest, RequestEnvelope,
 };
 use reorderlab_trace::{Json, Manifest};
 use std::collections::BTreeMap;
@@ -482,7 +482,7 @@ fn audit_seed(request: &OpRequest) -> u64 {
         OpRequest::Reorder { scheme, .. } | OpRequest::Memsim { scheme, .. } => scheme.as_deref(),
         _ => None,
     };
-    spec.and_then(|s| parse_scheme(s).ok()).map_or(42, |s| scheme_seed(&s))
+    spec.and_then(|s| Scheme::parse(s).ok()).map_or(42, |s| s.manifest_seed())
 }
 
 fn request_graph_id(request: &OpRequest) -> String {

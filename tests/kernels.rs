@@ -6,9 +6,7 @@
 
 use reorderlab::core::Scheme;
 use reorderlab::datasets::{by_name, stochastic_block_model};
-use reorderlab::kernels::{
-    betweenness_from, bfs_sssp, direction_optimizing_bfs, pagerank, DoBfsConfig, PageRankConfig,
-};
+use reorderlab::kernels::{betweenness_from, bfs_sssp, pagerank, PageRankConfig};
 
 #[test]
 fn pagerank_ranking_is_layout_invariant() {
@@ -44,24 +42,6 @@ fn bfs_distances_are_layout_invariant() {
         // The amount of work is also layout-invariant for plain BFS.
         assert_eq!(base.relaxations, r.relaxations, "{scheme}");
     }
-}
-
-#[test]
-fn direction_optimizing_bfs_matches_plain_on_suite_instance() {
-    let g = by_name("figeys").expect("in suite").generate();
-    let plain = bfs_sssp(&g, 0);
-    let fancy = direction_optimizing_bfs(&g, 0, &DoBfsConfig::default());
-    assert_eq!(plain.reached, fancy.reached);
-    for v in 0..g.num_vertices() {
-        let a = plain.distance[v];
-        if a.is_finite() {
-            assert_eq!(a as u32, fancy.distance[v]);
-        } else {
-            assert_eq!(fancy.distance[v], u32::MAX);
-        }
-    }
-    // On a hub-heavy instance the pull phase must actually engage.
-    assert!(fancy.pull_levels > 0, "hub graph should trigger bottom-up steps");
 }
 
 #[test]

@@ -261,6 +261,20 @@ structural_rows! {
         reason: "one FNV-1a, reorderlab_graph::fnv1a, serves the workspace (DESIGN.md §11-12)",
         violation: ("crates/serve/src/a.rs", "const A: u64 = 0xcbf2_9ce4;\nconst B: u64 = 0xcbf2;"),
     },
+    one_scheme_table: Row {
+        paths: &["crates/*/src"],
+        cut: Cut::BeforeTests,
+        hit: |l| {
+            let names = ["hubcluster-dbg", "comm-dfs", "comm-degree", "grappolo-rcm", "degree-asc"];
+            names.iter().any(|name| l.contains(&format!("\"{name}\"")))
+        },
+        max: 5,
+        reason: "a scheme's spec name is spelled once, in its SCHEMES row (DESIGN.md §10)",
+        violation: (
+            "crates/core/src/scheme.rs",
+            "\"comm-dfs\"\n\"comm-dfs\"\n\"comm-dfs\"\n\"comm-dfs\"\n\"comm-dfs\"\n\"comm-dfs\"",
+        ),
+    },
     no_bench_target: Row {
         paths: &["shims/criterion", "crates/bench/benches"],
         cut: Cut::Whole,
