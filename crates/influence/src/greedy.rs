@@ -45,19 +45,10 @@ const WINDOW_GROWTH: usize = 4;
 /// Panics if any RR set mentions a vertex `>= n`.
 pub fn celf_max_coverage(rr_sets: &RrSets, n: usize, k: usize) -> Coverage {
     let mut hits = vec![0u32; n];
-    count_hits(&mut hits, rr_sets.members());
-    celf_from_counts(rr_sets, &hits, k)
-}
-
-/// Adds one to `hits[v]` for every occurrence of `v` in `members`.
-///
-/// # Panics
-///
-/// Panics if a member is `>= hits.len()`.
-pub(crate) fn count_hits(hits: &mut [u32], members: &[u32]) {
-    for &v in members {
+    for &v in rr_sets.chunks().iter().flat_map(|c| c.members.iter()) {
         hits[v as usize] += 1;
     }
+    celf_from_counts(rr_sets, &hits, k)
 }
 
 /// [`celf_max_coverage`] given `hits[v]`, the number of sets holding `v`,
@@ -69,7 +60,7 @@ pub(crate) fn count_hits(hits: &mut [u32], members: &[u32]) {
 /// lies in a prefix of the first-key order. The body indexes such a prefix,
 /// the window: the first `WINDOW_PER_SEED · k` candidates by first key, a
 /// selection rather than a sort, with their sets gathered in one pass over
-/// the members. The best first key outside the window bounds every entry
+/// the chunks' members. The best first key outside the window bounds every entry
 /// the window lacks; while the window's top beats it, the window pops what
 /// the full heap pops. When it does not, the window grows by
 /// `WINDOW_GROWTH` and the loop reruns. The last window is every vertex
@@ -119,20 +110,24 @@ fn celf_in_window(
     }
     let mut sets_of = vec![0u32; start[w]];
     let mut cursor = start[..w].to_vec();
-    // One flat pass over the members. The set holding a hit is found by
-    // moving a cursor forward through `offsets`, so the pass has no
-    // per-set loop exit to mispredict: most sets hold no window vertex.
-    let offsets = rr_sets.offsets();
-    let mut set = 0usize;
-    for (pos, &v) in rr_sets.members().iter().enumerate() {
-        let j = slot[v as usize];
-        if j != OUTSIDE {
-            while offsets[set + 1] <= pos {
-                set += 1;
+    // One flat pass over each chunk's members. The set holding a hit is
+    // found by moving a cursor forward through the chunk's `ends`, so the
+    // pass has no per-set loop exit to mispredict: most sets hold no window vertex.
+    let mut base = 0usize;
+    for chunk in rr_sets.chunks() {
+        let ends = &chunk.ends;
+        let mut set = 0usize;
+        for (pos, &v) in chunk.members.iter().enumerate() {
+            let j = slot[v as usize];
+            if j != OUTSIDE {
+                while ends[set] as usize <= pos {
+                    set += 1;
+                }
+                sets_of[cursor[j as usize]] = (base + set) as u32;
+                cursor[j as usize] += 1;
             }
-            sets_of[cursor[j as usize]] = set as u32;
-            cursor[j as usize] += 1;
         }
+        base += ends.len();
     }
     let containing = |v: u32| {
         let j = slot[v as usize] as usize;
@@ -188,6 +183,7 @@ fn celf_in_window(
 /// Panics if any RR set mentions a vertex `>= n`.
 #[cfg(test)]
 pub(crate) fn greedy_max_coverage(rr_sets: &RrSets, n: usize, k: usize) -> Coverage {
+    let by_index: Vec<&[u32]> = rr_sets.iter().collect();
     let mut containing: Vec<Vec<u32>> = vec![Vec::new(); n];
     for (i, set) in rr_sets.iter().enumerate() {
         for &v in set {
@@ -214,7 +210,7 @@ pub(crate) fn greedy_max_coverage(rr_sets: &RrSets, n: usize, k: usize) -> Cover
             }
             set_covered[s as usize] = true;
             covered += 1;
-            for &u in rr_sets.get(s as usize) {
+            for &u in by_index[s as usize] {
                 gain[u as usize] = gain[u as usize].saturating_sub(1);
             }
         }
@@ -226,6 +222,7 @@ pub(crate) fn greedy_max_coverage(rr_sets: &RrSets, n: usize, k: usize) -> Cover
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rrset::{ChunkWriter, CHUNK_MEMBERS};
 
     #[test]
     fn picks_highest_coverage_first() {
@@ -313,7 +310,11 @@ mod tests {
         // Premise: the first window gives up. Ids are already in first-key
         // order here, so the candidates need no selection.
         let mut hits = vec![0; n];
-        count_hits(&mut hits, sets.members());
+        for set in sets.iter() {
+            for &v in set {
+                hits[v as usize] += 1;
+            }
+        }
         let candidates: Vec<u32> = (0..n as u32).collect();
         assert_eq!(celf_in_window(&sets, &hits, &candidates, width, k), None);
     }
@@ -360,20 +361,44 @@ mod tests {
         let mut sets = RrSets::default();
         assert!(sets.is_empty());
         assert_eq!(sets.iter().count(), 0);
-        for set in pushed {
-            sets.push(set);
+        // Chunks appended one after another read as one run of sets.
+        let mut a = ChunkWriter::default();
+        let mut b = ChunkWriter::default();
+        for set in &pushed[..2] {
+            a.push(set);
         }
+        for set in &pushed[2..] {
+            b.push(set);
+        }
+        sets.extend(a.finish());
+        sets.extend(b.finish());
         assert_eq!(sets.len(), 5);
-        for (i, set) in pushed.iter().enumerate() {
-            assert_eq!(sets.get(i), *set, "set {i}");
-        }
+        assert_eq!(sets.chunks().len(), 2);
         assert!(sets.iter().eq(pushed));
-        assert_eq!(sets, RrSets::from_iter(pushed.map(<[u32]>::to_vec)));
-        // A batch append is the same as pushing its sets one by one.
-        let mut batched = RrSets::default();
-        batched.append(&[3, 1, 2, 7], &[3, 0, 1]);
-        batched.append(&[0, 9], &[0, 2]);
-        assert_eq!(batched, sets);
+        assert!(RrSets::from_iter(pushed.map(<[u32]>::to_vec)).iter().eq(pushed));
+    }
+
+    /// A chunk seals before a set would carry it past `CHUNK_MEMBERS`, and
+    /// a set larger than that is a chunk of its own. Selection indexes sets
+    /// across chunks: vertex 3 lies in sets 0, 2, 3 and 5, spread over all
+    /// four chunks, and only the chunk bases keep those indices apart.
+    #[test]
+    fn chunks_seal_at_the_member_budget() {
+        let half = CHUNK_MEMBERS as u32 / 2;
+        let low: Vec<u32> = (0..half).collect();
+        let large: Vec<u32> = (0..=CHUNK_MEMBERS as u32).collect();
+        let pushed = [low.clone(), (half..2 * half).collect(), vec![3], large, vec![], low];
+        let sets = RrSets::from_iter(pushed.clone());
+        let sizes: Vec<(usize, usize)> =
+            sets.chunks().iter().map(|c| (c.ends.len(), c.members.len())).collect();
+        let half = half as usize;
+        assert_eq!(sizes, [(2, CHUNK_MEMBERS), (1, 1), (1, CHUNK_MEMBERS + 1), (2, half)]);
+        assert!(sets.iter().eq(pushed.iter().map(Vec::as_slice)));
+        let n = CHUNK_MEMBERS + 1;
+        for k in 1..=2 {
+            assert_eq!(celf_max_coverage(&sets, n, k), greedy_max_coverage(&sets, n, k), "k={k}");
+        }
+        assert_eq!(celf_max_coverage(&sets, n, 1), Coverage { seeds: vec![3], covered: 4 });
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! CPUs busy.
 
 use crate::config::ImmConfig;
-use crate::greedy::{celf_from_counts, count_hits, Coverage};
-use crate::rrset::{RrSampler, RrSets, RrTrace, SampleScratch};
+use crate::greedy::{celf_from_counts, Coverage};
+use crate::rrset::{ChunkWriter, RrSampler, RrSets, RrTrace, SampleScratch};
 use rayon::prelude::*;
 use reorderlab_graph::{Adjacency, CompressError, CompressedCsr, Csr};
 use std::time::{Duration, Instant};
@@ -14,9 +14,10 @@ use std::time::{Duration, Instant};
 /// Figure 11 (sampling throughput and total time).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplingStats {
-    /// Wall time spent generating RR sets: every parallel sampling batch and
-    /// the merge of its sets into the flat collection, which also adds the
-    /// new sets to the per-vertex counts that selection starts from.
+    /// Wall time spent generating RR sets: every parallel sampling call, in
+    /// which each worker writes its sets into chunks of its own and counts
+    /// their members, and the merge that appends those chunks to the store
+    /// and adds the counts to the per-vertex counts selection starts from.
     pub sampling_time: Duration,
     /// Wall time spent in greedy seed selection: every CELF call of the run,
     /// the one per martingale round and the final one (each time the choice
@@ -182,13 +183,9 @@ fn timed_selection(
     cov
 }
 
-/// RR sets generated per parallel task.
-const SAMPLE_BATCH: usize = 64;
-
-/// Grows `rr_sets` to at least `target` sets using parallel batched
-/// sampling, and `hits` by their members; RR set `i` always comes from
-/// stream `(seed, i)`, so results are thread-count independent. Returns the
-/// wall time spent.
+/// Grows `rr_sets` to at least `target` sets, and `hits` by their members,
+/// in one parallel call; RR set `i` always comes from stream `(seed, i)`,
+/// so results are thread-count independent. Returns the wall time spent.
 fn extend_samples<G: Adjacency + Clone>(
     sampler: &RrSampler<'_, G>,
     cfg: &ImmConfig,
@@ -202,43 +199,36 @@ fn extend_samples<G: Adjacency + Clone>(
         return Duration::ZERO;
     }
     let t0 = Instant::now();
-    let missing = target - have;
-    let batches = missing.div_ceil(SAMPLE_BATCH);
-    // Each worker keeps one `SampleScratch` and one member buffer across its
-    // whole share of the batches: the per-sample `n`-byte visited array and
-    // queue allocations of the naive loop disappear, and a batch's finished
-    // sets are copied end to end into the buffer beside their lengths, then
-    // out of it once at their exact size, so no batch grows a vector by
-    // doubling (at T = 2 that allocation traffic is about a third of
-    // `road`'s sampling time). Set `i` still comes from stream `(seed, i)`
-    // regardless of which worker draws it.
-    let new: Vec<(Vec<u32>, Vec<usize>, RrTrace)> = (0..batches)
+    // One contiguous span of the new indices per worker, which samples it
+    // with one scratch into sets and hits of its own; appending them in span
+    // order puts set `i` at index `i`, and the merge moves no member.
+    let per_worker = (target - have).div_ceil(rayon::current_num_threads().max(1));
+    let spans: Vec<_> =
+        (have..target).step_by(per_worker).map(|lo| lo..(lo + per_worker).min(target)).collect();
+    let new: Vec<(RrSets, Vec<u32>, RrTrace)> = spans
         .into_par_iter()
-        .map_init(
-            || (SampleScratch::new(sampler.num_vertices()), Vec::new()),
-            |(scratch, members), b| {
-                let lo = have + b * SAMPLE_BATCH;
-                let hi = (lo + SAMPLE_BATCH).min(target);
-                members.clear();
-                let mut lens = Vec::with_capacity(hi - lo);
-                let mut tr = RrTrace::default();
-                for i in lo..hi {
-                    let (set, t) = sampler.sample_with(cfg.seed, i as u64, scratch);
-                    tr.edges_examined += t.edges_examined;
-                    tr.vertices_visited += t.vertices_visited;
-                    members.extend_from_slice(set);
-                    lens.push(set.len());
+        .map(|span| {
+            let mut scratch = SampleScratch::new(sampler.num_vertices());
+            let mut writer = ChunkWriter::default();
+            let mut hits = vec![0u32; sampler.num_vertices()];
+            let mut tr = RrTrace::default();
+            for i in span {
+                let (set, t) = sampler.sample_with(cfg.seed, i as u64, &mut scratch);
+                tr.edges_examined += t.edges_examined;
+                tr.vertices_visited += t.vertices_visited;
+                for &v in set {
+                    hits[v as usize] += 1;
                 }
-                (members.to_vec(), lens, tr)
-            },
-        )
+                writer.push(set);
+            }
+            (writer.finish(), hits, tr)
+        })
         .collect();
-    // One growth step per merge, not a doubling chain under the batches
-    // still held: about 40 MB of peak RSS on 2.4 M small sets.
-    rr_sets.reserve(missing, new.iter().map(|(members, ..)| members.len()).sum());
-    for (members, lens, tr) in new {
-        count_hits(hits, &members);
-        rr_sets.append(&members, &lens);
+    for (sets, worker_hits, tr) in new {
+        rr_sets.extend(sets);
+        for (h, w) in hits.iter_mut().zip(worker_hits) {
+            *h += w;
+        }
         trace.edges_examined += tr.edges_examined;
         trace.vertices_visited += tr.vertices_visited;
     }

@@ -5,9 +5,9 @@
 //! second application of the paper's §VI study.
 //!
 //! The core computational task is the *Sampling* procedure: tens of
-//! thousands of probabilistic BFS traversals over the transpose graph,
-//! batched across CPUs. The engine reports sampling throughput and total
-//! time, the two quantities of the paper's Figure 11.
+//! thousands of probabilistic BFS traversals over the transpose graph, one
+//! span of set indices per CPU, written into chunks that [`RrSets`] appends.
+//! The engine reports sampling throughput and total time (paper Fig. 11).
 //!
 //! [`RrSampler`] is generic over the `reorderlab_graph::Adjacency` it
 //! traverses and borrows the caller's graph as its reverse view when that

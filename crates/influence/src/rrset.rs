@@ -34,94 +34,104 @@ pub struct RrTrace {
     pub vertices_visited: u64,
 }
 
-/// A collection of RR sets held as one flat array: set `i` is
-/// `members[offsets[i]..offsets[i + 1]]`. IMM draws millions of small sets
-/// on a high-diameter input, so one allocation per set (and a pointer chase
-/// per set in selection) costs more than the sets themselves.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// RR sets as an append-only list of chunks of consecutive sets, each
+/// allocated once at its final size. One allocation per set costs more than
+/// the small sets IMM draws by the million, and one flat array regrows,
+/// holding its old and its new copy at once.
+#[derive(Debug, Clone, Default)]
 pub struct RrSets {
-    /// Set boundaries in `members`: `len() + 1` non-decreasing entries, the
-    /// first 0 and the last `members.len()`.
-    offsets: Vec<usize>,
-    /// The vertices of every set, set after set, each in sampled order.
-    members: Vec<u32>,
+    chunks: Vec<RrChunk>,
 }
 
-impl Default for RrSets {
-    fn default() -> Self {
-        RrSets { offsets: vec![0], members: Vec::new() }
-    }
+/// Consecutive RR sets: set `j` of the chunk is `members[ends[j - 1]..ends[j]]`,
+/// with `ends[-1]` read as 0.
+#[derive(Debug, Clone)]
+pub(crate) struct RrChunk {
+    /// The vertices of every set, set after set, each in sampled order.
+    pub(crate) members: Box<[u32]>,
+    /// Where each set ends in `members`: one non-decreasing entry per set.
+    pub(crate) ends: Box<[u32]>,
 }
 
 impl RrSets {
     /// Number of sets.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.chunks.iter().map(|c| c.ends.len()).sum()
     }
 
     /// Whether the collection holds no set.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.chunks.is_empty()
     }
 
-    /// Set `i`, as pushed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn get(&self, i: usize) -> &[u32] {
-        &self.members[self.offsets[i]..self.offsets[i + 1]]
+    /// Every set in index order, as pushed.
+    pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        self.chunks.iter().flat_map(|c| {
+            c.ends.iter().scan(0, |start, &end| {
+                let set = &c.members[*start..end as usize];
+                *start = end as usize;
+                Some(set)
+            })
+        })
     }
 
-    /// Every set in index order.
-    #[cfg(test)]
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u32]> {
-        self.offsets.windows(2).map(|w| &self.members[w[0]..w[1]])
+    /// The chunks in index order: each one's sets follow the earlier ones'.
+    pub(crate) fn chunks(&self) -> &[RrChunk] {
+        &self.chunks
     }
 
-    /// Appends `set` as the next index. An empty set is a valid entry.
-    pub(crate) fn push(&mut self, set: &[u32]) {
-        self.members.extend_from_slice(set);
-        self.offsets.push(self.members.len());
-    }
-
-    /// Appends a batch of sets given as their concatenated members and
-    /// their lengths, which must sum to `members.len()`.
-    pub(crate) fn append(&mut self, members: &[u32], lens: &[usize]) {
-        debug_assert_eq!(lens.iter().sum::<usize>(), members.len());
-        let mut end = self.members.len();
-        self.members.extend_from_slice(members);
-        self.offsets.extend(lens.iter().map(|&len| {
-            end += len;
-            end
-        }));
-    }
-
-    /// Room for `sets` more sets holding `members` more vertices in total.
-    pub(crate) fn reserve(&mut self, sets: usize, members: usize) {
-        self.offsets.reserve(sets);
-        self.members.reserve(members);
-    }
-
-    /// The vertices of every set, concatenated in index order.
-    pub(crate) fn members(&self) -> &[u32] {
-        &self.members
-    }
-
-    /// Set boundaries in [`RrSets::members`]: set `i` is
-    /// `members()[offsets()[i]..offsets()[i + 1]]`.
-    pub(crate) fn offsets(&self) -> &[usize] {
-        &self.offsets
+    /// Appends the sets of `more` as the next indices, moving no member.
+    pub(crate) fn extend(&mut self, more: RrSets) {
+        self.chunks.extend(more.chunks);
     }
 }
 
 impl FromIterator<Vec<u32>> for RrSets {
     fn from_iter<I: IntoIterator<Item = Vec<u32>>>(iter: I) -> Self {
-        let mut sets = RrSets::default();
-        for set in iter {
-            sets.push(&set);
+        let mut writer = ChunkWriter::default();
+        iter.into_iter().for_each(|set| writer.push(&set));
+        writer.finish()
+    }
+}
+
+/// A chunk takes no set that would carry it past this many members unless
+/// it is empty, and a set has at most `n <= u32::MAX` members (roots come
+/// from `0..n as u32`), so no `ends` entry can wrap.
+pub(crate) const CHUNK_MEMBERS: usize = 1 << 16;
+
+/// One worker's sets: staged in two buffers it reuses, and sealed into a
+/// chunk allocated once at its exact size when the stage is full, so the
+/// stage is bounded scratch, not a second copy of the store.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkWriter {
+    members: Vec<u32>,
+    ends: Vec<u32>,
+    sets: RrSets,
+}
+
+impl ChunkWriter {
+    /// Appends `set` as the next index. An empty set is a valid entry.
+    pub(crate) fn push(&mut self, set: &[u32]) {
+        if !self.members.is_empty() && self.members.len() + set.len() > CHUNK_MEMBERS {
+            self.seal();
         }
-        sets
+        self.members.extend_from_slice(set);
+        self.ends.push(self.members.len() as u32);
+    }
+
+    fn seal(&mut self) {
+        let chunk = RrChunk { members: self.members[..].into(), ends: self.ends[..].into() };
+        self.sets.chunks.push(chunk);
+        self.members.clear();
+        self.ends.clear();
+    }
+
+    /// Every set pushed, in push order.
+    pub(crate) fn finish(mut self) -> RrSets {
+        if !self.ends.is_empty() {
+            self.seal();
+        }
+        self.sets
     }
 }
 
@@ -139,8 +149,8 @@ impl FromIterator<Vec<u32>> for RrSets {
 #[derive(Debug, Clone)]
 pub(crate) struct SampleScratch {
     /// `stamp[v] == epoch` marks `v` visited in the current sample.
-    stamp: Vec<u64>,
-    epoch: u64,
+    stamp: Vec<u32>,
+    epoch: u32,
     /// BFS queue and output set (root first).
     set: Vec<u32>,
 }
@@ -152,12 +162,16 @@ impl SampleScratch {
     }
 
     /// Starts a new sample rooted at `root`: bumps the epoch (constant-time
-    /// reset of the visited set) and seeds the queue.
+    /// reset of the visited set) and seeds the queue. Once every epoch is
+    /// used, the stamps are zeroed and the count restarts at 1.
     fn begin(&mut self, n: usize, root: u32) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
         }
-        self.epoch += 1;
+        self.epoch = self.epoch.checked_add(1).unwrap_or_else(|| {
+            self.stamp.fill(0);
+            1
+        });
         self.set.clear();
         self.set.push(root);
         self.stamp[root as usize] = self.epoch;
@@ -419,6 +433,21 @@ mod tests {
                 assert_eq!((set.to_vec(), trace), fresh, "index {i} under {model:?}");
             }
         }
+        // Across the epoch wrap: a set of more than its root runs at epoch 1,
+        // and again at the epoch 1 the count wraps to, so a wrap that kept
+        // the stamps would find its vertices already visited. At p = 0.1 the
+        // sets are small, and the two in between barely overwrite them.
+        let s = RrSampler::new(&g, ic(0.1));
+        let wide = (0..).find(|&i| s.sample(21, i).0.len() > 2).expect("a set beyond its root");
+        let mut scratch = SampleScratch::new(g.num_vertices());
+        s.sample_with(21, wide, &mut scratch);
+        scratch.epoch = u32::MAX - 2;
+        for i in [wide + 1, wide + 2, wide].into_iter().chain(wide + 3..wide + 20) {
+            let fresh = s.sample(21, i);
+            let (set, trace) = s.sample_with(21, i, &mut scratch);
+            assert_eq!((set.to_vec(), trace), fresh, "index {i} across the wrap");
+        }
+        assert_eq!(scratch.epoch, 18, "two epochs before the wrap, 18 after");
     }
 
     #[test]

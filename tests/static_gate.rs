@@ -213,18 +213,29 @@ structural_rows! {
         cut: Cut::Whole,
         hit: |l| l.contains("Vec<Vec<u32>>"),
         max: 0,
-        reason: "RR sets live in one RrSets, offsets plus members (DESIGN.md §9)",
+        reason: "RR sets live in one RrSets, chunks of members under their ends (DESIGN.md §9)",
         violation: ("crates/influence/src/imm.rs", "let sets: Vec<Vec<u32>> = Vec::new();"),
+    },
+    sampling_copies_no_batch: Row {
+        paths: &["crates/influence/src/imm.rs"],
+        cut: Cut::Between("fn extend_samples", "fn empty_stats"),
+        hit: |l| l.contains(".to_vec()") || l.contains("reserve("),
+        max: 0,
+        reason: "a worker's sets go to its own chunks: no batch copy, no regrown store (DESIGN.md §9)",
+        violation: ("crates/influence/src/imm.rs", "fn extend_samples() {\n(members.to_vec(), lens)"),
     },
     selection_indexes_a_window: Row {
         paths: &["crates/influence/src/greedy.rs"],
         cut: Cut::BeforeTests,
         hit: |l| {
-            l.contains("members().len()") && (l.contains("with_capacity(") || l.contains("vec!["))
+            l.contains("members.len()") && (l.contains("with_capacity(") || l.contains("vec!["))
         },
         max: 0,
         reason: "CELF indexes a window of candidates, never every RR-set member (DESIGN.md §9)",
-        violation: ("crates/influence/src/greedy.rs", "let i = vec![0; rr.members().len()];"),
+        violation: (
+            "crates/influence/src/greedy.rs",
+            "let i = vec![0; rr.chunks().iter().map(|c| c.members.len()).sum()];",
+        ),
     },
     one_pagerank_pass: Row {
         paths: &["crates/kernels/src/pagerank.rs"],
